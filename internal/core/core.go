@@ -590,6 +590,7 @@ func (r *Relation) chainLookup(tx *txn.Tx, at simclock.Time, vid uint64) (tuple.
 
 // Insert creates a new data item (Algorithm 2) and returns its VID.
 func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byte) (uint64, simclock.Time, error) {
+	tx.MarkWrote()
 	vid := r.vmap.AllocVID()
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
 		return 0, at, err
@@ -660,6 +661,7 @@ func (r *Relation) noteDead(tid page.TID) {
 // the new payload plus the new primary-index key (used only when the key
 // changes — non-key updates leave the index untouched, Section 4.3).
 func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey int64, mutate func(old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+	tx.MarkWrote()
 	// Algorithm 3, line 7: REQUESTXLOCK — blocks behind a concurrent
 	// updater; on wakeup the entrypoint is re-validated below.
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
@@ -760,6 +762,7 @@ func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey 
 // started before the deleting transaction commits still reach the last
 // committed state through the chain.
 func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64) (simclock.Time, error) {
+	tx.MarkWrote()
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
 		return at, err
 	}

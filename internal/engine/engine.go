@@ -173,6 +173,7 @@ type DB struct {
 	// Hot-path counters are atomics so Commit/Abort/Stats never touch
 	// db.mu, which Tick holds during maintenance scheduling.
 	commits        atomic.Int64
+	roCommits      atomic.Int64 // of commits: finished without a log record
 	aborts         atomic.Int64
 	commitFlushes  atomic.Int64 // WAL flushes issued for commits (batched or not)
 	commitBatches  atomic.Int64 // group-commit batches with more than one member
@@ -376,6 +377,41 @@ func (db *DB) CommitBatch(txs []*txn.Tx, at simclock.Time) (simclock.Time, []err
 	return t, errs
 }
 
+// finishUnlogged ends a transaction that wrote nothing (txn.Tx.Wrote is
+// false) without touching the log: the CLOG flips, finish hooks run and the
+// snapshot is released. Safe because no version and no WAL record carries
+// its id — after a crash recovery may hand the id out again, and whoever
+// gets it finds nothing of the earlier holder on disk. This is the serving
+// path's (Facade) commit and abort for readers; Commit, CommitBatch and
+// Abort keep logging every non-ReadOnly transaction, because the simulator
+// (internal/tpcc, internal/exp) calls them directly and EXPERIMENTS.md is
+// pinned to the log volume they produce — folding the simulator in is a
+// deliberate golden update for a later change.
+func (db *DB) finishUnlogged(tx *txn.Tx, commit bool) error {
+	err := db.finish(tx, commit)
+	if err == nil && commit {
+		db.roCommits.Add(1)
+	}
+	return err
+}
+
+// finish flips tx to its outcome in memory (CLOG, finish hooks, locks) and
+// counts it. Whatever the outcome needs in the log is the caller's business.
+func (db *DB) finish(tx *txn.Tx, commit bool) error {
+	if commit {
+		if err := db.txm.Commit(tx); err != nil {
+			return err
+		}
+		db.commits.Add(1)
+		return nil
+	}
+	if err := db.txm.Abort(tx); err != nil {
+		return err
+	}
+	db.aborts.Add(1)
+	return nil
+}
+
 // Abort rolls tx back. The abort record needs no flush.
 func (db *DB) Abort(tx *txn.Tx, at simclock.Time) (simclock.Time, error) {
 	if !tx.ReadOnly() {
@@ -527,6 +563,10 @@ func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
 // Stats aggregates engine-wide counters.
 type Stats struct {
 	Commits, Aborts int64
+	// ReadOnlyCommits counts the commits (included in Commits) of
+	// transactions that wrote nothing: they logged no record and waited for
+	// no flush, so group-commit ratios are taken over Commits minus this.
+	ReadOnlyCommits int64
 	// CommitFlushes counts WAL flushes issued on behalf of commits; with
 	// group commit active it is strictly less than Commits under
 	// concurrency. CommitBatches counts flushes that covered >1 commit;
@@ -615,6 +655,8 @@ func (db *DB) Stats() Stats {
 		vmapRatio = float64(vmapHits) / float64(vmapHits+vmapMisses)
 	}
 	return Stats{
+		ReadOnlyCommits: db.roCommits.Load(),
+
 		Commits:        db.commits.Load(),
 		Aborts:         db.aborts.Load(),
 		CommitFlushes:  db.commitFlushes.Load(),

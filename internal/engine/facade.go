@@ -149,7 +149,15 @@ func (f *Facade) Commit(tx *txn.Tx) error { return f.CommitTraced(tx, obs.SpanCo
 // annotated with whether it led the flush or rode another leader's, and an
 // advisory RecTraceCtx WAL record links the commit to its trace in the
 // replication stream.
+//
+// A transaction that wrote nothing never reaches the batcher: nothing in the
+// log or on a page names its id, so there is no outcome to make durable and
+// it is finished in memory (finishUnlogged) — no record, no flush, no
+// waiter, no linger/fsync span.
 func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
+	if !tx.Wrote() {
+		return f.db.finishUnlogged(tx, true)
+	}
 	w := &commitWaiter{tx: tx, done: make(chan struct{})}
 	if f.tracer != nil && tc.Sampled {
 		w.tc = tc
@@ -292,8 +300,12 @@ func (f *Facade) lingerForBatch(batch []*commitWaiter) []*commitWaiter {
 	}
 }
 
-// Abort rolls tx back.
+// Abort rolls tx back; like Commit it logs nothing for a transaction that
+// wrote nothing.
 func (f *Facade) Abort(tx *txn.Tx) error {
+	if !tx.Wrote() {
+		return f.db.finishUnlogged(tx, false)
+	}
 	return f.run(func(at simclock.Time) (simclock.Time, error) {
 		return f.db.Abort(tx, at)
 	})

@@ -15,11 +15,12 @@ import (
 //     record covers both. The CLOG stays in-progress, which is exactly what
 //     keeps the prepared writes invisible to every snapshot (Visible requires
 //     StatusCommitted) and the write locks held.
-//   - Decide logs the coordinator's verdict. A commit decision is flushed —
-//     that flush is the transaction's commit point; an abort decision rides
-//     along unflushed because a missing decision already means abort
-//     (presumed abort).
-//   - FinishPrepared flips a prepared participant to its outcome: the
+//   - Decide logs the coordinator's verdict and, behind it, the outcome
+//     record of the coordinator's own sub-transaction. A commit decision is
+//     flushed — that one flush is the transaction's commit point and the
+//     coordinator's durable outcome; an abort decision rides along unflushed
+//     because a missing decision already means abort (presumed abort).
+//   - FinishPrepared flips every other participant to the outcome: the
 //     lightweight RecCommit/RecAbort outcome record is appended without a
 //     flush (recovery re-resolves through the coordinator if it is torn) and
 //     the CLOG flips, publishing or discarding the writes atomically.
@@ -79,46 +80,50 @@ func (db *DB) Prepare(tx *txn.Tx, gid uint64, coordShard uint32, at simclock.Tim
 	return t, nil
 }
 
-// Decide logs the coordinator's decision for gid. coordTx is the
-// coordinator's own participant transaction (its id keeps the recovery id
-// allocator ahead of every logged record). Commit decisions are flushed —
-// the commit point; abort decisions are appended unflushed since presumed
-// abort makes the record advisory.
+// Decide logs the coordinator's decision for gid and applies it to coordTx,
+// the coordinator's own participant transaction: RecDecide, then coordTx's
+// outcome record, then — for a commit — one flush through both, and only
+// then the CLOG flip. The flush is the commit point. Putting the outcome
+// behind the decision in the same flush is safe because the log is a
+// prefix: a durable RecCommit implies a durable RecDecide, and a tear
+// between the two leaves a decided, outcome-less coordinator — the in-doubt
+// state recovery already resolves from the decision. A failed flush returns
+// with coordTx still prepared (see shard.ErrInDoubt). Abort decisions are
+// appended unflushed since presumed abort makes the record advisory.
 func (db *DB) Decide(coordTx *txn.Tx, gid uint64, commit bool, at simclock.Time) (simclock.Time, error) {
-	lsn := db.walw.Append(&wal.Record{
+	db.walw.Append(&wal.Record{
 		Type: wal.RecDecide,
 		Tx:   coordTx.ID,
 		Aux:  gid,
 		Data: wal.EncodeDecideData(commit),
 	})
-	if !commit {
-		return at, nil
+	lsn := db.walw.Append(outcomeRecord(coordTx, commit))
+	t := at
+	if commit {
+		var err error
+		if t, err = db.walw.Flush(at, lsn); err != nil {
+			return t, err
+		}
 	}
-	return db.walw.Flush(at, lsn)
+	return t, db.finish(coordTx, commit)
 }
 
-// FinishPrepared applies the decision to a prepared participant: the outcome
-// record is appended (not flushed — it is recoverable from the coordinator's
-// decision) and the CLOG flips, atomically publishing or discarding the
-// writes and releasing the transaction's locks.
+// outcomeRecord is the RecCommit/RecAbort that decides tx in the log.
+func outcomeRecord(tx *txn.Tx, commit bool) *wal.Record {
+	if commit {
+		return &wal.Record{Type: wal.RecCommit, Tx: tx.ID}
+	}
+	return &wal.Record{Type: wal.RecAbort, Tx: tx.ID}
+}
+
+// FinishPrepared applies the decision to a prepared participant other than
+// the coordinator (Decide finishes that one): the outcome record is appended
+// (not flushed — it is recoverable from the coordinator's decision) and the
+// CLOG flips, atomically publishing or discarding the writes and releasing
+// the transaction's locks.
 func (db *DB) FinishPrepared(tx *txn.Tx, commit bool, at simclock.Time) (simclock.Time, error) {
-	typ := wal.RecAbort
-	if commit {
-		typ = wal.RecCommit
-	}
-	db.walw.Append(&wal.Record{Type: typ, Tx: tx.ID})
-	if commit {
-		if err := db.txm.Commit(tx); err != nil {
-			return at, err
-		}
-		db.commits.Add(1)
-	} else {
-		if err := db.txm.Abort(tx); err != nil {
-			return at, err
-		}
-		db.aborts.Add(1)
-	}
-	return at, nil
+	db.walw.Append(outcomeRecord(tx, commit))
+	return at, db.finish(tx, commit)
 }
 
 // Prepare, Decide and FinishPrepared through the facade's virtual-clock
@@ -131,7 +136,8 @@ func (f *Facade) Prepare(tx *txn.Tx, gid uint64, coordShard uint32) error {
 	})
 }
 
-// Decide logs the coordinator decision for gid (flushed iff commit).
+// Decide logs the coordinator decision for gid with coordTx's own outcome
+// behind it (flushed iff commit) and finishes coordTx.
 func (f *Facade) Decide(coordTx *txn.Tx, gid uint64, commit bool) error {
 	return f.run(func(at simclock.Time) (simclock.Time, error) {
 		return f.db.Decide(coordTx, gid, commit, at)
@@ -147,9 +153,10 @@ func (f *Facade) FinishPrepared(tx *txn.Tx, commit bool) error {
 
 // NoteTrace appends an advisory RecTraceCtx record linking tx's WAL records
 // to a distributed trace id. Unflushed — it rides the next flush on this
-// shard (for a 2PC participant, the outcome-flush round) — and ignored by
-// recovery and replica apply; only a follower's replication loop reads it,
-// to stamp its apply span with the originating request's trace.
+// shard (the decide flush on a 2PC coordinator, the outcome-flush round on
+// the other participants) — and ignored by recovery and replica apply; only
+// a follower's replication loop reads it, to stamp its apply span with the
+// originating request's trace.
 func (f *Facade) NoteTrace(tx *txn.Tx, traceID uint64) {
 	f.db.walw.Append(&wal.Record{Type: wal.RecTraceCtx, Tx: tx.ID, Aux: traceID})
 }

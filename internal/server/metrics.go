@@ -147,6 +147,11 @@ func (s *Server) setupMetrics(reg *obs.Registry, slow *obs.SlowOpLog) {
 		perShard(func(l obs.Labels, st engine.Stats, emit func(obs.Labels, float64)) {
 			emit(l, float64(st.Commits))
 		}))
+	reg.CollectCounter("sias_engine_readonly_commits_total",
+		"Committed transactions that wrote nothing: no log record, no flush (included in commits).",
+		perShard(func(l obs.Labels, st engine.Stats, emit func(obs.Labels, float64)) {
+			emit(l, float64(st.ReadOnlyCommits))
+		}))
 	reg.CollectCounter("sias_engine_aborts_total", "Transactions aborted.",
 		perShard(func(l obs.Labels, st engine.Stats, emit func(obs.Labels, float64)) {
 			emit(l, float64(st.Aborts))

@@ -49,6 +49,21 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Readers, so the read-only commit family is live: they log nothing and
+	// must not be mistaken for group-commit wins.
+	const readOnlyTxns = 7
+	for i := int64(0); i < readOnlyTxns; i++ {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Get(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// One cross-shard commit so the 2PC families are live.
 	{
 		tx, err := c.Begin()
@@ -107,12 +122,22 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 	}
 	text := sb.String()
 
-	// Per-shard engine commits: exact equality, series by series.
+	// Per-shard engine commits, and the read-only ones among them: exact
+	// equality, series by series.
+	var readOnly int64
 	for i, sh := range st.Shards {
-		want := fmt.Sprintf("sias_engine_commits_total{shard=%q} %d\n", fmt.Sprint(i), sh.Commits)
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
+		readOnly += sh.ReadOnlyCommits
+		for _, want := range []string{
+			fmt.Sprintf("sias_engine_commits_total{shard=%q} %d\n", fmt.Sprint(i), sh.Commits),
+			fmt.Sprintf("sias_engine_readonly_commits_total{shard=%q} %d\n", fmt.Sprint(i), sh.ReadOnlyCommits),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("exposition missing %q", want)
+			}
 		}
+	}
+	if readOnly != readOnlyTxns || st.Engine.ReadOnlyCommits != readOnly {
+		t.Errorf("read-only commits: shards sum to %d, aggregate says %d, want %d", readOnly, st.Engine.ReadOnlyCommits, readOnlyTxns)
 	}
 	// Secondary index counters and per-table gauges: exact equality against
 	// the same STATS snapshot, series by series. The typed traffic above
@@ -223,10 +248,10 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 200 kv transactions + 1 cross-shard + 1 typed-row transaction.
+	// 200 kv transactions + 7 readers + 1 cross-shard + 1 typed-row transaction.
 	commit := hists[`sias_server_op_seconds{op="COMMIT"}`]
-	if commit == nil || commit.Count != 202 {
-		t.Fatalf("COMMIT histogram count = %v, want 202", commit)
+	if commit == nil || commit.Count != 209 {
+		t.Fatalf("COMMIT histogram count = %v, want 209", commit)
 	}
 	if st.Ops["COMMIT"].Count != commit.Count {
 		t.Fatalf("STATS Ops[COMMIT].Count = %d, exposition has %d", st.Ops["COMMIT"].Count, commit.Count)

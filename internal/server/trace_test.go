@@ -51,6 +51,20 @@ type tracesDoc struct {
 	} `json:"traces"`
 }
 
+// twoShardKeys returns the lowest key homed on each shard of a 2-shard router.
+func twoShardKeys() (k0, k1 int64) {
+	k0, k1 = -1, -1
+	for k := int64(0); k0 < 0 || k1 < 0; k++ {
+		switch {
+		case shard.Of(k, 2) == 0 && k0 < 0:
+			k0 = k
+		case shard.Of(k, 2) == 1 && k1 < 0:
+			k1 = k
+		}
+	}
+	return k0, k1
+}
+
 // TestDistributedTraceCrossShard drives one client-sampled cross-shard
 // commit through a 2-shard server and asserts the wire-propagated trace
 // stitches end to end: the session op span, a prepare span per 2PC
@@ -78,15 +92,7 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 	defer c.Close()
 
 	// One key per shard makes the commit a two-participant 2PC.
-	var k0, k1 int64 = -1, -1
-	for k := int64(0); k0 < 0 || k1 < 0; k++ {
-		switch {
-		case shard.Of(k, 2) == 0 && k0 < 0:
-			k0 = k
-		case shard.Of(k, 2) == 1 && k1 < 0:
-			k1 = k
-		}
-	}
+	k0, k1 := twoShardKeys()
 	tx, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +156,9 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 			if sp.ParentID != spanIDs["COMMIT"] {
 				t.Errorf("route parent = %s, want the COMMIT span %s", sp.ParentID, spanIDs["COMMIT"])
 			}
+			if sp.Annotations["shards"] != "2" || sp.Annotations["writers"] != "2" {
+				t.Errorf("route span annotations = %v, want shards=2 writers=2", sp.Annotations)
+			}
 		case "prepare":
 			if sp.ParentID != routeID {
 				t.Errorf("prepare parent = %s, want the route span %s", sp.ParentID, routeID)
@@ -165,8 +174,10 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 				t.Errorf("decide span missing wal_fsync=commit-point: %v", sp.Annotations)
 			}
 		case "outcome":
-			if sp.Annotations["participants"] != "2" {
-				t.Errorf("outcome span participants = %v, want 2", sp.Annotations)
+			// The coordinator's outcome rode the decide flush; the outcome
+			// round covers the one other participant.
+			if sp.Annotations["participants"] != "1" {
+				t.Errorf("outcome span participants = %v, want 1", sp.Annotations)
 			}
 		}
 	}
@@ -195,5 +206,92 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 	}
 	if st.Trace.Spans < int64(len(tr.Spans)) {
 		t.Errorf("spans_total %d < spans in the retained trace %d", st.Trace.Spans, len(tr.Spans))
+	}
+}
+
+// TestTraceReadOnlyCommitSkipsFlushStages: the route span says how many of
+// the touched shards were written, and the stages under it follow from that
+// number alone — none for a transaction that only read two shards (no 2PC
+// phase, no linger, no fsync), the single-shard group-commit flush for one
+// that wrote on one shard and read the other.
+func TestTraceReadOnlyCommitSkipsFlushStages(t *testing.T) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(0, 0)
+	t.Cleanup(tracer.Close)
+	_, addr := startServer(t, memRouter(t, 2), func(cfg *server.Config) {
+		cfg.Obs = reg
+		cfg.Tracer = tracer
+	})
+	c, err := client.Dial(addr, client.Options{TraceSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k0, k1 := twoShardKeys()
+	run := func(body func(tx *client.Tx) error) {
+		t.Helper()
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := body(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(func(tx *client.Tx) error { // writers=2: seeds both keys
+		if err := tx.Insert(k0, []byte("a")); err != nil {
+			return err
+		}
+		return tx.Insert(k1, []byte("b"))
+	})
+	run(func(tx *client.Tx) error { // writers=0
+		if _, err := tx.Get(k0); err != nil {
+			return err
+		}
+		_, err := tx.Get(k1)
+		return err
+	})
+	run(func(tx *client.Tx) error { // writers=1
+		if _, err := tx.Get(k1); err != nil {
+			return err
+		}
+		return tx.Update(k0, []byte("c"))
+	})
+
+	web := httptest.NewServer(obs.Handler(reg, nil, tracer, nil))
+	defer web.Close()
+	resp := httpGet(t, web.URL+"/debug/traces")
+	var doc tracesDoc
+	if err := json.Unmarshal([]byte(resp.body), &doc); err != nil {
+		t.Fatalf("traces json: %v\n%s", err, resp.body)
+	}
+	stagesByWriters := map[string]map[string]int{}
+	for _, tr := range doc.Traces {
+		stages := map[string]int{}
+		writers := ""
+		for _, sp := range tr.Spans {
+			switch sp.Name {
+			case "route":
+				writers = sp.Annotations["writers"]
+				if sp.Annotations["shards"] != "2" {
+					t.Errorf("route span annotations = %v, want shards=2", sp.Annotations)
+				}
+			case "prepare", "decide", "outcome", "linger", "fsync":
+				stages[sp.Name]++
+			}
+		}
+		stagesByWriters[writers] = stages
+	}
+	if got := stagesByWriters["0"]; got == nil || len(got) != 0 {
+		t.Errorf("read-only commit recorded stages %v, want a route span with writers=0 and nothing under it\n%s", got, resp.body)
+	}
+	if got := stagesByWriters["1"]; got == nil || got["fsync"] != 1 || got["prepare"]+got["decide"]+got["outcome"] != 0 {
+		t.Errorf("one-writer commit recorded stages %v, want the group-commit fsync and no 2PC phase\n%s", got, resp.body)
+	}
+	if got := stagesByWriters["2"]; got["prepare"] != 2 || got["decide"] != 1 || got["outcome"] != 1 {
+		t.Errorf("two-writer commit recorded stages %v, want the full 2PC pipeline", got)
 	}
 }

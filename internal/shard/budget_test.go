@@ -1,0 +1,363 @@
+package shard_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"sias/internal/device"
+	"sias/internal/engine"
+	"sias/internal/shard"
+	"sias/internal/tuple"
+	"sias/internal/wal"
+)
+
+// logState is everything a commit can leave in one shard's log: the stream
+// end, the pages Flush wrote, and the 2PC records forced.
+type logState struct {
+	next     wal.LSN
+	writes   int64
+	prepares int64
+}
+
+func logStateOf(db *engine.DB) logState {
+	return logState{next: db.WAL().NextLSN(), writes: db.WAL().PageWrites(), prepares: db.Stats().Prepares}
+}
+
+// recordsSince lists the types of the records in dev's log at or after from.
+func recordsSince(t *testing.T, dev device.BlockDevice, from wal.LSN) []wal.RecType {
+	t.Helper()
+	var types []wal.RecType
+	if _, err := wal.Scan(dev, func(lsn wal.LSN, rec wal.Record) error {
+		if lsn >= from {
+			types = append(types, rec.Type)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
+
+func setValue(v string) func(tuple.Row) (tuple.Row, error) {
+	return func(old tuple.Row) (tuple.Row, error) {
+		out := append(tuple.Row(nil), old...)
+		out[1] = []byte(v)
+		return out, nil
+	}
+}
+
+// TestCommitLogBudget pins, record by record and flush by flush, what each
+// shape of commit writes: a transaction that only read writes nothing on any
+// shard, one that wrote on a single shard takes that shard's one-flush fast
+// path whatever it read elsewhere, and one that wrote on two shards runs 2PC
+// in 2n = 4 flushes with the coordinator's outcome on the decide flush.
+func TestCommitLogBudget(t *testing.T) {
+	devs := []shardDevs{newShardDevs(), newShardDevs()}
+	s0, db0 := openShardOn(t, devs[0])
+	s1, db1 := openShardOn(t, devs[1])
+	dbs := []*engine.DB{db0, db1}
+	r, err := shard.NewRouter([]shard.Shard{s0, s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := keysFor(t, 2)
+	// Seed both keys one shard at a time, so every extent the updates below
+	// need is allocated (and its record logged) before anything is counted.
+	for _, k := range keys {
+		tx := r.Begin()
+		if err := tx.Insert(row(k, []byte("seed"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marks := func() []logState { return []logState{logStateOf(db0), logStateOf(db1)} }
+	routerAt := r.RouterStats()
+
+	t.Run("read of both shards", func(t *testing.T) {
+		before := marks()
+		for _, finish := range []func(*shard.Txn) error{(*shard.Txn).Commit, (*shard.Txn).Abort} {
+			tx := r.Begin()
+			for _, k := range keys {
+				if _, err := tx.Get(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := finish(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := marks(); !reflect.DeepEqual(after, before) {
+			t.Errorf("reading both shards moved a log: %+v -> %+v", before, after)
+		}
+		if rs := r.RouterStats(); rs != routerAt {
+			t.Errorf("reading both shards counted as coordination: %+v -> %+v", routerAt, rs)
+		}
+		for i, db := range dbs {
+			if st := db.Stats(); st.ReadOnlyCommits != 1 || st.Aborts != 1 {
+				t.Errorf("shard %d: %d read-only commits, %d aborts, want 1 and 1", i, st.ReadOnlyCommits, st.Aborts)
+			}
+		}
+	})
+
+	t.Run("write on A, read on B", func(t *testing.T) {
+		before := marks()
+		flushes := db0.Stats().CommitFlushes
+		tx := r.Begin()
+		if _, err := tx.Get(keys[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update(keys[0], setValue("solo")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := marks()
+		if after[1] != before[1] {
+			t.Errorf("the shard that was only read logged: %+v -> %+v", before[1], after[1])
+		}
+		want := []wal.RecType{wal.RecHeapInsert, wal.RecCommit}
+		if got := recordsSince(t, devs[0].wal, before[0].next); !reflect.DeepEqual(got, want) {
+			t.Errorf("written shard logged %v, want the single-shard sequence %v", got, want)
+		}
+		if d := after[0].writes - before[0].writes; d != 1 || db0.Stats().CommitFlushes-flushes != 1 {
+			t.Errorf("written shard: %d page writes, %d commit flushes, want 1 and 1", d, db0.Stats().CommitFlushes-flushes)
+		}
+		if after[0].prepares != 0 {
+			t.Errorf("fast path forced %d prepares", after[0].prepares)
+		}
+		if rs := r.RouterStats(); rs != routerAt {
+			t.Errorf("one written shard counted as coordination: %+v -> %+v", routerAt, rs)
+		}
+	})
+
+	t.Run("write on both", func(t *testing.T) {
+		before := marks()
+		tx := r.Begin()
+		for _, k := range keys {
+			if err := tx.Update(k, setValue("both")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := marks()
+		wantCoord := []wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecDecide, wal.RecCommit}
+		if got := recordsSince(t, devs[0].wal, before[0].next); !reflect.DeepEqual(got, wantCoord) {
+			t.Errorf("coordinator logged %v, want %v", got, wantCoord)
+		}
+		wantPart := []wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecCommit}
+		if got := recordsSince(t, devs[1].wal, before[1].next); !reflect.DeepEqual(got, wantPart) {
+			t.Errorf("participant logged %v, want %v", got, wantPart)
+		}
+		// Prepare + decide on the coordinator (its outcome needs no flush of
+		// its own), prepare + outcome on the participant; every flush here
+		// fits the log's tail page, so page writes count flushes.
+		for i := range dbs {
+			if d := after[i].writes - before[i].writes; d != 2 {
+				t.Errorf("shard %d: %d log flushes for a 2-shard commit, want 2 (4 in all)", i, d)
+			}
+			if after[i].prepares-before[i].prepares != 1 {
+				t.Errorf("shard %d: %d prepares, want 1", i, after[i].prepares-before[i].prepares)
+			}
+		}
+		rs := r.RouterStats()
+		if rs.CrossCommits != routerAt.CrossCommits+1 || rs.TwoPCCommits != routerAt.TwoPCCommits+1 {
+			t.Errorf("router counters %+v, want one more cross-shard and one more 2PC commit than %+v", rs, routerAt)
+		}
+		for i, k := range keys {
+			if v, err := mustGet(t, r.Shard(i), k); err != nil || string(v) != "both" {
+				t.Errorf("shard %d: value %q, %v after the 2-shard commit", i, v, err)
+			}
+		}
+	})
+}
+
+// failWALAfterPrepare opens a shard whose WAL device fails every write once
+// the shard has forced a PREPARE record: the next flush it is asked for — a
+// decide flush on a coordinator, an outcome flush on a participant — never
+// reaches the device, as if the process had died before it.
+func failWALAfterPrepare(t *testing.T, d shardDevs) (shard.Shard, *engine.DB) {
+	t.Helper()
+	wrapped := device.NewWrap(d.wal)
+	s, db := openShardOn(t, shardDevs{data: d.data, wal: wrapped})
+	wrapped.SetWriteHook(func(int64) error {
+		if db.Stats().Prepares > 0 {
+			return errors.New("injected WAL write failure")
+		}
+		return nil
+	})
+	return s, db
+}
+
+// TestCrashAroundDecideWithReadOnlyShard crashes a transaction that wrote on
+// shards 0 and 1 and only read shard 2, once between the PREPAREs and the
+// decide flush and once right after it. Either way the shard that was only
+// read took no part: its log and its in-doubt counters are untouched. Before
+// the decide flush recovery presumes abort on both writers; after it the
+// coordinator's outcome is already durable (it rode the decide flush), so
+// only the other participant is in doubt, and it commits.
+func TestCrashAroundDecideWithReadOnlyShard(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		failOn             int // shard whose WAL dies after its PREPARE
+		wantErr            error
+		visible            bool
+		inDoubtC, inDoubtA [3]int64
+	}{
+		{name: "before the decide flush", failOn: 0, wantErr: shard.ErrInDoubt,
+			visible: false, inDoubtA: [3]int64{1, 1, 0}},
+		{name: "after the decide flush", failOn: 1,
+			visible: true, inDoubtC: [3]int64{0, 1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			devs := []shardDevs{newShardDevs(), newShardDevs(), newShardDevs()}
+			shards := make([]shard.Shard, 3)
+			var reader *engine.DB
+			for i := range shards {
+				if i == tc.failOn {
+					shards[i], _ = failWALAfterPrepare(t, devs[i])
+				} else {
+					var db *engine.DB
+					shards[i], db = openShardOn(t, devs[i])
+					if i == 2 {
+						reader = db
+					}
+				}
+			}
+			r, err := shard.NewRouter(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := keysFor(t, 3)
+			for _, k := range keys {
+				tx := r.Begin()
+				if err := tx.Insert(row(k, []byte("old"))); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Make the seed durable on the reader too, then freeze its log.
+			if err := r.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before := logStateOf(reader)
+			records := len(recordsSince(t, devs[2].wal, 0))
+
+			tx := r.Begin()
+			if _, err := tx.Get(keys[2]); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys[:2] {
+				if err := tx.Update(k, setValue("new")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = tx.Commit()
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("commit error = %v, want %v", err, tc.wantErr)
+			}
+			if err == nil {
+				t.Fatal("commit over a dead WAL reported success")
+			}
+			if got := logStateOf(reader); got != before {
+				t.Errorf("read-only shard's log moved during the commit: %+v -> %+v", before, got)
+			}
+			if got := len(recordsSince(t, devs[2].wal, 0)); got != records {
+				t.Errorf("read-only shard's log holds %d records, %d before the commit", got, records)
+			}
+
+			// Crash: recover every shard from the bytes that reached its devices.
+			recovered, dbs := recoverShards(t, devs)
+			for i, db := range dbs {
+				st := db.Stats()
+				if st.InDoubtCommits != tc.inDoubtC[i] || st.InDoubtAborts != tc.inDoubtA[i] {
+					t.Errorf("shard %d: in-doubt resolution = %d commits / %d aborts, want %d/%d",
+						i, st.InDoubtCommits, st.InDoubtAborts, tc.inDoubtC[i], tc.inDoubtA[i])
+				}
+			}
+			want := "old"
+			if tc.visible {
+				want = "new"
+			}
+			for i, k := range keys[:2] {
+				if v, err := mustGet(t, recovered[i], k); err != nil || string(v) != want {
+					t.Errorf("shard %d after recovery: value %q, %v; want %q", i, v, err, want)
+				}
+			}
+			if v, err := mustGet(t, recovered[2], keys[2]); err != nil || string(v) != "old" {
+				t.Errorf("read-only shard after recovery: value %q, %v", v, err)
+			}
+		})
+	}
+}
+
+// TestThreeWriterCommitFlushBudget: n written shards cost n prepares, one
+// decide and n-1 outcome flushes — 2n — and the read-only fourth shard none.
+func TestThreeWriterCommitFlushBudget(t *testing.T) {
+	const n = 4
+	devs := make([]shardDevs, n)
+	shards := make([]shard.Shard, n)
+	dbs := make([]*engine.DB, n)
+	for i := range devs {
+		devs[i] = newShardDevs()
+		shards[i], dbs[i] = openShardOn(t, devs[i])
+	}
+	r, err := shard.NewRouter(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := keysFor(t, n)
+	for _, k := range keys {
+		tx := r.Begin()
+		if err := tx.Insert(row(k, []byte("seed"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make([]logState, n)
+	for i, db := range dbs {
+		before[i] = logStateOf(db)
+	}
+	// Shard 0 is only read, so the coordinator is shard 1: the lowest WRITTEN.
+	tx := r.Begin()
+	if _, err := tx.Get(keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[1:] {
+		if err := tx.Update(k, setValue("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var flushes int64
+	for i, db := range dbs {
+		after := logStateOf(db)
+		flushes += after.writes - before[i].writes
+		got := fmt.Sprint(recordsSince(t, devs[i].wal, before[i].next))
+		want := fmt.Sprint([]wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecCommit})
+		switch i {
+		case 0:
+			want = fmt.Sprint([]wal.RecType(nil))
+		case 1:
+			want = fmt.Sprint([]wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecDecide, wal.RecCommit})
+		}
+		if got != want {
+			t.Errorf("shard %d logged %s, want %s", i, got, want)
+		}
+	}
+	if flushes != 2*(n-1) {
+		t.Errorf("%d log flushes for a commit that wrote on %d shards, want %d", flushes, n-1, 2*(n-1))
+	}
+}

@@ -20,13 +20,15 @@ const (
 	// durable but before the coordinator logs its decision: recovery must
 	// presume abort.
 	crashAfterPrepare = "2pc-after-prepare"
-	// crashAfterDecide fires after the commit decision is durable in the
-	// coordinator's WAL but before any participant logs an outcome record:
-	// recovery must resolve every participant to commit.
+	// crashAfterDecide fires after the decide flush — the commit decision and
+	// the coordinator's own outcome record are durable in the coordinator's
+	// WAL — but before any other participant logs an outcome record:
+	// recovery must resolve every one of those to commit.
 	crashAfterDecide = "2pc-after-decide"
-	// crashMidOutcome fires after the first participant's outcome record is
-	// durable but before the remaining participants log theirs: recovery
-	// must converge the stragglers onto the same committed outcome.
+	// crashMidOutcome fires after the first non-coordinator participant's
+	// outcome record is durable too, but before the remaining participants
+	// log theirs: recovery must converge the stragglers onto the same
+	// committed outcome (with two written shards there are none left).
 	crashMidOutcome = "2pc-mid-outcome"
 )
 

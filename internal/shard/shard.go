@@ -19,14 +19,17 @@
 // would produce.
 //
 // Transactions. A Txn lazily opens one sub-transaction per shard on first
-// touch. Each sub-transaction has its own snapshot in its own shard.
-// Single-shard transactions (the common case under hash routing) commit
-// through their shard's group-commit batcher exactly as before — one WAL
-// flush, no coordination records. Multi-shard commits are ATOMIC via
-// two-phase commit over the per-shard WALs: every touched shard forces a
-// PREPARE record (phase 1, parallel fan-out), the lowest touched shard acts
-// as coordinator and forces a single DECIDE record (the commit point), and
-// participants then log lightweight outcome records without flushing.
+// touch. Each sub-transaction has its own snapshot in its own shard. Commit
+// does the log I/O the outcome needs: shards that were only read log and
+// flush nothing, and a transaction that wrote on one shard (the common case
+// under hash routing) commits through that shard's group-commit batcher
+// exactly as a single engine would — one WAL flush, no coordination
+// records. Commits that wrote on several shards are ATOMIC via two-phase
+// commit over the written shards' WALs: each forces a PREPARE record (phase
+// 1, parallel fan-out), the lowest written shard acts as coordinator and
+// forces a single DECIDE record (the commit point) with its own outcome
+// record behind it, and the other participants then log lightweight outcome
+// records, forced in one last parallel round.
 // Recovery resolves in-doubt prepared transactions against the
 // coordinator's decision log, presuming abort when no decision survived —
 // so after a crash a cross-shard transaction's writes are visible in all
@@ -61,7 +64,7 @@ type Shard struct {
 type Router struct {
 	shards []Shard
 
-	crossCommits atomic.Int64 // commits that touched >1 shard
+	crossCommits atomic.Int64 // commits that wrote on >1 shard
 	fanouts      atomic.Int64 // range ops that fanned out to all shards
 
 	// 2PC outcome counters.
@@ -188,7 +191,7 @@ func (r *Router) Stats() []engine.Stats {
 // RouterStats counts cross-shard coordination events.
 type RouterStats struct {
 	Shards       int   // configured shard count
-	CrossCommits int64 // commits spanning more than one shard
+	CrossCommits int64 // commits that wrote on more than one shard (2PC runs)
 	RangeFanouts int64 // range ops fanned out across all shards
 	// 2PC outcomes: TwoPCCommits counts cross-shard transactions that
 	// reached a durable commit decision, TwoPCAbortPrepare those aborted
@@ -217,6 +220,7 @@ func Aggregate(ss []engine.Stats) engine.Stats {
 	var a engine.Stats
 	for _, s := range ss {
 		a.Commits += s.Commits
+		a.ReadOnlyCommits += s.ReadOnlyCommits
 		a.Aborts += s.Aborts
 		a.CommitFlushes += s.CommitFlushes
 		a.CommitBatches += s.CommitBatches
@@ -374,11 +378,17 @@ func (t *Txn) Delete(key int64) error {
 	return s.Facade.Delete(s.Table, t.at(i), key)
 }
 
-// Commit makes the transaction durable. A single touched shard commits
-// through its own group-commit batcher — one WAL flush, no coordination
-// records logged (the 2PC-free fast path). Multiple touched shards go
-// through two-phase commit (commit2PC), which makes the commit atomic
-// across shards even through a crash at any point of the protocol.
+// Commit ends the transaction with the log I/O its outcome needs and no
+// more. The touched shards split into writers (the sub-transaction created a
+// version, txn.Tx.Wrote) and readers. Readers vote read-only in the R* sense
+// and drop out first: their sub-transactions finish in memory, with no log
+// record and no flush. Then
+//
+//   - no writer: done — zero log bytes on every shard, however many were read;
+//   - one writer: that shard's own group-commit batcher — one WAL flush, no
+//     coordination records (the 2PC-free fast path), whatever else was read;
+//   - several writers: two-phase commit over the writers only (commit2PC),
+//     atomic across them even through a crash at any point of the protocol.
 //
 // For a sampled transaction (SetTrace) the whole router-side commit is the
 // "route" span; 2PC phases and engine group-commit stages become its
@@ -388,56 +398,88 @@ func (t *Txn) Commit() error {
 		return ErrFinished
 	}
 	t.done = true
-	var touched []int
+	var writers, readers []int
 	for i, sub := range t.sub {
-		if sub != nil {
-			touched = append(touched, i)
+		switch {
+		case sub == nil:
+		case sub.Wrote():
+			writers = append(writers, i)
+		default:
+			readers = append(readers, i)
 		}
 	}
 	sp := t.r.tracer.StartSpan(t.tc, "route")
-	sp.Annotate("shards", strconv.Itoa(len(touched)))
+	sp.Annotate("shards", strconv.Itoa(len(writers)+len(readers)))
+	sp.Annotate("writers", strconv.Itoa(len(writers)))
 	defer sp.Finish()
-	switch len(touched) {
-	case 0:
-		return nil
-	case 1:
-		i := touched[0]
-		sp.SetShard(i)
-		return t.r.shards[i].Facade.CommitTraced(t.sub[i], sp.Context())
-	}
-	t.r.crossCommits.Add(1)
-	if t.asOf {
-		// Read-only snapshot transactions log nothing; "commit" just runs
-		// finish hooks and releases the per-shard horizon pins.
-		var first error
-		for _, i := range touched {
-			if err := t.r.shards[i].Facade.Commit(t.sub[i]); err != nil && first == nil {
-				first = err
-			}
+	// Releasing a reader cannot fail short of a bug (its sub-transaction
+	// already finished), so the writers' outcome is reported first.
+	var readErr error
+	for _, i := range readers {
+		if err := t.r.shards[i].Facade.Commit(t.sub[i]); err != nil && readErr == nil {
+			readErr = err
 		}
-		return first
 	}
-	return t.commit2PC(touched, sp)
+	var err error
+	switch len(writers) {
+	case 0:
+		if len(readers) == 1 {
+			sp.SetShard(readers[0])
+		}
+	case 1:
+		i := writers[0]
+		sp.SetShard(i)
+		err = t.r.shards[i].Facade.CommitTraced(t.sub[i], sp.Context())
+	default:
+		t.r.crossCommits.Add(1)
+		err = t.commit2PC(writers, sp)
+	}
+	if err != nil {
+		return err
+	}
+	return readErr
 }
 
-// commit2PC runs two-phase commit over the touched shards. The lowest
-// touched shard is the coordinator; the global transaction id folds the
-// coordinator's shard index over its sub-transaction id (GlobalID), so gids
-// never collide across coordinators even though every shard's local id
-// allocator starts at 1.
+// parallel runs leg(0) … leg(n-1) concurrently and returns when all have:
+// leg 0 on the calling goroutine, the rest on their own. A round of one leg
+// — the outcome round of a two-shard commit — is a plain call.
+func parallel(n int, leg func(j int)) {
+	if n == 1 {
+		leg(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for j := 1; j < n; j++ {
+		go func(j int) {
+			defer wg.Done()
+			leg(j)
+		}(j)
+	}
+	leg(0)
+	wg.Wait()
+}
+
+// commit2PC runs two-phase commit over the written shards. The lowest of
+// them is the coordinator; the global transaction id folds the coordinator's
+// shard index over its sub-transaction id (GlobalID), so gids never collide
+// across coordinators even though every shard's local id allocator starts
+// at 1.
 //
 // Phase 1 forces a PREPARE record on every participant in parallel: the
 // sub-transaction's heap records precede it in the same WAL, so one flush
 // covers both, and the flushes across shards overlap. Phase 2 forces one
-// DECIDE record in the coordinator's WAL — the commit point. Outcome
-// records then append and are forced in a final parallel round — crash
-// recovery re-derives any lost one from the decision (a missing decision
-// means abort — presumed abort), but followers flip visibility only on a
-// shipped outcome record, so the commit path makes them durable before
-// acknowledging.
-func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
+// DECIDE record in the coordinator's WAL — the commit point — and the
+// coordinator's own outcome record rides that same flush (engine.DB.Decide).
+// The other participants' outcome records then append and are forced in a
+// final parallel round — crash recovery re-derives any lost one from the
+// decision (a missing decision means abort — presumed abort), but followers
+// flip visibility only on a shipped outcome record, so the commit path makes
+// them durable before acknowledging. n written shards cost n + 1 + (n - 1)
+// = 2n flushes.
+func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	r := t.r
-	coord := touched[0]
+	coord, others := writers[0], writers[1:]
 	gid := GlobalID(uint32(coord), uint64(t.sub[coord].ID))
 	parent.SetShard(coord) // the coordinator anchors the route span
 
@@ -445,26 +487,21 @@ func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
 	if r.prepareHist != nil {
 		t0 = time.Now()
 	}
-	errs := make([]error, len(touched))
-	var wg sync.WaitGroup
-	for j, i := range touched {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			psp := r.tracer.StartSpan(parent.Context(), "prepare")
-			psp.SetShard(i)
-			errs[j] = r.shards[i].Facade.Prepare(t.sub[i], gid, uint32(coord))
-			if errs[j] != nil {
-				psp.Annotate("error", errs[j].Error())
-			} else {
-				// Prepare forces the participant's WAL through the PREPARE
-				// record: this span's window includes that fsync.
-				psp.Annotate("wal_fsync", "forced")
-			}
-			psp.Finish()
-		}(j, i)
-	}
-	wg.Wait()
+	errs := make([]error, len(writers))
+	parallel(len(writers), func(j int) {
+		i := writers[j]
+		psp := r.tracer.StartSpan(parent.Context(), "prepare")
+		psp.SetShard(i)
+		errs[j] = r.shards[i].Facade.Prepare(t.sub[i], gid, uint32(coord))
+		if errs[j] != nil {
+			psp.Annotate("error", errs[j].Error())
+		} else {
+			// Prepare forces the participant's WAL through the PREPARE
+			// record: this span's window includes that fsync.
+			psp.Annotate("wal_fsync", "forced")
+		}
+		psp.Finish()
+	})
 	if r.prepareHist != nil {
 		r.prepareHist.ObserveSince(t0)
 	}
@@ -482,7 +519,7 @@ func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
 		// whose prepare failed simply rolls back.
 		parent.Annotate("result", "abort-prepare")
 		r.shards[coord].Facade.Decide(t.sub[coord], gid, false)
-		for _, i := range touched {
+		for _, i := range others {
 			r.shards[i].Facade.FinishPrepared(t.sub[i], false)
 		}
 		r.twopcAbortPrepare.Add(1)
@@ -490,7 +527,16 @@ func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
 	}
 	crashpoint(crashAfterPrepare, nil)
 
-	// The commit point: the decision is durable in the coordinator's log.
+	sampled := t.tc.Sampled && r.tracer != nil
+	if sampled {
+		// Link each participant's WAL records to the originating trace so a
+		// follower's apply span can carry the same trace id. Advisory and
+		// unflushed — the coordinator's rides the decide flush, the others'
+		// the outcome-flush round below.
+		r.shards[coord].Facade.NoteTrace(t.sub[coord], t.tc.TraceID)
+	}
+	// The commit point: the decision is durable in the coordinator's log,
+	// and with it the coordinator's own outcome — its CLOG flips here.
 	dsp := r.tracer.StartSpan(parent.Context(), "decide")
 	dsp.SetShard(coord)
 	if err := r.shards[coord].Facade.Decide(t.sub[coord], gid, true); err != nil {
@@ -514,26 +560,25 @@ func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
 	dsp.Finish()
 	crashpoint(crashAfterDecide, nil)
 
-	// Outcome records: the CLOG flips here, which is what makes the writes
-	// visible (and releases the write locks) on each shard.
+	// Outcome records of the other participants: the CLOG flips here, which
+	// is what makes the writes visible (and releases the write locks) on
+	// each of their shards.
 	osp := r.tracer.StartSpan(parent.Context(), "outcome")
 	osp.SetShard(coord)
-	osp.Annotate("participants", strconv.Itoa(len(touched)))
-	for n, i := range touched {
-		if t.tc.Sampled && r.tracer != nil {
-			// Link each participant's WAL records to the originating trace so
-			// a follower's apply span can carry the same trace id. Advisory
-			// and unflushed — it rides the outcome-flush round below.
-			r.shards[i].Facade.NoteTrace(t.sub[i], t.tc.TraceID)
+	osp.Annotate("participants", strconv.Itoa(len(others)))
+	for n, i := range others {
+		f := r.shards[i].Facade
+		if sampled {
+			f.NoteTrace(t.sub[i], t.tc.TraceID)
 		}
-		if err := r.shards[i].Facade.FinishPrepared(t.sub[i], true); err != nil && first == nil {
+		if err := f.FinishPrepared(t.sub[i], true); err != nil && first == nil {
 			first = err
 		}
 		if n == 0 {
-			// Crash-matrix hook: the first participant's outcome record must
-			// be durable for the mid-outcome scenario to actually exercise a
-			// partially-outcome-logged log set, so force it before dying.
-			f := r.shards[i].Facade
+			// Crash-matrix hook: the first non-coordinator outcome record
+			// must be durable for the mid-outcome scenario to actually
+			// exercise a partially-outcome-logged log set, so force it
+			// before dying.
 			crashpoint(crashMidOutcome, func() error { return flushFacadeWAL(f) })
 		}
 	}
@@ -547,20 +592,14 @@ func (t *Txn) commit2PC(touched []int, parent *obs.Span) error {
 	// therefore surfaces in the returned error: the transaction IS
 	// committed, but the caller must not trust follower lag until the
 	// outcome records eventually reach the device.
-	var fwg sync.WaitGroup
-	ferrs := make([]error, len(touched))
-	for j, i := range touched {
-		fwg.Add(1)
-		go func(j, i int) {
-			defer fwg.Done()
-			ferrs[j] = flushFacadeWAL(r.shards[i].Facade)
-		}(j, i)
-	}
-	fwg.Wait()
+	ferrs := make([]error, len(others))
+	parallel(len(others), func(j int) {
+		ferrs[j] = flushFacadeWAL(r.shards[others[j]].Facade)
+	})
 	osp.Finish()
 	for j, err := range ferrs {
 		if err != nil && first == nil {
-			first = fmt.Errorf("shard %d: outcome-record flush after commit: %w", touched[j], err)
+			first = fmt.Errorf("shard %d: outcome-record flush after commit: %w", others[j], err)
 		}
 	}
 	r.twopcCommits.Add(1)

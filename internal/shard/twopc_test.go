@@ -9,6 +9,7 @@ import (
 	"sias/internal/page"
 	"sias/internal/shard"
 	"sias/internal/tuple"
+	"sias/internal/txn"
 	"sias/internal/wal"
 )
 
@@ -99,6 +100,19 @@ func keysFor(t *testing.T, n int) []int64 {
 	return keys
 }
 
+// tearDecideFlush leaves the coordinator's log the way a decide flush torn
+// between its two records does: the commit decision durable, the
+// coordinator's own outcome record behind it lost. Since Decide writes both
+// in one flush this is the only way a decided coordinator is still in doubt.
+func tearDecideFlush(t *testing.T, db *engine.DB, coordTx *txn.Tx, gid uint64) {
+	t.Helper()
+	w := db.WAL()
+	lsn := w.Append(&wal.Record{Type: wal.RecDecide, Tx: coordTx.ID, Aux: gid, Data: wal.EncodeDecideData(true)})
+	if _, err := w.Flush(0, lsn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustGet(t *testing.T, s shard.Shard, key int64) ([]byte, error) {
 	t.Helper()
 	tx := s.Facade.Begin()
@@ -149,12 +163,13 @@ func TestRecoveryPresumedAbort(t *testing.T) {
 }
 
 // TestRecoveryDecidedCommitLaggingParticipant: the commit decision is durable
-// in the coordinator's log but the lagging participant crashed before its
-// outcome record — recovery must resolve the participant to COMMIT through
-// the coordinator's decision log, making the write visible on both shards.
+// in the coordinator's log but neither outcome record is — the coordinator's
+// was torn off the decide flush, the lagging participant crashed before its
+// own — recovery must resolve both to COMMIT through the coordinator's
+// decision log, making the write visible on both shards.
 func TestRecoveryDecidedCommitLaggingParticipant(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
-	s0, _ := openShardOn(t, devs[0])
+	s0, db0 := openShardOn(t, devs[0])
 	s1, _ := openShardOn(t, devs[1])
 	keys := keysFor(t, 2)
 
@@ -174,9 +189,7 @@ func TestRecoveryDecidedCommitLaggingParticipant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The commit point: decision durable on the coordinator.
-	if err := s0.Facade.Decide(tx0, gid, true); err != nil {
-		t.Fatal(err)
-	}
+	tearDecideFlush(t, db0, tx0, gid)
 	// Crash before either participant logged a durable outcome record.
 
 	shards, dbs := recoverShards(t, devs)
@@ -202,7 +215,7 @@ func TestRecoveryDecidedCommitLaggingParticipant(t *testing.T) {
 // state must be stable across repeated replays of the same log.
 func TestRecoveryOutcomeReplayIdempotent(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
-	s0, _ := openShardOn(t, devs[0])
+	s0, db0 := openShardOn(t, devs[0])
 	s1, _ := openShardOn(t, devs[1])
 	keys := keysFor(t, 2)
 
@@ -221,9 +234,7 @@ func TestRecoveryOutcomeReplayIdempotent(t *testing.T) {
 	if err := s1.Facade.Prepare(tx1, gid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s0.Facade.Decide(tx0, gid, true); err != nil {
-		t.Fatal(err)
-	}
+	tearDecideFlush(t, db0, tx0, gid)
 
 	// First recovery resolves the in-doubt participants and appends their
 	// outcome records; checkpointing makes those durable.
@@ -290,9 +301,6 @@ func TestRecoveryGidCollisionAcrossCoordinators(t *testing.T) {
 	if err := s1.Facade.Decide(tx1a, gidOwn, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Facade.FinishPrepared(tx1a, true); err != nil {
-		t.Fatal(err)
-	}
 
 	// A cross-shard transaction coordinated by shard 0 whose coordinator
 	// sub-transaction carries the SAME local id (the fresh allocators run in
@@ -347,27 +355,10 @@ func TestRecoveryGidCollisionAcrossCoordinators(t *testing.T) {
 func TestDecideFlushFailureInDoubt(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
 
-	// Shard 0 is the coordinator (lowest touched index). Wrap its WAL device
-	// to fail every write issued after its prepare record is durable — the
-	// first failed write is the commit-decision flush.
-	wrapped := device.NewWrap(devs[0].wal)
-	opts := engine.DefaultOptions(devs[0].data, wrapped)
-	opts.PoolFrames = 512
-	db0, err := engine.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab0, _, err := db0.CreateTable(0, "kv", kvSchema(), "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped.SetWriteHook(func(int64) error {
-		if db0.Stats().Prepares > 0 {
-			return errors.New("injected WAL write failure")
-		}
-		return nil
-	})
-	s0 := shard.Shard{Facade: engine.NewFacade(db0), Table: tab0}
+	// Shard 0 is the coordinator (lowest written index). Its WAL device fails
+	// every write issued after its prepare record is durable — the first
+	// failed write is the commit-decision flush.
+	s0, _ := failWALAfterPrepare(t, devs[0])
 	s1, _ := openShardOn(t, devs[1])
 	r, err := shard.NewRouter([]shard.Shard{s0, s1})
 	if err != nil {

@@ -488,6 +488,7 @@ func (r *Relation) pruneVersion(at simclock.Time, key int64, tid page.TID) (simc
 
 // Insert stores a new data item under key.
 func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byte) (simclock.Time, error) {
+	tx.MarkWrote()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tup := tuple.EncodeSI(tuple.SIHeader{Xmin: tx.ID, CTID: page.InvalidTID}, payload)
@@ -540,6 +541,7 @@ func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, simcloc
 // version; first-updater-wins via the item transaction lock. mutate returns
 // the new payload and the (possibly changed) index key.
 func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+	tx.MarkWrote()
 	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
 	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
 		return at, err
@@ -600,6 +602,7 @@ func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(o
 // Delete invalidates the current version of key in place (no tombstone
 // version is created under SI).
 func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, error) {
+	tx.MarkWrote()
 	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
 	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
 		return at, err

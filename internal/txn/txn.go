@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -88,6 +89,7 @@ type Tx struct {
 	Snap     Snapshot
 	mgr      *Manager
 	readOnly bool
+	wrote    atomic.Bool
 	mu       sync.Mutex
 	status   Status
 	locks    []LockKey
@@ -97,6 +99,24 @@ type Tx struct {
 // ReadOnly reports whether t was started by BeginReadOnlyAt and therefore
 // never writes, holds no locks, and has no CLOG entry of its own.
 func (t *Tx) ReadOnly() bool { return t.readOnly }
+
+// MarkWrote records that t is about to create a tuple version. The storage
+// managers call it on entry to every version-creating operation, before the
+// first byte reaches the log, so "a WAL record or a stored version carries
+// t's id" implies Wrote. Holding locks is not the test: an insert locks
+// nothing under the SI baseline and a failed update locks without writing.
+func (t *Tx) MarkWrote() {
+	if !t.readOnly {
+		t.wrote.Store(true)
+	}
+}
+
+// Wrote reports whether t ever entered a version-creating operation. A
+// transaction that did not has left nothing on any page or in the log that
+// names its id, so its outcome needs no log record and no flush: committing
+// it only releases its snapshot. ReadOnly transactions never count — they
+// have no id to log under.
+func (t *Tx) Wrote() bool { return t.wrote.Load() }
 
 // Status returns the transaction's current state.
 func (t *Tx) Status() Status {

@@ -436,64 +436,66 @@ func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, erro
 	at := simclock.Time(0)
 	var base LSN // absolute offset of stream[0]
 	var end LSN  // offset past the last decoded record
-	zeroRun := 0
-	for p := int64(0); p < dev.NumPages(); p++ {
-		var err error
-		at, err = dev.ReadPage(at, p, buf)
-		if err != nil {
-			return end, fmt.Errorf("wal: scan read page %d: %w", p, err)
-		}
-		allZero := true
-		for _, b := range buf {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			zeroRun++
-			if zeroRun >= 2 {
-				return end, nil
-			}
-		} else {
-			zeroRun = 0
-		}
-		stream = append(stream, buf...)
+
+	// decode consumes every record the buffered stream holds. A decode
+	// failure is one of three things: (a) an incomplete record awaiting the
+	// next page, (b) the torn tail of an old generation, or (c)
+	// inter-generation padding — zeros up to the next page boundary, where a
+	// new generation begins. (b) and (c) both end at the next page boundary
+	// (generations start page-aligned), so they are skipped to it and the
+	// scan goes on: a later generation may hold newer records. `end` only
+	// advances on intact records and the CRC keeps stale debris from
+	// decoding, so this never resurrects torn data.
+	//
+	// Which of the three it is is decided by the framing alone, once the
+	// bytes the header claims are all present — never by "the rest of this
+	// page is zero": a record whose first bytes land in the last bytes of a
+	// page may lead with zero CRC bytes and is not padding. So (a) waits
+	// while pages keep coming, and only when the log has ended (final) is an
+	// incomplete record a torn tail like any other.
+	decode := func(final bool) error {
 		for {
 			rec, n, derr := DecodeRecord(stream)
 			if derr == nil {
 				if err := fn(base, rec); err != nil {
-					return end, err
+					return err
 				}
 				stream = stream[n:]
 				base += LSN(n)
 				end = base
 				continue
 			}
-			// Decode failed. Within a generation the stream is contiguous,
-			// so this is either (a) an incomplete record awaiting the next
-			// page, (b) the torn tail of an old generation, or (c)
-			// inter-generation padding: zeros up to the next page boundary
-			// where a new generation begins. Cases (b) and (c) both end at
-			// the next page boundary (generations start page-aligned), so
-			// skip to it and keep scanning — a later generation may hold
-			// newer records. `end` only advances on intact records, and the
-			// CRC keeps stale debris from decoding, so this never resurrects
-			// torn data. Case (a) waits for the next page.
-			pad := (pageSize - int(base)%pageSize) % pageSize
-			if pad == 0 {
-				pad = pageSize // at a boundary: a fully zero page may gap generations
+			if errors.Is(derr, errNeedMore) && !final {
+				return nil
 			}
+			pad := pageSize - int(base)%pageSize // at a boundary: a zero page may gap generations
 			if len(stream) < pad {
-				break // incomplete record awaiting the next page
+				return nil
 			}
-			if allZeros(stream[:pad]) || errors.Is(derr, errCorrupt) {
-				stream = stream[pad:]
-				base += LSN(pad)
-				continue
-			}
-			break // incomplete record awaiting the next page
+			stream = stream[pad:]
+			base += LSN(pad)
 		}
 	}
-	return end, nil
+
+	zeroRun := 0
+	for p := int64(0); p < dev.NumPages() && zeroRun < 2; p++ {
+		var err error
+		at, err = dev.ReadPage(at, p, buf)
+		if err != nil {
+			return end, fmt.Errorf("wal: scan read page %d: %w", p, err)
+		}
+		if allZeros(buf) {
+			zeroRun++
+		} else {
+			zeroRun = 0
+		}
+		stream = append(stream, buf...)
+		if err := decode(false); err != nil {
+			return end, err
+		}
+	}
+	// The log has ended. What looked like the head of a record still waiting
+	// for bytes can never complete; step over it, so that a short newest
+	// generation behind such a head is not lost with it.
+	return end, decode(true)
 }
