@@ -2,12 +2,22 @@
 // (internal/wire, served by internal/server).
 //
 // A Client owns a pool of TCP connections, keyed by server address.
-// Transactions are pinned to one pooled connection for their lifetime — wire
-// handles are scoped to the connection that issued them — and the connection
-// returns to the pool on Commit/Abort. Admission-control rejections
-// (wire.ErrOverloaded) are retried transparently with exponential backoff
-// and full jitter: the server rejects before executing, so retrying any op
-// is safe.
+// Transactions are pinned to one pooled connection from their first
+// operation on — wire handles are scoped to the connection that issued them
+// — and the connection returns to the pool on Commit/Abort. Admission-control
+// rejections (wire.ErrOverloaded) are retried transparently with exponential
+// backoff and full jitter: the server rejects before executing, so retrying
+// any op is safe.
+//
+// Begin sends nothing. The BEGIN frame travels in front of the transaction's
+// first operation, in the same write, and the operation names its
+// transaction as handle 0 — "the BEGIN just before me" (see Tx.first). The
+// snapshot is the first operation's, as it always was (the server opens a
+// shard's sub-transaction on first touch), and whatever the server has to
+// say about starting a transaction — a drain refusal or redirect, no
+// reachable primary — is said to the first operation, not to Begin. A
+// transaction that is finished without an operation never reaches the
+// server.
 //
 // When Options.Replicas names read-only followers, BeginRead routes
 // read-only transactions to them round-robin — but only to a replica whose
@@ -45,8 +55,9 @@ import (
 // effect either way.
 var ErrInDoubt = errors.New("client: commit outcome unknown (connection lost mid-commit)")
 
-// ErrNoPrimary is returned by Begin once the bounded failover-retry budget
-// is exhausted without reaching a server that accepts new transactions.
+// ErrNoPrimary is returned by a transaction's first operation once the
+// bounded failover-retry budget is exhausted without reaching a server that
+// accepts new transactions.
 var ErrNoPrimary = errors.New("client: no reachable primary")
 
 // Options configures Dial. The zero value gets sensible defaults.
@@ -56,13 +67,13 @@ type Options struct {
 	// DialTimeout bounds connection establishment (default 3s).
 	DialTimeout time.Duration
 	// MaxRetries bounds retry-on-overload attempts per op, and reconnect
-	// attempts per Begin (default 6).
+	// attempts per transaction start (default 6).
 	MaxRetries int
 	// RetryBase is the first backoff delay; it doubles per attempt with
 	// full jitter, capped at 64x (default 2ms).
 	RetryBase time.Duration
-	// MaxRedirects caps how many failover redirects one Begin will chase
-	// before surfacing ErrNoPrimary (default 4).
+	// MaxRedirects caps how many failover redirects one transaction start
+	// will chase before surfacing ErrNoPrimary (default 4).
 	MaxRedirects int
 	// Replicas are read-only follower addresses eligible to serve BeginRead
 	// transactions. Optional; with none, BeginRead runs on the primary.
@@ -98,6 +109,10 @@ type conn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	broken bool
+	// eagerBegin is set once the server behind this connection has answered
+	// UNKNOWN_TX to handle 0 right after a successful BEGIN: it predates the
+	// rule, so BEGIN gets its own round trip here from then on.
+	eagerBegin bool
 }
 
 // Dial connects to addr, verifying reachability with one eager connection.
@@ -217,21 +232,35 @@ func (c *Client) put(cn *conn) {
 	cn.nc.Close()
 }
 
-// call performs one request/response round trip. Transport failures mark
-// the connection broken and are returned as-is; protocol errors are
-// rehydrated into typed sentinels via wire.ErrOf.
-func (cn *conn) call(op wire.Op, payload []byte) ([]byte, error) {
+// send buffers one request frame; flush puts it on the wire. A nonzero
+// traceID wraps the frame in an OpTrace envelope so the server continues the
+// client's trace. Transport failures mark the connection broken.
+func (cn *conn) send(traceID uint64, op wire.Op, payload []byte) error {
 	if cn.broken {
-		return nil, errors.New("client: connection is broken")
+		return errors.New("client: connection is broken")
+	}
+	if traceID != 0 {
+		op, payload = wire.OpTrace, wire.EncodeTraceEnvelope(traceID, 0, true, op, payload)
 	}
 	if err := wire.WriteFrame(cn.bw, uint8(op), payload); err != nil {
 		cn.broken = true
-		return nil, err
+		return err
 	}
+	return nil
+}
+
+func (cn *conn) flush() error {
 	if err := cn.bw.Flush(); err != nil {
 		cn.broken = true
-		return nil, err
+		return err
 	}
+	return nil
+}
+
+// recv reads one reply. Transport failures mark the connection broken and
+// are returned as-is; protocol errors are rehydrated into typed sentinels via
+// wire.ErrOf.
+func (cn *conn) recv() ([]byte, error) {
 	tag, resp, err := wire.ReadFrame(cn.br)
 	if err != nil {
 		cn.broken = true
@@ -243,54 +272,74 @@ func (cn *conn) call(op wire.Op, payload []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// callTraced is call with an optional trace envelope: a nonzero traceID
-// wraps the frame in OpTrace so the server continues the client's trace.
-func (cn *conn) callTraced(traceID uint64, op wire.Op, payload []byte) ([]byte, error) {
-	if traceID == 0 {
-		return cn.call(op, payload)
-	}
-	return cn.call(wire.OpTrace, wire.EncodeTraceEnvelope(traceID, 0, true, op, payload))
+// call performs one request/response round trip.
+func (cn *conn) call(op wire.Op, payload []byte) ([]byte, error) {
+	return cn.callTraced(0, op, payload)
 }
 
-// withRetry runs fn, retrying wire.ErrOverloaded with exponential backoff
-// and full jitter.
+// callTraced is call with an optional trace envelope (see send).
+func (cn *conn) callTraced(traceID uint64, op wire.Op, payload []byte) ([]byte, error) {
+	if err := cn.send(traceID, op, payload); err != nil {
+		return nil, err
+	}
+	if err := cn.flush(); err != nil {
+		return nil, err
+	}
+	return cn.recv()
+}
+
+// backoff is exponential backoff with full jitter: each sleep is uniform in
+// [0, delay] and doubles the next delay, capped at 64x the base.
+type backoff struct{ delay, max time.Duration }
+
+func (c *Client) newBackoff() backoff {
+	return backoff{delay: c.opts.RetryBase, max: 64 * c.opts.RetryBase}
+}
+
+func (b *backoff) sleep() {
+	time.Sleep(time.Duration(rand.Int63n(int64(b.delay) + 1)))
+	if b.delay < b.max {
+		b.delay *= 2
+	}
+}
+
+// withRetry runs fn, retrying wire.ErrOverloaded with backoff.
 func (c *Client) withRetry(fn func() error) error {
-	delay := c.opts.RetryBase
+	bo := c.newBackoff()
 	for attempt := 0; ; attempt++ {
 		err := fn()
 		if err == nil || !errors.Is(err, wire.ErrOverloaded) || attempt >= c.opts.MaxRetries {
 			return err
 		}
-		time.Sleep(time.Duration(rand.Int63n(int64(delay) + 1)))
-		if delay < 64*c.opts.RetryBase {
-			delay *= 2
-		}
+		bo.sleep()
 	}
 }
 
-// Tx is a transaction pinned to one pooled connection.
+// Tx is a transaction pinned to one pooled connection. Until its first
+// operation has been answered it exists only here: handle is 0, and cn is nil
+// (Begin) or the replica connection BeginRead probed.
 type Tx struct {
 	c        *Client
 	cn       *conn
-	handle   uint64
+	handle   uint64 // the server's handle; 0 = BEGIN not sent or not yet answered
 	done     bool
 	readOnly bool   // opened by BeginRead; writes are rejected client-side
+	replica  bool   // cn is a follower picked by BeginRead, BEGIN still to be sent
 	wrote    bool   // a write op succeeded; COMMIT transport loss is then in-doubt
 	traceID  uint64 // nonzero when this transaction is trace-sampled
 }
 
-// Begin opens a transaction on a pooled connection. When the server is
-// draining and announces a failover target (wire.FailoverAddr on the
-// SHUTTING_DOWN rejection), the client repoints itself at the follower and
-// retries there, so a primary→follower handoff looks like one slow Begin
-// rather than an error surfaced to every caller.
-//
-// The failover chase is bounded: at most Options.MaxRedirects repoints and
-// Options.MaxRetries reconnects-after-transport-failure, with jittered
-// exponential backoff between reconnects. Once the budget is spent, the
-// last error is surfaced wrapped in ErrNoPrimary so callers can
-// errors.Is(err, client.ErrNoPrimary) rather than pattern-match.
+// Begin opens a transaction without talking to the server: BEGIN goes out
+// with the first operation (see Tx.first), which is also where a draining
+// primary's failover redirect, a dead pooled connection and ErrNoPrimary
+// surface. The only error is a closed client.
 func (c *Client) Begin() (*Tx, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, errors.New("client: closed")
+	}
 	// Head sampling happens here, at the root of the request: one coin flip
 	// per transaction, and the decision rides every traced frame.
 	var traceID uint64
@@ -299,62 +348,7 @@ func (c *Client) Begin() (*Tx, error) {
 			traceID = rand.Uint64()
 		}
 	}
-	var lastErr error
-	redirects, reconnects := 0, 0
-	delay := c.opts.RetryBase
-	// backoff sleeps with full jitter and doubles the next delay; applied to
-	// reconnect attempts only (a redirect already names a live target).
-	backoff := func() {
-		time.Sleep(time.Duration(rand.Int63n(int64(delay) + 1)))
-		if delay < 64*c.opts.RetryBase {
-			delay *= 2
-		}
-	}
-	for {
-		cn, err := c.get()
-		if err != nil {
-			lastErr = err
-			if reconnects++; reconnects > c.opts.MaxRetries {
-				break
-			}
-			backoff()
-			continue
-		}
-		var handle uint64
-		err = c.withRetry(func() error {
-			resp, err := cn.callTraced(traceID, wire.OpBegin, nil)
-			if err != nil {
-				return err
-			}
-			r := wire.Reader{B: resp}
-			handle, err = r.U64()
-			return err
-		})
-		if err == nil {
-			return &Tx{c: c, cn: cn, handle: handle, traceID: traceID}, nil
-		}
-		c.put(cn) // broken connections are closed, healthy ones pooled
-		lastErr = err
-		if addr := wire.FailoverAddr(err); addr != "" {
-			if redirects++; redirects > c.opts.MaxRedirects {
-				break
-			}
-			c.redirect(addr)
-			continue
-		}
-		if cn.broken {
-			// A pooled connection died under us (drain force-close, primary
-			// crash): retry on a freshly dialed one.
-			if reconnects++; reconnects > c.opts.MaxRetries {
-				break
-			}
-			backoff()
-			continue
-		}
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w (after %d redirects, %d reconnects): %w",
-		ErrNoPrimary, redirects, reconnects, lastErr)
+	return &Tx{c: c, traceID: traceID}, nil
 }
 
 // BeginRead opens a read-only transaction, preferring a replica from
@@ -377,7 +371,7 @@ func (c *Client) BeginRead() (*Tx, error) {
 	for i := 0; i < len(replicas); i++ {
 		addr := replicas[(start+i)%len(replicas)]
 		if tx, err := c.beginReadAt(addr, floor); err == nil {
-			c.replicaReads.Add(1)
+			c.replicaReads.Add(1) // taken back if the BEGIN there fails (Tx.first)
 			return tx, nil
 		}
 	}
@@ -391,8 +385,9 @@ func (c *Client) BeginRead() (*Tx, error) {
 }
 
 // beginReadAt probes one replica's applied-LSN vector and, if it covers
-// floor, opens a transaction on the same connection (so the snapshot is
-// taken at or after the probed position).
+// floor, pins the transaction to the same connection: its BEGIN follows the
+// probe there with the first operation, so the snapshot is taken at or after
+// the probed position.
 func (c *Client) beginReadAt(addr string, floor []uint64) (*Tx, error) {
 	cn, err := c.getAt(addr)
 	if err != nil {
@@ -411,18 +406,7 @@ func (c *Client) beginReadAt(addr string, floor []uint64) (*Tx, error) {
 		}
 		return nil, err
 	}
-	resp, err = cn.call(wire.OpBegin, nil)
-	if err != nil {
-		c.put(cn)
-		return nil, err
-	}
-	r := wire.Reader{B: resp}
-	handle, err := r.U64()
-	if err != nil {
-		c.put(cn)
-		return nil, err
-	}
-	return &Tx{c: c, cn: cn, handle: handle, readOnly: true}, nil
+	return &Tx{c: c, cn: cn, readOnly: true, replica: true}, nil
 }
 
 // noteCommit folds a COMMIT reply's durable-LSN vector into the session
@@ -498,30 +482,174 @@ func (c *Client) Promote() error {
 	return err
 }
 
+// payload encodes a request body: the handle, then the op's own fields.
+func (t *Tx) payload(build func(*wire.Buf)) []byte {
+	var b wire.Buf
+	b.U64(t.handle)
+	if build != nil {
+		build(&b)
+	}
+	return b.B
+}
+
 func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
+	if t.handle == 0 {
+		return t.first(op, build)
+	}
+	traceID := uint64(0)
+	if op == wire.OpCommit {
+		// Only BEGIN and COMMIT ride the envelope: COMMIT is the frame whose
+		// server-side span parents the whole commit pipeline. Point ops stay
+		// bare — tracing every GET would double framing overhead for spans
+		// nobody looks at.
+		traceID = t.traceID
+	}
+	payload := t.payload(build)
 	var resp []byte
-	err := t.c.withRetry(func() error {
-		var b wire.Buf
-		b.U64(t.handle)
-		if build != nil {
-			build(&b)
-		}
-		var err error
-		if op == wire.OpCommit {
-			// Only the COMMIT rides the envelope: it is the frame whose
-			// server-side span parents the whole commit pipeline. Point ops
-			// stay bare — tracing every GET would double framing overhead
-			// for spans nobody looks at.
-			resp, err = t.cn.callTraced(t.traceID, op, b.B)
-		} else {
-			resp, err = t.cn.call(op, b.B)
-		}
+	err := t.c.withRetry(func() (err error) {
+		resp, err = t.cn.callTraced(traceID, op, payload)
 		return err
 	})
 	return resp, err
+}
+
+// first runs the transaction's first operation with the deferred BEGIN in
+// front of it: both frames leave in one write, the server answers both in
+// one, and the transaction costs one round trip less. The operation names
+// handle 0, which the server resolves to the BEGIN just before it on this
+// connection — and to nothing if that BEGIN was refused, so the pair either
+// starts this transaction or does nothing at all.
+//
+// That makes the pair safe to repeat, and this is where the client's
+// failover lives. A BEGIN refused by a draining server that names its
+// follower (wire.FailoverAddr on SHUTTING_DOWN) repoints the client and
+// repeats the pair there, so a primary→follower handoff looks like one slow
+// operation rather than an error surfaced to every caller. A connection that
+// fails before both replies are in takes the session's open transactions
+// down with it on the server, so the pair is repeated on a fresh one.
+// OVERLOADED is retried in place: the pair if BEGIN was refused, the
+// operation alone under its real handle if BEGIN got through.
+//
+// The chase is bounded: at most Options.MaxRedirects repoints and
+// Options.MaxRetries reconnects, with backoff between reconnects. Once the
+// budget is spent the last error is surfaced wrapped in ErrNoPrimary so
+// callers can errors.Is(err, client.ErrNoPrimary) rather than pattern-match.
+func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
+	c := t.c
+	var lastErr error
+	redirects, reconnects := 0, 0
+	bo := c.newBackoff() // between reconnects only: a redirect names a live target
+	for {
+		if t.cn == nil {
+			cn, err := c.get()
+			if err != nil {
+				lastErr = err
+				if reconnects++; reconnects > c.opts.MaxRetries {
+					break
+				}
+				bo.sleep()
+				continue
+			}
+			t.cn = cn
+		}
+		var resp []byte
+		err := c.withRetry(func() (err error) {
+			if t.handle == 0 {
+				resp, err = t.beginWith(op, build)
+			} else {
+				resp, err = t.cn.call(op, t.payload(build))
+			}
+			return err
+		})
+		cn := t.cn
+		if t.handle != 0 && !cn.broken {
+			return resp, err // the transaction is open; err is the operation's own
+		}
+
+		// Nothing of this attempt survives on the server.
+		t.cn, t.handle = nil, 0
+		c.put(cn) // broken connections are closed, healthy ones pooled
+		lastErr = err
+		if t.replica {
+			// Whatever a follower refuses, the primary serves: it is always
+			// consistent.
+			t.replica = false
+			c.replicaReads.Add(-1)
+			c.primaryReads.Add(1)
+			continue
+		}
+		if addr := wire.FailoverAddr(err); addr != "" {
+			if redirects++; redirects > c.opts.MaxRedirects {
+				break
+			}
+			c.redirect(addr)
+			continue
+		}
+		if cn.broken {
+			// A pooled connection died under us (drain force-close, primary
+			// crash): retry on a freshly dialed one.
+			if reconnects++; reconnects > c.opts.MaxRetries {
+				break
+			}
+			bo.sleep()
+			continue
+		}
+		return nil, err
+	}
+	return nil, fmt.Errorf("%w (after %d redirects, %d reconnects): %w",
+		ErrNoPrimary, redirects, reconnects, lastErr)
+}
+
+// beginWith is one attempt of first: BEGIN and the operation in one flush,
+// then both replies. t.handle is set iff BEGIN succeeded, and then the
+// results are the operation's; otherwise the error says why nothing ran.
+func (t *Tx) beginWith(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
+	cn := t.cn
+	paired := !cn.eagerBegin
+	if err := cn.send(t.traceID, wire.OpBegin, nil); err != nil {
+		return nil, err
+	}
+	if paired {
+		if err := cn.send(0, op, t.payload(build)); err != nil { // handle 0
+			return nil, err
+		}
+	}
+	if err := cn.flush(); err != nil {
+		return nil, err
+	}
+	begun, beginErr := cn.recv()
+	if cn.broken {
+		return nil, beginErr
+	}
+	var resp []byte
+	var opErr error
+	if paired {
+		// The server answers every frame: after a refused BEGIN the operation
+		// behind it found no transaction, and its reply still has to be read.
+		if resp, opErr = cn.recv(); cn.broken {
+			return nil, opErr
+		}
+	}
+	if beginErr != nil {
+		return nil, beginErr
+	}
+	r := wire.Reader{B: begun}
+	handle, err := r.U64()
+	if err != nil {
+		return nil, err
+	}
+	t.handle = handle
+	if paired && !errors.Is(opErr, wire.ErrUnknownTx) {
+		return resp, opErr
+	}
+	// BEGIN succeeded, yet handle 0 named nothing: a server from before the
+	// rule. The operation goes again under its real handle, as it does from
+	// the start on every later transaction of this connection.
+	cn.eagerBegin = true
+	return cn.call(op, t.payload(build))
 }
 
 // Get returns the value of key visible to the transaction.
@@ -612,7 +740,11 @@ func (t *Tx) finish(op wire.Op) error {
 	if t.done {
 		return errors.New("client: transaction finished")
 	}
-	resp, err := t.call(op, nil)
+	var resp []byte
+	var err error
+	if t.handle != 0 { // else BEGIN never left: the server has nothing to finish
+		resp, err = t.call(op, nil)
+	}
 	broken := t.cn != nil && t.cn.broken
 	t.done = true
 	t.c.put(t.cn)

@@ -1,0 +1,756 @@
+package client
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sias/internal/device"
+	"sias/internal/engine"
+	"sias/internal/obs"
+	"sias/internal/page"
+	"sias/internal/server"
+	"sias/internal/shard"
+	"sias/internal/simclock"
+	"sias/internal/tuple"
+	"sias/internal/wire"
+)
+
+// ---- an in-process server on 127.0.0.1:0 ----
+
+func memShard(t *testing.T, walDev device.BlockDevice) shard.Shard {
+	t.Helper()
+	db, err := engine.Open(engine.DefaultOptions(device.NewMem(page.Size, 1<<16), walDev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := tuple.NewSchema(
+		tuple.Column{Name: "k", Type: tuple.TypeInt64},
+		tuple.Column{Name: "v", Type: tuple.TypeBytes},
+	)
+	tab, _, err := db.CreateTable(0, "kv", sch, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shard.Shard{Facade: engine.NewFacade(db), Table: tab}
+}
+
+// startServer serves one in-memory shard; walDev nil means a plain one.
+func startServer(t *testing.T, walDev device.BlockDevice, mut func(*server.Config)) (*server.Server, string) {
+	t.Helper()
+	if walDev == nil {
+		walDev = device.NewMem(page.Size, 1<<14)
+	}
+	r, err := shard.NewRouter([]shard.Shard{memShard(t, walDev)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Config{Router: r}
+	if mut != nil {
+		mut(&cfg)
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Shutdown(context.Background()) // a no-op after an earlier Shutdown or Kill
+		<-serveErr
+	})
+	return srv, ln.Addr().String()
+}
+
+func dial(t *testing.T, addr string, opts Options) *Client {
+	t.Helper()
+	if opts.RetryBase == 0 {
+		opts.RetryBase = time.Millisecond
+	}
+	c, err := Dial(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// put commits key=val in one transaction.
+func put(t *testing.T, c *Client, key int64, val string) {
+	t.Helper()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert(key, []byte(val)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rows scans everything in one transaction.
+func rows(t *testing.T, c *Client) []KV {
+	t.Helper()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := tx.Scan(-1<<62, 1<<62, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return kvs
+}
+
+// ---- a connection that counts its socket writes ----
+
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// poolCounted replaces c's idle pool by one fresh connection whose writes are
+// counted.
+func poolCounted(t *testing.T, c *Client) *countingConn {
+	t.Helper()
+	addr := c.Addr()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: nc}
+	c.mu.Lock()
+	for _, cn := range c.idle[addr] {
+		cn.nc.Close()
+	}
+	c.idle[addr] = []*conn{{addr: addr, nc: cc, br: bufio.NewReader(cc), bw: bufio.NewWriter(cc)}}
+	c.mu.Unlock()
+	return cc
+}
+
+func idleCount(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idle[c.addr])
+}
+
+// TestWriteBudget pins what a transaction costs on the wire: Begin sends
+// nothing, BEGIN leaves with the first operation, so Begin + 2 x Update +
+// Commit is 3 socket writes (it was 4), while the server still executes 4
+// requests.
+func TestWriteBudget(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	put(t, c, 1, "a")
+	put(t, c, 2, "b")
+	cc := poolCounted(t, c)
+	before := srv.Stats().Requests
+
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.writes.Load(); n != 0 {
+		t.Fatalf("Begin alone wrote to the socket %d times, want 0", n)
+	}
+	if err := tx.Update(1, []byte("a2")); err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.writes.Load(); n != 1 {
+		t.Fatalf("BEGIN + first UPDATE took %d socket writes, want 1", n)
+	}
+	if err := tx.Update(2, []byte("b2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.writes.Load(); n != 3 {
+		t.Errorf("Begin + 2 x Update + Commit took %d socket writes, want 3", n)
+	}
+	if n := srv.Stats().Requests - before; n != 4 {
+		t.Errorf("the server executed %d requests, want 4 (BEGIN, 2 x UPDATE, COMMIT)", n)
+	}
+	if got := rows(t, c); len(got) != 2 || string(got[0].Val) != "a2" || string(got[1].Val) != "b2" {
+		t.Errorf("after the transaction: %v", got)
+	}
+}
+
+// TestEmptyTransactionSendsNothing finishes transactions that never ran an
+// operation: no frame leaves, the server never hears of them, and the pooled
+// connection is still there for the next one.
+func TestEmptyTransactionSendsNothing(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	cc := poolCounted(t, c)
+	before := srv.Stats().Requests
+
+	for _, finish := range []func(*Tx) error{(*Tx).Commit, (*Tx).Abort} {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := finish(tx); err != nil {
+			t.Fatalf("finishing an empty transaction: %v", err)
+		}
+		if err := finish(tx); err == nil {
+			t.Error("a finished transaction finished again without an error")
+		}
+		if _, err := tx.Get(1); err == nil {
+			t.Error("an operation on a finished transaction succeeded")
+		}
+	}
+	if n := cc.writes.Load(); n != 0 {
+		t.Errorf("%d socket writes for two empty transactions, want 0", n)
+	}
+	if n := srv.Stats().Requests - before; n != 0 {
+		t.Errorf("the server executed %d requests, want 0", n)
+	}
+	if n := idleCount(c); n != 1 {
+		t.Errorf("%d idle connections after two empty transactions, want the 1 there was", n)
+	}
+	put(t, c, 1, "still works")
+	if n := cc.writes.Load(); n != 2 {
+		t.Errorf("the next transaction took %d writes on the pooled connection, want 2", n)
+	}
+}
+
+// TestSnapshotTakenAtFirstOperation pins the visibility rule the deferred
+// BEGIN relies on: the snapshot is the first operation's (the router opens a
+// shard's sub-transaction on first touch, as PostgreSQL takes its snapshot at
+// the first statement), so a commit that lands between Begin and the first
+// operation is visible and one that lands after it is not — whether or not
+// BEGIN had its own round trip.
+func TestSnapshotTakenAtFirstOperation(t *testing.T) {
+	_, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{})
+	put(t, c, 1, "one")
+
+	reader, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, c, 2, "between Begin and the first operation")
+	if _, err := reader.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	put(t, c, 3, "after the first operation")
+	if _, err := reader.Get(2); err != nil {
+		t.Errorf("a row committed before the first operation is invisible: %v", err)
+	}
+	if _, err := reader.Get(3); !errors.Is(err, engine.ErrNotFound) {
+		t.Errorf("a row committed after the first operation: %v, want not found", err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// subscribeAs opens a raw replication stream on the primary that announces
+// follower as the failover target, and discards what it streams.
+func subscribeAs(t *testing.T, primary, follower string) {
+	t.Helper()
+	nc, err := net.Dial("tcp", primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	var b wire.Buf
+	b.Bytes([]byte(follower))
+	b.U32(1) // shards
+	b.U64(0) // resume cursor
+	if err := wire.WriteFrame(nc, uint8(wire.OpSubscribe), b.B); err != nil {
+		t.Fatal(err)
+	}
+	if tag, p, err := wire.ReadFrame(nc); err != nil || wire.Code(tag) != wire.CodeOK {
+		t.Fatalf("SUBSCRIBE: %v %s %q", err, wire.Code(tag), p)
+	}
+	go func() {
+		for {
+			if _, _, err := wire.ReadFrame(nc); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestFailoverMovesToFirstOperation drains a primary that names a follower:
+// Begin still succeeds (it asks nobody), the first Insert meets the refusal,
+// repoints the client and lands on the follower.
+func TestFailoverMovesToFirstOperation(t *testing.T) {
+	primary, paddr := startServer(t, nil, nil)
+	_, faddr := startServer(t, nil, nil) // stands in for a promoted follower
+	c := dial(t, paddr, Options{})
+	put(t, c, 1, "on the primary")
+	subscribeAs(t, paddr, faddr)
+
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- primary.Shutdown(context.Background()) }()
+	waitUntil(t, "the primary to start draining", func() bool { return primary.Ready() != nil })
+
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatalf("Begin against a draining primary: %v (it sends nothing and cannot be refused)", err)
+	}
+	if got := c.Addr(); got != paddr {
+		t.Fatalf("Begin moved the client to %s", got)
+	}
+	if err := tx.Insert(2, []byte("on the follower")); err != nil {
+		t.Fatalf("first Insert across the handoff: %v", err)
+	}
+	if got := c.Addr(); got != faddr {
+		t.Fatalf("after the first operation the client targets %s, want the follower %s", got, faddr)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("primary shutdown: %v", err)
+	}
+	if got := rows(t, c); len(got) != 1 || got[0].Key != 2 {
+		t.Fatalf("the follower holds %v, want only key 2", got)
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gatedWAL blocks page writes until the gate closes, pinning a commit — and
+// the admission slot it holds — mid-flush.
+type gatedWAL struct {
+	device.BlockDevice
+	gate chan struct{}
+}
+
+func (d *gatedWAL) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock.Time, error) {
+	<-d.gate
+	return d.BlockDevice.WritePage(at, pageNo, p)
+}
+
+// TestRefusedBeginRepeatsThePair saturates a MaxInFlight=1 server: the BEGIN
+// in front of the first Insert is refused, so nothing ran; the client backs
+// off and sends the whole pair again, and once the slot frees the
+// transaction commits — exactly once.
+func TestRefusedBeginRepeatsThePair(t *testing.T) {
+	gate := make(chan struct{})
+	wal := &gatedWAL{BlockDevice: device.NewMem(page.Size, 1<<14), gate: gate}
+	srv, addr := startServer(t, wal, func(cfg *server.Config) { cfg.MaxInFlight = 1 })
+
+	// A's commit sits in the gated flush holding the only slot.
+	a := dial(t, addr, Options{})
+	txa, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txa.Insert(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	commitDone := make(chan error, 1)
+	go func() { commitDone <- txa.Commit() }()
+
+	b := dial(t, addr, Options{MaxRetries: 50, RetryBase: 200 * time.Microsecond})
+	go func() {
+		// Free the slot once B has been turned away a few times.
+		for srv.Stats().Overloaded < 6 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(gate)
+	}()
+	txb, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txb.Insert(2, []byte("b")); err != nil {
+		t.Fatalf("first Insert through the overload: %v", err)
+	}
+	if err := txb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-commitDone; err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Stats().Overloaded; n < 6 {
+		t.Fatalf("only %d requests were refused: the overload never happened", n)
+	}
+	// An Insert that had run twice would show as two rows of key 2.
+	if got := rows(t, b); len(got) != 2 || got[0].Key != 1 || got[1].Key != 2 {
+		t.Fatalf("rows %v, want keys 1 and 2 once each", got)
+	}
+	if st := srv.Stats(); st.OpenTxns != 0 {
+		t.Errorf("%d transactions left open by the refused attempts", st.OpenTxns)
+	}
+}
+
+// TestDeadPooledConnection kills the pooled connection between two
+// transactions. The first operation of the next one finds it dead, redials
+// and runs; with the server gone for good the reconnect budget runs out and
+// the typed ErrNoPrimary surfaces — from the first operation, not from Begin.
+func TestDeadPooledConnection(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1, MaxRetries: 2})
+	put(t, c, 1, "a")
+
+	c.mu.Lock()
+	c.idle[addr][0].nc.Close()
+	c.mu.Unlock()
+	put(t, c, 2, "b") // Begin takes nothing; the Insert redials
+	if got := rows(t, c); len(got) != 2 {
+		t.Fatalf("rows %v, want 2", got)
+	}
+
+	srv.Kill()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatalf("Begin with the server gone: %v (it sends nothing)", err)
+	}
+	_, err = tx.Get(1)
+	if !errors.Is(err, ErrNoPrimary) {
+		t.Fatalf("first operation with the server gone: %v, want ErrNoPrimary", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Errorf("aborting a transaction that never started: %v", err)
+	}
+}
+
+// ---- a scripted server: records every frame, answers as told ----
+
+type gotFrame struct {
+	conn    int // which accepted connection, from 0
+	op      wire.Op
+	traced  bool   // arrived in a TRACE envelope
+	traceID uint64 // of that envelope
+	handle  uint64 // first 8 payload bytes (0 for BEGIN)
+}
+
+type scriptedServer struct {
+	addr string
+	// reply answers one frame; ok=false hangs up without answering.
+	reply func(f gotFrame) (code wire.Code, payload []byte, ok bool)
+
+	mu     sync.Mutex
+	frames []gotFrame
+}
+
+func startScripted(t *testing.T, reply func(gotFrame) (wire.Code, []byte, bool)) *scriptedServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &scriptedServer{addr: ln.Addr().String(), reply: reply}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				defer nc.Close()
+				nc.SetDeadline(time.Now().Add(10 * time.Second))
+				s.serve(n, nc)
+			}(n)
+		}
+	}()
+	return s
+}
+
+func (s *scriptedServer) serve(n int, nc net.Conn) {
+	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+	for {
+		tag, payload, err := wire.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		f := gotFrame{conn: n, op: wire.Op(tag)}
+		if f.op == wire.OpTrace {
+			f.traced = true
+			f.traceID, _, _, f.op, payload, _ = wire.DecodeTraceEnvelope(payload)
+		}
+		if len(payload) >= 8 {
+			r := wire.Reader{B: payload}
+			f.handle, _ = r.U64()
+		}
+		s.mu.Lock()
+		s.frames = append(s.frames, f)
+		s.mu.Unlock()
+		code, resp, ok := s.reply(f)
+		if !ok {
+			return
+		}
+		if wire.WriteFrame(bw, uint8(code), resp) != nil {
+			return
+		}
+		if br.Buffered() == 0 && bw.Flush() != nil {
+			return
+		}
+	}
+}
+
+func (s *scriptedServer) seen() []gotFrame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]gotFrame(nil), s.frames...)
+}
+
+func handleReply(h uint64) []byte {
+	var b wire.Buf
+	b.U64(h)
+	return b.B
+}
+
+// ops renders frames as "conn:OP/handle" for comparison.
+func ops(frames []gotFrame) []string {
+	out := make([]string, len(frames))
+	for i, f := range frames {
+		out[i] = fmt.Sprintf("%d:%s/%d", f.conn, f.op, f.handle)
+	}
+	return out
+}
+
+func sameOps(got []gotFrame, want ...string) bool {
+	g := ops(got)
+	if len(g) != len(want) {
+		return false
+	}
+	for i := range g {
+		if g[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOldServerFallsBackToEagerBegin talks to a server from before the
+// handle-0 rule: BEGIN succeeds, the operation behind it is UNKNOWN_TX. The
+// client sends the operation again under the handle BEGIN returned, the
+// transaction completes, and on that connection every later transaction
+// gives BEGIN its own round trip and never names handle 0 again.
+func TestOldServerFallsBackToEagerBegin(t *testing.T) {
+	next := uint64(4)
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			next++
+			return wire.CodeOK, handleReply(next), true
+		case f.handle == 0:
+			return wire.CodeUnknownTx, []byte("unknown transaction handle"), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{PoolSize: 1})
+	cc := poolCounted(t, c)
+
+	for i := 0; i < 2; i++ {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update(1, []byte("x")); err != nil {
+			t.Fatalf("transaction %d, Update against an old server: %v", i, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.seen(); !sameOps(got,
+		"1:BEGIN/0", "1:UPDATE/0", "1:UPDATE/5", "1:COMMIT/5", // found out
+		"1:BEGIN/0", "1:UPDATE/6", "1:COMMIT/6", // eager from then on
+	) {
+		t.Errorf("frames %v", ops(got))
+	}
+	if n := cc.writes.Load(); n != 3+3 {
+		t.Errorf("%d socket writes, want 3 (pair, repeat, commit) + 3 (begin, update, commit)", n)
+	}
+}
+
+// TestOverloadedOperationBehindGoodBegin: BEGIN got through, the operation
+// behind it was refused by admission control. The transaction exists, so
+// only the operation goes again, under its real handle.
+func TestOverloadedOperationBehindGoodBegin(t *testing.T) {
+	refused := false
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(7), true
+		case f.op == wire.OpUpdate && !refused:
+			refused = true
+			return wire.CodeOverloaded, []byte("overloaded"), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:UPDATE/0", "0:UPDATE/7", "0:COMMIT/7") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
+// TestConnectionLostBeforeRepliesRepeatsThePair: the server takes BEGIN and
+// the operation and hangs up without answering. Its session's transactions
+// die with the connection, so the client runs the pair again on a fresh one.
+func TestConnectionLostBeforeRepliesRepeatsThePair(t *testing.T) {
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.conn == 0:
+			return 0, nil, false // Dial's eager connection, pooled: dies on first use
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(3), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(1, []byte("x")); err != nil {
+		t.Fatalf("Update across a lost connection: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "1:BEGIN/0", "1:UPDATE/0", "1:COMMIT/3") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
+// TestTracedTransactionStitches: a sampled transaction still wraps BEGIN —
+// now travelling with the first operation — and COMMIT in TRACE envelopes
+// under one client-minted id, the operation between them stays bare, and a
+// real server records both spans in one trace.
+func TestTracedTransactionStitches(t *testing.T) {
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		if f.op == wire.OpBegin {
+			return wire.CodeOK, handleReply(1), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{TraceSample: 1})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.seen()
+	if !sameOps(got, "0:BEGIN/0", "0:UPDATE/0", "0:COMMIT/1") {
+		t.Fatalf("frames %v", ops(got))
+	}
+	if !got[0].traced || got[1].traced || !got[2].traced {
+		t.Errorf("envelopes on BEGIN/UPDATE/COMMIT: %v/%v/%v, want true/false/true", got[0].traced, got[1].traced, got[2].traced)
+	}
+	if got[0].traceID == 0 || got[0].traceID != got[2].traceID {
+		t.Errorf("BEGIN rides trace %016x, COMMIT %016x: want one nonzero id", got[0].traceID, got[2].traceID)
+	}
+
+	tracer := obs.NewTracer(0, 0) // no server-side sampling: only carried contexts
+	t.Cleanup(tracer.Close)
+	_, addr := startServer(t, nil, func(cfg *server.Config) { cfg.Tracer = tracer })
+	rc := dial(t, addr, Options{TraceSample: 1})
+	put(t, rc, 1, "traced")
+	tracer.Drain()
+	byName := map[string]uint64{}
+	for _, rec := range tracer.Snapshot() {
+		byName[rec.Name] = rec.TraceID
+	}
+	if byName["BEGIN"] == 0 || byName["BEGIN"] != byName["COMMIT"] {
+		t.Errorf("server spans BEGIN=%016x COMMIT=%016x: want both under one trace id", byName["BEGIN"], byName["COMMIT"])
+	}
+	if _, traced := byName["INSERT"]; traced {
+		t.Error("the bare INSERT between them was traced")
+	}
+}
+
+// TestReplicaRefusalFallsBackToPrimary: BeginRead probed a follower and
+// pinned the read to it, but by the time the BEGIN arrives there — behind the
+// first Get — the follower refuses. The read runs on the primary instead, as
+// it did when BeginRead sent the BEGIN itself, and the routing counters say
+// so.
+func TestReplicaRefusalFallsBackToPrimary(t *testing.T) {
+	replica := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch f.op {
+		case wire.OpReplLSN:
+			return wire.CodeOK, nil, true // an empty vector covers a session that committed nothing
+		case wire.OpBegin:
+			return wire.CodeShuttingDown, []byte("shutting down"), true
+		}
+		return wire.CodeUnknownTx, []byte("unknown transaction handle"), true
+	})
+	_, addr := startServer(t, nil, nil)
+	put(t, dial(t, addr, Options{}), 1, "primary")
+
+	c := dial(t, addr, Options{Replicas: []string{replica.addr}})
+	tx, err := c.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, r := c.ReadRouting(); p != 0 || r != 1 {
+		t.Fatalf("after the probe: %d primary / %d replica reads, want 0/1", p, r)
+	}
+	got, err := tx.Get(1)
+	if err != nil || string(got) != "primary" {
+		t.Fatalf("Get after the follower refused BEGIN: %q, %v", got, err)
+	}
+	if err := tx.Insert(2, nil); !errors.Is(err, engine.ErrReadOnly) {
+		t.Errorf("a BeginRead transaction accepted a write after falling back: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if p, r := c.ReadRouting(); p != 1 || r != 0 {
+		t.Errorf("after the fallback: %d primary / %d replica reads, want 1/0", p, r)
+	}
+	if got := replica.seen(); !sameOps(got, "0:REPL_LSN/0", "0:BEGIN/0", "0:GET/0") {
+		t.Errorf("the follower saw %v", ops(got))
+	}
+}

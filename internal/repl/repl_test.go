@@ -487,12 +487,18 @@ func TestDrainHandoffFailover(t *testing.T) {
 	// Keep trying the write through the handoff window: the drain rejection
 	// redirects the client, and the follower accepts the write once the
 	// end-of-stream frame has triggered its self-promotion.
+	// Begin itself sends nothing: it is the first operation, carrying the
+	// BEGIN, that meets the refusal and chases the redirect.
 	waitFor(t, 10*time.Second, "a post-failover write to commit", func() bool {
 		tx, err := c.Begin()
 		if err != nil {
-			return false
+			t.Errorf("Begin talks to no server and must not fail during the handoff: %v", err)
+			return true
 		}
 		if err := tx.Insert(500, []byte("after")); err != nil {
+			if errors.Is(err, wire.ErrShuttingDown) {
+				t.Errorf("the drain refusal surfaced instead of being chased to the follower: %v", err)
+			}
 			tx.Abort()
 			return false
 		}

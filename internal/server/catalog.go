@@ -51,13 +51,7 @@ func (c *session) handleBeginAt(r *wire.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 	}
-	c.nextHandle++
-	h := c.nextHandle
-	c.txs[h] = tx
-	c.srv.openTxns.Add(1)
-	var b wire.Buf
-	b.U64(h)
-	return b.B, nil
+	return c.open(tx), nil
 }
 
 // handleDDL executes one auto-committed DDL statement across all shards.

@@ -537,7 +537,7 @@ func (s *Server) Ready() error {
 	if s.ln == nil {
 		return errors.New("server: not listening yet")
 	}
-	if s.draining {
+	if s.draining.Load() {
 		return errors.New("server: draining")
 	}
 	return nil

@@ -100,11 +100,14 @@ type Server struct {
 	valCol int
 	sem    chan struct{}
 
+	// draining is written under mu (Serve and Shutdown decide on it together
+	// with ln and sessions) and read without it on every request.
+	draining atomic.Bool
+
 	mu           sync.Mutex
 	ln           net.Listener
 	sessions     map[*session]struct{}
 	subs         map[*session]*subscriber // sessions that became replication streams
-	draining     bool
 	killed       bool
 	failoverAddr string // last announced follower; fallback when no stream is live
 	designated   string // successor latched by Shutdown, shipped at end-of-stream
@@ -221,7 +224,7 @@ func (s *Server) Addr() net.Addr {
 // after a clean drain.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return wire.ErrShuttingDown
@@ -232,10 +235,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
+			if s.draining.Load() {
 				return nil
 			}
 			return err
@@ -249,7 +249,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			txs:  map[uint64]*shard.Txn{},
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -280,11 +280,11 @@ func (s *Server) Serve(ln net.Listener) error {
 // others during the drain window.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
@@ -391,11 +391,11 @@ wait:
 // commits already flushed.
 func (s *Server) Kill() {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.draining = true
+	s.draining.Store(true)
 	s.killed = true
 	ln := s.ln
 	sessions := make([]*session, 0, len(s.sessions))
@@ -423,7 +423,8 @@ type session struct {
 	bw   *bufio.Writer
 
 	txs        map[uint64]*shard.Txn
-	nextHandle uint64
+	nextHandle uint64 // handles start at 1: 0 is never issued
+	lastBegun  uint64 // what handle 0 resolves to; 0 = nothing (see handle)
 }
 
 func (c *session) run() {
@@ -452,6 +453,7 @@ func (c *session) run() {
 		if op == wire.OpTrace {
 			traceID, parentSpan, sampled, inner, innerPayload, derr := wire.DecodeTraceEnvelope(payload)
 			if derr != nil {
+				c.lastBegun = 0 // the frame inside may have been a BEGIN
 				var eb wire.Buf
 				eb.B = append(eb.B, fmt.Sprintf("bad request: malformed TRACE envelope: %v", derr)...)
 				if wire.WriteFrame(c.bw, uint8(wire.CodeBadRequest), eb.B) != nil || c.bw.Flush() != nil {
@@ -817,9 +819,14 @@ func traceable(op wire.Op) bool {
 
 func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, error) {
 	srv := c.srv
-	srv.mu.Lock()
-	draining := srv.draining
-	srv.mu.Unlock()
+	draining := srv.draining.Load()
+	// Handle 0 names the transaction of the most recent BEGIN on this
+	// connection. Forgetting it as soon as the next BEGIN arrives — before
+	// drain or admission can refuse that BEGIN — is what keeps an operation
+	// pipelined behind a refused BEGIN out of an older transaction.
+	if op == wire.OpBegin || op == wire.OpBeginAt {
+		c.lastBegun = 0
+	}
 
 	// STATS is exempt from admission control so monitoring stays
 	// responsive under overload and during drain. PROMOTE is exempt too:
@@ -880,23 +887,12 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 	r := wire.Reader{B: payload}
 	switch op {
 	case wire.OpBegin:
-		tx := srv.cfg.Router.Begin()
-		c.nextHandle++
-		h := c.nextHandle
-		c.txs[h] = tx
-		srv.openTxns.Add(1)
-		var b wire.Buf
-		b.U64(h)
-		return b.B, nil
+		return c.open(srv.cfg.Router.Begin()), nil
 
 	case wire.OpCommit, wire.OpAbort:
-		h, err := r.U64()
+		h, tx, err := c.lookup(&r)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-		}
-		tx, ok := c.txs[h]
-		if !ok {
-			return nil, wire.ErrUnknownTx
+			return nil, err
 		}
 		delete(c.txs, h)
 		srv.openTxns.Add(-1)
@@ -1031,17 +1027,41 @@ func (c *session) handleReplLSN() ([]byte, error) {
 	return c.lsnVector(), nil
 }
 
-// tx decodes a handle and resolves it to a live transaction.
-func (c *session) tx(r *wire.Reader) (*shard.Txn, error) {
+// open registers tx under a fresh handle — from now on also what handle 0
+// names — and encodes the BEGIN/BEGIN_AT reply.
+func (c *session) open(tx *shard.Txn) []byte {
+	c.nextHandle++
+	c.lastBegun = c.nextHandle
+	c.txs[c.nextHandle] = tx
+	c.srv.openTxns.Add(1)
+	var b wire.Buf
+	b.U64(c.nextHandle)
+	return b.B
+}
+
+// lookup decodes a handle and resolves it to a live transaction and the
+// handle it is registered under. Handle 0 stands for the most recent BEGIN
+// of this connection; with none, or once that transaction has finished, it
+// is unknown like any other stale handle.
+func (c *session) lookup(r *wire.Reader) (uint64, *shard.Txn, error) {
 	h, err := r.U64()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
+		return 0, nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
+	}
+	if h == 0 {
+		h = c.lastBegun
 	}
 	tx, ok := c.txs[h]
 	if !ok {
-		return nil, wire.ErrUnknownTx
+		return 0, nil, wire.ErrUnknownTx
 	}
-	return tx, nil
+	return h, tx, nil
+}
+
+// tx decodes a handle and resolves it to a live transaction.
+func (c *session) tx(r *wire.Reader) (*shard.Txn, error) {
+	_, tx, err := c.lookup(r)
+	return tx, err
 }
 
 // keyArgs decodes (handle, key[, val]) request payloads.

@@ -413,21 +413,23 @@ func TestServerDrainAndRecover(t *testing.T) {
 	go func() { shutdownDone <- srv.Shutdown(context.Background()) }()
 
 	// New transactions are refused with the typed drain error once the
-	// server is draining (the drain flag flips before Shutdown blocks).
-	var beginErr error
-	for i := 0; i < 100; i++ {
-		var tx *client.Tx
-		tx, beginErr = c.Begin()
-		if beginErr != nil {
-			break
+	// server is draining (the drain flag flips before Shutdown blocks). Begin
+	// sends nothing, so it keeps succeeding; the refusal meets the first
+	// operation, which carries the BEGIN.
+	var firstErr error
+	for i := 0; i < 100 && firstErr == nil; i++ {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatalf("Begin talks to no server and must not fail during a drain: %v", err)
 		}
+		_, firstErr = tx.Get(1)
 		tx.Abort()
 		time.Sleep(2 * time.Millisecond)
 	}
-	if beginErr == nil {
-		t.Error("Begin kept succeeding during drain")
-	} else if !errors.Is(beginErr, wire.ErrShuttingDown) && !isConnErr(beginErr) {
-		t.Errorf("draining Begin: %v, want wire.ErrShuttingDown", beginErr)
+	if firstErr == nil {
+		t.Error("transactions kept starting during drain")
+	} else if !errors.Is(firstErr, wire.ErrShuttingDown) && !isConnErr(firstErr) {
+		t.Errorf("first operation during drain: %v, want wire.ErrShuttingDown", firstErr)
 	}
 
 	// The in-flight transaction commits cleanly during the drain window.
@@ -600,11 +602,15 @@ func TestServerDrainUnderLoadMeetsDeadline(t *testing.T) {
 				}
 				tx, err := c.Begin()
 				if err != nil {
-					return // drain refused BEGIN or closed the connection
+					t.Errorf("begin: %v", err)
+					return
 				}
 				key := int64((w*17 + i) % 64)
 				if err := tx.Update(key, []byte("load")); err != nil {
 					tx.Abort()
+					if errors.Is(err, wire.ErrShuttingDown) || errors.Is(err, client.ErrNoPrimary) {
+						return // drain refused the BEGIN in front of it or closed the connection
+					}
 					continue
 				}
 				tx.Commit()

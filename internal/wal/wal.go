@@ -213,6 +213,7 @@ type Writer struct {
 	flushMu  sync.Mutex // serializes flushers; held across device I/O
 	dev      device.BlockDevice
 	pageSize int
+	tailBuf  []byte // the padded tail page of the flush in progress; owned under flushMu
 
 	mu         sync.Mutex // buffer latch: never held across device I/O
 	pending    []byte     // bytes not yet written to the device
@@ -335,41 +336,39 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 
 	// Snapshot the stream under the buffer latch. pendingOff only advances
 	// here, under flushMu, so snapOff is stable for the whole flush.
+	//
+	// snap aliases pending instead of copying it. Until this flush trims,
+	// nobody writes the bytes it covers: appenders only add past its length
+	// (or move to a larger array, leaving this one as it was), and the only
+	// code that shifts bytes is the trim below, under the flushMu held here.
 	w.mu.Lock()
 	if lsn <= w.durable {
 		w.mu.Unlock()
 		return at, nil
 	}
-	snapOff := w.pendingOff
+	snapOff := w.pendingOff // always page-aligned
 	snapEnd := w.nextLSN
-	snap := append([]byte(nil), w.pending...)
+	snap := w.pending
 	w.mu.Unlock()
 
-	// Write every page overlapping [snapOff, snapEnd).
+	// Write every page overlapping [snapOff, snapEnd): complete pages straight
+	// from snap, the partial tail page zero-padded through the writer's one
+	// page buffer.
+	if w.tailBuf == nil {
+		w.tailBuf = make([]byte, w.pageSize)
+	}
 	firstPage := int64(snapOff) / int64(w.pageSize)
 	lastPage := int64(snapEnd-1) / int64(w.pageSize)
-	buf := make([]byte, w.pageSize)
 	t := at
 	var pages int64
 	for p := firstPage; p <= lastPage; p++ {
-		pageStart := LSN(p * int64(w.pageSize))
-		for i := range buf {
-			buf[i] = 0
+		from := int(p-firstPage) * w.pageSize
+		buf := w.tailBuf
+		if from+w.pageSize <= len(snap) {
+			buf = snap[from : from+w.pageSize]
+		} else {
+			clear(buf[copy(buf, snap[from:]):])
 		}
-		// Slice of snap covering this page.
-		from := 0
-		if pageStart > snapOff {
-			from = int(pageStart - snapOff)
-		}
-		dstOff := 0
-		if snapOff > pageStart {
-			dstOff = int(snapOff - pageStart)
-		}
-		to := int(pageStart) + w.pageSize - int(snapOff)
-		if to > len(snap) {
-			to = len(snap)
-		}
-		copy(buf[dstOff:], snap[from:to])
 		var err error
 		t, err = w.dev.WritePage(t, p, buf)
 		if err != nil {
@@ -378,8 +377,8 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 		pages++
 	}
 
-	// Trim pending down to the partial tail page (plus anything appended
-	// during the I/O) and publish durability of the snapshot.
+	// Trim pending in place down to the partial tail page (plus anything
+	// appended during the I/O) and publish durability of the snapshot.
 	w.mu.Lock()
 	tailStart := LSN(lastPage * int64(w.pageSize))
 	if int(snapEnd)%w.pageSize == 0 {
@@ -389,7 +388,7 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 		tailStart = w.pendingOff
 	}
 	keepFrom := int(tailStart - w.pendingOff)
-	w.pending = append([]byte(nil), w.pending[keepFrom:]...)
+	w.pending = w.pending[:copy(w.pending, w.pending[keepFrom:])]
 	w.pendingOff = tailStart
 	if snapEnd > w.durable {
 		w.durable = snapEnd

@@ -103,6 +103,15 @@ func FuzzFrameStream(f *testing.F) {
 	WriteFrame(&buf, uint8(OpGet), []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(buf.Bytes())
 	f.Add([]byte{1, 0, 0, 0, 42, 1, 0, 0, 0, 43})
+	// BEGIN with its first operation behind it, naming handle 0.
+	var pair bytes.Buffer
+	var upd Buf
+	upd.U64(0)
+	upd.I64(7)
+	upd.Bytes([]byte("v"))
+	WriteFrame(&pair, uint8(OpBegin), nil)
+	WriteFrame(&pair, uint8(OpUpdate), upd.B)
+	f.Add(pair.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -7,7 +7,7 @@
 // Requests (Op, frame tag of a request):
 //
 //	op  name          request payload                                  -> CodeOK payload
-//	 1  BEGIN         ()                                               -> handle u64
+//	 1  BEGIN         ()                                               -> handle u64 (>= 1; see "Handle 0")
 //	 2  COMMIT        handle u64                                       -> shards u32, {durable LSN u64}*
 //	 3  ABORT         handle u64                                       -> ()
 //	 4  GET           handle u64, key i64                              -> val bytes
@@ -39,6 +39,19 @@
 //	27  TRACE         trace id u64, parent span u64, sampled u8,
 //	                  inner op u8, inner payload                       -> the inner op's reply
 //
+// Handle 0. Handles are issued from 1, per connection. In any request that
+// takes a handle, 0 names the transaction opened by the most recent BEGIN or
+// BEGIN_AT on this connection. The server forgets that transaction the moment
+// the next BEGIN/BEGIN_AT frame arrives and remembers the new one only if it
+// succeeds, so after a refused BEGIN (OVERLOADED, SHUTTING_DOWN), before any
+// BEGIN, and once the named transaction has committed or aborted, handle 0 is
+// UNKNOWN_TX — it never reaches an older transaction still open on the
+// connection. This lets a client write BEGIN and the transaction's first
+// operation in one segment without knowing the handle yet: either both take
+// effect or neither does. A server from before the rule answers UNKNOWN_TX
+// to handle 0 after a successful BEGIN; the client then repeats the operation
+// under the handle BEGIN returned.
+//
 // TRACE is a transparent envelope: the server records a span for the inner
 // op under the carried trace context and then dispatches the inner frame
 // exactly as if it had arrived bare — the reply is the inner op's reply.
@@ -64,7 +77,7 @@
 //	  2   CONFLICT       first-updater-wins serialization failure; retry
 //	  3   LOCK_TIMEOUT   lock wait exceeded its budget (possible deadlock)
 //	  4   TX_FINISHED    transaction already committed or aborted
-//	  5   UNKNOWN_TX     handle does not name a live transaction here
+//	  5   UNKNOWN_TX     handle does not name a live transaction here (handle 0: no BEGIN to stand for)
 //	  6   OVERLOADED     admission control rejected; back off and retry
 //	  7   SHUTTING_DOWN  server draining; reconnect elsewhere/later
 //	  8   BAD_REQUEST    malformed frame or unknown opcode (ERR_BAD_OP)

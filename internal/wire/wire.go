@@ -14,8 +14,9 @@
 // clients may pipeline without request ids.
 //
 // Transactions are server-side state: Begin returns a u64 handle scoped to
-// the connection that created it, and every data op names a handle. Closing
-// the connection aborts its open transactions.
+// the connection that created it, and every data op names a handle (0 = the
+// BEGIN just before it, see protocol.go). Closing the connection aborts its
+// open transactions.
 //
 // The authoritative table of opcodes and response codes lives in protocol.go;
 // this file holds the framing and the primitive payload codecs.
@@ -35,14 +36,32 @@ const MaxFrame = 16 << 20
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
 // WriteFrame writes one frame (tag + payload) to w.
+//
+// A writer that takes single bytes is a buffer (*bufio.Writer on every
+// connection, bytes.Buffer in tests): the header goes in byte by byte from
+// the stack and the payload is handed over as is — no allocation and no copy
+// before the buffer's own. Anything else may be a socket, where two writes
+// would be two segments, so the frame is assembled and written once.
 func WriteFrame(w io.Writer, tag uint8, payload []byte) error {
 	if len(payload)+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)+1))
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)+1))
 	hdr[4] = tag
-	_, err := w.Write(append(hdr, payload...))
+	if bw, ok := w.(io.ByteWriter); ok {
+		for _, c := range hdr {
+			if err := bw.WriteByte(c); err != nil {
+				return err
+			}
+		}
+		_, err := w.Write(payload)
+		return err
+	}
+	frame := make([]byte, len(hdr)+len(payload))
+	copy(frame, hdr[:])
+	copy(frame[len(hdr):], payload)
+	_, err := w.Write(frame)
 	return err
 }
 

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"sias/internal/catalog"
@@ -26,6 +28,43 @@ func TestFrameRoundTrip(t *testing.T) {
 	tag, p, err = ReadFrame(&buf)
 	if err != nil || Op(tag) != OpStats || len(p) != 0 {
 		t.Fatalf("frame 2: tag=%d payload=%q err=%v", tag, p, err)
+	}
+}
+
+// socketLike has Write and nothing else, as a net.Conn: WriteFrame must hand
+// it a frame in one piece.
+type socketLike struct{ writes [][]byte }
+
+func (s *socketLike) Write(p []byte) (int, error) {
+	s.writes = append(s.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteFrameBudget pins the frame path's budget: into a buffered writer a
+// frame costs no allocation (header from the stack, payload not copied by
+// WriteFrame), and into an unbuffered one it stays a single write of the
+// same bytes.
+func TestWriteFrameBudget(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5a}, 300)
+	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(bw, uint8(OpUpdate), payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame into a bufio.Writer allocates %v times per frame, want 0", n)
+	}
+
+	var want bytes.Buffer
+	if err := WriteFrame(&want, uint8(OpUpdate), payload); err != nil {
+		t.Fatal(err)
+	}
+	var sock socketLike
+	if err := WriteFrame(&sock, uint8(OpUpdate), payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(sock.writes) != 1 || !bytes.Equal(sock.writes[0], want.Bytes()) {
+		t.Errorf("unbuffered writer got %d writes, want 1 carrying the whole frame", len(sock.writes))
 	}
 }
 
