@@ -256,7 +256,7 @@ func runIndex(cfg loadConfig, jsonPath, statePath string) error {
 	res.Conflicts = conflicts
 	res.Drained = drained
 	res.Failures = failures
-	d := deltaEngine(shardAgg(before), shardAgg(after))
+	d := engineDelta(before, after)
 	res.Index = &indexReport{
 		Table:             idxTable,
 		Index:             idxIndex,

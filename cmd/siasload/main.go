@@ -685,7 +685,7 @@ func summarize(cfg loadConfig, elapsed time.Duration, samples [][]txnSample, bef
 	res.CrossShard.Txns = int64(len(cross))
 	res.CrossShard.Latency = summarizeLat(cross)
 
-	d := deltaEngine(shardAgg(before), shardAgg(after))
+	d := engineDelta(before, after)
 	res.Engine = engineAgg{
 		Commits:          d.Commits,
 		ReadOnlyCommits:  d.ReadOnlyCommits,
@@ -715,14 +715,14 @@ func summarize(cfg loadConfig, elapsed time.Duration, samples [][]txnSample, bef
 		if i < len(after.Shards) {
 			a = after.Shards[i]
 		}
-		sd := deltaEngine(b, a)
+		sd := a.Sub(b)
 		res.PerShard = append(res.PerShard, shardReport{
 			Shard:            i,
 			Commits:          sd.Commits,
 			ReadOnlyCommits:  sd.ReadOnlyCommits,
 			CommitFlushes:    sd.CommitFlushes,
 			CommitBatches:    sd.CommitBatches,
-			CommitMaxBatch:   a.CommitMaxBatch, // high-water mark, not a delta
+			CommitMaxBatch:   sd.CommitMaxBatch, // high-water mark: a gauge, so the later value
 			WALPageWrites:    sd.WALPageWrites,
 			FlushesPerCommit: ratio(sd.CommitFlushes, sd.Commits-sd.ReadOnlyCommits),
 			Txns:             int64(len(perShard[i])),
@@ -865,28 +865,7 @@ func shardAgg(r server.StatsReply) engine.Stats {
 	return r.Engine
 }
 
-// deltaEngine subtracts the monotonic counters of two engine snapshots.
-func deltaEngine(a, b engine.Stats) engine.Stats {
-	var d engine.Stats
-	d.Commits = b.Commits - a.Commits
-	d.ReadOnlyCommits = b.ReadOnlyCommits - a.ReadOnlyCommits
-	d.Aborts = b.Aborts - a.Aborts
-	d.IndexLookups = b.IndexLookups - a.IndexLookups
-	d.IndexInserts = b.IndexInserts - a.IndexInserts
-	d.CommitFlushes = b.CommitFlushes - a.CommitFlushes
-	d.CommitBatches = b.CommitBatches - a.CommitBatches
-	d.WALPageWrites = b.WALPageWrites - a.WALPageWrites
-	d.Pool.Hits = b.Pool.Hits - a.Pool.Hits
-	d.Pool.Misses = b.Pool.Misses - a.Pool.Misses
-	d.Pool.Evictions = b.Pool.Evictions - a.Pool.Evictions
-	d.Pool.ReadWaits = b.Pool.ReadWaits - a.Pool.ReadWaits
-	d.Pool.PrefetchIssued = b.Pool.PrefetchIssued - a.Pool.PrefetchIssued
-	d.Pool.PrefetchCoalesced = b.Pool.PrefetchCoalesced - a.Pool.PrefetchCoalesced
-	d.Pool.PrefetchWasted = b.Pool.PrefetchWasted - a.Pool.PrefetchWasted
-	d.PoolPartitions = b.PoolPartitions
-	d.Data.Reads = b.Data.Reads - a.Data.Reads
-	d.Data.Writes = b.Data.Writes - a.Data.Writes
-	d.Data.BytesRead = b.Data.BytesRead - a.Data.BytesRead
-	d.Data.BytesWritten = b.Data.BytesWritten - a.Data.BytesWritten
-	return d
+// engineDelta is the engine-wide change between two STATS replies.
+func engineDelta(before, after server.StatsReply) engine.Stats {
+	return shardAgg(after).Sub(shardAgg(before))
 }

@@ -7,9 +7,9 @@
 //
 //	siasserver [-addr :4544] [-shards N] [-engine sias|si] [-policy t2|t1]
 //	           [-pool FRAMES] [-pool-partitions P] [-readahead ROWS]
-//	           [-prefetch-depth N] [-max-inflight N]
+//	           [-max-inflight N]
 //	           [-drain SECONDS] [-data DIR] [-follow ADDR] [-announce ADDR]
-//	           [-metrics-addr :9544] [-slow-op-ms MS] [-slow-op-ring N]
+//	           [-metrics-addr :9544] [-slow-op-ms MS]
 //	           [-trace-sample F] [-asof-retention N]
 //
 // With -metrics-addr, a side HTTP listener serves /metrics (Prometheus text
@@ -18,8 +18,8 @@
 // lag), /healthz (readiness: 200 while serving and not draining), /debug/pprof
 // (CPU/heap/goroutine profiles), /debug/slowops and /debug/traces. -slow-op-ms
 // additionally logs every request slower than MS milliseconds with its op,
-// shard, transaction handle and trace id, keeping the most recent -slow-op-ring
-// records at /debug/slowops. Whenever observability is on, a distributed
+// shard, transaction handle and trace id, keeping the most recent 128 records
+// at /debug/slowops. Whenever observability is on, a distributed
 // tracer records spans for client requests carrying TRACE envelopes, for
 // over-threshold slow ops (always force-kept), and — with -trace-sample F —
 // for a head-sampled fraction F of bare data ops; /debug/traces serves the
@@ -83,7 +83,6 @@ func main() {
 	pool := flag.Int("pool", 4096, "buffer pool frames (total across shards)")
 	poolParts := flag.Int("pool-partitions", 0, "buffer pool lock stripes per shard (0 = auto, 1 = classic single mutex)")
 	readahead := flag.Int("readahead", 32, "scan readahead window in rows: entrypoint pages of that many upcoming VIDs are prefetched ahead of scan cursors (0 = off)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "max prefetch device reads in flight per shard (0 = pool default)")
 	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests")
 	drainSec := flag.Float64("drain", 5, "graceful drain timeout in seconds")
 	dataDir := flag.String("data", "", "data directory for file-backed devices (empty = in-memory)")
@@ -91,26 +90,23 @@ func main() {
 	walPages := flag.Int64("wal-pages", 1<<15, "WAL device size in pages (total across shards)")
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL device on every page write (file-backed only)")
 	gcLinger := flag.Duration("gc-linger", 0, "max extra wait for a group-commit batch to grow (0 = flush immediately)")
-	gcBatch := flag.Int("gc-batch", 16, "group-commit batch size target while lingering")
 	asofRetention := flag.Uint64("asof-retention", 1<<16, "retain superseded versions written by the most recent N transactions so AS OF snapshot tokens inside the window stay resolvable (0 = keep only what live snapshots need)")
 	follow := flag.String("follow", "", "run as a replication follower of the primary at this address")
 	announce := flag.String("announce", "", "follower address announced to the primary for client failover (default: loopback form of -addr)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
 	slowOpMs := flag.Int("slow-op-ms", 0, "log requests slower than this many milliseconds (0 = disabled)")
-	slowOpRing := flag.Int("slow-op-ring", 0, "slow-op records kept for /debug/slowops (0 = default 128)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of bare data ops traced server-side; traced client requests (TRACE envelopes) are always recorded. Needs -metrics-addr or -slow-op-ms")
 	flag.Parse()
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	cfg := serverConfig{
 		addr: *addr, shards: *shards, kind: *kind, policy: *policy,
-		pool: *pool, poolParts: *poolParts, readahead: *readahead, prefetchDepth: *prefetchDepth,
+		pool: *pool, poolParts: *poolParts, readahead: *readahead,
 		maxInflight: *maxInflight, drainSec: *drainSec,
 		dataDir: *dataDir, dataPages: *dataPages, walPages: *walPages, walSync: *walSync,
-		gcLinger: *gcLinger, gcBatch: *gcBatch, asofRetention: *asofRetention,
+		gcLinger: *gcLinger, asofRetention: *asofRetention,
 		follow: *follow, announce: *announce,
-		metricsAddr: *metricsAddr, slowOpMs: *slowOpMs,
-		slowOpRing: *slowOpRing, traceSample: *traceSample,
+		metricsAddr: *metricsAddr, slowOpMs: *slowOpMs, traceSample: *traceSample,
 	}
 	if cfg.follow != "" && cfg.announce == "" {
 		cfg.announce = cfg.addr
@@ -130,7 +126,6 @@ type serverConfig struct {
 	pool          int
 	poolParts     int
 	readahead     int // scan readahead window in rows; 0 = off
-	prefetchDepth int // bounded in-flight prefetch reads per shard
 	maxInflight   int
 	drainSec      float64
 	dataDir       string
@@ -138,15 +133,17 @@ type serverConfig struct {
 	walPages      int64
 	walSync       bool
 	gcLinger      time.Duration
-	gcBatch       int
 	asofRetention uint64  // engine.Options.GCRetention for every shard
 	follow        string  // primary address; non-empty = follower mode
 	announce      string  // follower address handed to clients on drain
 	metricsAddr   string  // HTTP side listener; empty = observability off
 	slowOpMs      int     // slow-op log threshold; 0 = disabled
-	slowOpRing    int     // /debug/slowops ring size; 0 = obs default
 	traceSample   float64 // server-side head-sampling rate for bare data ops
 }
+
+// gcBatch is the batch size a lingering group-commit leader (-gc-linger)
+// waits for.
+const gcBatch = 16
 
 // version is stamped by the build via -ldflags "-X main.version=...".
 var version = "dev"
@@ -167,11 +164,10 @@ type openedShard struct {
 // totals, so varying -shards compares layouts at constant resource budgets.
 func openShard(cfg serverConfig, i int) (openedShard, error) {
 	opts := engine.Options{
-		PoolFrames:      max(cfg.pool/cfg.shards, 64),
-		PoolPartitions:  cfg.poolParts,
-		ScanReadahead:   cfg.readahead,
-		PrefetchWorkers: cfg.prefetchDepth,
-		GCRetention:     cfg.asofRetention,
+		PoolFrames:     max(cfg.pool/cfg.shards, 64),
+		PoolPartitions: cfg.poolParts,
+		ScanReadahead:  cfg.readahead,
+		GCRetention:    cfg.asofRetention,
 	}
 	switch cfg.kind {
 	case "sias":
@@ -338,7 +334,7 @@ func run(cfg serverConfig) error {
 	for i, o := range opened {
 		fac := engine.NewFacade(o.db)
 		if cfg.gcLinger > 0 {
-			fac.SetGroupCommitLinger(cfg.gcLinger, cfg.gcBatch)
+			fac.SetGroupCommitLinger(cfg.gcLinger, gcBatch)
 		}
 		shards[i] = shard.Shard{Facade: fac, Table: o.tab}
 	}
@@ -360,8 +356,7 @@ func run(cfg serverConfig) error {
 	var tracer *obs.Tracer
 	if cfg.metricsAddr != "" || cfg.slowOpMs > 0 {
 		reg = obs.NewRegistry()
-		slow = obs.NewSlowOpLog(time.Duration(cfg.slowOpMs)*time.Millisecond, log.Printf,
-			obs.WithRingSize(cfg.slowOpRing))
+		slow = obs.NewSlowOpLog(time.Duration(cfg.slowOpMs)*time.Millisecond, log.Printf)
 		// The tracer exists whenever observability does: client-carried TRACE
 		// envelopes and slow-op force-keeps record even with -trace-sample 0.
 		tracer = obs.NewTracer(cfg.traceSample, 0)

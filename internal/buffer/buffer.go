@@ -174,27 +174,27 @@ func (f *Frame) Unlock() { f.latch.Unlock() }
 // Stats counts pool activity. PartitionEvictions has one entry per lock
 // stripe, so skew across partitions is visible to operators.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	DirtyOut  int64 // dirty pages written (evictions + sweeps + checkpoints)
+	Hits      int64 `metric:"sias_pool_hits_total,counter" help:"Buffer pool page hits."`
+	Misses    int64 `metric:"sias_pool_misses_total,counter" help:"Buffer pool page misses."`
+	Evictions int64 `metric:"sias_pool_evictions_total,counter" help:"Buffer pool evictions."`
+	DirtyOut  int64 `metric:"sias_pool_dirty_writebacks_total,counter" help:"Dirty pages written back (evictions + sweeps + checkpoints)."`
 	// PartitionEvictions is the per-stripe slice of Evictions.
-	PartitionEvictions []int64
+	PartitionEvictions []int64 `metric:"sias_pool_partition_evictions_total,counter" help:"Buffer pool evictions per lock stripe." label:"partition"`
 
 	// IOPending is the number of frames with a device read in flight at
 	// snapshot time (a gauge, not a counter).
-	IOPending int64
+	IOPending int64 `metric:"sias_pool_io_pending,gauge" help:"Frames with a device read in flight (IO-pending state)."`
 	// ReadWaits counts Gets that blocked on another caller's in-flight read
 	// of the same page (singleflight joins).
-	ReadWaits int64
+	ReadWaits int64 `metric:"sias_pool_read_waits_total,counter" help:"Gets that singleflight-joined another caller's in-flight read."`
 	// PrefetchIssued counts pages staged by the async prefetcher.
-	PrefetchIssued int64
+	PrefetchIssued int64 `metric:"sias_pool_prefetch_issued_total,counter" help:"Pages staged by the scan readahead prefetcher."`
 	// PrefetchCoalesced counts device reads saved by merging adjacent
 	// prefetch pages into one batched pread.
-	PrefetchCoalesced int64
+	PrefetchCoalesced int64 `metric:"sias_pool_prefetch_coalesced_total,counter" help:"Device reads saved by merging adjacent prefetch pages into one pread."`
 	// PrefetchWasted counts prefetched pages evicted before any Get used
 	// them (readahead that did not pay off).
-	PrefetchWasted int64
+	PrefetchWasted int64 `metric:"sias_pool_prefetch_wasted_total,counter" help:"Prefetched pages evicted before any Get used them."`
 }
 
 // HitRatio reports hits/(hits+misses), 0 if no traffic.

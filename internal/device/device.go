@@ -51,16 +51,16 @@ type PageRangeReader interface {
 
 // Stats aggregates host-visible I/O issued to a device.
 type Stats struct {
-	Reads        int64
-	Writes       int64
-	BytesRead    int64
-	BytesWritten int64
-	ReadTime     simclock.Duration // summed service+queue time of reads
-	WriteTime    simclock.Duration
+	Reads        int64             `metric:"sias_device_reads_total,counter" help:"Host page reads."`
+	Writes       int64             `metric:"sias_device_writes_total,counter" help:"Host page writes."`
+	BytesRead    int64             `metric:"sias_device_read_bytes_total,counter" help:"Host bytes read."`
+	BytesWritten int64             `metric:"sias_device_written_bytes_total,counter" help:"Host bytes written."`
+	ReadTime     simclock.Duration `metric:"-,counter"` // summed service+queue time of reads
+	WriteTime    simclock.Duration `metric:"-,counter"`
 
 	// Flash-internal accounting; zero for non-flash devices.
-	PhysWrites int64 // physical page programs incl. GC relocation
-	Erases     int64 // block erases
+	PhysWrites int64 `metric:"sias_device_phys_writes_total,counter" help:"Physical page programs including flash GC relocation (0 off flash)."`
+	Erases     int64 `metric:"sias_device_erases_total,counter" help:"Flash block erases."`
 }
 
 // WrittenMB reports host write volume in MB (2^20 bytes).

@@ -266,6 +266,19 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 			if count != 10 {
 				t.Fatalf("AS OF range saw %d rows, want 10", count)
 			}
+			// The snapshot takes no writes, and refusing one logs nothing.
+			lsn := db.WAL().NextLSN()
+			_, ierr := tab.Insert(asOf, at2, tuple.Row{int64(12), "u", int64(0)})
+			_, uerr := tab.Update(asOf, at2, 3, func(r tuple.Row) (tuple.Row, error) { return r, nil })
+			_, derr := tab.Delete(asOf, at2, 3)
+			for op, err := range map[string]error{"Insert": ierr, "Update": uerr, "Delete": derr} {
+				if !errors.Is(err, ErrReadOnly) {
+					t.Errorf("%s under an AS OF transaction: err=%v, want ErrReadOnly", op, err)
+				}
+			}
+			if got := db.WAL().NextLSN(); got != lsn {
+				t.Errorf("refused AS OF writes logged %d bytes", got-lsn)
+			}
 			db.Abort(asOf, at2)
 
 			// A fresh (current) read sees the new state.
@@ -555,5 +568,12 @@ func TestStatsReportTables(t *testing.T) {
 	}
 	if ts.IndexLookups != 1 || st.IndexLookups != 1 {
 		t.Fatalf("lookup stats %+v (engine total %d)", ts, st.IndexLookups)
+	}
+	// The paper's quantities are core.Stats, table by table.
+	cs := tab.SIAS().Stats()
+	if ts.Appends != 8 || ts.Appends != cs.Appends || ts.ChainWalks == 0 || ts.ChainWalks != cs.ChainWalks ||
+		ts.ChainHops != cs.ChainHops || ts.PagesSealed != cs.PagesSealed || ts.SealedTuples != cs.SealedTuples ||
+		ts.GCPages != cs.GCPages || ts.GCRelocations != cs.GCRelocations || ts.GCDiscarded != cs.GCDiscarded {
+		t.Fatalf("table stats %+v do not mirror core stats %+v", ts, cs)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"sias/internal/buffer"
 	"sias/internal/device"
+	"sias/internal/obs"
 	"sias/internal/simclock"
 	"sias/internal/space"
 	"sias/internal/txn"
@@ -302,7 +303,9 @@ func (db *DB) Kind() Kind { return db.opts.Kind }
 func (db *DB) Policy() FlushPolicy { return db.opts.Policy }
 
 // ErrReadOnly rejects writes on a replication follower that has not been
-// promoted.
+// promoted, and writes under a read-only transaction (an AS OF snapshot, a
+// replica read): the three Table write methods check it before anything is
+// encoded or logged, so no caller can bypass it.
 var ErrReadOnly = errors.New("engine: read-only replica")
 
 // Begin starts a transaction. On a replica it returns a read-only snapshot
@@ -560,52 +563,76 @@ func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
 	return t, nil
 }
 
-// Stats aggregates engine-wide counters.
+// Stats aggregates engine-wide counters. The struct is the one declaration
+// of each counter: the tags (grammar in internal/obs/structs.go) give its
+// /metrics family, kind and HELP text, and how shard aggregation treats it,
+// so STATS, /metrics, shard.Aggregate and Sub cannot disagree about a field.
 type Stats struct {
-	Commits, Aborts int64
+	Commits int64 `metric:"sias_engine_commits_total,counter" help:"Transactions committed."`
+	Aborts  int64 `metric:"sias_engine_aborts_total,counter" help:"Transactions aborted."`
 	// ReadOnlyCommits counts the commits (included in Commits) of
 	// transactions that wrote nothing: they logged no record and waited for
 	// no flush, so group-commit ratios are taken over Commits minus this.
-	ReadOnlyCommits int64
+	ReadOnlyCommits int64 `metric:"sias_engine_readonly_commits_total,counter" help:"Committed transactions that wrote nothing: no log record, no flush (included in commits)."`
 	// CommitFlushes counts WAL flushes issued on behalf of commits; with
 	// group commit active it is strictly less than Commits under
 	// concurrency. CommitBatches counts flushes that covered >1 commit;
 	// CommitMaxBatch is the largest single batch, so Commits/CommitFlushes
 	// is the mean batch size and CommitMaxBatch its high-water mark.
-	CommitFlushes  int64
-	CommitBatches  int64
-	CommitMaxBatch int64
+	CommitFlushes  int64 `metric:"sias_engine_commit_flushes_total,counter" help:"WAL flushes issued on behalf of commits (group commit shares them)."`
+	CommitBatches  int64 `metric:"sias_engine_commit_batches_total,counter" help:"Commit flushes that covered more than one transaction."`
+	CommitMaxBatch int64 `metric:"-,gauge,max"`
 	// Prepares counts 2PC participant PREPARE records this engine forced;
 	// InDoubtCommits/InDoubtAborts count in-doubt prepared transactions that
 	// crash recovery resolved by consulting (or presuming against) the
 	// coordinator's decision log.
-	Prepares       int64
-	InDoubtCommits int64
-	InDoubtAborts  int64
-	Data           device.Stats
-	WALDevice      device.Stats
+	Prepares       int64        `metric:"sias_engine_prepares_total,counter" help:"2PC prepare records durably logged as a participant."`
+	InDoubtCommits int64        `metric:"sias_engine_indoubt_commits_total,counter" help:"In-doubt transactions recovery resolved to commit via the decision log."`
+	InDoubtAborts  int64        `metric:"sias_engine_indoubt_aborts_total,counter" help:"In-doubt transactions recovery resolved to abort (presumed abort)."`
+	Data           device.Stats `label:"device=data"`
+	WALDevice      device.Stats `label:"device=wal"`
 	Pool           buffer.Stats
 	// PoolHitRatio is Pool.HitRatio() precomputed for reports, and
 	// PoolPartitions the stripe count the pool actually chose.
-	PoolHitRatio   float64
-	PoolPartitions int
-	WALPageWrites  int64
-	AllocatedPages int64
+	PoolHitRatio   float64 `metric:"sias_pool_hit_ratio,gauge,noagg" help:"Buffer pool hit ratio, hits/(hits+misses)."`
+	PoolPartitions int     `metric:"-,gauge"`
+	WALPageWrites  int64   `metric:"sias_wal_page_writes_total,counter" help:"WAL pages written."`
+	AllocatedPages int64   `metric:"sias_engine_allocated_pages,gauge" help:"Heap pages allocated."`
 	// WALDurableLSN is the durable end of the log: what a replication
-	// subscriber can ship, and what lag is measured against.
-	WALDurableLSN uint64
+	// subscriber can ship, and what lag is measured against. A position in
+	// one shard's log, so it has no sum.
+	WALDurableLSN uint64 `metric:"sias_wal_durable_lsn,gauge,noagg" help:"Durable end of the WAL: what replication can ship."`
 	// VMapResidency* count residency-cache probes across all SIAS tables;
 	// both stay zero with an unlimited budget (the fast path never counts),
 	// which VMapHitRatio reports as 1.0 — fully resident, not 0% hits.
-	VMapResidencyHits   int64
-	VMapResidencyMisses int64
-	VMapHitRatio        float64
+	VMapResidencyHits   int64   `metric:"sias_vidmap_residency_hits_total,counter" help:"VIDmap residency cache hits (0 with an unlimited budget)."`
+	VMapResidencyMisses int64   `metric:"sias_vidmap_residency_misses_total,counter" help:"VIDmap residency cache misses, each costing one device page read."`
+	VMapHitRatio        float64 `metric:"sias_vidmap_residency_hit_ratio,gauge,noagg" help:"VIDmap residency hit ratio; 1 when the map is fully resident."`
 	// IndexLookups / IndexInserts total secondary-index probe and entry
 	// counts across all tables; Tables breaks the same figures out per table
 	// in creation order.
-	IndexLookups int64
-	IndexInserts int64
-	Tables       []TableStats
+	IndexLookups int64        `metric:"sias_index_lookups_total,counter" help:"Secondary index probes (point lookups and range scans)."`
+	IndexInserts int64        `metric:"sias_index_inserts_total,counter" help:"Secondary index entry inserts, including recovery rebuilds."`
+	Tables       []TableStats `label:"table=Name"`
+}
+
+// FillRatios recomputes the two derived ratios from the counters beside
+// them; they are not summable, so every producer of a Stats (a snapshot, an
+// aggregate, a delta) ends with this call.
+func (s *Stats) FillRatios() {
+	s.PoolHitRatio = s.Pool.HitRatio()
+	s.VMapHitRatio = 1.0
+	if t := s.VMapResidencyHits + s.VMapResidencyMisses; t > 0 {
+		s.VMapHitRatio = float64(s.VMapResidencyHits) / float64(t)
+	}
+}
+
+// Sub returns the change since before: counters subtracted, gauges as they
+// are now, ratios taken over the interval.
+func (s Stats) Sub(before Stats) Stats {
+	d := obs.Sub(s, before)
+	d.FillRatios()
+	return d
 }
 
 // TableStats reports one table's catalog and index figures.
@@ -613,18 +640,31 @@ type TableStats struct {
 	Name string
 	// Rows is the primary-index entry count: >= live rows, since entries for
 	// superseded key epochs and tombstoned items linger until GC/rebuild.
-	Rows int64
-	// Indexes counts live (non-dropped) secondary indexes; IndexEntries and
-	// IndexInserts sum their entry counts and cumulative inserts.
-	Indexes      int64
-	IndexEntries int64
-	IndexLookups int64
-	IndexInserts int64
+	Rows int64 `metric:"sias_table_rows,gauge" help:"Visible primary index entries per table."`
+	// Indexes counts live (non-dropped) secondary indexes — a catalog fact,
+	// identical on every shard, so aggregation does not sum it; IndexEntries
+	// and IndexInserts sum their entry counts and cumulative inserts.
+	Indexes      int64 `metric:"sias_table_indexes,gauge,noagg" help:"Live secondary indexes per table."`
+	IndexEntries int64 `metric:"sias_table_index_entries,gauge" help:"Live secondary index entries per table (lazy deletes included until maintenance)."`
+	IndexLookups int64 `metric:"-,counter"`
+	IndexInserts int64 `metric:"-,counter"`
+	// The quantities the paper argues about, per SIAS table (core.Stats;
+	// zero on an SI table): versions appended and the append pages they
+	// sealed (SealedTuples/PagesSealed is the fill degree), visibility chain
+	// walks and the predecessor fetches they cost, and what GC reclaimed,
+	// re-appended and dropped.
+	Appends       int64 `metric:"sias_table_appends_total,counter" help:"Tuple versions appended (every modification appends one)."`
+	PagesSealed   int64 `metric:"sias_table_pages_sealed_total,counter" help:"Append pages sealed, full or at the flush threshold."`
+	SealedTuples  int64 `metric:"sias_table_sealed_tuples_total,counter" help:"Tuple versions on sealed append pages (fill degree = sealed_tuples/pages_sealed)."`
+	ChainWalks    int64 `metric:"sias_table_chain_walks_total,counter" help:"Visibility chain traversals started."`
+	ChainHops     int64 `metric:"sias_table_chain_hops_total,counter" help:"Predecessor versions fetched during chain walks (the cost of SIAS visibility)."`
+	GCPages       int64 `metric:"sias_table_gc_pages_total,counter" help:"Append pages reclaimed by GC."`
+	GCRelocations int64 `metric:"sias_table_gc_relocations_total,counter" help:"Live entrypoint versions re-appended by GC."`
+	GCDiscarded   int64 `metric:"sias_table_gc_discarded_total,counter" help:"Dead versions discarded by GC."`
 }
 
 // Stats returns a snapshot.
 func (db *DB) Stats() Stats {
-	ps := db.pool.Stats()
 	var vmapHits, vmapMisses int64
 	var idxLookups, idxInserts int64
 	var tables []TableStats
@@ -637,8 +677,12 @@ func (db *DB) Stats() Stats {
 			ts.Rows = rel.PKEntries()
 			ts.Indexes = int64(rel.SecondaryCount())
 			ts.IndexEntries = rel.SecondaryEntries()
-			ts.IndexLookups = rel.Stats().IndexLookups
 			ts.IndexInserts = rel.SecondaryInserts()
+			cs := rel.Stats()
+			ts.IndexLookups = cs.IndexLookups
+			ts.Appends, ts.PagesSealed, ts.SealedTuples = cs.Appends, cs.PagesSealed, cs.SealedTuples
+			ts.ChainWalks, ts.ChainHops = cs.ChainWalks, cs.ChainHops
+			ts.GCPages, ts.GCRelocations, ts.GCDiscarded = cs.GCPages, cs.GCRelocations, cs.GCDiscarded
 		} else if rel := tab.SI(); rel != nil {
 			ts.Rows = rel.PKEntries()
 			ts.Indexes = int64(rel.SecondaryCount())
@@ -650,11 +694,7 @@ func (db *DB) Stats() Stats {
 		idxInserts += ts.IndexInserts
 		tables = append(tables, ts)
 	}
-	vmapRatio := 1.0
-	if vmapHits+vmapMisses > 0 {
-		vmapRatio = float64(vmapHits) / float64(vmapHits+vmapMisses)
-	}
-	return Stats{
+	st := Stats{
 		ReadOnlyCommits: db.roCommits.Load(),
 
 		Commits:        db.commits.Load(),
@@ -667,8 +707,7 @@ func (db *DB) Stats() Stats {
 		InDoubtAborts:  db.inDoubtAborts.Load(),
 		Data:           db.opts.DataDevice.Stats(),
 		WALDevice:      db.opts.WALDevice.Stats(),
-		Pool:           ps,
-		PoolHitRatio:   ps.HitRatio(),
+		Pool:           db.pool.Stats(),
 		PoolPartitions: db.pool.Partitions(),
 		WALPageWrites:  db.walw.PageWrites(),
 		AllocatedPages: db.alloc.AllocatedPages(),
@@ -676,12 +715,13 @@ func (db *DB) Stats() Stats {
 
 		VMapResidencyHits:   vmapHits,
 		VMapResidencyMisses: vmapMisses,
-		VMapHitRatio:        vmapRatio,
 
 		IndexLookups: idxLookups,
 		IndexInserts: idxInserts,
 		Tables:       tables,
 	}
+	st.FillRatios()
+	return st
 }
 
 // Tables returns the tables in creation order.

@@ -195,6 +195,9 @@ func (t *Table) keyOfPayload(payload []byte) int64 {
 
 // Insert stores row under its primary key.
 func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Time, error) {
+	if tx.ReadOnly() {
+		return at, ErrReadOnly
+	}
 	payload, err := t.schema.EncodeRow(row)
 	if err != nil {
 		return at, err
@@ -254,6 +257,9 @@ var errWrongKeyEpoch = errors.New("engine: stale index entry")
 // change the primary key; index maintenance follows the engine's rules
 // (SIAS leaves the index untouched for non-key updates).
 func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tuple.Row) (tuple.Row, error)) (simclock.Time, error) {
+	if tx.ReadOnly() {
+		return at, ErrReadOnly
+	}
 	wrap := func(old []byte) ([]byte, int64, error) {
 		row, err := t.schema.DecodeRow(old)
 		if err != nil {
@@ -297,6 +303,9 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tupl
 // Delete removes the row of key (tombstone under SIAS, in-place xmax under
 // SI).
 func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, error) {
+	if tx.ReadOnly() {
+		return at, ErrReadOnly
+	}
 	if t.sias != nil {
 		tm, err := t.sias.Delete(tx, at, key)
 		if errors.Is(err, core.ErrNotFound) {

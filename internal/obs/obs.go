@@ -12,9 +12,10 @@
 //   - one source of truth: the registry does not keep shadow copies of
 //     counters that exist elsewhere. Components either own an instrument
 //     (histograms, new counters) or are exported through *collected*
-//     families whose values are read from the component's own atomics at
-//     scrape time — which is what lets the STATS wire frame and /metrics
-//     report identical numbers by construction;
+//     families: the tagged fields of the component's own stats struct,
+//     snapshotted once per scrape (CollectStruct, structs.go) — which is
+//     what lets the STATS wire frame and /metrics report identical numbers
+//     by construction;
 //   - naming follows the sias_<subsystem>_<name>{shard="..."} scheme with
 //     Prometheus conventions (base units: seconds and bytes; _total suffix
 //     on counters).
@@ -189,9 +190,8 @@ type series struct {
 }
 
 // family is one metric name: HELP/TYPE plus its series. A family is either
-// static (instruments registered up front) or collected (a callback emits
-// the current label/value pairs at scrape time, reading the owning
-// component's own counters — the shared-registry mechanism).
+// static (instruments registered up front) or collected: its samples come
+// at scrape time from a CollectStruct snapshot, or from its own callback.
 type family struct {
 	name, help, typ string
 	buckets         []float64
@@ -212,6 +212,9 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
+	// sources are the CollectStruct snapshots: each runs once per WriteText
+	// and emits samples for any number of families.
+	sources []func(emit func(name, labels string, v float64))
 }
 
 // NewRegistry returns an empty registry.
@@ -285,18 +288,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 	return s.hist
 }
 
-// CollectCounter registers a counter family whose series are produced by fn
-// at scrape time. fn reads the owning component's own counters, so the
-// exposition and any other reader of those counters (the STATS frame)
-// cannot disagree. Registering the same name again replaces fn.
-func (r *Registry) CollectCounter(name, help string, fn func(emit func(Labels, float64))) {
-	f := r.familyFor(name, help, typeCounter)
-	f.mu.Lock()
-	f.collect = fn
-	f.mu.Unlock()
-}
-
-// CollectGauge registers a gauge family produced by fn at scrape time.
+// CollectGauge registers a gauge family whose series are produced by fn at
+// scrape time, for the odd value that is not a field of a stats struct
+// (CollectStruct is the rule). Registering the same name again replaces fn.
 func (r *Registry) CollectGauge(name, help string, fn func(emit func(Labels, float64))) {
 	f := r.familyFor(name, help, typeGauge)
 	f.mu.Lock()
@@ -304,30 +298,14 @@ func (r *Registry) CollectGauge(name, help string, fn func(emit func(Labels, flo
 	f.mu.Unlock()
 }
 
-// renderLabels renders a label set as the exposition suffix {a="b",c="d"},
-// keys sorted, values escaped. Empty/nil renders "".
+// renderLabels renders a label set as the exposition suffix (see
+// renderPairs).
 func renderLabels(labels Labels) string {
-	if len(labels) == 0 {
-		return ""
+	pairs := make([][2]string, 0, len(labels))
+	for k, v := range labels {
+		pairs = append(pairs, [2]string{k, v})
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[k]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return renderPairs(pairs)
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -386,7 +364,19 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for i, n := range names {
 		fams[i] = r.families[n]
 	}
+	sources := r.sources[:len(r.sources):len(r.sources)]
 	r.mu.Unlock()
+
+	type sample struct {
+		labels string
+		v      float64
+	}
+	scraped := map[string][]sample{}
+	for _, src := range sources {
+		src(func(name, labels string, v float64) {
+			scraped[name] = append(scraped[name], sample{labels, v})
+		})
+	}
 
 	var b strings.Builder
 	for _, f := range fams {
@@ -403,19 +393,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		f.mu.Unlock()
 
+		samples := scraped[f.name]
 		if collect != nil {
-			type sample struct {
-				labels string
-				v      float64
-			}
-			var samples []sample
 			collect(func(l Labels, v float64) {
 				samples = append(samples, sample{renderLabels(l), v})
 			})
-			sort.Slice(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
-			for _, s := range samples {
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.v))
-			}
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
+		for _, s := range samples {
+			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.v))
 		}
 		for _, s := range ss {
 			switch {

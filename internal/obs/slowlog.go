@@ -19,22 +19,8 @@ type SlowOp struct {
 	TraceID    string    `json:"trace_id,omitempty"`
 }
 
-// defSlowRingSize is the default bound on the in-memory tail served at
-// /debug/slowops; override with WithRingSize.
+// defSlowRingSize bounds the in-memory tail served at /debug/slowops.
 const defSlowRingSize = 128
-
-// SlowOpOption configures a SlowOpLog at construction.
-type SlowOpOption func(*SlowOpLog)
-
-// WithRingSize sets how many recent slow ops the ring retains (<= 0 keeps
-// the default).
-func WithRingSize(n int) SlowOpOption {
-	return func(l *SlowOpLog) {
-		if n > 0 {
-			l.ring = make([]SlowOp, n)
-		}
-	}
-}
 
 // SlowOpLog records operations that exceed a wall-clock threshold: each one
 // produces a structured log line, bumps an (optional) counter, and lands in
@@ -54,15 +40,11 @@ type SlowOpLog struct {
 // NewSlowOpLog returns a log that records ops at or over threshold through
 // logf (which may be nil to keep only the ring). A threshold <= 0 returns
 // nil — the disabled log.
-func NewSlowOpLog(threshold time.Duration, logf func(format string, args ...any), opts ...SlowOpOption) *SlowOpLog {
+func NewSlowOpLog(threshold time.Duration, logf func(format string, args ...any)) *SlowOpLog {
 	if threshold <= 0 {
 		return nil
 	}
-	l := &SlowOpLog{threshold: threshold, logf: logf, ring: make([]SlowOp, defSlowRingSize)}
-	for _, opt := range opts {
-		opt(l)
-	}
-	return l
+	return &SlowOpLog{threshold: threshold, logf: logf, ring: make([]SlowOp, defSlowRingSize)}
 }
 
 // SetCounter attaches a registry counter bumped per recorded op.

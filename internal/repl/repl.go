@@ -429,18 +429,18 @@ func (f *Follower) Stop() {
 // replay backlog — records decoded off the stream but not yet applied
 // (apply is synchronous per batch, so it exceeds zero only mid-apply).
 type ShardLag struct {
-	AppliedLSN        uint64 `json:"applied_lsn"`
-	PrimaryDurableLSN uint64 `json:"primary_durable_lsn"`
-	LagBytes          uint64 `json:"lag_bytes"`
-	AppliedRecords    int64  `json:"applied_records"`
-	LagRecords        int64  `json:"lag_records"`
+	AppliedLSN        uint64 `json:"applied_lsn" metric:"sias_repl_applied_lsn,gauge" help:"Follower applied LSN (local mirrored log end)."`
+	PrimaryDurableLSN uint64 `json:"primary_durable_lsn" metric:"sias_repl_primary_durable_lsn,gauge" help:"Last primary durable LSN reported to this follower."`
+	LagBytes          uint64 `json:"lag_bytes" metric:"sias_repl_lag_bytes,gauge" help:"Primary durable LSN minus applied LSN (byte-exact mirrored log)."`
+	AppliedRecords    int64  `json:"applied_records" metric:"sias_repl_applied_records_total,counter" help:"WAL records replayed through the engine."`
+	LagRecords        int64  `json:"lag_records" metric:"sias_repl_lag_records,gauge" help:"Replay backlog: records received off the stream but not yet applied."`
 }
 
 // Stats is the follower's replication position, embedded in STATS replies.
 type Stats struct {
 	Primary  string     `json:"primary"`
-	Promoted bool       `json:"promoted"`
-	Shards   []ShardLag `json:"shards"`
+	Promoted bool       `json:"promoted" metric:"sias_repl_promoted,gauge" help:"1 once a follower has been promoted to primary, 0 before."`
+	Shards   []ShardLag `json:"shards" label:"shard"`
 }
 
 // Stats snapshots replication lag. Lag is an exact byte count because the

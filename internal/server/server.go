@@ -83,15 +83,15 @@ type Config struct {
 // Stats counts service-layer events, exposed through the STATS op next to
 // the engine counters.
 type Stats struct {
-	Connections   int64 // accepted connections
-	Requests      int64 // requests executed (admitted)
-	Overloaded    int64 // requests rejected by admission control
-	DrainRejected int64 // requests rejected because the server was draining
-	OpenTxns      int64 // transactions currently open across sessions
-	Subscribers   int64 // connections currently streaming the WAL (replication)
+	Connections   int64 `metric:"sias_server_connections_total,counter" help:"Connections accepted."`
+	Requests      int64 `metric:"sias_server_requests_total,counter" help:"Requests admitted and executed."`
+	Overloaded    int64 `metric:"sias_server_overloaded_total,counter" help:"Requests rejected by admission control."`
+	DrainRejected int64 `metric:"sias_server_drain_rejected_total,counter" help:"Requests rejected because the server was draining."`
+	OpenTxns      int64 `metric:"sias_server_open_txns,gauge" help:"Transactions currently open across sessions."`
+	Subscribers   int64 `metric:"sias_server_subscribers,gauge" help:"Connections currently streaming the WAL to followers."`
 	// SubscriberDrops counts subscribers disconnected by the bounded-lag
 	// slow-subscriber policy (they resume from their applied LSN).
-	SubscriberDrops int64
+	SubscriberDrops int64 `metric:"sias_server_subscriber_drops_total,counter" help:"Subscribers disconnected by the bounded-lag slow-subscriber policy."`
 }
 
 // Server serves the wire protocol over TCP.
@@ -1094,11 +1094,13 @@ func (c *session) row(key int64, val []byte) tuple.Row {
 // StatsReply is the JSON payload of a STATS response. Engine aggregates
 // the per-shard counters; Shards carries them individually in shard order
 // so load generators can report group-commit effectiveness per shard.
+// /metrics is a walk of this same struct (metrics.go): Engine is left out
+// of it because it is derived from Shards.
 type StatsReply struct {
-	Engine engine.Stats      `json:"engine"`
+	Engine engine.Stats      `json:"engine" metric:"-"`
 	Server Stats             `json:"server"`
 	Router shard.RouterStats `json:"router"`
-	Shards []engine.Stats    `json:"shards"`
+	Shards []engine.Stats    `json:"shards" label:"shard"`
 	// Repl is present only on a replication follower: per-shard applied vs
 	// primary-durable LSNs plus the promotion flag.
 	Repl *repl.Stats `json:"repl,omitempty"`
@@ -1112,25 +1114,31 @@ type StatsReply struct {
 
 // TraceStats mirrors the tracer's counters into the STATS reply.
 type TraceStats struct {
-	Spans   int64 `json:"spans"`   // spans recorded (sampled or force-kept)
-	Dropped int64 `json:"dropped"` // spans lost to a full collector queue
+	Spans   int64 `json:"spans" metric:"sias_trace_spans_total,counter" help:"Distributed trace spans recorded (sampled or force-kept)."`
+	Dropped int64 `json:"dropped" metric:"sias_trace_dropped_total,counter" help:"Distributed trace spans dropped by a full collector queue."`
+}
+
+// snapshot reads every stats source once: the part of a STATS reply that a
+// /metrics scrape shares with it.
+func (s *Server) snapshot() StatsReply {
+	reply := StatsReply{
+		Server: s.Stats(),
+		Router: s.cfg.Router.RouterStats(),
+		Shards: s.cfg.Router.Stats(),
+	}
+	if s.cfg.Replica != nil {
+		rs := s.cfg.Replica.Stats()
+		reply.Repl = &rs
+	}
+	if t := s.tracer; t != nil {
+		reply.Trace = &TraceStats{Spans: t.Spans(), Dropped: t.Dropped()}
+	}
+	return reply
 }
 
 func (c *session) handleStats() ([]byte, error) {
-	per := c.srv.cfg.Router.Stats()
-	reply := StatsReply{
-		Engine: shard.Aggregate(per),
-		Server: c.srv.Stats(),
-		Router: c.srv.cfg.Router.RouterStats(),
-		Shards: per,
-		Ops:    c.srv.opLatencies(),
-	}
-	if c.srv.cfg.Replica != nil {
-		rs := c.srv.cfg.Replica.Stats()
-		reply.Repl = &rs
-	}
-	if t := c.srv.tracer; t != nil {
-		reply.Trace = &TraceStats{Spans: t.Spans(), Dropped: t.Dropped()}
-	}
+	reply := c.srv.snapshot()
+	reply.Engine = shard.Aggregate(reply.Shards)
+	reply.Ops = c.srv.opLatencies()
 	return json.Marshal(reply)
 }

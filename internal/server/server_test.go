@@ -31,7 +31,7 @@ func kvSchema() *tuple.Schema {
 }
 
 // openKV assembles one engine shard (facade+table) over the given devices.
-func openKV(t *testing.T, data, walDev device.BlockDevice, recover bool) shard.Shard {
+func openKV(t testing.TB, data, walDev device.BlockDevice, recover bool) shard.Shard {
 	t.Helper()
 	opts := engine.DefaultOptions(data, walDev)
 	opts.Recover = recover
@@ -52,7 +52,7 @@ func openKV(t *testing.T, data, walDev device.BlockDevice, recover bool) shard.S
 }
 
 // routerOf wraps shards in a Router.
-func routerOf(t *testing.T, shards ...shard.Shard) *shard.Router {
+func routerOf(t testing.TB, shards ...shard.Shard) *shard.Router {
 	t.Helper()
 	r, err := shard.NewRouter(shards)
 	if err != nil {
@@ -62,7 +62,7 @@ func routerOf(t *testing.T, shards ...shard.Shard) *shard.Router {
 }
 
 // memRouter builds an n-shard router over in-memory devices.
-func memRouter(t *testing.T, n int) *shard.Router {
+func memRouter(t testing.TB, n int) *shard.Router {
 	t.Helper()
 	shards := make([]shard.Shard, n)
 	for i := range shards {

@@ -119,11 +119,8 @@ func (t *Txn) table(i int, name string) (*engine.Table, error) {
 
 // InsertRow stores row in the named table under its primary key's shard.
 func (t *Txn) InsertRow(table string, row tuple.Row) error {
-	if t.done {
-		return ErrFinished
-	}
-	if t.asOf {
-		return engine.ErrReadOnly
+	if err := t.writable(); err != nil {
+		return err
 	}
 	meta, err := t.table(0, table)
 	if err != nil {
@@ -153,11 +150,8 @@ func (t *Txn) GetRow(table string, key int64) (tuple.Row, error) {
 // UpdateRow replaces the visible row sharing row's primary key (full-row
 // replace; the wire protocol has no partial update).
 func (t *Txn) UpdateRow(table string, row tuple.Row) error {
-	if t.done {
-		return ErrFinished
-	}
-	if t.asOf {
-		return engine.ErrReadOnly
+	if err := t.writable(); err != nil {
+		return err
 	}
 	meta, err := t.table(0, table)
 	if err != nil {
@@ -176,11 +170,8 @@ func (t *Txn) UpdateRow(table string, row tuple.Row) error {
 
 // DeleteRow removes the row of key in the named table.
 func (t *Txn) DeleteRow(table string, key int64) error {
-	if t.done {
-		return ErrFinished
-	}
-	if t.asOf {
-		return engine.ErrReadOnly
+	if err := t.writable(); err != nil {
+		return err
 	}
 	i := t.r.ShardOf(key)
 	tab, err := t.table(i, table)
@@ -200,7 +191,7 @@ func (t *Txn) ScanTable(table string, lo, hi int64, fn func(tuple.Row) bool) err
 		}
 		return err
 	}
-	return t.fanMerge(table,
+	return t.fanMerge(t.named(table),
 		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
 			return t.r.shards[i].Facade.RangeByKey(tab, sub, lo, hi, func(row tuple.Row) bool {
 				return emit(meta.Key(row), 0, row)
@@ -268,7 +259,7 @@ func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int
 			return err
 		}
 	}
-	return t.fanMerge(table,
+	return t.fanMerge(t.named(table),
 		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
 			idx, err := tab.SecondaryIndex(index)
 			if err != nil {
@@ -281,7 +272,12 @@ func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int
 		fn)
 }
 
-// mergeEnt is one heap entry of the generalized k-way merge.
+// named resolves a catalog table per shard for fanMerge.
+func (t *Txn) named(table string) func(int) (*engine.Table, error) {
+	return func(i int) (*engine.Table, error) { return t.table(i, table) }
+}
+
+// mergeEnt is one heap entry of the k-way merge.
 type mergeEnt struct {
 	sortKey int64
 	ikey    int64
@@ -302,12 +298,13 @@ func (h entHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *entHeap) Push(x any)   { *h = append(*h, x.(mergeEnt)) }
 func (h *entHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// fanMerge runs one sorted producer per shard and merges their outputs in
-// (sortKey, shard) order, the same streaming producer/merge-heap shape as
-// Txn.Range generalized over catalog tables and index scans. Early exit from
-// fn tears the producers down through the done channel.
+// fanMerge is the router's one k-way merge: one sorted producer per shard
+// streams into a bounded channel and a heap merges them in (sortKey, shard)
+// order — key ranges (Range, ScanTable) and index scans alike. tableOf names
+// the table each shard scans. Early exit from fn tears the producers down
+// through the done channel.
 func (t *Txn) fanMerge(
-	table string,
+	tableOf func(shard int) (*engine.Table, error),
 	run func(i int, tab *engine.Table, sub *txn.Tx, emit func(sortKey, ikey int64, row tuple.Row) bool) error,
 	fn func(ikey int64, row tuple.Row) bool,
 ) error {
@@ -316,7 +313,7 @@ func (t *Txn) fanMerge(
 	}
 	n := t.r.N()
 	if n == 1 {
-		tab, err := t.table(0, table)
+		tab, err := tableOf(0)
 		if err != nil {
 			return err
 		}
@@ -326,6 +323,8 @@ func (t *Txn) fanMerge(
 	}
 	t.r.fanouts.Add(1)
 
+	// Defer order matters: close(done) must run before wg.Wait so blocked
+	// producers unblock before we wait for them.
 	done := make(chan struct{})
 	chans := make([]chan mergeEnt, n)
 	errs := make([]error, n)
@@ -333,12 +332,14 @@ func (t *Txn) fanMerge(
 	defer wg.Wait()
 	defer close(done)
 	for i := 0; i < n; i++ {
-		tab, err := t.table(i, table)
+		tab, err := tableOf(i)
 		if err != nil {
 			// Producers already started stream into buffered channels and
 			// stop at the done close in the deferred teardown.
 			return err
 		}
+		// Sub-transactions open here, serially: facade Begin is cheap, and
+		// it keeps Txn's lazy-open slice single-goroutine.
 		sub := t.at(i)
 		ch := make(chan mergeEnt, 64)
 		chans[i] = ch

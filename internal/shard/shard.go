@@ -38,7 +38,6 @@
 package shard
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"strconv"
@@ -46,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sias/internal/device"
 	"sias/internal/engine"
 	"sias/internal/obs"
 	"sias/internal/simclock"
@@ -190,17 +188,19 @@ func (r *Router) Stats() []engine.Stats {
 
 // RouterStats counts cross-shard coordination events.
 type RouterStats struct {
-	Shards       int   // configured shard count
-	CrossCommits int64 // commits that wrote on more than one shard (2PC runs)
-	RangeFanouts int64 // range ops fanned out across all shards
+	Shards       int   `metric:"sias_router_shards,gauge" help:"Configured shard count."`
+	CrossCommits int64 `metric:"sias_router_cross_commits_total,counter" help:"Commits spanning more than one shard."` // 2PC runs
+	RangeFanouts int64 `metric:"sias_router_range_fanouts_total,counter" help:"Range operations fanned out across all shards."`
 	// 2PC outcomes: TwoPCCommits counts cross-shard transactions that
 	// reached a durable commit decision, TwoPCAbortPrepare those aborted
 	// because a participant's prepare failed, and TwoPCInDoubt those whose
 	// commit-decision flush failed — the outcome is unknown (the record may
 	// or may not be on the device) until restart recovery consults the log.
-	TwoPCCommits      int64
-	TwoPCAbortPrepare int64
-	TwoPCInDoubt      int64
+	// A failed decision flush is NOT an abort, so it is its own family
+	// rather than an abort reason.
+	TwoPCCommits      int64 `metric:"sias_2pc_commits_total,counter" help:"Cross-shard transactions that reached a durable commit decision."`
+	TwoPCAbortPrepare int64 `metric:"sias_2pc_aborts_total,counter" help:"Cross-shard transactions aborted by the coordinator, by reason." label:"reason=prepare"`
+	TwoPCInDoubt      int64 `metric:"sias_2pc_indoubt_total,counter" help:"Cross-shard transactions whose commit-decision flush failed; outcome unknown until restart recovery consults the log."`
 }
 
 // RouterStats snapshots the router-level counters.
@@ -215,75 +215,14 @@ func (r *Router) RouterStats() RouterStats {
 	}
 }
 
-// Aggregate sums per-shard engine stats into one engine-wide view.
+// Aggregate sums per-shard engine stats into one engine-wide view. What
+// "sum" means for each field is declared on the field (engine.Stats' tags).
 func Aggregate(ss []engine.Stats) engine.Stats {
 	var a engine.Stats
 	for _, s := range ss {
-		a.Commits += s.Commits
-		a.ReadOnlyCommits += s.ReadOnlyCommits
-		a.Aborts += s.Aborts
-		a.CommitFlushes += s.CommitFlushes
-		a.CommitBatches += s.CommitBatches
-		if s.CommitMaxBatch > a.CommitMaxBatch {
-			a.CommitMaxBatch = s.CommitMaxBatch
-		}
-		a.Prepares += s.Prepares
-		a.InDoubtCommits += s.InDoubtCommits
-		a.InDoubtAborts += s.InDoubtAborts
-		a.WALPageWrites += s.WALPageWrites
-		a.AllocatedPages += s.AllocatedPages
-		a.Pool.Hits += s.Pool.Hits
-		a.Pool.Misses += s.Pool.Misses
-		a.Pool.Evictions += s.Pool.Evictions
-		a.Pool.DirtyOut += s.Pool.DirtyOut
-		a.Pool.IOPending += s.Pool.IOPending
-		a.Pool.ReadWaits += s.Pool.ReadWaits
-		a.Pool.PrefetchIssued += s.Pool.PrefetchIssued
-		a.Pool.PrefetchCoalesced += s.Pool.PrefetchCoalesced
-		a.Pool.PrefetchWasted += s.Pool.PrefetchWasted
-		a.Pool.PartitionEvictions = append(a.Pool.PartitionEvictions, s.Pool.PartitionEvictions...)
-		a.PoolPartitions += s.PoolPartitions
-		a.Data = addDev(a.Data, s.Data)
-		a.WALDevice = addDev(a.WALDevice, s.WALDevice)
-		a.VMapResidencyHits += s.VMapResidencyHits
-		a.VMapResidencyMisses += s.VMapResidencyMisses
-		a.IndexLookups += s.IndexLookups
-		a.IndexInserts += s.IndexInserts
-		for _, ts := range s.Tables {
-			found := false
-			for i := range a.Tables {
-				if a.Tables[i].Name == ts.Name {
-					a.Tables[i].Rows += ts.Rows
-					a.Tables[i].IndexEntries += ts.IndexEntries
-					a.Tables[i].IndexLookups += ts.IndexLookups
-					a.Tables[i].IndexInserts += ts.IndexInserts
-					// Index count is per-catalog, identical on every shard.
-					found = true
-					break
-				}
-			}
-			if !found {
-				a.Tables = append(a.Tables, ts)
-			}
-		}
+		obs.Add(&a, s)
 	}
-	a.PoolHitRatio = a.Pool.HitRatio()
-	a.VMapHitRatio = 1.0
-	if t := a.VMapResidencyHits + a.VMapResidencyMisses; t > 0 {
-		a.VMapHitRatio = float64(a.VMapResidencyHits) / float64(t)
-	}
-	return a
-}
-
-func addDev(a, b device.Stats) device.Stats {
-	a.Reads += b.Reads
-	a.Writes += b.Writes
-	a.BytesRead += b.BytesRead
-	a.BytesWritten += b.BytesWritten
-	a.ReadTime += b.ReadTime
-	a.WriteTime += b.WriteTime
-	a.PhysWrites += b.PhysWrites
-	a.Erases += b.Erases
+	a.FillRatios()
 	return a
 }
 
@@ -338,6 +277,18 @@ var ErrFinished = errors.New("shard: transaction already finished")
 // invisible, locks held); callers must not assume either outcome.
 var ErrInDoubt = errors.New("shard: cross-shard commit outcome in doubt")
 
+// writable is the one gate every write op of both families (kv and row)
+// passes: a finished transaction and a pinned AS OF snapshot take no writes.
+func (t *Txn) writable() error {
+	if t.done {
+		return ErrFinished
+	}
+	if t.asOf {
+		return engine.ErrReadOnly
+	}
+	return nil
+}
+
 // Get returns the visible row of key.
 func (t *Txn) Get(key int64) (tuple.Row, error) {
 	if t.done {
@@ -350,8 +301,8 @@ func (t *Txn) Get(key int64) (tuple.Row, error) {
 
 // Insert stores row under its primary key's shard.
 func (t *Txn) Insert(row tuple.Row) error {
-	if t.done {
-		return ErrFinished
+	if err := t.writable(); err != nil {
+		return err
 	}
 	i := t.r.ShardOf(t.r.shards[0].Table.Key(row))
 	s := t.r.shards[i]
@@ -360,8 +311,8 @@ func (t *Txn) Insert(row tuple.Row) error {
 
 // Update applies mutate to the visible row of key.
 func (t *Txn) Update(key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
-	if t.done {
-		return ErrFinished
+	if err := t.writable(); err != nil {
+		return err
 	}
 	i := t.r.ShardOf(key)
 	s := t.r.shards[i]
@@ -370,8 +321,8 @@ func (t *Txn) Update(key int64, mutate func(tuple.Row) (tuple.Row, error)) error
 
 // Delete removes the row of key.
 func (t *Txn) Delete(key int64) error {
-	if t.done {
-		return ErrFinished
+	if err := t.writable(); err != nil {
+		return err
 	}
 	i := t.r.ShardOf(key)
 	s := t.r.shards[i]
@@ -634,102 +585,26 @@ func (t *Txn) Abort() error {
 	return first
 }
 
-// mergeRow is one heap entry of the k-way merge: a row plus its source
-// shard's stream index.
-type mergeRow struct {
-	key int64
-	row tuple.Row
-	src int
-}
-
-type mergeHeap []mergeRow
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	// Keys are unique across shards (each key lives on exactly one), but
-	// tie-break on source for determinism anyway.
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].src < h[j].src
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeRow)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // Range visits visible rows with lo <= primary key <= hi in global key
 // order, stopping when fn returns false. With one shard it is a plain
-// engine range; with N it fans out one streaming producer per shard and
-// k-way merges their (already sorted) outputs, so rows surface in exactly
-// the order a single engine would produce and early termination (LIMIT)
-// cancels the producers instead of draining them.
+// engine range; with N it is fanMerge over the router's own table, so rows
+// surface in exactly the order a single engine would produce and early
+// termination (LIMIT) cancels the producers instead of draining them.
 func (t *Txn) Range(lo, hi int64, fn func(tuple.Row) bool) error {
 	if t.done {
 		return ErrFinished
 	}
-	n := t.r.N()
-	if n == 1 {
+	if t.r.N() == 1 {
 		s := t.r.shards[0]
 		return s.Facade.RangeByKey(s.Table, t.at(0), lo, hi, fn)
 	}
-	t.r.fanouts.Add(1)
-
-	// One producer per shard streams its sorted range into a bounded
-	// channel; `done` tears the producers down on early exit or error.
-	// Defer order matters: close(done) must run before wg.Wait so blocked
-	// producers unblock before we wait for them.
-	done := make(chan struct{})
-	chans := make([]chan tuple.Row, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(done)
-	for i := 0; i < n; i++ {
-		// Open every sub-transaction up front, serially: facade Begin is
-		// cheap, and doing it here keeps Txn's lazy-open map single-
-		// goroutine.
-		sub := t.at(i)
-		ch := make(chan tuple.Row, 64)
-		chans[i] = ch
-		wg.Add(1)
-		go func(i int, sub *txn.Tx, ch chan tuple.Row) {
-			defer wg.Done()
-			defer close(ch)
-			s := t.r.shards[i]
-			errs[i] = s.Facade.RangeByKey(s.Table, sub, lo, hi, func(row tuple.Row) bool {
-				select {
-				case ch <- row:
-					return true
-				case <-done:
-					return false
-				}
-			})
-		}(i, sub, ch)
-	}
 	keyOf := t.r.shards[0].Table.Key
-	h := make(mergeHeap, 0, n)
-	for i, ch := range chans {
-		if row, ok := <-ch; ok {
-			h = append(h, mergeRow{key: keyOf(row), row: row, src: i})
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		top := h[0]
-		if !fn(top.row) {
-			return nil
-		}
-		if row, ok := <-chans[top.src]; ok {
-			h[0] = mergeRow{key: keyOf(row), row: row, src: top.src}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d range: %w", i, err)
-		}
-	}
-	return nil
+	return t.fanMerge(
+		func(i int) (*engine.Table, error) { return t.r.shards[i].Table, nil },
+		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
+			return t.r.shards[i].Facade.RangeByKey(tab, sub, lo, hi, func(row tuple.Row) bool {
+				return emit(keyOf(row), 0, row)
+			})
+		},
+		func(_ int64, row tuple.Row) bool { return fn(row) })
 }
