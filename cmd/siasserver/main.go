@@ -88,7 +88,7 @@ func main() {
 	dataDir := flag.String("data", "", "data directory for file-backed devices (empty = in-memory)")
 	dataPages := flag.Int64("data-pages", 1<<16, "data device size in pages (total across shards)")
 	walPages := flag.Int64("wal-pages", 1<<15, "WAL device size in pages (total across shards)")
-	walSync := flag.Bool("wal-sync", true, "fsync the WAL device on every page write (file-backed only)")
+	walSync := flag.Bool("wal-sync", true, "fsync the WAL device on every flush (file-backed only)")
 	gcLinger := flag.Duration("gc-linger", 0, "max extra wait for a group-commit batch to grow (0 = flush immediately)")
 	asofRetention := flag.Uint64("asof-retention", 1<<16, "retain superseded versions written by the most recent N transactions so AS OF snapshot tokens inside the window stay resolvable (0 = keep only what live snapshots need)")
 	follow := flag.String("follow", "", "run as a replication follower of the primary at this address")

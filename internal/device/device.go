@@ -49,14 +49,40 @@ type PageRangeReader interface {
 	ReadPages(at simclock.Time, pageNo int64, n int, p []byte) (simclock.Time, error)
 }
 
+// RangeWriter is the optional byte-range write path, the write twin of
+// PageRangeReader: devices that can store an arbitrary byte range in one host
+// operation (a single pwrite on file-backed storage) implement it, and the
+// WAL flushes only the sectors that gained bytes through it instead of
+// rewriting whole pages. p lands at byte offset off, which with len(p) must
+// stay inside the device; bytes around the range keep their content. Counts
+// as one host write of len(p) bytes in Stats. Callers find it with
+// RangeWriterOf, never by a type assertion of their own: a decorator has the
+// path only when what it decorates has it.
+type RangeWriter interface {
+	WriteRange(at simclock.Time, off int64, p []byte) (simclock.Time, error)
+}
+
+// RangeWriterOf returns dev's byte-range write path, if it has one.
+func RangeWriterOf(dev BlockDevice) (RangeWriter, bool) {
+	if w, ok := dev.(*Wrap); ok {
+		if _, ok := RangeWriterOf(w.inner); !ok {
+			return nil, false
+		}
+		return w, true
+	}
+	rw, ok := dev.(RangeWriter)
+	return rw, ok
+}
+
 // Stats aggregates host-visible I/O issued to a device.
 type Stats struct {
 	Reads        int64             `metric:"sias_device_reads_total,counter" help:"Host page reads."`
-	Writes       int64             `metric:"sias_device_writes_total,counter" help:"Host page writes."`
+	Writes       int64             `metric:"sias_device_writes_total,counter" help:"Host write operations."`
 	BytesRead    int64             `metric:"sias_device_read_bytes_total,counter" help:"Host bytes read."`
 	BytesWritten int64             `metric:"sias_device_written_bytes_total,counter" help:"Host bytes written."`
 	ReadTime     simclock.Duration `metric:"-,counter"` // summed service+queue time of reads
 	WriteTime    simclock.Duration `metric:"-,counter"`
+	Syncs        int64             `metric:"sias_device_syncs_total,counter" help:"Host syncs to stable storage (fsync; 0 on simulated devices)."`
 
 	// Flash-internal accounting; zero for non-flash devices.
 	PhysWrites int64 `metric:"sias_device_phys_writes_total,counter" help:"Physical page programs including flash GC relocation (0 off flash)."`
@@ -105,6 +131,13 @@ func (c *StatCounter) CountWrite(n int, d simclock.Duration) {
 	c.s.Writes++
 	c.s.BytesWritten += int64(n)
 	c.s.WriteTime += d
+	c.mu.Unlock()
+}
+
+// CountSync records one host sync to stable storage.
+func (c *StatCounter) CountSync() {
+	c.mu.Lock()
+	c.s.Syncs++
 	c.mu.Unlock()
 }
 

@@ -42,9 +42,10 @@ func (d *File) SetLatency(read, write simclock.Duration) {
 	d.writeLat = write
 }
 
-// SetSyncOnWrite makes every WritePage fsync, so a page acknowledged as
-// written really is on stable storage — the right setting for a WAL device
-// serving live traffic, and the regime in which group commit pays: the
+// SetSyncOnWrite makes every write operation (WritePage, WriteRange) fsync
+// before it returns, so bytes acknowledged as written really are on stable
+// storage — the right setting for a WAL device serving live traffic, and the
+// regime in which group commit pays: a WAL flush is one WriteRange, so the
 // fsync cost is paid once per batch instead of once per transaction.
 func (d *File) SetSyncOnWrite(sync bool) { d.syncOnWrite = sync }
 
@@ -108,25 +109,37 @@ func (d *File) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock.Tim
 	if len(p) < d.pageSize {
 		return at, fmt.Errorf("device: write buffer %d < page size %d", len(p), d.pageSize)
 	}
-	if _, err := d.f.WriteAt(p[:d.pageSize], pageNo*int64(d.pageSize)); err != nil {
-		return at, fmt.Errorf("device: write page %d: %w", pageNo, err)
+	return d.WriteRange(at, pageNo*int64(d.pageSize), p[:d.pageSize])
+}
+
+// WriteRange implements RangeWriter: p at byte offset off in one pwrite, and
+// under SetSyncOnWrite one fsync however many pages the range spans.
+func (d *File) WriteRange(at simclock.Time, off int64, p []byte) (simclock.Time, error) {
+	if off < 0 || off+int64(len(p)) > d.numPages*int64(d.pageSize) {
+		return at, ErrOutOfRange
+	}
+	if _, err := d.f.WriteAt(p, off); err != nil {
+		return at, fmt.Errorf("device: write %d bytes at %d: %w", len(p), off, err)
 	}
 	if d.syncOnWrite {
-		if err := d.f.Sync(); err != nil {
-			return at, fmt.Errorf("device: sync page %d: %w", pageNo, err)
+		if err := d.Sync(); err != nil {
+			return at, fmt.Errorf("device: sync %d bytes at %d: %w", len(p), off, err)
 		}
 	}
 	done := at.Add(d.writeLat)
-	d.CountWrite(d.pageSize, d.writeLat)
+	d.CountWrite(len(p), d.writeLat)
 	return done, nil
 }
 
 // Sync flushes the file to stable storage.
-func (d *File) Sync() error { return d.f.Sync() }
+func (d *File) Sync() error {
+	d.CountSync()
+	return d.f.Sync()
+}
 
 // Close syncs and closes the backing file.
 func (d *File) Close() error {
-	if err := d.f.Sync(); err != nil {
+	if err := d.Sync(); err != nil {
 		d.f.Close()
 		return err
 	}
@@ -136,4 +149,5 @@ func (d *File) Close() error {
 var (
 	_ BlockDevice     = (*File)(nil)
 	_ PageRangeReader = (*File)(nil)
+	_ RangeWriter     = (*File)(nil)
 )

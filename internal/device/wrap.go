@@ -27,9 +27,10 @@ type Wrap struct {
 	// touching the inner device.
 	onRead func(pageNo int64, n int) error
 
-	// onWrite runs before each write op. Returning an error fails the op
-	// without touching the inner device — the write-side fault injector
-	// (e.g. fail a 2PC commit-decision flush).
+	// onWrite runs before each write op; pageNo is the page of the first
+	// byte written (a WriteRange may go on into later pages). Returning an
+	// error fails the op without touching the inner device — the write-side
+	// fault injector (e.g. fail a 2PC commit-decision flush).
 	onWrite func(pageNo int64) error
 
 	readOps  atomic.Int64 // host read ops (batched = 1)
@@ -107,6 +108,21 @@ func (w *Wrap) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock.Tim
 		time.Sleep(w.WriteDelay)
 	}
 	return w.inner.WritePage(at, pageNo, p)
+}
+
+// WriteRange implements RangeWriter over an inner device that has the path;
+// RangeWriterOf hands out a Wrap only then. Hook and delay apply once per
+// range, as they do once per ReadPages batch.
+func (w *Wrap) WriteRange(at simclock.Time, off int64, p []byte) (simclock.Time, error) {
+	if w.onWrite != nil {
+		if err := w.onWrite(off / int64(w.inner.PageSize())); err != nil {
+			return at, err
+		}
+	}
+	if w.WriteDelay > 0 {
+		time.Sleep(w.WriteDelay)
+	}
+	return w.inner.(RangeWriter).WriteRange(at, off, p)
 }
 
 // PageSize implements BlockDevice.

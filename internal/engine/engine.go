@@ -596,7 +596,7 @@ type Stats struct {
 	// PoolPartitions the stripe count the pool actually chose.
 	PoolHitRatio   float64 `metric:"sias_pool_hit_ratio,gauge,noagg" help:"Buffer pool hit ratio, hits/(hits+misses)."`
 	PoolPartitions int     `metric:"-,gauge"`
-	WALPageWrites  int64   `metric:"sias_wal_page_writes_total,counter" help:"WAL pages written."`
+	WALPageWrites  int64   `metric:"sias_wal_page_writes_total,counter" help:"WAL pages flushes wrote into, whole or in part."`
 	AllocatedPages int64   `metric:"sias_engine_allocated_pages,gauge" help:"Heap pages allocated."`
 	// WALDurableLSN is the durable end of the log: what a replication
 	// subscriber can ship, and what lag is measured against. A position in

@@ -483,6 +483,9 @@ func TestDrainHandoffFailover(t *testing.T) {
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- psrv.Shutdown(context.Background()) }()
+	// A write that reached the primary before the drain began would commit
+	// there and never meet the redirect.
+	waitFor(t, 10*time.Second, "the primary to begin draining", func() bool { return psrv.Ready() != nil })
 
 	// Keep trying the write through the handoff window: the drain rejection
 	// redirects the client, and the follower accepts the write once the

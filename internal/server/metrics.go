@@ -114,7 +114,7 @@ func (s *Server) setupMetrics(reg *obs.Registry, slow *obs.SlowOpLog) {
 				"WAL record append latency including latch wait.",
 				obs.DefLatencyBuckets, l),
 			reg.Histogram("sias_wal_fsync_seconds",
-				"WAL flush latency, wait-to-flush through fsync return.",
+				"WAL flush latency: wait to become the flusher, the one device write, and its fsync under -wal-sync.",
 				obs.DefLatencyBuckets, l))
 		fc.SetCommitMetrics(
 			reg.Histogram("sias_commit_batch_size",

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sias/internal/device"
+	"sias/internal/page"
 	"sias/internal/txn"
 )
 
@@ -12,8 +13,16 @@ import (
 // of a flush — the window in which Flush holds only flushMu and reads the
 // pending bytes without the buffer latch. The records must neither disturb
 // the pages being written nor be lost to the trim that follows: a second
-// flush plus a scan returns every record, in order, intact.
+// flush plus a scan returns every record, in order, intact. On the range path
+// (File) the hook runs once per flush, on the page path (Mem) once per page.
 func TestAppendDuringFlushSurvives(t *testing.T) {
+	testAppendDuringFlushSurvives(t, func(*testing.T) device.BlockDevice { return newDev() })
+	t.Run("on File", func(t *testing.T) {
+		testAppendDuringFlushSurvives(t, func(t *testing.T) device.BlockDevice { return newFileDev(t, page.Size, 1024) })
+	})
+}
+
+func testAppendDuringFlushSurvives(t *testing.T, newDev func(*testing.T) device.BlockDevice) {
 	cases := []struct {
 		name   string
 		before int // records appended before the first flush
@@ -27,7 +36,7 @@ func TestAppendDuringFlushSurvives(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := device.NewWrap(newDev())
+			dev := device.NewWrap(newDev(t))
 			w := NewWriter(dev)
 			var want []Record
 			add := func(size int) LSN {
@@ -39,7 +48,7 @@ func TestAppendDuringFlushSurvives(t *testing.T) {
 			flushing := true
 			dev.SetWriteHook(func(int64) error {
 				if flushing {
-					add(tc.during) // one record per page write of the first flush
+					add(tc.during) // one record per device write of the first flush
 				}
 				return nil
 			})
@@ -88,10 +97,16 @@ func TestAppendDuringFlushSurvives(t *testing.T) {
 
 // TestFlushAllocatesNothing pins the flush budget of a small commit: two heap
 // after-images and a commit record go to the device through the writer's own
-// page buffer, and pending is trimmed where it lies. The appends' own
+// buffer, and pending is trimmed where it lies — on either path, and the 4,100
+// commits cross some 330 page boundaries on the way. The appends' own
 // allocations (EncodeRecord) are measured apart and taken off.
 func TestFlushAllocatesNothing(t *testing.T) {
-	w := NewWriter(newDev()) // 1024 pages: ~11,000 of these commits
+	testFlushAllocatesNothing(t, newDev())
+	t.Run("on File", func(t *testing.T) { testFlushAllocatesNothing(t, newFileDev(t, page.Size, 1024)) })
+}
+
+func testFlushAllocatesNothing(t *testing.T, dev device.BlockDevice) {
+	w := NewWriter(dev) // 1024 pages: ~11,000 of these commits
 	heap := &Record{Type: RecHeapInsert, Tx: 1, Rel: 2, Data: make([]byte, 256)}
 	commit := &Record{Type: RecCommit, Tx: 1}
 	appendCommit := func() LSN {

@@ -22,7 +22,7 @@ func fill(t *testing.T, w *Writer, firstTx, n int) LSN {
 	return w.Durable()
 }
 
-func scanAll(t *testing.T, dev device.BlockDevice) (recs []Record, end LSN) {
+func scanAll(t testing.TB, dev device.BlockDevice) (recs []Record, end LSN) {
 	t.Helper()
 	end, err := Scan(dev, func(_ LSN, rec Record) error {
 		recs = append(recs, rec)

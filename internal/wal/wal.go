@@ -5,8 +5,11 @@
 // MV-DBMS's inherent WAL-based recovery: the append threshold only delays
 // when data pages reach stable storage, while the WAL continues to guarantee
 // durability. Both engines here share this WAL. Records are length-prefixed
-// and CRC-framed in a byte stream that is buffered into device pages; the
-// tail page is rewritten as it fills, exactly like a real WAL segment.
+// and CRC-framed in a byte stream that is laid out in device pages. On a
+// device with a byte-range write path a flush writes only the 512-byte
+// sectors that gained bytes, so the log appends like the version store it
+// protects; on the simulated page devices the tail page is rewritten as it
+// fills. Both leave the same image (see Flush).
 //
 // SIAS data structures (the VIDmap and per-relation append state) are NOT
 // logged: as in the paper, everything needed to reconstruct them is stored
@@ -148,6 +151,15 @@ func EncodeRecord(r *Record) []byte {
 // ErrEndOfLog is returned by the scanner at the end of valid records.
 var ErrEndOfLog = errors.New("wal: end of log")
 
+// ErrLogFull is returned by Flush when the bytes to write would run past the
+// end of the log device. The flush writes nothing, the records stay buffered
+// and every later flush fails the same way. It wraps device.ErrOutOfRange.
+var ErrLogFull = fmt.Errorf("wal: log device full: %w", device.ErrOutOfRange)
+
+// sectorSize is the unit of a range-path flush: a write starts and ends on a
+// multiple of it, so no write ever splits a sector with an earlier one.
+const sectorSize = 512
+
 // Decode failures split into two classes so the scanner can tell "wait for
 // the rest of the page" from "these bytes can never become a record":
 // errNeedMore means the (plausible) record extends past the available bytes;
@@ -201,8 +213,8 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return r, length, nil
 }
 
-// Writer appends records to an in-memory tail and flushes complete and
-// partial pages to the log device. Safe for concurrent use.
+// Writer appends records to an in-memory tail and flushes it to the log
+// device. Safe for concurrent use.
 //
 // Appends take only the short buffer latch (mu); Flush snapshots the
 // pending bytes under the latch, then performs device I/O while holding
@@ -213,14 +225,25 @@ type Writer struct {
 	flushMu  sync.Mutex // serializes flushers; held across device I/O
 	dev      device.BlockDevice
 	pageSize int
-	tailBuf  []byte // the padded tail page of the flush in progress; owned under flushMu
+	// rw is the device's byte-range write path; nil selects the whole-page
+	// loop, which every simulated device takes.
+	rw device.RangeWriter
+	// The next two are owned under flushMu. tailBuf assembles what a flush
+	// hands the device beyond pending's own complete pages: the padded tail
+	// page (page path) or the whole sector range (range path). zeroedTo is
+	// the end of the last page this writer has written: the device holds
+	// zeros from the stream end up to it, so a flush that stays below it
+	// writes only its sectors, and one that passes it zero-fills to the end
+	// of the page it reaches.
+	tailBuf  []byte
+	zeroedTo LSN
 
 	mu         sync.Mutex // buffer latch: never held across device I/O
 	pending    []byte     // bytes not yet written to the device
 	pendingOff LSN        // stream offset of pending[0]
 	nextLSN    LSN
 	durable    LSN
-	fullSynced int64 // count of page writes issued
+	fullSynced int64 // count of pages flushes wrote into
 
 	// Wall-clock duration instruments (nil = not collected). Set once at
 	// assembly time via SetDurationMetrics, before the writer is shared.
@@ -230,7 +253,7 @@ type Writer struct {
 
 // SetDurationMetrics attaches wall-clock latency histograms: appendH
 // observes each Append (buffer copy under the latch, including latch
-// wait), flushH observes each Flush that reached the device (page writes
+// wait), flushH observes each Flush that reached the device (the write
 // plus fsync, including the wait to become the flusher — the durability
 // latency a committing transaction actually experiences). Must be called
 // before the writer is shared between goroutines.
@@ -250,31 +273,38 @@ func NewWriterAt(dev device.BlockDevice, start LSN) *Writer {
 	if int(start)%dev.PageSize() != 0 {
 		panic("wal: start LSN must be page-aligned")
 	}
-	return &Writer{
-		dev:        dev,
-		pageSize:   dev.PageSize(),
-		pendingOff: start,
-		nextLSN:    start,
-		durable:    start,
-	}
+	return newWriter(dev, start, start)
 }
 
-// NewWriterResume returns a writer that continues an existing log whose
-// intact records end exactly at end — no page rounding, no new generation.
-// Flush rewrites whole pages, so the partial tail page is reloaded from the
-// device first; otherwise the first flush after resume would zero the bytes
-// before end. A replication follower resumes this way so its stream offsets
-// stay byte-identical to the primary's.
-func NewWriterResume(dev device.BlockDevice, end LSN) (*Writer, error) {
-	ps := dev.PageSize()
-	floor := LSN(int64(end) / int64(ps) * int64(ps))
+// newWriter returns a writer whose stream ends at end, with pending starting
+// at floor, the page boundary at or below it.
+func newWriter(dev device.BlockDevice, floor, end LSN) *Writer {
 	w := &Writer{
 		dev:        dev,
-		pageSize:   ps,
+		pageSize:   dev.PageSize(),
+		zeroedTo:   end, // nothing past the stream end is known zero yet
 		pendingOff: floor,
 		nextLSN:    end,
 		durable:    end,
 	}
+	if rw, ok := device.RangeWriterOf(dev); ok && w.pageSize%sectorSize == 0 {
+		w.rw = rw
+	}
+	return w
+}
+
+// NewWriterResume returns a writer that continues an existing log whose
+// intact records end exactly at end — no page rounding, no new generation.
+// The first flush writes from the start of the page (page path) or of the
+// sector (range path) that holds end, so the partial tail page is reloaded
+// from the device first; otherwise that flush would zero the bytes before
+// end. It also zero-fills the rest of that page, clearing whatever a torn
+// write left behind end. A replication follower resumes this way so its
+// stream offsets stay byte-identical to the primary's.
+func NewWriterResume(dev device.BlockDevice, end LSN) (*Writer, error) {
+	ps := dev.PageSize()
+	floor := LSN(int64(end) / int64(ps) * int64(ps))
+	w := newWriter(dev, floor, end)
 	if end > floor {
 		buf := make([]byte, ps)
 		if _, err := dev.ReadPage(0, int64(floor)/int64(ps), buf); err != nil {
@@ -318,9 +348,24 @@ func (w *Writer) Append(r *Record) LSN {
 	return lsn
 }
 
-// Flush makes the log durable up to at least lsn, writing whole pages to the
-// device (the tail page is padded and will be rewritten as it fills —
-// the usual WAL tail behaviour). Returns the virtual completion time.
+// Flush makes the log durable up to at least lsn and returns the virtual
+// completion time. What reaches the device depends on the device, the image
+// it leaves does not: the stream, and zeros from its end to the end of the
+// page that holds it.
+//
+//   - A device with a byte-range write path (device.File) gets one write per
+//     flush, covering the sectors that gained bytes: from the sector holding
+//     the durable LSN to the end of the sector holding the stream end. The
+//     first write into a page — a fresh page, or the tail page a new writer
+//     inherits — goes on to the end of that page, zero-filled, so the zeros
+//     Scan and TailReader rely on are there; later flushes leave them alone.
+//     A sector below the one that holds the durable LSN is never written
+//     again, so a torn write cannot damage an acknowledged record in one.
+//   - Any other device gets every page that overlaps the unflushed stream,
+//     whole, the partial tail page zero-padded and rewritten as it fills.
+//
+// A flush that would run past the end of the device writes nothing and
+// returns ErrLogFull.
 //
 // Only flushMu is held across the device writes. Records appended while the
 // I/O is in flight accumulate in pending and are covered by the next flush;
@@ -342,39 +387,30 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 	// (or move to a larger array, leaving this one as it was), and the only
 	// code that shifts bytes is the trim below, under the flushMu held here.
 	w.mu.Lock()
-	if lsn <= w.durable {
+	if lsn <= w.durable || w.nextLSN == w.durable { // the second: an lsn past the stream
 		w.mu.Unlock()
 		return at, nil
 	}
 	snapOff := w.pendingOff // always page-aligned
 	snapEnd := w.nextLSN
 	snap := w.pending
+	durable := w.durable
 	w.mu.Unlock()
 
-	// Write every page overlapping [snapOff, snapEnd): complete pages straight
-	// from snap, the partial tail page zero-padded through the writer's one
-	// page buffer.
-	if w.tailBuf == nil {
-		w.tailBuf = make([]byte, w.pageSize)
-	}
 	firstPage := int64(snapOff) / int64(w.pageSize)
 	lastPage := int64(snapEnd-1) / int64(w.pageSize)
-	t := at
-	var pages int64
-	for p := firstPage; p <= lastPage; p++ {
-		from := int(p-firstPage) * w.pageSize
-		buf := w.tailBuf
-		if from+w.pageSize <= len(snap) {
-			buf = snap[from : from+w.pageSize]
-		} else {
-			clear(buf[copy(buf, snap[from:]):])
-		}
-		var err error
-		t, err = w.dev.WritePage(t, p, buf)
-		if err != nil {
-			return t, fmt.Errorf("wal: flush page %d: %w", p, err)
-		}
-		pages++
+	if lastPage >= w.dev.NumPages() {
+		return at, fmt.Errorf("wal: flush [%d,%d) on a log of %d pages: %w", durable, snapEnd, w.dev.NumPages(), ErrLogFull)
+	}
+	var t simclock.Time
+	var err error
+	if w.rw != nil {
+		t, err = w.writeSectors(at, snap, snapOff, durable, snapEnd)
+	} else {
+		t, err = w.writePages(at, snap, firstPage, lastPage)
+	}
+	if err != nil {
+		return t, err
 	}
 
 	// Trim pending in place down to the partial tail page (plus anything
@@ -393,10 +429,61 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 	if snapEnd > w.durable {
 		w.durable = snapEnd
 	}
-	w.fullSynced += pages
+	w.fullSynced += lastPage - firstPage + 1
 	w.mu.Unlock()
-	if w.flushHist != nil && pages > 0 {
+	if w.flushHist != nil {
 		w.flushHist.ObserveSince(t0)
+	}
+	return t, nil
+}
+
+// writePages writes pages [firstPage, lastPage] of the stream snap holds from
+// firstPage's start on: complete pages straight from snap, the partial tail
+// page zero-padded through tailBuf.
+func (w *Writer) writePages(at simclock.Time, snap []byte, firstPage, lastPage int64) (simclock.Time, error) {
+	if w.tailBuf == nil {
+		w.tailBuf = make([]byte, w.pageSize)
+	}
+	t := at
+	for p := firstPage; p <= lastPage; p++ {
+		from := int(p-firstPage) * w.pageSize
+		buf := w.tailBuf
+		if from+w.pageSize <= len(snap) {
+			buf = snap[from : from+w.pageSize]
+		} else {
+			clear(buf[copy(buf, snap[from:]):])
+		}
+		var err error
+		t, err = w.dev.WritePage(t, p, buf)
+		if err != nil {
+			return t, fmt.Errorf("wal: flush page %d: %w", p, err)
+		}
+	}
+	return t, nil
+}
+
+// writeSectors writes the sectors of the stream [snapOff, snapEnd) in snap
+// that gained bytes since durable, in one device write. The range is
+// assembled in tailBuf: snap may not be padded where it lies, appenders own
+// the array past its length.
+func (w *Writer) writeSectors(at simclock.Time, snap []byte, snapOff, durable, snapEnd LSN) (simclock.Time, error) {
+	from := durable &^ (sectorSize - 1)
+	to := (snapEnd + sectorSize - 1) &^ (sectorSize - 1)
+	if snapEnd > w.zeroedTo {
+		ps := LSN(w.pageSize)
+		to = (snapEnd + ps - 1) / ps * ps
+	}
+	if n := int(to - from); cap(w.tailBuf) < n {
+		w.tailBuf = make([]byte, max(n, 2*cap(w.tailBuf)))
+	}
+	buf := w.tailBuf[:to-from]
+	clear(buf[copy(buf, snap[from-snapOff:snapEnd-snapOff]):])
+	t, err := w.rw.WriteRange(at, int64(from), buf)
+	if err != nil {
+		return t, fmt.Errorf("wal: flush bytes [%d,%d): %w", from, to, err)
+	}
+	if to > w.zeroedTo {
+		w.zeroedTo = to
 	}
 	return t, nil
 }
@@ -415,7 +502,9 @@ func (w *Writer) NextLSN() LSN {
 	return w.nextLSN
 }
 
-// PageWrites reports the number of page writes issued by Flush.
+// PageWrites reports the number of pages flushes have written into, whole or
+// in part: one per page write on the page path, the pages a range spans on
+// the range path.
 func (w *Writer) PageWrites() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sias/internal/device"
+	"sias/internal/flash"
 	"sias/internal/page"
 )
 
@@ -28,6 +29,46 @@ func BenchmarkAppendFlushCommit(b *testing.B) {
 		if _, err := w.Flush(0, lsn); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFlushTail is the kv-write commit as the log sees it — two 288 B
+// heap after-images and a commit record, then a flush — on the two kinds of
+// device a log lives on. On a File the flush is a range write: devB/commit is
+// what the host hands the device, the quantity the paper's Table 1 takes from
+// blktrace. The simulated SSD has no range path and maps whole 8 KB pages, so
+// there every flush is still a page write and a page program: phys_writes/commit
+// does not move with the File numbers.
+func BenchmarkFlushTail(b *testing.B) {
+	b.Run("File", func(b *testing.B) { benchFlushTail(b, newFileDev(b, page.Size, flushTailRing)) })
+	b.Run("flashSSD", func(b *testing.B) { benchFlushTail(b, flash.New(flash.DefaultConfig(), nil)) })
+}
+
+// flushTailRing is how many pages of the device the benchmark's log uses
+// before it begins a new generation at page 0 again, so that any b.N fits.
+const flushTailRing = 4096
+
+func benchFlushTail(b *testing.B, dev device.BlockDevice) {
+	heap := &Record{Type: RecHeapInsert, Tx: 1, Rel: 2, Data: make([]byte, 288)}
+	commit := &Record{Type: RecCommit, Tx: 1}
+	w := NewWriter(dev)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w.NextLSN() > (flushTailRing-1)*page.Size {
+			w = NewWriterAt(dev, 0)
+		}
+		w.Append(heap)
+		w.Append(heap)
+		if _, err := w.Flush(0, w.Append(commit)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := dev.Stats()
+	b.ReportMetric(float64(st.BytesWritten)/float64(b.N), "devB/commit")
+	b.ReportMetric(float64(st.Writes)/float64(b.N), "writes/commit")
+	if st.PhysWrites > 0 {
+		b.ReportMetric(float64(st.PhysWrites)/float64(b.N), "phys_writes/commit")
 	}
 }
 
