@@ -11,18 +11,19 @@ import (
 // Replica-side incremental apply: a replication follower folds each primary
 // WAL record into the volatile read structures (VIDmap, indexes, block
 // bookkeeping) as it replays, mirroring exactly what the primary's live write
-// path did when it produced the record. RebuildFromHeap remains the
-// recovery/bootstrap path; these methods keep a running replica's state
-// current without the O(state) rescan.
+// path did when it produced the record. RebuildFromHeap is where a restart
+// begins — it leaves undecided writers in the state these methods would have
+// — and from there on these methods keep the state current without an
+// O(state) rescan.
 //
 // All methods here are driven by engine.ApplyRecord, which the repl.Follower
 // serializes against reads, so per-transaction tracking needs no extra
 // synchronization beyond r.mu.
 
-// replayOp records one in-flight applied write so a later replicated
-// commit/abort can resolve it the way the primary's transaction finish hooks
-// did: commit queues the superseded predecessor for GC, abort swings the
-// VIDmap entrypoint back.
+// replayOp records one replayed write of a transaction with no outcome yet,
+// so that its commit/abort can be resolved the way the primary's transaction
+// finish hooks did: commit queues the superseded predecessor for GC, abort
+// swings the VIDmap entrypoint back.
 type replayOp struct {
 	vid  uint64
 	tid  page.TID // the version this op wrote
@@ -38,14 +39,12 @@ type replayOp struct {
 // preserving the original creation stamp, and holds the item lock across the
 // append and the VIDmap swing, so in log order the entrypoint moves
 // unconditionally and no index entry changes (SIAS indexes map keys to VIDs,
-// which relocation keeps).
-//
-// tracked reports whether the write belongs to an in-flight transaction the
-// caller must resolve via ApplyFinish when its commit/abort record arrives.
-func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record, keyOf func(payload []byte) int64) (_ simclock.Time, tracked bool, _ error) {
+// which relocation keeps). Any other write is tracked under its transaction
+// until ApplyFinish resolves it.
+func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record, keyOf func(payload []byte) int64) (simclock.Time, error) {
 	hdr, payload, err := tuple.DecodeSIAS(rec.Data)
 	if err != nil {
-		return at, false, err
+		return at, err
 	}
 	block := rec.TID.Block
 	relocation := rec.Tx != hdr.Create
@@ -78,58 +77,39 @@ func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record, keyOf func(pay
 	r.vmap.Set(hdr.VID, rec.TID)
 	r.vmap.SetNextVID(hdr.VID + 1)
 	if relocation {
-		return at, false, nil
+		return at, nil
 	}
 	if hdr.Tombstone() {
 		r.stats.tombstones.Add(1)
-		return at, true, nil // tombstones carry no payload and no index entries
+		return at, nil // tombstones carry no payload and no index entries
 	}
 
 	// Index maintenance converges on the primary's through set semantics: the
 	// live path inserts <key, VID> on Insert and only on key change for
 	// Update, but an unchanged key already has its entry from the prior
-	// version, so Contains-guarded inserts reproduce the same tree content.
-	t := at
-	key := keyOf(payload)
-	have, t, err := r.pk.Contains(t, key, hdr.VID)
+	// version, so set inserts reproduce the same tree content.
+	t, err := r.addEntry(at, r.pk, keyOf(payload), hdr.VID)
 	if err != nil {
-		return t, true, err
-	}
-	if !have {
-		t, err = r.pk.Insert(t, key, hdr.VID)
-		if err != nil {
-			return t, true, err
-		}
-		r.stats.indexInserts.Add(1)
+		return t, err
 	}
 	secs, secFns := r.secSnapshot()
 	for i, sec := range secs {
 		if sec == nil {
 			continue
 		}
-		k, ok := secFns[i](payload)
-		if !ok {
-			continue
+		if k, ok := secFns[i](payload); ok {
+			if t, err = r.addEntry(t, sec, k, hdr.VID); err != nil {
+				return t, err
+			}
 		}
-		have, t, err = sec.Contains(t, k, hdr.VID)
-		if err != nil {
-			return t, true, err
-		}
-		if have {
-			continue
-		}
-		t, err = sec.Insert(t, k, hdr.VID)
-		if err != nil {
-			return t, true, err
-		}
-		r.stats.indexInserts.Add(1)
 	}
-	return t, true, nil
+	return t, nil
 }
 
-// ApplyFinish resolves the in-flight applied writes of one transaction when
-// its replicated commit or abort record arrives, mirroring the primary's
-// OnFinish hooks: commit queues each superseded predecessor as pending
+// ApplyFinish resolves the tracked writes of one transaction once its outcome
+// is known — its replicated commit or abort record arrived, or the engine
+// decided it after reading a log that ends without one — mirroring the
+// primary's OnFinish hooks: commit queues each superseded predecessor as pending
 // garbage under the committing id; abort unwinds the entrypoint swings —
 // newest-first, like the LIFO finish hooks, so a multi-update chain lands
 // back on the pre-transaction version — and marks the doomed versions dead.
@@ -179,14 +159,9 @@ func (r *Relation) ApplyBlockFree(block uint32) {
 	r.stats.gcPages.Add(1)
 }
 
-// PromoteDead drains pending-dead entries decided before horizon into the
-// per-block dead sets. On the primary GC does this inline; a replica never
-// collects, so the follower's refresh path calls it to keep the queue from
-// growing without bound between promotions.
-func (r *Relation) PromoteDead(horizon txn.ID) { r.promoteDead(horizon) }
-
-// ReplayInFlight reports the ids of transactions with applied-but-undecided
-// writes (tests and diagnostics).
+// ReplayInFlight reports the ids of transactions with replayed writes and no
+// outcome yet: what the engine has to finish itself when no more log is
+// coming (recovery of a primary, promotion of a follower).
 func (r *Relation) ReplayInFlight() []txn.ID {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -178,12 +178,16 @@ type Relation struct {
 	// keeps GC victim processing O(page) instead of O(all garbage).
 	deadByBlock map[uint32]map[uint16]struct{}
 	pendingDead []pendingDead
-	// replay tracks in-flight replicated writes awaiting their commit/abort
-	// record (replica incremental apply; see apply.go). Nil outside replica
-	// replay; reset by RebuildFromHeap, which recomputes every effect.
+	// replay tracks writes replayed from the log — by ApplyInsert, or found
+	// on the heap by RebuildFromHeap — whose transaction has no outcome yet;
+	// ApplyFinish resolves them. Nil on an engine that never replayed.
 	replay      map[txn.ID][]replayOp
 	gcFraction  float64
 	missPenalty simclock.Duration
+
+	// gcMu keeps GC and an index backfill apart: both walk the heap assuming
+	// a version they have not reached yet stays where it is.
+	gcMu sync.Mutex
 
 	// NoFTL mode: freed blocks wait per erase unit until the whole unit is
 	// reclaimable, then get erased and returned for reuse.
@@ -623,14 +627,25 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 			continue
 		}
 		if k, ok := secFns[i](payload); ok {
-			t, err = sec.Insert(t, k, vid)
-			if err != nil {
+			// A set insert although the VID is new: a backfill of this very
+			// tree may be scanning the page the version just landed on
+			// (BackfillSecondary).
+			if t, err = r.addEntry(t, sec, k, vid); err != nil {
 				return 0, t, err
 			}
-			r.stats.indexInserts.Add(1)
 		}
 	}
 	return vid, t, nil
+}
+
+// addEntry set-inserts <key, vid> into tree (index.Tree.Add) and counts the
+// insert if the entry was not there yet.
+func (r *Relation) addEntry(at simclock.Time, tree *index.Tree, key int64, vid uint64) (simclock.Time, error) {
+	added, t, err := tree.Add(at, key, vid)
+	if added {
+		r.stats.indexInserts.Add(1)
+	}
+	return t, err
 }
 
 // markDeadLocked adds tid to the per-block dead set. Caller holds r.mu.
@@ -719,17 +734,8 @@ func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey 
 		// Entries are a set per <key, VID>: a row returning to a key it held
 		// before finds its old entry still there and must not duplicate it,
 		// or multi-version lookups would count the row once per stint.
-		var have bool
-		have, t, err = r.pk.Contains(t, newKey, vid)
-		if err != nil {
+		if t, err = r.addEntry(t, r.pk, newKey, vid); err != nil {
 			return t, err
-		}
-		if !have {
-			t, err = r.pk.Insert(t, newKey, vid)
-			if err != nil {
-				return t, err
-			}
-			r.stats.indexInserts.Add(1)
 		}
 	}
 	secs, secFns := r.secSnapshot()
@@ -740,19 +746,9 @@ func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey 
 		oldK, oldOk := secFns[i](payload)
 		newK, newOk := secFns[i](newPayload)
 		if newOk && (!oldOk || newK != oldK) {
-			var have bool
-			have, t, err = sec.Contains(t, newK, vid)
-			if err != nil {
+			if t, err = r.addEntry(t, sec, newK, vid); err != nil {
 				return t, err
 			}
-			if have {
-				continue
-			}
-			t, err = sec.Insert(t, newK, vid)
-			if err != nil {
-				return t, err
-			}
-			r.stats.indexInserts.Add(1)
 		}
 	}
 	return t, nil
@@ -841,18 +837,6 @@ func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, simcloc
 // the returned versions, as in any index whose entries outlive key changes.
 func (r *Relation) VIDsForKey(at simclock.Time, key int64) ([]uint64, simclock.Time, error) {
 	return r.pk.Search(at, key)
-}
-
-// VIDForKey returns the VID the primary index maps key to (the first entry).
-func (r *Relation) VIDForKey(at simclock.Time, key int64) (uint64, simclock.Time, error) {
-	vids, t, err := r.pk.Search(at, key)
-	if err != nil {
-		return 0, t, err
-	}
-	if len(vids) == 0 {
-		return 0, t, ErrNotFound
-	}
-	return vids[0], t, nil
 }
 
 // Update is the key-based convenience over UpdateByVID.

@@ -28,7 +28,9 @@ import (
 // are never raced. Pages whose live versions include mid-chain versions are
 // skipped; they become collectible as their chains age past the horizon.
 func (r *Relation) GC(at simclock.Time, horizon txn.ID) (reclaimed int, _ simclock.Time, err error) {
-	r.promoteDead(horizon)
+	r.gcMu.Lock()
+	defer r.gcMu.Unlock()
+	r.PromoteDead(horizon)
 
 	r.mu.Lock()
 	var victims []uint32
@@ -60,9 +62,11 @@ func (r *Relation) GC(at simclock.Time, horizon txn.ID) (reclaimed int, _ simclo
 	return reclaimed, t, nil
 }
 
-// promoteDead moves pendingDead entries whose superseding transaction
-// passed the horizon into the dead set.
-func (r *Relation) promoteDead(horizon txn.ID) {
+// PromoteDead moves pendingDead entries whose superseding transaction
+// passed the horizon into the dead set. GC starts with it; a replica never
+// collects, so its refresh path calls it to keep the queue the replicated
+// commits grow from growing without bound between promotions.
+func (r *Relation) PromoteDead(horizon txn.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	keep := r.pendingDead[:0]
@@ -200,15 +204,4 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 	// reused; recovery's VIDmap rebuild ignores non-entrypoint duplicates.
 	r.walw.Append(&wal.Record{Type: wal.RecHeapDead, Rel: r.id, TID: page.TID{Block: block, Slot: ^uint16(0)}})
 	return true, t, nil
-}
-
-// PendingGarbage reports queued-but-not-yet-promotable dead work (tests).
-func (r *Relation) PendingGarbage() (pending, dead int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, set := range r.deadByBlock {
-		n += len(set)
-	}
-	return len(r.pendingDead), n
 }

@@ -10,16 +10,13 @@ import (
 // File is a page-addressed block device backed by a real file. It gives the
 // network server (cmd/siasserver) durable state that survives process
 // restarts: the WAL and heap written here are re-scanned by engine recovery
-// on the next start. Virtual-time latencies are configurable like Mem's, so
-// the simulation arithmetic stays intact while the bytes land on the host
-// filesystem.
+// on the next start. It charges no virtual time: the bytes land on the host
+// filesystem, whose cost is paid on the wall clock.
 type File struct {
 	StatCounter
 	f           *os.File
 	pageSize    int
 	numPages    int64
-	readLat     simclock.Duration
-	writeLat    simclock.Duration
 	syncOnWrite bool
 }
 
@@ -34,12 +31,6 @@ func OpenFile(path string, pageSize int, numPages int64) (*File, error) {
 		return nil, fmt.Errorf("device: open %s: %w", path, err)
 	}
 	return &File{f: f, pageSize: pageSize, numPages: numPages}, nil
-}
-
-// SetLatency configures fixed virtual per-op latencies (default zero).
-func (d *File) SetLatency(read, write simclock.Duration) {
-	d.readLat = read
-	d.writeLat = write
 }
 
 // SetSyncOnWrite makes every write operation (WritePage, WriteRange) fsync
@@ -70,9 +61,8 @@ func (d *File) ReadPage(at simclock.Time, pageNo int64, p []byte) (simclock.Time
 			p[i] = 0
 		}
 	}
-	done := at.Add(d.readLat)
-	d.CountRead(d.pageSize, d.readLat)
-	return done, nil
+	d.CountRead(d.pageSize, 0)
+	return at, nil
 }
 
 // ReadPages implements PageRangeReader: n consecutive pages in one pread.
@@ -96,9 +86,8 @@ func (d *File) ReadPages(at simclock.Time, pageNo int64, n int, p []byte) (simcl
 			p[i] = 0
 		}
 	}
-	done := at.Add(d.readLat)
-	d.CountRead(size, d.readLat)
-	return done, nil
+	d.CountRead(size, 0)
+	return at, nil
 }
 
 // WritePage implements BlockDevice.
@@ -126,9 +115,8 @@ func (d *File) WriteRange(at simclock.Time, off int64, p []byte) (simclock.Time,
 			return at, fmt.Errorf("device: sync %d bytes at %d: %w", len(p), off, err)
 		}
 	}
-	done := at.Add(d.writeLat)
-	d.CountWrite(len(p), d.writeLat)
-	return done, nil
+	d.CountWrite(len(p), 0)
+	return at, nil
 }
 
 // Sync flushes the file to stable storage.

@@ -90,11 +90,20 @@ func (db *DB) DropTableLogged(at simclock.Time, name string) (simclock.Time, err
 	if db.replica.Load() {
 		return at, ErrReadOnly
 	}
+	if !db.removeTable(name) {
+		return at, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	return db.logDDL(at, &catalog.DDL{Kind: catalog.KindDropTable, Table: name})
+}
+
+// removeTable takes the named table out of the catalog and reports whether it
+// was there.
+func (db *DB) removeTable(name string) bool {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	tab, ok := db.tables[name]
 	if !ok {
-		db.mu.Unlock()
-		return at, fmt.Errorf("%w: %s", ErrNoTable, name)
+		return false
 	}
 	delete(db.tables, name)
 	delete(db.rels, tab.heapID())
@@ -104,13 +113,13 @@ func (db *DB) DropTableLogged(at simclock.Time, name string) (simclock.Time, err
 			break
 		}
 	}
-	db.mu.Unlock()
-	return db.logDDL(at, &catalog.DDL{Kind: catalog.KindDropTable, Table: name})
+	return true
 }
 
 // CreateIndexLogged creates a named secondary index over one int64 column of
-// a table and records the DDL. Column indexes are the only durable kind: a
-// column name replays from the log, an arbitrary Go key function does not.
+// a table, fills it from the rows the table already holds, and records the
+// DDL. Column indexes are the only durable kind: a column name replays from
+// the log, an arbitrary Go key function does not.
 func (db *DB) CreateIndexLogged(at simclock.Time, table, index, column string) (simclock.Time, error) {
 	if db.replica.Load() {
 		return at, ErrReadOnly
@@ -126,8 +135,14 @@ func (db *DB) CreateIndexLogged(at simclock.Time, table, index, column string) (
 	relID := db.nextRelID
 	db.nextRelID++
 	db.mu.Unlock()
-	_, t, err := tab.createColumnIndex(at, index, column, relID)
+	idx, t, err := tab.createColumnIndex(at, index, column, relID)
 	if err != nil {
+		return t, err
+	}
+	// Writers index their own versions from the moment the tree is attached;
+	// the backfill covers everything appended before. A follower repeats both
+	// steps when the record below reaches it.
+	if t, err = tab.backfillSecondary(t, idx); err != nil {
 		return t, err
 	}
 	return db.logDDL(t, &catalog.DDL{
@@ -180,6 +195,15 @@ func (t *Table) createColumnIndex(at simclock.Time, index, column string, relID 
 		return v, ok
 	}
 	return t.addSecondary(at, index, column, relID, keyFn)
+}
+
+// backfillSecondary fills secondary index idx from the heap (see the
+// relations' BackfillSecondary).
+func (t *Table) backfillSecondary(at simclock.Time, idx int) (simclock.Time, error) {
+	if t.sias != nil {
+		return t.sias.BackfillSecondary(at, idx)
+	}
+	return t.si.BackfillSecondary(at, idx)
 }
 
 // dropSecondaryByName tombstones the named index slot in both the engine
@@ -239,8 +263,8 @@ func (t *Table) Secondaries() []IndexInfo {
 	return out
 }
 
-// applyDDL replays one catalog record. Both crash recovery (pass 1) and the
-// replication follower (ApplyRecord) drive it; it is idempotent — a table or
+// applyDDL replays one catalog record (redo's RecDDL case, so both crash
+// recovery and the replication follower drive it); it is idempotent — a table or
 // index that already exists (pre-created bootstrap schema, or re-replay after
 // a follower restart) is skipped, but the relation-id counter always advances
 // past the recorded ids so later allocations never collide.
@@ -269,19 +293,7 @@ func (db *DB) applyDDL(at simclock.Time, rec *wal.Record) (simclock.Time, error)
 		}
 		return t, nil
 	case catalog.KindDropTable:
-		db.mu.Lock()
-		tab, ok := db.tables[d.Table]
-		if ok {
-			delete(db.tables, d.Table)
-			delete(db.rels, tab.heapID())
-			for i, o := range db.order {
-				if o == tab {
-					db.order = append(db.order[:i], db.order[i+1:]...)
-					break
-				}
-			}
-		}
-		db.mu.Unlock()
+		db.removeTable(d.Table)
 		return at, nil
 	case catalog.KindCreateIndex:
 		db.mu.Lock()

@@ -3,12 +3,18 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sias/internal/device"
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
+	"sias/internal/txn"
 )
 
 // TestLoggedDDLSurvivesCrash creates a table and an index through the logged
@@ -575,5 +581,134 @@ func TestStatsReportTables(t *testing.T) {
 		ts.ChainHops != cs.ChainHops || ts.PagesSealed != cs.PagesSealed || ts.SealedTuples != cs.SealedTuples ||
 		ts.GCPages != cs.GCPages || ts.GCRelocations != cs.GCRelocations || ts.GCDiscarded != cs.GCDiscarded {
 		t.Fatalf("table stats %+v do not mirror core stats %+v", ts, cs)
+	}
+}
+
+// TestCreateIndexBackfillsUnderWriters creates an index on a populated table
+// while writers keep inserting rows and moving the indexed column. Every
+// version must end up with exactly one entry: the backfill indexes what was
+// there, the writers index what they append, and where the two overlap the
+// set insert keeps one. Reads check the entries that resolve to a current
+// row; the entry count, compared with the tree a crash recovery of the same
+// log rebuilds from the heap, checks the rest. (Indexed values are drawn from
+// a wide range on purpose: Tree.Delete gives up early on a key whose
+// duplicates span several leaves, so under SI a low-cardinality index keeps
+// entries of pruned versions — which readers skip — and the counts would
+// differ for a reason that has nothing to do with the backfill.)
+func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			data := device.NewMem(page.Size, applyDataPages)
+			walDev := device.NewMem(page.Size, applyWALPages)
+			opts := DefaultOptions(data, walDev)
+			opts.Kind = k
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, _, err := db.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFacade(db)
+			const preload, workers = 2000, 4
+			for lo := int64(0); lo < preload; lo += 100 {
+				tx := f.Begin()
+				for id := lo; id < lo+100; id++ {
+					if err := f.Insert(tab, tx, tuple.Row{id, "pre", id * 7}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.Commit(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// One operation per transaction, so a failed one leaves no version
+			// behind: every version in the heap is committed and the rebuilt
+			// tree is exactly the set the live one must hold.
+			const opsEach, indexes = 900, 8
+			var done atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					next := int64(preload + w*1_000_000)
+					for n := 0; n < opsEach; n++ {
+						tx := f.Begin()
+						var err error
+						if rng.Intn(2) == 0 {
+							err = f.Insert(tab, tx, tuple.Row{next, "new", rng.Int63n(1 << 40)})
+							next++
+						} else {
+							err = f.Update(tab, tx, rng.Int63n(preload), func(r tuple.Row) (tuple.Row, error) {
+								r[2] = rng.Int63n(1 << 40)
+								return r, nil
+							})
+						}
+						if err != nil {
+							f.Abort(tx)
+							if !errors.Is(err, txn.ErrSerialization) && !errors.Is(err, txn.ErrLockTimeout) {
+								t.Errorf("writer %d: %v", w, err)
+							}
+						} else if err := f.Commit(tx); err != nil {
+							t.Errorf("writer %d commit: %v", w, err)
+						}
+						done.Add(1)
+					}
+				}(w)
+			}
+			// Several indexes, spread over the writers' run: each backfill is
+			// another chance to catch a writer between its append and its
+			// index insert.
+			for i := int64(0); i < indexes; i++ {
+				for done.Load() < (i+1)*workers*opsEach/(indexes+2) {
+					runtime.Gosched()
+				}
+				if err := f.CreateIndex("accounts", fmt.Sprintf("by_balance_%d", i), "balance"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			check := f.Begin()
+			want := map[int64]int64{} // id -> balance
+			if err := f.Scan(tab, check, func(r tuple.Row) bool {
+				want[r[0].(int64)] = r[2].(int64)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for idx := 0; idx < indexes; idx++ {
+				seen := map[int64]int{}
+				if err := f.RangeBySecondary(tab, check, idx, math.MinInt64, math.MaxInt64, func(key int64, r tuple.Row) bool {
+					id := r[0].(int64)
+					seen[id]++
+					if want[id] != key {
+						t.Errorf("index %d: row %d listed under balance %d, has %d", idx, id, key, want[id])
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for id := range want {
+					if seen[id] != 1 {
+						t.Errorf("index %d: row %d appears %d times in the range, want once", idx, id, seen[id])
+					}
+				}
+			}
+			f.Commit(check)
+
+			rdb, _ := crashAndRecover(t, k, cloneMem(t, data), cloneMem(t, walDev))
+			live, rebuilt := db.Stats().Tables[0].IndexEntries, rdb.Stats().Tables[0].IndexEntries
+			if live != rebuilt || live < indexes*preload {
+				t.Errorf("live indexes hold %d entries, the ones rebuilt from the heap %d", live, rebuilt)
+			}
+		})
 	}
 }

@@ -148,7 +148,12 @@ type DB struct {
 	lastMaint simclock.Time
 
 	recovered   []recRecord // WAL records pre-scanned for recovery
+	redoFrom    wal.LSN     // redo point of the last checkpoint in the pre-scan
 	maxBlockRel map[uint32]uint32
+	// prepared holds the 2PC participants redo has seen prepared and not yet
+	// decided. Written only by redo and finishUndecided, which recovery runs
+	// single-threaded and the repl.Follower serializes.
+	prepared map[txn.ID]preparedTxn
 
 	// Replica mode (replication follower): reads only, all WAL appends come
 	// from ApplyRecord's re-encoded primary records. See replica.go.
@@ -156,20 +161,6 @@ type DB struct {
 	replicaXMax  atomic.Uint64 // snapshot horizon for read-only transactions
 	replicaMaxTx atomic.Uint64 // highest transaction id seen in applied records
 	replicaDirty atomic.Bool   // heap changed since the last RefreshReplica
-	// replicaRebuild forces the next RefreshReplica to fall back to the full
-	// volatile rebuild instead of the incremental horizon advance; set when
-	// apply hits something the incremental path cannot patch (a CREATE INDEX
-	// over existing rows, or the decision record of a transaction whose
-	// writes predate the last rebuild).
-	replicaRebuild atomic.Bool
-	// applyInFlight tracks writer transactions applied incrementally since
-	// the last rebuild; replicaUnresolved tracks writers whose heap effects
-	// are baked into the last rebuild but were undecided when it ran — their
-	// commit/abort cannot be patched incrementally and re-arms the rebuild.
-	// Both are touched only on the apply path, which the repl.Follower
-	// serializes (no lock needed).
-	applyInFlight     map[txn.ID]struct{}
-	replicaUnresolved map[txn.ID]struct{}
 
 	// Hot-path counters are atomics so Commit/Abort/Stats never touch
 	// db.mu, which Tick holds during maintenance scheduling.
@@ -225,9 +216,7 @@ func Open(opts Options) (*DB, error) {
 		rels:        map[uint32]*Table{},
 		nextRelID:   1,
 		maxBlockRel: map[uint32]uint32{},
-
-		applyInFlight:     map[txn.ID]struct{}{},
-		replicaUnresolved: map[txn.ID]struct{}{},
+		prepared:    map[txn.ID]preparedTxn{},
 	}
 
 	startLSN := wal.LSN(0)
@@ -236,6 +225,9 @@ func Open(opts Options) (*DB, error) {
 		// generation appends after the old records.
 		end, err := wal.Scan(opts.WALDevice, func(lsn wal.LSN, rec wal.Record) error {
 			db.recovered = append(db.recovered, recRecord{lsn, rec})
+			if rec.Type == wal.RecCheckpoint {
+				db.redoFrom = wal.LSN(rec.Aux)
+			}
 			return nil
 		})
 		if err != nil {
@@ -491,8 +483,8 @@ func (db *DB) Checkpoint(at simclock.Time) (simclock.Time, error) {
 	if db.replica.Load() {
 		// Flush-only: persist what replay produced, but append no checkpoint
 		// record — the primary's own RecCheckpoint arrives via the stream
-		// (ApplyRecord flushes pages before appending it, keeping the redo
-		// point it names valid on this side too).
+		// (redo flushes this side's pages when it does, keeping the redo point
+		// it names valid here too).
 		t, err := db.walw.Flush(at, db.walw.NextLSN())
 		if err != nil {
 			return t, err
@@ -532,25 +524,26 @@ func (db *DB) Checkpoint(at simclock.Time) (simclock.Time, error) {
 	return t, nil
 }
 
-// RunMaintenance runs GC (SIAS) or vacuum (SI) on every table. The horizon
-// it reclaims under is the transaction manager's (which live AS OF snapshots
-// pin), held back a further GCRetention ids so recently issued snapshot
-// tokens stay resolvable without a live pin.
-func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
-	db.mu.Lock()
-	tabs := append([]*Table(nil), db.order...)
-	db.mu.Unlock()
+// gcHorizon is the horizon GC and vacuum reclaim under: the transaction
+// manager's (which live AS OF snapshots pin), held back a further GCRetention
+// ids so recently issued snapshot tokens stay resolvable without a live pin.
+func (db *DB) gcHorizon() txn.ID {
 	horizon := db.txm.Horizon()
 	if r := txn.ID(db.opts.GCRetention); r > 0 {
 		if horizon > r {
-			horizon -= r
-		} else {
-			horizon = 1 // ids start at 1: retain every superseded version
+			return horizon - r
 		}
+		return 1 // ids start at 1: retain every superseded version
 	}
+	return horizon
+}
+
+// RunMaintenance runs GC (SIAS) or vacuum (SI) on every table.
+func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
+	horizon := db.gcHorizon()
 	t := at
 	var err error
-	for _, tab := range tabs {
+	for _, tab := range db.Tables() {
 		if tab.sias != nil {
 			_, t, err = tab.sias.GC(t, horizon)
 		} else {

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
-	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/txn"
 	"sias/internal/wal"
@@ -13,178 +13,187 @@ import (
 // table's volatile structures. Call it after recreating the bootstrap schema
 // (CreateTable in the original order) on a DB opened with Options.Recover;
 // tables and indexes created through the logged DDL path need no such help —
-// their RecDDL records replay in pass 1.
+// their RecDDL records replay with the rest of the log.
+//
+// It is one pass over the log in log order, every record through redo — the
+// function a follower applies a shipped record with — then one rebuild of the
+// volatile state from the heap (Section 6 of the paper: the VIDmap is not
+// checkpointed, so the heap is where it comes from), then, on a primary, an
+// outcome for every transaction the log ends without one for. Heap records
+// below the last checkpoint's redo point skip their page redo: those pages
+// are on the device already.
+func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
+	if !db.opts.Recover {
+		return at, fmt.Errorf("engine: Recover on a DB opened without Options.Recover")
+	}
+	maxTx := txn.ID(0)
+	t := at
+	for i := range db.recovered {
+		rr := &db.recovered[i]
+		if rr.rec.Tx > maxTx {
+			maxTx = rr.rec.Tx
+		}
+		var err error
+		if t, err = db.redo(t, &rr.rec, rr.lsn >= db.redoFrom); err != nil {
+			return t, err
+		}
+	}
+	db.txm.SetNextID(maxTx + 1)
+
+	t, err := db.rebuildVolatile(t)
+	if err != nil {
+		return t, err
+	}
+	// A replica decides nothing: outcomes are the primary's to make and arrive
+	// through the stream, and appending locally would fork the byte-mirrored
+	// log. The rebuild left its undecided writers where ApplyRecord expects
+	// them.
+	if !db.replica.Load() {
+		if t, err = db.finishUndecided(t); err != nil {
+			return t, err
+		}
+	}
+	db.recovered = nil
+	return t, nil
+}
+
+// preparedTxn is a 2PC participant redo has seen a PREPARE for and no outcome
+// record yet.
+type preparedTxn struct {
+	gid   uint64
+	coord uint32
+}
+
+// redo replays one WAL record: its effect on the control state every later
+// record is read against (CLOG, prepared participants, extent map, catalog)
+// and, for a heap record, on the heap high-water marks and — with pages set —
+// on the data page itself. Crash recovery feeds it the pre-scanned log and a
+// follower each record the primary ships, both in log order, which is all the
+// ordering it needs: a relation's extent grants precede its first page and
+// its DDL, and DDL precedes the heap records of the table it creates.
 //
 // Redo is physiological and idempotent:
 //
+//   - RecCommit / RecAbort decide a transaction in the CLOG;
+//   - RecPrepare leaves a participant prepared until its outcome record;
+//     RecDecide replays nothing — a decision only matters to a participant
+//     the log leaves in doubt, and finishUndecided looks it up then;
 //   - RecAllocExtent restores the space-manager mapping;
+//   - RecDDL re-creates (or drops) the table or index it names;
 //   - RecHeapInsert re-places a tuple at its exact slot; slots already
 //     present (the page reached the device before the crash) are skipped;
 //   - RecHeapOverwrite reapplies the after-image of in-place invalidations;
 //   - RecHeapDead re-marks vacuumed slots (slot 0xFFFF marks a whole block
 //     reclaimed by SIAS GC: the page is reset so a later reuse of the block
 //     replays onto a clean page);
-//   - RecCommit / RecAbort rebuild the CLOG, deciding winners and losers.
+//   - RecCheckpoint: the primary logged it once every record before the redo
+//     point it names was on ITS device. A follower makes that true of its own
+//     device — flushes its log and its data pages — so that its restart may
+//     trust the redo point too. A primary replaying its own log has nothing
+//     to do: the record was only written once the promise held.
+func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time, error) {
+	switch rec.Type {
+	case wal.RecCommit, wal.RecAbort:
+		st := txn.StatusAborted
+		if rec.Type == wal.RecCommit {
+			st = txn.StatusCommitted
+		}
+		db.txm.CLOG().Set(rec.Tx, st)
+		delete(db.prepared, rec.Tx)
+	case wal.RecPrepare:
+		gid, coord, err := wal.DecodePrepareData(rec.Data)
+		if err != nil {
+			return t, fmt.Errorf("engine: redo prepare record tx %d: %w", rec.Tx, err)
+		}
+		db.prepared[rec.Tx] = preparedTxn{gid: gid, coord: coord}
+	case wal.RecAllocExtent:
+		db.alloc.Restore(rec.Rel, uint32(rec.Aux), int64(rec.Aux>>32))
+	case wal.RecDDL:
+		return db.applyDDL(t, rec)
+	case wal.RecCheckpoint:
+		if pages && db.replica.Load() {
+			return db.Checkpoint(t) // on a replica: flush log and pages, log nothing
+		}
+	case wal.RecHeapInsert, wal.RecHeapOverwrite, wal.RecHeapDead:
+		// Block high-water marks come from the whole log: blocks written
+		// before the redo point exist on the device without being replayed.
+		db.noteHeapBlock(rec)
+		if pages {
+			return db.redoHeap(t, rec)
+		}
+	}
+	return t, nil
+}
+
+// finishUndecided gives an outcome to every transaction replay has left
+// without one, when no more log is coming: the end of a primary's recovery
+// and the promotion of a follower. A prepared 2PC participant commits iff its
+// coordinator's decision says so; everything else aborts — presumed abort for
+// a participant nobody vouches for, plain rollback for a writer that never
+// reached its commit record. Consulting this shard's OWN decisions first is
+// safe on every shard — coordinator or not — because gids fold the
+// coordinating shard's index into their top bits (shard.GlobalID): a mere
+// participant can never hold a decision under the transaction's gid, and two
+// coordinators can never have issued the same gid. The installed resolver
+// covers decisions in a sibling shard's log. (A promotion has neither — the
+// pre-scan is gone, a follower gets no resolver — so everything open aborts.)
 //
-// After redo, the SIAS engine rebuilds VIDmap + indexes from the heap (the
-// paper's Section 6) and the SI engine rebuilds FSM + indexes.
-func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
-	if !db.opts.Recover {
-		return at, fmt.Errorf("engine: Recover on a DB opened without Options.Recover")
+// Each outcome is appended to the log, so that followers of this engine and
+// its own next recovery find the transaction decided, and then replayed like
+// a shipped one: redo for the CLOG, applyFinish for the tracked writes. SI
+// tables track no writers; there an undecided xmin just stays invisible.
+func (db *DB) finishUndecided(t simclock.Time) (simclock.Time, error) {
+	var ids []txn.ID
+	for id := range db.prepared {
+		ids = append(ids, id)
 	}
-	clog := db.txm.CLOG()
-	maxTx := txn.ID(0)
-	t := at
-
-	// Pass 1: CLOG and allocator state, so visibility decisions and page
-	// placement are correct during redo; also locate the last checkpoint's
-	// redo point — heap records before it are already on the device. 2PC
-	// state rides along: prepared transactions stay in the prepared map
-	// until an outcome record decides them, and coordinator decisions are
-	// collected so the in-doubt remainder can be resolved after the pass.
-	redoFrom := wal.LSN(0)
-	type preparedTxn struct {
-		gid   uint64
-		coord uint32
-	}
-	prepared := map[txn.ID]preparedTxn{}
-	decisions := map[uint64]bool{}
-	for _, rr := range db.recovered {
-		rec := rr.rec
-		if rec.Tx > maxTx {
-			maxTx = rec.Tx
-		}
-		switch rec.Type {
-		case wal.RecCommit:
-			clog.Set(rec.Tx, txn.StatusCommitted)
-			delete(prepared, rec.Tx)
-		case wal.RecAbort:
-			clog.Set(rec.Tx, txn.StatusAborted)
-			delete(prepared, rec.Tx)
-		case wal.RecPrepare:
-			gid, coord, derr := wal.DecodePrepareData(rec.Data)
-			if derr != nil {
-				return t, fmt.Errorf("engine: recover prepare record tx %d: %w", rec.Tx, derr)
-			}
-			prepared[rec.Tx] = preparedTxn{gid: gid, coord: coord}
-		case wal.RecDecide:
-			commit, derr := wal.DecodeDecideData(rec.Data)
-			if derr != nil {
-				return t, fmt.Errorf("engine: recover decide record gid %d: %w", rec.Aux, derr)
-			}
-			decisions[rec.Aux] = commit
-		case wal.RecAllocExtent:
-			db.alloc.Restore(rec.Rel, uint32(rec.Aux), int64(rec.Aux>>32))
-		case wal.RecDDL:
-			// Logged catalog changes replay in log order, after the alloc
-			// records that preceded them, so a re-created index tree lands on
-			// its restored extents. Schema must exist before heap redo (pass
-			// 2) and the volatile rebuild (pass 3) — both iterate tables.
-			var err error
-			t, err = db.applyDDL(t, &rec)
-			if err != nil {
-				return t, err
-			}
-		case wal.RecCheckpoint:
-			redoFrom = wal.LSN(rec.Aux)
+	for _, tab := range db.Tables() {
+		if tab.sias != nil {
+			ids = append(ids, tab.sias.ReplayInFlight()...)
 		}
 	}
-	db.txm.SetNextID(maxTx + 1)
-
-	// Resolve in-doubt prepared transactions before anything reads the CLOG
-	// (the volatile rebuild in pass 3 bakes commit status into the read
-	// structures). A prepared transaction with no outcome record commits iff
-	// the coordinator's decision log says so and aborts otherwise (presumed
-	// abort). Consulting this shard's OWN decision map first is safe on
-	// every shard — coordinator or not — because gids fold the coordinating
-	// shard's index into their top bits (shard.GlobalID): a shard that was
-	// merely a participant can never hold a decision under the transaction's
-	// gid, and two coordinators can never have issued the same gid. The
-	// installed resolver covers decisions living in a sibling shard's log.
-	// The outcome record recovery appends is the one the crash lost;
-	// re-replaying it on the next recovery is idempotent (it just decides an
-	// already-decided id). A replica resolves nothing: decisions are the
-	// primary's to make and arrive through the stream, and appending locally
-	// would fork the byte-mirrored log — the undecided writers land in
-	// replicaUnresolved below, which re-arms the rebuild when their decision
-	// ships.
-	if !db.replica.Load() {
-		resolved := false
-		for id, p := range prepared {
-			commit, known := decisions[p.gid]
-			if !known && db.resolver != nil {
+	slices.Sort(ids)
+	inDoubt := len(db.prepared) > 0
+	var decisions map[uint64]bool
+	if inDoubt {
+		decisions = db.Decisions()
+	}
+	for _, id := range slices.Compact(ids) {
+		commit := false
+		if p, ok := db.prepared[id]; ok {
+			known := false
+			if commit, known = decisions[p.gid]; !known && db.resolver != nil {
 				commit, known = db.resolver(p.gid, p.coord)
 			}
 			commit = commit && known
 			if commit {
-				clog.Set(id, txn.StatusCommitted)
-				db.walw.Append(&wal.Record{Type: wal.RecCommit, Tx: id})
 				db.inDoubtCommits.Add(1)
 			} else {
-				clog.Set(id, txn.StatusAborted)
-				db.walw.Append(&wal.Record{Type: wal.RecAbort, Tx: id})
 				db.inDoubtAborts.Add(1)
 			}
-			resolved = true
 		}
-		if resolved {
-			// Force the appended outcome records before the engine serves.
-			// Followers ship only durable bytes and flip visibility only on
-			// a shipped outcome record — the invariant the commit path's
-			// final flush round protects — so leaving the resolution
-			// unflushed would let a zero-lag follower of an otherwise idle
-			// shard serve the pre-resolution state indefinitely.
-			var ferr error
-			t, ferr = db.walw.Flush(t, db.walw.NextLSN())
-			if ferr != nil {
-				return t, fmt.Errorf("engine: flush in-doubt resolution outcomes: %w", ferr)
-			}
+		rec := wal.Record{Type: wal.RecAbort, Tx: id}
+		if commit {
+			rec.Type = wal.RecCommit
 		}
-	}
-
-	// Pass 2: heap redo in log order, starting at the checkpoint redo
-	// point. Block high-water marks still come from the whole log, since
-	// pre-checkpoint blocks exist on the device without being replayed.
-	for _, rr := range db.recovered {
-		rec := rr.rec
-		switch rec.Type {
-		case wal.RecHeapInsert, wal.RecHeapOverwrite, wal.RecHeapDead:
-		default:
-			continue
-		}
-		db.noteHeapBlock(&rec)
-		if rr.lsn < redoFrom {
-			continue // already durable via the checkpoint
-		}
-		var err error
-		t, err = db.redoHeap(t, &rec)
-		if err != nil {
+		db.walw.Append(&rec)
+		if _, err := db.redo(t, &rec, false); err != nil {
 			return t, err
 		}
+		db.applyFinish(id, commit)
 	}
-
-	// Pass 3: rebuild per-table volatile state from the heap.
-	t, err := db.rebuildVolatile(t)
+	if !inDoubt {
+		return t, nil // a rollback changes nothing a reader sees: it rides the next flush
+	}
+	// Force an in-doubt resolution before the engine serves. Followers ship
+	// only durable bytes and flip visibility only on a shipped outcome record
+	// — the invariant the commit path's final flush round protects — so
+	// leaving the resolution unflushed would let a zero-lag follower of an
+	// otherwise idle shard serve the pre-resolution state indefinitely.
+	t, err := db.walw.Flush(t, db.walw.NextLSN())
 	if err != nil {
-		return t, err
+		return t, fmt.Errorf("engine: flush in-doubt resolution outcomes: %w", err)
 	}
-
-	// The rebuild classified transactions with no decision record as losers.
-	// A replica that resumes streaming from here may yet receive their
-	// commit/abort — something incremental apply cannot patch retroactively —
-	// so remember which writers were baked in undecided; their eventual
-	// decision re-arms the full rebuild (see applyFinish). GC's internal
-	// transactions land here too, harmlessly: they are never decided.
-	for _, rr := range db.recovered {
-		rec := rr.rec
-		switch rec.Type {
-		case wal.RecHeapInsert, wal.RecHeapOverwrite:
-			if rec.Tx > 0 && clog.Get(rec.Tx) == txn.StatusInProgress {
-				db.replicaUnresolved[rec.Tx] = struct{}{}
-			}
-		}
-	}
-	db.recovered = nil
 	return t, nil
 }
 
@@ -260,39 +269,23 @@ func (db *DB) redoHeap(t simclock.Time, rec *wal.Record) (simclock.Time, error) 
 }
 
 // rebuildVolatile reconstructs every table's VIDmap/indexes/FSM from the
-// heap, using the redo high-water marks as block counts.
+// heap, using the redo high-water marks as block counts. Recover is its one
+// caller; everything after a restart is incremental (ApplyRecord).
 func (db *DB) rebuildVolatile(at simclock.Time) (simclock.Time, error) {
-	db.mu.Lock()
-	tabs := append([]*Table(nil), db.order...)
-	db.mu.Unlock()
 	t := at
-	for _, tab := range tabs {
+	for _, tab := range db.Tables() {
+		db.mu.Lock()
+		blocks := db.maxBlockRel[tab.heapID()]
+		db.mu.Unlock()
+		var err error
 		if tab.sias != nil {
-			db.mu.Lock()
-			blocks := db.maxBlockRel[tab.sias.ID()]
-			db.mu.Unlock()
-			var err error
 			t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOfPayload)
-			if err != nil {
-				return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
-			}
 		} else {
-			db.mu.Lock()
-			blocks := db.maxBlockRel[tab.si.ID()]
-			db.mu.Unlock()
-			var err error
-			t, err = tab.si.RestoreBlockCount(t, blocks)
-			if err != nil {
-				return t, err
-			}
-			t, err = tab.si.RebuildIndexes(t, tab.keyOfPayload)
-			if err != nil {
-				return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
-			}
+			t, err = tab.si.RebuildFromHeap(t, blocks, tab.keyOfPayload)
+		}
+		if err != nil {
+			return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
 		}
 	}
 	return t, nil
 }
-
-// ensure page import is used even if redo paths change shape.
-var _ = page.InvalidTID

@@ -252,3 +252,108 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	}
 	db3.Commit(check, 0)
 }
+
+// TestRecoverReadsTheLogOnce pins the shape of recovery: Open's pre-scan reads
+// every log page from the device exactly once, and Recover — one pass over
+// that pre-scan, however many record types and passes it used to take —
+// never goes back to the device for the log.
+func TestRecoverReadsTheLogOnce(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			data := device.NewMem(page.Size, 1<<16)
+			walDev := device.NewMem(page.Size, 1<<14)
+			opts := DefaultOptions(data, walDev)
+			opts.Kind = k
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, at, err := db.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Control records of every kind recovery acts on: extent grants,
+			// DDL, commits, an abort, a checkpoint, a prepare with no outcome,
+			// and a writer with no outcome at all.
+			write := func(lo, hi int64) {
+				for i := lo; i <= hi; i++ {
+					tx := db.Begin()
+					at, _ = tab.Insert(tx, at, tuple.Row{i, "x", i})
+					at, _ = db.Commit(tx, at)
+				}
+			}
+			write(1, 300)
+			if at, err = db.CreateIndexLogged(at, "accounts", "by_balance", "balance"); err != nil {
+				t.Fatal(err)
+			}
+			aborted := db.Begin()
+			at, _ = tab.Insert(aborted, at, tuple.Row{int64(1000), "no", int64(0)})
+			at, _ = db.Abort(aborted, at)
+			if at, err = db.Checkpoint(at); err != nil {
+				t.Fatal(err)
+			}
+			write(301, 600)
+			prepared := db.Begin()
+			at, _ = tab.Insert(prepared, at, tuple.Row{int64(1001), "in doubt", int64(0)})
+			if at, err = db.Prepare(prepared, 9, 0, at); err != nil {
+				t.Fatal(err)
+			}
+			loser := db.Begin()
+			at, _ = tab.Insert(loser, at, tuple.Row{int64(1002), "lost", int64(0)})
+			write(601, 610) // the commits flush the loser's record too
+			db.Pool().InvalidateAll()
+
+			reads := map[int64]int{}
+			wrapped := device.NewWrap(walDev)
+			wrapped.SetReadHook(func(pageNo int64, n int) error {
+				for i := int64(0); i < int64(n); i++ {
+					reads[pageNo+i]++
+				}
+				return nil
+			})
+			ropts := DefaultOptions(data, wrapped)
+			ropts.Kind = k
+			ropts.Recover = true
+			db2, err := Open(ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned := len(reads)
+			if scanned < 8 {
+				t.Fatalf("pre-scan read %d log pages; the log should span more", scanned)
+			}
+			for p, n := range reads {
+				if n != 1 {
+					t.Errorf("pre-scan read log page %d %d times", p, n)
+				}
+			}
+			tab2, _, err := db2.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db2.Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, n := range reads {
+				total += n
+			}
+			if total != scanned {
+				t.Errorf("Recover read the log device %d more times after the pre-scan", total-scanned)
+			}
+			// And it did recover: every committed row, none of the others.
+			check := db2.Begin()
+			n := 0
+			if _, err := tab2.Scan(check, 0, func(tuple.Row) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n != 610 {
+				t.Errorf("recovered %d rows, want 610", n)
+			}
+			db2.Commit(check, 0)
+			if st := db2.Stats(); st.InDoubtAborts != 1 {
+				t.Errorf("in-doubt aborts = %d, want 1", st.InDoubtAborts)
+			}
+		})
+	}
+}

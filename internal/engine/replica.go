@@ -22,10 +22,10 @@ import (
 // Volatile read structures (VIDmap, indexes, FSM, dead sets) are maintained
 // incrementally, record by record, mirroring exactly what the primary's live
 // write path did when it produced each record (core.Relation.ApplyInsert and
-// friends). RefreshReplica is therefore a cheap horizon advance; the full
-// RebuildFromHeap rescan survives only as the recovery/bootstrap path and as
-// the fallback for the few cases incremental apply cannot patch (tracked by
-// replicaRebuild).
+// friends). RefreshReplica is therefore a cheap horizon advance, and apply is
+// total: there is no record it has to answer with a rescan of the heap. The
+// heap rebuild runs once, in Recover, when a follower restarts — and leaves
+// the writers its log has not decided yet where apply expects them.
 
 // SetReplica switches replica mode. Turn it on before any table is created
 // on a follower: CreateTable allocates extents, which must come from the
@@ -52,19 +52,14 @@ func (db *DB) relTable(rel uint32) *Table {
 	return db.rels[rel]
 }
 
-// ApplyRecord replays one primary WAL record on a follower: it updates the
-// CLOG/allocator/heap exactly as recovery pass 1+2 would, then folds the
-// record into the volatile read structures the way the primary's live write
-// path did. The caller is responsible for having appended the same bytes to
-// the local log first (or right after — the orders are equivalent because
-// redo is idempotent), and for serializing applies against reads and
-// refreshes (repl.Follower holds its exclusive lock across both).
-//
-// RecCheckpoint is special: the primary guarantees every record before the
-// checkpoint's redo point was on ITS device when the record was logged. The
-// follower re-establishes that invariant locally by flushing its own WAL and
-// data pages, so a follower crash after the checkpoint record recovers
-// correctly from the redo point it names.
+// ApplyRecord replays one primary WAL record on a follower: redo — the same
+// function crash recovery runs the log through — for the CLOG, allocator,
+// catalog and heap page, then the fold of the record into the volatile read
+// structures, the way the primary's live write path did. The caller is
+// responsible for having appended the same bytes to the local log first (or
+// right after — the orders are equivalent because redo is idempotent), and for
+// serializing applies against reads and refreshes (repl.Follower holds its
+// exclusive lock across both).
 func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, error) {
 	if !db.replica.Load() {
 		return at, fmt.Errorf("engine: ApplyRecord on a non-replica")
@@ -74,74 +69,52 @@ func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, err
 	}
 	t := at
 	var err error
+	// An SI prune has to read the doomed slot before redo destroys it.
+	tab := db.relTable(rec.Rel)
+	if rec.Type == wal.RecHeapDead && rec.TID.Slot != ^uint16(0) && tab != nil && tab.si != nil {
+		if t, err = tab.si.ApplyPrune(t, rec.TID, tab.keyOfPayload); err != nil {
+			return t, err
+		}
+	}
+	if t, err = db.redo(t, rec, true); err != nil {
+		return t, err
+	}
+
 	switch rec.Type {
-	case wal.RecCommit:
-		db.txm.CLOG().Set(rec.Tx, txn.StatusCommitted)
-		db.applyFinish(rec.Tx, true)
-		db.replicaDirty.Store(true)
-	case wal.RecAbort:
-		db.txm.CLOG().Set(rec.Tx, txn.StatusAborted)
-		db.applyFinish(rec.Tx, false)
-		db.replicaDirty.Store(true)
-	case wal.RecPrepare, wal.RecDecide:
-		// 2PC control records need no follower-side action beyond the id
-		// tracking above: a prepared transaction's CLOG entry stays
-		// in-progress (its writes correctly invisible to replica reads) until
-		// the participant's outcome record arrives as an ordinary
-		// RecCommit/RecAbort. The follower never resolves in-doubt state
-		// itself — decisions are the primary's, and the primary's own
-		// recovery appends the missing outcome records into the stream. The
-		// records are still mirrored into the local log verbatim, so a
-		// promoted follower's recovery can resolve from them.
-	case wal.RecAllocExtent:
-		db.alloc.Restore(rec.Rel, uint32(rec.Aux), int64(rec.Aux>>32))
+	case wal.RecCommit, wal.RecAbort:
+		db.applyFinish(rec.Tx, rec.Type == wal.RecCommit)
 	case wal.RecDDL:
-		// The primary's alloc records for the new relation's extents precede
-		// the DDL in the stream, so the re-created tree reuses restored
-		// extents instead of drawing from the scratch region.
-		t, err = db.applyDDL(t, rec)
-		if err != nil {
-			return t, err
-		}
-		// CREATE INDEX is the one DDL incremental apply cannot absorb: the
-		// live path never backfills, so the new tree must pick up the
-		// historical entries (every committed version, for AS OF) from a
-		// rebuild. CREATE TABLE starts empty and DROPs only shed state.
+		// The live write path fills a new index from the rows already there
+		// (CreateIndexLogged); so does its replay. Crash recovery replays
+		// the same record without this step: its heap rebuild fills every
+		// tree anyway.
 		if d, derr := catalog.Decode(rec.Data); derr == nil && d.Kind == catalog.KindCreateIndex {
-			db.replicaRebuild.Store(true)
-		}
-		db.replicaDirty.Store(true)
-	case wal.RecCheckpoint:
-		t, err = db.walw.Flush(t, db.walw.NextLSN())
-		if err != nil {
-			return t, err
-		}
-		t, err = db.pool.FlushAll(t)
-		if err != nil {
-			return t, err
+			on := db.Table(d.Table) // redo has just created the index on it
+			idx, ierr := on.SecondaryIndex(d.Index)
+			if ierr != nil {
+				return t, ierr
+			}
+			if t, err = on.backfillSecondary(t, idx); err != nil {
+				return t, err
+			}
 		}
 	case wal.RecHeapInsert, wal.RecHeapOverwrite, wal.RecHeapDead:
-		db.noteHeapBlock(rec)
-		tab := db.relTable(rec.Rel)
-		// SI prune capture must read the doomed slot before redo destroys it.
-		if tab != nil && tab.si != nil && rec.Type == wal.RecHeapDead && rec.TID.Slot != ^uint16(0) {
-			t, err = tab.si.ApplyPrune(t, rec.TID, tab.keyOfPayload)
-			if err != nil {
-				return t, err
-			}
-		}
-		t, err = db.redoHeap(t, rec)
-		if err != nil {
-			return t, err
-		}
 		if tab != nil {
-			t, err = db.applyHeapVolatile(t, tab, rec)
-			if err != nil {
+			if t, err = db.applyHeapVolatile(t, tab, rec); err != nil {
 				return t, err
 			}
 		}
-		db.replicaDirty.Store(true)
+	default:
+		// Prepare, decide, extent grants, checkpoints and trace context
+		// change nothing a read can see. A prepared transaction's writes stay
+		// invisible (its CLOG entry stays in-progress) until the participant's
+		// outcome arrives as an ordinary RecCommit/RecAbort; the follower
+		// never resolves in-doubt state itself — decisions are the primary's,
+		// and the primary's own recovery appends the missing outcome records
+		// into the stream.
+		return t, nil
 	}
+	db.replicaDirty.Store(true)
 	return t, nil
 }
 
@@ -152,11 +125,7 @@ func (db *DB) applyHeapVolatile(t simclock.Time, tab *Table, rec *wal.Record) (s
 	if tab.sias != nil {
 		switch rec.Type {
 		case wal.RecHeapInsert:
-			var tracked bool
-			t, tracked, err = tab.sias.ApplyInsert(t, rec, tab.keyOfPayload)
-			if tracked {
-				db.applyInFlight[rec.Tx] = struct{}{}
-			}
+			t, err = tab.sias.ApplyInsert(t, rec, tab.keyOfPayload)
 		case wal.RecHeapDead:
 			if rec.TID.Slot == ^uint16(0) {
 				tab.sias.ApplyBlockFree(rec.TID.Block)
@@ -170,9 +139,6 @@ func (db *DB) applyHeapVolatile(t simclock.Time, tab *Table, rec *wal.Record) (s
 	switch rec.Type {
 	case wal.RecHeapInsert:
 		t, err = tab.si.ApplyInsert(t, rec, tab.keyOfPayload)
-		if err == nil && rec.Tx > 0 {
-			db.applyInFlight[rec.Tx] = struct{}{}
-		}
 	case wal.RecHeapOverwrite:
 		// In-place xmax/ctid rewrite: the page redo is the whole effect
 		// (visibility reads the page bytes against the CLOG; no index or FSM
@@ -183,17 +149,11 @@ func (db *DB) applyHeapVolatile(t simclock.Time, tab *Table, rec *wal.Record) (s
 	return t, err
 }
 
-// applyFinish resolves one replicated transaction decision against the
-// incremental-apply state: SIAS tables swing entrypoints back on abort and
-// queue superseded predecessors on commit; a decision for a transaction
-// whose writes predate the last rebuild (follower restart, or a mid-stream
-// fallback rebuild) cannot be patched and re-arms the full rebuild.
+// applyFinish resolves one transaction's outcome against the tracked writes
+// of every SIAS table: entrypoints swing back on abort, superseded
+// predecessors queue for GC on commit. SI tables track nothing — there the
+// CLOG entry redo just set is the whole effect.
 func (db *DB) applyFinish(id txn.ID, committed bool) {
-	delete(db.applyInFlight, id)
-	if _, ok := db.replicaUnresolved[id]; ok {
-		delete(db.replicaUnresolved, id)
-		db.replicaRebuild.Store(true)
-	}
 	for _, tab := range db.Tables() {
 		if tab.sias != nil {
 			tab.sias.ApplyFinish(id, committed)
@@ -201,32 +161,13 @@ func (db *DB) applyFinish(id txn.ID, committed bool) {
 	}
 }
 
-// RefreshReplica publishes everything applied so far to new read snapshots.
-// With incremental apply this is a cheap horizon advance — fast-forward the
-// id allocator, move the read horizon past the highest applied transaction,
-// and drain the pending-dead queue — rather than the O(state) rebuild PR 4
-// shipped. The full rebuild still runs when the incremental path flagged
-// something it could not patch (replicaRebuild), after which transactions
-// that were still in flight re-arm the flag for their eventual decision. The
+// RefreshReplica publishes everything applied so far to new read snapshots: a
+// cheap horizon advance — fast-forward the id allocator, move the read horizon
+// past the highest applied transaction, and drain the pending-dead queue. The
 // repl.Follower calls this with all applies excluded.
 func (db *DB) RefreshReplica(at simclock.Time) (simclock.Time, error) {
 	if !db.replica.Load() {
 		return at, fmt.Errorf("engine: RefreshReplica on a non-replica")
-	}
-	t := at
-	if db.replicaRebuild.Load() {
-		var err error
-		t, err = db.rebuildVolatile(t)
-		if err != nil {
-			return t, err
-		}
-		db.replicaRebuild.Store(false)
-		// The rescan treated still-undecided writers as losers; if one of
-		// them later commits, only another rebuild can resurrect its writes.
-		for id := range db.applyInFlight {
-			db.replicaUnresolved[id] = struct{}{}
-			delete(db.applyInFlight, id)
-		}
 	}
 	maxTx := db.replicaMaxTx.Load()
 	db.txm.SetNextID(txn.ID(maxTx + 1))
@@ -237,44 +178,31 @@ func (db *DB) RefreshReplica(at simclock.Time) (simclock.Time, error) {
 	// entries no snapshot can reach into the per-block dead sets, exactly as
 	// primary GC would, respecting live read pins and the AS OF retention
 	// window.
-	horizon := db.txm.Horizon()
-	if r := txn.ID(db.opts.GCRetention); r > 0 {
-		if horizon > r {
-			horizon -= r
-		} else {
-			horizon = 1
-		}
-	}
+	horizon := db.gcHorizon()
 	for _, tab := range db.Tables() {
 		if tab.sias != nil {
 			tab.sias.PromoteDead(horizon)
 		}
 	}
-	return t, nil
+	return at, nil
 }
 
 // ReplicaDirty reports whether records were applied since the last refresh.
 func (db *DB) ReplicaDirty() bool { return db.replicaDirty.Load() }
 
-// ForceReplicaRebuild arms the full volatile rebuild for the next
-// RefreshReplica (tests, operator escape hatch).
-func (db *DB) ForceReplicaRebuild() { db.replicaRebuild.Store(true) }
-
 // Promote leaves replica mode. Transactions still undecided when the stream
-// ended will never get their decision record, so the final refresh forces
-// the full rebuild, which classifies them as losers exactly like crash
-// recovery would — the promoted primary must not serve (or block updates
-// behind) versions of transactions that can no longer commit. The id
-// allocator already sits past every replayed transaction (RefreshReplica
-// fast-forwards it), so new local transactions sort after the primary's
-// history. The WAL writer keeps appending where the mirrored log ends — no
-// generation gap, because the mirror is exact.
+// ended will never get their outcome record, so the promoted primary gives
+// them one — abort, as its own crash recovery would — rather than serve, or
+// block updates behind, versions of transactions that can no longer commit.
+// The id allocator already sits past every replayed transaction
+// (RefreshReplica fast-forwards it), so new local transactions sort after the
+// primary's history. The WAL writer keeps appending where the mirrored log
+// ends — no generation gap, because the mirror is exact.
 func (db *DB) Promote(at simclock.Time) (simclock.Time, error) {
-	db.replicaRebuild.Store(true)
 	t, err := db.RefreshReplica(at)
 	if err != nil {
 		return t, err
 	}
 	db.SetReplica(false)
-	return t, nil
+	return db.finishUndecided(t)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -17,27 +18,62 @@ import (
 
 // The incremental-apply differential test: one primary runs a randomized
 // workload (inserts, updates, deletes, aborts, GC/vacuum churn, a mid-stream
-// CREATE INDEX, transactions left undecided across comparison points) while
-// two followers replay its WAL record-by-record. Follower A refreshes
-// incrementally — the path this PR adds — and follower B forces the full
-// volatile rebuild before every refresh — the old PR 4 semantics and the
-// ground truth. At every cut point the two must serve identical reads; at the
-// end both must also agree with the primary.
+// CREATE INDEX, transactions left undecided across comparison points) while a
+// follower mirrors its log and replays it record by record, refreshing
+// incrementally. At every cut point a second follower is restarted from a
+// copy of the first one's devices — Recover over the mirrored log, the heap
+// rebuild, the real alternative path — and the two must serve identical
+// reads; at the end both must also agree with the primary.
+
+// logRec is one record of the primary's log with the stream offset it starts
+// at (a mirror has to reproduce the offsets: checkpoint records name them).
+type logRec struct {
+	lsn wal.LSN
+	rec wal.Record
+}
+
+// scanLog reads every record the primary has flushed.
+func scanLog(t *testing.T, walDev device.BlockDevice) []logRec {
+	t.Helper()
+	var recs []logRec
+	if _, err := wal.Scan(walDev, func(lsn wal.LSN, rec wal.Record) error {
+		recs = append(recs, logRec{lsn, rec})
+		return nil
+	}); err != nil {
+		t.Fatalf("wal scan: %v", err)
+	}
+	return recs
+}
 
 type applyReplica struct {
-	db  *DB
-	tab *Table
-	at  simclock.Time
-	pos int // records consumed from the primary log
+	db           *DB
+	tab          *Table
+	kind         Kind
+	data, walDev *device.Mem
+	at           simclock.Time
+	pos          int // records consumed from the primary log
 }
+
+// Devices small enough to copy at every cut.
+const (
+	applyDataPages = 1 << 11
+	applyWALPages  = 1 << 10
+)
 
 func newApplyReplica(t *testing.T, kind Kind) *applyReplica {
 	t.Helper()
-	data := device.NewMem(page.Size, 1<<16)
-	walDev := device.NewMem(page.Size, 1<<15)
+	return openApplyReplica(t, kind, device.NewMem(page.Size, applyDataPages), device.NewMem(page.Size, applyWALPages), false)
+}
+
+// openApplyReplica assembles a follower engine the way cmd/siasserver does:
+// replica mode on before the bootstrap table exists, and on a restart the
+// mirrored log replayed and resumed at its exact end.
+func openApplyReplica(t *testing.T, kind Kind, data, walDev *device.Mem, restart bool) *applyReplica {
+	t.Helper()
 	opts := DefaultOptions(data, walDev)
 	opts.Kind = kind
 	opts.GCRetention = 4
+	opts.Recover, opts.ResumeWAL = restart, restart
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -47,19 +83,75 @@ func newApplyReplica(t *testing.T, kind Kind) *applyReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &applyReplica{db: db, tab: tab}
+	if restart {
+		if _, err := db.Recover(0); err != nil {
+			t.Fatalf("follower restart: %v", err)
+		}
+		db.SetReplica(true) // re-seed the read horizon past the replayed ids
+	}
+	return &applyReplica{db: db, tab: tab, kind: kind, data: data, walDev: walDev}
 }
 
-// catchUp applies every not-yet-consumed primary record.
-func (rep *applyReplica) catchUp(t *testing.T, recs []wal.Record) {
+// catchUp mirrors every not-yet-consumed primary record into the local log
+// and applies it, then forces the mirror, as repl.Follower does per batch.
+func (rep *applyReplica) catchUp(t *testing.T, recs []logRec) {
 	t.Helper()
+	w := rep.db.WAL()
 	for ; rep.pos < len(recs); rep.pos++ {
+		r := &recs[rep.pos]
+		w.SkipTo(r.lsn)
+		if got := w.NextLSN(); got != r.lsn {
+			t.Fatalf("mirror at LSN %d, primary record %d starts at %d", got, rep.pos, r.lsn)
+		}
+		w.Append(&r.rec)
 		var err error
-		rep.at, err = rep.db.ApplyRecord(rep.at, &recs[rep.pos])
+		rep.at, err = rep.db.ApplyRecord(rep.at, &r.rec)
 		if err != nil {
-			t.Fatalf("apply record %d (%v): %v", rep.pos, recs[rep.pos].Type, err)
+			t.Fatalf("apply record %d (%v): %v", rep.pos, r.rec.Type, err)
 		}
 	}
+	var err error
+	if rep.at, err = w.Flush(rep.at, w.NextLSN()); err != nil {
+		t.Fatalf("flush mirror: %v", err)
+	}
+}
+
+// refresh publishes what was applied to new read snapshots.
+func (rep *applyReplica) refresh(t *testing.T) {
+	t.Helper()
+	var err error
+	if rep.at, err = rep.db.RefreshReplica(rep.at); err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+}
+
+// restart crashes a copy of the follower: what its devices hold right now —
+// the forced mirror, and whichever data pages a replayed checkpoint or an
+// eviction wrote — is reopened and recovered; everything volatile is rebuilt.
+// The original keeps running.
+func (rep *applyReplica) restart(t *testing.T) *applyReplica {
+	t.Helper()
+	re := openApplyReplica(t, rep.kind, cloneMem(t, rep.data), cloneMem(t, rep.walDev), true)
+	re.pos = rep.pos
+	return re
+}
+
+func cloneMem(t *testing.T, src *device.Mem) *device.Mem {
+	t.Helper()
+	dst := device.NewMem(src.PageSize(), src.NumPages())
+	buf, zero := make([]byte, src.PageSize()), make([]byte, src.PageSize())
+	for p := int64(0); p < src.NumPages(); p++ {
+		if _, err := src.ReadPage(0, p, buf); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(buf, zero) {
+			continue
+		}
+		if _, err := dst.WritePage(0, p, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 // readState is everything a follower serves, flattened for comparison.
@@ -167,8 +259,8 @@ func TestReplicaIncrementalApplyDifferential(t *testing.T) {
 }
 
 func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
-	data := device.NewMem(page.Size, 1<<16)
-	walDev := device.NewMem(page.Size, 1<<15)
+	data := device.NewMem(page.Size, applyDataPages)
+	walDev := device.NewMem(page.Size, applyWALPages)
 	opts := DefaultOptions(data, walDev)
 	opts.Kind = kind
 	opts.GCRetention = 4
@@ -181,8 +273,7 @@ func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
 		t.Fatal(err)
 	}
 
-	incr := newApplyReplica(t, kind) // follower A: incremental refresh
-	full := newApplyReplica(t, kind) // follower B: forced rebuild, ground truth
+	incr := newApplyReplica(t, kind)
 
 	rng := rand.New(rand.NewSource(seed))
 	live := []int64{}
@@ -197,31 +288,15 @@ func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
 		if cerr != nil {
 			t.Fatalf("%s: checkpoint: %v", label, cerr)
 		}
-		var recs []wal.Record
-		if _, serr := wal.Scan(walDev, func(_ wal.LSN, rec wal.Record) error {
-			recs = append(recs, rec)
-			return nil
-		}); serr != nil {
-			t.Fatalf("%s: wal scan: %v", label, serr)
-		}
-		incr.catchUp(t, recs)
-		full.catchUp(t, recs)
-		var rerr error
-		incr.at, rerr = incr.db.RefreshReplica(incr.at)
-		if rerr != nil {
-			t.Fatalf("%s: refresh incremental: %v", label, rerr)
-		}
-		full.db.ForceReplicaRebuild()
-		full.at, rerr = full.db.RefreshReplica(full.at)
-		if rerr != nil {
-			t.Fatalf("%s: refresh rebuild: %v", label, rerr)
-		}
-		if ix, fx := incr.db.replicaXMax.Load(), full.db.replicaXMax.Load(); ix != fx {
-			t.Fatalf("%s: horizons diverged: %d vs %d", label, ix, fx)
+		incr.catchUp(t, scanLog(t, walDev))
+		incr.refresh(t)
+		re := incr.restart(t)
+		if ix, rx := incr.db.replicaXMax.Load(), re.db.replicaXMax.Load(); ix != rx {
+			t.Fatalf("%s: horizons diverged: %d vs %d", label, ix, rx)
 		}
 		a := snapshotReads(t, incr.db, incr.tab, nextKey, secIdx)
-		b := snapshotReads(t, full.db, full.tab, nextKey, secIdx)
-		diffStates(t, label+" incr-vs-rebuild", a, b)
+		b := snapshotReads(t, re.db, re.tab, nextKey, secIdx)
+		diffStates(t, label+" incr-vs-restarted", a, b)
 	}
 
 	// locked holds keys written by the deliberately-undecided cross-cut
@@ -340,13 +415,11 @@ func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
 
 	cut("cut-final")
 
-	// With every transaction decided and the log fully shipped, the
-	// followers must also agree with the primary itself. The mid-stream
-	// index is excluded: a live CREATE INDEX never backfills, so the
-	// primary's tree lacks the pre-DDL rows that both followers' rebuilds
-	// (and recovery on a restarted primary) would index.
-	ppri := snapshotReads(t, p, ptab, nextKey, -1)
-	arep := snapshotReads(t, incr.db, incr.tab, nextKey, -1)
+	// With every transaction decided and the log fully shipped, the follower
+	// must also agree with the primary itself — the mid-stream index and the
+	// rows that predate it included.
+	ppri := snapshotReads(t, p, ptab, nextKey, secIdx)
+	arep := snapshotReads(t, incr.db, incr.tab, nextKey, secIdx)
 	diffStates(t, "final primary-vs-incr", ppri, arep)
 }
 
@@ -357,4 +430,227 @@ type txnHandle struct {
 	inserted []int64
 	touched  []int64        // committed keys this txn updated or deleted
 	gone     map[int64]bool // keys this txn deleted (skip as later targets)
+}
+
+// replayPrimary is a small primary with twelve committed rows and a secondary
+// index on balance, the starting point of the restart and promotion tests.
+func replayPrimary(t *testing.T, kind Kind) (*DB, *Table, *device.Mem, simclock.Time) {
+	t.Helper()
+	walDev := device.NewMem(page.Size, applyWALPages)
+	opts := DefaultOptions(device.NewMem(page.Size, applyDataPages), walDev)
+	opts.Kind = kind
+	opts.GCRetention = 4
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptab, at, err := p.CreateTable(0, "accounts", testSchema(), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 12; k++ {
+		tx := p.Begin()
+		if at, err = ptab.Insert(tx, at, tuple.Row{k, fmt.Sprintf("u%d", k), k}); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = p.Commit(tx, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at, err = p.CreateIndexLogged(at, "accounts", "by_balance", "balance"); err != nil {
+		t.Fatal(err)
+	}
+	return p, ptab, walDev, at
+}
+
+// setBalance returns the mutation that moves a row's indexed column.
+func setBalance(v int64) func(tuple.Row) (tuple.Row, error) {
+	return func(r tuple.Row) (tuple.Row, error) {
+		r[2] = v
+		return r, nil
+	}
+}
+
+// TestReplicaRestartThenOutcome restarts a follower while a transaction is
+// undecided in its mirrored log — one that wrote an item twice, inserted a
+// fresh one, deleted one and moved an indexed column — and then ships the
+// outcome. The heap rebuild must have left the writer where incremental apply
+// would have, so that the commit (or, in the second run, the abort) patches
+// the restarted follower into the state of one that never restarted, and of
+// the primary.
+func TestReplicaRestartThenOutcome(t *testing.T) {
+	for _, k := range kinds() {
+		for _, commit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/commit=%v", k, commit), func(t *testing.T) {
+				p, ptab, walDev, at := replayPrimary(t, k)
+				const maxKey, secIdx = 21, 0
+				must := func(a simclock.Time, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					at = a
+				}
+
+				open := p.Begin()
+				must(ptab.Update(open, at, 3, setBalance(30)))
+				must(ptab.Update(open, at, 3, setBalance(31)))
+				must(ptab.Insert(open, at, tuple.Row{int64(20), "fresh", int64(20)}))
+				must(ptab.Delete(open, at, 5))
+				must(ptab.Update(open, at, 7, setBalance(70)))
+				by := p.Begin() // a bystander commits behind the open writer
+				must(ptab.Update(by, at, 9, setBalance(90)))
+				must(p.Commit(by, at))
+				must(p.Checkpoint(at))
+
+				live := newApplyReplica(t, k)
+				live.catchUp(t, scanLog(t, walDev))
+				live.refresh(t)
+				re := live.restart(t)
+				if k == KindSIAS {
+					if ids := re.tab.sias.ReplayInFlight(); len(ids) != 1 || ids[0] != open.ID {
+						t.Fatalf("restarted follower tracks %v as undecided, want [%d]", ids, open.ID)
+					}
+				}
+				diffStates(t, "undecided live-vs-restarted",
+					snapshotReads(t, live.db, live.tab, maxKey, secIdx),
+					snapshotReads(t, re.db, re.tab, maxKey, secIdx))
+
+				if commit {
+					must(p.Commit(open, at))
+				} else {
+					must(p.Abort(open, at))
+				}
+				// More work on the items the open transaction held, and beside.
+				after := p.Begin()
+				must(ptab.Update(after, at, 3, setBalance(33)))
+				must(ptab.Update(after, at, 7, setBalance(71)))
+				must(ptab.Insert(after, at, tuple.Row{int64(21), "later", int64(21)}))
+				must(p.Commit(after, at))
+				must(p.Checkpoint(at))
+
+				recs := scanLog(t, walDev)
+				for _, rep := range []*applyReplica{live, re} {
+					rep.catchUp(t, recs)
+					rep.refresh(t)
+				}
+				if k == KindSIAS {
+					if ids := re.tab.sias.ReplayInFlight(); len(ids) != 0 {
+						t.Errorf("restarted follower still tracks %v after the outcome shipped", ids)
+					}
+				}
+				want := snapshotReads(t, p, ptab, maxKey, secIdx)
+				diffStates(t, "decided primary-vs-live", want, snapshotReads(t, live.db, live.tab, maxKey, secIdx))
+				diffStates(t, "decided primary-vs-restarted", want, snapshotReads(t, re.db, re.tab, maxKey, secIdx))
+				if _, gone := want.scan[5]; gone == commit {
+					t.Fatalf("key 5 present=%v after commit=%v: the scenario did not run as written", gone, commit)
+				}
+			})
+		}
+	}
+}
+
+// TestPromoteFinishesUndecided promotes a follower whose stream ended with
+// two transactions undecided, one of them a prepared 2PC participant. The
+// promoted engine must serve none of their versions, take writes on the items
+// they held, and — after maintenance and a few hundred more transactions —
+// read exactly like a crash-recovered copy of its own log: promotion and
+// recovery finish undecided transactions the same way.
+func TestPromoteFinishesUndecided(t *testing.T) {
+	for _, k := range kinds() {
+		for _, seed := range []int64{1, 7, 42} {
+			t.Run(fmt.Sprintf("%v/seed%d", k, seed), func(t *testing.T) {
+				p, ptab, walDev, at := replayPrimary(t, k)
+				const secIdx = 0
+				must := func(a simclock.Time, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					at = a
+				}
+				open := p.Begin()
+				must(ptab.Update(open, at, 2, setBalance(20)))
+				must(ptab.Update(open, at, 2, setBalance(21)))
+				must(ptab.Insert(open, at, tuple.Row{int64(30), "never", int64(30)}))
+				prepared := p.Begin()
+				must(ptab.Update(prepared, at, 4, setBalance(40)))
+				must(ptab.Delete(prepared, at, 6))
+				must(p.Prepare(prepared, 77, 1, at))
+				by := p.Begin()
+				must(ptab.Update(by, at, 9, setBalance(90)))
+				must(p.Commit(by, at))
+				must(p.Checkpoint(at))
+				want := snapshotReads(t, p, ptab, 30, secIdx) // sees neither: both are in progress
+
+				f := newApplyReplica(t, k)
+				f.catchUp(t, scanLog(t, walDev))
+				var err error
+				if f.at, err = f.db.Promote(f.at); err != nil {
+					t.Fatalf("promote: %v", err)
+				}
+				diffStates(t, "promoted-vs-primary", want, snapshotReads(t, f.db, f.tab, 30, secIdx))
+				if st := f.db.Stats(); st.InDoubtAborts != 1 || st.InDoubtCommits != 0 {
+					t.Errorf("in-doubt resolved %d aborts / %d commits, want 1 / 0", st.InDoubtAborts, st.InDoubtCommits)
+				}
+
+				// The items the dead transactions held take writes again.
+				fat := f.at
+				fmust := func(a simclock.Time, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fat = a
+				}
+				tx := f.db.Begin()
+				fmust(f.tab.Update(tx, fat, 2, setBalance(22)))
+				fmust(f.tab.Update(tx, fat, 4, setBalance(44)))
+				fmust(f.tab.Delete(tx, fat, 6))
+				fmust(f.tab.Insert(tx, fat, tuple.Row{int64(30), "now", int64(31)}))
+				fmust(f.db.Commit(tx, fat))
+				fmust(f.db.RunMaintenance(fat))
+
+				rng := rand.New(rand.NewSource(seed))
+				live := []int64{1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 30}
+				nextKey := int64(31)
+				for i := 0; i < 200; i++ {
+					tx := f.db.Begin()
+					inserted, deleted := int64(0), -1
+					switch n := rng.Intn(10); {
+					case n < 3:
+						inserted = nextKey
+						nextKey++
+						fmust(f.tab.Insert(tx, fat, tuple.Row{inserted, "w", rng.Int63n(50)}))
+					case n < 9:
+						fmust(f.tab.Update(tx, fat, live[rng.Intn(len(live))], setBalance(rng.Int63n(50))))
+					default:
+						deleted = rng.Intn(len(live))
+						fmust(f.tab.Delete(tx, fat, live[deleted]))
+					}
+					if rng.Intn(8) == 0 {
+						fmust(f.db.Abort(tx, fat))
+						continue
+					}
+					fmust(f.db.Commit(tx, fat))
+					if inserted != 0 {
+						live = append(live, inserted)
+					}
+					if deleted >= 0 {
+						live = append(live[:deleted], live[deleted+1:]...)
+					}
+					if i%50 == 49 {
+						fmust(f.db.RunMaintenance(fat))
+					}
+				}
+
+				// Crash a copy of the promoted engine and recover it as what
+				// it now is, a primary.
+				cdb, ctab := crashAndRecover(t, k, cloneMem(t, f.data), cloneMem(t, f.walDev))
+				diffStates(t, "promoted-vs-recovered",
+					snapshotReads(t, f.db, f.tab, nextKey, secIdx),
+					snapshotReads(t, cdb, ctab, nextKey, secIdx))
+			})
+		}
+	}
 }

@@ -174,29 +174,6 @@ func New(at simclock.Time, relID uint32, pool *buffer.Pool, alloc *space.Allocat
 // RelID reports the relation id holding the tree's pages.
 func (t *Tree) RelID() uint32 { return t.relID }
 
-// Reset empties the tree back to a single empty-leaf root, abandoning all
-// other blocks (extents stay granted and are reused as the tree regrows).
-// A replication follower resets its locally-built indexes before each
-// rebuild-from-heap; without it repeated rebuilds would stack duplicate
-// entries.
-func (t *Tree) Reset(at simclock.Time) (simclock.Time, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f, tm, err := t.getBlock(at, 0, true)
-	if err != nil {
-		return tm, err
-	}
-	n := node{f.Data}
-	n.setLeaf(true)
-	n.setCount(0)
-	n.setAux(0)
-	t.release(f, true)
-	t.nextBlock = 1
-	t.height = 1
-	t.entries = 0
-	return tm, nil
-}
-
 // Len reports the number of entries.
 func (t *Tree) Len() int64 {
 	t.mu.RLock()
@@ -275,6 +252,32 @@ func childBlock(n node, idx int) uint32 {
 func (t *Tree) Insert(at simclock.Time, key int64, payload uint64) (simclock.Time, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.insertLocked(at, key, payload)
+}
+
+// Add inserts (key, payload) unless the tree already holds that exact entry,
+// and reports whether it did. SIAS indexes are sets of <key, VID> pairs that
+// updates never remove: a row that leaves a key and later re-enters it, a
+// replayed record, and an index backfill racing the writers it indexes must
+// all leave one entry, not one per arrival. Probe and insert share one hold
+// of the tree lock, so two concurrent Adds of the same entry cannot both
+// miss.
+func (t *Tree) Add(at simclock.Time, key int64, payload uint64) (added bool, _ simclock.Time, _ error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	found := false
+	tm, err := t.rangeLocked(at, key, key, func(_ int64, v uint64) bool {
+		found = v == payload
+		return !found
+	})
+	if err != nil || found {
+		return false, tm, err
+	}
+	tm, err = t.insertLocked(tm, key, payload)
+	return err == nil, tm, err
+}
+
+func (t *Tree) insertLocked(at simclock.Time, key int64, payload uint64) (simclock.Time, error) {
 	promoKey, promoChild, split, tm, err := t.insertRec(at, 0, t.height, key, payload)
 	if err != nil {
 		return tm, err
@@ -432,22 +435,6 @@ func (t *Tree) Search(at simclock.Time, key int64) ([]uint64, simclock.Time, err
 		return true
 	})
 	return out, tm, err
-}
-
-// Contains reports whether the tree holds the exact <key, payload> entry.
-// SIAS indexes are sets of <key, VID> pairs that are never removed by
-// updates: a row that leaves a key and later re-enters it must probe before
-// inserting, or multi-version lookups would count the row once per stint.
-func (t *Tree) Contains(at simclock.Time, key int64, payload uint64) (bool, simclock.Time, error) {
-	found := false
-	tm, err := t.Range(at, key, key, func(_ int64, v uint64) bool {
-		if v == payload {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, tm, err
 }
 
 // Range invokes fn for every entry with lo <= key <= hi in ascending order;

@@ -83,3 +83,58 @@ func TestConcurrentMixedOps(t *testing.T) {
 		t.Errorf("Len = %d, want 2000 (800 deleted, 800 inserted)", tr.Len())
 	}
 }
+
+// TestAddIsASetInsert: Add keeps one entry per <key, payload> however often
+// and from however many goroutines at once it is offered, including for keys
+// whose duplicates fill several leaves (where entries are ordered by payload
+// only within a leaf).
+func TestAddIsASetInsert(t *testing.T) {
+	tr := newTree(t)
+	const workers, keys, perKey = 6, 4, 700 // perKey > leafCap: duplicates span leaves
+	var wg sync.WaitGroup
+	var added [workers]int
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			at := simclock.Time(0)
+			// Every worker offers every entry, each in its own order.
+			for i := 0; i < keys*perKey; i++ {
+				n := (i*(2*w+1) + w*131) % (keys * perKey)
+				ok, a, err := tr.Add(at, int64(n%keys), uint64(n/keys))
+				if err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+				at = a
+				if ok {
+					added[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range added {
+		total += n
+	}
+	if total != keys*perKey || tr.Len() != keys*perKey || tr.Inserts() != keys*perKey {
+		t.Fatalf("Add reported %d insertions, Len %d, Inserts %d; want %d each", total, tr.Len(), tr.Inserts(), keys*perKey)
+	}
+	for k := int64(0); k < keys; k++ {
+		vals, _, err := tr.Search(0, k)
+		if err != nil || len(vals) != perKey {
+			t.Fatalf("key %d holds %d entries (%v), want %d", k, len(vals), err, perKey)
+		}
+		seen := map[uint64]bool{}
+		for _, v := range vals {
+			if seen[v] {
+				t.Fatalf("key %d holds payload %d twice", k, v)
+			}
+			seen[v] = true
+		}
+	}
+	if ok, _, err := tr.Add(0, 2, 5); ok || err != nil {
+		t.Errorf("re-adding an entry: added=%v err=%v", ok, err)
+	}
+}

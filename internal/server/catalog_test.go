@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
@@ -569,5 +570,179 @@ func TestFollowerServesCatalogReads(t *testing.T) {
 	defer fAsOf.Abort()
 	if rows, err := fAsOf.IndexLookup("orders", "by_customer", 0); err != nil || len(rows) != 7 {
 		t.Fatalf("follower AS OF IndexLookup(customer=0): %d rows, %v, want 7", len(rows), err)
+	}
+}
+
+// indexAnswers runs every index read a client has against by_customer and
+// flattens the answers for comparison.
+func indexAnswers(t *testing.T, c *client.Client) string {
+	t.Helper()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	out := ""
+	for key := int64(0); key < 3; key++ {
+		rows, err := tx.IndexLookup("orders", "by_customer", key)
+		if err != nil {
+			t.Fatalf("INDEX_LOOKUP %d: %v", key, err)
+		}
+		out += fmt.Sprintf("lookup %d: %v\n", key, rows)
+	}
+	ents, err := tx.IndexRange("orders", "by_customer", 0, 2, 0)
+	if err != nil {
+		t.Fatalf("INDEX_RANGE: %v", err)
+	}
+	return out + fmt.Sprintf("range: %v\n", ents)
+}
+
+// TestCreateIndexCoversExistingRows pins the CREATE INDEX bugfix over the
+// wire: an index created on a populated table answers for the rows that were
+// already there — on the live primary (which used to return nothing until its
+// next restart), on a live follower that received the DDL through the stream,
+// and after a crash-restart of each. All four must say the same.
+func TestCreateIndexCoversExistingRows(t *testing.T) {
+	pdata, pwal := device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14)
+	psrv, err := server.New(server.Config{Router: routerOf(t, openKV(t, pdata, pwal, false))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pErr := make(chan error, 1)
+	go func() { pErr <- psrv.Serve(pln) }()
+
+	fdata, fwal := device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14)
+	openFollower := func(restart bool) shard.Shard {
+		opts := engine.DefaultOptions(fdata, fwal)
+		opts.Recover, opts.ResumeWAL = restart, restart
+		db, err := engine.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetReplica(true)
+		tab, _, err := db.CreateTable(0, "kv", kvSchema(), "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restart {
+			if _, err := db.Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			db.SetReplica(true)
+		}
+		return shard.Shard{Facade: engine.NewFacade(db), Table: tab}
+	}
+	fsh := openFollower(false)
+	f, err := repl.NewFollower(repl.Config{
+		PrimaryAddr: pln.Addr().String(),
+		Shards:      []*engine.Facade{fsh.Facade},
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Run()
+	fsrv, err := server.New(server.Config{Router: routerOf(t, fsh), Replica: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fErr := make(chan error, 1)
+	go func() { fErr <- fsrv.Serve(fln) }()
+
+	pc, err := client.Dial(pln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.CreateTable("orders", ordersSchema(), "id"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := pc.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 30; i++ {
+		if err := tx.InsertRow("orders", tuple.Row{i, i % 3, "pre-ddl"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The index comes after the rows.
+	if err := pc.CreateIndex("orders", "by_customer", "customer"); err != nil {
+		t.Fatal(err)
+	}
+
+	livePrimary := indexAnswers(t, pc)
+	tx, err = pc.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tx.IndexLookup("orders", "by_customer", 1)
+	tx.Abort()
+	if err != nil || len(rows) != 10 {
+		t.Fatalf("live primary: INDEX_LOOKUP(customer=1) returned %d rows (%v), want the 10 inserted before CREATE INDEX", len(rows), err)
+	}
+
+	fc, err := client.Dial(fln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tds, err := fc.ListTables()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tds) == 2 && len(tds[0].Indexes)+len(tds[1].Indexes) == 1 {
+			break // the DDL is the last thing the primary logged
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never replayed CREATE INDEX")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	liveFollower := indexAnswers(t, fc)
+
+	// Crash both: no drain, no checkpoint, buffer pools gone.
+	pc.Close()
+	fc.Close()
+	f.Stop()
+	fsrv.Kill()
+	<-fErr
+	psrv.Kill()
+	<-pErr
+
+	_, paddr := startServer(t, routerOf(t, openKV(t, pdata, pwal, true)), nil)
+	pc2, err := client.Dial(paddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc2.Close()
+	restartedPrimary := indexAnswers(t, pc2)
+	_, faddr := startServer(t, routerOf(t, openFollower(true)), nil)
+	fc2, err := client.Dial(faddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc2.Close()
+	restartedFollower := indexAnswers(t, fc2)
+
+	for name, got := range map[string]string{
+		"live follower":      liveFollower,
+		"restarted primary":  restartedPrimary,
+		"restarted follower": restartedFollower,
+	} {
+		if got != livePrimary {
+			t.Errorf("%s disagrees with the live primary:\n%s\nvs\n%s", name, got, livePrimary)
+		}
 	}
 }

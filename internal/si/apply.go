@@ -12,7 +12,7 @@ import (
 
 // Replica-side incremental apply: a replication follower folds each primary
 // WAL record into the FSM and indexes as it replays, so follower reads never
-// pay the O(heap) RebuildIndexes/RestoreBlockCount rescan. SI needs no
+// pay the O(heap) RebuildFromHeap rescan. SI needs no
 // per-transaction tracking — visibility is decided entirely by the on-page
 // xmin/xmax against the CLOG, which the replicated commit/abort records
 // rebuild, and aborted versions are pruned lazily exactly as on the primary

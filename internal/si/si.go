@@ -875,88 +875,85 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload [
 	return reclaimed, t, nil
 }
 
-// RebuildIndexes repopulates the primary (and secondary) indexes from the
-// heap after recovery. keyOf recovers the primary key from a payload.
-func (r *Relation) RebuildIndexes(at simclock.Time, keyOf func(payload []byte) int64) (simclock.Time, error) {
+// RebuildFromHeap restores the volatile state after WAL redo (which writes
+// pages directly): the heap block counter, the FSM, and the primary and
+// secondary indexes. blocks is the heap high-water mark observed during redo;
+// keyOf recovers the primary key from a payload.
+func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(payload []byte) int64) (simclock.Time, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.nextBlock = blocks
+	return r.indexHeapLocked(at, r.pk, keyOf, r.secs)
+}
+
+// BackfillSecondary fills secondary index idx from the heap with the entries
+// RebuildFromHeap would give it, so a live primary, a follower that received
+// the CREATE INDEX through the stream, and either of them restarted hold the
+// same tree. Writers are shut out for the duration; the one that slipped in
+// between AddSecondary and here indexed its own version, which Add finds.
+func (r *Relation) BackfillSecondary(at simclock.Time, idx int) (simclock.Time, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
+		return at, fmt.Errorf("si: no secondary index %d", idx)
+	}
+	only := make([]*index.Tree, len(r.secs))
+	only[idx] = r.secs[idx]
+	return r.indexHeapLocked(at, nil, nil, only)
+}
+
+// indexHeapLocked adds a <key, TID> entry to pk (when given) and to each
+// non-nil tree of secs for every heap version whose xmin did not abort — the
+// versions the live write path indexed and no prune has removed since. An
+// xmin that is still undecided counts: its outcome may yet arrive (a follower
+// restarted mid-transaction), and until then visibility hides the version
+// whatever the index says. Keys are taken while the page is pinned and kept
+// as integers; the FSM picks up each block's free space on the way. Caller
+// holds r.mu.
+func (r *Relation) indexHeapLocked(at simclock.Time, pk *index.Tree, keyOf func(payload []byte) int64, secs []*index.Tree) (simclock.Time, error) {
 	clog := r.txm.CLOG()
-	// Drop any entries from a previous rebuild (a replication follower
-	// rebuilds repeatedly as replay advances); no-op on first recovery.
-	t, err := r.pk.Reset(at)
-	if err != nil {
-		return t, err
+	type ent struct {
+		tree *index.Tree
+		key  int64
+		tid  uint64
 	}
-	for _, sec := range r.secs {
-		if sec == nil {
-			continue
-		}
-		t, err = sec.Reset(t)
-		if err != nil {
-			return t, err
-		}
-	}
+	var ents []ent
+	t := at
 	for b := uint32(0); b < r.nextBlock; b++ {
 		f, t2, err := r.getPage(t, b, false)
 		t = t2
 		if err != nil {
 			return t, err
 		}
-		type ent struct {
-			key     int64
-			tid     page.TID
-			payload []byte
-		}
-		var ents []ent
+		ents = ents[:0]
+		f.RLock()
 		f.Data.LiveTuples(func(slot int, raw []byte) bool {
 			hdr, payload, err := tuple.DecodeSI(raw)
-			if err != nil {
+			if err != nil || clog.Get(hdr.Xmin) == txn.StatusAborted {
 				return true
 			}
-			if clog.Get(hdr.Xmin) != txn.StatusCommitted {
-				return true
+			tid := packTID(page.TID{Block: b, Slot: uint16(slot)})
+			if pk != nil {
+				ents = append(ents, ent{pk, keyOf(payload), tid})
 			}
-			ents = append(ents, ent{keyOf(payload), page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
-			return true
-		})
-		r.pool.Release(f, false)
-		for _, e := range ents {
-			t, err = r.pk.Insert(t, e.key, packTID(e.tid))
-			if err != nil {
-				return t, err
-			}
-			for i, sec := range r.secs {
+			for i, sec := range secs {
 				if sec == nil {
 					continue
 				}
-				if k, ok := r.secFns[i](e.payload); ok {
-					t, err = sec.Insert(t, k, packTID(e.tid))
-					if err != nil {
-						return t, err
-					}
+				if k, ok := r.secFns[i](payload); ok {
+					ents = append(ents, ent{sec, k, tid})
 				}
+			}
+			return true
+		})
+		r.setFree(b, f.Data.FreeSpace())
+		f.RUnlock()
+		r.pool.Release(f, false)
+		for _, e := range ents {
+			if _, t, err = e.tree.Add(t, e.key, e.tid); err != nil {
+				return t, err
 			}
 		}
 	}
-	return t, nil
-}
-
-// RestoreBlockCount fast-forwards the heap block counter and FSM after WAL
-// redo (redo writes pages directly; the in-memory metadata must catch up).
-func (r *Relation) RestoreBlockCount(at simclock.Time, blocks uint32) (simclock.Time, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := at
-	r.nextBlock = blocks
-	for b := uint32(0); b < blocks; b++ {
-		f, t2, err := r.getPage(t, b, false)
-		t = t2
-		if err != nil {
-			return t, err
-		}
-		r.setFree(b, f.Data.FreeSpace())
-		r.pool.Release(f, false)
-	}
-	r.fsmHint = 0
 	return t, nil
 }

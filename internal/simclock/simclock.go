@@ -80,9 +80,6 @@ func NewResource(n int) *Resource {
 	return &Resource{free: make([]Time, n)}
 }
 
-// Units reports the number of parallel service units.
-func (r *Resource) Units() int { return len(r.free) }
-
 // Acquire schedules a request arriving at virtual time `at` requiring
 // `service` time on one unit, and returns the virtual completion time.
 func (r *Resource) Acquire(at Time, service Duration) Time {

@@ -64,9 +64,6 @@ func (a *Allocator) SetScratch(on bool) {
 	a.mu.Unlock()
 }
 
-// ExtentSize reports the blocks-per-extent granularity.
-func (a *Allocator) ExtentSize() int { return a.extentSize }
-
 // DevicePage translates (rel, block) to a device page, allocating the
 // containing extent on first touch.
 func (a *Allocator) DevicePage(rel uint32, block uint32) (int64, error) {

@@ -97,21 +97,6 @@ func (m *Map) bucketFor(vid uint64, create bool) *bucket {
 	return b
 }
 
-// Reset clears every entrypoint while keeping the allocated buckets and the
-// VID allocator position. A replication follower calls it before each
-// rebuild-from-heap so entries from superseded versions cannot survive the
-// rebuild; nextVID is preserved because the rebuild re-derives it as a
-// maximum and must never move it backward.
-func (m *Map) Reset() {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, b := range m.buckets {
-		for i := range b.slots {
-			b.slots[i].Store(0)
-		}
-	}
-}
-
 // Get returns the entrypoint TID for vid. ok is false for never-set or
 // cleared entries (e.g. rolled-back inserts).
 func (m *Map) Get(vid uint64) (page.TID, bool) {
