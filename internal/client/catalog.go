@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"sias/internal/engine"
 	"sias/internal/server"
 	"sias/internal/tuple"
 	"sias/internal/wire"
@@ -196,29 +195,16 @@ func (t *Tx) rowCall(op wire.Op, table string, build func(*wire.Buf)) ([]byte, e
 
 // InsertRow stores a typed row in table.
 func (t *Tx) InsertRow(table string, row tuple.Row) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
-	sch, err := t.c.schemaOf(table)
-	if err != nil {
-		return err
-	}
-	enc, err := sch.EncodeRow(row)
-	if err != nil {
-		return err
-	}
-	_, err = t.rowCall(wire.OpInsertRow, table, func(b *wire.Buf) { b.Bytes(enc) })
-	if err == nil {
-		t.wrote = true
-	}
-	return err
+	return t.putRow(wire.OpInsertRow, table, row)
 }
 
 // UpdateRow replaces the row sharing row's primary key (full-row replace).
 func (t *Tx) UpdateRow(table string, row tuple.Row) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
+	return t.putRow(wire.OpUpdateRow, table, row)
+}
+
+// putRow sends a row-carrying write: the row in the table's schema encoding.
+func (t *Tx) putRow(op wire.Op, table string, row tuple.Row) error {
 	sch, err := t.c.schemaOf(table)
 	if err != nil {
 		return err
@@ -227,10 +213,7 @@ func (t *Tx) UpdateRow(table string, row tuple.Row) error {
 	if err != nil {
 		return err
 	}
-	_, err = t.rowCall(wire.OpUpdateRow, table, func(b *wire.Buf) { b.Bytes(enc) })
-	if err == nil {
-		t.wrote = true
-	}
+	_, err = t.rowCall(op, table, func(b *wire.Buf) { b.Bytes(enc) })
 	return err
 }
 
@@ -254,13 +237,7 @@ func (t *Tx) GetRow(table string, key int64) (tuple.Row, error) {
 
 // DeleteRow removes the row of key in table.
 func (t *Tx) DeleteRow(table string, key int64) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
 	_, err := t.rowCall(wire.OpDeleteRow, table, func(b *wire.Buf) { b.I64(key) })
-	if err == nil {
-		t.wrote = true
-	}
 	return err
 }
 

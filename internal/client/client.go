@@ -323,9 +323,9 @@ type Tx struct {
 	cn       *conn
 	handle   uint64 // the server's handle; 0 = BEGIN not sent or not yet answered
 	done     bool
-	readOnly bool   // opened by BeginRead; writes are rejected client-side
+	readOnly bool   // opened by BeginRead/BeginAt; call rejects writes client-side
 	replica  bool   // cn is a follower picked by BeginRead, BEGIN still to be sent
-	wrote    bool   // a write op succeeded; COMMIT transport loss is then in-doubt
+	wrote    bool   // a write op succeeded (set by call); COMMIT transport loss is then in-doubt
 	traceID  uint64 // nonzero when this transaction is trace-sampled
 }
 
@@ -492,27 +492,40 @@ func (t *Tx) payload(build func(*wire.Buf)) []byte {
 	return b.B
 }
 
+// call runs one operation of the transaction. What the client knows about an
+// op beyond its payload comes from its wire.Kind: a write is refused on a
+// read-only transaction before anything is sent, and once one has succeeded
+// a lost COMMIT is in doubt (see finish).
 func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
+	write := op.Kind() == wire.KindWrite
+	if write && t.readOnly {
+		return nil, engine.ErrReadOnly
+	}
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
-	if t.handle == 0 {
-		return t.first(op, build)
-	}
-	traceID := uint64(0)
-	if op == wire.OpCommit {
-		// Only BEGIN and COMMIT ride the envelope: COMMIT is the frame whose
-		// server-side span parents the whole commit pipeline. Point ops stay
-		// bare — tracing every GET would double framing overhead for spans
-		// nobody looks at.
-		traceID = t.traceID
-	}
-	payload := t.payload(build)
 	var resp []byte
-	err := t.c.withRetry(func() (err error) {
-		resp, err = t.cn.callTraced(traceID, op, payload)
-		return err
-	})
+	var err error
+	if t.handle == 0 {
+		resp, err = t.first(op, build)
+	} else {
+		traceID := uint64(0)
+		if op == wire.OpCommit {
+			// Only BEGIN and COMMIT ride the envelope: COMMIT is the frame whose
+			// server-side span parents the whole commit pipeline. Point ops stay
+			// bare — tracing every GET would double framing overhead for spans
+			// nobody looks at.
+			traceID = t.traceID
+		}
+		payload := t.payload(build)
+		err = t.c.withRetry(func() (err error) {
+			resp, err = t.cn.callTraced(traceID, op, payload)
+			return err
+		})
+	}
+	if write && err == nil {
+		t.wrote = true
+	}
 	return resp, err
 }
 
@@ -664,37 +677,19 @@ func (t *Tx) Get(key int64) ([]byte, error) {
 
 // Insert stores val under key.
 func (t *Tx) Insert(key int64, val []byte) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
 	_, err := t.call(wire.OpInsert, func(b *wire.Buf) { b.I64(key); b.Bytes(val) })
-	if err == nil {
-		t.wrote = true
-	}
 	return err
 }
 
 // Update overwrites the value of key.
 func (t *Tx) Update(key int64, val []byte) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
 	_, err := t.call(wire.OpUpdate, func(b *wire.Buf) { b.I64(key); b.Bytes(val) })
-	if err == nil {
-		t.wrote = true
-	}
 	return err
 }
 
 // Delete removes key.
 func (t *Tx) Delete(key int64) error {
-	if t.readOnly {
-		return engine.ErrReadOnly
-	}
 	_, err := t.call(wire.OpDelete, func(b *wire.Buf) { b.I64(key) })
-	if err == nil {
-		t.wrote = true
-	}
 	return err
 }
 

@@ -182,14 +182,9 @@ func (t *Table) createColumnIndex(at simclock.Time, index, column string, relID 
 	if t.schema.Cols[ci].Type != tuple.TypeInt64 {
 		return 0, at, fmt.Errorf("engine: table %s: index column %q must be int64", t.name, column)
 	}
-	t.db.mu.Lock()
-	for i, n := range t.secNames {
-		if n == index && !t.secDropped[i] {
-			t.db.mu.Unlock()
-			return 0, at, fmt.Errorf("%w: index %s on %s", ErrExists, index, t.name)
-		}
+	if liveSecondary(t.secondaries(), index) >= 0 {
+		return 0, at, fmt.Errorf("%w: index %s on %s", ErrExists, index, t.name)
 	}
-	t.db.mu.Unlock()
 	keyFn := func(row tuple.Row) (int64, bool) {
 		v, ok := row[ci].(int64)
 		return v, ok
@@ -210,18 +205,14 @@ func (t *Table) backfillSecondary(at simclock.Time, idx int) (simclock.Time, err
 // metadata and the relation's secondary slice.
 func (t *Table) dropSecondaryByName(index string) error {
 	t.db.mu.Lock()
-	idx := -1
-	for i, n := range t.secNames {
-		if n == index && !t.secDropped[i] {
-			idx = i
-			break
-		}
-	}
+	secs := append([]secondary(nil), t.secondaries()...)
+	idx := liveSecondary(secs, index)
 	if idx < 0 {
 		t.db.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrNoIndex, index, t.name)
 	}
-	t.secDropped[idx] = true
+	secs[idx].dropped = true
+	t.secs.Store(&secs)
 	t.db.mu.Unlock()
 	if t.sias != nil {
 		return t.sias.DropSecondary(idx)
@@ -232,12 +223,8 @@ func (t *Table) dropSecondaryByName(index string) error {
 // SecondaryIndex returns the positional id of the named live index, or
 // ErrNoIndex.
 func (t *Table) SecondaryIndex(name string) (int, error) {
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
-	for i, n := range t.secNames {
-		if n == name && !t.secDropped[i] {
-			return i, nil
-		}
+	if i := liveSecondary(t.secondaries(), name); i >= 0 {
+		return i, nil
 	}
 	return 0, fmt.Errorf("%w: %s on %s", ErrNoIndex, name, t.name)
 }
@@ -251,14 +238,11 @@ type IndexInfo struct {
 
 // Secondaries lists the table's live secondary indexes.
 func (t *Table) Secondaries() []IndexInfo {
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
 	var out []IndexInfo
-	for i, n := range t.secNames {
-		if t.secDropped[i] {
-			continue
+	for i, sec := range t.secondaries() {
+		if !sec.dropped {
+			out = append(out, IndexInfo{Name: sec.name, Column: sec.column, Pos: i})
 		}
-		out = append(out, IndexInfo{Name: n, Column: t.secCols[i], Pos: i})
 	}
 	return out
 }

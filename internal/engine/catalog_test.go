@@ -712,3 +712,82 @@ func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
 		})
 	}
 }
+
+// TestCreateIndexRacesIndexLookup: one session loops lookups through index
+// ix0 while another creates ix1…ix7 on the same table. The table's index
+// metadata is published copy-on-write, so the reader takes no lock and still
+// never sees a slice the DDL is appending to; under -race the detector is
+// the assertion (it fired within milliseconds when the metadata was five
+// parallel slices appended in place).
+func TestCreateIndexRacesIndexLookup(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			opts := DefaultOptions(device.NewMem(page.Size, 1<<14), device.NewMem(page.Size, 1<<12))
+			opts.Kind = k
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, _, err := db.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFacade(db)
+			tx := f.Begin()
+			for id := int64(0); id < 64; id++ {
+				if err := f.Insert(tab, tx, tuple.Row{id, "a", id % 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.CreateIndex("accounts", "ix0", "balance"); err != nil {
+				t.Fatal(err)
+			}
+			ix0, err := tab.SecondaryIndex("ix0")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			var lookups atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rtx := f.Begin()
+				defer f.Commit(rtx)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rows, err := f.LookupSecondary(tab, rtx, ix0, 1)
+					if err != nil || len(rows) != 16 {
+						t.Errorf("lookup during CREATE INDEX: %d rows, %v; want 16", len(rows), err)
+						return
+					}
+					lookups.Add(1)
+				}
+			}()
+			for i := 1; i <= 7; i++ {
+				// Let the reader in between two DDLs, so each append has a
+				// lookup to race with.
+				for n := lookups.Load(); lookups.Load() == n && !t.Failed(); {
+					runtime.Gosched()
+				}
+				if err := f.CreateIndex("accounts", fmt.Sprintf("ix%d", i), "balance"); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if got := len(tab.Secondaries()); got != 8 {
+				t.Errorf("%d live indexes, want 8", got)
+			}
+		})
+	}
+}

@@ -59,6 +59,14 @@ func (p FlushPolicy) String() string {
 	return "t1"
 }
 
+// Maintenance pacing in virtual time. Constants, not Options: no caller ever
+// ran with other values.
+const (
+	bgWriterInterval = 200 * simclock.Millisecond // policy t1; PostgreSQL bgwriter_delay
+	gcInterval       = 5 * simclock.Second        // SIAS: the paper integrates GC into the DBMS and runs it eagerly
+	vacuumInterval   = 60 * simclock.Second       // SI: PostgreSQL autovacuum_naptime
+)
+
 // Options configures Open.
 type Options struct {
 	Kind   Kind
@@ -80,16 +88,9 @@ type Options struct {
 	// stage the entrypoint pages of that many upcoming VIDs into the pool's
 	// async prefetcher ahead of the cursor. 0 disables readahead.
 	ScanReadahead int
-	// PrefetchWorkers bounds concurrent prefetch device reads; 0 uses the
-	// pool's default.
-	PrefetchWorkers int
 
-	// BgWriterInterval paces the background writer (policy t1).
-	BgWriterInterval simclock.Duration
 	// CheckpointInterval paces checkpoints (and policy t2 flushes).
 	CheckpointInterval simclock.Duration
-	// MaintenanceInterval paces GC (SIAS) / vacuum (SI).
-	MaintenanceInterval simclock.Duration
 
 	// GCRetention holds GC/vacuum back by this many transaction ids:
 	// superseded versions written by the most recent GCRetention committed
@@ -124,7 +125,6 @@ func DefaultOptions(data, walDev device.BlockDevice) Options {
 		WALDevice:          walDev,
 		PoolFrames:         2048,
 		BufferHitCost:      simclock.Microsecond,
-		BgWriterInterval:   200 * simclock.Millisecond,
 		CheckpointInterval: 30 * simclock.Second,
 	}
 }
@@ -193,20 +193,8 @@ func Open(opts Options) (*DB, error) {
 	if opts.PoolFrames <= 0 {
 		opts.PoolFrames = 2048
 	}
-	if opts.BgWriterInterval <= 0 {
-		opts.BgWriterInterval = 200 * simclock.Millisecond
-	}
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = 30 * simclock.Second
-	}
-	if opts.MaintenanceInterval <= 0 {
-		if opts.Kind == KindSIAS {
-			// The paper integrates GC into the DBMS and runs it eagerly.
-			opts.MaintenanceInterval = 5 * simclock.Second
-		} else {
-			// PostgreSQL autovacuum_naptime default.
-			opts.MaintenanceInterval = 60 * simclock.Second
-		}
 	}
 
 	db := &DB{
@@ -250,10 +238,9 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	db.pool = buffer.New(buffer.Config{
-		Frames:          opts.PoolFrames,
-		Partitions:      opts.PoolPartitions,
-		HitCost:         opts.BufferHitCost,
-		PrefetchWorkers: opts.PrefetchWorkers,
+		Frames:     opts.PoolFrames,
+		Partitions: opts.PoolPartitions,
+		HitCost:    opts.BufferHitCost,
 		WALFlush: func(at simclock.Time, lsn uint64) (simclock.Time, error) {
 			return db.walw.Flush(at, wal.LSN(lsn))
 		},
@@ -429,7 +416,7 @@ func (db *DB) Tick(at simclock.Time) (simclock.Time, error) {
 	}
 	t := at
 	db.mu.Lock()
-	runBg := db.opts.Policy == PolicyT1 && t.Sub(db.lastBg) >= db.opts.BgWriterInterval
+	runBg := db.opts.Policy == PolicyT1 && t.Sub(db.lastBg) >= bgWriterInterval
 	if runBg {
 		db.lastBg = t
 	}
@@ -437,7 +424,11 @@ func (db *DB) Tick(at simclock.Time) (simclock.Time, error) {
 	if runCkpt {
 		db.lastCkpt = t
 	}
-	runMaint := t.Sub(db.lastMaint) >= db.opts.MaintenanceInterval
+	maintInterval := vacuumInterval
+	if db.opts.Kind == KindSIAS {
+		maintInterval = gcInterval
+	}
+	runMaint := t.Sub(db.lastMaint) >= maintInterval
 	if runMaint {
 		db.lastMaint = t
 	}

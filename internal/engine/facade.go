@@ -16,8 +16,10 @@ import (
 // Facade is the concurrency-safe front door to a DB for many goroutines.
 //
 // The engine substrates are individually thread-safe but expect each caller
-// to thread a virtual-time cursor through every call. The facade owns that
-// clock behind a single sequencer: operations read the current cursor, run
+// to thread a virtual-time cursor through every call. The cursor stops here:
+// no method of the facade takes or returns virtual time, so nothing above it
+// (shard, repl, server) knows the clock exists. The facade owns that clock
+// behind a single sequencer: operations read the current cursor, run
 // with a local copy, and publish their completion time back with a CAS-max,
 // so virtual time advances monotonically no matter how calls interleave.
 //
@@ -107,8 +109,8 @@ func (f *Facade) SetGroupCommitLinger(linger time.Duration, minBatch int) {
 	f.minBatch = minBatch
 }
 
-// Now reads the clock sequencer.
-func (f *Facade) Now() simclock.Time {
+// cursor reads the clock sequencer.
+func (f *Facade) cursor() simclock.Time {
 	return simclock.Time(f.now.Load())
 }
 
@@ -124,18 +126,34 @@ func (f *Facade) publish(t simclock.Time) {
 
 // run executes op against a local cursor and publishes its completion time.
 func (f *Facade) run(op func(at simclock.Time) (simclock.Time, error)) error {
-	t, err := op(f.Now())
+	t, err := op(f.cursor())
 	f.publish(t)
 	return err
 }
 
-// Advance executes op under the facade's virtual-clock sequencing: op gets
-// the current time and returns its completion time, which is published for
-// later callers. Replication apply/refresh paths use it to interleave with
-// served reads on one coherent clock.
-func (f *Facade) Advance(op func(at simclock.Time) (simclock.Time, error)) error {
-	return f.run(op)
+// FlushWAL forces the entire pending log to the device. 2PC uses it to make
+// outcome records durable before acknowledging; a follower, to make a
+// mirrored batch durable before advertising it as applied.
+func (f *Facade) FlushWAL() error {
+	return f.run(func(at simclock.Time) (simclock.Time, error) {
+		return f.db.walw.Flush(at, f.db.walw.NextLSN())
+	})
 }
+
+// ApplyRecord replays one mirrored primary record on a follower (see
+// DB.ApplyRecord).
+func (f *Facade) ApplyRecord(rec *wal.Record) error {
+	return f.run(func(at simclock.Time) (simclock.Time, error) {
+		return f.db.ApplyRecord(at, rec)
+	})
+}
+
+// RefreshReplica publishes everything applied so far to new snapshots (see
+// DB.RefreshReplica).
+func (f *Facade) RefreshReplica() error { return f.run(f.db.RefreshReplica) }
+
+// Promote flips a follower's engine writable (see DB.Promote).
+func (f *Facade) Promote() error { return f.run(f.db.Promote) }
 
 // Begin starts a transaction.
 func (f *Facade) Begin() *txn.Tx { return f.db.Begin() }
@@ -199,7 +217,7 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 			}
 		}
 		flushStart := time.Now()
-		t, errs := f.db.CommitBatch(txs, f.Now())
+		t, errs := f.db.CommitBatch(txs, f.cursor())
 		f.publish(t)
 		if sampled {
 			f.traceBatch(batch, w, lingerStart, flushStart, time.Now())
@@ -318,7 +336,7 @@ func (f *Facade) maybeTick() {
 		return
 	}
 	defer f.tickMu.Unlock()
-	if t, err := f.db.Tick(f.Now()); err == nil {
+	if t, err := f.db.Tick(f.cursor()); err == nil {
 		f.publish(t)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"sias/internal/core"
 	"sias/internal/si"
@@ -26,16 +27,40 @@ type Table struct {
 	sias *core.Relation
 	si   *si.Relation
 
-	// Secondary-index metadata, positionally aligned with the relation's
-	// secondary slice. Mutated under db.mu (DDL is rare); read paths copy
-	// what they need under the same lock. secCols[i] is the indexed column
-	// name for column indexes ("" for programmatic keyFn indexes, which are
-	// test-only and not replayable); secDropped[i] tombstones DROP INDEX.
-	secNames   []string
-	secCols    []string
-	secIDs     []uint32
-	secDropped []bool
-	secFns     []func(tuple.Row) (int64, bool)
+	// secs is the table's secondary-index metadata, positionally aligned
+	// with the relation's secondary slice. The slice is immutable once
+	// published: DDL builds a new one and swaps it in under db.mu, so index
+	// reads (LookupSecondary, RangeBySecondary) running alongside a CREATE or
+	// DROP INDEX on the same table take a consistent view without the lock —
+	// the same copy-on-write rule core.Relation follows for its trees.
+	secs atomic.Pointer[[]secondary]
+}
+
+// secondary describes one secondary-index slot.
+type secondary struct {
+	name    string
+	column  string // "" for programmatic keyFn indexes: test-only, not replayable
+	relID   uint32
+	dropped bool // DROP INDEX tombstones the slot, so positions stay stable
+	keyFn   func(tuple.Row) (int64, bool)
+}
+
+// secondaries returns the current index metadata; the slice is read-only.
+func (t *Table) secondaries() []secondary {
+	if p := t.secs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// liveSecondary returns the position of the named live index, or -1.
+func liveSecondary(secs []secondary, name string) int {
+	for i := range secs {
+		if secs[i].name == name && !secs[i].dropped {
+			return i
+		}
+	}
+	return -1
 }
 
 // CreateTable registers a new table with the configured engine kind without
@@ -154,14 +179,11 @@ func (t *Table) addSecondary(at simclock.Time, name, col string, relID uint32, k
 		return 0, tm, err
 	}
 	t.db.mu.Lock()
-	t.secNames = append(t.secNames, name)
-	t.secCols = append(t.secCols, col)
-	t.secIDs = append(t.secIDs, relID)
-	t.secDropped = append(t.secDropped, false)
-	t.secFns = append(t.secFns, keyFn)
-	idx := len(t.secNames) - 1
+	old := t.secondaries()
+	secs := append(old[:len(old):len(old)], secondary{name: name, column: col, relID: relID, keyFn: keyFn})
+	t.secs.Store(&secs)
 	t.db.mu.Unlock()
-	return idx, tm, nil
+	return len(old), tm, nil
 }
 
 // Name returns the table name.
@@ -405,6 +427,7 @@ func (t *Table) LookupSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64
 	if err != nil {
 		return nil, tm, err
 	}
+	secs := t.secondaries()
 	rows := make([]tuple.Row, 0, len(payloads))
 	for _, p := range payloads {
 		row, derr := t.schema.DecodeRow(p)
@@ -412,8 +435,8 @@ func (t *Table) LookupSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64
 			return nil, tm, derr
 		}
 		// Secondary entries can also be stale after updates; re-check.
-		if i := idx; i < len(t.secFns) {
-			if k, ok := t.secFns[i](row); !ok || k != key {
+		if idx < len(secs) {
+			if k, ok := secs[idx].keyFn(row); !ok || k != key {
 				continue
 			}
 		}
@@ -427,13 +450,14 @@ func (t *Table) LookupSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64
 // under the entry after an update) are re-checked and skipped, mirroring
 // LookupSecondary.
 func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) (simclock.Time, error) {
+	secs := t.secondaries()
 	visit := func(indexKey int64, payload []byte) bool {
 		row, err := t.schema.DecodeRow(payload)
 		if err != nil {
 			return true
 		}
-		if idx < len(t.secFns) {
-			if k, ok := t.secFns[idx](row); !ok || k != indexKey {
+		if idx < len(secs) {
+			if k, ok := secs[idx].keyFn(row); !ok || k != indexKey {
 				return true
 			}
 		}

@@ -38,7 +38,6 @@ import (
 
 	"sias/internal/engine"
 	"sias/internal/obs"
-	"sias/internal/simclock"
 	"sias/internal/wal"
 	"sias/internal/wire"
 )
@@ -283,8 +282,7 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 	defer f.mu.Unlock()
 	f.primaryDurable[shard].Store(uint64(primaryDurable))
 	fc := f.cfg.Shards[shard]
-	db := fc.DB()
-	w := db.WAL()
+	w := fc.DB().WAL()
 	if len(data) == 0 { // heartbeat
 		return nil
 	}
@@ -314,9 +312,7 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 			traceIDs[rec.Aux]++
 		}
 		w.Append(&rec)
-		if err := fc.Advance(func(at simclock.Time) (simclock.Time, error) {
-			return db.ApplyRecord(at, &rec)
-		}); err != nil {
+		if err := fc.ApplyRecord(&rec); err != nil {
 			return fmt.Errorf("repl: shard %d: apply at LSN %d: %w", shard, start, err)
 		}
 		f.appliedRecs[shard].Add(1)
@@ -324,9 +320,7 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 		start += wal.LSN(n)
 	}
 	// Force the mirrored records so a follower restart resumes past them.
-	if err := fc.Advance(func(at simclock.Time) (simclock.Time, error) {
-		return w.Flush(at, w.NextLSN())
-	}); err != nil {
+	if err := fc.FlushWAL(); err != nil {
 		return err
 	}
 	f.applied[shard].Store(uint64(w.NextLSN()))
@@ -348,8 +342,9 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 
 // Refresh publishes applied records to new snapshots on every shard that
 // applied some since its last refresh — a cheap horizon advance, since apply
-// maintains the volatile structures incrementally. The server calls it on
-// BEGIN; it is a no-op when nothing changed.
+// maintains the volatile structures incrementally. The server calls it before
+// every op that takes a new view of the data (wire.KindBegin, KindControl);
+// it is a no-op when nothing changed.
 func (f *Follower) Refresh() error {
 	dirty := false
 	for _, fc := range f.cfg.Shards {
@@ -364,11 +359,10 @@ func (f *Follower) Refresh() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i, fc := range f.cfg.Shards {
-		db := fc.DB()
-		if !db.ReplicaDirty() {
+		if !fc.DB().ReplicaDirty() {
 			continue
 		}
-		if err := fc.Advance(db.RefreshReplica); err != nil {
+		if err := fc.RefreshReplica(); err != nil {
 			return fmt.Errorf("repl: refresh shard %d: %w", i, err)
 		}
 	}
@@ -406,8 +400,7 @@ func (f *Follower) Promote() error {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		for i, fc := range f.cfg.Shards {
-			db := fc.DB()
-			if err := fc.Advance(db.Promote); err != nil {
+			if err := fc.Promote(); err != nil {
 				f.promoteErr = fmt.Errorf("repl: promote shard %d: %w", i, err)
 				return
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"sias/internal/shard"
 	"sias/internal/tuple"
 	"sias/internal/wire"
 )
@@ -133,11 +134,7 @@ func (c *session) handleDDL(op wire.Op, r *wire.Reader) ([]byte, error) {
 // handleRowOp executes one typed row operation inside a wire transaction.
 // Rows cross the wire as tuple.Schema encodings of the target table's
 // schema; a row that does not decode is a bad request, not an engine error.
-func (c *session) handleRowOp(op wire.Op, r *wire.Reader) ([]byte, error) {
-	tx, err := c.tx(r)
-	if err != nil {
-		return nil, err
-	}
+func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte, error) {
 	tb, err := r.Bytes()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
@@ -185,11 +182,9 @@ func (c *session) handleRowOp(op wire.Op, r *wire.Reader) ([]byte, error) {
 		return b.B, nil
 
 	case wire.OpScanTable:
-		lo, err1 := r.I64()
-		hi, err2 := r.I64()
-		limit, err3 := r.U32()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, wire.ErrBadRequest
+		lo, hi, limit, err := rangeArgs(r)
+		if err != nil {
+			return nil, err
 		}
 		var entries wire.Buf
 		count := uint32(0)
@@ -210,10 +205,7 @@ func (c *session) handleRowOp(op wire.Op, r *wire.Reader) ([]byte, error) {
 		if encErr != nil {
 			return nil, fmt.Errorf("server: encode row: %v", encErr)
 		}
-		var b wire.Buf
-		b.U32(count)
-		b.B = append(b.B, entries.B...)
-		return b.B, nil
+		return counted(count, entries), nil
 
 	case wire.OpIndexLookup:
 		ib, err := r.Bytes()
@@ -244,11 +236,9 @@ func (c *session) handleRowOp(op wire.Op, r *wire.Reader) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 		}
-		lo, err1 := r.I64()
-		hi, err2 := r.I64()
-		limit, err3 := r.U32()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, wire.ErrBadRequest
+		lo, hi, limit, err := rangeArgs(r)
+		if err != nil {
+			return nil, err
 		}
 		var entries wire.Buf
 		count := uint32(0)
@@ -270,10 +260,7 @@ func (c *session) handleRowOp(op wire.Op, r *wire.Reader) ([]byte, error) {
 		if encErr != nil {
 			return nil, fmt.Errorf("server: encode row: %v", encErr)
 		}
-		var b wire.Buf
-		b.U32(count)
-		b.B = append(b.B, entries.B...)
-		return b.B, nil
+		return counted(count, entries), nil
 	}
 }
 

@@ -26,19 +26,6 @@ import (
 //     construction. Adding a counter is a tagged field plus its fill —
 //     nothing in this file.
 
-// timedOps are the request ops measured into sias_server_op_seconds and
-// eligible for the slow-op log. STATS/SUBSCRIBE/PROMOTE and the catalog
-// control plane (SNAPSHOT, DDL, LIST_TABLES) are not timed.
-var timedOps = [...]wire.Op{
-	wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpGet,
-	wire.OpInsert, wire.OpUpdate, wire.OpDelete, wire.OpScan,
-	wire.OpBeginAt, wire.OpInsertRow, wire.OpGetRow, wire.OpUpdateRow,
-	wire.OpDeleteRow, wire.OpScanTable, wire.OpIndexLookup, wire.OpIndexRange,
-}
-
-// maxOp bounds the opHist lookup array (wire op codes are small and dense).
-const maxOp = 32
-
 // scrape is what one /metrics scrape reads: the STATS snapshot plus the
 // values that are not a field of it. Repl is nil on a primary and Trace
 // without a tracer, so those families then render HELP/TYPE only
@@ -91,7 +78,13 @@ func (s *Server) setupMetrics(reg *obs.Registry, slow *obs.SlowOpLog) {
 	s.slow = slow
 	router := s.cfg.Router
 
-	for _, op := range timedOps {
+	// sias_server_op_seconds measures the ops a transaction is made of; meta
+	// ops and the catalog control plane (SNAPSHOT, DDL, LIST_TABLES) are not
+	// timed.
+	for op := wire.Op(0); int(op) < len(s.opHist); op++ {
+		if !op.Kind().Transactional() {
+			continue
+		}
 		s.opHist[op] = reg.Histogram("sias_server_op_seconds",
 			"Server-side request latency by wire op, admission to reply encode.",
 			obs.DefLatencyBuckets, obs.Labels{"op": op.String()})
@@ -145,7 +138,7 @@ func (s *Server) observeOp(op wire.Op, payload []byte, sp *obs.Span, t0 time.Tim
 	}
 	if s.slow != nil && d >= s.slow.Threshold() {
 		traceID := sp.TraceID()
-		if traceID == 0 && s.tracer != nil && traceable(op) {
+		if traceID == 0 && s.tracer != nil && traced(op.Kind()) {
 			fsp := s.tracer.ForceRootAt(op.String(), t0)
 			fsp.Annotate("slow", "forced")
 			fsp.FinishAt(t0.Add(d))
@@ -156,38 +149,27 @@ func (s *Server) observeOp(op wire.Op, payload []byte, sp *obs.Span, t0 time.Tim
 	}
 }
 
-// slowOpMeta best-effort decodes (shard, txn) for a slow-op record: every
-// data op leads with the transaction handle, and point ops carry the key
-// that pins them to one shard. BEGIN and fan-out ops report shard -1.
+// slowOpMeta best-effort decodes (shard, txn) for a slow-op record from the
+// op's payload shape: a leading transaction handle, and the key that pins a
+// point op to one shard. BEGIN and fan-out ops report shard -1.
 func (s *Server) slowOpMeta(op wire.Op, payload []byte) (shard int, txn uint64) {
 	shard = -1
+	shape := op.Shape()
+	if shape == wire.ShapeNone {
+		return
+	}
 	r := wire.Reader{B: payload}
-	switch op {
-	case wire.OpCommit, wire.OpAbort, wire.OpScan,
-		wire.OpInsertRow, wire.OpUpdateRow, wire.OpScanTable,
-		wire.OpIndexLookup, wire.OpIndexRange:
-		txn, _ = r.U64()
-	case wire.OpGet, wire.OpInsert, wire.OpUpdate, wire.OpDelete:
-		h, err := r.U64()
-		if err != nil {
-			return
-		}
-		txn = h
-		if key, err := r.I64(); err == nil {
-			shard = s.cfg.Router.ShardOf(key)
-		}
-	case wire.OpGetRow, wire.OpDeleteRow:
-		h, err := r.U64()
-		if err != nil {
-			return
-		}
-		txn = h
+	txn, err := r.U64()
+	if err != nil || shape == wire.ShapeHandle || shape == wire.ShapeHandleTable {
+		return
+	}
+	if shape == wire.ShapeHandleTableKey {
 		if _, err := r.Bytes(); err != nil { // table name
 			return
 		}
-		if key, err := r.I64(); err == nil {
-			shard = s.cfg.Router.ShardOf(key)
-		}
+	}
+	if key, err := r.I64(); err == nil {
+		shard = s.cfg.Router.ShardOf(key)
 	}
 	return
 }
@@ -218,15 +200,14 @@ type OpLatency struct {
 // nothing has been observed yet).
 func (s *Server) opLatencies() map[string]OpLatency {
 	var out map[string]OpLatency
-	for _, op := range timedOps {
-		h := s.opHist[op]
+	for op, h := range s.opHist {
 		if h == nil || h.Count() == 0 {
 			continue
 		}
 		if out == nil {
 			out = map[string]OpLatency{}
 		}
-		out[op.String()] = OpLatency{
+		out[wire.Op(op).String()] = OpLatency{
 			Count: h.Count(),
 			P50Ms: h.Quantile(0.50) * 1e3,
 			P95Ms: h.Quantile(0.95) * 1e3,

@@ -75,8 +75,8 @@ type Config struct {
 	// Tracer, when set, records distributed trace spans: every data op
 	// arriving in a TRACE envelope continues its carried trace, bare data ops
 	// are head-sampled server-side, and over-threshold ops are force-kept.
-	// Meta ops (STATS, REPL_LSN, PROMOTE, SUBSCRIBE) are never traced — their
-	// replies must not race the tracer's own counters.
+	// Meta ops (wire.KindMeta) are never traced — their replies must not race
+	// the tracer's own counters.
 	Tracer *obs.Tracer
 }
 
@@ -129,7 +129,7 @@ type Server struct {
 	// Observability (nil/zero when Config.Obs is unset): per-op latency
 	// histograms indexed by wire op code, and the slow-op log. timeOps
 	// gates the time.Now pair in the request loop.
-	opHist  [maxOp]*obs.Histogram
+	opHist  [wire.NumOps]*obs.Histogram
 	slow    *obs.SlowOpLog
 	timeOps bool
 	tracer  *obs.Tracer
@@ -478,9 +478,9 @@ func (c *session) run() {
 			t0 = time.Now()
 		}
 		// Op span: continue a carried trace, or head-sample a bare data op
-		// server-side. Meta ops are never traced (see Config.Tracer).
+		// server-side.
 		var sp *obs.Span
-		if c.srv.tracer != nil && traceable(op) {
+		if c.srv.tracer != nil && traced(op.Kind()) {
 			if !tc.Sampled && c.srv.tracer.Sample() {
 				tc = c.srv.tracer.NewContext()
 			}
@@ -805,52 +805,32 @@ func (s *Server) admit() bool {
 	}
 }
 
-// traceable reports whether op may get a trace span. Meta ops are excluded:
-// their replies carry (or gate) the very counters the tracer bumps, so
-// tracing them would let a span land after the reply's numbers were read —
-// breaking the STATS == /metrics exact-equality invariant at quiescence.
-func traceable(op wire.Op) bool {
-	switch op {
-	case wire.OpStats, wire.OpReplLSN, wire.OpPromote, wire.OpSubscribe:
-		return false
-	}
-	return true
-}
+// traced reports whether ops of kind k get a trace span: every op the
+// protocol declares except the meta ops (see wire.KindMeta for why).
+func traced(k wire.Kind) bool { return k != wire.KindUnknown && k != wire.KindMeta }
 
+// handle gates one request by its kind — admission, drain, follower — and
+// then dispatches it by opcode. The switch at the bottom is the only place
+// in the server that names individual ops.
 func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, error) {
 	srv := c.srv
-	draining := srv.draining.Load()
+	kind := op.Kind()
+	if kind == wire.KindUnknown {
+		// ERR_BAD_OP (wire.CodeBadOp) on the same connection — a protocol
+		// error, never a dropped session.
+		return nil, fmt.Errorf("%w: %s", wire.ErrBadRequest, op)
+	}
 	// Handle 0 names the transaction of the most recent BEGIN on this
 	// connection. Forgetting it as soon as the next BEGIN arrives — before
 	// drain or admission can refuse that BEGIN — is what keeps an operation
 	// pipelined behind a refused BEGIN out of an older transaction.
-	if op == wire.OpBegin || op == wire.OpBeginAt {
+	if kind == wire.KindBegin {
 		c.lastBegun = 0
 	}
-
-	// STATS is exempt from admission control so monitoring stays
-	// responsive under overload and during drain. PROMOTE is exempt too:
-	// it must get through exactly when a follower is being failed over.
-	// REPL_LSN is exempt because read routing probes it before every routed
-	// read — it must answer fast and must not consume data-op slots.
-	if op == wire.OpStats {
-		return c.handleStats()
-	}
-	if op == wire.OpReplLSN {
-		return c.handleReplLSN()
-	}
-	if op == wire.OpPromote {
-		if srv.cfg.Replica == nil {
-			return nil, fmt.Errorf("%w: PROMOTE on a non-follower", wire.ErrBadRequest)
-		}
-		return nil, srv.cfg.Replica.Promote()
-	}
-	// Drain refuses new work: transactions (BEGIN/BEGIN_AT) and auto-commit
-	// DDL. Ops on already-open transactions complete during the drain window.
-	if draining {
-		switch op {
-		case wire.OpBegin, wire.OpBeginAt,
-			wire.OpCreateTable, wire.OpDropTable, wire.OpCreateIndex, wire.OpDropIndex:
+	if kind != wire.KindMeta { // meta ops pass every gate: see wire.KindMeta
+		// Drain refuses new work: transactions and auto-commit DDL. Ops on
+		// already-open transactions complete during the drain window.
+		if (kind == wire.KindBegin || kind == wire.KindDDL) && srv.draining.Load() {
 			srv.drainRejected.Add(1)
 			if addr := srv.followerAddr(); addr != "" {
 				// Drain handoff: tell the client where to go instead.
@@ -858,42 +838,57 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 			}
 			return nil, wire.ErrShuttingDown
 		}
-	}
-	if !srv.admit() {
-		return nil, wire.ErrOverloaded
-	}
-	defer func() { <-srv.sem }()
-	srv.requests.Add(1)
-
-	// Follower gating: before promotion, writes are rejected outright, a
-	// BEGIN first folds everything applied so far into the read snapshot,
-	// and data ops exclude concurrent replay (shared lock; replay holds it
-	// exclusively batch by batch).
-	if rep := srv.cfg.Replica; rep != nil && !rep.Promoted() {
-		switch op {
-		case wire.OpInsert, wire.OpUpdate, wire.OpDelete,
-			wire.OpInsertRow, wire.OpUpdateRow, wire.OpDeleteRow,
-			wire.OpCreateTable, wire.OpDropTable, wire.OpCreateIndex, wire.OpDropIndex:
-			return nil, engine.ErrReadOnly
-		case wire.OpBegin, wire.OpBeginAt, wire.OpSnapshot:
-			if err := rep.Refresh(); err != nil {
-				return nil, err
-			}
+		if !srv.admit() {
+			return nil, wire.ErrOverloaded
 		}
-		rep.DataRLock()
-		defer rep.DataRUnlock()
+		defer func() { <-srv.sem }()
+		srv.requests.Add(1)
+
+		// Follower gating: before promotion, writes are rejected outright,
+		// an op that takes a new view of the data (a BEGIN, a control read)
+		// first folds everything applied so far into the read snapshot, and
+		// every op excludes concurrent replay (shared lock; replay holds it
+		// exclusively batch by batch).
+		if rep := srv.cfg.Replica; rep != nil && !rep.Promoted() {
+			switch kind {
+			case wire.KindWrite, wire.KindDDL:
+				return nil, engine.ErrReadOnly
+			case wire.KindBegin, wire.KindControl:
+				if err := rep.Refresh(); err != nil {
+					return nil, err
+				}
+			}
+			rep.DataRLock()
+			defer rep.DataRUnlock()
+		}
 	}
 
 	r := wire.Reader{B: payload}
+	var h uint64
+	var tx *shard.Txn
+	if op.Shape() != wire.ShapeNone {
+		var err error
+		if h, tx, err = c.lookup(&r); err != nil {
+			return nil, err
+		}
+	}
 	switch op {
+	case wire.OpStats:
+		return c.handleStats()
+
+	case wire.OpReplLSN:
+		return c.handleReplLSN()
+
+	case wire.OpPromote:
+		if srv.cfg.Replica == nil {
+			return nil, fmt.Errorf("%w: PROMOTE on a non-follower", wire.ErrBadRequest)
+		}
+		return nil, srv.cfg.Replica.Promote()
+
 	case wire.OpBegin:
 		return c.open(srv.cfg.Router.Begin()), nil
 
 	case wire.OpCommit, wire.OpAbort:
-		h, tx, err := c.lookup(&r)
-		if err != nil {
-			return nil, err
-		}
 		delete(c.txs, h)
 		srv.openTxns.Add(-1)
 		if op == wire.OpCommit {
@@ -912,7 +907,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		return nil, tx.Abort()
 
 	case wire.OpGet:
-		tx, key, _, err := c.keyArgs(&r, false)
+		key, _, err := keyArgs(&r, false)
 		if err != nil {
 			return nil, err
 		}
@@ -926,14 +921,14 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		return b.B, nil
 
 	case wire.OpInsert:
-		tx, key, val, err := c.keyArgs(&r, true)
+		key, val, err := keyArgs(&r, true)
 		if err != nil {
 			return nil, err
 		}
 		return nil, tx.Insert(c.row(key, val))
 
 	case wire.OpUpdate:
-		tx, key, val, err := c.keyArgs(&r, true)
+		key, val, err := keyArgs(&r, true)
 		if err != nil {
 			return nil, err
 		}
@@ -944,22 +939,16 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		})
 
 	case wire.OpDelete:
-		tx, key, _, err := c.keyArgs(&r, false)
+		key, _, err := keyArgs(&r, false)
 		if err != nil {
 			return nil, err
 		}
 		return nil, tx.Delete(key)
 
 	case wire.OpScan:
-		tx, err := c.tx(&r)
+		lo, hi, limit, err := rangeArgs(&r)
 		if err != nil {
 			return nil, err
-		}
-		lo, err1 := r.I64()
-		hi, err2 := r.I64()
-		limit, err3 := r.U32()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, wire.ErrBadRequest
 		}
 		var entries wire.Buf
 		count := uint32(0)
@@ -974,10 +963,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		var b wire.Buf
-		b.U32(count)
-		b.B = append(b.B, entries.B...)
-		return b.B, nil
+		return counted(count, entries), nil
 
 	case wire.OpSnapshot:
 		return c.handleSnapshot()
@@ -990,13 +976,14 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 
 	case wire.OpInsertRow, wire.OpGetRow, wire.OpUpdateRow, wire.OpDeleteRow,
 		wire.OpScanTable, wire.OpIndexLookup, wire.OpIndexRange:
-		return c.handleRowOp(op, &r)
+		return c.handleRowOp(op, tx, &r)
 
 	case wire.OpListTables:
 		return c.handleListTables()
 	}
-	// Unknown opcode: answer ERR_BAD_OP (wire.CodeBadOp) on the same
-	// connection — a protocol error, never a dropped session.
+	// A declared op with no case: SUBSCRIBE and TRACE are peeled off by the
+	// request loop, so here they can only have arrived inside a TRACE
+	// envelope's envelope.
 	return nil, fmt.Errorf("%w: %s", wire.ErrBadRequest, op)
 }
 
@@ -1058,29 +1045,34 @@ func (c *session) lookup(r *wire.Reader) (uint64, *shard.Txn, error) {
 	return h, tx, nil
 }
 
-// tx decodes a handle and resolves it to a live transaction.
-func (c *session) tx(r *wire.Reader) (*shard.Txn, error) {
-	_, tx, err := c.lookup(r)
-	return tx, err
+// keyArgs decodes the (key[, val]) that follows the handle of a kv request.
+func keyArgs(r *wire.Reader, withVal bool) (key int64, val []byte, err error) {
+	if key, err = r.I64(); err == nil && withVal {
+		val, err = r.Bytes()
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
+	}
+	return key, val, nil
 }
 
-// keyArgs decodes (handle, key[, val]) request payloads.
-func (c *session) keyArgs(r *wire.Reader, withVal bool) (*shard.Txn, int64, []byte, error) {
-	tx, err := c.tx(r)
-	if err != nil {
-		return nil, 0, nil, err
+// rangeArgs decodes the (lo, hi, limit) tail every range request ends with.
+func rangeArgs(r *wire.Reader) (lo, hi int64, limit uint32, err error) {
+	lo, err1 := r.I64()
+	hi, err2 := r.I64()
+	limit, err3 := r.U32()
+	if err1 != nil || err2 != nil || err3 != nil {
+		return 0, 0, 0, wire.ErrBadRequest
 	}
-	key, err := r.I64()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-	}
-	var val []byte
-	if withVal {
-		if val, err = r.Bytes(); err != nil {
-			return nil, 0, nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-		}
-	}
-	return tx, key, val, nil
+	return lo, hi, limit, nil
+}
+
+// counted frames a range reply: the entry count, then the entries.
+func counted(count uint32, entries wire.Buf) []byte {
+	var b wire.Buf
+	b.U32(count)
+	b.B = append(b.B, entries.B...)
+	return b.B
 }
 
 // row assembles a table row for key/val in schema column order.

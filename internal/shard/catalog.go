@@ -108,98 +108,6 @@ func (r *Router) BeginAt(tokens []uint64) (*Txn, error) {
 // AsOf reports whether the transaction is a pinned AS OF snapshot.
 func (t *Txn) AsOf() bool { return t.asOf }
 
-// table resolves the named table on shard i.
-func (t *Txn) table(i int, name string) (*engine.Table, error) {
-	tab := t.r.shards[i].Facade.DB().Table(name)
-	if tab == nil {
-		return nil, fmt.Errorf("%w: %s", engine.ErrNoTable, name)
-	}
-	return tab, nil
-}
-
-// InsertRow stores row in the named table under its primary key's shard.
-func (t *Txn) InsertRow(table string, row tuple.Row) error {
-	if err := t.writable(); err != nil {
-		return err
-	}
-	meta, err := t.table(0, table)
-	if err != nil {
-		return err
-	}
-	i := t.r.ShardOf(meta.Key(row))
-	tab, err := t.table(i, table)
-	if err != nil {
-		return err
-	}
-	return t.r.shards[i].Facade.Insert(tab, t.at(i), row)
-}
-
-// GetRow returns the visible row of key in the named table.
-func (t *Txn) GetRow(table string, key int64) (tuple.Row, error) {
-	if t.done {
-		return nil, ErrFinished
-	}
-	i := t.r.ShardOf(key)
-	tab, err := t.table(i, table)
-	if err != nil {
-		return nil, err
-	}
-	return t.r.shards[i].Facade.Get(tab, t.at(i), key)
-}
-
-// UpdateRow replaces the visible row sharing row's primary key (full-row
-// replace; the wire protocol has no partial update).
-func (t *Txn) UpdateRow(table string, row tuple.Row) error {
-	if err := t.writable(); err != nil {
-		return err
-	}
-	meta, err := t.table(0, table)
-	if err != nil {
-		return err
-	}
-	key := meta.Key(row)
-	i := t.r.ShardOf(key)
-	tab, err := t.table(i, table)
-	if err != nil {
-		return err
-	}
-	return t.r.shards[i].Facade.Update(tab, t.at(i), key, func(tuple.Row) (tuple.Row, error) {
-		return row, nil
-	})
-}
-
-// DeleteRow removes the row of key in the named table.
-func (t *Txn) DeleteRow(table string, key int64) error {
-	if err := t.writable(); err != nil {
-		return err
-	}
-	i := t.r.ShardOf(key)
-	tab, err := t.table(i, table)
-	if err != nil {
-		return err
-	}
-	return t.r.shards[i].Facade.Delete(tab, t.at(i), key)
-}
-
-// ScanTable visits visible rows of the named table with lo <= primary key <=
-// hi in global key order (k-way merge across shards, like Range).
-func (t *Txn) ScanTable(table string, lo, hi int64, fn func(tuple.Row) bool) error {
-	meta, err := t.table(0, table)
-	if err != nil {
-		if t.done {
-			return ErrFinished
-		}
-		return err
-	}
-	return t.fanMerge(t.named(table),
-		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
-			return t.r.shards[i].Facade.RangeByKey(tab, sub, lo, hi, func(row tuple.Row) bool {
-				return emit(meta.Key(row), 0, row)
-			})
-		},
-		func(_ int64, row tuple.Row) bool { return fn(row) })
-}
-
 // IndexLookup returns visible rows of the named table whose indexed column
 // equals key, gathered from every shard and ordered by primary key for
 // determinism.
@@ -208,6 +116,7 @@ func (t *Txn) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
 		return nil, ErrFinished
 	}
 	n := t.r.N()
+	of := t.named(table)
 	type res struct {
 		rows []tuple.Row
 		err  error
@@ -215,7 +124,7 @@ func (t *Txn) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
 	results := make([]res, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		tab, err := t.table(i, table)
+		tab, err := of(i)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +148,7 @@ func (t *Txn) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
 		}
 		out = append(out, r.rows...)
 	}
-	meta, _ := t.table(0, table)
+	meta, _ := of(0)
 	sort.Slice(out, func(a, b int) bool { return meta.Key(out[a]) < meta.Key(out[b]) })
 	return out, nil
 }
@@ -250,8 +159,9 @@ func (t *Txn) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
 func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) error {
 	// Resolve the index position up front so an unknown index reports
 	// cleanly instead of from inside a producer.
+	of := t.named(table)
 	if !t.done {
-		tab, err := t.table(0, table)
+		tab, err := of(0)
 		if err != nil {
 			return err
 		}
@@ -259,7 +169,7 @@ func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int
 			return err
 		}
 	}
-	return t.fanMerge(t.named(table),
+	return t.fanMerge(of,
 		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
 			idx, err := tab.SecondaryIndex(index)
 			if err != nil {
@@ -270,11 +180,6 @@ func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int
 			})
 		},
 		fn)
-}
-
-// named resolves a catalog table per shard for fanMerge.
-func (t *Txn) named(table string) func(int) (*engine.Table, error) {
-	return func(i int) (*engine.Table, error) { return t.table(i, table) }
 }
 
 // mergeEnt is one heap entry of the k-way merge.
@@ -300,11 +205,11 @@ func (h *entHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 
 // fanMerge is the router's one k-way merge: one sorted producer per shard
 // streams into a bounded channel and a heap merges them in (sortKey, shard)
-// order — key ranges (Range, ScanTable) and index scans alike. tableOf names
-// the table each shard scans. Early exit from fn tears the producers down
-// through the done channel.
+// order — key ranges (scan) and index scans alike. of names the table each
+// shard scans. Early exit from fn tears the producers down through the done
+// channel.
 func (t *Txn) fanMerge(
-	tableOf func(shard int) (*engine.Table, error),
+	of tableOf,
 	run func(i int, tab *engine.Table, sub *txn.Tx, emit func(sortKey, ikey int64, row tuple.Row) bool) error,
 	fn func(ikey int64, row tuple.Row) bool,
 ) error {
@@ -313,7 +218,7 @@ func (t *Txn) fanMerge(
 	}
 	n := t.r.N()
 	if n == 1 {
-		tab, err := tableOf(0)
+		tab, err := of(0)
 		if err != nil {
 			return err
 		}
@@ -332,7 +237,7 @@ func (t *Txn) fanMerge(
 	defer wg.Wait()
 	defer close(done)
 	for i := 0; i < n; i++ {
-		tab, err := tableOf(i)
+		tab, err := of(i)
 		if err != nil {
 			// Producers already started stream into buffered channels and
 			// stop at the done close in the deferred teardown.

@@ -47,7 +47,6 @@ import (
 
 	"sias/internal/engine"
 	"sias/internal/obs"
-	"sias/internal/simclock"
 	"sias/internal/tuple"
 	"sias/internal/txn"
 )
@@ -277,8 +276,8 @@ var ErrFinished = errors.New("shard: transaction already finished")
 // invisible, locks held); callers must not assume either outcome.
 var ErrInDoubt = errors.New("shard: cross-shard commit outcome in doubt")
 
-// writable is the one gate every write op of both families (kv and row)
-// passes: a finished transaction and a pinned AS OF snapshot take no writes.
+// writable is the one gate every write passes: a finished transaction and a
+// pinned AS OF snapshot take no writes.
 func (t *Txn) writable() error {
 	if t.done {
 		return ErrFinished
@@ -289,44 +288,115 @@ func (t *Txn) writable() error {
 	return nil
 }
 
+// tableOf says how an operation finds its table on a shard. Every operation
+// of a Txn has one body, parameterised by this: the kv methods bind it to the
+// shard's served table (Router.served — no catalog lookup, no lock), the row
+// methods to a catalog name (Txn.named).
+type tableOf func(shard int) (*engine.Table, error)
+
+// served is the tableOf of the kv methods: Shard.Table.
+func (r *Router) served(i int) (*engine.Table, error) { return r.shards[i].Table, nil }
+
+// named is the tableOf of the row methods: the catalog table called name.
+func (t *Txn) named(name string) tableOf {
+	return func(i int) (*engine.Table, error) {
+		tab := t.r.shards[i].Facade.DB().Table(name)
+		if tab == nil {
+			return nil, fmt.Errorf("%w: %s", engine.ErrNoTable, name)
+		}
+		return tab, nil
+	}
+}
+
 // Get returns the visible row of key.
-func (t *Txn) Get(key int64) (tuple.Row, error) {
+func (t *Txn) Get(key int64) (tuple.Row, error) { return t.get(t.r.served, key) }
+
+// GetRow returns the visible row of key in the named table.
+func (t *Txn) GetRow(table string, key int64) (tuple.Row, error) { return t.get(t.named(table), key) }
+
+func (t *Txn) get(of tableOf, key int64) (tuple.Row, error) {
 	if t.done {
 		return nil, ErrFinished
 	}
 	i := t.r.ShardOf(key)
-	s := t.r.shards[i]
-	return s.Facade.Get(s.Table, t.at(i), key)
+	tab, err := of(i)
+	if err != nil {
+		return nil, err
+	}
+	return t.r.shards[i].Facade.Get(tab, t.at(i), key)
 }
 
 // Insert stores row under its primary key's shard.
-func (t *Txn) Insert(row tuple.Row) error {
+func (t *Txn) Insert(row tuple.Row) error { return t.insert(t.r.served, row) }
+
+// InsertRow stores row in the named table under its primary key's shard.
+func (t *Txn) InsertRow(table string, row tuple.Row) error { return t.insert(t.named(table), row) }
+
+// insert routes by the row's primary key. Catalogs are identical across
+// shards by construction, so shard 0's table reads the key.
+func (t *Txn) insert(of tableOf, row tuple.Row) error {
 	if err := t.writable(); err != nil {
 		return err
 	}
-	i := t.r.ShardOf(t.r.shards[0].Table.Key(row))
-	s := t.r.shards[i]
-	return s.Facade.Insert(s.Table, t.at(i), row)
+	meta, err := of(0)
+	if err != nil {
+		return err
+	}
+	i := t.r.ShardOf(meta.Key(row))
+	tab, err := of(i)
+	if err != nil {
+		return err
+	}
+	return t.r.shards[i].Facade.Insert(tab, t.at(i), row)
 }
 
 // Update applies mutate to the visible row of key.
 func (t *Txn) Update(key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
+	return t.update(t.r.served, key, mutate)
+}
+
+// UpdateRow replaces the visible row sharing row's primary key (full-row
+// replace; the wire protocol has no partial update).
+func (t *Txn) UpdateRow(table string, row tuple.Row) error {
+	of := t.named(table)
+	if err := t.writable(); err != nil {
+		return err
+	}
+	meta, err := of(0)
+	if err != nil {
+		return err
+	}
+	return t.update(of, meta.Key(row), func(tuple.Row) (tuple.Row, error) { return row, nil })
+}
+
+func (t *Txn) update(of tableOf, key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
 	if err := t.writable(); err != nil {
 		return err
 	}
 	i := t.r.ShardOf(key)
-	s := t.r.shards[i]
-	return s.Facade.Update(s.Table, t.at(i), key, mutate)
+	tab, err := of(i)
+	if err != nil {
+		return err
+	}
+	return t.r.shards[i].Facade.Update(tab, t.at(i), key, mutate)
 }
 
 // Delete removes the row of key.
-func (t *Txn) Delete(key int64) error {
+func (t *Txn) Delete(key int64) error { return t.delete(t.r.served, key) }
+
+// DeleteRow removes the row of key in the named table.
+func (t *Txn) DeleteRow(table string, key int64) error { return t.delete(t.named(table), key) }
+
+func (t *Txn) delete(of tableOf, key int64) error {
 	if err := t.writable(); err != nil {
 		return err
 	}
 	i := t.r.ShardOf(key)
-	s := t.r.shards[i]
-	return s.Facade.Delete(s.Table, t.at(i), key)
+	tab, err := of(i)
+	if err != nil {
+		return err
+	}
+	return t.r.shards[i].Facade.Delete(tab, t.at(i), key)
 }
 
 // Commit ends the transaction with the log I/O its outcome needs and no
@@ -530,7 +600,7 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 			// must be durable for the mid-outcome scenario to actually
 			// exercise a partially-outcome-logged log set, so force it
 			// before dying.
-			crashpoint(crashMidOutcome, func() error { return flushFacadeWAL(f) })
+			crashpoint(crashMidOutcome, f.FlushWAL)
 		}
 	}
 	// Force the outcome records in one parallel round before returning.
@@ -545,7 +615,7 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	// outcome records eventually reach the device.
 	ferrs := make([]error, len(others))
 	parallel(len(others), func(j int) {
-		ferrs[j] = flushFacadeWAL(r.shards[others[j]].Facade)
+		ferrs[j] = r.shards[others[j]].Facade.FlushWAL()
 	})
 	osp.Finish()
 	for j, err := range ferrs {
@@ -555,16 +625,6 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	}
 	r.twopcCommits.Add(1)
 	return first
-}
-
-// flushFacadeWAL forces a shard's entire pending log to the device. The
-// commit path uses it to make outcome records durable before acknowledging;
-// the mid-outcome crash hook uses it to pin the partially-logged state.
-func flushFacadeWAL(f *engine.Facade) error {
-	db := f.DB()
-	return f.Advance(func(at simclock.Time) (simclock.Time, error) {
-		return db.WAL().Flush(at, db.WAL().NextLSN())
-	})
 }
 
 // Abort rolls every touched shard back.
@@ -586,24 +646,34 @@ func (t *Txn) Abort() error {
 }
 
 // Range visits visible rows with lo <= primary key <= hi in global key
-// order, stopping when fn returns false. With one shard it is a plain
-// engine range; with N it is fanMerge over the router's own table, so rows
+// order, stopping when fn returns false.
+func (t *Txn) Range(lo, hi int64, fn func(tuple.Row) bool) error {
+	return t.scan(t.r.served, lo, hi, fn)
+}
+
+// ScanTable is Range over the named table.
+func (t *Txn) ScanTable(table string, lo, hi int64, fn func(tuple.Row) bool) error {
+	return t.scan(t.named(table), lo, hi, fn)
+}
+
+// scan: with one shard a plain engine range; with N, fanMerge, so rows
 // surface in exactly the order a single engine would produce and early
 // termination (LIMIT) cancels the producers instead of draining them.
-func (t *Txn) Range(lo, hi int64, fn func(tuple.Row) bool) error {
+func (t *Txn) scan(of tableOf, lo, hi int64, fn func(tuple.Row) bool) error {
 	if t.done {
 		return ErrFinished
 	}
-	if t.r.N() == 1 {
-		s := t.r.shards[0]
-		return s.Facade.RangeByKey(s.Table, t.at(0), lo, hi, fn)
+	meta, err := of(0)
+	if err != nil {
+		return err
 	}
-	keyOf := t.r.shards[0].Table.Key
-	return t.fanMerge(
-		func(i int) (*engine.Table, error) { return t.r.shards[i].Table, nil },
+	if t.r.N() == 1 {
+		return t.r.shards[0].Facade.RangeByKey(meta, t.at(0), lo, hi, fn)
+	}
+	return t.fanMerge(of,
 		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
 			return t.r.shards[i].Facade.RangeByKey(tab, sub, lo, hi, func(row tuple.Row) bool {
-				return emit(keyOf(row), 0, row)
+				return emit(meta.Key(row), 0, row)
 			})
 		},
 		func(_ int64, row tuple.Row) bool { return fn(row) })

@@ -2,12 +2,7 @@ package wire
 
 import (
 	"errors"
-	"fmt"
 	"strings"
-
-	"sias/internal/catalog"
-	"sias/internal/engine"
-	"sias/internal/txn"
 )
 
 // Protocol-level sentinel errors. The server returns these to tag
@@ -27,83 +22,6 @@ var (
 	// ErrBadRequest is returned for malformed frames and unknown opcodes.
 	ErrBadRequest = errors.New("wire: bad request")
 )
-
-// CodeOf maps an error to its stable wire code. The mapping is total over
-// the exported sentinel errors of the engine, txn and wire packages (a test
-// asserts this); anything unrecognized is CodeInternal.
-func CodeOf(err error) Code {
-	switch {
-	case err == nil:
-		return CodeOK
-	case errors.Is(err, engine.ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, txn.ErrSerialization):
-		return CodeConflict
-	case errors.Is(err, txn.ErrLockTimeout):
-		return CodeLockTimeout
-	case errors.Is(err, txn.ErrFinished):
-		return CodeTxFinished
-	case errors.Is(err, ErrUnknownTx):
-		return CodeUnknownTx
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrShuttingDown):
-		return CodeShuttingDown
-	case errors.Is(err, engine.ErrReadOnly):
-		return CodeReadOnly
-	case errors.Is(err, engine.ErrExists):
-		return CodeExists
-	case errors.Is(err, engine.ErrNoTable):
-		return CodeNoTable
-	case errors.Is(err, engine.ErrNoIndex):
-		return CodeNoIndex
-	case errors.Is(err, catalog.ErrBadName), errors.Is(err, ErrBadRequest),
-		errors.Is(err, ErrTruncated), errors.Is(err, ErrFrameTooLarge):
-		return CodeBadRequest
-	}
-	return CodeInternal
-}
-
-// ErrOf rehydrates a wire code into the sentinel it encodes, wrapped with
-// the server-provided message. errors.Is against the sentinel holds on the
-// result, so client callers handle remote failures exactly like local ones.
-func ErrOf(code Code, msg string) error {
-	var base error
-	switch code {
-	case CodeOK:
-		return nil
-	case CodeNotFound:
-		base = engine.ErrNotFound
-	case CodeConflict:
-		base = txn.ErrSerialization
-	case CodeLockTimeout:
-		base = txn.ErrLockTimeout
-	case CodeTxFinished:
-		base = txn.ErrFinished
-	case CodeUnknownTx:
-		base = ErrUnknownTx
-	case CodeOverloaded:
-		base = ErrOverloaded
-	case CodeShuttingDown:
-		base = ErrShuttingDown
-	case CodeReadOnly:
-		base = engine.ErrReadOnly
-	case CodeExists:
-		base = engine.ErrExists
-	case CodeNoTable:
-		base = engine.ErrNoTable
-	case CodeNoIndex:
-		base = engine.ErrNoIndex
-	case CodeBadRequest:
-		base = ErrBadRequest
-	default:
-		return fmt.Errorf("wire: remote error %s: %s", code, msg)
-	}
-	if msg == "" {
-		return base
-	}
-	return fmt.Errorf("%w: %s", base, msg)
-}
 
 // FailoverAddr extracts the follower address a draining primary embeds in
 // its SHUTTING_DOWN message ("...; failover=<addr>"). Empty when err is not

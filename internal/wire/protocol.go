@@ -1,8 +1,15 @@
 // Authoritative operation and error-code table for the SIAS wire protocol.
-// This file is the single source of truth: every request opcode and every
-// response code the server and client speak is defined here, with its payload
-// contract. wire.go holds the framing and primitive codecs; errors.go maps
-// codes to Go sentinel errors.
+// This file is the single source of truth: every request opcode is declared
+// once, as a row of the ops table below (name, Kind, payload Shape), and
+// every response code once, as a row of the codes table (name, the Go
+// sentinel it carries). The String methods, CodeOf and ErrOf are lookups
+// over those tables, and whatever the server or the client decides about a
+// request before dispatching it — traced, timed, admitted, refused during a
+// drain or on a follower, counted as a write — is a test of its Kind or
+// Shape, never a list of opcodes. The comment tables here keep the payload
+// contracts, which code cannot state; an op's kind is what its ops row says.
+// wire.go holds the framing and primitive codecs; errors.go the wire-level
+// sentinels.
 //
 // Requests (Op, frame tag of a request):
 //
@@ -94,7 +101,14 @@
 // error, not a transport failure.
 package wire
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"sias/internal/catalog"
+	"sias/internal/engine"
+	"sias/internal/txn"
+)
 
 // Op enumerates request frame tags.
 type Op uint8
@@ -155,62 +169,107 @@ const (
 	OpTrace Op = 27
 )
 
+// Kind says what sort of request an opcode is. The kinds are ordered: from
+// KindBegin up, an op opens a transaction, runs inside one or ends one.
+type Kind uint8
+
+// Request kinds.
+const (
+	KindUnknown Kind = iota // not an opcode of this protocol: BAD_REQUEST
+	// KindMeta ops ask about or steer the server itself. They bypass
+	// admission, drain and follower gating: STATS keeps monitoring responsive
+	// under overload and during a drain, PROMOTE must get through exactly
+	// when a follower is being failed over, and REPL_LSN is probed before
+	// every routed read, so it must answer fast and not consume data-op
+	// slots. They are never traced: their replies carry (or gate) the very
+	// counters the tracer bumps, so a span landing after the reply's numbers
+	// were read would break the STATS == /metrics equality at quiescence.
+	KindMeta
+	KindControl // reads server-wide state outside any transaction
+	KindDDL     // auto-committed catalog change: new work, and a write
+	KindBegin   // opens a transaction; what handle 0 stands for afterwards
+	KindEnd     // finishes the transaction its handle names
+	KindRead    // reads inside a transaction
+	KindWrite   // writes inside a transaction
+)
+
+// Transactional reports whether ops of this kind open, run inside or end a
+// transaction — the ops whose latency a client feels per transaction.
+func (k Kind) Transactional() bool { return k >= KindBegin }
+
+// Shape is how a request payload starts — as much of it as can be decoded
+// without knowing the op: the transaction handle, the table name, and the
+// primary key that pins the request to one shard.
+type Shape uint8
+
+// Payload shapes.
+const (
+	ShapeNone           Shape = iota // no leading handle
+	ShapeHandle                      // handle u64, ...
+	ShapeHandleKey                   // handle u64, key i64, ...
+	ShapeHandleTable                 // handle u64, table bytes, ...
+	ShapeHandleTableKey              // handle u64, table bytes, key i64, ...
+)
+
+// ops declares every opcode once, indexed by value. Adding an opcode is one
+// row here plus its case in the server's dispatch.
+var ops = [...]struct {
+	name  string
+	kind  Kind
+	shape Shape
+}{
+	OpBegin:       {"BEGIN", KindBegin, ShapeNone},
+	OpCommit:      {"COMMIT", KindEnd, ShapeHandle},
+	OpAbort:       {"ABORT", KindEnd, ShapeHandle},
+	OpGet:         {"GET", KindRead, ShapeHandleKey},
+	OpInsert:      {"INSERT", KindWrite, ShapeHandleKey},
+	OpUpdate:      {"UPDATE", KindWrite, ShapeHandleKey},
+	OpDelete:      {"DELETE", KindWrite, ShapeHandleKey},
+	OpScan:        {"SCAN", KindRead, ShapeHandle},
+	OpStats:       {"STATS", KindMeta, ShapeNone},
+	OpSubscribe:   {"SUBSCRIBE", KindMeta, ShapeNone},
+	OpPromote:     {"PROMOTE", KindMeta, ShapeNone},
+	OpSnapshot:    {"SNAPSHOT", KindControl, ShapeNone},
+	OpBeginAt:     {"BEGIN_AT", KindBegin, ShapeNone},
+	OpCreateTable: {"CREATE_TABLE", KindDDL, ShapeNone},
+	OpDropTable:   {"DROP_TABLE", KindDDL, ShapeNone},
+	OpCreateIndex: {"CREATE_INDEX", KindDDL, ShapeNone},
+	OpDropIndex:   {"DROP_INDEX", KindDDL, ShapeNone},
+	OpInsertRow:   {"INSERT_ROW", KindWrite, ShapeHandleTable},
+	OpGetRow:      {"GET_ROW", KindRead, ShapeHandleTableKey},
+	OpUpdateRow:   {"UPDATE_ROW", KindWrite, ShapeHandleTable},
+	OpDeleteRow:   {"DELETE_ROW", KindWrite, ShapeHandleTableKey},
+	OpScanTable:   {"SCAN_TABLE", KindRead, ShapeHandleTable},
+	OpIndexLookup: {"INDEX_LOOKUP", KindRead, ShapeHandleTable},
+	OpIndexRange:  {"INDEX_RANGE", KindRead, ShapeHandleTable},
+	OpListTables:  {"LIST_TABLES", KindControl, ShapeNone},
+	OpReplLSN:     {"REPL_LSN", KindMeta, ShapeNone},
+	OpTrace:       {"TRACE", KindMeta, ShapeNone},
+}
+
+// NumOps bounds the opcode space: every declared opcode is below it.
+const NumOps = len(ops)
+
+// Kind returns what sort of request o is; KindUnknown for a value the
+// protocol does not declare.
+func (o Op) Kind() Kind {
+	if int(o) < len(ops) {
+		return ops[o].kind
+	}
+	return KindUnknown
+}
+
+// Shape returns how o's payload starts.
+func (o Op) Shape() Shape {
+	if int(o) < len(ops) {
+		return ops[o].shape
+	}
+	return ShapeNone
+}
+
 func (o Op) String() string {
-	switch o {
-	case OpBegin:
-		return "BEGIN"
-	case OpCommit:
-		return "COMMIT"
-	case OpAbort:
-		return "ABORT"
-	case OpGet:
-		return "GET"
-	case OpInsert:
-		return "INSERT"
-	case OpUpdate:
-		return "UPDATE"
-	case OpDelete:
-		return "DELETE"
-	case OpScan:
-		return "SCAN"
-	case OpStats:
-		return "STATS"
-	case OpSubscribe:
-		return "SUBSCRIBE"
-	case OpPromote:
-		return "PROMOTE"
-	case OpSnapshot:
-		return "SNAPSHOT"
-	case OpBeginAt:
-		return "BEGIN_AT"
-	case OpCreateTable:
-		return "CREATE_TABLE"
-	case OpDropTable:
-		return "DROP_TABLE"
-	case OpCreateIndex:
-		return "CREATE_INDEX"
-	case OpDropIndex:
-		return "DROP_INDEX"
-	case OpInsertRow:
-		return "INSERT_ROW"
-	case OpGetRow:
-		return "GET_ROW"
-	case OpUpdateRow:
-		return "UPDATE_ROW"
-	case OpDeleteRow:
-		return "DELETE_ROW"
-	case OpScanTable:
-		return "SCAN_TABLE"
-	case OpIndexLookup:
-		return "INDEX_LOOKUP"
-	case OpIndexRange:
-		return "INDEX_RANGE"
-	case OpListTables:
-		return "LIST_TABLES"
-	case OpReplLSN:
-		return "REPL_LSN"
-	case OpTrace:
-		return "TRACE"
+	if o.Kind() != KindUnknown {
+		return ops[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -251,38 +310,72 @@ const (
 // request, answered on the same connection rather than by dropping it.
 const CodeBadOp = CodeBadRequest
 
+// codes declares every response code once, indexed by value: its name and
+// the sentinel error it carries across the network (nil for codes that carry
+// none: success, INTERNAL, and the LOG_BATCH stream tag). also lists errors
+// that travel under the same code without a code of their own.
+var codes = [...]struct {
+	name string
+	err  error
+	also []error
+}{
+	CodeOK:           {name: "OK"},
+	CodeNotFound:     {name: "NOT_FOUND", err: engine.ErrNotFound},
+	CodeConflict:     {name: "CONFLICT", err: txn.ErrSerialization},
+	CodeLockTimeout:  {name: "LOCK_TIMEOUT", err: txn.ErrLockTimeout},
+	CodeTxFinished:   {name: "TX_FINISHED", err: txn.ErrFinished},
+	CodeUnknownTx:    {name: "UNKNOWN_TX", err: ErrUnknownTx},
+	CodeOverloaded:   {name: "OVERLOADED", err: ErrOverloaded},
+	CodeShuttingDown: {name: "SHUTTING_DOWN", err: ErrShuttingDown},
+	CodeBadRequest: {name: "BAD_REQUEST", err: ErrBadRequest,
+		also: []error{catalog.ErrBadName, ErrTruncated, ErrFrameTooLarge}},
+	CodeInternal: {name: "INTERNAL"},
+	CodeLogBatch: {name: "LOG_BATCH"},
+	CodeReadOnly: {name: "READ_ONLY", err: engine.ErrReadOnly},
+	CodeExists:   {name: "EXISTS", err: engine.ErrExists},
+	CodeNoTable:  {name: "NO_TABLE", err: engine.ErrNoTable},
+	CodeNoIndex:  {name: "NO_INDEX", err: engine.ErrNoIndex},
+}
+
 func (c Code) String() string {
-	switch c {
-	case CodeOK:
-		return "OK"
-	case CodeNotFound:
-		return "NOT_FOUND"
-	case CodeConflict:
-		return "CONFLICT"
-	case CodeLockTimeout:
-		return "LOCK_TIMEOUT"
-	case CodeTxFinished:
-		return "TX_FINISHED"
-	case CodeUnknownTx:
-		return "UNKNOWN_TX"
-	case CodeOverloaded:
-		return "OVERLOADED"
-	case CodeShuttingDown:
-		return "SHUTTING_DOWN"
-	case CodeBadRequest:
-		return "BAD_REQUEST"
-	case CodeInternal:
-		return "INTERNAL"
-	case CodeLogBatch:
-		return "LOG_BATCH"
-	case CodeReadOnly:
-		return "READ_ONLY"
-	case CodeExists:
-		return "EXISTS"
-	case CodeNoTable:
-		return "NO_TABLE"
-	case CodeNoIndex:
-		return "NO_INDEX"
+	if int(c) < len(codes) {
+		return codes[c].name
 	}
 	return fmt.Sprintf("code(%d)", uint8(c))
+}
+
+// CodeOf maps an error to its stable wire code. The mapping is total over
+// the exported sentinel errors of the engine, txn and wire packages (a test
+// asserts this); anything unrecognized is CodeInternal.
+func CodeOf(err error) Code {
+	if err == nil {
+		return CodeOK
+	}
+	for c := range codes {
+		if errors.Is(err, codes[c].err) { // never true of a row without a sentinel
+			return Code(c)
+		}
+		for _, e := range codes[c].also {
+			if errors.Is(err, e) {
+				return Code(c)
+			}
+		}
+	}
+	return CodeInternal
+}
+
+// ErrOf rehydrates a wire code into the sentinel it carries, wrapped with
+// the server-provided message. errors.Is against the sentinel holds on the
+// result, so client callers handle remote failures exactly like local ones.
+func ErrOf(code Code, msg string) error {
+	if code == CodeOK {
+		return nil
+	}
+	if int(code) >= len(codes) || codes[code].err == nil {
+		return fmt.Errorf("wire: remote error %s: %s", code, msg)
+	}
+	if msg == "" {
+		return codes[code].err
+	}
+	return fmt.Errorf("%w: %s", codes[code].err, msg)
 }

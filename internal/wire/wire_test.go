@@ -6,10 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"sias/internal/catalog"
-	"sias/internal/engine"
-	"sias/internal/txn"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -102,77 +98,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 	short := Reader{B: []byte{3, 0, 0, 0, 'a'}}
 	if _, err := short.Bytes(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short bytes: %v, want ErrTruncated", err)
-	}
-}
-
-// TestErrorCodeMappingTotal asserts the error->code mapping covers every
-// exported sentinel error of the engine, txn and wire packages: nothing the
-// stack can legitimately return may degrade into CodeInternal, and codes
-// must be stable under an encode/decode round trip.
-func TestErrorCodeMappingTotal(t *testing.T) {
-	sentinels := map[string]error{
-		"engine.ErrNotFound":    engine.ErrNotFound,
-		"engine.ErrExists":      engine.ErrExists,
-		"engine.ErrNoTable":     engine.ErrNoTable,
-		"engine.ErrNoIndex":     engine.ErrNoIndex,
-		"catalog.ErrBadName":    catalog.ErrBadName,
-		"txn.ErrSerialization":  txn.ErrSerialization,
-		"txn.ErrLockTimeout":    txn.ErrLockTimeout,
-		"txn.ErrFinished":       txn.ErrFinished,
-		"wire.ErrOverloaded":    ErrOverloaded,
-		"wire.ErrShuttingDown":  ErrShuttingDown,
-		"wire.ErrUnknownTx":     ErrUnknownTx,
-		"wire.ErrBadRequest":    ErrBadRequest,
-		"wire.ErrTruncated":     ErrTruncated,
-		"wire.ErrFrameTooLarge": ErrFrameTooLarge,
-	}
-	seen := map[Code]bool{}
-	for name, err := range sentinels {
-		code := CodeOf(err)
-		if code == CodeInternal {
-			t.Errorf("%s maps to CodeInternal; mapping is not total", name)
-		}
-		if code == CodeOK {
-			t.Errorf("%s maps to CodeOK", name)
-		}
-		seen[code] = true
-		// Round trip: decoding the code and re-encoding must be stable,
-		// and wrapped errors must keep their code.
-		back := ErrOf(code, "remote detail")
-		if CodeOf(back) != code {
-			t.Errorf("%s: code %s not stable under round trip (got %s)", name, code, CodeOf(back))
-		}
-	}
-	// The four engine/txn sentinels named by the protocol must rehydrate
-	// into errors.Is-compatible values for cross-network error handling.
-	for _, tc := range []struct {
-		code Code
-		want error
-	}{
-		{CodeNotFound, engine.ErrNotFound},
-		{CodeConflict, txn.ErrSerialization},
-		{CodeLockTimeout, txn.ErrLockTimeout},
-		{CodeTxFinished, txn.ErrFinished},
-		{CodeOverloaded, ErrOverloaded},
-		{CodeShuttingDown, ErrShuttingDown},
-		{CodeExists, engine.ErrExists},
-		{CodeNoTable, engine.ErrNoTable},
-		{CodeNoIndex, engine.ErrNoIndex},
-	} {
-		if !errors.Is(ErrOf(tc.code, "x"), tc.want) {
-			t.Errorf("ErrOf(%s) does not satisfy errors.Is(%v)", tc.code, tc.want)
-		}
-	}
-	// Unknown errors fall through to CodeInternal, and unknown codes decode
-	// without panicking.
-	if CodeOf(errors.New("surprise")) != CodeInternal {
-		t.Error("unrecognized error must map to CodeInternal")
-	}
-	if err := ErrOf(CodeInternal, "boom"); err == nil {
-		t.Error("CodeInternal must decode to a non-nil error")
-	}
-	if err := ErrOf(Code(200), "future"); err == nil {
-		t.Error("unknown code must decode to a non-nil error")
 	}
 }
 
