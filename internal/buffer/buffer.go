@@ -281,8 +281,8 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 		pt.frames = make([]*Frame, n)
 		pt.free = make([]int, n)
 		for j := range pt.frames {
-			pt.frames[j] = &Frame{Data: make(page.Page, page.Size), devPage: -1}
-			pt.free[j] = n - 1 - j // pop order 0,1,2,...
+			pt.frames[j] = &Frame{devPage: -1} // Data comes with the first claim
+			pt.free[j] = n - 1 - j             // pop order 0,1,2,...
 		}
 	}
 	return p
@@ -425,12 +425,23 @@ func (p *Pool) publish(pt *partition, f *Frame, idx int, devPage int64, t simclo
 // path refuses to pay write-backs). IO-pending frames are never victims.
 // Caller holds pt.mu; on success the victim's latch is held exclusively and
 // the victim is no longer in the index.
+//
+// A frame gets its page the first time it leaves the free list, not in New,
+// so the heap holds pages for the frames in use rather than for the pool
+// configured, and keeps it for life: eviction and InvalidateAll hand the
+// same bytes to the next page. Every frame the clock reaches has been
+// claimed once (the sweep only runs with the free list empty), so only the
+// free-list path allocates.
 func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int, simclock.Time, error) {
 	t := at
 	if n := len(pt.free); n > 0 {
 		idx := pt.free[n-1]
 		pt.free = pt.free[:n-1]
-		pt.frames[idx].Lock()
+		f := pt.frames[idx]
+		if f.Data == nil {
+			f.Data = make(page.Page, page.Size)
+		}
+		f.Lock()
 		return idx, t, nil
 	}
 	for spin := 0; spin < 2*len(pt.frames)+1; spin++ {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"runtime"
 	"testing"
 
 	"sias/internal/device"
@@ -200,6 +201,52 @@ func TestInvalidateAllDropsWithoutWriting(t *testing.T) {
 		t.Error("page content should be gone after crash")
 	}
 	p.Release(f2, false)
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPoolHeapFollowsTouchedPages pins that a frame's page is allocated when
+// the frame is first used: a large pool costs its headers, each touched page
+// adds one page, and reusing frames after InvalidateAll adds nothing.
+func TestPoolHeapFollowsTouchedPages(t *testing.T) {
+	const frames, touched = 16384, 256
+	const headers = 8 << 20
+	dev := device.NewMem(page.Size, 1<<16)
+	before := liveHeap()
+	p := New(Config{Frames: frames}, dev)
+	if grew := liveHeap() - before; grew >= headers {
+		t.Fatalf("New(%d frames) grew the heap by %.1f MB, want < %d MB", frames, float64(grew)/(1<<20), headers>>20)
+	}
+	touch := func() {
+		for i := int64(0); i < touched; i++ {
+			f, _, err := p.Get(0, i*7, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release(f, false)
+		}
+	}
+	touch()
+	afterTouch := liveHeap() - before
+	if limit := int64(headers + touched*page.Size); afterTouch >= limit {
+		t.Fatalf("%d touched pages grew the heap by %.1f MB, want < %.1f MB", touched, float64(afterTouch)/(1<<20), float64(limit)/(1<<20))
+	}
+	p.InvalidateAll()
+	touch()
+	// The frames keep their pages: a second round over as many pages may
+	// not allocate any of them again.
+	again := liveHeap() - before - afterTouch
+	if again >= 16*page.Size {
+		t.Errorf("the same %d pages after InvalidateAll grew the heap by %d more bytes", touched, again)
+	}
+	t.Logf("heap: %.1f MB after %d touched pages, %+d bytes after the second round", float64(afterTouch)/(1<<20), touched, again)
+	runtime.KeepAlive(p)
 }
 
 func TestChecksumSetOnFlush(t *testing.T) {

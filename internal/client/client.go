@@ -693,7 +693,9 @@ func (t *Tx) Delete(key int64) error {
 	return err
 }
 
-// KV is one Scan result entry.
+// KV is one Scan result entry. Val belongs to the caller; the entries of one
+// Scan share the reply they were decoded from, each capped at its own length
+// so that appending to one never writes into the next.
 type KV struct {
 	Key int64
 	Val []byte
@@ -725,7 +727,7 @@ func (t *Tx) Scan(lo, hi int64, limit int) ([]KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, KV{Key: k, Val: append([]byte(nil), v...)})
+		out = append(out, KV{Key: k, Val: v[:len(v):len(v)]})
 	}
 	return out, nil
 }

@@ -196,6 +196,28 @@ func TestWriteBudget(t *testing.T) {
 	}
 }
 
+// TestScanValuesAreCapped pins that Scan's values, which share one reply,
+// each end where the value does: appending to one leaves the next intact.
+func TestScanValuesAreCapped(t *testing.T) {
+	_, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	put(t, c, 1, "a")
+	put(t, c, 2, "b")
+	got := rows(t, c)
+	if len(got) != 2 {
+		t.Fatalf("scanned %v", got)
+	}
+	for _, kv := range got {
+		if cap(kv.Val) != len(kv.Val) {
+			t.Errorf("key %d: value of %d bytes has room for %d: an append to it writes into the next entry", kv.Key, len(kv.Val), cap(kv.Val))
+		}
+	}
+	_ = append(got[0].Val, "clobber"...)
+	if string(got[0].Val) != "a" || string(got[1].Val) != "b" {
+		t.Errorf("an append to one value changed the scan: %q", got)
+	}
+}
+
 // TestEmptyTransactionSendsNothing finishes transactions that never ran an
 // operation: no frame leaves, the server never hears of them, and the pooled
 // connection is still there for the next one.

@@ -147,8 +147,13 @@ type DB struct {
 	lastCkpt  simclock.Time
 	lastMaint simclock.Time
 
-	recovered   []recRecord // WAL records pre-scanned for recovery
-	redoFrom    wal.LSN     // redo point of the last checkpoint in the pre-scan
+	// What Open's analysis pass keeps of an existing log for Recover: where
+	// its records end, the last checkpoint's redo point, and the coordinator
+	// decisions (gid -> committed) that Decisions copies and finishUndecided
+	// reads. Recover drops the decisions.
+	logEnd      wal.LSN
+	redoFrom    wal.LSN
+	decisions   map[uint64]bool
 	maxBlockRel map[uint32]uint32
 	// prepared holds the 2PC participants redo has seen prepared and not yet
 	// decided. Written only by redo and finishUndecided, which recovery runs
@@ -180,11 +185,6 @@ type DB struct {
 	resolver       InDoubtResolver
 }
 
-type recRecord struct {
-	lsn wal.LSN
-	rec wal.Record
-}
-
 // Open creates a database over the given devices.
 func Open(opts Options) (*DB, error) {
 	if opts.DataDevice == nil || opts.WALDevice == nil {
@@ -209,18 +209,14 @@ func Open(opts Options) (*DB, error) {
 
 	startLSN := wal.LSN(0)
 	if opts.Recover {
-		// Pre-scan the existing log before creating the writer, so the new
+		// Analyse the existing log before creating the writer, so the new
 		// generation appends after the old records.
-		end, err := wal.Scan(opts.WALDevice, func(lsn wal.LSN, rec wal.Record) error {
-			db.recovered = append(db.recovered, recRecord{lsn, rec})
-			if rec.Type == wal.RecCheckpoint {
-				db.redoFrom = wal.LSN(rec.Aux)
-			}
-			return nil
-		})
+		db.decisions = map[uint64]bool{}
+		end, err := wal.Scan(opts.WALDevice, db.analyze)
 		if err != nil {
 			return nil, fmt.Errorf("engine: WAL pre-scan: %w", err)
 		}
+		db.logEnd = end
 		if opts.ResumeWAL {
 			w, werr := wal.NewWriterResume(opts.WALDevice, end)
 			if werr != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -9,39 +10,63 @@ import (
 	"sias/internal/wal"
 )
 
-// Recover replays the pre-scanned WAL into the data pages and rebuilds every
-// table's volatile structures. Call it after recreating the bootstrap schema
+// analyze is Open's pass over an existing log: it keeps the last
+// checkpoint's redo point and the coordinator decisions, which the sibling
+// shards' resolvers need before any shard recovers, and nothing of the
+// records themselves — Recover reads them again.
+func (db *DB) analyze(_ wal.LSN, rec wal.Record) error {
+	switch rec.Type {
+	case wal.RecCheckpoint:
+		db.redoFrom = wal.LSN(rec.Aux)
+	case wal.RecDecide:
+		if commit, err := wal.DecodeDecideData(rec.Data); err == nil {
+			db.decisions[rec.Aux] = commit
+		}
+	}
+	return nil
+}
+
+// errLogEnd stops the redo pass at the end Open's analysis found.
+var errLogEnd = errors.New("engine: redo reached the analysed log end")
+
+// Recover replays the WAL into the data pages and rebuilds every table's
+// volatile structures. Call it after recreating the bootstrap schema
 // (CreateTable in the original order) on a DB opened with Options.Recover;
 // tables and indexes created through the logged DDL path need no such help —
 // their RecDDL records replay with the rest of the log.
 //
-// It is one pass over the log in log order, every record through redo — the
-// function a follower applies a shipped record with — then one rebuild of the
-// volatile state from the heap (Section 6 of the paper: the VIDmap is not
-// checkpointed, so the heap is where it comes from), then, on a primary, an
-// outcome for every transaction the log ends without one for. Heap records
-// below the last checkpoint's redo point skip their page redo: those pages
-// are on the device already.
+// It is one pass over the log in log order, every record handed to redo —
+// the function a follower applies a shipped record with — as it is decoded,
+// then one rebuild of the volatile state from the heap (Section 6 of the
+// paper: the VIDmap is not checkpointed, so the heap is where it comes from),
+// then, on a primary, an outcome for every transaction the log ends without
+// one for. Heap records below the last checkpoint's redo point skip their
+// page redo: those pages are on the device already. The pass reads the log
+// device again, so recovery holds one scan buffer of log rather than the
+// log, and stops at the end Open found: what this generation has appended
+// and flushed since (a bootstrap extent grant, a flush forced by an
+// eviction) is not replayed.
 func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 	if !db.opts.Recover {
 		return at, fmt.Errorf("engine: Recover on a DB opened without Options.Recover")
 	}
 	maxTx := txn.ID(0)
 	t := at
-	for i := range db.recovered {
-		rr := &db.recovered[i]
-		if rr.rec.Tx > maxTx {
-			maxTx = rr.rec.Tx
+	_, err := wal.Scan(db.opts.WALDevice, func(lsn wal.LSN, rec wal.Record) error {
+		if lsn >= db.logEnd {
+			return errLogEnd
 		}
+		maxTx = max(maxTx, rec.Tx)
 		var err error
-		if t, err = db.redo(t, &rr.rec, rr.lsn >= db.redoFrom); err != nil {
-			return t, err
-		}
+		t, err = db.redo(t, &rec, lsn >= db.redoFrom)
+		return err
+	})
+	if err != nil && !errors.Is(err, errLogEnd) {
+		return t, err
 	}
 	db.txm.SetNextID(maxTx + 1)
 
-	t, err := db.rebuildVolatile(t)
-	if err != nil {
+	if t, err = db.rebuildVolatile(t); err != nil {
 		return t, err
 	}
 	// A replica decides nothing: outcomes are the primary's to make and arrive
@@ -53,7 +78,7 @@ func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 			return t, err
 		}
 	}
-	db.recovered = nil
+	db.decisions = nil
 	return t, nil
 }
 
@@ -67,10 +92,11 @@ type preparedTxn struct {
 // redo replays one WAL record: its effect on the control state every later
 // record is read against (CLOG, prepared participants, extent map, catalog)
 // and, for a heap record, on the heap high-water marks and — with pages set —
-// on the data page itself. Crash recovery feeds it the pre-scanned log and a
-// follower each record the primary ships, both in log order, which is all the
-// ordering it needs: a relation's extent grants precede its first page and
-// its DDL, and DDL precedes the heap records of the table it creates.
+// on the data page itself. Crash recovery feeds it each record as its redo
+// pass decodes it and a follower each record the primary ships, both in log
+// order, which is all the ordering it needs: a relation's extent grants
+// precede its first page and its DDL, and DDL precedes the heap records of
+// the table it creates.
 //
 // Redo is physiological and idempotent:
 //
@@ -136,7 +162,8 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 // participant can never hold a decision under the transaction's gid, and two
 // coordinators can never have issued the same gid. The installed resolver
 // covers decisions in a sibling shard's log. (A promotion has neither — the
-// pre-scan is gone, a follower gets no resolver — so everything open aborts.)
+// decisions went with Recover, a follower gets no resolver — so everything
+// open aborts.)
 //
 // Each outcome is appended to the log, so that followers of this engine and
 // its own next recovery find the transaction decided, and then replayed like
@@ -154,15 +181,11 @@ func (db *DB) finishUndecided(t simclock.Time) (simclock.Time, error) {
 	}
 	slices.Sort(ids)
 	inDoubt := len(db.prepared) > 0
-	var decisions map[uint64]bool
-	if inDoubt {
-		decisions = db.Decisions()
-	}
 	for _, id := range slices.Compact(ids) {
 		commit := false
 		if p, ok := db.prepared[id]; ok {
 			known := false
-			if commit, known = decisions[p.gid]; !known && db.resolver != nil {
+			if commit, known = db.decisions[p.gid]; !known && db.resolver != nil {
 				commit, known = db.resolver(p.gid, p.coord)
 			}
 			commit = commit && known

@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sias/internal/device"
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
+	"sias/internal/wal"
 )
 
 // crashAndRecover simulates a crash (buffered pages lost, WAL survives) and
@@ -253,11 +256,12 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	db3.Commit(check, 0)
 }
 
-// TestRecoverReadsTheLogOnce pins the shape of recovery: Open's pre-scan reads
-// every log page from the device exactly once, and Recover — one pass over
-// that pre-scan, however many record types and passes it used to take —
-// never goes back to the device for the log.
-func TestRecoverReadsTheLogOnce(t *testing.T) {
+// TestRecoverHoldsNoLog pins the shape of recovery: Open's analysis pass
+// reads every log page once and keeps none of it — the live heap grows by a
+// fraction of the log — and Recover's redo pass reads every page holding a
+// record below the end Open found exactly once more, and no page a third
+// time, however many record types it replays.
+func TestRecoverHoldsNoLog(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
 			data := device.NewMem(page.Size, 1<<16)
@@ -274,11 +278,13 @@ func TestRecoverReadsTheLogOnce(t *testing.T) {
 			}
 			// Control records of every kind recovery acts on: extent grants,
 			// DDL, commits, an abort, a checkpoint, a prepare with no outcome,
-			// and a writer with no outcome at all.
+			// and a writer with no outcome at all. Rows of one per page make
+			// the log megabytes long.
+			name := strings.Repeat("x", 6000)
 			write := func(lo, hi int64) {
 				for i := lo; i <= hi; i++ {
 					tx := db.Begin()
-					at, _ = tab.Insert(tx, at, tuple.Row{i, "x", i})
+					at, _ = tab.Insert(tx, at, tuple.Row{i, name, i})
 					at, _ = db.Commit(tx, at)
 				}
 			}
@@ -302,6 +308,11 @@ func TestRecoverReadsTheLogOnce(t *testing.T) {
 			at, _ = tab.Insert(loser, at, tuple.Row{int64(1002), "lost", int64(0)})
 			write(601, 610) // the commits flush the loser's record too
 			db.Pool().InvalidateAll()
+			end, err := wal.Scan(walDev, func(wal.LSN, wal.Record) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			endPage := (int64(end) + page.Size - 1) / page.Size // pages [0, endPage) hold records
 
 			reads := map[int64]int{}
 			wrapped := device.NewWrap(walDev)
@@ -314,17 +325,24 @@ func TestRecoverReadsTheLogOnce(t *testing.T) {
 			ropts := DefaultOptions(data, wrapped)
 			ropts.Kind = k
 			ropts.Recover = true
+			before := liveHeap()
 			db2, err := Open(ropts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanned := len(reads)
-			if scanned < 8 {
-				t.Fatalf("pre-scan read %d log pages; the log should span more", scanned)
+			grew := liveHeap() - before
+			if grew >= int64(end)/4 {
+				t.Errorf("Open grew the live heap by %d bytes, want < a quarter of the %d-byte log", grew, end)
+			}
+			t.Logf("Open over a %d-byte log grew the live heap by %d bytes", end, grew)
+			for p := int64(0); p < endPage; p++ {
+				if reads[p] != 1 {
+					t.Fatalf("Open read log page %d %d times, want 1", p, reads[p])
+				}
 			}
 			for p, n := range reads {
 				if n != 1 {
-					t.Errorf("pre-scan read log page %d %d times", p, n)
+					t.Errorf("Open read log page %d %d times", p, n)
 				}
 			}
 			tab2, _, err := db2.CreateTable(0, "accounts", testSchema(), "id")
@@ -334,12 +352,16 @@ func TestRecoverReadsTheLogOnce(t *testing.T) {
 			if _, err := db2.Recover(0); err != nil {
 				t.Fatal(err)
 			}
-			total := 0
-			for _, n := range reads {
-				total += n
+			for p := int64(0); p < endPage; p++ {
+				if reads[p] != 2 {
+					t.Errorf("log page %d read %d times by Open and Recover, want 2", p, reads[p])
+					break
+				}
 			}
-			if total != scanned {
-				t.Errorf("Recover read the log device %d more times after the pre-scan", total-scanned)
+			for p, n := range reads {
+				if n > 2 {
+					t.Errorf("log page %d read %d times by Open and Recover", p, n)
+				}
 			}
 			// And it did recover: every committed row, none of the others.
 			check := db2.Begin()
@@ -356,4 +378,70 @@ func TestRecoverReadsTheLogOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoverStopsAtTheAnalysedEnd pins that the redo pass replays the log
+// Open analysed and nothing this generation appended after it: a record
+// flushed between Open and Recover — here an outcome for the in-doubt
+// participant, which would commit it — is on the device when Recover reads it,
+// and must not be applied.
+func TestRecoverStopsAtTheAnalysedEnd(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			data := device.NewMem(page.Size, 1<<16)
+			walDev := device.NewMem(page.Size, 1<<14)
+			opts := DefaultOptions(data, walDev)
+			opts.Kind = k
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, at, err := db.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			at, _ = tab.Insert(tx, at, tuple.Row{int64(1), "kept", int64(1)})
+			at, _ = db.Commit(tx, at)
+			prepared := db.Begin()
+			at, _ = tab.Insert(prepared, at, tuple.Row{int64(2), "in doubt", int64(2)})
+			if _, err := db.Prepare(prepared, 9, 0, at); err != nil {
+				t.Fatal(err)
+			}
+			db.Pool().InvalidateAll()
+
+			opts.Recover = true
+			db2, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab2, _, err := db2.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := db2.WAL()
+			if _, err := w.Flush(0, w.Append(&wal.Record{Type: wal.RecCommit, Tx: prepared.ID})); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db2.Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			if st := db2.Stats(); st.InDoubtAborts != 1 {
+				t.Errorf("in-doubt aborts = %d, want 1: Recover applied a record past the end Open found", st.InDoubtAborts)
+			}
+			check := db2.Begin()
+			if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+				t.Errorf("in-doubt row visible after recovery: %v", err)
+			}
+			db2.Commit(check, 0)
+		})
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

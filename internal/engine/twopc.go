@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"maps"
+
 	"sias/internal/simclock"
 	"sias/internal/txn"
 	"sias/internal/wal"
@@ -44,19 +46,13 @@ type InDoubtResolver func(gid uint64, coordShard uint32) (commit, known bool)
 // under the transaction's gid.
 func (db *DB) SetInDoubtResolver(r InDoubtResolver) { db.resolver = r }
 
-// Decisions returns the coordinator decisions recorded in this engine's
-// pre-scanned WAL: global transaction id -> committed. Valid between Open
-// (with Options.Recover) and Recover, which consumes the pre-scan.
+// Decisions returns a fresh copy of the coordinator decisions recorded in
+// this engine's WAL, as Open's analysis pass found them: global transaction
+// id -> committed. Valid between Open (with Options.Recover) and Recover,
+// which drops them.
 func (db *DB) Decisions() map[uint64]bool {
-	decs := map[uint64]bool{}
-	for _, rr := range db.recovered {
-		if rr.rec.Type != wal.RecDecide {
-			continue
-		}
-		if commit, err := wal.DecodeDecideData(rr.rec.Data); err == nil {
-			decs[rr.rec.Aux] = commit
-		}
-	}
+	decs := make(map[uint64]bool, len(db.decisions))
+	maps.Copy(decs, db.decisions)
 	return decs
 }
 

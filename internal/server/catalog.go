@@ -186,7 +186,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		var entries wire.Buf
+		entries := countedBuf()
 		count := uint32(0)
 		var encErr error
 		err = tx.ScanTable(table, lo, hi, func(row tuple.Row) bool {
@@ -240,7 +240,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		var entries wire.Buf
+		entries := countedBuf()
 		count := uint32(0)
 		var encErr error
 		err = tx.IndexRange(table, string(ib), lo, hi, func(ikey int64, row tuple.Row) bool {

@@ -23,6 +23,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -950,7 +951,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		var entries wire.Buf
+		entries := countedBuf()
 		count := uint32(0)
 		err = tx.Range(lo, hi, func(row tuple.Row) bool {
 			k, _ := row[1-srv.valCol].(int64)
@@ -1067,12 +1068,19 @@ func rangeArgs(r *wire.Reader) (lo, hi int64, limit uint32, err error) {
 	return lo, hi, limit, nil
 }
 
-// counted frames a range reply: the entry count, then the entries.
-func counted(count uint32, entries wire.Buf) []byte {
+// countedBuf starts a range reply: the entry count goes first, so its four
+// bytes are reserved before the entries and filled in by counted.
+func countedBuf() wire.Buf {
 	var b wire.Buf
-	b.U32(count)
-	b.B = append(b.B, entries.B...)
-	return b.B
+	b.U32(0)
+	return b
+}
+
+// counted finishes a range reply countedBuf started: it writes the entry
+// count into the reserved bytes.
+func counted(count uint32, entries wire.Buf) []byte {
+	binary.LittleEndian.PutUint32(entries.B, count)
+	return entries.B
 }
 
 // row assembles a table row for key/val in schema column order.

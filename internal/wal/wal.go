@@ -184,6 +184,11 @@ func allZeros(b []byte) bool {
 // record and its encoded length. It fails with errNeedMore when b is a
 // plausible prefix of a record, and errCorrupt when the bytes can never
 // decode (zero padding, garbage, or a torn tail with all its bytes present).
+//
+// The record's Data aliases b, capacity-capped so an append to it cannot
+// spill into the next record: callers must not rewrite b while they hold it.
+// Scan never rewrites a byte it has decoded, TailReader discards the record,
+// and a replication follower decodes a frame nobody reuses.
 func DecodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recHeaderSize {
 		return Record{}, 0, errNeedMore
@@ -207,8 +212,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		Aux:  binary.LittleEndian.Uint64(b[27:]),
 	}
 	if length > recHeaderSize {
-		r.Data = make([]byte, length-recHeaderSize)
-		copy(r.Data, b[recHeaderSize:length])
+		r.Data = b[recHeaderSize:length:length]
 	}
 	return r, length, nil
 }
@@ -511,16 +515,26 @@ func (w *Writer) PageWrites() int64 {
 	return w.fullSynced
 }
 
+// scanRun is how many pages Scan reads per device read (256 KB at the
+// default page size): one ReadPages on a device that has the path.
+const scanRun = 32
+
 // Scan replays the log on dev from offset 0, invoking fn for every intact
 // record in order. Page-tail padding (zero bytes — no valid record starts
 // with a zero length) is skipped, so multiple log generations separated by
 // page boundaries replay seamlessly. Scanning ends at a torn record or after
 // two consecutive all-zero pages. Returns the stream offset just past the
 // last intact record.
+//
+// The log is read in runs of scanRun pages, each into a fresh buffer that
+// starts with the undecoded remainder of the one before: no byte is written
+// after a record over it is decoded, so a record's Data (which aliases the
+// buffer, see DecodeRecord) stays valid for as long as fn's caller keeps it,
+// and a record fn drops costs no copy.
 func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, error) {
 	pageSize := dev.PageSize()
+	rr, _ := dev.(device.PageRangeReader)
 	var stream []byte
-	buf := make([]byte, pageSize)
 	at := simclock.Time(0)
 	var base LSN // absolute offset of stream[0]
 	var end LSN  // offset past the last decoded record
@@ -566,18 +580,35 @@ func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, erro
 	}
 
 	zeroRun := 0
-	for p := int64(0); p < dev.NumPages() && zeroRun < 2; p++ {
+	for p := int64(0); p < dev.NumPages() && zeroRun < 2; {
+		n := int(min(scanRun, dev.NumPages()-p))
+		next := make([]byte, len(stream)+n*pageSize)
+		run := next[copy(next, stream):]
 		var err error
-		at, err = dev.ReadPage(at, p, buf)
-		if err != nil {
-			return end, fmt.Errorf("wal: scan read page %d: %w", p, err)
-		}
-		if allZeros(buf) {
-			zeroRun++
+		if rr != nil {
+			at, err = rr.ReadPages(at, p, n, run)
 		} else {
-			zeroRun = 0
+			for i := 0; i < n && err == nil; i++ {
+				at, err = dev.ReadPage(at, p+int64(i), run[i*pageSize:])
+			}
 		}
-		stream = append(stream, buf...)
+		if err != nil {
+			return end, fmt.Errorf("wal: scan read pages [%d,%d): %w", p, p+int64(n), err)
+		}
+		// The log ends after two all-zero pages, wherever they fall in the run.
+		for i := 0; i < n; i++ {
+			if allZeros(run[i*pageSize : (i+1)*pageSize]) {
+				zeroRun++
+			} else {
+				zeroRun = 0
+			}
+			if zeroRun == 2 {
+				n = i + 1
+				break
+			}
+		}
+		stream = next[:len(stream)+n*pageSize]
+		p += int64(n)
 		if err := decode(false); err != nil {
 			return end, err
 		}

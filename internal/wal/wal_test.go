@@ -162,6 +162,53 @@ func TestNewWriterAtAppendsAfterOldLog(t *testing.T) {
 	}
 }
 
+// writeLog writes a log of n 100-byte heap records to dev.
+func writeLog(t testing.TB, dev device.BlockDevice, n int) {
+	t.Helper()
+	w := NewWriter(dev)
+	rec := &Record{Type: RecHeapInsert, Tx: 1, Rel: 2, Data: make([]byte, 100)}
+	for i := 0; i < n; i++ {
+		w.Append(rec)
+	}
+	if _, err := w.Flush(0, w.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanCount scans dev and returns how many records it holds.
+func scanCount(t testing.TB, dev device.BlockDevice) int {
+	n := 0
+	if _, err := Scan(dev, func(LSN, Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestScanAllocsDoNotGrowWithRecords pins Scan's allocation budget: a record
+// costs no allocation of its own (its Data aliases the scan buffer), so ten
+// times the records may cost only the extra 32-page runs they span.
+func TestScanAllocsDoNotGrowWithRecords(t *testing.T) {
+	devs := map[string]func() device.BlockDevice{
+		"Mem":  func() device.BlockDevice { return device.NewMem(page.Size, 1<<16) },
+		"File": func() device.BlockDevice { return newFileDev(t, page.Size, 1024) },
+	}
+	for name, newDev := range devs {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(records int) (float64, int64) {
+				dev := newDev()
+				writeLog(t, dev, records)
+				return testing.AllocsPerRun(5, func() { scanCount(t, dev) }), int64(dev.Stats().BytesWritten)
+			}
+			small, _ := allocs(1000)
+			large, written := allocs(10000)
+			runs := written/page.Size/scanRun + 1
+			if large-small > float64(runs) {
+				t.Errorf("a scan of 10,000 records allocates %.0f times, of 1,000 %.0f: more than the %d runs the larger log spans", large, small, runs)
+			}
+		})
+	}
+}
+
 func TestDurableTracking(t *testing.T) {
 	w := NewWriter(newDev())
 	if w.Durable() != 0 {
