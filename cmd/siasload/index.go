@@ -108,7 +108,7 @@ func groupCounts(tx *client.Tx, groups []int64) (map[string]int64, error) {
 }
 
 func runIndex(cfg loadConfig, jsonPath, statePath string) error {
-	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.PoolSize})
+	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers})
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
 	}
@@ -311,7 +311,7 @@ func runIdxTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, groups int64) (
 		return -1, 0, 0, err
 	}
 	home = -2
-	for i := 0; i < cfg.OpsPerTxn; i++ {
+	for i := 0; i < opsPerTxn; i++ {
 		if rng.Float64() < cfg.ReadFrac {
 			got, lerr := tx.IndexLookup(idxTable, idxIndex, rng.Int63n(groups))
 			if lerr != nil {

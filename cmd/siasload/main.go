@@ -9,13 +9,14 @@
 // Usage:
 //
 //	siasload [-addr :4544] [-workers 8] [-txns 2000] [-keys 1024]
-//	         [-value 64] [-read-frac 0.5] [-ops-per-txn 2] [-json FILE]
-//	         [-metrics-addr HOST:PORT] [-workload kv|scan|index|xshard]
-//	         [-state-out FILE] [-verify-state FILE]
-//	         [-groups N] [-expect-crash] [-xshard-verify]
+//	         [-read-frac 0.5] [-replicas ADDR,...] [-json FILE]
+//	         [-metrics-addr HOST:PORT] [-trace-sample F]
+//	         [-workload kv|index|xshard] [-state-out FILE] [-verify-state FILE]
+//	         [-groups N] [-expect-crash] [-xshard-verify] [-stats-only]
 //
-// With -json, a machine-readable result (the same numbers as the text
-// report) is written to FILE for scripts/bench.sh to aggregate.
+// Every kv and index transaction runs 2 data ops; kv writes carry 64-byte
+// values. With -json, a machine-readable result (the same numbers as the
+// text report) is written to FILE.
 //
 // With -workload index, the loop runs against a catalog table with a
 // secondary index instead of the kv table: reads are index lookups, writes
@@ -38,7 +39,7 @@
 // report next to the client-observed latencies. Adding -trace-sample F
 // traces that fraction of transactions end to end (TRACE envelopes) and
 // fetches the sampled traces back from /debug/traces, reporting p50/p99 per
-// commit-pipeline stage (route, prepare, decide, outcome, linger, fsync).
+// commit-pipeline stage (route, prepare, decide, outcome, fsync).
 package main
 
 import (
@@ -71,26 +72,19 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent closed-loop workers")
 	txns := flag.Int("txns", 2000, "transactions per worker")
 	keys := flag.Int64("keys", 1024, "keyspace size")
-	valueSize := flag.Int("value", 64, "value size in bytes")
 	readFrac := flag.Float64("read-frac", 0.5, "fraction of ops that are reads")
-	opsPerTxn := flag.Int("ops-per-txn", 2, "data ops per transaction")
-	affinity := flag.Bool("affinity", false, "partition-local transactions: all keys of a txn from one shard")
 	replicas := flag.String("replicas", "", "comma-separated follower addresses; pure-read transactions are routed to them when they cover the worker's commit point (read-your-writes)")
-	poolSize := flag.Int("pool", 0, "client connection pool size (default workers)")
 	jsonPath := flag.String("json", "", "write a machine-readable result JSON to this file")
 	statsOnly := flag.Bool("stats-only", false, "fetch STATS, print the raw reply JSON (to -json FILE if set, else stdout), and exit")
 	metricsAddr := flag.String("metrics-addr", "", "server metrics listener to scrape for server-side latency histograms (empty = skip)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of transactions traced end to end (TRACE envelopes); with -metrics-addr, the per-stage span breakdown from /debug/traces joins the report")
-	workload := flag.String("workload", "kv", "workload: kv (key/value ops), scan (full-keyspace range scans) or index (typed table with secondary-index lookups and AS OF verification)")
+	workload := flag.String("workload", "kv", "workload: kv (key/value ops), index (typed table with secondary-index lookups and AS OF verification) or xshard (cross-shard group rewrites)")
 	stateOut := flag.String("state-out", "", "index workload: write snapshot tokens and group counts to this file for a later -verify-state run")
 	verifyPath := flag.String("verify-state", "", "verify a recovered server against a -state-out file and exit")
 	groups := flag.Int("groups", 64, "xshard workload: cross-shard key groups (one key per shard each)")
 	expectCrash := flag.Bool("expect-crash", false, "xshard workload: treat the server dying mid-run (transport failure, in-doubt commit) as the expected end instead of an error")
 	verifyXshard := flag.Bool("xshard-verify", false, "verify cross-shard atomicity on a recovered server: reread every xshard group, assert all members equal, and exit")
 	flag.Parse()
-	if *poolSize <= 0 {
-		*poolSize = *workers
-	}
 	if *statsOnly {
 		if err := dumpStats(*addr, *jsonPath); err != nil {
 			log.Fatal(err)
@@ -112,8 +106,7 @@ func main() {
 
 	cfg := loadConfig{
 		Addr: *addr, Workers: *workers, Txns: *txns, Keys: *keys,
-		ValueSize: *valueSize, ReadFrac: *readFrac, OpsPerTxn: *opsPerTxn,
-		PoolSize: *poolSize, Affinity: *affinity, MetricsAddr: *metricsAddr,
+		ReadFrac: *readFrac, MetricsAddr: *metricsAddr,
 		Workload: *workload, TraceSample: *traceSample,
 	}
 	if *replicas != "" {
@@ -128,12 +121,6 @@ func main() {
 		if err := run(cfg, *jsonPath); err != nil {
 			log.Fatal(err)
 		}
-	case "scan":
-		// Full-keyspace range scans in chunked OpScan calls: the cold-scan
-		// benchmark workload, driving the server's readahead pipeline.
-		if err := run(cfg, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
 	case "index":
 		if err := runIndex(cfg, *jsonPath, *stateOut); err != nil {
 			log.Fatal(err)
@@ -145,7 +132,7 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		log.Fatalf("unknown -workload %q (want kv, scan, index or xshard)", *workload)
+		log.Fatalf("unknown -workload %q (want kv, index or xshard)", *workload)
 	}
 }
 
@@ -173,17 +160,20 @@ func dumpStats(addr, jsonPath string) error {
 	return err
 }
 
+// The shape of a kv or index transaction: its data-op count and, for kv
+// writes, the value size in bytes.
+const (
+	opsPerTxn = 2
+	valueSize = 64
+)
+
 type loadConfig struct {
-	Addr      string  `json:"addr"`
-	Workers   int     `json:"workers"`
-	Txns      int     `json:"txns_per_worker"`
-	Keys      int64   `json:"keys"`
-	ValueSize int     `json:"value_size"`
-	ReadFrac  float64 `json:"read_frac"`
-	OpsPerTxn int     `json:"ops_per_txn"`
-	Affinity  bool    `json:"affinity"`
-	PoolSize  int     `json:"pool_size"`
-	Workload  string  `json:"workload,omitempty"` // kv (default) or index
+	Addr     string  `json:"addr"`
+	Workers  int     `json:"workers"`
+	Txns     int     `json:"txns_per_worker"`
+	Keys     int64   `json:"keys"`
+	ReadFrac float64 `json:"read_frac"`
+	Workload string  `json:"workload,omitempty"` // kv (default), index or xshard
 	// Replicas are follower addresses eligible to serve pure-read
 	// transactions (client.Options.Replicas).
 	Replicas []string `json:"replicas,omitempty"`
@@ -376,7 +366,7 @@ type txnSample struct {
 }
 
 func run(cfg loadConfig, jsonPath string) error {
-	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.PoolSize, Replicas: cfg.Replicas, TraceSample: cfg.TraceSample})
+	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers, Replicas: cfg.Replicas, TraceSample: cfg.TraceSample})
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
 	}
@@ -384,42 +374,34 @@ func run(cfg loadConfig, jsonPath string) error {
 
 	// Preload the keyspace (idempotent across runs: existing keys are
 	// updated instead of inserted).
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, valueSize)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
-	if cfg.Workload == "scan" {
-		// The scan workload measures reads of an existing dataset — often a
-		// freshly restarted server with a cold pool. Preloading here would
-		// rewrite every key and warm the pool, so it is skipped: run the kv
-		// workload against the data dir first.
-		fmt.Printf("scan workload: skipping preload (expects %d existing keys)\n", cfg.Keys)
-	} else {
-		preStart := time.Now()
-		const batch = 256
-		for lo := int64(0); lo < cfg.Keys; lo += batch {
-			hi := lo + batch
-			if hi > cfg.Keys {
-				hi = cfg.Keys
-			}
-			tx, err := c.Begin()
-			if err != nil {
-				return fmt.Errorf("preload begin: %w", err)
-			}
-			for k := lo; k < hi; k++ {
-				if err := tx.Insert(k, val); err != nil {
-					if uerr := tx.Update(k, val); uerr != nil {
-						tx.Abort()
-						return fmt.Errorf("preload key %d: %w", k, err)
-					}
+	preStart := time.Now()
+	const batch = 256
+	for lo := int64(0); lo < cfg.Keys; lo += batch {
+		hi := lo + batch
+		if hi > cfg.Keys {
+			hi = cfg.Keys
+		}
+		tx, err := c.Begin()
+		if err != nil {
+			return fmt.Errorf("preload begin: %w", err)
+		}
+		for k := lo; k < hi; k++ {
+			if err := tx.Insert(k, val); err != nil {
+				if uerr := tx.Update(k, val); uerr != nil {
+					tx.Abort()
+					return fmt.Errorf("preload key %d: %w", k, err)
 				}
 			}
-			if err := tx.Commit(); err != nil {
-				return fmt.Errorf("preload commit: %w", err)
-			}
 		}
-		fmt.Printf("preloaded %d keys in %.2fs\n", cfg.Keys, time.Since(preStart).Seconds())
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("preload commit: %w", err)
+		}
 	}
+	fmt.Printf("preloaded %d keys in %.2fs\n", cfg.Keys, time.Since(preStart).Seconds())
 
 	before, err := c.Stats()
 	if err != nil {
@@ -474,11 +456,9 @@ func run(cfg loadConfig, jsonPath string) error {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
 			out := make([]txnSample, 0, cfg.Txns)
-			myVal := make([]byte, cfg.ValueSize)
-			copy(myVal, val)
 			for i := 0; i < cfg.Txns; i++ {
 				t0 := time.Now()
-				home, err := runTxn(workerC[w], rng, cfg, myVal)
+				home, err := runTxn(workerC[w], rng, cfg, val)
 				switch {
 				case err == nil:
 					out = append(out, txnSample{lat: time.Since(t0), shard: home})
@@ -561,21 +541,12 @@ func run(cfg loadConfig, jsonPath string) error {
 
 // runTxn executes one closed-loop transaction and reports its home shard
 // (-1 when its keys spanned shards); client-level retry already absorbs
-// overload rejections. With -affinity every key is rejection-sampled onto
-// one pre-picked shard, modelling a partitioned application whose
-// transactions are partition-local by design.
+// overload rejections.
 func runTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, error) {
-	if cfg.Workload == "scan" {
-		return runScanTxn(c, cfg)
-	}
-	anchor := -1
-	if cfg.Affinity {
-		anchor = shard.Of(rng.Int63n(cfg.Keys), cfg.Shards)
-	}
 	// Draw the op mix up front: a transaction with no writes can run as a
 	// routed read-only transaction when replicas are configured. Drawing
 	// before Begin keeps the op-level read fraction exactly cfg.ReadFrac.
-	isRead := make([]bool, cfg.OpsPerTxn)
+	var isRead [opsPerTxn]bool
 	pureRead := true
 	for i := range isRead {
 		isRead[i] = rng.Float64() < cfg.ReadFrac
@@ -592,13 +563,8 @@ func runTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, 
 		return -1, err
 	}
 	home := -2 // no key touched yet
-	for i := 0; i < cfg.OpsPerTxn; i++ {
+	for i := range isRead {
 		key := rng.Int63n(cfg.Keys)
-		if anchor >= 0 {
-			for shard.Of(key, cfg.Shards) != anchor {
-				key = rng.Int63n(cfg.Keys)
-			}
-		}
 		switch s := shard.Of(key, cfg.Shards); {
 		case home == -2:
 			home = s
@@ -621,45 +587,6 @@ func runTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, 
 		home = -1
 	}
 	return home, tx.Commit()
-}
-
-// runScanTxn sweeps the whole keyspace with chunked range scans inside one
-// transaction. Chunking keeps every OpScan reply comfortably under
-// wire.MaxFrame regardless of value size, while the server-side scans drive
-// the pool's readahead pipeline. Scans always touch every shard, so the
-// sample is labeled cross-shard (-1).
-func runScanTxn(c *client.Client, cfg loadConfig) (int, error) {
-	chunk := int64((4 << 20) / (cfg.ValueSize + 32))
-	if chunk < 64 {
-		chunk = 64
-	}
-	if chunk > 4096 {
-		chunk = 4096
-	}
-	tx, err := c.Begin()
-	if err != nil {
-		return -1, err
-	}
-	var rows int64
-	for lo := int64(0); lo < cfg.Keys; lo += chunk {
-		hi := lo + chunk - 1
-		if hi >= cfg.Keys {
-			hi = cfg.Keys - 1
-		}
-		kvs, err := tx.Scan(lo, hi, 0)
-		if err != nil {
-			tx.Abort()
-			return -1, err
-		}
-		rows += int64(len(kvs))
-	}
-	if err := tx.Commit(); err != nil {
-		return -1, err
-	}
-	if rows != cfg.Keys {
-		return -1, fmt.Errorf("scan returned %d rows, want %d", rows, cfg.Keys)
-	}
-	return -1, nil
 }
 
 // summarize folds worker samples and stats deltas into a result.
@@ -736,7 +663,7 @@ func summarize(cfg loadConfig, elapsed time.Duration, samples [][]txnSample, bef
 func printResult(res result) {
 	cfg := res.Config
 	fmt.Printf("\n%d workers x %d txns (%d ops/txn, %.0f%% reads, %d keys, %dB values, %d shard(s))\n",
-		cfg.Workers, cfg.Txns, cfg.OpsPerTxn, cfg.ReadFrac*100, cfg.Keys, cfg.ValueSize, cfg.Shards)
+		cfg.Workers, cfg.Txns, opsPerTxn, cfg.ReadFrac*100, cfg.Keys, valueSize, cfg.Shards)
 	fmt.Printf("elapsed            %.2fs\n", res.ElapsedSec)
 	fmt.Printf("committed          %d (%.0f txn/s)\n", res.Committed, res.TxnPerSec)
 	fmt.Printf("conflicts          %d\n", res.Conflicts)

@@ -22,7 +22,7 @@ type traceStage struct {
 // traceBreakdown is the /debug/traces slice of the report: per-stage span
 // latency over the sampled traces. Stage keys are span names — wire op names
 // (BEGIN, COMMIT) plus the commit-pipeline stages (route, prepare, decide,
-// outcome, linger, fsync) and the follower's repl.apply.
+// outcome, fsync) and the follower's repl.apply.
 type traceBreakdown struct {
 	Traces int                   `json:"traces"`
 	Stages map[string]traceStage `json:"stages"`
@@ -83,7 +83,7 @@ func pctF(sorted []float64, p int) float64 {
 // printTraceBreakdown shows them first, then any other span names sorted.
 var traceStageOrder = []string{
 	"BEGIN", "COMMIT", "route", "prepare", "decide", "outcome",
-	"linger", "fsync", "repl.apply",
+	"fsync", "repl.apply",
 }
 
 func printTraceBreakdown(bd *traceBreakdown) {

@@ -72,7 +72,7 @@ type xshardResult struct {
 // cross-shard group rewrites from cfg.Workers workers. Unless -expect-crash
 // is set, the run ends with an in-process verify pass.
 func runXShard(cfg loadConfig, jsonPath string, groups int, expectCrash bool) error {
-	opts := client.Options{PoolSize: cfg.PoolSize, TraceSample: cfg.TraceSample}
+	opts := client.Options{PoolSize: cfg.Workers, TraceSample: cfg.TraceSample}
 	if expectCrash {
 		// Retries would only thrash against a server that killed itself at a
 		// crashpoint; fail fast so the run ends at the first broken commit.

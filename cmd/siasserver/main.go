@@ -6,11 +6,10 @@
 // Usage:
 //
 //	siasserver [-addr :4544] [-shards N] [-engine sias|si] [-policy t2|t1]
-//	           [-pool FRAMES] [-pool-partitions P] [-readahead ROWS]
-//	           [-max-inflight N]
-//	           [-drain SECONDS] [-data DIR] [-follow ADDR] [-announce ADDR]
-//	           [-metrics-addr :9544] [-slow-op-ms MS]
-//	           [-trace-sample F] [-asof-retention N]
+//	           [-pool FRAMES] [-max-inflight N] [-drain SECONDS]
+//	           [-data DIR] [-data-pages N] [-wal-pages N] [-wal-sync=false]
+//	           [-asof-retention N] [-follow ADDR] [-announce ADDR]
+//	           [-metrics-addr :9544] [-slow-op-ms MS] [-trace-sample F]
 //
 // With -metrics-addr, a side HTTP listener serves /metrics (Prometheus text
 // exposition of every layer: per-op latency histograms, WAL append/fsync
@@ -81,15 +80,12 @@ func main() {
 	kind := flag.String("engine", "sias", "storage engine: sias or si")
 	policy := flag.String("policy", "t2", "append flush policy: t2 (checkpoint) or t1 (bgwriter)")
 	pool := flag.Int("pool", 4096, "buffer pool frames (total across shards)")
-	poolParts := flag.Int("pool-partitions", 0, "buffer pool lock stripes per shard (0 = auto, 1 = classic single mutex)")
-	readahead := flag.Int("readahead", 32, "scan readahead window in rows: entrypoint pages of that many upcoming VIDs are prefetched ahead of scan cursors (0 = off)")
 	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests")
 	drainSec := flag.Float64("drain", 5, "graceful drain timeout in seconds")
 	dataDir := flag.String("data", "", "data directory for file-backed devices (empty = in-memory)")
 	dataPages := flag.Int64("data-pages", 1<<16, "data device size in pages (total across shards)")
 	walPages := flag.Int64("wal-pages", 1<<15, "WAL device size in pages (total across shards)")
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL device on every flush (file-backed only)")
-	gcLinger := flag.Duration("gc-linger", 0, "max extra wait for a group-commit batch to grow (0 = flush immediately)")
 	asofRetention := flag.Uint64("asof-retention", 1<<16, "retain superseded versions written by the most recent N transactions so AS OF snapshot tokens inside the window stay resolvable (0 = keep only what live snapshots need)")
 	follow := flag.String("follow", "", "run as a replication follower of the primary at this address")
 	announce := flag.String("announce", "", "follower address announced to the primary for client failover (default: loopback form of -addr)")
@@ -101,11 +97,9 @@ func main() {
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	cfg := serverConfig{
 		addr: *addr, shards: *shards, kind: *kind, policy: *policy,
-		pool: *pool, poolParts: *poolParts, readahead: *readahead,
-		maxInflight: *maxInflight, drainSec: *drainSec,
+		pool: *pool, maxInflight: *maxInflight, drainSec: *drainSec,
 		dataDir: *dataDir, dataPages: *dataPages, walPages: *walPages, walSync: *walSync,
-		gcLinger: *gcLinger, asofRetention: *asofRetention,
-		follow: *follow, announce: *announce,
+		asofRetention: *asofRetention, follow: *follow, announce: *announce,
 		metricsAddr: *metricsAddr, slowOpMs: *slowOpMs, traceSample: *traceSample,
 	}
 	if cfg.follow != "" && cfg.announce == "" {
@@ -124,15 +118,12 @@ type serverConfig struct {
 	shards        int
 	kind, policy  string
 	pool          int
-	poolParts     int
-	readahead     int // scan readahead window in rows; 0 = off
 	maxInflight   int
 	drainSec      float64
 	dataDir       string
 	dataPages     int64
 	walPages      int64
 	walSync       bool
-	gcLinger      time.Duration
 	asofRetention uint64  // engine.Options.GCRetention for every shard
 	follow        string  // primary address; non-empty = follower mode
 	announce      string  // follower address handed to clients on drain
@@ -141,9 +132,9 @@ type serverConfig struct {
 	traceSample   float64 // server-side head-sampling rate for bare data ops
 }
 
-// gcBatch is the batch size a lingering group-commit leader (-gc-linger)
-// waits for.
-const gcBatch = 16
+// scanReadahead is every shard's scan readahead window in rows: table scans
+// prefetch the entrypoint pages of that many upcoming VIDs.
+const scanReadahead = 32
 
 // version is stamped by the build via -ldflags "-X main.version=...".
 var version = "dev"
@@ -164,10 +155,9 @@ type openedShard struct {
 // totals, so varying -shards compares layouts at constant resource budgets.
 func openShard(cfg serverConfig, i int) (openedShard, error) {
 	opts := engine.Options{
-		PoolFrames:     max(cfg.pool/cfg.shards, 64),
-		PoolPartitions: cfg.poolParts,
-		ScanReadahead:  cfg.readahead,
-		GCRetention:    cfg.asofRetention,
+		PoolFrames:    max(cfg.pool/cfg.shards, 64),
+		ScanReadahead: scanReadahead,
+		GCRetention:   cfg.asofRetention,
 	}
 	switch cfg.kind {
 	case "sias":
@@ -332,11 +322,7 @@ func run(cfg serverConfig) error {
 	}
 	shards := make([]shard.Shard, cfg.shards)
 	for i, o := range opened {
-		fac := engine.NewFacade(o.db)
-		if cfg.gcLinger > 0 {
-			fac.SetGroupCommitLinger(cfg.gcLinger, gcBatch)
-		}
-		shards[i] = shard.Shard{Facade: fac, Table: o.tab}
+		shards[i] = shard.Shard{Facade: engine.NewFacade(o.db), Table: o.tab}
 	}
 	if cfg.dataDir != "" {
 		log.Printf("siasserver: %d shard(s) opened in %.3fs under %s", cfg.shards, time.Since(start).Seconds(), cfg.dataDir)

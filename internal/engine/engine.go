@@ -76,12 +76,10 @@ type Options struct {
 	DataDevice device.BlockDevice
 	WALDevice  device.BlockDevice
 
-	// PoolFrames sizes the buffer pool (pages).
+	// PoolFrames sizes the buffer pool (pages). The pool chooses its own
+	// lock-stripe count from it (1 stripe for small pools, up to
+	// buffer.DefaultPartitions).
 	PoolFrames int
-	// PoolPartitions sets the pool's lock-stripe count; 0 lets the pool
-	// choose (1 stripe for small pools, up to buffer.DefaultPartitions).
-	// Set 1 to force the classic single-mutex behaviour for baselines.
-	PoolPartitions int
 	// BufferHitCost is the virtual CPU cost of a buffer hit.
 	BufferHitCost simclock.Duration
 	// ScanReadahead is the scan readahead window in data items: table scans
@@ -234,9 +232,8 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	db.pool = buffer.New(buffer.Config{
-		Frames:     opts.PoolFrames,
-		Partitions: opts.PoolPartitions,
-		HitCost:    opts.BufferHitCost,
+		Frames:  opts.PoolFrames,
+		HitCost: opts.BufferHitCost,
 		WALFlush: func(at simclock.Time, lsn uint64) (simclock.Time, error) {
 			return db.walw.Flush(at, wal.LSN(lsn))
 		},

@@ -37,35 +37,21 @@ type Facade struct {
 	queue  []*commitWaiter
 	leader bool
 
-	linger   time.Duration // max extra wait for a batch to grow (0 = off)
-	minBatch int           // stop lingering once the batch reaches this size
-
-	// Wakeup for a lingering leader (guarded by gcMu): when set, the
-	// enqueuer that brings the queue to lingerNeed closes lingerCh so the
-	// leader flushes the moment the target is met instead of polling.
-	lingerCh   chan struct{}
-	lingerNeed int
-
 	tickMu sync.Mutex // at most one goroutine runs maintenance at a time
 
-	// Commit-path instruments (nil = not collected): batch size per group
-	// commit flush and wall-clock linger wait per lingered batch.
-	batchHist  *obs.Histogram
-	lingerHist *obs.Histogram
+	// batchHist observes the size of every group-commit flush (nil = not
+	// collected).
+	batchHist *obs.Histogram
 
 	// tracer records group-commit stage spans for sampled commits
 	// (CommitTraced); nil disables tracing.
 	tracer *obs.Tracer
 }
 
-// SetCommitMetrics attaches group-commit instruments: batch observes the
-// size of every flushed batch, linger the wall-clock time a leader spent
-// growing one (only batches that actually lingered are observed). Must be
-// called before the facade is shared between goroutines.
-func (f *Facade) SetCommitMetrics(batch, linger *obs.Histogram) {
-	f.batchHist = batch
-	f.lingerHist = linger
-}
+// SetCommitMetrics attaches the group-commit batch-size histogram, observed
+// once per flushed batch. Must be called before the facade is shared
+// between goroutines.
+func (f *Facade) SetCommitMetrics(batch *obs.Histogram) { f.batchHist = batch }
 
 // SetTracer attaches the distributed tracer used by CommitTraced. Must be
 // called before the facade is shared between goroutines.
@@ -89,25 +75,6 @@ func NewFacade(db *DB) *Facade {
 
 // DB exposes the wrapped engine (stats, checkpoints, recovery).
 func (f *Facade) DB() *DB { return f.db }
-
-// SetGroupCommitLinger lets a group-commit leader wait up to linger for its
-// batch to grow to minBatch before flushing, in the style of PostgreSQL's
-// commit_delay / MySQL's binlog_group_commit_sync_delay. The wait is gated on
-// observed concurrency: the leader never waits for more transactions than are
-// actually in progress, so a lone committer is never delayed. Zero linger
-// (the default) disables the wait entirely.
-//
-// This matters most when commit traffic is spread thin — e.g. across many
-// engine shards on one device — where each leader would otherwise flush
-// batches of one or two and the WAL fsync rate explodes. Must be called
-// before the facade is shared between goroutines.
-func (f *Facade) SetGroupCommitLinger(linger time.Duration, minBatch int) {
-	if minBatch < 2 {
-		minBatch = 2
-	}
-	f.linger = linger
-	f.minBatch = minBatch
-}
 
 // cursor reads the clock sequencer.
 func (f *Facade) cursor() simclock.Time {
@@ -162,16 +129,15 @@ func (f *Facade) Begin() *txn.Tx { return f.db.Begin() }
 func (f *Facade) Commit(tx *txn.Tx) error { return f.CommitTraced(tx, obs.SpanContext{}) }
 
 // CommitTraced is Commit carrying a distributed-trace context. For a
-// sampled tc the group-commit stages are recorded as spans under it: the
-// leader's linger wait and the shared WAL flush, each commit in the batch
-// annotated with whether it led the flush or rode another leader's, and an
+// sampled tc the shared WAL flush is recorded as a span under it, annotated
+// with whether this commit led the flush or rode another leader's, and an
 // advisory RecTraceCtx WAL record links the commit to its trace in the
 // replication stream.
 //
 // A transaction that wrote nothing never reaches the batcher: nothing in the
 // log or on a page names its id, so there is no outcome to make durable and
 // it is finished in memory (finishUnlogged) — no record, no flush, no
-// waiter, no linger/fsync span.
+// waiter, no fsync span.
 func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 	if !tx.Wrote() {
 		return f.db.finishUnlogged(tx, true)
@@ -184,12 +150,7 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 	f.gcMu.Lock()
 	f.queue = append(f.queue, w)
 	if f.leader {
-		// A leader is mid-flush (or lingering); it will drain us in its
-		// next round. If it lingers for exactly this arrival, wake it.
-		if f.lingerCh != nil && len(f.queue) >= f.lingerNeed {
-			close(f.lingerCh)
-			f.lingerCh = nil
-		}
+		// A leader is mid-flush; it will drain us in its next round.
 		f.gcMu.Unlock()
 		<-w.done
 		return w.err
@@ -200,8 +161,6 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 		f.queue = nil
 		f.gcMu.Unlock()
 
-		lingerStart := time.Now()
-		batch = f.lingerForBatch(batch)
 		if f.batchHist != nil {
 			f.batchHist.Observe(float64(len(batch)))
 		}
@@ -220,7 +179,7 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 		t, errs := f.db.CommitBatch(txs, f.cursor())
 		f.publish(t)
 		if sampled {
-			f.traceBatch(batch, w, lingerStart, flushStart, time.Now())
+			f.traceBatch(batch, w, flushStart, time.Now())
 		}
 		for i, b := range batch {
 			b.err = errs[i]
@@ -239,22 +198,16 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 	return w.err
 }
 
-// traceBatch records the group-commit stage spans for every sampled commit
+// traceBatch records the group-commit flush span for every sampled commit
 // in a flushed batch. The flush is one shared event: each sampled waiter
 // gets its own "fsync" span over the same window, annotated with the batch
 // size and whether it led the flush (leader == the waiter running this
-// loop) or rode along; the leader additionally gets the "linger" span
-// covering batch growth. Runs before the waiters are signalled, so every
+// loop) or rode along. Runs before the waiters are signalled, so every
 // span of a commit is retained before its reply leaves the server.
-func (f *Facade) traceBatch(batch []*commitWaiter, leader *commitWaiter, lingerStart, flushStart, flushEnd time.Time) {
+func (f *Facade) traceBatch(batch []*commitWaiter, leader *commitWaiter, flushStart, flushEnd time.Time) {
 	for _, b := range batch {
 		if !b.tc.Sampled {
 			continue
-		}
-		if b == leader && flushStart.Sub(lingerStart) > 0 {
-			ls := f.tracer.StartSpanAt(b.tc, "linger", lingerStart)
-			ls.Annotate("batch", strconv.Itoa(len(batch)))
-			ls.FinishAt(flushStart)
 		}
 		fs := f.tracer.StartSpanAt(b.tc, "fsync", flushStart)
 		fs.Annotate("batch", strconv.Itoa(len(batch)))
@@ -263,58 +216,6 @@ func (f *Facade) traceBatch(batch []*commitWaiter, leader *commitWaiter, lingerS
 			fs.Annotate("queued_ms", strconv.FormatFloat(float64(flushStart.Sub(b.enq))/float64(time.Millisecond), 'f', 3, 64))
 		}
 		fs.FinishAt(flushEnd)
-	}
-}
-
-// lingerForBatch optionally grows a small commit batch by waiting (bounded
-// by f.linger) for concurrent transactions to reach their own commit. The
-// target is capped at the number of in-progress transactions, which already
-// includes the batch members themselves: with no other transaction in
-// flight the target equals the batch and the leader flushes immediately.
-func (f *Facade) lingerForBatch(batch []*commitWaiter) []*commitWaiter {
-	if f.linger <= 0 || len(batch) >= f.minBatch {
-		return batch
-	}
-	// Only linger when other transactions are actually in flight — a lone
-	// committer flushes immediately. The in-flight ones need not all reach
-	// commit within the window, so the wait is time-bounded, not count-
-	// bounded: the timer is the backstop for stragglers and aborts.
-	if f.db.Txns().ActiveCount() <= len(batch) {
-		return batch
-	}
-	if f.lingerHist != nil {
-		t0 := time.Now()
-		defer f.lingerHist.ObserveSince(t0)
-	}
-	target := f.minBatch
-	timer := time.NewTimer(f.linger)
-	defer timer.Stop()
-	for {
-		f.gcMu.Lock()
-		batch = append(batch, f.queue...)
-		f.queue = nil
-		if len(batch) >= target {
-			f.gcMu.Unlock()
-			return batch
-		}
-		ch := make(chan struct{})
-		f.lingerCh = ch
-		f.lingerNeed = target - len(batch)
-		f.gcMu.Unlock()
-
-		select {
-		case <-ch:
-			// Enough committers arrived; loop around to collect them.
-		case <-timer.C:
-			f.gcMu.Lock()
-			if f.lingerCh == ch {
-				f.lingerCh = nil
-			}
-			batch = append(batch, f.queue...)
-			f.queue = nil
-			f.gcMu.Unlock()
-			return batch
-		}
 	}
 }
 

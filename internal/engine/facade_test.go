@@ -132,74 +132,3 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	t.Logf("%d commits -> %d flushes (%d multi-tx batches)", st.Commits, st.CommitFlushes, st.CommitBatches)
 }
-
-// TestGroupCommitLingerCoalesces checks that a lingering leader waits for
-// concurrent committers instead of flushing a batch of one: eight staggered
-// commits of already-active transactions must land in a single flush.
-func TestGroupCommitLingerCoalesces(t *testing.T) {
-	db, tab := openTestDB(t, KindSIAS)
-	f := NewFacade(db)
-	f.SetGroupCommitLinger(2*time.Second, 8)
-
-	const m = 8
-	txs := make([]*txn.Tx, m)
-	for i := range txs {
-		txs[i] = f.Begin()
-		if err := f.Insert(tab, txs[i], tuple.Row{int64(i), "w", int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := db.Stats()
-
-	start := time.Now()
-	errCh := make(chan error, m)
-	go func() { errCh <- f.Commit(txs[0]) }()
-	// Without the linger the leader would flush txs[0] alone long before
-	// the stragglers show up.
-	time.Sleep(50 * time.Millisecond)
-	for _, tx := range txs[1:] {
-		go func(tx *txn.Tx) { errCh <- f.Commit(tx) }(tx)
-	}
-	for i := 0; i < m; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	d := db.Stats()
-	if got := d.Commits - before.Commits; got != m {
-		t.Fatalf("commits = %d, want %d", got, m)
-	}
-	if got := d.CommitFlushes - before.CommitFlushes; got != 1 {
-		t.Errorf("commit flushes = %d, want 1 (linger should coalesce all %d commits)", got, m)
-	}
-	if d.CommitMaxBatch < m {
-		t.Errorf("max batch = %d, want >= %d", d.CommitMaxBatch, m)
-	}
-	// The batch filled to its target, so the leader must have been woken
-	// by the last arrival, not the 2s timer.
-	if elapsed > time.Second {
-		t.Errorf("commit round took %v; leader appears to have waited for the linger timer", elapsed)
-	}
-}
-
-// TestGroupCommitLingerLoneCommitter checks the concurrency gate: with no
-// other transaction in flight a committer is never delayed by the linger.
-func TestGroupCommitLingerLoneCommitter(t *testing.T) {
-	db, tab := openTestDB(t, KindSIAS)
-	f := NewFacade(db)
-	f.SetGroupCommitLinger(2*time.Second, 8)
-
-	start := time.Now()
-	tx := f.Begin()
-	if err := f.Insert(tab, tx, tuple.Row{int64(1), "w", int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("lone commit took %v; it must not wait out the linger", elapsed)
-	}
-}

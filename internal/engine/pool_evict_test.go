@@ -27,8 +27,8 @@ func TestConcurrentReadsUnderEviction(t *testing.T) {
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
 			opts.Kind = k
-			opts.PoolFrames = 128
-			opts.PoolPartitions = 4
+			// The pool picks one stripe per 64 frames: 256 frames is 4 stripes.
+			opts.PoolFrames = 256
 			db, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -39,7 +39,7 @@ func TestConcurrentReadsUnderEviction(t *testing.T) {
 			}
 			f := NewFacade(db)
 
-			const rows = 2000
+			const rows = 8000 // ~700 allocated pages against 256 frames
 			for lo := int64(0); lo < rows; lo += 250 {
 				setup := f.Begin()
 				for i := lo; i < lo+250; i++ {
@@ -113,8 +113,8 @@ func TestConcurrentReadsUnderEviction(t *testing.T) {
 			if st.Pool.Evictions == 0 {
 				t.Fatal("dataset did not overflow the pool; no evictions exercised")
 			}
-			if st.PoolPartitions != 4 || len(st.Pool.PartitionEvictions) != 4 {
-				t.Fatalf("partitions = %d (evict slices %d), want 4", st.PoolPartitions, len(st.Pool.PartitionEvictions))
+			if st.PoolPartitions < 4 || len(st.Pool.PartitionEvictions) != st.PoolPartitions {
+				t.Fatalf("partitions = %d (evict slices %d), want >= 4 chosen by the pool", st.PoolPartitions, len(st.Pool.PartitionEvictions))
 			}
 			if st.PoolHitRatio <= 0 || st.PoolHitRatio > 1 {
 				t.Fatalf("hit ratio %v out of range", st.PoolHitRatio)

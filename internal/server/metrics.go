@@ -109,13 +109,9 @@ func (s *Server) setupMetrics(reg *obs.Registry, slow *obs.SlowOpLog) {
 			reg.Histogram("sias_wal_fsync_seconds",
 				"WAL flush latency: wait to become the flusher, the one device write, and its fsync under -wal-sync.",
 				obs.DefLatencyBuckets, l))
-		fc.SetCommitMetrics(
-			reg.Histogram("sias_commit_batch_size",
-				"Transactions per group-commit flush.",
-				obs.DefSizeBuckets, l),
-			reg.Histogram("sias_commit_linger_seconds",
-				"Wall-clock time a group-commit leader lingered for its batch.",
-				obs.DefLatencyBuckets, l))
+		fc.SetCommitMetrics(reg.Histogram("sias_commit_batch_size",
+			"Transactions per group-commit flush.",
+			obs.DefSizeBuckets, l))
 		fc.DB().Pool().SetIOMetrics(
 			reg.Histogram("sias_pool_read_wait_seconds",
 				"Wall-clock time a Get blocked on another caller's in-flight read.",
