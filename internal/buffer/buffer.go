@@ -233,8 +233,11 @@ type Pool struct {
 	prefetchCoalesced atomic.Int64
 	prefetchWasted    atomic.Int64
 
-	prefetchSem chan struct{}
-	prefetchWG  sync.WaitGroup
+	// prefetchBufs holds one slot per prefetch worker: a read in flight takes
+	// one and puts it back, which bounds the reads. Each slot is the staging
+	// buffer its coalesced reads land in, allocated on first use and kept.
+	prefetchBufs chan []byte
+	prefetchWG   sync.WaitGroup
 
 	// readWaitH, when set, observes the wall-clock seconds a Get blocked on
 	// another caller's in-flight read. Set at assembly time via
@@ -265,11 +268,14 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 		workers = DefaultPrefetchWorkers
 	}
 	p := &Pool{
-		cfg:         cfg,
-		dev:         dev,
-		parts:       make([]partition, nparts),
-		frames:      cfg.Frames,
-		prefetchSem: make(chan struct{}, workers),
+		cfg:          cfg,
+		dev:          dev,
+		parts:        make([]partition, nparts),
+		frames:       cfg.Frames,
+		prefetchBufs: make(chan []byte, workers),
+	}
+	for i := 0; i < workers; i++ {
+		p.prefetchBufs <- nil
 	}
 	for i := range p.parts {
 		n := cfg.Frames / nparts
@@ -511,8 +517,29 @@ type prefetchClaim struct {
 // reads run on a worker pool bounded by Config.PrefetchWorkers. A Get that
 // arrives before a prefetched read completes singleflight-joins it.
 func (p *Pool) Prefetch(at simclock.Time, pages []int64) {
+	claims := p.claimPrefetch(at, pages)
+	for start := 0; start < len(claims); {
+		end := start + 1
+		for end < len(claims) && claims[end].devPage == claims[end-1].devPage+1 && end-start < maxCoalesce {
+			end++
+		}
+		batch := claims[start:end]
+		start = end
+		p.prefetchWG.Add(1)
+		go func(batch []prefetchClaim) {
+			defer p.prefetchWG.Done()
+			buf := <-p.prefetchBufs
+			p.prefetchBufs <- p.readBatch(at, batch, buf)
+		}(batch)
+	}
+}
+
+// claimPrefetch claims an IO-pending frame for each page of pages that is
+// neither resident nor in flight and has a clean victim, in device page
+// order.
+func (p *Pool) claimPrefetch(at simclock.Time, pages []int64) []prefetchClaim {
 	if len(pages) == 0 {
-		return
+		return nil
 	}
 	sorted := append([]int64(nil), pages...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -549,31 +576,22 @@ func (p *Pool) Prefetch(at simclock.Time, pages []int64) {
 		pt.mu.Unlock()
 		claims = append(claims, prefetchClaim{pt: pt, f: f, idx: idx, ld: ld, devPage: dp})
 	}
-	for start := 0; start < len(claims); {
-		end := start + 1
-		for end < len(claims) && claims[end].devPage == claims[end-1].devPage+1 && end-start < maxCoalesce {
-			end++
-		}
-		batch := claims[start:end]
-		start = end
-		p.prefetchWG.Add(1)
-		go func(batch []prefetchClaim) {
-			defer p.prefetchWG.Done()
-			p.prefetchSem <- struct{}{}
-			defer func() { <-p.prefetchSem }()
-			p.readBatch(at, batch)
-		}(batch)
-	}
+	return claims
 }
 
 // readBatch performs the device reads for one run of consecutive prefetch
-// claims and publishes each frame. A failed batched read falls back to
-// per-page reads so only the genuinely unreadable page fails.
-func (p *Pool) readBatch(at simclock.Time, batch []prefetchClaim) {
+// claims and publishes each frame. A coalesced read lands in the staging
+// buffer buf, grown if the run needs more; readBatch returns the buffer for
+// the worker slot to keep. A failed batched read falls back to per-page reads
+// so only the genuinely unreadable page fails.
+func (p *Pool) readBatch(at simclock.Time, batch []prefetchClaim, buf []byte) []byte {
 	if len(batch) > 1 {
 		if rr, ok := p.dev.(device.PageRangeReader); ok {
 			ps := p.dev.PageSize()
-			buf := make([]byte, len(batch)*ps)
+			if cap(buf) < len(batch)*ps {
+				buf = make([]byte, len(batch)*ps)
+			}
+			buf = buf[:len(batch)*ps]
 			t, err := rr.ReadPages(at, batch[0].devPage, len(batch), buf)
 			if err == nil {
 				p.prefetchCoalesced.Add(int64(len(batch) - 1))
@@ -582,7 +600,7 @@ func (p *Pool) readBatch(at simclock.Time, batch []prefetchClaim) {
 					copy(c.f.Data, buf[i*ps:(i+1)*ps])
 					p.publish(c.pt, c.f, c.idx, c.devPage, t, nil, c.ld)
 				}
-				return
+				return buf
 			}
 		}
 	}
@@ -595,6 +613,7 @@ func (p *Pool) readBatch(at simclock.Time, batch []prefetchClaim) {
 		}
 		p.publish(c.pt, c.f, c.idx, c.devPage, t2, err, c.ld)
 	}
+	return buf
 }
 
 // DrainPrefetch blocks until every in-flight prefetch has published. Used

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,6 +394,49 @@ func TestPrefetchCoalesce(t *testing.T) {
 	}
 	if st.PrefetchWasted != 0 {
 		t.Fatalf("prefetch wasted = %d, want 0 (every page was used)", st.PrefetchWasted)
+	}
+}
+
+// TestReadBatchAllocsFlat pins the coalesced read's budget: with the worker's
+// staging buffer warm, a 32-page readBatch allocates exactly as often as a
+// 2-page one — not at all — where a buffer per batch would cost 256 KB a run.
+func TestReadBatchAllocsFlat(t *testing.T) {
+	p := New(Config{Frames: 64, Partitions: 1}, device.NewMem(page.Size, 1<<10))
+	run := func(n int) []int64 {
+		pages := make([]int64, n)
+		for i := range pages {
+			pages[i] = int64(100 + i)
+		}
+		return pages
+	}
+	buf := p.readBatch(0, p.claimPrefetch(0, run(maxCoalesce)), nil) // warm
+	p.InvalidateAll()
+	// The fewest allocations over a few runs: the process-wide malloc count
+	// also sees goroutines earlier tests left behind, a run's own cost does
+	// not vary.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(n int) uint64 {
+		least := ^uint64(0)
+		for round := 0; round < 5; round++ {
+			claims := p.claimPrefetch(0, run(n))
+			if len(claims) != n {
+				t.Fatalf("claimed %d of %d pages", len(claims), n)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			buf = p.readBatch(0, claims, buf)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+			if st := p.Stats(); st.IOPending != 0 {
+				t.Fatalf("io pending = %d after the batch", st.IOPending)
+			}
+			p.InvalidateAll()
+		}
+		return least
+	}
+	long, short := allocs(maxCoalesce), allocs(2)
+	if long != short || long != 0 {
+		t.Errorf("a warm readBatch allocates %d times at %d pages, %d at 2: want 0 at both", long, maxCoalesce, short)
 	}
 }
 

@@ -250,6 +250,24 @@ func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
 // SetReadahead retunes the scan readahead window (0 disables).
 func (r *Relation) SetReadahead(n int) { r.readahead.Store(int32(n)) }
 
+// stageWindow is the readahead schedule of a scan over n entries with window
+// ra: it returns the entries [lo, hi) to stage when the cursor reaches entry
+// i (lo == hi: none). The first entry stages the first two windows, [0, 2·ra);
+// every later window boundary stages the window after the next,
+// [i+ra, i+2·ra). So each entry is staged exactly once, and a window ahead of
+// the cursor from the second window on — the first Gets of a window join
+// reads already in flight while the window after them loads.
+func stageWindow(i, n, ra int) (lo, hi int) {
+	if ra <= 0 || i%ra != 0 {
+		return 0, 0
+	}
+	lo, hi = i+ra, i+2*ra
+	if i == 0 {
+		lo = 0
+	}
+	return min(lo, n), min(hi, n)
+}
+
 // prefetchVIDs stages the distinct device pages holding the entrypoint
 // versions of vids into the pool's async prefetcher. Chain predecessors are
 // not staged — the window targets the first hop, which Algorithm 1 touches
@@ -537,12 +555,13 @@ func (r *Relation) SealAppend(at simclock.Time, flush bool) (simclock.Time, erro
 	return r.pool.FlushPage(at, dev)
 }
 
-// fetch reads the version at tid, returning header and payload copy. The
-// page bytes are read under the frame's shared latch, not r.mu: the tid may
-// live on the open append page, but appenders mutate it under the exclusive
-// latch, and a slot is only reachable (via VIDmap or a chain pointer) after
-// its insert completed — so concurrent chain readers never serialize on the
-// relation mutex.
+// fetch reads the version at tid, returning header and payload copy. That
+// copy is the only one a read makes: the caller owns it, and a row decoded
+// from it (tuple.Schema.DecodeRow) aliases it. The page bytes are read under
+// the frame's shared latch, not r.mu: the tid may live on the open append
+// page, but appenders mutate it under the exclusive latch, and a slot is only
+// reachable (via VIDmap or a chain pointer) after its insert completed — so
+// concurrent chain readers never serialize on the relation mutex.
 func (r *Relation) fetch(at simclock.Time, tid page.TID) (tuple.SIASHeader, []byte, simclock.Time, error) {
 	f, t, err := r.getPage(at, tid.Block, false)
 	if err != nil {
@@ -888,15 +907,8 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(vid uint64, payloa
 		})
 		t := at
 		for i, vid := range vids {
-			if i%ra == 0 {
-				// Stage the current window plus the next: the first Gets
-				// singleflight-join their in-flight reads while the window
-				// after them is already loading.
-				end := i + 2*ra
-				if end > len(vids) {
-					end = len(vids)
-				}
-				r.prefetchVIDs(t, vids[i:end])
+			if lo, hi := stageWindow(i, len(vids), ra); lo < hi {
+				r.prefetchVIDs(t, vids[lo:hi])
 			}
 			hdr, payload, t2, found, err := r.chainLookup(tx, t, vid)
 			t = t2
@@ -943,13 +955,9 @@ func (r *Relation) resolveEnts(tx *txn.Tx, at simclock.Time, ents []idxEnt, fn f
 	var window []uint64
 	t := at
 	for i, e := range ents {
-		if ra > 0 && i%ra == 0 {
-			end := i + 2*ra
-			if end > len(ents) {
-				end = len(ents)
-			}
+		if lo, hi := stageWindow(i, len(ents), ra); lo < hi {
 			window = window[:0]
-			for _, w := range ents[i:end] {
+			for _, w := range ents[lo:hi] {
 				window = append(window, w.vid)
 			}
 			r.prefetchVIDs(t, window)

@@ -16,21 +16,11 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 	if max := r.vmap.MaxVID(); hi > max {
 		hi = max
 	}
-	ra := uint64(r.readahead.Load())
+	ra := int(r.readahead.Load())
 	var window []uint64
 	t := at
 	for vid := lo; vid < hi; vid++ {
-		if ra > 0 && (vid-lo)%ra == 0 {
-			end := vid + 2*ra
-			if end > hi {
-				end = hi
-			}
-			window = window[:0]
-			for w := vid; w < end; w++ {
-				window = append(window, w)
-			}
-			r.prefetchVIDs(t, window)
-		}
+		window = r.stageVIDs(t, lo, hi, vid, ra, window)
 		if _, ok := r.vmap.Get(vid); !ok {
 			continue
 		}
@@ -47,6 +37,22 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 		}
 	}
 	return t, nil
+}
+
+// stageVIDs applies the readahead schedule (stageWindow) to a cursor at vid
+// in the VID run [lo, hi), staging the VIDs due there; window is scratch
+// space, returned for reuse.
+func (r *Relation) stageVIDs(at simclock.Time, lo, hi, vid uint64, ra int, window []uint64) []uint64 {
+	a, b := stageWindow(int(vid-lo), int(hi-lo), ra)
+	if a == b {
+		return window
+	}
+	window = window[:0]
+	for w := lo + uint64(a); w < lo+uint64(b); w++ {
+		window = append(window, w)
+	}
+	r.prefetchVIDs(at, window)
+	return window
 }
 
 // ParallelScan is the parallel variant of Algorithm 1. The paper notes the
@@ -83,21 +89,11 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			ra := uint64(r.readahead.Load())
+			ra := int(r.readahead.Load())
 			var window []uint64
 			t := at
 			for vid := lo; vid < hi; vid++ {
-				if ra > 0 && (vid-lo)%ra == 0 {
-					end := vid + 2*ra
-					if end > hi {
-						end = hi
-					}
-					window = window[:0]
-					for w := vid; w < end; w++ {
-						window = append(window, w)
-					}
-					r.prefetchVIDs(t, window)
-				}
+				window = r.stageVIDs(t, lo, hi, vid, ra, window)
 				if _, ok := r.vmap.Get(vid); !ok {
 					continue
 				}

@@ -165,6 +165,42 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestStageWindowCoversOnce walks a cursor over n entries and checks the
+// readahead schedule: with a window every entry is staged exactly once, by
+// the time the cursor reaches it, and at most two windows ahead of it — a
+// 128-entry range at readahead 32 stages 128 VIDs, not the 224 of restaging
+// the current window at every boundary. Without one nothing is staged.
+func TestStageWindowCoversOnce(t *testing.T) {
+	for _, ra := range []int{0, 1, 3, 32} {
+		for _, n := range []int{0, 1, 2, 5, 31, 32, 33, 64, 100, 128} {
+			staged := make([]int, n)
+			total := 0
+			for i := 0; i < n; i++ {
+				lo, hi := stageWindow(i, n, ra)
+				if lo > hi || lo < 0 || hi > n {
+					t.Fatalf("ra=%d n=%d: cursor %d stages [%d, %d)", ra, n, i, lo, hi)
+				}
+				if lo < hi && (lo < i || hi > i+2*ra) {
+					t.Fatalf("ra=%d n=%d: cursor %d stages [%d, %d), outside [cursor, cursor+2·ra)", ra, n, i, lo, hi)
+				}
+				for j := lo; j < hi; j++ {
+					staged[j]++
+					total++
+				}
+				if ra > 0 && staged[i] != 1 {
+					t.Fatalf("ra=%d n=%d: entry %d staged %d times by the time the cursor reached it", ra, n, i, staged[i])
+				}
+			}
+			if ra == 0 && total != 0 {
+				t.Fatalf("n=%d: readahead off, yet %d entries staged", n, total)
+			}
+			if ra > 0 && total != n {
+				t.Fatalf("ra=%d n=%d: %d entries staged, want each of the %d once", ra, n, total, n)
+			}
+		}
+	}
+}
+
 // TestScanReadaheadEarlyStop verifies a readahead scan still honors the
 // callback's stop signal.
 func TestScanReadaheadEarlyStop(t *testing.T) {

@@ -277,7 +277,10 @@ var errWrongKeyEpoch = errors.New("engine: stale index entry")
 
 // Update applies mutate to the visible row of key. The mutated row may
 // change the primary key; index maintenance follows the engine's rules
-// (SIAS leaves the index untouched for non-key updates).
+// (SIAS leaves the index untouched for non-key updates). The row mutate gets
+// is decoded in place from the version's private copy: mutate may return its
+// values in the new row but must not write into its bytes columns, which the
+// relation still reads to re-key secondary indexes.
 func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tuple.Row) (tuple.Row, error)) (simclock.Time, error) {
 	if tx.ReadOnly() {
 		return at, ErrReadOnly

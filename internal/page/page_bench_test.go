@@ -26,10 +26,14 @@ func BenchmarkTuple(b *testing.B) {
 	}
 }
 
-func BenchmarkChecksum(b *testing.B) {
+// BenchmarkPageChecksum is what a dirty page's write-back pays for its
+// checksum, in ns per 8 KB page: the buffer pool computes it while holding the
+// page's stripe mutex.
+func BenchmarkPageChecksum(b *testing.B) {
 	p := New(1, 0)
 	p.Insert(make([]byte, 4000))
 	b.SetBytes(Size)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.UpdateChecksum()

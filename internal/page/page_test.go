@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,38 @@ func TestChecksum(t *testing.T) {
 	p[5000] ^= 0xFF
 	if err := p.VerifyChecksum(); err != ErrBadChecksum {
 		t.Errorf("corrupted page verify = %v, want ErrBadChecksum", err)
+	}
+}
+
+// TestChecksumCatchesEveryByteFlip: on a formatted page with tuples, flipping
+// any one of its 8192 bytes — header, checksum field, line pointers, free
+// space or tuple data — fails verification, and verifying leaves the page as
+// it was. An all-zero page (a never-written block) is rejected outright.
+func TestChecksumCatchesEveryByteFlip(t *testing.T) {
+	p := New(7, FlagAppend)
+	for i := 0; i < 20; i++ {
+		if _, err := p.Insert([]byte(fmt.Sprintf("tuple %02d with a few bytes of payload", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.SetLSN(0x1122334455667788)
+	p.UpdateChecksum()
+	clean := append(Page(nil), p...)
+	if err := p.VerifyChecksum(); err != nil {
+		t.Fatalf("VerifyChecksum of a fresh checksum: %v", err)
+	}
+	for off := 0; off < Size; off++ {
+		p[off] ^= 0xFF
+		if err := p.VerifyChecksum(); err == nil {
+			t.Fatalf("flip at offset %d not detected", off)
+		}
+		p[off] ^= 0xFF
+	}
+	if !bytes.Equal(p, clean) {
+		t.Fatal("VerifyChecksum changed the page it verified")
+	}
+	if err := make(Page, Size).VerifyChecksum(); err == nil {
+		t.Fatal("an all-zero page verified")
 	}
 }
 

@@ -24,7 +24,7 @@ const maxTableCols = 1024
 // handleSnapshot answers SNAPSHOT: one stable AS OF token per shard.
 func (c *session) handleSnapshot() ([]byte, error) {
 	toks := c.srv.cfg.Router.SnapshotTokens()
-	var b wire.Buf
+	b := c.reply()
 	b.U32(uint32(len(toks)))
 	for _, tok := range toks {
 		b.U64(tok)
@@ -152,7 +152,9 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 		}
-		row, err := sch.DecodeRow(enc)
+		// The row's bytes columns alias what they decode from, and enc lives
+		// in the session's request buffer: decode a copy.
+		row, err := sch.DecodeRow(append([]byte(nil), enc...))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 		}
@@ -177,7 +179,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, fmt.Errorf("server: encode row: %v", err)
 		}
-		var b wire.Buf
+		b := c.reply()
 		b.Bytes(enc)
 		return b.B, nil
 
@@ -186,7 +188,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		entries := countedBuf()
+		entries := c.countedReply()
 		count := uint32(0)
 		var encErr error
 		err = tx.ScanTable(table, lo, hi, func(row tuple.Row) bool {
@@ -220,7 +222,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		var b wire.Buf
+		b := c.reply()
 		b.U32(uint32(len(rows)))
 		for _, row := range rows {
 			enc, e := sch.EncodeRow(row)
@@ -240,7 +242,7 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		entries := countedBuf()
+		entries := c.countedReply()
 		count := uint32(0)
 		var encErr error
 		err = tx.IndexRange(table, string(ib), lo, hi, func(ikey int64, row tuple.Row) bool {

@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzHandle throws arbitrary (op, payload) request frames at a live session,
-// bare and inside a TRACE envelope. Whatever arrives, the server must not
-// panic (it shares this process), must answer every frame with exactly one
-// reply carrying a declared code, must answer BAD_REQUEST to an opcode the
-// protocol does not declare, and must keep the connection open and in step —
-// a STATS probe behind the two frames still gets its JSON. SUBSCRIBE is the
+// bare and inside a TRACE envelope, each twice over so the repeat lands in the
+// session's reused buffers. Whatever arrives, the server must not panic (it
+// shares this process), must answer every frame with exactly one reply
+// carrying a declared code, must answer BAD_REQUEST to an opcode the protocol
+// does not declare, and must keep the connection open and in step — a STATS
+// probe behind the four frames still gets its JSON. SUBSCRIBE is the
 // one exception: it hands the connection to the replication stream (or hangs
 // up on a malformed handshake), so those inputs only have to not panic.
 func FuzzHandle(f *testing.F) {
@@ -75,11 +76,13 @@ func FuzzHandle(f *testing.F) {
 			return
 		}
 
-		codes, payloads := s.send(begin, bare, wrapped, rawFrame{wire.OpStats, nil})
+		// Each input goes twice: the second copy is read into the buffer the
+		// first (and its reply) left behind.
+		codes, payloads := s.send(begin, bare, wrapped, bare, wrapped, rawFrame{wire.OpStats, nil})
 		if codes[0] != wire.CodeOK {
 			t.Fatalf("BEGIN answered %s", codes[0])
 		}
-		for i, c := range codes[1:3] {
+		for i, c := range codes[1:5] {
 			if c > wire.CodeNoIndex || c == wire.CodeLogBatch {
 				t.Errorf("frame %d of %s answered with code %s", i, op, c)
 			}
@@ -87,8 +90,8 @@ func FuzzHandle(f *testing.F) {
 				t.Errorf("frame %d: undeclared %s answered %s, want BAD_REQUEST", i, op, c)
 			}
 		}
-		if codes[3] != wire.CodeOK || len(payloads[3]) == 0 || payloads[3][0] != '{' {
-			t.Fatalf("STATS behind %s answered %s %.40q: the session lost step", op, codes[3], payloads[3])
+		if codes[5] != wire.CodeOK || len(payloads[5]) == 0 || payloads[5][0] != '{' {
+			t.Fatalf("STATS behind %s answered %s %.40q: the session lost step", op, codes[5], payloads[5])
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sias/internal/server"
+	"sias/internal/tuple"
 	"sias/internal/wire"
 )
 
@@ -159,6 +160,53 @@ func TestPipelinedTransactionAnswersInOrder(t *testing.T) {
 	got.B = s.one(kvFrame(wire.OpGet, 0, 7, nil), wire.CodeOK)
 	if v, _ := got.Bytes(); string(v) != "new" {
 		t.Fatalf("pipelined update not committed: %q", v)
+	}
+}
+
+// TestReusedBuffersKeepRequestsApart pipelines requests of falling size into
+// one session, which reads each into the memory of the one before and builds
+// each reply where the last was: a 4 KB INSERT, a 3-byte INSERT, a row-op
+// INSERT, then GETs of all three. Every value must come back exactly as
+// written — nothing of a longer request may show through a shorter one.
+func TestReusedBuffersKeepRequestsApart(t *testing.T) {
+	_, addr := startServer(t, memRouter(t, 1), nil)
+	s := dialRaw(t, addr)
+	big := bytes.Repeat([]byte("0123456789abcdef"), 256)
+	row, err := kvSchema().EncodeRow(tuple.Row{int64(3), []byte("row")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowOp wire.Buf
+	rowOp.U64(0)
+	rowOp.Bytes([]byte("kv"))
+	rowOp.Bytes(row)
+
+	codes, payloads := s.send(
+		rawFrame{wire.OpBegin, nil},
+		kvFrame(wire.OpInsert, 0, 1, big),
+		kvFrame(wire.OpInsert, 0, 2, []byte("abc")),
+		rawFrame{wire.OpInsertRow, rowOp.B},
+		kvFrame(wire.OpGet, 0, 1, nil),
+		kvFrame(wire.OpGet, 0, 2, nil),
+		kvFrame(wire.OpGet, 0, 3, nil),
+		endFrame(wire.OpCommit, 0),
+		rawFrame{wire.OpBegin, nil},
+		kvFrame(wire.OpGet, 0, 3, nil),
+		kvFrame(wire.OpGet, 0, 2, nil),
+		kvFrame(wire.OpGet, 0, 1, nil),
+	)
+	for i, c := range codes {
+		if c != wire.CodeOK {
+			t.Fatalf("reply %d: %s %q, want OK", i, c, payloads[i])
+		}
+	}
+	want := map[int][]byte{4: big, 5: []byte("abc"), 6: []byte("row"), 9: []byte("row"), 10: []byte("abc"), 11: big}
+	for i, w := range want {
+		r := wire.Reader{B: payloads[i]}
+		if got, err := r.Bytes(); err != nil || !bytes.Equal(got, w) || len(r.B) != 0 {
+			t.Errorf("GET reply %d = %.20q… (%d bytes, %v, %d trailing), want %.20q… (%d bytes)",
+				i, got, len(got), err, len(r.B), w, len(w))
+		}
 	}
 }
 

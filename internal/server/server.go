@@ -426,6 +426,31 @@ type session struct {
 	txs        map[uint64]*shard.Txn
 	nextHandle uint64 // handles start at 1: 0 is never issued
 	lastBegun  uint64 // what handle 0 resolves to; 0 = nothing (see handle)
+
+	// in holds the request being served and out the reply being built. Both
+	// are reused from one request to the next, so a request payload is valid
+	// only until its reply is written: a handler copies what it keeps.
+	in  []byte
+	out wire.Buf
+}
+
+// maxSessionBuf caps the buffers a session keeps between requests. A larger
+// request or reply (a big scan) gets its buffer to itself, dropped once the
+// reply is written, so an idle connection pins at most this much in each.
+const maxSessionBuf = 1 << 20
+
+// reply hands out the session's reply buffer, emptied. What a handler builds
+// in it is valid until the next call.
+func (c *session) reply() *wire.Buf {
+	c.out.B = c.out.B[:0]
+	return &c.out
+}
+
+// writeErr answers with an error frame carrying msg.
+func (c *session) writeErr(code wire.Code, msg string) error {
+	b := c.reply()
+	b.B = append(b.B, msg...)
+	return wire.WriteFrame(c.bw, uint8(code), b.B)
 }
 
 func (c *session) run() {
@@ -441,10 +466,11 @@ func (c *session) run() {
 	}()
 
 	for {
-		rawOp, payload, err := wire.ReadFrame(c.br)
+		rawOp, payload, err := wire.ReadFrame(c.br, c.in)
 		if err != nil {
 			return // EOF, client went away, or force-closed during drain
 		}
+		c.in = payload
 		op := wire.Op(rawOp)
 		// Unwrap the trace envelope before anything looks at the op: the
 		// inner op drives the subscribe switch, admission, histograms and
@@ -455,9 +481,8 @@ func (c *session) run() {
 			traceID, parentSpan, sampled, inner, innerPayload, derr := wire.DecodeTraceEnvelope(payload)
 			if derr != nil {
 				c.lastBegun = 0 // the frame inside may have been a BEGIN
-				var eb wire.Buf
-				eb.B = append(eb.B, fmt.Sprintf("bad request: malformed TRACE envelope: %v", derr)...)
-				if wire.WriteFrame(c.bw, uint8(wire.CodeBadRequest), eb.B) != nil || c.bw.Flush() != nil {
+				msg := fmt.Sprintf("bad request: malformed TRACE envelope: %v", derr)
+				if c.writeErr(wire.CodeBadRequest, msg) != nil || c.bw.Flush() != nil {
 					return
 				}
 				continue
@@ -473,53 +498,64 @@ func (c *session) run() {
 			c.runSubscriber(payload)
 			return
 		}
-		c.srv.inflight.Add(1)
-		var t0 time.Time
-		if c.srv.timeOps || c.srv.tracer != nil {
-			t0 = time.Now()
-		}
-		// Op span: continue a carried trace, or head-sample a bare data op
-		// server-side.
-		var sp *obs.Span
-		if c.srv.tracer != nil && traced(op.Kind()) {
-			if !tc.Sampled && c.srv.tracer.Sample() {
-				tc = c.srv.tracer.NewContext()
-			}
-			sp = c.srv.tracer.StartSpanAt(tc, op.String(), t0)
-		}
-		resp, herr := c.handle(op, payload, sp)
-		if sp != nil {
-			if herr != nil {
-				sp.Annotate("error", herr.Error())
-			}
-			// Finished (and counted) before the reply hits the wire, so a
-			// scrape after the client observes the ack sees the span.
-			sp.Finish()
-		}
-		if c.srv.timeOps {
-			c.srv.observeOp(op, payload, sp, t0, time.Since(t0))
-		}
-		if herr != nil {
-			var eb wire.Buf
-			eb.B = append(eb.B, herr.Error()...)
-			err = wire.WriteFrame(c.bw, uint8(wire.CodeOf(herr)), eb.B)
-		} else {
-			err = wire.WriteFrame(c.bw, uint8(wire.CodeOK), resp)
-		}
-		if err != nil {
-			c.srv.inflight.Add(-1)
+		if c.serve(op, payload, tc) != nil {
 			return
 		}
-		// Pipelining-aware flush: only force bytes out when no further
-		// request is already buffered.
-		if c.br.Buffered() == 0 {
-			if err := c.bw.Flush(); err != nil {
-				c.srv.inflight.Add(-1)
-				return
-			}
-		}
-		c.srv.inflight.Add(-1)
 	}
+}
+
+// serve executes one request and writes its reply. Afterwards the request
+// payload is dead, and a request or reply buffer grown past maxSessionBuf is
+// dropped.
+func (c *session) serve(op wire.Op, payload []byte, tc obs.SpanContext) error {
+	c.srv.inflight.Add(1)
+	defer c.srv.inflight.Add(-1)
+	var t0 time.Time
+	if c.srv.timeOps || c.srv.tracer != nil {
+		t0 = time.Now()
+	}
+	// Op span: continue a carried trace, or head-sample a bare data op
+	// server-side.
+	var sp *obs.Span
+	if c.srv.tracer != nil && traced(op.Kind()) {
+		if !tc.Sampled && c.srv.tracer.Sample() {
+			tc = c.srv.tracer.NewContext()
+		}
+		sp = c.srv.tracer.StartSpanAt(tc, op.String(), t0)
+	}
+	resp, herr := c.handle(op, payload, sp)
+	if sp != nil {
+		if herr != nil {
+			sp.Annotate("error", herr.Error())
+		}
+		// Finished (and counted) before the reply hits the wire, so a
+		// scrape after the client observes the ack sees the span.
+		sp.Finish()
+	}
+	if c.srv.timeOps {
+		c.srv.observeOp(op, payload, sp, t0, time.Since(t0))
+	}
+	var err error
+	if herr != nil {
+		err = c.writeErr(wire.CodeOf(herr), herr.Error())
+	} else {
+		err = wire.WriteFrame(c.bw, uint8(wire.CodeOK), resp)
+	}
+	if cap(c.in) > maxSessionBuf {
+		c.in = nil
+	}
+	if cap(c.out.B) > maxSessionBuf {
+		c.out.B = nil
+	}
+	if err != nil {
+		return err
+	}
+	// Pipelining-aware flush: only force bytes out when no further request
+	// is already buffered.
+	if c.br.Buffered() == 0 {
+		return c.bw.Flush()
+	}
+	return nil
 }
 
 // followerAddr reports the best failover target: among live announced
@@ -917,7 +953,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 			return nil, err
 		}
 		val, _ := row[srv.valCol].([]byte)
-		var b wire.Buf
+		b := c.reply()
 		b.Bytes(val)
 		return b.B, nil
 
@@ -951,7 +987,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		entries := countedBuf()
+		entries := c.countedReply()
 		count := uint32(0)
 		err = tx.Range(lo, hi, func(row tuple.Row) bool {
 			k, _ := row[1-srv.valCol].(int64)
@@ -991,7 +1027,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 // lsnVector encodes the per-shard durable WAL positions.
 func (c *session) lsnVector() []byte {
 	n := c.srv.cfg.Router.N()
-	var b wire.Buf
+	b := c.reply()
 	b.U32(uint32(n))
 	for i := 0; i < n; i++ {
 		b.U64(uint64(c.srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()))
@@ -1005,7 +1041,7 @@ func (c *session) lsnVector() []byte {
 func (c *session) handleReplLSN() ([]byte, error) {
 	if rep := c.srv.cfg.Replica; rep != nil && !rep.Promoted() {
 		applied := rep.AppliedLSNs()
-		var b wire.Buf
+		b := c.reply()
 		b.U32(uint32(len(applied)))
 		for _, l := range applied {
 			b.U64(l)
@@ -1022,7 +1058,7 @@ func (c *session) open(tx *shard.Txn) []byte {
 	c.lastBegun = c.nextHandle
 	c.txs[c.nextHandle] = tx
 	c.srv.openTxns.Add(1)
-	var b wire.Buf
+	b := c.reply()
 	b.U64(c.nextHandle)
 	return b.B
 }
@@ -1068,17 +1104,18 @@ func rangeArgs(r *wire.Reader) (lo, hi int64, limit uint32, err error) {
 	return lo, hi, limit, nil
 }
 
-// countedBuf starts a range reply: the entry count goes first, so its four
-// bytes are reserved before the entries and filled in by counted.
-func countedBuf() wire.Buf {
-	var b wire.Buf
+// countedReply starts a range reply in the reply buffer: the entry count goes
+// first, so its four bytes are reserved before the entries and filled in by
+// counted.
+func (c *session) countedReply() *wire.Buf {
+	b := c.reply()
 	b.U32(0)
 	return b
 }
 
-// counted finishes a range reply countedBuf started: it writes the entry
+// counted finishes a range reply countedReply started: it writes the entry
 // count into the reserved bytes.
-func counted(count uint32, entries wire.Buf) []byte {
+func counted(count uint32, entries *wire.Buf) []byte {
 	binary.LittleEndian.PutUint32(entries.B, count)
 	return entries.B
 }

@@ -130,6 +130,11 @@ func (s *Schema) EncodeRow(r Row) ([]byte, error) {
 // decoder is strict — overlong varints, out-of-range presence/bool bytes and
 // trailing garbage are rejected — so the encoding is canonical: every row
 // has exactly one byte representation and decode→encode is the identity.
+//
+// A bytes column aliases b (capped, so appending to it cannot reach the next
+// column): the row is valid only as long as b is. A caller that decodes bytes
+// it does not own — page bytes under a latch, a reused request buffer —
+// copies them first or drops the row before b changes.
 func (s *Schema) DecodeRow(b []byte) (Row, error) {
 	r := make(Row, len(s.Cols))
 	var tmp [binary.MaxVarintLen64]byte
@@ -177,10 +182,9 @@ func (s *Schema) DecodeRow(b []byte) (Row, error) {
 				return nil, fmt.Errorf("tuple: bad bytes at column %s", c.Name)
 			}
 			off += n
-			out := make([]byte, l)
-			copy(out, b[off:off+int(l)])
-			off += int(l)
-			r[i] = out
+			end := off + int(l)
+			r[i] = b[off:end:end]
+			off = end
 		case TypeBool:
 			if off >= len(b) {
 				return nil, fmt.Errorf("tuple: row truncated at column %s", c.Name)

@@ -169,6 +169,33 @@ func TestRowRoundtripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeRowAliasesBytes pins DecodeRow's ownership contract: a bytes
+// column is the input's own bytes, not a copy, and is capped at its length so
+// appending to it reallocates instead of overwriting the next column.
+func TestDecodeRowAliasesBytes(t *testing.T) {
+	s := NewSchema(Column{"a", TypeBytes}, Column{"b", TypeBytes})
+	enc, err := s.EncodeRow(Row{[]byte("first"), []byte("second")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := s.DecodeRow(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := row[0].([]byte)
+	if &a[0] != &enc[2] || cap(a) != len(a) {
+		t.Fatalf("column a does not alias its input capped at its length (cap %d, len %d)", cap(a), len(a))
+	}
+	_ = append(a, "XXXX"...)
+	if got := string(row[1].([]byte)); got != "second" {
+		t.Fatalf("appending to column a rewrote column b: %q", got)
+	}
+	enc[2] = 'F'
+	if string(a) != "First" {
+		t.Fatalf("column a = %q after its input changed: not an alias", a)
+	}
+}
+
 func TestDecodeRowTrailingGarbage(t *testing.T) {
 	s := NewSchema(Column{"a", TypeInt64})
 	enc, _ := s.EncodeRow(Row{int64(5)})

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -95,8 +94,9 @@ func FuzzPayloadReader(f *testing.F) {
 }
 
 // FuzzFrameStream parses a stream of frames back-to-back, the way a server
-// connection does, checking the parser leaves the stream positioned at a
-// frame boundary after every successful read.
+// connection does — each frame into the buffer the previous one came in —
+// and checks every frame against a parse into fresh memory: reuse must never
+// let one frame's bytes show through in the next.
 func FuzzFrameStream(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, uint8(OpBegin), nil)
@@ -114,12 +114,19 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add(pair.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		fresh, reused := bytes.NewReader(data), bytes.NewReader(data)
+		var buf []byte
 		for i := 0; i < 64; i++ {
-			_, _, err := ReadFrame(r)
-			if err == io.EOF || err != nil {
+			wantTag, want, wantErr := ReadFrame(fresh)
+			tag, got, err := ReadFrame(reused, buf)
+			if err != wantErr || tag != wantTag || !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: reused buffer read %d %q (%v), fresh read %d %q (%v)",
+					i, tag, got, err, wantTag, want, wantErr)
+			}
+			if err != nil {
 				return
 			}
+			buf = got
 		}
 	})
 }

@@ -66,20 +66,54 @@ func WriteFrame(w io.Writer, tag uint8, payload []byte) error {
 }
 
 // ReadFrame reads one frame from r, returning the tag and payload.
-func ReadFrame(r io.Reader) (uint8, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+//
+// A caller that reads frame after frame and is done with each payload before
+// the next passes the previous payload back as buf: the header and the next
+// payload are read into its memory whenever its capacity holds them, so a
+// warm buffer reads frames without allocating. The payload always starts at
+// buf's first byte, so it is the buffer to pass next time. A caller that keeps
+// the payload passes nil or nothing (buf is variadic so the one-argument
+// callers — the client, the replication stream, the bench module's wire
+// driver — read as before) and gets a fresh slice of exactly its length.
+func ReadFrame(r io.Reader, buf ...[]byte) (uint8, []byte, error) {
+	var reuse []byte
+	if len(buf) > 0 {
+		reuse = buf[0]
+	}
+	hdr := reuse
+	if cap(hdr) < 5 {
+		hdr = make([]byte, 5)
+	}
+	hdr = hdr[:5]
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 1 || n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+		return 0, nil, noEOF(err)
 	}
-	return body[0], body[1:], nil
+	tag := hdr[4]
+	body := reuse
+	if cap(body) < int(n-1) {
+		body = make([]byte, n-1)
+	}
+	body = body[:n-1]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, noEOF(err)
+	}
+	return tag, body, nil
+}
+
+// noEOF reports a stream that ends inside a frame as truncated: io.EOF is
+// only a clean end between frames.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Buf builds a payload with the protocol's primitive encodings.

@@ -64,6 +64,31 @@ func TestWriteFrameBudget(t *testing.T) {
 	}
 }
 
+// TestReadFrameBudget pins the read side: into a warm buffer — the payload
+// of the frame before — ReadFrame allocates nothing, header included, and the
+// payload it returns is that buffer's memory.
+func TestReadFrameBudget(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, uint8(OpUpdate), bytes.Repeat([]byte{0x5a}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	frame := stream.Bytes()
+	r := bytes.NewReader(frame)
+	_, buf, err := ReadFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Reset(frame)
+		tag, p, err := ReadFrame(r, buf)
+		if err != nil || Op(tag) != OpUpdate || len(p) != 300 || &p[0] != &buf[0] {
+			t.Fatalf("warm read: tag %d, %d bytes, %v, in the buffer: %v", tag, len(p), err, len(p) > 0 && &p[0] == &buf[0])
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrame into a warm buffer allocates %v times per frame, want 0", n)
+	}
+}
+
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
 	// A length field over MaxFrame must be rejected without allocation.
