@@ -32,14 +32,12 @@
 // rereads every group on a restarted server — or a caught-up follower — and
 // asserts all members are equal, proving all-or-nothing; see xshard.go.
 //
-// With -metrics-addr pointed at the server's observability listener, the
-// tool scrapes /metrics before and after the measured run and folds the
-// server-side latency histograms — per-op p50/p95/p99 and the WAL fsync
-// distribution, as deltas covering exactly the measured window — into the
-// report next to the client-observed latencies. Adding -trace-sample F
-// traces that fraction of transactions end to end (TRACE envelopes) and
-// fetches the sampled traces back from /debug/traces, reporting p50/p99 per
-// commit-pipeline stage (route, prepare, decide, outcome, fsync).
+// -trace-sample F traces that fraction of transactions end to end (TRACE
+// envelopes); with -metrics-addr pointed at the server's observability
+// listener, the tool fetches the sampled traces back from /debug/traces and
+// reports p50/p99 per commit-pipeline stage (route, prepare, decide,
+// outcome, fsync). The server's own per-op latency summary rides the STATS
+// reply (its ops field), which -stats-only dumps.
 package main
 
 import (
@@ -47,10 +45,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -59,7 +55,6 @@ import (
 
 	"sias/internal/client"
 	"sias/internal/engine"
-	"sias/internal/obs"
 	"sias/internal/repl"
 	"sias/internal/server"
 	"sias/internal/shard"
@@ -76,7 +71,7 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated follower addresses; pure-read transactions are routed to them when they cover the worker's commit point (read-your-writes)")
 	jsonPath := flag.String("json", "", "write a machine-readable result JSON to this file")
 	statsOnly := flag.Bool("stats-only", false, "fetch STATS, print the raw reply JSON (to -json FILE if set, else stdout), and exit")
-	metricsAddr := flag.String("metrics-addr", "", "server metrics listener to scrape for server-side latency histograms (empty = skip)")
+	metricsAddr := flag.String("metrics-addr", "", "server observability listener to fetch sampled traces from (/debug/traces) with -trace-sample (empty = skip)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of transactions traced end to end (TRACE envelopes); with -metrics-addr, the per-stage span breakdown from /debug/traces joins the report")
 	workload := flag.String("workload", "kv", "workload: kv (key/value ops), index (typed table with secondary-index lookups and AS OF verification) or xshard (cross-shard group rewrites)")
 	stateOut := flag.String("state-out", "", "index workload: write snapshot tokens and group counts to this file for a later -verify-state run")
@@ -178,8 +173,8 @@ type loadConfig struct {
 	// transactions (client.Options.Replicas).
 	Replicas []string `json:"replicas,omitempty"`
 	Shards   int      `json:"shards"` // reported by the server
-	// MetricsAddr is the server's observability listener; non-empty enables
-	// the before/after /metrics scrape.
+	// MetricsAddr is the server's observability listener, where the sampled
+	// traces are fetched from.
 	MetricsAddr string `json:"metrics_addr,omitempty"`
 	// TraceSample is the fraction of transactions traced end to end
 	// (client.Options.TraceSample); with MetricsAddr set, the sampled
@@ -262,92 +257,9 @@ type result struct {
 	// Reads breaks routed read transactions down by serving side; present
 	// when -replicas was given.
 	Reads *readRouting `json:"read_routing,omitempty"`
-	// Server carries server-side histogram percentiles scraped from
-	// /metrics (-metrics-addr), as deltas over the measured window.
-	Server *serverSide `json:"server,omitempty"`
 	// Trace is the per-stage span breakdown fetched from /debug/traces;
 	// present when -trace-sample and -metrics-addr are both set.
 	Trace *traceBreakdown `json:"trace,omitempty"`
-}
-
-// serverSide is the /metrics slice of the report: what the server itself
-// measured while the run executed, complementing the client-observed
-// latencies (which include the network and the client runtime).
-type serverSide struct {
-	// Ops maps wire op name to its server-side latency over the run.
-	Ops map[string]serverLat `json:"op_latency,omitempty"`
-	// WALFsync is the WAL flush latency distribution, merged across shards.
-	WALFsync *serverLat `json:"wal_fsync,omitempty"`
-}
-
-// serverLat summarizes one scraped histogram delta.
-type serverLat struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_ms"`
-	P95   float64 `json:"p95_ms"`
-	P99   float64 `json:"p99_ms"`
-}
-
-// scrapeHists fetches /metrics from the server's observability listener and
-// parses every histogram series.
-func scrapeHists(addr string) (map[string]*obs.ParsedHist, error) {
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s: HTTP %d", addr, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return obs.ParseHistograms(string(body))
-}
-
-// foldServerSide subtracts the before scrape from the after scrape and
-// summarizes the op-latency and WAL-fsync histograms. A nil before (first
-// scrape failed) degrades to since-server-start numbers.
-func foldServerSide(before, after map[string]*obs.ParsedHist) *serverSide {
-	sum := func(p *obs.ParsedHist) serverLat {
-		return serverLat{
-			Count: p.Count,
-			P50:   p.Quantile(0.50) * 1e3,
-			P95:   p.Quantile(0.95) * 1e3,
-			P99:   p.Quantile(0.99) * 1e3,
-		}
-	}
-	out := &serverSide{}
-	var fsync *obs.ParsedHist
-	for key, p := range after {
-		d := p.Sub(before[key])
-		switch {
-		case strings.HasPrefix(key, `sias_server_op_seconds{op="`):
-			if d.Count == 0 {
-				continue
-			}
-			op := strings.TrimSuffix(strings.TrimPrefix(key, `sias_server_op_seconds{op="`), `"}`)
-			if out.Ops == nil {
-				out.Ops = map[string]serverLat{}
-			}
-			out.Ops[op] = sum(d)
-		case strings.HasPrefix(key, "sias_wal_fsync_seconds"):
-			if fsync == nil {
-				fsync = d
-			} else {
-				fsync.Merge(d)
-			}
-		}
-	}
-	if fsync != nil && fsync.Count > 0 {
-		lat := sum(fsync)
-		out.WALFsync = &lat
-	}
-	if out.Ops == nil && out.WALFsync == nil {
-		return nil
-	}
-	return out
 }
 
 // readRouting is the -replicas read breakdown: where BeginRead transactions
@@ -410,16 +322,6 @@ func run(cfg loadConfig, jsonPath string) error {
 	cfg.Shards = before.Router.Shards
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-
-	// Snapshot the server-side histograms so the post-run scrape can be
-	// reduced to exactly the measured window. A failed first scrape is
-	// reported but not fatal — the run itself is unaffected.
-	var mBefore map[string]*obs.ParsedHist
-	if cfg.MetricsAddr != "" {
-		if mBefore, err = scrapeHists(cfg.MetricsAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics scrape (before): %v\n", err)
-		}
 	}
 
 	// With -replicas, each worker runs over its own client: the
@@ -495,18 +397,11 @@ func run(cfg loadConfig, jsonPath string) error {
 	}
 
 	res := summarize(cfg, elapsed, samples, before, after)
-	if cfg.MetricsAddr != "" {
-		if mAfter, err := scrapeHists(cfg.MetricsAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics scrape (after): %v\n", err)
+	if cfg.MetricsAddr != "" && cfg.TraceSample > 0 {
+		if bd, err := scrapeTraces(cfg.MetricsAddr, 1000); err != nil {
+			fmt.Fprintf(os.Stderr, "trace scrape: %v\n", err)
 		} else {
-			res.Server = foldServerSide(mBefore, mAfter)
-		}
-		if cfg.TraceSample > 0 {
-			if bd, err := scrapeTraces(cfg.MetricsAddr, 1000); err != nil {
-				fmt.Fprintf(os.Stderr, "trace scrape: %v\n", err)
-			} else {
-				res.Trace = bd
-			}
+			res.Trace = bd
 		}
 	}
 	res.Conflicts = conflicts
@@ -703,23 +598,6 @@ func printResult(res result) {
 		}
 		fmt.Printf("  cross-shard txns %d (p50 %.2f ms, p99 %.2f ms)\n",
 			res.CrossShard.Txns, res.CrossShard.Latency.P50, res.CrossShard.Latency.P99)
-	}
-
-	if res.Server != nil {
-		fmt.Printf("\nserver-side latency over the run (from /metrics):\n")
-		ops := make([]string, 0, len(res.Server.Ops))
-		for op := range res.Server.Ops {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		fmt.Printf("  %-8s %10s %9s %9s %9s\n", "op", "count", "p50 ms", "p95 ms", "p99 ms")
-		for _, op := range ops {
-			l := res.Server.Ops[op]
-			fmt.Printf("  %-8s %10d %9.3f %9.3f %9.3f\n", op, l.Count, l.P50, l.P95, l.P99)
-		}
-		if f := res.Server.WALFsync; f != nil {
-			fmt.Printf("  WAL fsync: %d flushes, p50 %.3f ms, p99 %.3f ms\n", f.Count, f.P50, f.P99)
-		}
 	}
 
 	if res.Trace != nil {

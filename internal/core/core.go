@@ -775,8 +775,10 @@ func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey 
 
 // DeleteByVID appends a tombstone version (Section 4.2.2): transactions that
 // started before the deleting transaction commits still reach the last
-// committed state through the chain.
-func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64) (simclock.Time, error) {
+// committed state through the chain. A non-nil check sees the visible
+// payload first, and an error from it returns before anything is appended —
+// the caller's re-check of a key whose <key, VID> entry may be stale.
+func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64, check func(old []byte) error) (simclock.Time, error) {
 	tx.MarkWrote()
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
 		return at, err
@@ -786,7 +788,7 @@ func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64) (simclo
 	if !ok {
 		return t, ErrNotFound
 	}
-	hdr, _, t, err := r.fetch(t, entryTID)
+	hdr, payload, t, err := r.fetch(t, entryTID)
 	if err != nil {
 		return t, err
 	}
@@ -795,6 +797,11 @@ func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64) (simclo
 	}
 	if hdr.Tombstone() {
 		return t, ErrNotFound
+	}
+	if check != nil {
+		if err := check(payload); err != nil {
+			return t, err
+		}
 	}
 	tomb := tuple.EncodeSIAS(tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID, Flags: tuple.FlagTombstone}, nil)
 	r.mu.Lock()
@@ -832,64 +839,11 @@ func (r *Relation) GetByVID(tx *txn.Tx, at simclock.Time, vid uint64) ([]byte, s
 	return payload, t, nil
 }
 
-// Get resolves key through the primary <key, VID> index, then the VIDmap.
-func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, simclock.Time, error) {
-	vids, t, err := r.pk.Search(at, key)
-	if err != nil {
-		return nil, t, err
-	}
-	for _, vid := range vids {
-		payload, t2, err := r.GetByVID(tx, t, vid)
-		t = t2
-		if err == nil {
-			return payload, t, nil
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return nil, t, err
-		}
-	}
-	return nil, t, ErrNotFound
-}
-
 // VIDsForKey returns every VID the primary index maps key to. Multiple VIDs
 // (or stale key epochs) can match; callers re-check the predicate against
 // the returned versions, as in any index whose entries outlive key changes.
 func (r *Relation) VIDsForKey(at simclock.Time, key int64) ([]uint64, simclock.Time, error) {
 	return r.pk.Search(at, key)
-}
-
-// Update is the key-based convenience over UpdateByVID.
-func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old []byte) ([]byte, int64, error)) (simclock.Time, error) {
-	vids, t, err := r.pk.Search(at, key)
-	if err != nil {
-		return t, err
-	}
-	for _, vid := range vids {
-		t2, err := r.UpdateByVID(tx, t, vid, key, mutate)
-		t = t2
-		if errors.Is(err, ErrNotFound) {
-			continue // stale index entry for a different key epoch
-		}
-		return t, err
-	}
-	return t, ErrNotFound
-}
-
-// Delete is the key-based convenience over DeleteByVID.
-func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, error) {
-	vids, t, err := r.pk.Search(at, key)
-	if err != nil {
-		return t, err
-	}
-	for _, vid := range vids {
-		t2, err := r.DeleteByVID(tx, t, vid)
-		t = t2
-		if errors.Is(err, ErrNotFound) {
-			continue
-		}
-		return t, err
-	}
-	return t, ErrNotFound
 }
 
 // Scan is Algorithm 1: iterate the VIDmap and resolve each data item to its

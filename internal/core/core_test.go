@@ -171,7 +171,7 @@ func TestTombstoneChain(t *testing.T) {
 	e.txm.Commit(setup)
 	old := e.txm.Begin()
 	del := e.txm.Begin()
-	at, _ = e.rel.DeleteByVID(del, at, vid)
+	at, _ = e.rel.DeleteByVID(del, at, vid, nil)
 	e.txm.Commit(del)
 	// Old transaction still reaches the predecessor through the tombstone.
 	got, at, err := e.rel.GetByVID(old, at, vid)
@@ -180,7 +180,7 @@ func TestTombstoneChain(t *testing.T) {
 	}
 	// Double delete fails.
 	del2 := e.txm.Begin()
-	if _, err := e.rel.DeleteByVID(del2, at, vid); !errors.Is(err, ErrNotFound) {
+	if _, err := e.rel.DeleteByVID(del2, at, vid, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("second delete err = %v", err)
 	}
 	e.txm.Commit(old)

@@ -47,7 +47,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	for i := 0; i < 100; i += 10 {
 		tx := e.txm.Begin()
 		var err error
-		at, err = e.rel.DeleteByVID(tx, at, uint64(i))
+		at, err = e.rel.DeleteByVID(tx, at, uint64(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	for i := 0; i < 50; i += 10 {
 		tx := e.txm.Begin()
 		var err error
-		at, err = e.rel.DeleteByVID(tx, at, uint64(i))
+		at, err = e.rel.DeleteByVID(tx, at, uint64(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

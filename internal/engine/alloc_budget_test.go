@@ -98,3 +98,57 @@ func TestGetAllocBudget(t *testing.T) {
 		t.Errorf("Get costs %.2f allocations, want at most 5.2", perGet)
 	}
 }
+
+// TestCommitAllocBudget pins a served write transaction — Begin, one Update
+// and Commit — through a facade built the way siasserver builds one: an
+// Options literal over in-memory devices. 23 allocations; a commit runs no
+// maintenance, so nothing copies the table list on the way out.
+func TestCommitAllocBudget(t *testing.T) {
+	db, err := Open(Options{
+		Kind:       KindSIAS,
+		Policy:     PolicyT2,
+		DataDevice: device.NewMem(page.Size, 1<<16),
+		WALDevice:  device.NewMem(page.Size, 1<<14),
+		PoolFrames: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFacade(db)
+	tab, err := f.CreateTable("kv", tuple.NewSchema(
+		tuple.Column{Name: "k", Type: tuple.TypeInt64},
+		tuple.Column{Name: "v", Type: tuple.TypeBytes},
+	), "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{'v'}, 64)
+	tx := f.Begin()
+	for i := int64(0); i < budgetRows; i++ {
+		if err := f.Insert(tab, tx, tuple.Row{budgetBase + i, val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	set := func(row tuple.Row) (tuple.Row, error) {
+		row[1] = val
+		return row, nil
+	}
+	i := int64(0)
+	perTxn := testing.AllocsPerRun(2*budgetRows, func() {
+		key := budgetBase + i%budgetRows
+		i++
+		tx := f.Begin()
+		if err := f.Update(tab, tx, key, set); err != nil {
+			t.Fatalf("Update(%d): %v", key, err)
+		}
+		if err := f.Commit(tx); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	})
+	if perTxn > 23 {
+		t.Errorf("Begin + Update + Commit costs %.2f allocations, want at most 23", perTxn)
+	}
+}

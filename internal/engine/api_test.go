@@ -69,6 +69,42 @@ func TestUpdateMissingKey(t *testing.T) {
 	}
 }
 
+// TestDeleteMovedKey deletes the key a row held before an update moved it:
+// the delete finds no row (as Get does) and leaves the moved row alone. Under
+// SIAS the primary index keeps the old <key, VID> entry, so the visible
+// version's key must be checked before anything is tombstoned.
+func TestDeleteMovedKey(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			db, tab := openTestDB(t, k)
+			tx := db.Begin()
+			at, _ := tab.Insert(tx, 0, tuple.Row{int64(1), "x", int64(1)})
+			at, err := tab.Update(tx, at, 1, func(r tuple.Row) (tuple.Row, error) {
+				return tuple.Row{int64(2), r[1], r[2]}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, _ = db.Commit(tx, at)
+
+			del := db.Begin()
+			if _, _, err := tab.Get(del, at, 1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get(1) after the move: %v, want ErrNotFound", err)
+			}
+			if at, err = tab.Delete(del, at, 1); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Delete(1) after the move: %v, want ErrNotFound", err)
+			}
+			at, _ = db.Commit(del, at)
+
+			check := db.Begin()
+			if row, _, err := tab.Get(check, at, 2); err != nil || row[0] != int64(2) {
+				t.Errorf("moved row after Delete(1): %v, %v", row, err)
+			}
+			db.Commit(check, at)
+		})
+	}
+}
+
 func TestMutateErrorAborts(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {

@@ -59,12 +59,15 @@ func (p FlushPolicy) String() string {
 	return "t1"
 }
 
-// Maintenance pacing in virtual time. Constants, not Options: no caller ever
-// ran with other values.
+// Virtual-time costs and maintenance pacing, read only by the simulator (a
+// served engine runs at the zero instant; see Facade). Constants, not
+// Options: no caller ever ran with other values.
 const (
-	bgWriterInterval = 200 * simclock.Millisecond // policy t1; PostgreSQL bgwriter_delay
-	gcInterval       = 5 * simclock.Second        // SIAS: the paper integrates GC into the DBMS and runs it eagerly
-	vacuumInterval   = 60 * simclock.Second       // SI: PostgreSQL autovacuum_naptime
+	bufferHitCost      = simclock.Microsecond       // virtual CPU cost of a buffer hit
+	bgWriterInterval   = 200 * simclock.Millisecond // policy t1; PostgreSQL bgwriter_delay
+	checkpointInterval = 30 * simclock.Second       // checkpoints, and so policy t2 flushes; PostgreSQL checkpoint_timeout
+	gcInterval         = 5 * simclock.Second        // SIAS: the paper integrates GC into the DBMS and runs it eagerly
+	vacuumInterval     = 60 * simclock.Second       // SI: PostgreSQL autovacuum_naptime
 )
 
 // Options configures Open.
@@ -80,15 +83,10 @@ type Options struct {
 	// lock-stripe count from it (1 stripe for small pools, up to
 	// buffer.DefaultPartitions).
 	PoolFrames int
-	// BufferHitCost is the virtual CPU cost of a buffer hit.
-	BufferHitCost simclock.Duration
 	// ScanReadahead is the scan readahead window in data items: table scans
 	// stage the entrypoint pages of that many upcoming VIDs into the pool's
 	// async prefetcher ahead of the cursor. 0 disables readahead.
 	ScanReadahead int
-
-	// CheckpointInterval paces checkpoints (and policy t2 flushes).
-	CheckpointInterval simclock.Duration
 
 	// GCRetention holds GC/vacuum back by this many transaction ids:
 	// superseded versions written by the most recent GCRetention committed
@@ -117,13 +115,11 @@ type Options struct {
 // PostgreSQL-like maintenance pacing (200 ms bgwriter, 30 s checkpoints).
 func DefaultOptions(data, walDev device.BlockDevice) Options {
 	return Options{
-		Kind:               KindSIAS,
-		Policy:             PolicyT2,
-		DataDevice:         data,
-		WALDevice:          walDev,
-		PoolFrames:         2048,
-		BufferHitCost:      simclock.Microsecond,
-		CheckpointInterval: 30 * simclock.Second,
+		Kind:       KindSIAS,
+		Policy:     PolicyT2,
+		DataDevice: data,
+		WALDevice:  walDev,
+		PoolFrames: 2048,
 	}
 }
 
@@ -191,9 +187,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.PoolFrames <= 0 {
 		opts.PoolFrames = 2048
 	}
-	if opts.CheckpointInterval <= 0 {
-		opts.CheckpointInterval = 30 * simclock.Second
-	}
 
 	db := &DB{
 		opts:        opts,
@@ -233,7 +226,7 @@ func Open(opts Options) (*DB, error) {
 
 	db.pool = buffer.New(buffer.Config{
 		Frames:  opts.PoolFrames,
-		HitCost: opts.BufferHitCost,
+		HitCost: bufferHitCost,
 		WALFlush: func(at simclock.Time, lsn uint64) (simclock.Time, error) {
 			return db.walw.Flush(at, wal.LSN(lsn))
 		},
@@ -413,7 +406,7 @@ func (db *DB) Tick(at simclock.Time) (simclock.Time, error) {
 	if runBg {
 		db.lastBg = t
 	}
-	runCkpt := t.Sub(db.lastCkpt) >= db.opts.CheckpointInterval
+	runCkpt := t.Sub(db.lastCkpt) >= checkpointInterval
 	if runCkpt {
 		db.lastCkpt = t
 	}

@@ -3,11 +3,9 @@ package engine
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sias/internal/obs"
-	"sias/internal/simclock"
 	"sias/internal/tuple"
 	"sias/internal/txn"
 	"sias/internal/wal"
@@ -15,13 +13,13 @@ import (
 
 // Facade is the concurrency-safe front door to a DB for many goroutines.
 //
-// The engine substrates are individually thread-safe but expect each caller
-// to thread a virtual-time cursor through every call. The cursor stops here:
-// no method of the facade takes or returns virtual time, so nothing above it
-// (shard, repl, server) knows the clock exists. The facade owns that clock
-// behind a single sequencer: operations read the current cursor, run
-// with a local copy, and publish their completion time back with a CAS-max,
-// so virtual time advances monotonically no matter how calls interleave.
+// The engine substrates are individually thread-safe and take and return a
+// virtual-time instant, which only the simulator reads. A served engine has
+// no clock: every facade method calls the engine at the zero instant and
+// drops the time it gets back, so nothing above it (shard, repl, server)
+// knows virtual time exists. Time-paced maintenance (DB.Tick: background
+// writer, checkpoints, GC and vacuum) therefore does not run here; the only
+// checkpoint a served engine takes is the one its owner asks for.
 //
 // Commit goes through a group-commit batcher. The first caller to arrive
 // becomes the leader and drains the queue of every concurrent committer; one
@@ -30,14 +28,11 @@ import (
 // flushing are picked up by the leader's next round, so under concurrency M
 // commits need far fewer than M flushes.
 type Facade struct {
-	db  *DB
-	now atomic.Int64 // virtual clock sequencer (simclock.Time)
+	db *DB
 
 	gcMu   sync.Mutex
 	queue  []*commitWaiter
 	leader bool
-
-	tickMu sync.Mutex // at most one goroutine runs maintenance at a time
 
 	// batchHist observes the size of every group-commit flush (nil = not
 	// collected).
@@ -76,51 +71,33 @@ func NewFacade(db *DB) *Facade {
 // DB exposes the wrapped engine (stats, checkpoints, recovery).
 func (f *Facade) DB() *DB { return f.db }
 
-// cursor reads the clock sequencer.
-func (f *Facade) cursor() simclock.Time {
-	return simclock.Time(f.now.Load())
-}
-
-// publish advances the sequencer to t if t is later (CAS-max).
-func (f *Facade) publish(t simclock.Time) {
-	for {
-		cur := f.now.Load()
-		if int64(t) <= cur || f.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
-
-// run executes op against a local cursor and publishes its completion time.
-func (f *Facade) run(op func(at simclock.Time) (simclock.Time, error)) error {
-	t, err := op(f.cursor())
-	f.publish(t)
-	return err
-}
-
 // FlushWAL forces the entire pending log to the device. 2PC uses it to make
 // outcome records durable before acknowledging; a follower, to make a
 // mirrored batch durable before advertising it as applied.
 func (f *Facade) FlushWAL() error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.walw.Flush(at, f.db.walw.NextLSN())
-	})
+	_, err := f.db.walw.Flush(0, f.db.walw.NextLSN())
+	return err
 }
 
 // ApplyRecord replays one mirrored primary record on a follower (see
 // DB.ApplyRecord).
 func (f *Facade) ApplyRecord(rec *wal.Record) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.ApplyRecord(at, rec)
-	})
+	_, err := f.db.ApplyRecord(0, rec)
+	return err
 }
 
 // RefreshReplica publishes everything applied so far to new snapshots (see
 // DB.RefreshReplica).
-func (f *Facade) RefreshReplica() error { return f.run(f.db.RefreshReplica) }
+func (f *Facade) RefreshReplica() error {
+	_, err := f.db.RefreshReplica(0)
+	return err
+}
 
 // Promote flips a follower's engine writable (see DB.Promote).
-func (f *Facade) Promote() error { return f.run(f.db.Promote) }
+func (f *Facade) Promote() error {
+	_, err := f.db.Promote(0)
+	return err
+}
 
 // Begin starts a transaction.
 func (f *Facade) Begin() *txn.Tx { return f.db.Begin() }
@@ -176,8 +153,7 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 			}
 		}
 		flushStart := time.Now()
-		t, errs := f.db.CommitBatch(txs, f.cursor())
-		f.publish(t)
+		_, errs := f.db.CommitBatch(txs, 0)
 		if sampled {
 			f.traceBatch(batch, w, flushStart, time.Now())
 		}
@@ -193,7 +169,6 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 			break
 		}
 	}
-	f.maybeTick()
 	<-w.done
 	return w.err
 }
@@ -225,28 +200,15 @@ func (f *Facade) Abort(tx *txn.Tx) error {
 	if !tx.Wrote() {
 		return f.db.finishUnlogged(tx, false)
 	}
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.Abort(tx, at)
-	})
+	_, err := f.db.Abort(tx, 0)
+	return err
 }
 
-// maybeTick drives time-based maintenance opportunistically; contended
-// callers skip rather than queue, so maintenance never becomes a convoy.
-func (f *Facade) maybeTick() {
-	if !f.tickMu.TryLock() {
-		return
-	}
-	defer f.tickMu.Unlock()
-	if t, err := f.db.Tick(f.cursor()); err == nil {
-		f.publish(t)
-	}
-}
-
-// Checkpoint flushes all dirty state (exclusive with maintenance ticks).
+// Checkpoint seals append pages and flushes every dirty page (see
+// DB.Checkpoint).
 func (f *Facade) Checkpoint() error {
-	f.tickMu.Lock()
-	defer f.tickMu.Unlock()
-	return f.run(f.db.Checkpoint)
+	_, err := f.db.Checkpoint(0)
+	return err
 }
 
 // Stats returns engine-wide counters.
@@ -254,68 +216,52 @@ func (f *Facade) Stats() Stats { return f.db.Stats() }
 
 // Get returns the row of key in tab visible to tx.
 func (f *Facade) Get(tab *Table, tx *txn.Tx, key int64) (tuple.Row, error) {
-	var row tuple.Row
-	err := f.run(func(at simclock.Time) (simclock.Time, error) {
-		r, t, err := tab.Get(tx, at, key)
-		row = r
-		return t, err
-	})
+	row, _, err := tab.Get(tx, 0, key)
 	return row, err
 }
 
 // Insert stores row in tab under its primary key.
 func (f *Facade) Insert(tab *Table, tx *txn.Tx, row tuple.Row) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.Insert(tx, at, row)
-	})
+	_, err := tab.Insert(tx, 0, row)
+	return err
 }
 
 // Update applies mutate to the visible row of key in tab.
 func (f *Facade) Update(tab *Table, tx *txn.Tx, key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.Update(tx, at, key, mutate)
-	})
+	_, err := tab.Update(tx, 0, key, mutate)
+	return err
 }
 
 // Delete removes the row of key in tab.
 func (f *Facade) Delete(tab *Table, tx *txn.Tx, key int64) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.Delete(tx, at, key)
-	})
+	_, err := tab.Delete(tx, 0, key)
+	return err
 }
 
 // Scan visits every row of tab visible to tx.
 func (f *Facade) Scan(tab *Table, tx *txn.Tx, fn func(tuple.Row) bool) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.Scan(tx, at, fn)
-	})
+	_, err := tab.Scan(tx, 0, fn)
+	return err
 }
 
 // RangeByKey visits visible rows of tab with lo <= primary key <= hi.
 func (f *Facade) RangeByKey(tab *Table, tx *txn.Tx, lo, hi int64, fn func(tuple.Row) bool) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.RangeByKey(tx, at, lo, hi, fn)
-	})
+	_, err := tab.RangeByKey(tx, 0, lo, hi, fn)
+	return err
 }
 
 // LookupSecondary returns visible rows of tab matching key in secondary
 // index idx.
 func (f *Facade) LookupSecondary(tab *Table, tx *txn.Tx, idx int, key int64) ([]tuple.Row, error) {
-	var rows []tuple.Row
-	err := f.run(func(at simclock.Time) (simclock.Time, error) {
-		r, t, err := tab.LookupSecondary(tx, at, idx, key)
-		rows = r
-		return t, err
-	})
+	rows, _, err := tab.LookupSecondary(tx, 0, idx, key)
 	return rows, err
 }
 
 // RangeBySecondary visits visible rows of tab with lo <= indexed value <= hi
 // through secondary index idx, in index order.
 func (f *Facade) RangeBySecondary(tab *Table, tx *txn.Tx, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return tab.RangeBySecondary(tx, at, idx, lo, hi, fn)
-	})
+	_, err := tab.RangeBySecondary(tx, 0, idx, lo, hi, fn)
+	return err
 }
 
 // SnapshotToken returns a stable AS OF snapshot token (see DB.SnapshotToken).
@@ -326,32 +272,24 @@ func (f *Facade) BeginAt(token uint64) *txn.Tx { return f.db.BeginReadOnlyAt(tok
 
 // CreateTable creates a table through the logged DDL path.
 func (f *Facade) CreateTable(name string, schema *tuple.Schema, pkCol string) (*Table, error) {
-	var tab *Table
-	err := f.run(func(at simclock.Time) (simclock.Time, error) {
-		tb, t, err := f.db.CreateTableLogged(at, name, schema, pkCol)
-		tab = tb
-		return t, err
-	})
+	tab, _, err := f.db.CreateTableLogged(0, name, schema, pkCol)
 	return tab, err
 }
 
 // DropTable drops a table through the logged DDL path.
 func (f *Facade) DropTable(name string) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.DropTableLogged(at, name)
-	})
+	_, err := f.db.DropTableLogged(0, name)
+	return err
 }
 
 // CreateIndex creates a named column index through the logged DDL path.
 func (f *Facade) CreateIndex(table, index, column string) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.CreateIndexLogged(at, table, index, column)
-	})
+	_, err := f.db.CreateIndexLogged(0, table, index, column)
+	return err
 }
 
 // DropIndex drops a named index through the logged DDL path.
 func (f *Facade) DropIndex(table, index string) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.DropIndexLogged(at, table, index)
-	})
+	_, err := f.db.DropIndexLogged(0, table, index)
+	return err
 }

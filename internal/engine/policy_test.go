@@ -120,7 +120,7 @@ func TestWriteVolumeT1VersusT2(t *testing.T) {
 }
 
 // TestCheckpointIntervalDrivesTick verifies checkpoints fire from Tick at
-// the configured cadence for both engines.
+// the 30 s checkpoint cadence, and not before it, for both engines.
 func TestCheckpointIntervalDrivesTick(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
@@ -128,17 +128,19 @@ func TestCheckpointIntervalDrivesTick(t *testing.T) {
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
 			opts.Kind = k
-			opts.CheckpointInterval = 5 * simclock.Second
 			db, _ := Open(opts)
 			tab, at, _ := db.CreateTable(0, "t", testSchema(), "id")
 			tx := db.Begin()
 			at, _ = tab.Insert(tx, at, tuple.Row{int64(1), "x", int64(1)})
 			at, _ = db.Commit(tx, at)
-			if data.Stats().Writes != 0 {
-				t.Fatal("nothing should be flushed yet")
+			start := at
+			if _, err := db.Tick(start.Add(checkpointInterval - simclock.Second)); err != nil {
+				t.Fatal(err)
 			}
-			at = at.Add(6 * simclock.Second)
-			if _, err := db.Tick(at); err != nil {
+			if data.Stats().Writes != 0 {
+				t.Fatal("nothing should be flushed before the checkpoint interval")
+			}
+			if _, err := db.Tick(start.Add(checkpointInterval + simclock.Second)); err != nil {
 				t.Fatal(err)
 			}
 			if data.Stats().Writes == 0 {

@@ -332,11 +332,30 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 		return at, ErrReadOnly
 	}
 	if t.sias != nil {
-		tm, err := t.sias.Delete(tx, at, key)
-		if errors.Is(err, core.ErrNotFound) {
-			return tm, ErrNotFound
+		// As in Update: an entry may name a row whose key has since moved.
+		check := func(old []byte) error {
+			row, err := t.schema.DecodeRow(old)
+			if err != nil {
+				return err
+			}
+			if t.Key(row) != key {
+				return errWrongKeyEpoch
+			}
+			return nil
 		}
-		return tm, err
+		vids, tm, err := t.sias.VIDsForKey(at, key)
+		if err != nil {
+			return tm, err
+		}
+		for _, vid := range vids {
+			tm2, err := t.sias.DeleteByVID(tx, tm, vid, check)
+			tm = tm2
+			if errors.Is(err, core.ErrNotFound) || errors.Is(err, errWrongKeyEpoch) {
+				continue
+			}
+			return tm, err
+		}
+		return tm, ErrNotFound
 	}
 	tm, err := t.si.Delete(tx, at, key)
 	if errors.Is(err, si.ErrNotFound) {

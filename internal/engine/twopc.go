@@ -122,29 +122,23 @@ func (db *DB) FinishPrepared(tx *txn.Tx, commit bool, at simclock.Time) (simcloc
 	return at, db.finish(tx, commit)
 }
 
-// Prepare, Decide and FinishPrepared through the facade's virtual-clock
-// sequencer (see Facade.run).
-
 // Prepare logs and forces a participant PREPARE record for tx.
 func (f *Facade) Prepare(tx *txn.Tx, gid uint64, coordShard uint32) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.Prepare(tx, gid, coordShard, at)
-	})
+	_, err := f.db.Prepare(tx, gid, coordShard, 0)
+	return err
 }
 
 // Decide logs the coordinator decision for gid with coordTx's own outcome
 // behind it (flushed iff commit) and finishes coordTx.
 func (f *Facade) Decide(coordTx *txn.Tx, gid uint64, commit bool) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.Decide(coordTx, gid, commit, at)
-	})
+	_, err := f.db.Decide(coordTx, gid, commit, 0)
+	return err
 }
 
 // FinishPrepared flips a prepared participant to its decided outcome.
 func (f *Facade) FinishPrepared(tx *txn.Tx, commit bool) error {
-	return f.run(func(at simclock.Time) (simclock.Time, error) {
-		return f.db.FinishPrepared(tx, commit, at)
-	})
+	_, err := f.db.FinishPrepared(tx, commit, 0)
+	return err
 }
 
 // NoteTrace appends an advisory RecTraceCtx record linking tx's WAL records

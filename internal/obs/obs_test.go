@@ -146,45 +146,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParsedHistSub(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("sias_d_seconds", "d", []float64{1, 10}, nil)
-	h.Observe(0.5)
-	before := scrapeOne(t, reg, "sias_d_seconds")
-	h.Observe(5)
-	h.Observe(50)
-	after := scrapeOne(t, reg, "sias_d_seconds")
-
-	d := after.Sub(before)
-	if d.Count != 2 {
-		t.Fatalf("delta count = %d, want 2", d.Count)
-	}
-	if math.Abs(d.Sum-55) > 1e-9 {
-		t.Fatalf("delta sum = %v, want 55", d.Sum)
-	}
-	// A nil "before" leaves the snapshot unchanged.
-	if after.Sub(nil).Count != 3 {
-		t.Fatal("Sub(nil) should return the snapshot unchanged")
-	}
-}
-
-func scrapeOne(t *testing.T, reg *Registry, name string) *ParsedHist {
-	t.Helper()
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseHistograms(sb.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := parsed[name]
-	if !ok {
-		t.Fatalf("series %s not found; got %v", name, keysOf(parsed))
-	}
-	return p
-}
-
 func keysOf(m map[string]*ParsedHist) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

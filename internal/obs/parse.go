@@ -11,9 +11,7 @@ import (
 
 // ParsedHist is one histogram series reconstructed from exposition text:
 // finite bucket bounds with per-bucket (non-cumulative) counts, plus sum
-// and count. siasload scrapes /metrics before and after the measured run
-// and subtracts the snapshots, so the folded percentiles cover exactly the
-// measured window.
+// and count. Tests use it as the oracle for what /metrics exposes.
 type ParsedHist struct {
 	Bounds []float64 // ascending finite upper bounds
 	Counts []int64   // len(Bounds)+1, last is +Inf
@@ -25,40 +23,6 @@ type ParsedHist struct {
 // Histogram uses.
 func (p *ParsedHist) Quantile(q float64) float64 {
 	return quantile(q, p.Bounds, p.Counts)
-}
-
-// Sub returns the histogram delta p - q (same bounds required); a nil or
-// mismatched q returns p unchanged, so "before" scrapes are optional.
-// Negative deltas — a counter reset between the two scrapes, e.g. a server
-// restart mid-run — clamp at zero instead of poisoning the folded
-// percentiles with negative bucket populations.
-func (p *ParsedHist) Sub(q *ParsedHist) *ParsedHist {
-	if q == nil || len(q.Bounds) != len(p.Bounds) {
-		return p
-	}
-	out := &ParsedHist{
-		Bounds: p.Bounds,
-		Counts: make([]int64, len(p.Counts)),
-		Sum:    max(p.Sum-q.Sum, 0),
-		Count:  max(p.Count-q.Count, 0),
-	}
-	for i := range p.Counts {
-		out.Counts[i] = max(p.Counts[i]-q.Counts[i], 0)
-	}
-	return out
-}
-
-// Merge folds q into p (summing counts); bounds must match. Used to
-// aggregate per-shard histograms into one distribution.
-func (p *ParsedHist) Merge(q *ParsedHist) {
-	if q == nil || len(q.Bounds) != len(p.Bounds) {
-		return
-	}
-	for i := range p.Counts {
-		p.Counts[i] += q.Counts[i]
-	}
-	p.Sum += q.Sum
-	p.Count += q.Count
 }
 
 // ParseHistograms parses Prometheus text exposition and returns every

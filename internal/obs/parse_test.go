@@ -56,41 +56,3 @@ func TestParseEscapedLabelsRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestSubCounterReset: a "before" scrape larger than "after" (the server
-// restarted between scrapes) clamps every delta at zero instead of emitting
-// negative bucket populations.
-func TestSubCounterReset(t *testing.T) {
-	before := &ParsedHist{Bounds: []float64{1, 10}, Counts: []int64{5, 3, 2}, Sum: 100, Count: 10}
-	after := &ParsedHist{Bounds: []float64{1, 10}, Counts: []int64{1, 4, 0}, Sum: 7, Count: 5}
-	d := after.Sub(before)
-	if d.Counts[0] != 0 || d.Counts[1] != 1 || d.Counts[2] != 0 {
-		t.Fatalf("clamped counts = %v, want [0 1 0]", d.Counts)
-	}
-	if d.Sum != 0 || d.Count != 0 {
-		t.Fatalf("sum=%v count=%d, want both clamped to 0", d.Sum, d.Count)
-	}
-	// Mismatched bounds: Sub is a no-op returning the snapshot unchanged.
-	other := &ParsedHist{Bounds: []float64{1}, Counts: []int64{1, 1}}
-	if got := after.Sub(other); got != after {
-		t.Fatal("Sub with mismatched bounds must return the receiver")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &ParsedHist{Bounds: []float64{1, 10}, Counts: []int64{1, 2, 3}, Sum: 10, Count: 6}
-	b := &ParsedHist{Bounds: []float64{1, 10}, Counts: []int64{4, 0, 1}, Sum: 2.5, Count: 5}
-	a.Merge(b)
-	if a.Counts[0] != 5 || a.Counts[1] != 2 || a.Counts[2] != 4 {
-		t.Fatalf("merged counts = %v, want [5 2 4]", a.Counts)
-	}
-	if math.Abs(a.Sum-12.5) > 1e-9 || a.Count != 11 {
-		t.Fatalf("merged sum=%v count=%d, want 12.5/11", a.Sum, a.Count)
-	}
-	// Mismatched bounds and nil are no-ops.
-	a.Merge(&ParsedHist{Bounds: []float64{1}, Counts: []int64{9, 9}})
-	a.Merge(nil)
-	if a.Count != 11 {
-		t.Fatalf("no-op merges changed count to %d", a.Count)
-	}
-}

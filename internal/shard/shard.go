@@ -3,8 +3,7 @@
 //
 // Each shard owns a complete engine stack — facade, WAL writer, group-commit
 // batcher, VIDmap, buffer pool and block devices — and shards share nothing
-// on the hot path: a point op touches exactly one shard's locks, clock and
-// log. This is the classic recipe for scaling multi-version engines past
+// on the hot path: a point op touches exactly one shard's locks and log. This is the classic recipe for scaling multi-version engines past
 // their log (Larson et al., "High-Performance Concurrency Control Mechanisms
 // for Main-Memory Databases"): eliminate the shared hot point instead of
 // making it faster. Keeping per-partition version indexes also preserves the
@@ -162,11 +161,10 @@ func GlobalID(coordShard uint32, localID uint64) uint64 {
 	return uint64(coordShard&0xFFFF)<<48 | localID&(1<<48-1)
 }
 
-// Checkpoint flushes every shard, strictly one shard at a time. Holding a
-// single shard's tickMu at a time keeps the other shards' group-commit
-// leaders free to run opportunistic maintenance while a drain checkpoint is
-// in progress — grabbing all tick locks up front would stall every shard for
-// the duration of the slowest flush.
+// Checkpoint flushes every shard, one shard at a time, stopping at the
+// first failure; the shards it is not flushing keep committing. A served
+// engine runs no time-paced maintenance, so this call (the server makes it
+// once, at drain) is the only checkpoint a shard takes.
 func (r *Router) Checkpoint() error {
 	for i, s := range r.shards {
 		if err := s.Facade.Checkpoint(); err != nil {
