@@ -80,7 +80,7 @@ func main() {
 	kind := flag.String("engine", "sias", "storage engine: sias or si")
 	policy := flag.String("policy", "t2", "append flush policy: t2 (checkpoint) or t1 (bgwriter)")
 	pool := flag.Int("pool", 4096, "buffer pool frames (total across shards)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests")
+	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests (COMMIT and ABORT are exempt)")
 	drainSec := flag.Float64("drain", 5, "graceful drain timeout in seconds")
 	dataDir := flag.String("data", "", "data directory for file-backed devices (empty = in-memory)")
 	dataPages := flag.Int64("data-pages", 1<<16, "data device size in pages (total across shards)")

@@ -43,17 +43,19 @@ import (
 	"sias/internal/wire"
 )
 
-// ErrInDoubt is returned by Commit when the connection died after the
-// commit request may have reached the server but before its outcome came
-// back. The transaction may have committed — for a cross-shard transaction,
-// the coordinator may have logged its decision right as the connection
-// dropped — so the caller must NOT assume failure: re-read the written keys
-// on a fresh connection to learn the outcome (recovery and 2PC resolution
-// guarantee the server converges on exactly one of committed-everywhere or
-// aborted-everywhere). Only transactions that performed a write can be
-// in-doubt; a read-only commit that loses its connection has no durable
-// effect either way.
-var ErrInDoubt = errors.New("client: commit outcome unknown (connection lost mid-commit)")
+// ErrInDoubt is returned by Commit when the outcome is unknown: the
+// connection died after the commit request may have reached the server but
+// before its outcome came back, or the server answered IN_DOUBT (the
+// coordinator's commit-decision flush failed and may still have left the
+// decision on the device). The transaction may have committed — for a
+// cross-shard transaction, the coordinator may have logged its decision right
+// as the connection dropped — so the caller must NOT assume failure: re-read
+// the written keys on a fresh connection to learn the outcome (recovery and
+// 2PC resolution guarantee the server converges on exactly one of
+// committed-everywhere or aborted-everywhere). Only transactions that
+// performed a write can be in-doubt; a read-only commit that loses its
+// connection has no durable effect either way.
+var ErrInDoubt = errors.New("client: commit outcome unknown")
 
 // ErrNoPrimary is returned by a transaction's first operation once the
 // bounded failover-retry budget is exhausted without reaching a server that
@@ -752,12 +754,12 @@ func (t *Tx) finish(op wire.Op) error {
 		// this session's writes.
 		t.c.noteCommit(resp)
 	}
-	if err != nil && op == wire.OpCommit && broken && t.wrote {
-		// The connection died with the commit in flight: the server may have
-		// carried it through (for a cross-shard transaction, the coordinator
-		// may already have logged its decision), so this is not a failure —
-		// it is an unknown outcome. Surface the typed sentinel so callers
-		// re-read instead of blindly retrying the writes.
+	if err != nil && op == wire.OpCommit && (broken && t.wrote || errors.Is(err, engine.ErrInDoubt)) {
+		// The connection died with the commit in flight, or the server could
+		// not tell whether its commit decision reached the device: either
+		// way it may have carried the commit through, so this is not a
+		// failure — it is an unknown outcome. Surface the typed sentinel so
+		// callers re-read instead of blindly retrying the writes.
 		return fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
 	return err

@@ -365,7 +365,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// gatedWAL blocks page writes until the gate closes, pinning a commit — and
+// gatedWAL blocks page writes until the gate closes, pinning a DDL — and
 // the admission slot it holds — mid-flush.
 type gatedWAL struct {
 	device.BlockDevice
@@ -386,17 +386,14 @@ func TestRefusedBeginRepeatsThePair(t *testing.T) {
 	wal := &gatedWAL{BlockDevice: device.NewMem(page.Size, 1<<14), gate: gate}
 	srv, addr := startServer(t, wal, func(cfg *server.Config) { cfg.MaxInFlight = 1 })
 
-	// A's commit sits in the gated flush holding the only slot.
+	// A's CREATE TABLE sits in the gated flush holding the only slot (a
+	// COMMIT would not: ending a transaction takes no slot).
 	a := dial(t, addr, Options{})
-	txa, err := a.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := txa.Insert(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	commitDone := make(chan error, 1)
-	go func() { commitDone <- txa.Commit() }()
+	ddlDone := make(chan error, 1)
+	go func() {
+		ddlDone <- a.CreateTable("held", tuple.NewSchema(tuple.Column{Name: "k", Type: tuple.TypeInt64}), "k")
+	}()
+	waitUntil(t, "the DDL to take the slot", func() bool { return srv.Stats().Requests == 1 })
 
 	b := dial(t, addr, Options{MaxRetries: 50, RetryBase: 200 * time.Microsecond})
 	go func() {
@@ -416,15 +413,15 @@ func TestRefusedBeginRepeatsThePair(t *testing.T) {
 	if err := txb.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-commitDone; err != nil {
+	if err := <-ddlDone; err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.Stats().Overloaded; n < 6 {
 		t.Fatalf("only %d requests were refused: the overload never happened", n)
 	}
 	// An Insert that had run twice would show as two rows of key 2.
-	if got := rows(t, b); len(got) != 2 || got[0].Key != 1 || got[1].Key != 2 {
-		t.Fatalf("rows %v, want keys 1 and 2 once each", got)
+	if got := rows(t, b); len(got) != 1 || got[0].Key != 2 {
+		t.Fatalf("rows %v, want key 2 once", got)
 	}
 	if st := srv.Stats(); st.OpenTxns != 0 {
 		t.Errorf("%d transactions left open by the refused attempts", st.OpenTxns)

@@ -82,11 +82,14 @@ func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 	return t, nil
 }
 
-// preparedTxn is a 2PC participant redo has seen a PREPARE for and no outcome
-// record yet.
+// preparedTxn is a 2PC participant redo has seen a PREPARE for, or a
+// coordinator it has seen a commit decision for, and no outcome record yet.
 type preparedTxn struct {
 	gid   uint64
-	coord uint32
+	coord uint32 // the shard holding the decision; unused when decided
+	// decided: the record was the coordinator's own commit decision, so its
+	// outcome is known without consulting any decision map.
+	decided bool
 }
 
 // redo replays one WAL record: its effect on the control state every later
@@ -101,9 +104,12 @@ type preparedTxn struct {
 // Redo is physiological and idempotent:
 //
 //   - RecCommit / RecAbort decide a transaction in the CLOG;
-//   - RecPrepare leaves a participant prepared until its outcome record;
-//     RecDecide replays nothing — a decision only matters to a participant
-//     the log leaves in doubt, and finishUndecided looks it up then;
+//   - RecPrepare leaves a participant prepared until its outcome record, and
+//     so does a commit RecDecide its coordinator: the decision is the
+//     coordinator's prepare, and the coordinator's RecCommit follows it in
+//     the same flush. A log torn between the two still commits the
+//     coordinator, in finishUndecided. An abort decision (older logs hold
+//     them) replays nothing: presumed abort already gives that outcome;
 //   - RecAllocExtent restores the space-manager mapping;
 //   - RecDDL re-creates (or drops) the table or index it names;
 //   - RecHeapInsert re-places a tuple at its exact slot; slots already
@@ -132,6 +138,10 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 			return t, fmt.Errorf("engine: redo prepare record tx %d: %w", rec.Tx, err)
 		}
 		db.prepared[rec.Tx] = preparedTxn{gid: gid, coord: coord}
+	case wal.RecDecide:
+		if commit, err := wal.DecodeDecideData(rec.Data); err == nil && commit {
+			db.prepared[rec.Tx] = preparedTxn{gid: rec.Aux, decided: true}
+		}
 	case wal.RecAllocExtent:
 		db.alloc.Restore(rec.Rel, uint32(rec.Aux), int64(rec.Aux>>32))
 	case wal.RecDDL:
@@ -154,8 +164,9 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 // finishUndecided gives an outcome to every transaction replay has left
 // without one, when no more log is coming: the end of a primary's recovery
 // and the promotion of a follower. A prepared 2PC participant commits iff its
-// coordinator's decision says so; everything else aborts — presumed abort for
-// a participant nobody vouches for, plain rollback for a writer that never
+// coordinator's decision says so — a coordinator registered by its own commit
+// decision always does; everything else aborts — presumed abort for a
+// participant nobody vouches for, plain rollback for a writer that never
 // reached its commit record. Consulting this shard's OWN decisions first is
 // safe on every shard — coordinator or not — because gids fold the
 // coordinating shard's index into their top bits (shard.GlobalID): a mere
@@ -163,7 +174,7 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 // coordinators can never have issued the same gid. The installed resolver
 // covers decisions in a sibling shard's log. (A promotion has neither — the
 // decisions went with Recover, a follower gets no resolver — so everything
-// open aborts.)
+// open but a decided coordinator aborts.)
 //
 // Each outcome is appended to the log, so that followers of this engine and
 // its own next recovery find the transaction decided, and then replayed like
@@ -184,8 +195,12 @@ func (db *DB) finishUndecided(t simclock.Time) (simclock.Time, error) {
 	for _, id := range slices.Compact(ids) {
 		commit := false
 		if p, ok := db.prepared[id]; ok {
-			known := false
-			if commit, known = db.decisions[p.gid]; !known && db.resolver != nil {
+			commit = p.decided
+			known := p.decided
+			if !known {
+				commit, known = db.decisions[p.gid]
+			}
+			if !known && db.resolver != nil {
 				commit, known = db.resolver(p.gid, p.coord)
 			}
 			commit = commit && known

@@ -654,3 +654,44 @@ func TestPromoteFinishesUndecided(t *testing.T) {
 		}
 	}
 }
+
+// TestPromoteCommitsDecidedCoordinator promotes a follower whose stream ends
+// between a 2PC coordinator's commit decision and the RecCommit the decide
+// flush put behind it. A follower only receives what the primary made
+// durable, so the decision it holds was the commit point: the promoted engine
+// must commit the coordinator's writes — the other shards may already show
+// theirs — and agree with crash recovery of the same log.
+func TestPromoteCommitsDecidedCoordinator(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			p, ptab, walDev, at := replayPrimary(t, k)
+			const maxKey, secIdx = 12, 0
+			coord := p.Begin()
+			at, err := ptab.Update(coord, at, 4, setBalance(44))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := p.WAL()
+			if _, err := w.Flush(at, w.Append(&wal.Record{Type: wal.RecDecide, Tx: coord.ID, Aux: 77, Data: wal.EncodeDecideData(true)})); err != nil {
+				t.Fatal(err)
+			}
+
+			f := newApplyReplica(t, k)
+			f.catchUp(t, scanLog(t, walDev))
+			cdb, ctab := crashAndRecover(t, k, cloneMem(t, f.data), cloneMem(t, f.walDev))
+			if f.at, err = f.db.Promote(f.at); err != nil {
+				t.Fatalf("promote: %v", err)
+			}
+			for name, db := range map[string]*DB{"promoted": f.db, "recovered": cdb} {
+				if st := db.Stats(); st.InDoubtCommits != 1 || st.InDoubtAborts != 0 {
+					t.Errorf("%s: in-doubt resolved %d commits / %d aborts, want 1 / 0", name, st.InDoubtCommits, st.InDoubtAborts)
+				}
+			}
+			got := snapshotReads(t, f.db, f.tab, maxKey, secIdx)
+			if got.gets[4] != "[4 u4 44]" {
+				t.Errorf("promoted engine reads key 4 as %s, want the coordinator's committed update", got.gets[4])
+			}
+			diffStates(t, "promoted-vs-recovered", got, snapshotReads(t, cdb, ctab, maxKey, secIdx))
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"maps"
 
 	"sias/internal/simclock"
@@ -12,24 +14,36 @@ import (
 // touched shard; the shard router drives the protocol, each engine only
 // logs and resolves its own side:
 //
-//   - Prepare makes a participant durable-but-undecided: the sub-transaction's
-//     heap records already sit in this WAL, so one flush through the PREPARE
-//     record covers both. The CLOG stays in-progress, which is exactly what
-//     keeps the prepared writes invisible to every snapshot (Visible requires
-//     StatusCommitted) and the write locks held.
-//   - Decide logs the coordinator's verdict and, behind it, the outcome
-//     record of the coordinator's own sub-transaction. A commit decision is
-//     flushed — that one flush is the transaction's commit point and the
-//     coordinator's durable outcome; an abort decision rides along unflushed
-//     because a missing decision already means abort (presumed abort).
+//   - Prepare makes a participant other than the coordinator
+//     durable-but-undecided: the sub-transaction's heap records already sit in
+//     this WAL, so one flush through the PREPARE record covers both. The CLOG
+//     stays in-progress, which is exactly what keeps the prepared writes
+//     invisible to every snapshot (Visible requires StatusCommitted) and the
+//     write locks held.
+//   - Decide logs the coordinator's commit decision and, behind it, the
+//     commit record of the coordinator's own sub-transaction, and flushes
+//     both: that one flush is the transaction's commit point and carries the
+//     coordinator's heap records with it. The coordinator never prepares —
+//     its decision record is its prepare — and there is no abort decision: a
+//     missing decision already means abort (presumed abort), so a
+//     coordinator whose participants failed to prepare simply aborts.
 //   - FinishPrepared flips every other participant to the outcome: the
 //     lightweight RecCommit/RecAbort outcome record is appended without a
 //     flush (recovery re-resolves through the coordinator if it is torn) and
 //     the CLOG flips, publishing or discarding the writes atomically.
 //
-// Recovery (recover.go) completes the picture: a PREPARE with no outcome
-// record is in-doubt and is resolved by consulting the coordinator shard's
-// decision log — commit if a flushed decision says so, abort otherwise.
+// Recovery (recover.go) completes the picture: a PREPARE, or a coordinator's
+// commit decision, with no outcome record behind it is in-doubt and is
+// resolved by consulting the coordinator shard's decision log — commit if a
+// durable decision says so, abort otherwise.
+
+// ErrInDoubt reports a commit decision whose flush failed after the decide
+// record was appended: a torn flush may still have made the decision durable,
+// so the outcome is neither commit nor abort until restart recovery reads the
+// log back. The coordinator's sub-transaction stays undecided and the
+// participants prepared (writes invisible, locks held); callers must not
+// assume either outcome.
+var ErrInDoubt = errors.New("engine: cross-shard commit outcome in doubt")
 
 // InDoubtResolver answers "did gid commit?" for an in-doubt prepared
 // transaction by consulting the coordinator shard's decision log. known is
@@ -56,11 +70,12 @@ func (db *DB) Decisions() map[uint64]bool {
 	return decs
 }
 
-// Prepare logs a PREPARE record for tx and forces the log through it: tx's
-// heap records and the prepare become durable in one flush. gid names the
-// global transaction, coordShard the shard whose log will hold the decision.
-// After a successful Prepare the participant may no longer unilaterally
-// abort — only FinishPrepared (or recovery resolution) decides it.
+// Prepare logs a PREPARE record for tx, a participant other than the
+// coordinator, and forces the log through it: tx's heap records and the
+// prepare become durable in one flush. gid names the global transaction,
+// coordShard the shard whose log will hold the decision. After a successful
+// Prepare the participant may no longer unilaterally abort — only
+// FinishPrepared (or recovery resolution) decides it.
 func (db *DB) Prepare(tx *txn.Tx, gid uint64, coordShard uint32, at simclock.Time) (simclock.Time, error) {
 	lsn := db.walw.Append(&wal.Record{
 		Type: wal.RecPrepare,
@@ -76,32 +91,27 @@ func (db *DB) Prepare(tx *txn.Tx, gid uint64, coordShard uint32, at simclock.Tim
 	return t, nil
 }
 
-// Decide logs the coordinator's decision for gid and applies it to coordTx,
-// the coordinator's own participant transaction: RecDecide, then coordTx's
-// outcome record, then — for a commit — one flush through both, and only
-// then the CLOG flip. The flush is the commit point. Putting the outcome
-// behind the decision in the same flush is safe because the log is a
-// prefix: a durable RecCommit implies a durable RecDecide, and a tear
-// between the two leaves a decided, outcome-less coordinator — the in-doubt
-// state recovery already resolves from the decision. A failed flush returns
-// with coordTx still prepared (see shard.ErrInDoubt). Abort decisions are
-// appended unflushed since presumed abort makes the record advisory.
-func (db *DB) Decide(coordTx *txn.Tx, gid uint64, commit bool, at simclock.Time) (simclock.Time, error) {
+// Decide commits coordTx, the coordinator's own sub-transaction, as the
+// commit point of gid: RecDecide, then coordTx's RecCommit, then one flush
+// through both — which carries coordTx's heap records too, since they precede
+// the decision in the same log — and only then the CLOG flip. Putting the
+// outcome behind the decision in the same flush is safe because the log is a
+// prefix: a durable RecCommit implies a durable RecDecide, and a tear between
+// the two leaves a decided, outcome-less coordinator, which redo registers as
+// prepared and finishUndecided commits from the decision. A failed flush
+// returns ErrInDoubt with coordTx still undecided.
+func (db *DB) Decide(coordTx *txn.Tx, gid uint64, at simclock.Time) (simclock.Time, error) {
 	db.walw.Append(&wal.Record{
 		Type: wal.RecDecide,
 		Tx:   coordTx.ID,
 		Aux:  gid,
-		Data: wal.EncodeDecideData(commit),
+		Data: wal.EncodeDecideData(true),
 	})
-	lsn := db.walw.Append(outcomeRecord(coordTx, commit))
-	t := at
-	if commit {
-		var err error
-		if t, err = db.walw.Flush(at, lsn); err != nil {
-			return t, err
-		}
+	t, err := db.walw.Flush(at, db.walw.Append(outcomeRecord(coordTx, true)))
+	if err != nil {
+		return t, fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
-	return t, db.finish(coordTx, commit)
+	return t, db.finish(coordTx, true)
 }
 
 // outcomeRecord is the RecCommit/RecAbort that decides tx in the log.
@@ -128,10 +138,10 @@ func (f *Facade) Prepare(tx *txn.Tx, gid uint64, coordShard uint32) error {
 	return err
 }
 
-// Decide logs the coordinator decision for gid with coordTx's own outcome
-// behind it (flushed iff commit) and finishes coordTx.
-func (f *Facade) Decide(coordTx *txn.Tx, gid uint64, commit bool) error {
-	_, err := f.db.Decide(coordTx, gid, commit, 0)
+// Decide logs and forces the commit decision for gid with coordTx's own
+// commit record behind it, and commits coordTx.
+func (f *Facade) Decide(coordTx *txn.Tx, gid uint64) error {
+	_, err := f.db.Decide(coordTx, gid, 0)
 	return err
 }
 

@@ -83,7 +83,7 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("BEGIN answered %s", codes[0])
 		}
 		for i, c := range codes[1:5] {
-			if c > wire.CodeNoIndex || c == wire.CodeLogBatch {
+			if c > wire.CodeInDoubt || c == wire.CodeLogBatch {
 				t.Errorf("frame %d of %s answered with code %s", i, op, c)
 			}
 			if op.Kind() == wire.KindUnknown && c != wire.CodeBadRequest {

@@ -2,9 +2,12 @@ package server_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"sias/internal/client"
+	"sias/internal/device"
+	"sias/internal/page"
 	"sias/internal/shard"
 )
 
@@ -78,5 +81,56 @@ func TestCommitConnectionLossReadOnlyNotInDoubt(t *testing.T) {
 	}
 	if errors.Is(err, client.ErrInDoubt) {
 		t.Fatalf("read-only commit classified in-doubt: %v", err)
+	}
+}
+
+// TestDecideFlushFailureReachesClientInDoubt: when the coordinator's
+// commit-decision flush fails, the server cannot know whether the decision
+// reached the device, and the client must hear exactly that — the typed
+// client.ErrInDoubt over a healthy connection, not an untyped INTERNAL that a
+// caller would count as a plain failure.
+func TestDecideFlushFailureReachesClientInDoubt(t *testing.T) {
+	var committing atomic.Bool
+	coordWAL := device.NewWrap(device.NewMem(page.Size, 1<<14))
+	coordWAL.SetWriteHook(func(int64) error {
+		if committing.Load() {
+			return errors.New("injected WAL write failure")
+		}
+		return nil
+	})
+	r := routerOf(t,
+		openKV(t, device.NewMem(page.Size, 1<<16), coordWAL, false),
+		openKV(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false))
+	srv, addr := startServer(t, r, nil)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	k0, k1 := twoShardKeys()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert(k0, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert(k1, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 coordinates, and the first write the commit asks of its WAL is
+	// the decide flush.
+	committing.Store(true)
+	err = tx.Commit()
+	committing.Store(false)
+	if !errors.Is(err, client.ErrInDoubt) {
+		t.Fatalf("commit error = %v, want errors.Is(err, client.ErrInDoubt)", err)
+	}
+	if rs := srv.Stats(); rs.OpenTxns != 0 {
+		t.Errorf("%d transactions left open after the in-doubt COMMIT", rs.OpenTxns)
+	}
+	if st, err := c.Stats(); err != nil || st.Router.TwoPCInDoubt != 1 {
+		t.Errorf("router in-doubt count %+v (%v), want 1", st.Router, err)
 	}
 }

@@ -9,7 +9,8 @@
 //     MaxInFlight requests are executing server-wide, further requests are
 //     rejected immediately with wire.CodeOverloaded instead of queueing
 //     unboundedly, so overload degrades into fast typed errors rather than
-//     latency collapse;
+//     latency collapse (COMMIT and ABORT are never refused: ending a
+//     transaction is what frees the server);
 //   - graceful drain on Shutdown — stop accepting, let in-flight
 //     transactions finish, abort stragglers after a deadline, then
 //     checkpoint the shards one at a time.
@@ -46,7 +47,8 @@ type Config struct {
 	// Router fronts the engine shard(s) (required). A single-shard router
 	// is the unsharded deployment.
 	Router *shard.Router
-	// MaxInFlight bounds concurrently executing requests (default 64).
+	// MaxInFlight bounds concurrently executing requests other than COMMIT
+	// and ABORT (default 64).
 	MaxInFlight int
 	// DrainTimeout bounds Shutdown's wait for in-flight transactions when
 	// the caller's context has no earlier deadline (default 5s).
@@ -875,10 +877,15 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 			}
 			return nil, wire.ErrShuttingDown
 		}
-		if !srv.admit() {
-			return nil, wire.ErrOverloaded
+		// Ending a transaction releases the locks and snapshot admission
+		// protects the server from, so COMMIT and ABORT take no slot: a
+		// refused one would leave its transaction open on a pooled connection.
+		if kind != wire.KindEnd {
+			if !srv.admit() {
+				return nil, wire.ErrOverloaded
+			}
+			defer func() { <-srv.sem }()
 		}
-		defer func() { <-srv.sem }()
 		srv.requests.Add(1)
 
 		// Follower gating: before promotion, writes are rejected outright,

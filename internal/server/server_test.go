@@ -254,7 +254,7 @@ func TestServerConcurrentWorkers(t *testing.T) {
 		commits.Load(), conflicts.Load(), st.Engine.CommitFlushes, st.Engine.CommitBatches)
 }
 
-// gatedWAL blocks WritePage until released, letting the test pin a commit
+// gatedWAL blocks WritePage until released, letting the test pin a DDL
 // mid-flush with the admission slot held.
 type gatedWAL struct {
 	device.BlockDevice
@@ -266,77 +266,95 @@ func (d *gatedWAL) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock
 	return d.BlockDevice.WritePage(at, pageNo, p)
 }
 
+// TestServerAdmissionControl holds the single in-flight slot with a CREATE
+// TABLE stuck in its WAL flush. Requests that start or run inside a
+// transaction are refused with the typed overload error, not queued; COMMIT
+// and ABORT still end theirs — ending one releases the locks and snapshot
+// admission protects, and a refused one would stay open on the client's
+// pooled connection.
 func TestServerAdmissionControl(t *testing.T) {
 	gate := make(chan struct{})
 	walDev := &gatedWAL{BlockDevice: device.NewMem(page.Size, 1<<14), gate: gate}
 	sh := openKV(t, device.NewMem(page.Size, 1<<16), walDev, false)
-	_, addr := startServer(t, routerOf(t, sh), func(cfg *server.Config) { cfg.MaxInFlight = 1 })
+	srv, addr := startServer(t, routerOf(t, sh), func(cfg *server.Config) { cfg.MaxInFlight = 1 })
 
-	// Connection A occupies the single in-flight slot with a commit stuck
-	// on the gated WAL flush.
+	c, err := client.Dial(addr, client.Options{PoolSize: 2, MaxRetries: 1, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Two transactions opened while the slot is free, one to commit and one
+	// to abort. They only read: a commit that wrote would wait on the gated
+	// WAL, which says nothing about admission.
+	var txs [2]*client.Tx
+	for i := range txs {
+		if txs[i], err = c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txs[i].Scan(0, 10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Connection A occupies the slot.
 	ca, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ca.Close()
-	txa, err := ca.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := txa.Insert(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	commitDone := make(chan error, 1)
-	go func() { commitDone <- txa.Commit() }()
-
-	// Connection B must be rejected with the typed overload error, not
-	// queued. Raw wire framing so no client-side retry masks the code.
+	admitted := srv.Stats().Requests
+	ddlDone := make(chan error, 1)
+	go func() { ddlDone <- ca.CreateTable("held", kvSchema(), "k") }()
 	deadline := time.Now().Add(5 * time.Second)
-	var code wire.Code
-	for {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	for srv.Stats().Requests == admitted {
+		if time.Now().After(deadline) {
+			t.Fatal("the DDL never took the slot")
 		}
-		if err := wire.WriteFrame(nc, uint8(wire.OpBegin), nil); err != nil {
-			t.Fatal(err)
-		}
-		tag, _, err := wire.ReadFrame(nc)
-		nc.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		code = wire.Code(tag)
-		if code == wire.CodeOverloaded || time.Now().After(deadline) {
-			break
-		}
-		// A's commit may not have occupied the slot yet; try again.
 		time.Sleep(time.Millisecond)
 	}
-	if code != wire.CodeOverloaded {
-		t.Fatalf("concurrent request got %s, want OVERLOADED", code)
+
+	// A BEGIN on connection B is refused. Raw wire framing so no
+	// client-side retry masks the code.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, uint8(wire.OpBegin), nil); err != nil {
+		t.Fatal(err)
+	}
+	if tag, _, err := wire.ReadFrame(nc); err != nil || wire.Code(tag) != wire.CodeOverloaded {
+		t.Fatalf("BEGIN beside the held slot got %s (%v), want OVERLOADED", wire.Code(tag), err)
+	}
+	if _, err := txs[0].Get(1); !errors.Is(err, wire.ErrOverloaded) {
+		t.Errorf("GET beside the held slot: %v, want OVERLOADED", err)
+	}
+	if err := txs[0].Commit(); err != nil {
+		t.Errorf("COMMIT beside the held slot: %v", err)
+	}
+	if err := txs[1].Abort(); err != nil {
+		t.Errorf("ABORT beside the held slot: %v", err)
+	}
+	if st := srv.Stats(); st.OpenTxns != 0 {
+		t.Errorf("%d transactions left open by COMMIT and ABORT under overload", st.OpenTxns)
 	}
 
-	// Release the flush; A's commit completes.
+	// Release the flush; A's DDL completes, and with the slot free a
+	// transaction runs.
 	close(gate)
-	if err := <-commitDone; err != nil {
+	if err := <-ddlDone; err != nil {
 		t.Fatal(err)
 	}
-
-	// With the slot free, the same request now succeeds after retries.
-	cb, err := client.Dial(addr, client.Options{})
+	tx, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cb.Close()
-	txb, err := cb.Begin()
-	if err != nil {
+	if err := tx.Insert(1, []byte("b")); err != nil {
+		t.Fatalf("after overload: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := txb.Get(1); err != nil || string(got) != "a" {
-		t.Fatalf("after overload: %q %v", got, err)
-	}
-	txb.Commit()
 }
 
 // TestServerDrainAndRecover covers the graceful-drain acceptance criteria

@@ -68,7 +68,8 @@ func twoShardKeys() (k0, k1 int64) {
 // TestDistributedTraceCrossShard drives one client-sampled cross-shard
 // commit through a 2-shard server and asserts the wire-propagated trace
 // stitches end to end: the session op span, a prepare span per 2PC
-// participant, the coordinator's decide span with its WAL-fsync annotation,
+// participant other than the coordinator, the coordinator's decide span with
+// its WAL-fsync annotation,
 // all under the single trace id the client minted — and that the trace
 // counters in the STATS frame match /metrics exactly.
 func TestDistributedTraceCrossShard(t *testing.T) {
@@ -137,14 +138,14 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 		}
 	}
 	// The session op span plus the full 2PC pipeline, one prepare per
-	// participant.
-	for name, want := range map[string]int{"BEGIN": 1, "COMMIT": 1, "route": 1, "prepare": 2, "decide": 1, "outcome": 1} {
+	// participant but the coordinator, whose decision is its prepare.
+	for name, want := range map[string]int{"BEGIN": 1, "COMMIT": 1, "route": 1, "prepare": 1, "decide": 1, "outcome": 1} {
 		if count[name] != want {
 			t.Errorf("span %q appears %d times, want %d\n%s", name, count[name], want, resp.body)
 		}
 	}
-	if !prepShards[0] || !prepShards[1] {
-		t.Errorf("prepare spans pinned to shards %v, want both participants", prepShards)
+	if prepShards[0] || !prepShards[1] {
+		t.Errorf("prepare spans pinned to shards %v, want only the participant, shard 1", prepShards)
 	}
 	for _, sp := range tr.Spans {
 		switch sp.Name {
@@ -294,7 +295,7 @@ func TestTraceReadOnlyCommitSkipsFlushStages(t *testing.T) {
 	if got := stagesByWriters["1"]; len(got) != 1 || got["fsync"] != 1 {
 		t.Errorf("one-writer commit recorded stages %v, want exactly the group-commit fsync\n%s", got, resp.body)
 	}
-	if got := stagesByWriters["2"]; got["prepare"] != 2 || got["decide"] != 1 || got["outcome"] != 1 {
+	if got := stagesByWriters["2"]; got["prepare"] != 1 || got["decide"] != 1 || got["outcome"] != 1 {
 		t.Errorf("two-writer commit recorded stages %v, want the full 2PC pipeline", got)
 	}
 }

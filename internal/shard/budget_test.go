@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"sias/internal/device"
@@ -52,7 +53,9 @@ func setValue(v string) func(tuple.Row) (tuple.Row, error) {
 // shape of commit writes: a transaction that only read writes nothing on any
 // shard, one that wrote on a single shard takes that shard's one-flush fast
 // path whatever it read elsewhere, and one that wrote on two shards runs 2PC
-// in 2n = 4 flushes with the coordinator's outcome on the decide flush.
+// in 2n-1 = 3 flushes: the participant's prepare, the coordinator's decide
+// flush (its heap records, the decision and its outcome) and the
+// participant's outcome.
 func TestCommitLogBudget(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
 	s0, db0 := openShardOn(t, devs[0])
@@ -147,7 +150,7 @@ func TestCommitLogBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := marks()
-		wantCoord := []wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecDecide, wal.RecCommit}
+		wantCoord := []wal.RecType{wal.RecHeapInsert, wal.RecDecide, wal.RecCommit}
 		if got := recordsSince(t, devs[0].wal, before[0].next); !reflect.DeepEqual(got, wantCoord) {
 			t.Errorf("coordinator logged %v, want %v", got, wantCoord)
 		}
@@ -155,15 +158,15 @@ func TestCommitLogBudget(t *testing.T) {
 		if got := recordsSince(t, devs[1].wal, before[1].next); !reflect.DeepEqual(got, wantPart) {
 			t.Errorf("participant logged %v, want %v", got, wantPart)
 		}
-		// Prepare + decide on the coordinator (its outcome needs no flush of
-		// its own), prepare + outcome on the participant; every flush here
-		// fits the log's tail page, so page writes count flushes.
+		// The decide flush alone on the coordinator (its heap records and its
+		// outcome ride it), prepare + outcome on the participant; every flush
+		// here fits the log's tail page, so page writes count flushes.
 		for i := range dbs {
-			if d := after[i].writes - before[i].writes; d != 2 {
-				t.Errorf("shard %d: %d log flushes for a 2-shard commit, want 2 (4 in all)", i, d)
+			if d := after[i].writes - before[i].writes; d != int64(i+1) {
+				t.Errorf("shard %d: %d log flushes for a 2-shard commit, want %d (3 in all)", i, d, i+1)
 			}
-			if after[i].prepares-before[i].prepares != 1 {
-				t.Errorf("shard %d: %d prepares, want 1", i, after[i].prepares-before[i].prepares)
+			if d := after[i].prepares - before[i].prepares; d != int64(i) {
+				t.Errorf("shard %d: %d prepares, want %d", i, d, i)
 			}
 		}
 		rs := r.RouterStats()
@@ -178,16 +181,15 @@ func TestCommitLogBudget(t *testing.T) {
 	})
 }
 
-// failWALAfterPrepare opens a shard whose WAL device fails every write once
-// the shard has forced a PREPARE record: the next flush it is asked for — a
-// decide flush on a coordinator, an outcome flush on a participant — never
-// reaches the device, as if the process had died before it.
-func failWALAfterPrepare(t *testing.T, d shardDevs) (shard.Shard, *engine.DB) {
+// failWALFrom opens a shard whose WAL device fails every write once dead
+// reports true of the shard, as if the process had died before the write
+// reached the device.
+func failWALFrom(t *testing.T, d shardDevs, dead func(*engine.DB) bool) (shard.Shard, *engine.DB) {
 	t.Helper()
 	wrapped := device.NewWrap(d.wal)
 	s, db := openShardOn(t, shardDevs{data: d.data, wal: wrapped})
 	wrapped.SetWriteHook(func(int64) error {
-		if db.Stats().Prepares > 0 {
+		if dead(db) {
 			return errors.New("injected WAL write failure")
 		}
 		return nil
@@ -196,32 +198,39 @@ func failWALAfterPrepare(t *testing.T, d shardDevs) (shard.Shard, *engine.DB) {
 }
 
 // TestCrashAroundDecideWithReadOnlyShard crashes a transaction that wrote on
-// shards 0 and 1 and only read shard 2, once between the PREPAREs and the
-// decide flush and once right after it. Either way the shard that was only
-// read took no part: its log and its in-doubt counters are untouched. Before
-// the decide flush recovery presumes abort on both writers; after it the
-// coordinator's outcome is already durable (it rode the decide flush), so
-// only the other participant is in doubt, and it commits.
+// shards 0 and 1 and only read shard 2, once at the coordinator's decide
+// flush and once right after it. Either way the shard that was only read took
+// no part: its log and its in-doubt counters are untouched. Without the
+// decide flush recovery presumes abort: the participant's PREPARE is an
+// in-doubt abort, the coordinator (which prepared nothing) an ordinary
+// rollback. After it the coordinator's outcome is already durable (it rode
+// the decide flush), so only the other participant is in doubt, and it
+// commits.
 func TestCrashAroundDecideWithReadOnlyShard(t *testing.T) {
+	var committing atomic.Bool
 	for _, tc := range []struct {
 		name               string
-		failOn             int // shard whose WAL dies after its PREPARE
+		failOn             int                   // shard whose WAL dies...
+		dead               func(*engine.DB) bool // ...once this holds
 		wantErr            error
 		visible            bool
 		inDoubtC, inDoubtA [3]int64
 	}{
 		{name: "before the decide flush", failOn: 0, wantErr: shard.ErrInDoubt,
-			visible: false, inDoubtA: [3]int64{1, 1, 0}},
+			dead:    func(*engine.DB) bool { return committing.Load() },
+			visible: false, inDoubtA: [3]int64{0, 1, 0}},
 		{name: "after the decide flush", failOn: 1,
+			dead:    func(db *engine.DB) bool { return db.Stats().Prepares > 0 },
 			visible: true, inDoubtC: [3]int64{0, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			committing.Store(false)
 			devs := []shardDevs{newShardDevs(), newShardDevs(), newShardDevs()}
 			shards := make([]shard.Shard, 3)
 			var reader *engine.DB
 			for i := range shards {
 				if i == tc.failOn {
-					shards[i], _ = failWALAfterPrepare(t, devs[i])
+					shards[i], _ = failWALFrom(t, devs[i], tc.dead)
 				} else {
 					var db *engine.DB
 					shards[i], db = openShardOn(t, devs[i])
@@ -260,6 +269,7 @@ func TestCrashAroundDecideWithReadOnlyShard(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			committing.Store(true)
 			err = tx.Commit()
 			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 				t.Fatalf("commit error = %v, want %v", err, tc.wantErr)
@@ -299,8 +309,9 @@ func TestCrashAroundDecideWithReadOnlyShard(t *testing.T) {
 	}
 }
 
-// TestThreeWriterCommitFlushBudget: n written shards cost n prepares, one
-// decide and n-1 outcome flushes — 2n — and the read-only fourth shard none.
+// TestThreeWriterCommitFlushBudget: n written shards cost n-1 prepares, one
+// decide and n-1 outcome flushes — 2n-1 — and the read-only fourth shard
+// none.
 func TestThreeWriterCommitFlushBudget(t *testing.T) {
 	const n = 4
 	devs := make([]shardDevs, n)
@@ -351,13 +362,13 @@ func TestThreeWriterCommitFlushBudget(t *testing.T) {
 		case 0:
 			want = fmt.Sprint([]wal.RecType(nil))
 		case 1:
-			want = fmt.Sprint([]wal.RecType{wal.RecHeapInsert, wal.RecPrepare, wal.RecDecide, wal.RecCommit})
+			want = fmt.Sprint([]wal.RecType{wal.RecHeapInsert, wal.RecDecide, wal.RecCommit})
 		}
 		if got != want {
 			t.Errorf("shard %d logged %s, want %s", i, got, want)
 		}
 	}
-	if flushes != 2*(n-1) {
-		t.Errorf("%d log flushes for a commit that wrote on %d shards, want %d", flushes, n-1, 2*(n-1))
+	if writers := int64(n - 1); flushes != 2*writers-1 {
+		t.Errorf("%d log flushes for a commit that wrote on %d shards, want %d", flushes, writers, 2*writers-1)
 	}
 }

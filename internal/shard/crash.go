@@ -17,8 +17,9 @@ import (
 // one early string compare as its only cost.
 const (
 	// crashAfterPrepare fires after every participant's PREPARE record is
-	// durable but before the coordinator logs its decision: recovery must
-	// presume abort.
+	// durable but before the coordinator logs its decision (the coordinator
+	// prepares nothing: its decision is its prepare): recovery must presume
+	// abort.
 	crashAfterPrepare = "2pc-after-prepare"
 	// crashAfterDecide fires after the decide flush — the commit decision and
 	// the coordinator's own outcome record are durable in the coordinator's

@@ -24,16 +24,18 @@
 // under hash routing) commits through that shard's group-commit batcher
 // exactly as a single engine would — one WAL flush, no coordination
 // records. Commits that wrote on several shards are ATOMIC via two-phase
-// commit over the written shards' WALs: each forces a PREPARE record (phase
-// 1, parallel fan-out), the lowest written shard acts as coordinator and
-// forces a single DECIDE record (the commit point) with its own outcome
-// record behind it, and the other participants then log lightweight outcome
-// records, forced in one last parallel round.
-// Recovery resolves in-doubt prepared transactions against the
-// coordinator's decision log, presuming abort when no decision survived —
-// so after a crash a cross-shard transaction's writes are visible in all
-// shards or none. DESIGN.md "Cross-shard atomic commit" documents the
-// protocol, record formats and recovery rules.
+// commit over the written shards' WALs: the lowest written shard is the
+// coordinator, every other written shard forces a PREPARE record (phase 1,
+// parallel fan-out), and the coordinator then forces a single DECIDE record
+// (the commit point) with its own outcome record behind it — its heap
+// records ride that flush, so the decision is its prepare. The other
+// participants then log lightweight outcome records, forced in one last
+// parallel round: n written shards cost 2n-1 WAL flushes.
+// Recovery resolves in-doubt transactions against the coordinator's
+// decision log, presuming abort when no decision survived — so after a
+// crash a cross-shard transaction's writes are visible in all shards or
+// none. DESIGN.md "Cross-shard atomic commit" documents the protocol,
+// record formats and recovery rules.
 package shard
 
 import (
@@ -268,11 +270,12 @@ func (t *Txn) at(i int) *txn.Tx {
 var ErrFinished = errors.New("shard: transaction already finished")
 
 // ErrInDoubt reports a cross-shard commit whose decision flush failed after
-// the decide record was appended: a torn flush may still have made the
-// decision durable, so the outcome is neither commit nor abort until restart
-// recovery consults the log. The participants stay prepared (writes
-// invisible, locks held); callers must not assume either outcome.
-var ErrInDoubt = errors.New("shard: cross-shard commit outcome in doubt")
+// the decide record was appended (engine.ErrInDoubt, which the wire carries
+// as IN_DOUBT): a torn flush may still have made the decision durable, so
+// the outcome is neither commit nor abort until restart recovery consults
+// the log. The participants stay undecided (writes invisible, locks held);
+// callers must not assume either outcome.
+var ErrInDoubt = engine.ErrInDoubt
 
 // writable is the one gate every write passes: a finished transaction and a
 // pinned AS OF snapshot take no writes.
@@ -461,7 +464,7 @@ func (t *Txn) Commit() error {
 
 // parallel runs leg(0) … leg(n-1) concurrently and returns when all have:
 // leg 0 on the calling goroutine, the rest on their own. A round of one leg
-// — the outcome round of a two-shard commit — is a plain call.
+// — the prepare and outcome rounds of a two-shard commit — is a plain call.
 func parallel(n int, leg func(j int)) {
 	if n == 1 {
 		leg(0)
@@ -485,17 +488,20 @@ func parallel(n int, leg func(j int)) {
 // across coordinators even though every shard's local id allocator starts
 // at 1.
 //
-// Phase 1 forces a PREPARE record on every participant in parallel: the
+// Phase 1 forces a PREPARE record on every participant but the coordinator,
+// in parallel (with two written shards, one call on this goroutine): the
 // sub-transaction's heap records precede it in the same WAL, so one flush
 // covers both, and the flushes across shards overlap. Phase 2 forces one
-// DECIDE record in the coordinator's WAL — the commit point — and the
-// coordinator's own outcome record rides that same flush (engine.DB.Decide).
-// The other participants' outcome records then append and are forced in a
-// final parallel round — crash recovery re-derives any lost one from the
-// decision (a missing decision means abort — presumed abort), but followers
-// flip visibility only on a shipped outcome record, so the commit path makes
-// them durable before acknowledging. n written shards cost n + 1 + (n - 1)
-// = 2n flushes.
+// DECIDE record in the coordinator's WAL — the commit point — with the
+// coordinator's own outcome record behind it (engine.DB.Decide); the
+// coordinator's heap records precede both, so that one flush makes its half
+// durable and decided at once, and a PREPARE of its own would protect
+// nothing. The other participants' outcome records then append and are
+// forced in a final parallel round — crash recovery re-derives any lost one
+// from the decision (a missing decision means abort — presumed abort), but
+// followers flip visibility only on a shipped outcome record, so the commit
+// path makes them durable before acknowledging. n written shards cost
+// (n - 1) + 1 + (n - 1) = 2n - 1 flushes.
 func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	r := t.r
 	coord, others := writers[0], writers[1:]
@@ -506,9 +512,9 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	if r.prepareHist != nil {
 		t0 = time.Now()
 	}
-	errs := make([]error, len(writers))
-	parallel(len(writers), func(j int) {
-		i := writers[j]
+	errs := make([]error, len(others))
+	parallel(len(others), func(j int) {
+		i := others[j]
 		psp := r.tracer.StartSpan(parent.Context(), "prepare")
 		psp.SetShard(i)
 		errs[j] = r.shards[i].Facade.Prepare(t.sub[i], gid, uint32(coord))
@@ -532,12 +538,12 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 		}
 	}
 	if first != nil {
-		// Decide abort. The record is advisory (a missing decision already
-		// means abort), so it is appended without a flush; every participant
-		// then aborts — the prepared ones via their outcome record, the one
-		// whose prepare failed simply rolls back.
+		// Abort. No decision is logged: a missing decision already means
+		// abort (presumed abort), so the coordinator rolls back like any
+		// transaction, the prepared participants log their outcome record
+		// and the one whose prepare failed rolls back through the same call.
 		parent.Annotate("result", "abort-prepare")
-		r.shards[coord].Facade.Decide(t.sub[coord], gid, false)
+		r.shards[coord].Facade.Abort(t.sub[coord])
 		for _, i := range others {
 			r.shards[i].Facade.FinishPrepared(t.sub[i], false)
 		}
@@ -555,10 +561,10 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 		r.shards[coord].Facade.NoteTrace(t.sub[coord], t.tc.TraceID)
 	}
 	// The commit point: the decision is durable in the coordinator's log,
-	// and with it the coordinator's own outcome — its CLOG flips here.
+	// and with it the coordinator's own half — its CLOG flips here.
 	dsp := r.tracer.StartSpan(parent.Context(), "decide")
 	dsp.SetShard(coord)
-	if err := r.shards[coord].Facade.Decide(t.sub[coord], gid, true); err != nil {
+	if err := r.shards[coord].Facade.Decide(t.sub[coord], gid); err != nil {
 		dsp.Annotate("result", "in-doubt")
 		dsp.Finish()
 		// The decide record was appended before the flush failed, so it may
@@ -566,12 +572,12 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 		// decision durable even as the flush reports failure. Presumed abort
 		// only licenses aborting while NO decision record exists; deciding
 		// abort here could disagree with what recovery reads back and tear
-		// the transaction. Leave every participant prepared (writes
-		// invisible, locks held) and surface the ambiguity: restart
-		// recovery resolves the outcome from whatever the log actually
-		// holds.
+		// the transaction. Leave every participant undecided (writes
+		// invisible, locks held) and surface the ambiguity (err wraps
+		// ErrInDoubt): restart recovery resolves the outcome from whatever
+		// the log actually holds.
 		r.twopcInDoubt.Add(1)
-		return fmt.Errorf("%w: commit-decision flush on coordinator shard %d: %w", ErrInDoubt, coord, err)
+		return fmt.Errorf("commit-decision flush on coordinator shard %d: %w", coord, err)
 	}
 	// The Decide flush above forced the coordinator's WAL through the
 	// decision record — the transaction's commit point.

@@ -1,7 +1,9 @@
 package shard_test
 
 import (
+	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"sias/internal/device"
@@ -295,10 +297,7 @@ func TestRecoveryGidCollisionAcrossCoordinators(t *testing.T) {
 		t.Fatal(err)
 	}
 	gidOwn := shard.GlobalID(1, uint64(tx1a.ID))
-	if err := s1.Facade.Prepare(tx1a, gidOwn, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Facade.Decide(tx1a, gidOwn, true); err != nil {
+	if err := s1.Facade.Decide(tx1a, gidOwn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,17 +347,20 @@ func TestRecoveryGidCollisionAcrossCoordinators(t *testing.T) {
 // commit-decision record, the outcome is genuinely unknown — a torn flush
 // could still have made the decision durable, so unilaterally aborting the
 // participants could disagree with what recovery later reads back. The
-// router must surface shard.ErrInDoubt, leave every participant prepared
+// router must surface shard.ErrInDoubt, leave every sub-transaction undecided
 // (writes invisible on all shards), and count the transaction as in-doubt
 // rather than aborted; restart recovery then resolves it from the surviving
-// log — here the decision never reached the device, so presumed abort.
+// log — here the decision never reached the device, so presumed abort: the
+// participant's PREPARE is an in-doubt abort, the coordinator (which prepared
+// nothing) an ordinary rollback.
 func TestDecideFlushFailureInDoubt(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
 
 	// Shard 0 is the coordinator (lowest written index). Its WAL device fails
-	// every write issued after its prepare record is durable — the first
-	// failed write is the commit-decision flush.
-	s0, _ := failWALAfterPrepare(t, devs[0])
+	// every write issued once the commit starts — and the first write the
+	// commit asks of the coordinator is its decide flush.
+	var committing atomic.Bool
+	s0, _ := failWALFrom(t, devs[0], func(*engine.DB) bool { return committing.Load() })
 	s1, _ := openShardOn(t, devs[1])
 	r, err := shard.NewRouter([]shard.Shard{s0, s1})
 	if err != nil {
@@ -373,6 +375,7 @@ func TestDecideFlushFailureInDoubt(t *testing.T) {
 	if err := tx.Insert(row(keys[1], []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
+	committing.Store(true)
 	err = tx.Commit()
 	if !errors.Is(err, shard.ErrInDoubt) {
 		t.Fatalf("commit error = %v, want errors.Is(err, shard.ErrInDoubt)", err)
@@ -381,7 +384,7 @@ func TestDecideFlushFailureInDoubt(t *testing.T) {
 	if rs.TwoPCInDoubt != 1 || rs.TwoPCCommits != 0 || rs.TwoPCAbortPrepare != 0 {
 		t.Errorf("router counters %+v, want exactly one in-doubt outcome", rs)
 	}
-	// The participants stay prepared: neither shard's write is visible.
+	// Nothing is decided: neither shard's write is visible.
 	for i, s := range []shard.Shard{s0, s1} {
 		if _, err := mustGet(t, s, keys[i]); err == nil {
 			t.Errorf("shard %d: in-doubt write visible before recovery", i)
@@ -396,9 +399,92 @@ func TestDecideFlushFailureInDoubt(t *testing.T) {
 			t.Errorf("shard %d: in-doubt write visible after recovery", i)
 		}
 		st := dbs[i].Stats()
-		if st.InDoubtAborts != 1 || st.InDoubtCommits != 0 {
-			t.Errorf("shard %d: in-doubt resolution = %d commits / %d aborts, want 0/1",
-				i, st.InDoubtCommits, st.InDoubtAborts)
+		if want := int64(i); st.InDoubtAborts != want || st.InDoubtCommits != 0 {
+			t.Errorf("shard %d: in-doubt resolution = %d commits / %d aborts, want 0/%d",
+				i, st.InDoubtCommits, st.InDoubtAborts, want)
+		}
+	}
+}
+
+// TestTornDecisionCommitsCoordinator: the coordinator's decide flush carries
+// its heap records, the decision and its own RecCommit; a tear that keeps the
+// decision and loses the RecCommit behind it must still commit the
+// coordinator's half. The coordinator never logged a PREPARE, so only redo's
+// rule that a commit decision prepares its coordinator keeps the transaction
+// whole: without it recovery would roll the coordinator back as an ordinary
+// in-flight writer while the participant's outcome stands.
+func TestTornDecisionCommitsCoordinator(t *testing.T) {
+	devs := []shardDevs{newShardDevs(), newShardDevs()}
+	s0, _ := openShardOn(t, devs[0])
+	s1, _ := openShardOn(t, devs[1])
+	r, err := shard.NewRouter([]shard.Shard{s0, s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := keysFor(t, 2)
+	tx := r.Begin()
+	for _, k := range keys {
+		if err := tx.Insert(row(k, []byte("both"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the coordinator's log at its last record, the RecCommit the
+	// decide flush put behind the decision.
+	var decide, commit wal.LSN
+	if _, err := wal.Scan(devs[0].wal, func(lsn wal.LSN, rec wal.Record) error {
+		switch rec.Type {
+		case wal.RecDecide:
+			decide = lsn
+		case wal.RecCommit:
+			commit = lsn
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if decide == 0 || commit < decide {
+		t.Fatalf("coordinator log has decide at %d, last commit at %d: no RecCommit behind the decision", decide, commit)
+	}
+	zeroFrom(t, devs[0].wal, commit)
+	if got := recordsSince(t, devs[0].wal, decide); len(got) != 1 || got[0] != wal.RecDecide {
+		t.Fatalf("torn coordinator log ends with %v, want just the decision", got)
+	}
+
+	shards, dbs := recoverShards(t, devs)
+	for i, s := range shards {
+		if v, err := mustGet(t, s, keys[i]); err != nil || string(v) != "both" {
+			t.Errorf("shard %d after recovery: value %q, %v; want both halves visible", i, v, err)
+		}
+	}
+	if st := dbs[0].Stats(); st.InDoubtCommits != 1 || st.InDoubtAborts != 0 {
+		t.Errorf("coordinator: in-doubt resolution = %d commits / %d aborts, want 1/0", st.InDoubtCommits, st.InDoubtAborts)
+	}
+	if st := dbs[1].Stats(); st.InDoubtCommits != 0 || st.InDoubtAborts != 0 {
+		t.Errorf("participant: in-doubt resolution = %d commits / %d aborts, want 0/0 (its outcome was durable)", st.InDoubtCommits, st.InDoubtAborts)
+	}
+}
+
+// zeroFrom zeroes the log on dev from byte offset off to its end, as if the
+// flush that wrote those bytes had been torn at off.
+func zeroFrom(t *testing.T, dev device.BlockDevice, off wal.LSN) {
+	t.Helper()
+	ps := int64(dev.PageSize())
+	buf, zero := make([]byte, ps), make([]byte, ps)
+	for p := int64(off) / ps; p < dev.NumPages(); p++ {
+		if _, err := dev.ReadPage(0, p, buf); err != nil {
+			t.Fatal(err)
+		}
+		from := max(int64(off)-p*ps, 0)
+		if from == 0 && bytes.Equal(buf, zero) {
+			return // the log ended before this page
+		}
+		clear(buf[from:])
+		if _, err := dev.WritePage(0, p, buf); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -449,7 +535,8 @@ func TestSingleShardFastPathNoTwoPCRecords(t *testing.T) {
 	}
 
 	// Contrast: the same router's cross-shard commit DOES log the protocol —
-	// one prepare per participant plus one decision at the coordinator.
+	// one prepare per participant other than the coordinator, one decision
+	// at the coordinator.
 	tx = r.Begin()
 	if err := tx.Update(keys[0], func(old tuple.Row) (tuple.Row, error) {
 		out := append(tuple.Row(nil), old...)
@@ -471,8 +558,8 @@ func TestSingleShardFastPathNoTwoPCRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if counts[wal.RecPrepare] != 1 || counts[wal.RecDecide] != 1 {
-		t.Errorf("cross-shard commit logged %d prepares / %d decides on the coordinator, want 1/1",
+	if counts[wal.RecPrepare] != 0 || counts[wal.RecDecide] != 1 {
+		t.Errorf("cross-shard commit logged %d prepares / %d decides on the coordinator, want 0/1",
 			counts[wal.RecPrepare], counts[wal.RecDecide])
 	}
 	if rs := r.RouterStats(); rs.CrossCommits != 1 || rs.TwoPCCommits != 1 {

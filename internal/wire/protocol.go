@@ -94,6 +94,7 @@
 //	 12   EXISTS         DDL names a table/index that already exists
 //	 13   NO_TABLE       operation names an unknown table
 //	 14   NO_INDEX       operation names an unknown index
+//	 15   IN_DOUBT       COMMIT's decision flush failed: committed everywhere or nowhere, unknown until restart
 //
 // Compatibility rules: opcodes and codes may be appended, but existing values
 // never change meaning. A server receiving an opcode it does not know answers
@@ -303,6 +304,10 @@ const (
 	CodeExists  Code = 12 // DDL names a table/index that already exists
 	CodeNoTable Code = 13 // operation names an unknown table
 	CodeNoIndex Code = 14 // operation names an unknown index
+
+	// CodeInDoubt answers a COMMIT whose cross-shard commit decision could
+	// not be forced: the outcome is unknown until the server restarts.
+	CodeInDoubt Code = 15
 )
 
 // CodeBadOp is the stable rejection for opcodes the server does not know
@@ -335,6 +340,7 @@ var codes = [...]struct {
 	CodeExists:   {name: "EXISTS", err: engine.ErrExists},
 	CodeNoTable:  {name: "NO_TABLE", err: engine.ErrNoTable},
 	CodeNoIndex:  {name: "NO_INDEX", err: engine.ErrNoIndex},
+	CodeInDoubt:  {name: "IN_DOUBT", err: engine.ErrInDoubt},
 }
 
 func (c Code) String() string {

@@ -26,7 +26,7 @@ var goldenCodes = map[Code]string{
 	0: "OK", 1: "NOT_FOUND", 2: "CONFLICT", 3: "LOCK_TIMEOUT", 4: "TX_FINISHED",
 	5: "UNKNOWN_TX", 6: "OVERLOADED", 7: "SHUTTING_DOWN", 8: "BAD_REQUEST",
 	9: "INTERNAL", 10: "LOG_BATCH", 11: "READ_ONLY", 12: "EXISTS",
-	13: "NO_TABLE", 14: "NO_INDEX",
+	13: "NO_TABLE", 14: "NO_INDEX", 15: "IN_DOUBT",
 }
 
 // TestOpTableTotal: every opcode 1–27 has a row with its historical name and
@@ -73,7 +73,7 @@ func TestOpTableTotal(t *testing.T) {
 }
 
 // TestErrorCodeMappingTotal asserts the code table is total both ways: every code
-// 0–14 has its historical name; every exported sentinel of the engine, txn,
+// 0–15 has its historical name; every exported sentinel of the engine, txn,
 // catalog and wire packages maps to a code of its own kind (nothing the stack
 // can legitimately return may degrade into CodeInternal); every code that
 // carries a sentinel round-trips ErrOf→CodeOf and rehydrates into an
@@ -107,6 +107,7 @@ func TestErrorCodeMappingTotal(t *testing.T) {
 		"engine.ErrExists":      {engine.ErrExists, CodeExists, true},
 		"engine.ErrNoTable":     {engine.ErrNoTable, CodeNoTable, true},
 		"engine.ErrNoIndex":     {engine.ErrNoIndex, CodeNoIndex, true},
+		"engine.ErrInDoubt":     {engine.ErrInDoubt, CodeInDoubt, true},
 		"txn.ErrSerialization":  {txn.ErrSerialization, CodeConflict, true},
 		"txn.ErrLockTimeout":    {txn.ErrLockTimeout, CodeLockTimeout, true},
 		"txn.ErrFinished":       {txn.ErrFinished, CodeTxFinished, true},
