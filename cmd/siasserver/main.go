@@ -5,11 +5,15 @@
 //
 // Usage:
 //
-//	siasserver [-addr :4544] [-shards N] [-engine sias|si] [-policy t2|t1]
-//	           [-pool FRAMES] [-max-inflight N] [-drain SECONDS]
-//	           [-data DIR] [-data-pages N] [-wal-pages N] [-wal-sync=false]
-//	           [-asof-retention N] [-follow ADDR] [-announce ADDR]
-//	           [-metrics-addr :9544] [-slow-op-ms MS] [-trace-sample F]
+//	siasserver [-addr :4544] [-shards N] [-pool FRAMES] [-max-inflight N]
+//	           [-drain SECONDS] [-data DIR] [-data-pages N] [-wal-pages N]
+//	           [-wal-sync=false] [-asof-retention N] [-follow ADDR]
+//	           [-announce ADDR] [-metrics-addr :9544] [-slow-op-ms MS]
+//	           [-trace-sample F]
+//
+// Every shard is a SIAS engine with the checkpoint (t2) append-flush policy;
+// the SI baseline the paper compares against runs in the simulator only
+// (cmd/siasbench).
 //
 // With -metrics-addr, a side HTTP listener serves /metrics (Prometheus text
 // exposition of every layer: per-op latency histograms, WAL append/fsync
@@ -77,8 +81,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":4544", "TCP listen address")
 	shards := flag.Int("shards", 1, "hash-partitioned engine shards")
-	kind := flag.String("engine", "sias", "storage engine: sias or si")
-	policy := flag.String("policy", "t2", "append flush policy: t2 (checkpoint) or t1 (bgwriter)")
 	pool := flag.Int("pool", 4096, "buffer pool frames (total across shards)")
 	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests (COMMIT and ABORT are exempt)")
 	drainSec := flag.Float64("drain", 5, "graceful drain timeout in seconds")
@@ -96,7 +98,7 @@ func main() {
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	cfg := serverConfig{
-		addr: *addr, shards: *shards, kind: *kind, policy: *policy,
+		addr: *addr, shards: *shards,
 		pool: *pool, maxInflight: *maxInflight, drainSec: *drainSec,
 		dataDir: *dataDir, dataPages: *dataPages, walPages: *walPages, walSync: *walSync,
 		asofRetention: *asofRetention, follow: *follow, announce: *announce,
@@ -116,7 +118,6 @@ func main() {
 type serverConfig struct {
 	addr          string
 	shards        int
-	kind, policy  string
 	pool          int
 	maxInflight   int
 	drainSec      float64
@@ -155,25 +156,11 @@ type openedShard struct {
 // totals, so varying -shards compares layouts at constant resource budgets.
 func openShard(cfg serverConfig, i int) (openedShard, error) {
 	opts := engine.Options{
+		Kind:          engine.KindSIAS,
+		Policy:        engine.PolicyT2,
 		PoolFrames:    max(cfg.pool/cfg.shards, 64),
 		ScanReadahead: scanReadahead,
 		GCRetention:   cfg.asofRetention,
-	}
-	switch cfg.kind {
-	case "sias":
-		opts.Kind = engine.KindSIAS
-	case "si":
-		opts.Kind = engine.KindSI
-	default:
-		return openedShard{}, fmt.Errorf("unknown -engine %q (want sias or si)", cfg.kind)
-	}
-	switch cfg.policy {
-	case "t2":
-		opts.Policy = engine.PolicyT2
-	case "t1":
-		opts.Policy = engine.PolicyT1
-	default:
-		return openedShard{}, fmt.Errorf("unknown -policy %q (want t2 or t1)", cfg.policy)
 	}
 	dataPages := max(cfg.dataPages/int64(cfg.shards), 1<<10)
 	walPages := max(cfg.walPages/int64(cfg.shards), 1<<9)
@@ -286,9 +273,24 @@ func recoverShards(cfg serverConfig, opened []openedShard) error {
 	return errors.Join(errs...)
 }
 
-func run(cfg serverConfig) error {
+// validate rejects a shard count below one, and a flag that would be
+// silently ignored because the flag it depends on is unset.
+func validate(cfg serverConfig) error {
 	if cfg.shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", cfg.shards)
+	}
+	if cfg.traceSample != 0 && cfg.metricsAddr == "" && cfg.slowOpMs <= 0 {
+		return errors.New("-trace-sample needs -metrics-addr or -slow-op-ms: without either there is no tracer")
+	}
+	if cfg.announce != "" && cfg.follow == "" {
+		return errors.New("-announce needs -follow: only a follower announces itself")
+	}
+	return nil
+}
+
+func run(cfg serverConfig) error {
+	if err := validate(cfg); err != nil {
+		return err
 	}
 
 	// Open all shards in parallel, then replay pre-existing WALs in a second
@@ -407,11 +409,10 @@ func run(cfg serverConfig) error {
 		follower.Run()
 	}
 
-	db := shards[0].Facade.DB()
 	serveErr := make(chan error, 1)
 	go func() {
-		log.Printf("siasserver: shards=%d engine=%s policy=%s pool=%d max-inflight=%d data=%s listening on %s",
-			cfg.shards, db.Kind(), db.Policy(), cfg.pool, cfg.maxInflight, orMem(cfg.dataDir), cfg.addr)
+		log.Printf("siasserver: shards=%d pool=%d max-inflight=%d data=%s listening on %s",
+			cfg.shards, cfg.pool, cfg.maxInflight, orMem(cfg.dataDir), cfg.addr)
 		serveErr <- srv.ListenAndServe(cfg.addr)
 	}()
 

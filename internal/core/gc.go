@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
@@ -47,6 +49,9 @@ func (r *Relation) GC(at simclock.Time, horizon txn.ID) (reclaimed int, _ simclo
 		}
 	}
 	r.mu.Unlock()
+	// Map order is random: sort, so that a round relocates the same way
+	// every time and reads its victims in ascending block order.
+	slices.Sort(victims)
 
 	t := at
 	for _, block := range victims {

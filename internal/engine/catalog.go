@@ -25,6 +25,18 @@ var (
 	ErrNoIndex = errors.New("engine: no such index")
 )
 
+// checkDDL refuses logged DDL on the SI baseline, which never replays its
+// log, and on a follower that has not been promoted.
+func (db *DB) checkDDL() error {
+	if db.opts.Kind == KindSI {
+		return ErrSIBaseline
+	}
+	if db.replica.Load() {
+		return ErrReadOnly
+	}
+	return nil
+}
+
 // logDDL appends a catalog change to the WAL and forces it durable
 // immediately. DDL is rare, so the extra flush is cheap; without it a crash
 // right after CREATE TABLE (before any commit forced the log) would lose the
@@ -38,8 +50,8 @@ func (db *DB) logDDL(at simclock.Time, d *catalog.DDL) (simclock.Time, error) {
 // recovery and replication followers re-create it without out-of-band help.
 // Names (table and columns) are restricted to catalog identifiers.
 func (db *DB) CreateTableLogged(at simclock.Time, name string, schema *tuple.Schema, pkCol string) (*Table, simclock.Time, error) {
-	if db.replica.Load() {
-		return nil, at, ErrReadOnly
+	if err := db.checkDDL(); err != nil {
+		return nil, at, err
 	}
 	if err := catalog.ValidateName(name); err != nil {
 		return nil, at, fmt.Errorf("table %q: %w", name, err)
@@ -87,8 +99,8 @@ func (db *DB) CreateTableLogged(at simclock.Time, name string, schema *tuple.Sch
 // dropped relations is out of scope); their redo records replay harmlessly
 // into pages no live table reads.
 func (db *DB) DropTableLogged(at simclock.Time, name string) (simclock.Time, error) {
-	if db.replica.Load() {
-		return at, ErrReadOnly
+	if err := db.checkDDL(); err != nil {
+		return at, err
 	}
 	if !db.removeTable(name) {
 		return at, fmt.Errorf("%w: %s", ErrNoTable, name)
@@ -121,8 +133,8 @@ func (db *DB) removeTable(name string) bool {
 // DDL. Column indexes are the only durable kind: a column name replays from
 // the log, an arbitrary Go key function does not.
 func (db *DB) CreateIndexLogged(at simclock.Time, table, index, column string) (simclock.Time, error) {
-	if db.replica.Load() {
-		return at, ErrReadOnly
+	if err := db.checkDDL(); err != nil {
+		return at, err
 	}
 	if err := catalog.ValidateName(index); err != nil {
 		return at, fmt.Errorf("index %q: %w", index, err)
@@ -142,7 +154,7 @@ func (db *DB) CreateIndexLogged(at simclock.Time, table, index, column string) (
 	// Writers index their own versions from the moment the tree is attached;
 	// the backfill covers everything appended before. A follower repeats both
 	// steps when the record below reaches it.
-	if t, err = tab.backfillSecondary(t, idx); err != nil {
+	if t, err = tab.sias.BackfillSecondary(t, idx); err != nil {
 		return t, err
 	}
 	return db.logDDL(t, &catalog.DDL{
@@ -158,8 +170,8 @@ func (db *DB) CreateIndexLogged(at simclock.Time, table, index, column string) (
 // slot is tombstoned, not compacted, so positional index ids held by
 // concurrent readers stay stable; the tree's pages are not reclaimed.
 func (db *DB) DropIndexLogged(at simclock.Time, table, index string) (simclock.Time, error) {
-	if db.replica.Load() {
-		return at, ErrReadOnly
+	if err := db.checkDDL(); err != nil {
+		return at, err
 	}
 	tab := db.Table(table)
 	if tab == nil {
@@ -192,15 +204,6 @@ func (t *Table) createColumnIndex(at simclock.Time, index, column string, relID 
 	return t.addSecondary(at, index, column, relID, keyFn)
 }
 
-// backfillSecondary fills secondary index idx from the heap (see the
-// relations' BackfillSecondary).
-func (t *Table) backfillSecondary(at simclock.Time, idx int) (simclock.Time, error) {
-	if t.sias != nil {
-		return t.sias.BackfillSecondary(at, idx)
-	}
-	return t.si.BackfillSecondary(at, idx)
-}
-
 // dropSecondaryByName tombstones the named index slot in both the engine
 // metadata and the relation's secondary slice.
 func (t *Table) dropSecondaryByName(index string) error {
@@ -214,10 +217,7 @@ func (t *Table) dropSecondaryByName(index string) error {
 	secs[idx].dropped = true
 	t.secs.Store(&secs)
 	t.db.mu.Unlock()
-	if t.sias != nil {
-		return t.sias.DropSecondary(idx)
-	}
-	return t.si.DropSecondary(idx)
+	return t.sias.DropSecondary(idx)
 }
 
 // SecondaryIndex returns the positional id of the named live index, or

@@ -24,6 +24,9 @@ import (
 func TestLoggedDDLSurvivesCrash(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -159,23 +162,9 @@ func TestDDLReplayIdempotentOverBootstrap(t *testing.T) {
 // keeps the counter honest.
 func TestNonIndexedUpdateWritesZeroIndexPages(t *testing.T) {
 	pageWritesAfterUpdates := func(k Kind) int64 {
-		data := device.NewMem(page.Size, 1<<16)
-		walDev := device.NewMem(page.Size, 1<<14)
-		opts := DefaultOptions(data, walDev)
-		opts.Kind = k
-		db, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, at, err := db.CreateTableLogged(0, "accounts", testSchema(), "id")
-		if err != nil {
-			t.Fatal(err)
-		}
+		db, tab := openTestDB(t, k)
 		// Index the id column (stable under balance updates).
-		if at, err = db.CreateIndexLogged(at, "accounts", "accounts_by_id", "id"); err != nil {
-			t.Fatal(err)
-		}
-		idx, err := tab.SecondaryIndex("accounts_by_id")
+		idx, at, err := tab.AddSecondaryIndex(0, "accounts_by_id", column(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,24 +297,7 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 func TestAsOfThroughSecondaryIndex(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
-			data := device.NewMem(page.Size, 1<<16)
-			walDev := device.NewMem(page.Size, 1<<14)
-			opts := DefaultOptions(data, walDev)
-			opts.Kind = k
-			db, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab, at, err := db.CreateTableLogged(0, "orders", tuple.NewSchema(
-				tuple.Column{Name: "id", Type: tuple.TypeInt64},
-				tuple.Column{Name: "customer", Type: tuple.TypeInt64},
-			), "id")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at, err = db.CreateIndexLogged(at, "orders", "by_customer", "customer"); err != nil {
-				t.Fatal(err)
-			}
+			db, tab, at := ordersFixture(t, k, 0, 0)
 			idx, err := tab.SecondaryIndex("by_customer")
 			if err != nil {
 				t.Fatal(err)
@@ -391,16 +363,18 @@ func TestAsOfThroughSecondaryIndex(t *testing.T) {
 // index entries: a row that leaves an index key and later re-enters it finds
 // its old <key, VID> entry still valid (entries are never removed) and must
 // not add a second one — otherwise lookups at snapshots where the row held
-// the key would count it once per stint.
+// the key would count it once per stint. The AS OF snapshot is pinned
+// before the churn, so neither SIAS GC nor SI's inline pruning may reclaim
+// what it reads.
 func TestIndexEntryDedupOnKeyReentry(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
-			db, tab, at := retentionFixture(t, k, 1<<20, 8)
+			db, tab, at := ordersFixture(t, k, 0, 8)
 			idx, err := tab.SecondaryIndex("by_customer")
 			if err != nil {
 				t.Fatal(err)
 			}
-			token := db.SnapshotToken()
+			asOf := db.BeginReadOnlyAt(db.SnapshotToken())
 			move := func(id, to int64) {
 				tx := db.Begin()
 				at, err = tab.Update(tx, at, id, func(r tuple.Row) (tuple.Row, error) {
@@ -428,7 +402,6 @@ func TestIndexEntryDedupOnKeyReentry(t *testing.T) {
 			}
 			db.Abort(cur, at2)
 
-			asOf := db.BeginReadOnlyAt(token)
 			rows, at2, err = tab.LookupSecondary(asOf, at, idx, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -598,6 +571,9 @@ func TestStatsReportTables(t *testing.T) {
 func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, applyDataPages)
 			walDev := device.NewMem(page.Size, applyWALPages)
 			opts := DefaultOptions(data, walDev)
@@ -722,6 +698,9 @@ func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
 func TestCreateIndexRacesIndexLookup(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			opts := DefaultOptions(device.NewMem(page.Size, 1<<14), device.NewMem(page.Size, 1<<12))
 			opts.Kind = k
 			db, err := Open(opts)

@@ -169,6 +169,9 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 func TestDifferentialCrashSimple(t *testing.T) {
 	for _, kind := range kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
+			if servedOnly(t, kind) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)

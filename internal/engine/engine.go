@@ -184,6 +184,9 @@ func Open(opts Options) (*DB, error) {
 	if opts.DataDevice == nil || opts.WALDevice == nil {
 		return nil, errors.New("engine: data and WAL devices are required")
 	}
+	if opts.Kind == KindSI && (opts.Recover || opts.ResumeWAL || opts.GCRetention > 0) {
+		return nil, ErrSIBaseline
+	}
 	if opts.PoolFrames <= 0 {
 		opts.PoolFrames = 2048
 	}
@@ -261,17 +264,17 @@ func (db *DB) WALDevice() device.BlockDevice { return db.opts.WALDevice }
 // Alloc exposes the space allocator (stats, tests).
 func (db *DB) Alloc() *space.Allocator { return db.alloc }
 
-// Kind reports the configured engine kind.
-func (db *DB) Kind() Kind { return db.opts.Kind }
-
-// Policy reports the configured flush policy.
-func (db *DB) Policy() FlushPolicy { return db.opts.Policy }
-
 // ErrReadOnly rejects writes on a replication follower that has not been
 // promoted, and writes under a read-only transaction (an AS OF snapshot, a
 // replica read): the three Table write methods check it before anything is
 // encoded or logged, so no caller can bypass it.
 var ErrReadOnly = errors.New("engine: read-only replica")
+
+// ErrSIBaseline refuses, on a KindSI DB, every path only a served engine
+// takes: Open with Recover, ResumeWAL or GCRetention, follower apply
+// (ApplyRecord, RefreshReplica, Promote) and logged DDL. The SI baseline is
+// the simulator's comparison engine; it never replays its log.
+var ErrSIBaseline = errors.New("engine: the SI baseline is simulator-only (no recovery, replication, logged DDL or AS OF retention)")
 
 // Begin starts a transaction. On a replica it returns a read-only snapshot
 // transaction pinned at the applied replication horizon.

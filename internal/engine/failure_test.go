@@ -17,6 +17,9 @@ import (
 func TestTornWALTailLosesOnlyUncommitted(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -64,6 +67,9 @@ func TestTornWALTailLosesOnlyUncommitted(t *testing.T) {
 func TestCrashBeforeCommitRecordDiscardsTxn(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)

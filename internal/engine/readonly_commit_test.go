@@ -127,6 +127,9 @@ func TestReadOnlyCommitAllocs(t *testing.T) {
 func TestUnloggedIDsReusedAfterCrash(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)

@@ -114,10 +114,10 @@ type preparedTxn struct {
 //   - RecDDL re-creates (or drops) the table or index it names;
 //   - RecHeapInsert re-places a tuple at its exact slot; slots already
 //     present (the page reached the device before the crash) are skipped;
-//   - RecHeapOverwrite reapplies the after-image of in-place invalidations;
-//   - RecHeapDead re-marks vacuumed slots (slot 0xFFFF marks a whole block
-//     reclaimed by SIAS GC: the page is reset so a later reuse of the block
-//     replays onto a clean page);
+//   - RecHeapDead with slot 0xFFFF marks a whole block reclaimed by GC: the
+//     page is reset so a later reuse of the block replays onto a clean page.
+//     SIAS logs no other kind of dead record and no RecHeapOverwrite — those
+//     are the SI baseline's in-place edits — so redo rejects both by name;
 //   - RecCheckpoint: the primary logged it once every record before the redo
 //     point it names was on ITS device. A follower makes that true of its own
 //     device — flushes its log and its data pages — so that its restart may
@@ -151,6 +151,9 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 			return db.Checkpoint(t) // on a replica: flush log and pages, log nothing
 		}
 	case wal.RecHeapInsert, wal.RecHeapOverwrite, wal.RecHeapDead:
+		if rec.Type == wal.RecHeapOverwrite || (rec.Type == wal.RecHeapDead && rec.TID.Slot != wholeBlock) {
+			return t, fmt.Errorf("engine: redo %s rel %d %v: an in-place SI record, which SIAS never logs", rec.Type, rec.Rel, rec.TID)
+		}
 		// Block high-water marks come from the whole log: blocks written
 		// before the redo point exist on the device without being replayed.
 		db.noteHeapBlock(rec)
@@ -178,17 +181,14 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 //
 // Each outcome is appended to the log, so that followers of this engine and
 // its own next recovery find the transaction decided, and then replayed like
-// a shipped one: redo for the CLOG, applyFinish for the tracked writes. SI
-// tables track no writers; there an undecided xmin just stays invisible.
+// a shipped one: redo for the CLOG, applyFinish for the tracked writes.
 func (db *DB) finishUndecided(t simclock.Time) (simclock.Time, error) {
 	var ids []txn.ID
 	for id := range db.prepared {
 		ids = append(ids, id)
 	}
 	for _, tab := range db.Tables() {
-		if tab.sias != nil {
-			ids = append(ids, tab.sias.ReplayInFlight()...)
-		}
+		ids = append(ids, tab.sias.ReplayInFlight()...)
 	}
 	slices.Sort(ids)
 	inDoubt := len(db.prepared) > 0
@@ -235,19 +235,23 @@ func (db *DB) finishUndecided(t simclock.Time) (simclock.Time, error) {
 	return t, nil
 }
 
+// wholeBlock is the slot of a RecHeapDead that reclaims its whole block.
+const wholeBlock = ^uint16(0)
+
 // noteHeapBlock advances the per-relation heap high-water mark for a heap
 // record (whole-block GC markers carry no block growth).
 func (db *DB) noteHeapBlock(rec *wal.Record) {
 	db.mu.Lock()
-	if hw := db.maxBlockRel[rec.Rel]; rec.TID.Block+1 > hw && rec.TID.Slot != ^uint16(0) {
+	if hw := db.maxBlockRel[rec.Rel]; rec.TID.Block+1 > hw && rec.TID.Slot != wholeBlock {
 		db.maxBlockRel[rec.Rel] = rec.TID.Block + 1
 	}
 	db.mu.Unlock()
 }
 
-// redoHeap applies one heap record's after-image to the data pages. It is
-// idempotent — slots already present are skipped — which is what lets both
-// crash recovery and the replication follower drive it.
+// redoHeap applies one heap record — an insert or a whole-block reclaim — to
+// the data pages. It is idempotent — slots already present are skipped —
+// which is what lets both crash recovery and the replication follower drive
+// it.
 func (db *DB) redoHeap(t simclock.Time, rec *wal.Record) (simclock.Time, error) {
 	devPage, err := db.alloc.DevicePage(rec.Rel, rec.TID.Block)
 	if err != nil {
@@ -279,28 +283,11 @@ func (db *DB) redoHeap(t simclock.Time, rec *wal.Record) (simclock.Time, error) 
 			db.pool.Release(f, false)
 			return t, fmt.Errorf("engine: redo insert %v: slot gap (page has %d slots)", rec.TID, pg.NumSlots())
 		}
-	case wal.RecHeapOverwrite:
-		if int(rec.TID.Slot) < pg.NumSlots() && !pg.Dead(int(rec.TID.Slot)) {
-			if oerr := pg.Overwrite(int(rec.TID.Slot), rec.Data); oerr != nil {
-				db.pool.Release(f, false)
-				return t, fmt.Errorf("engine: redo overwrite %v: %v", rec.TID, oerr)
-			}
-			dirty = true
-		}
 	case wal.RecHeapDead:
-		if rec.TID.Slot == ^uint16(0) {
-			// Whole block reclaimed by GC: reset the page so later
-			// appends into the reused block replay cleanly.
-			pg.Init(rec.Rel, pg.Flags())
-			dirty = true
-		} else if int(rec.TID.Slot) < pg.NumSlots() {
-			if derr := pg.MarkDead(int(rec.TID.Slot)); derr == nil {
-				// Vacuum compacts after marking dead; redo must too, or
-				// replayed inserts into the reclaimed space won't fit.
-				pg.Compact()
-				dirty = true
-			}
-		}
+		// Whole block reclaimed by GC: reset the page so later appends into
+		// the reused block replay cleanly.
+		pg.Init(rec.Rel, pg.Flags())
+		dirty = true
 	}
 	db.pool.Release(f, dirty)
 	return t, nil
@@ -316,12 +303,7 @@ func (db *DB) rebuildVolatile(at simclock.Time) (simclock.Time, error) {
 		blocks := db.maxBlockRel[tab.heapID()]
 		db.mu.Unlock()
 		var err error
-		if tab.sias != nil {
-			t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOfPayload)
-		} else {
-			t, err = tab.si.RebuildFromHeap(t, blocks, tab.keyOfPayload)
-		}
-		if err != nil {
+		if t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOfPayload); err != nil {
 			return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
 		}
 	}

@@ -38,6 +38,9 @@ func crashAndRecover(t *testing.T, kind Kind, data, walDev device.BlockDevice) (
 func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -105,6 +108,9 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 func TestRecoveryAfterCheckpointAndMoreWork(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -147,6 +153,9 @@ func TestRecoveryAfterCheckpointAndMoreWork(t *testing.T) {
 func TestRecoveryUncommittedInvisible(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -181,6 +190,9 @@ func TestRecoveryUncommittedInvisible(t *testing.T) {
 func TestRecoveryDeleteSurvives(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -264,6 +276,9 @@ func TestDoubleCrashRecovery(t *testing.T) {
 func TestRecoverHoldsNoLog(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)
@@ -388,6 +403,9 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 func TestRecoverStopsAtTheAnalysedEnd(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			data := device.NewMem(page.Size, 1<<16)
 			walDev := device.NewMem(page.Size, 1<<14)
 			opts := DefaultOptions(data, walDev)

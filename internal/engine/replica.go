@@ -61,22 +61,17 @@ func (db *DB) relTable(rel uint32) *Table {
 // serializing applies against reads and refreshes (repl.Follower holds its
 // exclusive lock across both).
 func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, error) {
+	if db.opts.Kind == KindSI {
+		return at, ErrSIBaseline
+	}
 	if !db.replica.Load() {
 		return at, fmt.Errorf("engine: ApplyRecord on a non-replica")
 	}
 	if rec.Tx > 0 && uint64(rec.Tx) > db.replicaMaxTx.Load() {
 		db.replicaMaxTx.Store(uint64(rec.Tx))
 	}
-	t := at
-	var err error
-	// An SI prune has to read the doomed slot before redo destroys it.
-	tab := db.relTable(rec.Rel)
-	if rec.Type == wal.RecHeapDead && rec.TID.Slot != ^uint16(0) && tab != nil && tab.si != nil {
-		if t, err = tab.si.ApplyPrune(t, rec.TID, tab.keyOfPayload); err != nil {
-			return t, err
-		}
-	}
-	if t, err = db.redo(t, rec, true); err != nil {
+	t, err := db.redo(at, rec, true)
+	if err != nil {
 		return t, err
 	}
 
@@ -94,15 +89,19 @@ func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, err
 			if ierr != nil {
 				return t, ierr
 			}
-			if t, err = on.backfillSecondary(t, idx); err != nil {
+			if t, err = on.sias.BackfillSecondary(t, idx); err != nil {
 				return t, err
 			}
 		}
-	case wal.RecHeapInsert, wal.RecHeapOverwrite, wal.RecHeapDead:
-		if tab != nil {
-			if t, err = db.applyHeapVolatile(t, tab, rec); err != nil {
+	case wal.RecHeapInsert:
+		if tab := db.relTable(rec.Rel); tab != nil {
+			if t, err = tab.sias.ApplyInsert(t, rec, tab.keyOfPayload); err != nil {
 				return t, err
 			}
+		}
+	case wal.RecHeapDead: // redo admits only whole-block reclaims
+		if tab := db.relTable(rec.Rel); tab != nil {
+			tab.sias.ApplyBlockFree(rec.TID.Block)
 		}
 	default:
 		// Prepare, decide, extent grants, checkpoints and trace context
@@ -118,46 +117,12 @@ func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, err
 	return t, nil
 }
 
-// applyHeapVolatile folds one heap record into its table's volatile read
-// structures after the page redo.
-func (db *DB) applyHeapVolatile(t simclock.Time, tab *Table, rec *wal.Record) (simclock.Time, error) {
-	var err error
-	if tab.sias != nil {
-		switch rec.Type {
-		case wal.RecHeapInsert:
-			t, err = tab.sias.ApplyInsert(t, rec, tab.keyOfPayload)
-		case wal.RecHeapDead:
-			if rec.TID.Slot == ^uint16(0) {
-				tab.sias.ApplyBlockFree(rec.TID.Block)
-			}
-			// Per-slot dead records are an SI artifact; SIAS reclaims whole
-			// pages only.
-		}
-		// RecHeapOverwrite is never logged for an append-only relation.
-		return t, err
-	}
-	switch rec.Type {
-	case wal.RecHeapInsert:
-		t, err = tab.si.ApplyInsert(t, rec, tab.keyOfPayload)
-	case wal.RecHeapOverwrite:
-		// In-place xmax/ctid rewrite: the page redo is the whole effect
-		// (visibility reads the page bytes against the CLOG; no index or FSM
-		// change — the tuple keeps its size).
-	case wal.RecHeapDead:
-		t, err = tab.si.ApplyFreeSpace(t, rec.TID.Block)
-	}
-	return t, err
-}
-
 // applyFinish resolves one transaction's outcome against the tracked writes
-// of every SIAS table: entrypoints swing back on abort, superseded
-// predecessors queue for GC on commit. SI tables track nothing — there the
-// CLOG entry redo just set is the whole effect.
+// of every table: entrypoints swing back on abort, superseded predecessors
+// queue for GC on commit.
 func (db *DB) applyFinish(id txn.ID, committed bool) {
 	for _, tab := range db.Tables() {
-		if tab.sias != nil {
-			tab.sias.ApplyFinish(id, committed)
-		}
+		tab.sias.ApplyFinish(id, committed)
 	}
 }
 
@@ -166,6 +131,9 @@ func (db *DB) applyFinish(id txn.ID, committed bool) {
 // past the highest applied transaction, and drain the pending-dead queue. The
 // repl.Follower calls this with all applies excluded.
 func (db *DB) RefreshReplica(at simclock.Time) (simclock.Time, error) {
+	if db.opts.Kind == KindSI {
+		return at, ErrSIBaseline
+	}
 	if !db.replica.Load() {
 		return at, fmt.Errorf("engine: RefreshReplica on a non-replica")
 	}
@@ -180,9 +148,7 @@ func (db *DB) RefreshReplica(at simclock.Time) (simclock.Time, error) {
 	// window.
 	horizon := db.gcHorizon()
 	for _, tab := range db.Tables() {
-		if tab.sias != nil {
-			tab.sias.PromoteDead(horizon)
-		}
+		tab.sias.PromoteDead(horizon)
 	}
 	return at, nil
 }

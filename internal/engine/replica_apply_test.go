@@ -259,6 +259,9 @@ func TestReplicaIncrementalApplyDifferential(t *testing.T) {
 }
 
 func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
+	if servedOnly(t, kind) {
+		return
+	}
 	data := device.NewMem(page.Size, applyDataPages)
 	walDev := device.NewMem(page.Size, applyWALPages)
 	opts := DefaultOptions(data, walDev)
@@ -482,6 +485,9 @@ func TestReplicaRestartThenOutcome(t *testing.T) {
 	for _, k := range kinds() {
 		for _, commit := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/commit=%v", k, commit), func(t *testing.T) {
+				if servedOnly(t, k) {
+					return
+				}
 				p, ptab, walDev, at := replayPrimary(t, k)
 				const maxKey, secIdx = 21, 0
 				must := func(a simclock.Time, err error) {
@@ -507,10 +513,8 @@ func TestReplicaRestartThenOutcome(t *testing.T) {
 				live.catchUp(t, scanLog(t, walDev))
 				live.refresh(t)
 				re := live.restart(t)
-				if k == KindSIAS {
-					if ids := re.tab.sias.ReplayInFlight(); len(ids) != 1 || ids[0] != open.ID {
-						t.Fatalf("restarted follower tracks %v as undecided, want [%d]", ids, open.ID)
-					}
+				if ids := re.tab.sias.ReplayInFlight(); len(ids) != 1 || ids[0] != open.ID {
+					t.Fatalf("restarted follower tracks %v as undecided, want [%d]", ids, open.ID)
 				}
 				diffStates(t, "undecided live-vs-restarted",
 					snapshotReads(t, live.db, live.tab, maxKey, secIdx),
@@ -534,10 +538,8 @@ func TestReplicaRestartThenOutcome(t *testing.T) {
 					rep.catchUp(t, recs)
 					rep.refresh(t)
 				}
-				if k == KindSIAS {
-					if ids := re.tab.sias.ReplayInFlight(); len(ids) != 0 {
-						t.Errorf("restarted follower still tracks %v after the outcome shipped", ids)
-					}
+				if ids := re.tab.sias.ReplayInFlight(); len(ids) != 0 {
+					t.Errorf("restarted follower still tracks %v after the outcome shipped", ids)
 				}
 				want := snapshotReads(t, p, ptab, maxKey, secIdx)
 				diffStates(t, "decided primary-vs-live", want, snapshotReads(t, live.db, live.tab, maxKey, secIdx))
@@ -560,6 +562,9 @@ func TestPromoteFinishesUndecided(t *testing.T) {
 	for _, k := range kinds() {
 		for _, seed := range []int64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%v/seed%d", k, seed), func(t *testing.T) {
+				if servedOnly(t, k) {
+					return
+				}
 				p, ptab, walDev, at := replayPrimary(t, k)
 				const secIdx = 0
 				must := func(a simclock.Time, err error) {
@@ -664,6 +669,9 @@ func TestPromoteFinishesUndecided(t *testing.T) {
 func TestPromoteCommitsDecidedCoordinator(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
+			if servedOnly(t, k) {
+				return
+			}
 			p, ptab, walDev, at := replayPrimary(t, k)
 			const maxKey, secIdx = 12, 0
 			coord := p.Begin()

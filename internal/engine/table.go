@@ -118,7 +118,6 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 			WAL:     db.walw,
 			Txns:    db.txm,
 			PKRelID: pkID,
-			Retain:  txn.ID(db.opts.GCRetention),
 		})
 	default:
 		err = fmt.Errorf("engine: unknown kind %v", db.opts.Kind)

@@ -209,28 +209,6 @@ func (p Page) Tuple(slot int) ([]byte, error) {
 	return p[off : off+length], nil
 }
 
-// Overwrite replaces the contents of slot in place. The new data must not be
-// larger than the existing tuple — this models the paper's "small in-place
-// update" of visibility metadata under SI (the page is rewritten wholesale
-// at the device level either way).
-func (p Page) Overwrite(slot int, data []byte) error {
-	if slot < 0 || slot >= p.NumSlots() {
-		return ErrBadSlot
-	}
-	off, length, dead := p.lp(slot)
-	if dead {
-		return ErrDeadSlot
-	}
-	if len(data) > length {
-		return fmt.Errorf("page: overwrite of %d bytes into %d-byte tuple", len(data), length)
-	}
-	copy(p[off:off+len(data)], data)
-	if len(data) < length {
-		p.setLP(slot, off, len(data), false)
-	}
-	return nil
-}
-
 // MarkDead flags a slot dead; its space is reclaimed by Compact, its slot
 // number stays allocated so other TIDs on the page remain stable.
 func (p Page) MarkDead(slot int) error {
@@ -240,15 +218,6 @@ func (p Page) MarkDead(slot int) error {
 	off, length, _ := p.lp(slot)
 	p.setLP(slot, off, length, true)
 	return nil
-}
-
-// Dead reports whether slot is marked dead.
-func (p Page) Dead(slot int) bool {
-	if slot < 0 || slot >= p.NumSlots() {
-		return true
-	}
-	_, _, dead := p.lp(slot)
-	return dead
 }
 
 // Compact rewrites the tuple space dropping dead tuples' bytes (their slots

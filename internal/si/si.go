@@ -58,7 +58,6 @@ type Relation struct {
 	pk     *index.Tree
 	secs   []*index.Tree
 	secFns []SecondaryKey
-	retain txn.ID // inline-pruning slack; see Config.Retain
 
 	// mu is a reader/writer lock: Get/Scan/RangeByKey/SearchSecondary take
 	// it shared (page bytes they touch are additionally bracketed by frame
@@ -89,12 +88,6 @@ type Config struct {
 	Txns  *txn.Manager
 	// PKRelID is the relation id for the primary index's pages.
 	PKRelID uint32
-	// Retain holds opportunistic pruning back by this many transaction ids,
-	// mirroring the engine's GC retention window: superseded versions younger
-	// than the window survive inline pruning so unpinned AS OF snapshot
-	// tokens stay resolvable. Vacuum is bounded separately, by the horizon
-	// its caller passes.
-	Retain txn.ID
 }
 
 // New creates an empty SI relation with its primary index.
@@ -104,30 +97,14 @@ func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
 		return nil, t, err
 	}
 	return &Relation{
-		id:     cfg.ID,
-		name:   cfg.Name,
-		pool:   cfg.Pool,
-		alloc:  cfg.Alloc,
-		walw:   cfg.WAL,
-		txm:    cfg.Txns,
-		pk:     pk,
-		retain: cfg.Retain,
+		id:    cfg.ID,
+		name:  cfg.Name,
+		pool:  cfg.Pool,
+		alloc: cfg.Alloc,
+		walw:  cfg.WAL,
+		txm:   cfg.Txns,
+		pk:    pk,
 	}, t, nil
-}
-
-// pruneHorizon bounds inline (HOT-style) pruning: the transaction manager's
-// horizon held back by the retention window, so recently superseded versions
-// survive for AS OF reads even though no live snapshot needs them.
-func (r *Relation) pruneHorizon() txn.ID {
-	h := r.txm.Horizon()
-	if r.retain > 0 {
-		if h > r.retain {
-			h -= r.retain
-		} else {
-			h = 1 // ids start at 1: retain everything
-		}
-	}
-	return h
 }
 
 // AddSecondary attaches a secondary index (entries maintained on every new
@@ -144,25 +121,12 @@ func (r *Relation) AddSecondary(at simclock.Time, relID uint32, fn SecondaryKey)
 	return tm, nil
 }
 
-// DropSecondary detaches secondary index idx. The slot is tombstoned with a
-// nil entry so other indexes keep their positions; the tree's pages are
-// abandoned, not reclaimed.
-func (r *Relation) DropSecondary(idx int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
-		return fmt.Errorf("si: no secondary index %d", idx)
-	}
-	r.secs[idx], r.secFns[idx] = nil, nil
-	return nil
-}
-
 // SecondaryPageWrites reports how many pages secondary index idx has
-// dirtied (0 when idx is out of range or dropped).
+// dirtied (0 when idx is out of range).
 func (r *Relation) SecondaryPageWrites(idx int) int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
+	if idx < 0 || idx >= len(r.secs) {
 		return 0
 	}
 	return r.secs[idx].PageWrites()
@@ -172,44 +136,33 @@ func (r *Relation) SecondaryPageWrites(idx int) int64 {
 // a fresh entry per version; vacuum prunes them lazily).
 func (r *Relation) PKEntries() int64 { return r.pk.Len() }
 
-// SecondaryEntries sums entry counts across live secondary indexes.
+// SecondaryEntries sums entry counts across secondary indexes.
 func (r *Relation) SecondaryEntries() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var n int64
 	for _, sec := range r.secs {
-		if sec != nil {
-			n += sec.Len()
-		}
+		n += sec.Len()
 	}
 	return n
 }
 
-// SecondaryInserts sums cumulative insert counts across live secondary
-// indexes (rebuild inserts included).
+// SecondaryInserts sums cumulative insert counts across secondary indexes.
 func (r *Relation) SecondaryInserts() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var n int64
 	for _, sec := range r.secs {
-		if sec != nil {
-			n += sec.Inserts()
-		}
+		n += sec.Inserts()
 	}
 	return n
 }
 
-// SecondaryCount reports the number of live (non-dropped) secondary indexes.
+// SecondaryCount reports the number of secondary indexes.
 func (r *Relation) SecondaryCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := 0
-	for _, sec := range r.secs {
-		if sec != nil {
-			n++
-		}
-	}
-	return n
+	return len(r.secs)
 }
 
 // Name returns the relation name.
@@ -392,7 +345,7 @@ func (r *Relation) newestLive(tx *txn.Tx, at simclock.Time, key int64) (page.TID
 	if err != nil {
 		return page.InvalidTID, tuple.SIHeader{}, nil, t, false, err
 	}
-	horizon := r.pruneHorizon()
+	horizon := r.txm.Horizon()
 	var bestTID page.TID
 	var bestHdr tuple.SIHeader
 	var bestPayload []byte
@@ -472,9 +425,6 @@ func (r *Relation) pruneVersion(at simclock.Time, key int64, tid page.TID) (simc
 		if secPayload == nil {
 			break
 		}
-		if sec == nil {
-			continue
-		}
 		if k, ok := r.secFns[i](secPayload); ok {
 			t, err = sec.Delete(t, k, packTID(tid))
 			if err != nil && !errors.Is(err, index.ErrNotFound) {
@@ -502,9 +452,6 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 	}
 	r.stats.IndexInserts++
 	for i, sec := range r.secs {
-		if sec == nil {
-			continue
-		}
 		if k, ok := r.secFns[i](payload); ok {
 			t, err = sec.Insert(t, k, packTID(tid))
 			if err != nil {
@@ -585,9 +532,6 @@ func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(o
 	}
 	r.stats.IndexInserts++
 	for i, sec := range r.secs {
-		if sec == nil {
-			continue
-		}
 		if k, ok := r.secFns[i](newPayload); ok {
 			t, err = sec.Insert(t, k, packTID(newTID))
 			if err != nil {
@@ -733,7 +677,7 @@ func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn fun
 func (r *Relation) SearchSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64) ([][]byte, simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
+	if idx < 0 || idx >= len(r.secs) {
 		return nil, at, fmt.Errorf("si: no secondary index %d", idx)
 	}
 	r.idxLookups.Add(1)
@@ -762,7 +706,7 @@ func (r *Relation) SearchSecondary(tx *txn.Tx, at simclock.Time, idx int, key in
 func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
+	if idx < 0 || idx >= len(r.secs) {
 		return at, fmt.Errorf("si: no secondary index %d", idx)
 	}
 	r.idxLookups.Add(1)
@@ -860,9 +804,6 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload [
 				return reclaimed, t, err
 			}
 			for i, sec := range r.secs {
-				if sec == nil {
-					continue
-				}
 				if k, ok := r.secFns[i](v.payload); ok {
 					t, err = sec.Delete(t, k, packTID(v.tid))
 					if err != nil && !errors.Is(err, index.ErrNotFound) {
@@ -873,87 +814,4 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload [
 		}
 	}
 	return reclaimed, t, nil
-}
-
-// RebuildFromHeap restores the volatile state after WAL redo (which writes
-// pages directly): the heap block counter, the FSM, and the primary and
-// secondary indexes. blocks is the heap high-water mark observed during redo;
-// keyOf recovers the primary key from a payload.
-func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(payload []byte) int64) (simclock.Time, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextBlock = blocks
-	return r.indexHeapLocked(at, r.pk, keyOf, r.secs)
-}
-
-// BackfillSecondary fills secondary index idx from the heap with the entries
-// RebuildFromHeap would give it, so a live primary, a follower that received
-// the CREATE INDEX through the stream, and either of them restarted hold the
-// same tree. Writers are shut out for the duration; the one that slipped in
-// between AddSecondary and here indexed its own version, which Add finds.
-func (r *Relation) BackfillSecondary(at simclock.Time, idx int) (simclock.Time, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
-		return at, fmt.Errorf("si: no secondary index %d", idx)
-	}
-	only := make([]*index.Tree, len(r.secs))
-	only[idx] = r.secs[idx]
-	return r.indexHeapLocked(at, nil, nil, only)
-}
-
-// indexHeapLocked adds a <key, TID> entry to pk (when given) and to each
-// non-nil tree of secs for every heap version whose xmin did not abort — the
-// versions the live write path indexed and no prune has removed since. An
-// xmin that is still undecided counts: its outcome may yet arrive (a follower
-// restarted mid-transaction), and until then visibility hides the version
-// whatever the index says. Keys are taken while the page is pinned and kept
-// as integers; the FSM picks up each block's free space on the way. Caller
-// holds r.mu.
-func (r *Relation) indexHeapLocked(at simclock.Time, pk *index.Tree, keyOf func(payload []byte) int64, secs []*index.Tree) (simclock.Time, error) {
-	clog := r.txm.CLOG()
-	type ent struct {
-		tree *index.Tree
-		key  int64
-		tid  uint64
-	}
-	var ents []ent
-	t := at
-	for b := uint32(0); b < r.nextBlock; b++ {
-		f, t2, err := r.getPage(t, b, false)
-		t = t2
-		if err != nil {
-			return t, err
-		}
-		ents = ents[:0]
-		f.RLock()
-		f.Data.LiveTuples(func(slot int, raw []byte) bool {
-			hdr, payload, err := tuple.DecodeSI(raw)
-			if err != nil || clog.Get(hdr.Xmin) == txn.StatusAborted {
-				return true
-			}
-			tid := packTID(page.TID{Block: b, Slot: uint16(slot)})
-			if pk != nil {
-				ents = append(ents, ent{pk, keyOf(payload), tid})
-			}
-			for i, sec := range secs {
-				if sec == nil {
-					continue
-				}
-				if k, ok := r.secFns[i](payload); ok {
-					ents = append(ents, ent{sec, k, tid})
-				}
-			}
-			return true
-		})
-		r.setFree(b, f.Data.FreeSpace())
-		f.RUnlock()
-		r.pool.Release(f, false)
-		for _, e := range ents {
-			if _, t, err = e.tree.Add(t, e.key, e.tid); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
 }
