@@ -575,6 +575,10 @@ type Stats struct {
 	// subscriber can ship, and what lag is measured against. A position in
 	// one shard's log, so it has no sum.
 	WALDurableLSN uint64 `metric:"sias_wal_durable_lsn,gauge,noagg" help:"Durable end of the WAL: what replication can ship."`
+	// WALPendingBytes is the log appended but not yet durable: the next
+	// flush's work, which a 2PC participant's outcome records wait in until
+	// a later flush on the shard (or the lazy one) carries them.
+	WALPendingBytes int64 `metric:"sias_wal_pending_bytes,gauge" help:"WAL bytes appended but not yet durable (NextLSN - Durable)."`
 	// VMapResidency* count residency-cache probes across all SIAS tables;
 	// both stay zero with an unlimited budget (the fast path never counts),
 	// which VMapHitRatio reports as 1.0 — fully resident, not 0% hits.
@@ -667,6 +671,10 @@ func (db *DB) Stats() Stats {
 		idxInserts += ts.IndexInserts
 		tables = append(tables, ts)
 	}
+	// Durable before NextLSN: each only grows, so the difference is never
+	// negative.
+	durable := db.walw.Durable()
+	pending := int64(db.walw.NextLSN() - durable)
 	st := Stats{
 		ReadOnlyCommits: db.roCommits.Load(),
 
@@ -684,7 +692,9 @@ func (db *DB) Stats() Stats {
 		PoolPartitions: db.pool.Partitions(),
 		WALPageWrites:  db.walw.PageWrites(),
 		AllocatedPages: db.alloc.AllocatedPages(),
-		WALDurableLSN:  uint64(db.walw.Durable()),
+
+		WALDurableLSN:   uint64(durable),
+		WALPendingBytes: pending,
 
 		VMapResidencyHits:   vmapHits,
 		VMapResidencyMisses: vmapMisses,

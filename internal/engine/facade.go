@@ -41,6 +41,13 @@ type Facade struct {
 	// tracer records group-commit stage spans for sampled commits
 	// (CommitTraced); nil disables tracing.
 	tracer *obs.Tracer
+
+	// The lazy outcome flush (FinishPrepared): outcomeTo is the end of the
+	// newest participant outcome record appended, outcomeArmed whether a
+	// timer will flush through it.
+	outcomeMu    sync.Mutex
+	outcomeTo    wal.LSN
+	outcomeArmed bool
 }
 
 // SetCommitMetrics attaches the group-commit batch-size histogram, observed
@@ -71,9 +78,10 @@ func NewFacade(db *DB) *Facade {
 // DB exposes the wrapped engine (stats, checkpoints, recovery).
 func (f *Facade) DB() *DB { return f.db }
 
-// FlushWAL forces the entire pending log to the device. 2PC uses it to make
-// outcome records durable before acknowledging; a follower, to make a
-// mirrored batch durable before advertising it as applied.
+// FlushWAL forces the entire pending log to the device. A follower uses it
+// to make a mirrored batch durable before advertising it as applied, and the
+// 2PC crash matrix to force an outcome record before its injected crash; a
+// committing participant's outcome records do not need it (FinishPrepared).
 func (f *Facade) FlushWAL() error {
 	_, err := f.db.walw.Flush(0, f.db.walw.NextLSN())
 	return err

@@ -19,11 +19,16 @@ func (db *DB) analyze(_ wal.LSN, rec wal.Record) error {
 	case wal.RecCheckpoint:
 		db.redoFrom = wal.LSN(rec.Aux)
 	case wal.RecDecide:
-		if commit, err := wal.DecodeDecideData(rec.Data); err == nil {
-			db.decisions[rec.Aux] = commit
-		}
+		noteDecision(db.decisions, &rec)
 	}
 	return nil
+}
+
+// noteDecision records a RecDecide in decs: gid -> committed.
+func noteDecision(decs map[uint64]bool, rec *wal.Record) {
+	if commit, err := wal.DecodeDecideData(rec.Data); err == nil {
+		decs[rec.Aux] = commit
+	}
 }
 
 // errLogEnd stops the redo pass at the end Open's analysis found.
@@ -175,9 +180,11 @@ func (db *DB) redo(t simclock.Time, rec *wal.Record, pages bool) (simclock.Time,
 // coordinating shard's index into their top bits (shard.GlobalID): a mere
 // participant can never hold a decision under the transaction's gid, and two
 // coordinators can never have issued the same gid. The installed resolver
-// covers decisions in a sibling shard's log. (A promotion has neither — the
-// decisions went with Recover, a follower gets no resolver — so everything
-// open but a decided coordinator aborts.)
+// covers decisions in a sibling shard's log. (A promotion has no decisions
+// of its own — they went with Recover, or a follower never kept them — so
+// repl.Follower installs a resolver over its sibling shards' mirrored logs
+// first: a participant whose outcome record the primary never made durable
+// still commits when its coordinator's decision did.)
 //
 // Each outcome is appended to the log, so that followers of this engine and
 // its own next recovery find the transaction decided, and then replayed like

@@ -107,10 +107,11 @@ func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, err
 		// Prepare, decide, extent grants, checkpoints and trace context
 		// change nothing a read can see. A prepared transaction's writes stay
 		// invisible (its CLOG entry stays in-progress) until the participant's
-		// outcome arrives as an ordinary RecCommit/RecAbort; the follower
-		// never resolves in-doubt state itself — decisions are the primary's,
-		// and the primary's own recovery appends the missing outcome records
-		// into the stream.
+		// outcome arrives as an ordinary RecCommit/RecAbort; while it follows,
+		// the follower never resolves in-doubt state itself — decisions are the
+		// primary's, and the primary's own recovery appends the missing outcome
+		// records into the stream. Only Promote resolves, from the decisions
+		// in the mirrored logs.
 		return t, nil
 	}
 	db.replicaDirty.Store(true)
@@ -158,8 +159,13 @@ func (db *DB) ReplicaDirty() bool { return db.replicaDirty.Load() }
 
 // Promote leaves replica mode. Transactions still undecided when the stream
 // ended will never get their outcome record, so the promoted primary gives
-// them one — abort, as its own crash recovery would — rather than serve, or
-// block updates behind, versions of transactions that can no longer commit.
+// them one, as its own crash recovery would (finishUndecided), rather than
+// serve, or block updates behind, versions of transactions that can no longer
+// commit: a coordinator commits from its own decision, a prepared participant
+// iff the installed resolver finds its coordinator's commit decision — the
+// primary acknowledges a cross-shard commit before the participants' outcome
+// records are durable, so the decision may be all a follower has — and
+// everything else aborts.
 // The id allocator already sits past every replayed transaction
 // (RefreshReplica fast-forwards it), so new local transactions sort after the
 // primary's history. The WAL writer keeps appending where the mirrored log

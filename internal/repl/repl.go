@@ -391,7 +391,9 @@ func (f *Follower) DataRUnlock() { f.mu.RUnlock() }
 func (f *Follower) Promoted() bool { return f.promoted.Load() }
 
 // Promote stops the subscription, finishes replay of everything received,
-// flips every shard engine writable, and marks the follower promoted.
+// flips every shard engine writable — a participant the stream left prepared
+// commits iff its coordinator shard's mirrored log holds the commit decision —
+// and marks the follower promoted.
 // Idempotent; safe from any goroutine except the subscription loop itself.
 func (f *Follower) Promote() error {
 	f.promoteOnce.Do(func() {
@@ -399,7 +401,17 @@ func (f *Follower) Promote() error {
 		f.wg.Wait()
 		f.mu.Lock()
 		defer f.mu.Unlock()
+		decs, err := f.inDoubtDecisions()
+		if err != nil {
+			f.promoteErr = err
+			return
+		}
+		resolve := func(gid uint64, coord uint32) (commit, known bool) {
+			commit, known = decs[coord][gid]
+			return commit, known
+		}
 		for i, fc := range f.cfg.Shards {
+			fc.DB().SetInDoubtResolver(resolve)
 			if err := fc.Promote(); err != nil {
 				f.promoteErr = fmt.Errorf("repl: promote shard %d: %w", i, err)
 				return
@@ -409,6 +421,32 @@ func (f *Follower) Promote() error {
 		f.cfg.Logf("repl: promoted; %d shard(s) now accept writes", len(f.cfg.Shards))
 	})
 	return f.promoteErr
+}
+
+// inDoubtDecisions reads the coordinator decisions that some shard's
+// prepared participants still wait on, from the coordinator shards' mirrored
+// logs: coordinator shard -> gid -> committed. The primary acknowledges a
+// cross-shard commit once the coordinator's decision is durable, before the
+// participants' outcome records are, so a follower can hold a participant's
+// PREPARE and its coordinator's decision without the participant's outcome;
+// without these decisions promotion would presume that half aborted and
+// split a committed transaction. Only the shards named are read, so a
+// promotion with nothing in doubt reads no log.
+func (f *Follower) inDoubtDecisions() (map[uint32]map[uint64]bool, error) {
+	decs := map[uint32]map[uint64]bool{}
+	for _, fc := range f.cfg.Shards {
+		for _, c := range fc.DB().InDoubtCoordinators() {
+			if _, read := decs[c]; read || int(c) >= len(f.cfg.Shards) {
+				continue
+			}
+			d, err := f.cfg.Shards[c].DB().LoggedDecisions()
+			if err != nil {
+				return nil, fmt.Errorf("repl: read shard %d decisions: %w", c, err)
+			}
+			decs[c] = d
+		}
+	}
+	return decs, nil
 }
 
 // Stop ends the subscription without promoting (tests, shutdown).

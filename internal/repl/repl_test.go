@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -916,14 +917,32 @@ func TestPromotionUnderFanout(t *testing.T) {
 	}
 }
 
-// TestReadYourWritesRouting drives a client configured with two replica
-// addresses: every write is immediately followed by a routed read of the
-// same key, which must never be stale — the COMMIT LSN vector gates which
-// replica (if any) may serve it, with the primary as fallback. After the
-// fleet converges, routed reads must actually land on replicas.
-func TestReadYourWritesRouting(t *testing.T) {
-	prim := routerOf(t, openPrimary(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false))
-	psrv, err := server.New(server.Config{Router: prim})
+// fleet is an n-shard primary streaming to two followers, each behind its
+// own server, and a client that routes reads to the followers.
+type fleet struct {
+	prim    *shard.Router
+	psrv    *server.Server
+	c       *client.Client
+	fs      []*repl.Follower
+	fshards [][]shard.Shard // fshards[i][s] is follower i's shard s
+}
+
+// routedFleet starts a fleet. walHook, when non-nil, runs with the shard's
+// index and engine before every write to a primary shard's log device; an
+// error fails the write.
+func routedFleet(t *testing.T, n int, walHook func(s int, db *engine.DB) error) *fleet {
+	t.Helper()
+	pshards := make([]shard.Shard, n)
+	for i := range pshards {
+		walDev := device.NewWrap(device.NewMem(page.Size, 1<<14))
+		pshards[i] = openPrimary(t, device.NewMem(page.Size, 1<<16), walDev, false)
+		if walHook != nil {
+			db := pshards[i].Facade.DB()
+			walDev.SetWriteHook(func(int64) error { return walHook(i, db) })
+		}
+	}
+	fl := &fleet{prim: routerOf(t, pshards...)}
+	psrv, err := server.New(server.Config{Router: fl.prim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -936,25 +955,32 @@ func TestReadYourWritesRouting(t *testing.T) {
 		psrv.Kill()
 		<-pErr
 	})
+	fl.psrv = psrv
 
-	fs := make([]*repl.Follower, 2)
+	fl.fs = make([]*repl.Follower, 2)
+	fl.fshards = make([][]shard.Shard, 2)
 	addrs := make([]string, 2)
-	for i := range fs {
+	for i := range fl.fs {
 		fln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = fln.Addr().String()
-		sh := openFollower(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false)
+		fshards := make([]shard.Shard, n)
+		facades := make([]*engine.Facade, n)
+		for j := range fshards {
+			fshards[j] = openFollower(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false)
+			facades[j] = fshards[j].Facade
+		}
 		f, err := repl.NewFollower(repl.Config{
 			PrimaryAddr: pln.Addr().String(),
-			Shards:      []*engine.Facade{sh.Facade},
+			Shards:      facades,
 			Logf:        t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fsrv, err := server.New(server.Config{Router: routerOf(t, sh), Replica: f})
+		fsrv, err := server.New(server.Config{Router: routerOf(t, fshards...), Replica: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -965,65 +991,195 @@ func TestReadYourWritesRouting(t *testing.T) {
 		})
 		f.Run()
 		t.Cleanup(f.Stop)
-		fs[i] = f
+		fl.fs[i] = f
+		fl.fshards[i] = fshards
 	}
 
-	c, err := client.Dial(pln.Addr().String(), client.Options{Replicas: addrs})
+	fl.c, err = client.Dial(pln.Addr().String(), client.Options{Replicas: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { fl.c.Close() })
+	return fl
+}
 
-	// Write-then-routed-read: the read must observe the write every single
-	// time, no matter which server serves it or how far replication lags.
-	for i := int64(0); i < 200; i++ {
-		want := fmt.Sprintf("v%d", i)
-		tx, err := c.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Insert(i, []byte(want)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		rtx, err := c.BeginRead()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rtx.Get(i)
-		if err != nil || string(got) != want {
-			t.Fatalf("stale routed read of key %d: %q, %v", i, got, err)
-		}
-		if err := rtx.Insert(i, []byte("nope")); !errors.Is(err, engine.ErrReadOnly) {
-			t.Fatalf("write on read-only tx: got %v, want engine.ErrReadOnly", err)
-		}
-		rtx.Abort()
+// followerHas reports whether shard sh of follower f serves key with value
+// want, read the way the follower's server reads: refresh, then a snapshot
+// under the data lock.
+func followerHas(t *testing.T, f *repl.Follower, sh shard.Shard, key int64, want string) bool {
+	t.Helper()
+	if err := f.Refresh(); err != nil {
+		t.Fatal(err)
 	}
+	f.DataRLock()
+	defer f.DataRUnlock()
+	tx := sh.Facade.Begin()
+	defer sh.Facade.Abort(tx)
+	row, err := sh.Facade.Get(sh.Table, tx, key)
+	return err == nil && string(row[1].([]byte)) == want
+}
 
-	// Once both replicas cover the session's commit point, routed reads must
-	// leave the primary. Poll with fresh reads — each BeginRead re-probes.
-	for i, f := range fs {
-		f := f
-		waitFor(t, 10*time.Second, fmt.Sprintf("replica %d to catch up", i), func() bool { return caughtUp(f) })
+// TestReadYourWritesRouting drives a client configured with two replica
+// addresses: every write is immediately followed by a routed read of the
+// same key, which must never be stale — the COMMIT LSN vector gates which
+// replica (if any) may serve it, with the primary as fallback. After the
+// fleet converges, routed reads must actually land on replicas.
+//
+// In the cross-shard variant every write is a 2PC commit over two shards,
+// read back on the participant: the shard whose outcome record is still
+// waiting for a flush when COMMIT is acknowledged. A follower that already
+// has the PREPARE there but not the outcome would serve the old snapshot, so
+// the reply's LSN vector must reach past the outcome record, not just the
+// durable LSN. Once the writes stop, the last one's outcome record has no
+// later flush on the participant to ride: the lazy flush must make it
+// durable, and every follower must then show the write, within a second.
+func TestReadYourWritesRouting(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"one shard", 1}, {"cross-shard", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := routedFleet(t, tc.shards, nil)
+			c, fs := fl.c, fl.fs
+			// keys[s] are the keys homed on shard s; a write inserts the i-th
+			// key of every shard, the read takes the last shard's. A stale
+			// read needs a follower to have applied the newest prepare and
+			// decision within the microseconds before the read, so the rounds
+			// are many.
+			const rounds = 500
+			keys := make([][]int64, tc.shards)
+			for k := int64(0); len(keys[tc.shards-1]) < rounds || len(keys[0]) < rounds; k++ {
+				s := shard.Of(k, tc.shards)
+				keys[s] = append(keys[s], k)
+			}
+			read := keys[tc.shards-1]
+
+			// Write-then-routed-read: the read must observe the write every
+			// single time, no matter which server serves it or how far
+			// replication lags.
+			for i := 0; i < rounds; i++ {
+				want := fmt.Sprintf("v%d", i)
+				tx, err := c.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range keys {
+					if err := tx.Insert(keys[s][i], []byte(want)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				rtx, err := c.BeginRead()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rtx.Get(read[i])
+				if err != nil || string(got) != want {
+					t.Fatalf("stale routed read of key %d: %q, %v", read[i], got, err)
+				}
+				if err := rtx.Insert(read[i], []byte("nope")); !errors.Is(err, engine.ErrReadOnly) {
+					t.Fatalf("write on read-only tx: got %v, want engine.ErrReadOnly", err)
+				}
+				rtx.Abort()
+			}
+			if tc.shards > 1 {
+				part := fl.prim.Shard(tc.shards - 1).Facade.DB().WAL()
+				waitFor(t, time.Second, "the participant's last outcome record to become durable", func() bool {
+					return part.Durable() == part.NextLSN()
+				})
+				last, want := read[rounds-1], fmt.Sprintf("v%d", rounds-1)
+				for i, f := range fs {
+					sh := fl.fshards[i][tc.shards-1]
+					waitFor(t, time.Second, fmt.Sprintf("follower %d to show the last write", i), func() bool {
+						return followerHas(t, f, sh, last, want)
+					})
+				}
+			}
+
+			// Once both replicas cover the session's commit point, routed
+			// reads must leave the primary. Poll with fresh reads — each
+			// BeginRead re-probes.
+			for i, f := range fs {
+				f := f
+				waitFor(t, 10*time.Second, fmt.Sprintf("replica %d to catch up", i), func() bool { return caughtUp(f) })
+			}
+			waitFor(t, 10*time.Second, "a routed read to land on a replica", func() bool {
+				rtx, err := c.BeginRead()
+				if err != nil {
+					return false
+				}
+				got, err := rtx.Get(read[42])
+				rtx.Abort()
+				if err != nil || string(got) != "v42" {
+					t.Fatalf("replica read of key %d: %q, %v", read[42], got, err)
+				}
+				_, replica := c.ReadRouting()
+				return replica > 0
+			})
+			primary, replica := c.ReadRouting()
+			t.Logf("read routing: primary=%d replica=%d", primary, replica)
+			if primary+replica < rounds+1 {
+				t.Fatalf("routing counters lost reads: primary=%d replica=%d", primary, replica)
+			}
+		})
 	}
-	waitFor(t, 10*time.Second, "a routed read to land on a replica", func() bool {
-		rtx, err := c.BeginRead()
-		if err != nil {
-			return false
+}
+
+// TestPromoteCommitsParticipantWithoutOutcome kills a primary right after
+// it acknowledged a cross-shard commit whose participant could write nothing
+// after its prepare: the follower holds the participant's PREPARE and the
+// coordinator's decision and commit record, but never the participant's
+// outcome record. Promotion must commit both halves from the decision; a
+// presumed abort of the participant would split an acknowledged commit.
+func TestPromoteCommitsParticipantWithoutOutcome(t *testing.T) {
+	var dead atomic.Bool
+	fl := routedFleet(t, 2, func(s int, db *engine.DB) error {
+		if s == 1 && dead.Load() && db.Stats().Prepares > 0 {
+			return errors.New("injected WAL write failure")
 		}
-		got, err := rtx.Get(42)
-		rtx.Abort()
-		if err != nil || string(got) != "v42" {
-			t.Fatalf("replica read of key 42: %q, %v", got, err)
-		}
-		_, replica := c.ReadRouting()
-		return replica > 0
+		return nil
 	})
-	primary, replica := c.ReadRouting()
-	t.Logf("read routing: primary=%d replica=%d", primary, replica)
-	if primary+replica < 201 {
-		t.Fatalf("routing counters lost reads: primary=%d replica=%d", primary, replica)
+	keys := [2]int64{-1, -1}
+	for k := int64(0); keys[0] < 0 || keys[1] < 0; k++ {
+		if s := shard.Of(k, 2); keys[s] < 0 {
+			keys[s] = k
+		}
+	}
+	dead.Store(true)
+	tx := fl.prim.Begin()
+	for _, k := range keys {
+		if err := tx.Insert(tuple.Row{k, []byte("both")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if part := fl.prim.Shard(1).Facade.DB().WAL(); part.Durable() == part.NextLSN() {
+		t.Fatal("the participant's outcome record is durable; the test needs it pending")
+	}
+	f, fsh := fl.fs[0], fl.fshards[0]
+	waitFor(t, 10*time.Second, "the follower to apply everything the primary made durable", func() bool {
+		for s, applied := range f.AppliedLSNs() {
+			if applied != uint64(fl.prim.Shard(s).Facade.DB().WAL().Durable()) {
+				return false
+			}
+		}
+		return true
+	})
+
+	fl.psrv.Kill()
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	for s, k := range keys {
+		if !followerHas(t, f, fsh[s], k, "both") {
+			t.Errorf("promoted shard %d does not show key %d of the acknowledged commit", s, k)
+		}
+	}
+	if got := fsh[1].Facade.DB().Stats().InDoubtCommits; got != 1 {
+		t.Errorf("the participant's promotion resolved %d in-doubt commits, want 1", got)
 	}
 }

@@ -134,3 +134,66 @@ func TestDecideFlushFailureReachesClientInDoubt(t *testing.T) {
 		t.Errorf("router in-doubt count %+v (%v), want 1", st.Router, err)
 	}
 }
+
+// TestCommittedCrossShardCommitNeverFails: once the coordinator's decision
+// is durable the transaction is committed, so COMMIT must answer OK even if
+// a participant's log takes no write after its prepare — its outcome record
+// is left pending, not reported. An error here would invite the client to
+// retry a write that already happened.
+func TestCommittedCrossShardCommitNeverFails(t *testing.T) {
+	var dead atomic.Bool
+	partWAL := device.NewWrap(device.NewMem(page.Size, 1<<14))
+	part := openKV(t, device.NewMem(page.Size, 1<<16), partWAL, false)
+	partWAL.SetWriteHook(func(int64) error {
+		if dead.Load() && part.Facade.DB().Stats().Prepares > 0 {
+			return errors.New("injected WAL write failure")
+		}
+		return nil
+	})
+	r := routerOf(t, openKV(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false), part)
+	_, addr := startServer(t, r, nil)
+	c, err := client.Dial(addr, client.Options{MaxRetries: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	k0, k1 := twoShardKeys()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert(k0, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert(k1, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	dead.Store(true)
+	// Let the drain checkpoint at cleanup flush the pending outcome.
+	defer dead.Store(false)
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("COMMIT of a decided cross-shard transaction = %v, want OK", err)
+	}
+
+	rtx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[int64]string{k0: "a", k1: "b"} {
+		if got, err := rtx.Get(k); err != nil || string(got) != want {
+			t.Errorf("key %d after the commit: %q, %v; want %q", k, got, err, want)
+		}
+	}
+	rtx.Abort()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Router.TwoPCCommits != 1 {
+		t.Errorf("router counted %d 2PC commits, want 1", st.Router.TwoPCCommits)
+	}
+	if st.Shards[1].WALPendingBytes == 0 {
+		t.Error("participant reports no pending log bytes though its outcome record cannot be written")
+	}
+}

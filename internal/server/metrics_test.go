@@ -113,9 +113,25 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// The cross-shard commits left their participants' outcome records to a
+	// lazy flush, which would move the WAL counters between the two reads
+	// below: wait for every shard to report nothing pending first.
+	var st server.StatsReply
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if st, err = c.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		pending := int64(0)
+		for _, sh := range st.Shards {
+			pending += sh.WALPendingBytes
+		}
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d WAL bytes still pending across the shards after 5s", pending)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {

@@ -942,11 +942,12 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 			if err := tx.Commit(); err != nil {
 				return nil, err
 			}
-			// The reply carries the durable LSN vector at ack time — an upper
-			// bound on everything this transaction wrote, which is what lets
-			// the client route later reads to replicas without losing
-			// read-your-writes.
-			return c.lsnVector(), nil
+			// The reply carries, per shard, the durable LSN at ack time or
+			// the end of an outcome record this transaction left for a later
+			// flush, whichever lies further — an upper bound on everything it
+			// wrote, which is what lets the client route later reads to
+			// replicas without losing read-your-writes.
+			return c.lsnVector(tx), nil
 		}
 		return nil, tx.Abort()
 
@@ -1031,13 +1032,19 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 	return nil, fmt.Errorf("%w: %s", wire.ErrBadRequest, op)
 }
 
-// lsnVector encodes the per-shard durable WAL positions.
-func (c *session) lsnVector() []byte {
+// lsnVector encodes the per-shard durable WAL positions, each raised to the
+// end of the outcome record committed left unflushed on that shard (nil: no
+// transaction).
+func (c *session) lsnVector(committed *shard.Txn) []byte {
 	n := c.srv.cfg.Router.N()
 	b := c.reply()
 	b.U32(uint32(n))
 	for i := 0; i < n; i++ {
-		b.U64(uint64(c.srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()))
+		lsn := c.srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()
+		if committed != nil {
+			lsn = max(lsn, committed.OutcomeLSN(i))
+		}
+		b.U64(uint64(lsn))
 	}
 	return b.B
 }
@@ -1055,7 +1062,7 @@ func (c *session) handleReplLSN() ([]byte, error) {
 		}
 		return b.B, nil
 	}
-	return c.lsnVector(), nil
+	return c.lsnVector(nil), nil
 }
 
 // open registers tx under a fresh handle — from now on also what handle 0

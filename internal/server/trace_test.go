@@ -180,6 +180,10 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 			if sp.Annotations["participants"] != "1" {
 				t.Errorf("outcome span participants = %v, want 1", sp.Annotations)
 			}
+			// Its outcome record is appended, not forced.
+			if sp.Annotations["wal_fsync"] != "lazy" {
+				t.Errorf("outcome span missing wal_fsync=lazy: %v", sp.Annotations)
+			}
 		}
 	}
 

@@ -132,7 +132,7 @@ func TestAggregateAndDeltaCoverEveryLeaf(t *testing.T) {
 	dPool, dVMap := ratios(delta)
 	gauges := map[string]float64{ // not differences: the later snapshot's value
 		".CommitMaxBatch": 0, ".PoolPartitions": 0, ".AllocatedPages": 0, ".WALDurableLSN": 0,
-		".Pool.IOPending": 0, ".Tables.Rows": 0, ".Tables.Indexes": 0, ".Tables.IndexEntries": 0,
+		".WALPendingBytes": 0, ".Pool.IOPending": 0, ".Tables.Rows": 0, ".Tables.Indexes": 0, ".Tables.IndexEntries": 0,
 	}
 	for path := range in[0] {
 		rule := sliceIndex.ReplaceAllString(path, "")

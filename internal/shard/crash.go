@@ -27,9 +27,11 @@ const (
 	// recovery must resolve every one of those to commit.
 	crashAfterDecide = "2pc-after-decide"
 	// crashMidOutcome fires after the first non-coordinator participant's
-	// outcome record is durable too, but before the remaining participants
-	// log theirs: recovery must converge the stragglers onto the same
-	// committed outcome (with two written shards there are none left).
+	// outcome record is durable too — the hook forces it, since the commit
+	// path leaves outcome records to a later flush — but before the
+	// remaining participants log theirs: recovery must converge the
+	// stragglers onto the same committed outcome (with two written shards
+	// there are none left).
 	crashMidOutcome = "2pc-mid-outcome"
 )
 

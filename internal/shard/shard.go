@@ -29,8 +29,9 @@
 // parallel fan-out), and the coordinator then forces a single DECIDE record
 // (the commit point) with its own outcome record behind it — its heap
 // records ride that flush, so the decision is its prepare. The other
-// participants then log lightweight outcome records, forced in one last
-// parallel round: n written shards cost 2n-1 WAL flushes.
+// participants then append lightweight outcome records that nothing waits
+// for: each rides its shard's next flush, or a lazy one shortly after, so n
+// written shards cost n forced WAL flushes before the acknowledgement.
 // Recovery resolves in-doubt transactions against the coordinator's
 // decision log, presuming abort when no decision survived — so after a
 // crash a cross-shard transaction's writes are visible in all shards or
@@ -50,6 +51,7 @@ import (
 	"sias/internal/obs"
 	"sias/internal/tuple"
 	"sias/internal/txn"
+	"sias/internal/wal"
 )
 
 // Shard pairs one engine facade with the served table inside it.
@@ -241,6 +243,24 @@ type Txn struct {
 	// tc is the distributed-trace context of the request driving this
 	// transaction (SetTrace); the zero value means unsampled.
 	tc obs.SpanContext
+
+	// outcomes holds, per shard, the LSN just past the outcome record a
+	// cross-shard commit appended there without forcing it (OutcomeLSN); nil
+	// unless the commit ran 2PC.
+	outcomes []wal.LSN
+}
+
+// OutcomeLSN reports the LSN just past the outcome record Commit appended on
+// shard i and left for a later flush to carry, or 0 if it left none there.
+// Shard i shows this transaction's writes to a reader that has applied its
+// log through max(OutcomeLSN(i), the durable LSN at acknowledgement): a
+// COMMIT reply's LSN vector carries that, so read-your-writes routing keeps
+// a follower that has the PREPARE but not yet the outcome out of the way.
+func (t *Txn) OutcomeLSN(i int) wal.LSN {
+	if t.outcomes == nil {
+		return 0
+	}
+	return t.outcomes[i]
 }
 
 // SetTrace attaches the request's trace context so Commit records router
@@ -464,7 +484,7 @@ func (t *Txn) Commit() error {
 
 // parallel runs leg(0) … leg(n-1) concurrently and returns when all have:
 // leg 0 on the calling goroutine, the rest on their own. A round of one leg
-// — the prepare and outcome rounds of a two-shard commit — is a plain call.
+// — the prepare round of a two-shard commit — is a plain call.
 func parallel(n int, leg func(j int)) {
 	if n == 1 {
 		leg(0)
@@ -496,12 +516,14 @@ func parallel(n int, leg func(j int)) {
 // coordinator's own outcome record behind it (engine.DB.Decide); the
 // coordinator's heap records precede both, so that one flush makes its half
 // durable and decided at once, and a PREPARE of its own would protect
-// nothing. The other participants' outcome records then append and are
-// forced in a final parallel round — crash recovery re-derives any lost one
-// from the decision (a missing decision means abort — presumed abort), but
-// followers flip visibility only on a shipped outcome record, so the commit
-// path makes them durable before acknowledging. n written shards cost
-// (n - 1) + 1 + (n - 1) = 2n - 1 flushes.
+// nothing. The other participants' outcome records are then appended and
+// their CLOGs flipped, but nothing is forced: crash recovery re-derives a
+// lost outcome from the durable decision (a missing decision means abort —
+// presumed abort), and a follower, which flips visibility only on a shipped
+// outcome record, gets it from the shard's next flush or the lazy flush
+// engine.Facade.FinishPrepared arms. n written shards cost (n - 1) + 1 = n
+// forced flushes before Commit returns; the n - 1 outcome records ride later
+// ones, and Txn.OutcomeLSN keeps where they end for read-your-writes routing.
 func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 	r := t.r
 	coord, others := writers[0], writers[1:]
@@ -557,7 +579,7 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 		// Link each participant's WAL records to the originating trace so a
 		// follower's apply span can carry the same trace id. Advisory and
 		// unflushed — the coordinator's rides the decide flush, the others'
-		// the outcome-flush round below.
+		// whichever flush carries their outcome record.
 		r.shards[coord].Facade.NoteTrace(t.sub[coord], t.tc.TraceID)
 	}
 	// The commit point: the decision is durable in the coordinator's log,
@@ -587,16 +609,22 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 
 	// Outcome records of the other participants: the CLOG flips here, which
 	// is what makes the writes visible (and releases the write locks) on
-	// each of their shards.
+	// each of their shards. The records are not forced (wal_fsync=lazy): the
+	// transaction is committed from here on whatever their flush does, so no
+	// flush error may reach the caller, who would retry a committed write.
 	osp := r.tracer.StartSpan(parent.Context(), "outcome")
 	osp.SetShard(coord)
 	osp.Annotate("participants", strconv.Itoa(len(others)))
+	osp.Annotate("wal_fsync", "lazy")
+	t.outcomes = make([]wal.LSN, len(t.sub))
 	for n, i := range others {
 		f := r.shards[i].Facade
 		if sampled {
 			f.NoteTrace(t.sub[i], t.tc.TraceID)
 		}
-		if err := f.FinishPrepared(t.sub[i], true); err != nil && first == nil {
+		lsn, err := f.FinishPrepared(t.sub[i], true)
+		t.outcomes[i] = lsn
+		if err != nil && first == nil {
 			first = err
 		}
 		if n == 0 {
@@ -607,26 +635,7 @@ func (t *Txn) commit2PC(writers []int, parent *obs.Span) error {
 			crashpoint(crashMidOutcome, f.FlushWAL)
 		}
 	}
-	// Force the outcome records in one parallel round before returning.
-	// Recovery never needs them (the durable decision already implies
-	// commit, so a flush failure here cannot un-commit the transaction),
-	// but followers ship records only up to the durable LSN and flip
-	// visibility only on the shipped outcome — without this round a
-	// follower reporting zero lag could still be missing the commit, and
-	// on an otherwise idle shard would stay stale forever. A flush failure
-	// therefore surfaces in the returned error: the transaction IS
-	// committed, but the caller must not trust follower lag until the
-	// outcome records eventually reach the device.
-	ferrs := make([]error, len(others))
-	parallel(len(others), func(j int) {
-		ferrs[j] = r.shards[others[j]].Facade.FlushWAL()
-	})
 	osp.Finish()
-	for j, err := range ferrs {
-		if err != nil && first == nil {
-			first = fmt.Errorf("shard %d: outcome-record flush after commit: %w", others[j], err)
-		}
-	}
 	r.twopcCommits.Add(1)
 	return first
 }

@@ -412,11 +412,14 @@ func TestDecideFlushFailureInDoubt(t *testing.T) {
 // coordinator's half. The coordinator never logged a PREPARE, so only redo's
 // rule that a commit decision prepares its coordinator keeps the transaction
 // whole: without it recovery would roll the coordinator back as an ordinary
-// in-flight writer while the participant's outcome stands.
+// in-flight writer while the participant commits from the decision. The
+// crash comes at acknowledgement, before any later flush carried the
+// participant's outcome record (its log takes no write after the prepare),
+// so both halves are in doubt and both commit.
 func TestTornDecisionCommitsCoordinator(t *testing.T) {
 	devs := []shardDevs{newShardDevs(), newShardDevs()}
 	s0, _ := openShardOn(t, devs[0])
-	s1, _ := openShardOn(t, devs[1])
+	s1, _ := failWALFrom(t, devs[1], func(db *engine.DB) bool { return db.Stats().Prepares > 0 })
 	r, err := shard.NewRouter([]shard.Shard{s0, s1})
 	if err != nil {
 		t.Fatal(err)
@@ -463,8 +466,8 @@ func TestTornDecisionCommitsCoordinator(t *testing.T) {
 	if st := dbs[0].Stats(); st.InDoubtCommits != 1 || st.InDoubtAborts != 0 {
 		t.Errorf("coordinator: in-doubt resolution = %d commits / %d aborts, want 1/0", st.InDoubtCommits, st.InDoubtAborts)
 	}
-	if st := dbs[1].Stats(); st.InDoubtCommits != 0 || st.InDoubtAborts != 0 {
-		t.Errorf("participant: in-doubt resolution = %d commits / %d aborts, want 0/0 (its outcome was durable)", st.InDoubtCommits, st.InDoubtAborts)
+	if st := dbs[1].Stats(); st.InDoubtCommits != 1 || st.InDoubtAborts != 0 {
+		t.Errorf("participant: in-doubt resolution = %d commits / %d aborts, want 1/0 (its outcome never reached the device)", st.InDoubtCommits, st.InDoubtAborts)
 	}
 }
 
