@@ -51,6 +51,10 @@ func (k Kind) String() string {
 // MaxNameLen bounds table, index and column names.
 const MaxNameLen = 64
 
+// MaxCols bounds a table's columns. With MaxNameLen it keeps a create-table
+// record under 70 KB, far below the largest record the WAL accepts.
+const MaxCols = 1024
+
 // ErrBadName reports an identifier that violates the naming rules.
 var ErrBadName = errors.New("catalog: invalid name")
 

@@ -26,6 +26,32 @@ func TestMemRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMemZeroPagesTakeNoMemory: writing zeros over a page never written
+// stores nothing, yet counts as a write; zeros over a written page replace
+// its bytes.
+func TestMemZeroPagesTakeNoMemory(t *testing.T) {
+	m := NewMem(4096, 16)
+	zero, got := make([]byte, 4096), make([]byte, 4096)
+	if _, err := m.WritePage(0, 3, zero); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.data) != 0 || m.Stats().Writes != 1 {
+		t.Errorf("a zero page written: %d pages stored, %d writes counted, want 0 and 1", len(m.data), m.Stats().Writes)
+	}
+	if _, err := m.WritePage(0, 3, bytes.Repeat([]byte{9}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WritePage(0, 3, zero); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadPage(0, 3, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, zero) {
+		t.Error("zeros written over a page do not read back")
+	}
+}
+
 func TestMemLatency(t *testing.T) {
 	m := NewMemLatency(4096, 16, 5*simclock.Microsecond, 50*simclock.Microsecond)
 	buf := make([]byte, 4096)

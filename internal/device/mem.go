@@ -9,7 +9,8 @@ import (
 
 // Mem is an in-memory block device with fixed (possibly zero) latencies.
 // It exists for unit tests and for experiments that want to isolate the
-// algorithmic behaviour from any device cost model.
+// algorithmic behaviour from any device cost model. A page takes memory once
+// a write puts a nonzero byte in it.
 type Mem struct {
 	StatCounter
 	pageSize int
@@ -110,16 +111,24 @@ func (m *Mem) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock.Time
 		return at, fmt.Errorf("device: write buffer %d < page size %d", len(p), m.pageSize)
 	}
 	m.mu.Lock()
-	buf := m.data[pageNo]
-	if buf == nil {
-		buf = make([]byte, m.pageSize)
-		m.data[pageNo] = buf
+	if buf := m.data[pageNo]; buf != nil {
+		copy(buf, p[:m.pageSize])
+	} else if !allZeros(p[:m.pageSize]) { // an unwritten page reads as zeros: store none
+		m.data[pageNo] = append([]byte(nil), p[:m.pageSize]...)
 	}
-	copy(buf, p[:m.pageSize])
 	m.mu.Unlock()
 	done := at.Add(m.writeLat)
 	m.CountWrite(m.pageSize, m.writeLat)
 	return done, nil
+}
+
+func allZeros(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 var (

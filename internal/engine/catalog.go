@@ -56,8 +56,8 @@ func (db *DB) CreateTableLogged(at simclock.Time, name string, schema *tuple.Sch
 	if err := catalog.ValidateName(name); err != nil {
 		return nil, at, fmt.Errorf("table %q: %w", name, err)
 	}
-	if len(schema.Cols) == 0 {
-		return nil, at, fmt.Errorf("%w: table %s has no columns", catalog.ErrBadName, name)
+	if len(schema.Cols) == 0 || len(schema.Cols) > catalog.MaxCols {
+		return nil, at, fmt.Errorf("%w: table %s has %d columns (must be 1..%d)", catalog.ErrBadName, name, len(schema.Cols), catalog.MaxCols)
 	}
 	for _, c := range schema.Cols {
 		if err := catalog.ValidateName(c.Name); err != nil {

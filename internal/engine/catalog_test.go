@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sias/internal/catalog"
 	"sias/internal/device"
 	"sias/internal/page"
 	"sias/internal/simclock"
@@ -499,6 +500,47 @@ func TestDropIndexAndTable(t *testing.T) {
 		t.Fatalf("row lost: %v", err)
 	}
 	db2.Abort(rtx, at)
+}
+
+// TestCreateTableColumnBound: a table of catalog.MaxCols columns with the
+// longest names logs and replays (its DDL record is within the WAL's record
+// bound); one more column is refused before anything is logged.
+func TestCreateTableColumnBound(t *testing.T) {
+	data := device.NewMem(page.Size, 1<<16)
+	walDev := device.NewMem(page.Size, 1<<14)
+	opts := DefaultOptions(data, walDev)
+	opts.Kind = KindSIAS
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []tuple.Column{{Name: "id", Type: tuple.TypeInt64}}
+	for len(cols) <= catalog.MaxCols {
+		cols = append(cols, tuple.Column{Name: fmt.Sprintf("c%0*d", catalog.MaxNameLen-1, len(cols)), Type: tuple.TypeString})
+	}
+	logged := db.WAL().NextLSN()
+	if _, _, err := db.CreateTableLogged(0, "wide", tuple.NewSchema(cols...), "id"); !errors.Is(err, catalog.ErrBadName) {
+		t.Fatalf("a table of %d columns: err=%v, want ErrBadName", len(cols), err)
+	}
+	if db.WAL().NextLSN() != logged {
+		t.Fatal("a refused CREATE TABLE logged records")
+	}
+	if _, _, err := db.CreateTableLogged(0, "wide", tuple.NewSchema(cols[:catalog.MaxCols]...), "id"); err != nil {
+		t.Fatalf("a table of %d columns: %v", catalog.MaxCols, err)
+	}
+	ropts := DefaultOptions(data, walDev)
+	ropts.Kind = KindSIAS
+	ropts.Recover = true
+	db2, err := Open(ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db2.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	if tab := db2.Table("wide"); tab == nil || len(tab.Schema().Cols) != catalog.MaxCols {
+		t.Fatal("the widest table did not replay")
+	}
 }
 
 // TestStatsReportTables checks the per-table stats block: rows, index counts

@@ -201,7 +201,6 @@ func Open(opts Options) (*DB, error) {
 		prepared:    map[txn.ID]preparedTxn{},
 	}
 
-	startLSN := wal.LSN(0)
 	if opts.Recover {
 		// Analyse the existing log before creating the writer, so the new
 		// generation appends after the old records.
@@ -212,19 +211,17 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.logEnd = end
 		if opts.ResumeWAL {
-			w, werr := wal.NewWriterResume(opts.WALDevice, end)
-			if werr != nil {
-				return nil, fmt.Errorf("engine: WAL resume: %w", werr)
-			}
-			db.walw = w
+			db.walw, err = wal.NewWriterResume(opts.WALDevice, end)
 		} else {
 			// Start the new generation at the next page boundary past the data.
 			ps := wal.LSN(opts.WALDevice.PageSize())
-			startLSN = (end + ps - 1) / ps * ps
+			db.walw, err = wal.NewWriterAt(opts.WALDevice, (end+ps-1)/ps*ps)
 		}
-	}
-	if db.walw == nil {
-		db.walw = wal.NewWriterAt(opts.WALDevice, startLSN)
+		if err != nil {
+			return nil, fmt.Errorf("engine: WAL writer: %w", err)
+		}
+	} else {
+		db.walw = wal.NewWriter(opts.WALDevice)
 	}
 
 	db.pool = buffer.New(buffer.Config{
@@ -547,9 +544,11 @@ type Stats struct {
 	// transactions that wrote nothing: they logged no record and waited for
 	// no flush, so group-commit ratios are taken over Commits minus this.
 	ReadOnlyCommits int64 `metric:"sias_engine_readonly_commits_total,counter" help:"Committed transactions that wrote nothing: no log record, no flush (included in commits)."`
-	// CommitFlushes counts WAL flushes issued on behalf of commits; with
-	// group commit active it is strictly less than Commits under
-	// concurrency. CommitBatches counts flushes that covered >1 commit;
+	// CommitFlushes counts WAL flushes issued on behalf of commits — a
+	// group-commit batch's, and a cross-shard commit's forced prepare and
+	// decide flushes (not the lazy flush that carries a participant's
+	// outcome); with group commit active it is strictly less than Commits
+	// under concurrency. CommitBatches counts flushes that covered >1 commit;
 	// CommitMaxBatch is the largest single batch, so Commits/CommitFlushes
 	// is the mean batch size and CommitMaxBatch its high-water mark.
 	CommitFlushes  int64 `metric:"sias_engine_commit_flushes_total,counter" help:"WAL flushes issued on behalf of commits (group commit shares them)."`

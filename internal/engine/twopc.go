@@ -129,6 +129,7 @@ func (db *DB) Prepare(tx *txn.Tx, gid uint64, coordShard uint32, at simclock.Tim
 		return t, err
 	}
 	db.prepares.Add(1)
+	db.commitFlushes.Add(1)
 	return t, nil
 }
 
@@ -152,6 +153,7 @@ func (db *DB) Decide(coordTx *txn.Tx, gid uint64, at simclock.Time) (simclock.Ti
 	if err != nil {
 		return t, fmt.Errorf("%w: %w", ErrInDoubt, err)
 	}
+	db.commitFlushes.Add(1)
 	return t, db.finish(coordTx, true)
 }
 

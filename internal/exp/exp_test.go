@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,5 +141,51 @@ func TestBlocktraceSmoke(t *testing.T) {
 	}
 	if !strings.Contains(rendered, "Figure 3") {
 		t.Errorf("render missing title:\n%s", rendered)
+	}
+}
+
+// TestRunsRepeat is the simulator's determinism check: one configuration run
+// twice gives the same TPC-C metrics, the same data and WAL device counters to
+// the last unit and the same data-device block trace, on every storage, for
+// the SI baseline (t1) and for SIAS (t2). The paper's tables are
+// deterministic only if this holds. The run is open-loop and 31 virtual
+// seconds long, so SIAS GC fires six times and each engine checkpoints once.
+func TestRunsRepeat(t *testing.T) {
+	for _, st := range []Storage{StorageMem, StorageSSDRAID2, StorageSSDRAID6, StorageHDD} {
+		for _, e := range []struct {
+			kind   engine.Kind
+			policy engine.FlushPolicy
+		}{{engine.KindSI, engine.PolicyT1}, {engine.KindSIAS, engine.PolicyT2}} {
+			cfg := fastCfg(e.kind, st)
+			cfg.Policy = e.policy
+			cfg.Duration = 31 * simclock.Second
+			cfg.ThinkTime = 100 * simclock.Millisecond
+			cfg.Trace = true
+			t.Run(fmt.Sprintf("%s/%s-%s", st, e.kind, e.policy), func(t *testing.T) {
+				a, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a.Metrics, b.Metrics) {
+					t.Errorf("metrics differ between two runs:\n%+v\n%+v", a.Metrics, b.Metrics)
+				}
+				if a.Data != b.Data {
+					t.Errorf("data device counters differ between two runs:\n%+v\n%+v", a.Data, b.Data)
+				}
+				if a.WAL != b.WAL {
+					t.Errorf("WAL device counters differ between two runs:\n%+v\n%+v", a.WAL, b.WAL)
+				}
+				if st != StorageMem && a.Tracer.Len() == 0 {
+					t.Error("no data-device trace recorded")
+				}
+				if !reflect.DeepEqual(a.Tracer.Events(), b.Tracer.Events()) {
+					t.Errorf("the data-device traces differ between two runs: %d and %d events", a.Tracer.Len(), b.Tracer.Len())
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"sias/internal/catalog"
 	"sias/internal/shard"
 	"sias/internal/tuple"
 	"sias/internal/wire"
@@ -16,10 +17,6 @@ import (
 // replays on crash recovery and ships to replication followers like any
 // other record. Typed row ops run inside the same wire transactions as the
 // kv ops, routed by primary key hash.
-
-// maxTableCols bounds CREATE TABLE column counts; a request past it is
-// malformed, not a capacity problem.
-const maxTableCols = 1024
 
 // handleSnapshot answers SNAPSHOT: one stable AS OF token per shard.
 func (c *session) handleSnapshot() ([]byte, error) {
@@ -79,7 +76,7 @@ func (c *session) handleDDL(op wire.Op, r *wire.Reader) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 		}
-		if ncols == 0 || ncols > maxTableCols {
+		if ncols == 0 || ncols > catalog.MaxCols {
 			return nil, fmt.Errorf("%w: CREATE TABLE with %d columns", wire.ErrBadRequest, ncols)
 		}
 		cols := make([]tuple.Column, 0, ncols)

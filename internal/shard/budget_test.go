@@ -143,6 +143,13 @@ func TestCommitLogBudget(t *testing.T) {
 
 	t.Run("write on both", func(t *testing.T) {
 		before := marks()
+		flushes := func() (n int64) {
+			for _, db := range dbs {
+				n += db.Stats().CommitFlushes
+			}
+			return n
+		}
+		flushesBefore := flushes()
 		tx := r.Begin()
 		for _, k := range keys {
 			if err := tx.Update(k, setValue("both")); err != nil {
@@ -175,9 +182,17 @@ func TestCommitLogBudget(t *testing.T) {
 				t.Errorf("shard %d: %d prepares, want %d", i, d, i)
 			}
 		}
+		// Both forced flushes are commit flushes, so the engine's group-commit
+		// ratios see a cross-shard commit's log writes.
+		if d := flushes() - flushesBefore; d != 2 {
+			t.Errorf("the shards count %d commit flushes for a 2-shard commit, want 2 (prepare + decide)", d)
+		}
 		// Let the lazy flush land: it carries the outcome in one more flush.
 		release()
 		waitDurable(t, db1)
+		if d := flushes() - flushesBefore; d != 2 {
+			t.Errorf("the lazy outcome flush counted as a commit flush: %d, want 2", d)
+		}
 		wantPart = append(wantPart, wal.RecCommit)
 		if got := recordsSince(t, devs[1].wal, before[1].next); !reflect.DeepEqual(got, wantPart) {
 			t.Errorf("participant's device holds %v after the lazy flush, want %v", got, wantPart)

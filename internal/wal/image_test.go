@@ -27,9 +27,9 @@ func newFileDev(t testing.TB, pageSize int, pages int64) *device.File {
 }
 
 // rangeRecorder is a Mem with a byte-range write path that checks every write
-// the WAL hands it: sector-aligned at both ends, and never below the sector
-// that holds the LSN that was durable when the flush began (floor, set by the
-// test before each flush).
+// the WAL hands it: sector-aligned at both ends, at most window pages long,
+// and never below the sector that holds the LSN that was durable when the
+// flush began (floor, set by the test before each flush and each reopen).
 type rangeRecorder struct {
 	*device.Mem
 	t      testing.TB
@@ -41,6 +41,9 @@ func (r *rangeRecorder) WriteRange(at simclock.Time, off int64, p []byte) (simcl
 	r.writes++
 	if off%sectorSize != 0 || len(p)%sectorSize != 0 || len(p) == 0 {
 		r.t.Errorf("write [%d,%d) is not a whole number of sectors", off, off+int64(len(p)))
+	}
+	if len(p) > window*r.PageSize() {
+		r.t.Errorf("write [%d,%d) is longer than the %d-page window", off, off+int64(len(p)), window)
 	}
 	if off < r.floor {
 		r.t.Errorf("write [%d,%d) starts below %d, the sector of the durable LSN: acknowledged bytes written again",
@@ -77,7 +80,9 @@ const scriptPages = 24
 // lockstep on a Mem (the whole-page path, the reference), a File (the range
 // path) and the checking recorder (the range path again). After every
 // operation that writes or reopens, the three device images must be equal
-// byte for byte; at the end Scan must read the same records from each.
+// byte for byte; at the end Scan must read the same records from each, and,
+// unless a run of zeros ended mid-page (Scan skips from it to the next page
+// boundary), exactly the records that were flushed and not lost to a crash.
 func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 	t.Helper()
 	rec := &rangeRecorder{Mem: device.NewMem(pageSize, scriptPages), t: t}
@@ -92,8 +97,12 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 	ps := LSN(pageSize)
 	room := LSN(scriptPages-2) * ps // stop short of the device end: a full log has its own test
 
+	var want []Record // appended, less what crashes lost
+	flushed := 0      // of want, how many a flush has made durable
+	exact := true     // no run of zeros has ended mid-page: Scan must read want
 	flush := func() {
 		rec.floor = int64(ws[2].Durable()) &^ (sectorSize - 1)
+		flushed = len(want)
 		for _, w := range ws {
 			if _, err := w.Flush(0, w.NextLSN()); err != nil {
 				t.Fatal(err)
@@ -104,10 +113,14 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 		}
 	}
 	// reopen scans every device, which must agree on where the log ends, and
-	// replaces each writer. With torn set, the crash first leaves debris from
-	// the end of the intact records to the end of the following page.
+	// replaces each writer. With torn set, the crash first leaves debris over
+	// the whole window past the end of the intact records.
 	reopen := func(torn bool, open func(dev device.BlockDevice, end LSN) *Writer) {
 		_, end := scanAll(t, devs[0])
+		want = want[:flushed]
+		// The new writer's first write, the window, starts in the sector of
+		// its durable LSN: end, or the page boundary past it.
+		rec.floor = int64(end) &^ (sectorSize - 1)
 		for i, dev := range devs {
 			if _, e := scanAll(t, dev); e != end {
 				t.Fatalf("%T: the log ends at %d, on the page path at %d", dev, e, end)
@@ -117,18 +130,7 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 				if dev == rec {
 					raw = rec.Mem
 				}
-				buf := make([]byte, pageSize)
-				for pg, from := int64(end/ps), int(end%ps); pg <= int64(end/ps)+1; pg, from = pg+1, 0 {
-					if _, err := raw.ReadPage(0, pg, buf); err != nil {
-						t.Fatal(err)
-					}
-					for j := from; j < pageSize; j++ {
-						buf[j] = 0xEE
-					}
-					if _, err := raw.WritePage(0, pg, buf); err != nil {
-						t.Fatal(err)
-					}
-				}
+				leaveDebris(t, raw, end, 0)
 			}
 			ws[i] = open(dev, end)
 		}
@@ -147,14 +149,20 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 			}
 			tx++
 			r := &Record{Type: RecHeapInsert, Tx: txn.ID(tx), Rel: 2, Data: bytes.Repeat([]byte{byte(tx)}, size)}
+			want = append(want, *r)
 			for _, w := range ws {
 				w.Append(r)
 			}
 			continue
 		case 4:
 			flush()
-		case 5:
-			if to := ws[0].NextLSN() + LSN(arg*40); to <= room {
+		case 5: // a follower mirrors a gap: to the next page boundary, or (odd arg) any length
+			to, anyLength := (ws[0].NextLSN()+ps-1)/ps*ps, arg&1 == 1
+			if anyLength {
+				to = ws[0].NextLSN() + LSN(arg*40)
+			}
+			if to <= room {
+				exact = exact && !anyLength
 				for _, w := range ws {
 					w.SkipTo(to)
 				}
@@ -170,7 +178,7 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 			})
 		case 7: // the same, but begin a new generation on the next page
 			reopen(arg&1 == 1, func(dev device.BlockDevice, end LSN) *Writer {
-				return NewWriterAt(dev, (end+ps-1)/ps*ps)
+				return newWriterAt(t, dev, (end+ps-1)/ps*ps)
 			})
 		}
 		for _, dev := range devs[1:] {
@@ -178,22 +186,34 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 		}
 	}
 	flush()
-	want, wantEnd := scanAll(t, devs[0])
+	ref, refEnd := scanAll(t, devs[0])
+	if exact {
+		sameRecords(t, "the page path", ref, want)
+	}
 	for _, dev := range devs[1:] {
 		sameImage(t, devs[0], dev, fmt.Sprintf("%T after the last flush", dev))
 		got, gotEnd := scanAll(t, dev)
-		if gotEnd != wantEnd || len(got) != len(want) {
-			t.Fatalf("%T: Scan read %d records ending at %d, from the page path %d ending at %d", dev, len(got), gotEnd, len(want), wantEnd)
+		if gotEnd != refEnd {
+			t.Fatalf("%T: the log ends at %d, on the page path at %d", dev, gotEnd, refEnd)
 		}
-		for i := range want {
-			if got[i].Tx != want[i].Tx || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("%T: record %d is tx %d with %d bytes, on the page path tx %d with %d bytes",
-					dev, i, got[i].Tx, len(got[i].Data), want[i].Tx, len(want[i].Data))
-			}
-		}
+		sameRecords(t, fmt.Sprintf("%T", dev), got, ref)
 	}
-	if rec.writes == 0 && wantEnd > 0 {
+	if rec.writes == 0 && refEnd > 0 {
 		t.Fatal("the recorder saw no range write")
+	}
+}
+
+// sameRecords fails unless got, the records Scan read from what, are want.
+func sameRecords(t testing.TB, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: Scan read %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Tx != want[i].Tx || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("%s: record %d is tx %d with %d bytes, want tx %d with %d bytes",
+				what, i, got[i].Tx, len(got[i].Data), want[i].Tx, len(want[i].Data))
+		}
 	}
 }
 
@@ -242,6 +262,13 @@ func TestFlushImageMatchesPagePath(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		script := make([]byte, 2*(20+rng.Intn(200)))
 		rng.Read(script)
+		if i%2 == 0 { // every gap ends on a page boundary, so Scan must read the records exactly
+			for j := 0; j+1 < len(script); j += 2 {
+				if script[j]%8 == 5 {
+					script[j+1] &^= 1
+				}
+			}
+		}
 		checkFlushImage(t, flushScriptPageSizes[i%len(flushScriptPageSizes)], script)
 	}
 }
@@ -252,6 +279,7 @@ func FuzzFlushImage(f *testing.F) {
 	f.Add([]byte{2, 0, 96, 0, 96, 0, 0, 4, 0, 0, 96, 4, 0})                   // two commits on one page
 	f.Add([]byte{0, 3, 255, 4, 0, 0, 10, 4, 0, 6, 0, 1, 200, 4, 0})           // a 16 KB record, then resume
 	f.Add([]byte{1, 0, 50, 4, 0, 7, 0, 0, 50, 4, 0, 5, 30, 2, 9, 4, 0})       // new generation, SkipTo
+	f.Add([]byte{0, 0, 50, 5, 31, 0, 50, 4, 0, 7, 1, 0, 50, 4, 0})            // a gap ending mid-page, torn new generation
 	f.Add([]byte{0, 0, 200, 6, 1, 0, 200, 4, 0, 0, 1, 7, 1, 3, 100, 6, 0, 4}) // crashes with an unflushed tail and debris
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 1<<12 {
@@ -331,26 +359,27 @@ func TestFullLogRefusesWholeFlush(t *testing.T) {
 
 // TestSyncedFlushIsOneSync: with SetSyncOnWrite a flush is one device write
 // and one fsync however many pages it spans (one of each per page before the
-// range path), and PageWrites still counts the pages it touched.
+// range path), it ends at the sector that holds the stream end, not at the
+// end of that page, and PageWrites still counts the pages it touched.
 func TestSyncedFlushIsOneSync(t *testing.T) {
 	dev := newFileDev(t, page.Size, 64)
 	dev.SetSyncOnWrite(true)
 	w := NewWriter(dev)
-	for i := 0; i < 5; i++ { // 5 x ~4 KB: into the third page
+	for i := 0; i < 5; i++ { // 5 x 4,035 B = 20,175 B: into the third page
 		w.Append(&Record{Type: RecHeapInsert, Tx: 1, Rel: 2, Data: make([]byte, 4000)})
 	}
 	if _, err := w.Flush(0, w.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
 	st := dev.Stats()
-	if st.Syncs != 1 || st.Writes != 1 || st.BytesWritten != 3*page.Size {
-		t.Errorf("3-page flush: %d syncs, %d writes, %d bytes, want 1, 1, %d", st.Syncs, st.Writes, st.BytesWritten, 3*page.Size)
+	if st.Syncs != 1 || st.Writes != 1 || st.BytesWritten != 40*sectorSize {
+		t.Errorf("3-page flush: %d syncs, %d writes, %d bytes, want 1, 1, %d", st.Syncs, st.Writes, st.BytesWritten, 40*sectorSize)
 	}
 	if w.PageWrites() != 3 {
 		t.Errorf("PageWrites = %d, want the 3 pages touched", w.PageWrites())
 	}
 
-	// The next commit lands in the already-zeroed third page: its sectors only.
+	// The next commit lands in the sector the flush ended in: that sector only.
 	w.Append(&Record{Type: RecCommit, Tx: 1})
 	if _, err := w.Flush(0, w.NextLSN()); err != nil {
 		t.Fatal(err)

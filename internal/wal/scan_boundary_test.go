@@ -148,7 +148,7 @@ func TestScanShortGenerationBehindNarrowPadding(t *testing.T) {
 		if _, err := w.Flush(0, w.NextLSN()); err != nil {
 			t.Fatal(err)
 		}
-		w2 := NewWriterAt(dev, LSN(page.Size))
+		w2 := newWriterAt(t, dev, LSN(page.Size))
 		if _, err := w2.Flush(0, w2.Append(&Record{Type: RecCommit, Tx: 2})); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestScanHeadClaimingMoreBytesThanTheLogHolds(t *testing.T) {
 	if _, err := w.Flush(0, w.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWriterAt(dev, LSN(page.Size))
+	w2 := newWriterAt(t, dev, LSN(page.Size))
 	if _, err := w2.Flush(0, w2.Append(first)); err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestScanSkipsTornTailBetweenGenerations(t *testing.T) {
 
 	// New generation begins at the next page boundary, as after recovery.
 	gen2 := LSN((int64(durable) + int64(ps) - 1) / int64(ps) * int64(ps))
-	w2 := NewWriterAt(dev, gen2)
+	w2 := newWriterAt(t, dev, gen2)
 	if _, err := w2.Flush(0, w2.Append(&Record{Type: RecCommit, Tx: 50})); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTailReaderSkipsGenerationGap(t *testing.T) {
 
 	ps := page.Size
 	gen2 := LSN((int64(durable) + int64(ps) - 1) / int64(ps) * int64(ps))
-	w2 := NewWriterAt(dev, gen2)
+	w2 := newWriterAt(t, dev, gen2)
 	rec := Record{Type: RecCommit, Tx: 77}
 	wantBytes := EncodeRecord(&rec)
 	if _, err := w2.Flush(0, w2.Append(&rec)); err != nil {

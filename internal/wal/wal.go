@@ -9,7 +9,7 @@
 // device with a byte-range write path a flush writes only the 512-byte
 // sectors that gained bytes, so the log appends like the version store it
 // protects; on the simulated page devices the tail page is rewritten as it
-// fills. Both leave the same image (see Flush).
+// fills. Both leave the same image (see Flush and window).
 //
 // SIAS data structures (the VIDmap and per-relation append state) are NOT
 // logged: as in the paper, everything needed to reconstruct them is stored
@@ -124,10 +124,14 @@ type Record struct {
 // header: crc(4) len(4) type(1) tx(8) rel(4) tid(6) aux(8) = 35 bytes
 const recHeaderSize = 4 + 4 + 1 + 8 + 4 + page.TIDSize + 8
 
-// maxRecordSize bounds one encoded record. Heap after-images never exceed a
-// page, so anything claiming to be larger is corruption — the bound lets the
-// scanner classify a garbage length field as corrupt instead of waiting
-// forever for bytes that will never arrive.
+// maxRecordSize bounds one encoded record. A heap after-image takes at most
+// a page's largest tuple plus the header (8,199 B at the default page size)
+// and a create-table record stays under 70 KB (catalog.MaxCols), so anything
+// claiming to be larger is corruption — the bound lets the scanner
+// classify a garbage length field as corrupt instead of waiting forever for
+// bytes that will never arrive. Append refuses a longer record, which Scan
+// would end the log at, and a new generation zeroes this much past its
+// window (see window).
 const maxRecordSize = 1 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -159,6 +163,35 @@ var ErrLogFull = fmt.Errorf("wal: log device full: %w", device.ErrOutOfRange)
 // sectorSize is the unit of a range-path flush: a write starts and ends on a
 // multiple of it, so no write ever splits a sector with an earlier one.
 const sectorSize = 512
+
+// window is, in pages, the most one device write of the log covers (256 KB at
+// the default page size, a scan run). A writer that starts over an existing
+// log (NewWriterAt, NewWriterResume) zeroes, before its first record, from
+// the recovered end to window pages plus maxRecordSize past the page boundary
+// at or after it (1.25 MB at the default page size).
+//
+// With both rules a flush need not write past the sector that holds the
+// stream end, because every byte past the end of the intact records is zero:
+//   - The log is never recycled, so nothing past the furthest write the
+//     device has seen was ever written.
+//   - SIGKILL leaves no debris: every write the process issued is whole in
+//     the page cache.
+//   - Power loss under SetSyncOnWrite can tear only the last write, since
+//     every earlier one was synced before it began, and that write is at
+//     most window pages long. A flush's first write begins in the sector of
+//     the durable LSN, at or below the recovered end. Each later one begins
+//     on a page boundary with every record before that boundary intact, so
+//     the recovered end reaches at least the start of the record that
+//     straddles it, which is less than maxRecordSize before the boundary
+//     (Append holds every record to it). So the torn write begins less than
+//     maxRecordSize past the recovered end, and ends inside what the next
+//     generation zeroes: window pages, plus maxRecordSize rounded up to
+//     pages, past the page boundary at or after the recovered end.
+//
+// A fresh log (NewWriter) has no debris and zeroes nothing. A recycled one
+// would have to zero its window on every reuse, or records would need a
+// generation id; the log is not recycled.
+const window = scanRun
 
 // Decode failures split into two classes so the scanner can tell "wait for
 // the rest of the page" from "these bytes can never become a record":
@@ -232,15 +265,10 @@ type Writer struct {
 	// rw is the device's byte-range write path; nil selects the whole-page
 	// loop, which every simulated device takes.
 	rw device.RangeWriter
-	// The next two are owned under flushMu. tailBuf assembles what a flush
-	// hands the device beyond pending's own complete pages: the padded tail
-	// page (page path) or the whole sector range (range path). zeroedTo is
-	// the end of the last page this writer has written: the device holds
-	// zeros from the stream end up to it, so a flush that stays below it
-	// writes only its sectors, and one that passes it zero-fills to the end
-	// of the page it reaches.
-	tailBuf  []byte
-	zeroedTo LSN
+	// tailBuf, owned under flushMu, assembles what a write hands the device
+	// that pending does not hold as it lies: the zero-padded tail page (page
+	// path) or the last write of a range, padded to its sector (range path).
+	tailBuf []byte
 
 	mu         sync.Mutex // buffer latch: never held across device I/O
 	pending    []byte     // bytes not yet written to the device
@@ -266,18 +294,26 @@ func (w *Writer) SetDurationMetrics(appendH, flushH *obs.Histogram) {
 	w.flushHist = flushH
 }
 
-// NewWriter returns a writer logging to dev starting at stream offset 0.
+// NewWriter returns a writer that begins a fresh log on dev, at stream offset
+// 0. The device must hold no earlier log: nothing past the stream end is
+// zeroed (see window).
 func NewWriter(dev device.BlockDevice) *Writer {
-	return NewWriterAt(dev, 0)
+	return newWriter(dev, 0, 0)
 }
 
 // NewWriterAt returns a writer whose log generation begins at start, which
-// must be page-aligned. Used after recovery to append past the old records.
-func NewWriterAt(dev device.BlockDevice, start LSN) *Writer {
+// must be page-aligned: the first page boundary at or past the end of the
+// intact records of the log already on dev. Used after recovery to append
+// past the old records. Before it returns it zeroes the window from start
+// (see window), whatever a torn write left there; the bytes between the old
+// end and start stay, since Scan steps from the old end straight to the
+// boundary.
+func NewWriterAt(dev device.BlockDevice, start LSN) (*Writer, error) {
 	if int(start)%dev.PageSize() != 0 {
 		panic("wal: start LSN must be page-aligned")
 	}
-	return newWriter(dev, start, start)
+	w := newWriter(dev, start, start)
+	return w, w.zeroWindow(start)
 }
 
 // newWriter returns a writer whose stream ends at end, with pending starting
@@ -286,7 +322,6 @@ func newWriter(dev device.BlockDevice, floor, end LSN) *Writer {
 	w := &Writer{
 		dev:        dev,
 		pageSize:   dev.PageSize(),
-		zeroedTo:   end, // nothing past the stream end is known zero yet
 		pendingOff: floor,
 		nextLSN:    end,
 		durable:    end,
@@ -299,12 +334,12 @@ func newWriter(dev device.BlockDevice, floor, end LSN) *Writer {
 
 // NewWriterResume returns a writer that continues an existing log whose
 // intact records end exactly at end — no page rounding, no new generation.
-// The first flush writes from the start of the page (page path) or of the
-// sector (range path) that holds end, so the partial tail page is reloaded
-// from the device first; otherwise that flush would zero the bytes before
-// end. It also zero-fills the rest of that page, clearing whatever a torn
-// write left behind end. A replication follower resumes this way so its
-// stream offsets stay byte-identical to the primary's.
+// The partial tail page is reloaded from the device first, since a flush
+// writes from the start of the page (page path) or of the sector (range
+// path) that holds the durable LSN; otherwise that flush would zero the bytes
+// before end. Before it returns it zeroes the window from end (see window),
+// whatever a torn write left there. A replication follower resumes this way
+// so its stream offsets stay byte-identical to the primary's.
 func NewWriterResume(dev device.BlockDevice, end LSN) (*Writer, error) {
 	ps := dev.PageSize()
 	floor := LSN(int64(end) / int64(ps) * int64(ps))
@@ -316,7 +351,29 @@ func NewWriterResume(dev device.BlockDevice, end LSN) (*Writer, error) {
 		}
 		w.pending = append([]byte(nil), buf[:end-floor]...)
 	}
-	return w, nil
+	return w, w.zeroWindow(end)
+}
+
+// zeroWindow writes zeros from end, where the intact records stop, to window
+// pages and maxRecordSize, rounded up to pages, past the page boundary at or
+// after it (or to the device end), keeping the stream bytes pending holds
+// before end. It is a new writer's first write.
+func (w *Writer) zeroWindow(end LSN) error {
+	ps := LSN(w.pageSize)
+	to := min((end+ps-1)/ps*ps+window*ps+(maxRecordSize+ps-1)/ps*ps, LSN(w.dev.NumPages())*ps)
+	if to <= end {
+		return nil
+	}
+	var err error
+	if w.rw != nil {
+		_, err = w.writeSectors(0, w.pending, w.pendingOff, end&^(sectorSize-1), to)
+	} else {
+		_, err = w.writePages(0, w.pending, int64(w.pendingOff/ps), int64((to-1)/ps))
+	}
+	if err != nil {
+		return fmt.Errorf("wal: zero the log past %d: %w", end, err)
+	}
+	return nil
 }
 
 // SkipTo zero-fills the stream up to lsn. A follower mirrors the primary's
@@ -341,6 +398,9 @@ func (w *Writer) Append(r *Record) LSN {
 		t0 = time.Now()
 	}
 	b := EncodeRecord(r)
+	if len(b) > maxRecordSize {
+		panic(fmt.Sprintf("wal: a %d-byte %s record is longer than the %d bytes a record may take", len(b), r.Type, maxRecordSize))
+	}
 	w.mu.Lock()
 	w.pending = append(w.pending, b...)
 	w.nextLSN += LSN(len(b))
@@ -354,17 +414,15 @@ func (w *Writer) Append(r *Record) LSN {
 
 // Flush makes the log durable up to at least lsn and returns the virtual
 // completion time. What reaches the device depends on the device, the image
-// it leaves does not: the stream, and zeros from its end to the end of the
-// page that holds it.
+// it leaves does not: the stream, and zeros past its end.
 //
-//   - A device with a byte-range write path (device.File) gets one write per
-//     flush, covering the sectors that gained bytes: from the sector holding
-//     the durable LSN to the end of the sector holding the stream end. The
-//     first write into a page — a fresh page, or the tail page a new writer
-//     inherits — goes on to the end of that page, zero-filled, so the zeros
-//     Scan and TailReader rely on are there; later flushes leave them alone.
-//     A sector below the one that holds the durable LSN is never written
-//     again, so a torn write cannot damage an acknowledged record in one.
+//   - A device with a byte-range write path (device.File) gets the sectors
+//     that gained bytes: from the sector holding the durable LSN to the end
+//     of the sector holding the stream end, in one write, or in writes of at
+//     most window pages each that meet on page boundaries. The bytes past the
+//     stream end are zero on the device already (see window). A sector below
+//     the one that holds the durable LSN is never written again, so a torn
+//     write cannot damage an acknowledged record in one.
 //   - Any other device gets every page that overlaps the unflushed stream,
 //     whole, the partial tail page zero-padded and rewritten as it fills.
 //
@@ -409,7 +467,7 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 	var t simclock.Time
 	var err error
 	if w.rw != nil {
-		t, err = w.writeSectors(at, snap, snapOff, durable, snapEnd)
+		t, err = w.writeSectors(at, snap, snapOff, durable&^(sectorSize-1), (snapEnd+sectorSize-1)&^(sectorSize-1))
 	} else {
 		t, err = w.writePages(at, snap, firstPage, lastPage)
 	}
@@ -443,7 +501,7 @@ func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
 
 // writePages writes pages [firstPage, lastPage] of the stream snap holds from
 // firstPage's start on: complete pages straight from snap, the partial tail
-// page zero-padded through tailBuf.
+// page and any page past snap zero-padded through tailBuf.
 func (w *Writer) writePages(at simclock.Time, snap []byte, firstPage, lastPage int64) (simclock.Time, error) {
 	if w.tailBuf == nil {
 		w.tailBuf = make([]byte, w.pageSize)
@@ -455,7 +513,7 @@ func (w *Writer) writePages(at simclock.Time, snap []byte, firstPage, lastPage i
 		if from+w.pageSize <= len(snap) {
 			buf = snap[from : from+w.pageSize]
 		} else {
-			clear(buf[copy(buf, snap[from:]):])
+			clear(buf[copy(buf, snap[min(from, len(snap)):]):])
 		}
 		var err error
 		t, err = w.dev.WritePage(t, p, buf)
@@ -466,28 +524,33 @@ func (w *Writer) writePages(at simclock.Time, snap []byte, firstPage, lastPage i
 	return t, nil
 }
 
-// writeSectors writes the sectors of the stream [snapOff, snapEnd) in snap
-// that gained bytes since durable, in one device write. The range is
-// assembled in tailBuf: snap may not be padded where it lies, appenders own
-// the array past its length.
-func (w *Writer) writeSectors(at simclock.Time, snap []byte, snapOff, durable, snapEnd LSN) (simclock.Time, error) {
-	from := durable &^ (sectorSize - 1)
-	to := (snapEnd + sectorSize - 1) &^ (sectorSize - 1)
-	if snapEnd > w.zeroedTo {
-		ps := LSN(w.pageSize)
-		to = (snapEnd + ps - 1) / ps * ps
-	}
-	if n := int(to - from); cap(w.tailBuf) < n {
-		w.tailBuf = make([]byte, max(n, 2*cap(w.tailBuf)))
-	}
-	buf := w.tailBuf[:to-from]
-	clear(buf[copy(buf, snap[from-snapOff:snapEnd-snapOff]):])
-	t, err := w.rw.WriteRange(at, int64(from), buf)
-	if err != nil {
-		return t, fmt.Errorf("wal: flush bytes [%d,%d): %w", from, to, err)
-	}
-	if to > w.zeroedTo {
-		w.zeroedTo = to
+// writeSectors writes the bytes [from, to) of the stream snap holds from
+// snapOff on, zeros past its end, in writes of at most window pages, each
+// after the first starting on a page boundary. A write that lies inside snap
+// goes straight from it; the last, which runs past the stream end, is
+// assembled in tailBuf: appenders own the array past snap's length.
+func (w *Writer) writeSectors(at simclock.Time, snap []byte, snapOff, from, to LSN) (simclock.Time, error) {
+	ps := LSN(w.pageSize)
+	t := at
+	for from < to {
+		end := min(to, (from+window*ps)/ps*ps)
+		lo, hi := int(from-snapOff), int(end-snapOff)
+		var buf []byte
+		if hi <= len(snap) {
+			buf = snap[lo:hi]
+		} else {
+			if n := hi - lo; cap(w.tailBuf) < n {
+				w.tailBuf = make([]byte, min(max(n, 2*cap(w.tailBuf)), window*w.pageSize))
+			}
+			buf = w.tailBuf[:hi-lo]
+			clear(buf[copy(buf, snap[min(lo, len(snap)):]):])
+		}
+		var err error
+		t, err = w.rw.WriteRange(t, int64(from), buf)
+		if err != nil {
+			return t, fmt.Errorf("wal: flush bytes [%d,%d): %w", from, end, err)
+		}
+		from = end
 	}
 	return t, nil
 }

@@ -140,6 +140,16 @@ func TestScanStopsAtTornTail(t *testing.T) {
 	}
 }
 
+// newWriterAt is NewWriterAt for a test: a failure to zero the window fails t.
+func newWriterAt(t testing.TB, dev device.BlockDevice, start LSN) *Writer {
+	t.Helper()
+	w, err := NewWriterAt(dev, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestNewWriterAtAppendsAfterOldLog(t *testing.T) {
 	dev := newDev()
 	w1 := NewWriter(dev)
@@ -147,7 +157,7 @@ func TestNewWriterAtAppendsAfterOldLog(t *testing.T) {
 	w1.Flush(0, w1.NextLSN())
 
 	// New generation starting at the next page boundary.
-	w2 := NewWriterAt(dev, LSN(page.Size))
+	w2 := newWriterAt(t, dev, LSN(page.Size))
 	w2.Append(&Record{Type: RecCommit, Tx: 2})
 	if _, err := w2.Flush(0, w2.NextLSN()); err != nil {
 		t.Fatal(err)
