@@ -19,6 +19,15 @@
 // transaction that is finished without an operation never reaches the
 // server.
 //
+// A transaction that sent no write ends without waiting. Under SI its reads
+// were decided by its snapshot and its COMMIT validates nothing, so Commit
+// and Abort only buffer the end frame, return nil and put the connection back
+// in the pool owing one reply. The frame leaves in the same write as the
+// connection's next request, whose first read drops the owed reply; a
+// connection that sits idle flushes it after lazyEndDelay, so it never pins a
+// snapshot for long. A transaction that sent a write waits for its reply, as
+// the outcome — and an in-doubt one — is the caller's to know.
+//
 // When Options.Replicas names read-only followers, BeginRead routes
 // read-only transactions to them round-robin — but only to a replica whose
 // advertised applied-LSN vector (the REPL_LSN probe) covers everything this
@@ -105,7 +114,18 @@ type Client struct {
 	replicaReads atomic.Int64 // BeginRead transactions served by a replica
 }
 
+// lazyEndDelay is how long the end of a write-free transaction may wait in
+// an idle pooled connection's buffer for a request to carry it before the
+// connection flushes it alone: the same bound as a participant's lazy outcome
+// flush.
+const lazyEndDelay = time.Millisecond
+
+// A conn is owned — by a transaction or a one-off call — from get to put, and
+// mu is held for exactly that span. The lazy-end timer only TryLocks it: it
+// never writes under an owner, whose next write carries the end anyway, and
+// it never takes the connection out of the pool.
 type conn struct {
+	mu     sync.Mutex
 	addr   string
 	nc     net.Conn
 	br     *bufio.Reader
@@ -115,6 +135,12 @@ type conn struct {
 	// UNKNOWN_TX to handle 0 right after a successful BEGIN: it predates the
 	// rule, so BEGIN gets its own round trip here from then on.
 	eagerBegin bool
+	// owed counts replies to ends sent without waiting (Tx.finish); recv
+	// reads and drops them before its own.
+	owed int
+	// flushTimer puts a buffered end on the wire once the connection has
+	// sat idle for lazyEndDelay; put arms it.
+	flushTimer *time.Timer
 }
 
 // Dial connects to addr, verifying reachability with one eager connection.
@@ -153,18 +179,47 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	for _, cns := range idle {
 		for _, cn := range cns {
-			cn.nc.Close()
+			cn.mu.Lock()
+			cn.close()
 		}
 	}
 	return nil
 }
 
+// dialAddr opens a connection to addr, owned by the caller.
 func (c *Client) dialAddr(addr string) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &conn{addr: addr, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	cn := &conn{addr: addr, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	cn.mu.Lock()
+	return cn, nil
+}
+
+// close flushes a buffered end, so that the server finishes that
+// transaction rather than aborting it with the session, and hangs up. The
+// caller owns cn and never gives it back.
+func (cn *conn) close() {
+	if cn.flushTimer != nil {
+		cn.flushTimer.Stop()
+	}
+	if !cn.broken && cn.bw.Buffered() > 0 {
+		cn.flush()
+	}
+	cn.nc.Close()
+}
+
+// lazyFlush is the flush timer's body: it puts a buffered end on the wire
+// unless someone owns the connection, in which case their next write will.
+func (cn *conn) lazyFlush() {
+	if !cn.mu.TryLock() {
+		return
+	}
+	if !cn.broken && cn.bw.Buffered() > 0 {
+		cn.flush()
+	}
+	cn.mu.Unlock()
 }
 
 // Addr reports the server address the client currently targets; it changes
@@ -193,7 +248,8 @@ func (c *Client) redirect(addr string) {
 	}
 	c.mu.Unlock()
 	for _, cn := range stale {
-		cn.nc.Close()
+		cn.mu.Lock()
+		cn.close()
 	}
 }
 
@@ -202,7 +258,8 @@ func (c *Client) get() (*conn, error) {
 	return c.getAt(c.Addr())
 }
 
-// getAt pops an idle connection to addr or dials a new one.
+// getAt pops an idle connection to addr or dials a new one; either way the
+// caller owns it until put.
 func (c *Client) getAt(addr string) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -213,25 +270,39 @@ func (c *Client) getAt(addr string) (*conn, error) {
 		cn := pool[len(pool)-1]
 		c.idle[addr] = pool[:len(pool)-1]
 		c.mu.Unlock()
+		cn.mu.Lock() // at most waits out a lazy flush
+		if cn.flushTimer != nil {
+			cn.flushTimer.Stop() // this owner's next write carries a buffered end
+		}
 		return cn, nil
 	}
 	c.mu.Unlock()
 	return c.dialAddr(addr)
 }
 
-// put returns a healthy connection to its address pool (or closes it).
+// put gives up ownership of a connection: a healthy one goes back to its
+// address pool, with its flush timer armed if an end is still buffered; any
+// other is closed.
 func (c *Client) put(cn *conn) {
 	if cn == nil {
 		return
 	}
 	c.mu.Lock()
 	if !cn.broken && !c.closed && len(c.idle[cn.addr]) < c.opts.PoolSize {
+		if cn.bw.Buffered() > 0 {
+			if cn.flushTimer == nil {
+				cn.flushTimer = time.AfterFunc(lazyEndDelay, cn.lazyFlush)
+			} else {
+				cn.flushTimer.Reset(lazyEndDelay)
+			}
+		}
 		c.idle[cn.addr] = append(c.idle[cn.addr], cn)
 		c.mu.Unlock()
+		cn.mu.Unlock()
 		return
 	}
 	c.mu.Unlock()
-	cn.nc.Close()
+	cn.close()
 }
 
 // send buffers one request frame; flush puts it on the wire. A nonzero
@@ -259,10 +330,17 @@ func (cn *conn) flush() error {
 	return nil
 }
 
-// recv reads one reply. Transport failures mark the connection broken and
-// are returned as-is; protocol errors are rehydrated into typed sentinels via
+// recv reads one reply, after dropping the replies owed to ends that did not
+// wait. Transport failures — at either — mark the connection broken and are
+// returned as-is; protocol errors are rehydrated into typed sentinels via
 // wire.ErrOf.
 func (cn *conn) recv() ([]byte, error) {
+	for ; cn.owed > 0; cn.owed-- {
+		if _, _, err := wire.ReadFrame(cn.br); err != nil {
+			cn.broken = true
+			return nil, err
+		}
+	}
 	tag, resp, err := wire.ReadFrame(cn.br)
 	if err != nil {
 		cn.broken = true
@@ -321,14 +399,15 @@ func (c *Client) withRetry(fn func() error) error {
 // operation has been answered it exists only here: handle is 0, and cn is nil
 // (Begin) or the replica connection BeginRead probed.
 type Tx struct {
-	c        *Client
-	cn       *conn
-	handle   uint64 // the server's handle; 0 = BEGIN not sent or not yet answered
-	done     bool
-	readOnly bool   // opened by BeginRead/BeginAt; call rejects writes client-side
-	replica  bool   // cn is a follower picked by BeginRead, BEGIN still to be sent
-	wrote    bool   // a write op succeeded (set by call); COMMIT transport loss is then in-doubt
-	traceID  uint64 // nonzero when this transaction is trace-sampled
+	c         *Client
+	cn        *conn
+	handle    uint64 // the server's handle; 0 = BEGIN not sent or not yet answered
+	done      bool
+	readOnly  bool   // opened by BeginRead/BeginAt; call rejects writes client-side
+	replica   bool   // cn is a follower picked by BeginRead, BEGIN still to be sent
+	sentWrite bool   // a write op was sent, whatever its answer; the end then waits (see finish)
+	wrote     bool   // a write op succeeded (set by call); COMMIT transport loss is then in-doubt
+	traceID   uint64 // nonzero when this transaction is trace-sampled
 }
 
 // Begin opens a transaction without talking to the server: BEGIN goes out
@@ -496,8 +575,9 @@ func (t *Tx) payload(build func(*wire.Buf)) []byte {
 
 // call runs one operation of the transaction. What the client knows about an
 // op beyond its payload comes from its wire.Kind: a write is refused on a
-// read-only transaction before anything is sent, and once one has succeeded
-// a lost COMMIT is in doubt (see finish).
+// read-only transaction before anything is sent, once one is sent the end
+// waits for its reply, and once one has succeeded a lost COMMIT is in doubt
+// (see finish).
 func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	write := op.Kind() == wire.KindWrite
 	if write && t.readOnly {
@@ -506,19 +586,15 @@ func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
+	if write {
+		t.sentWrite = true
+	}
 	var resp []byte
 	var err error
 	if t.handle == 0 {
 		resp, err = t.first(op, build)
 	} else {
-		traceID := uint64(0)
-		if op == wire.OpCommit {
-			// Only BEGIN and COMMIT ride the envelope: COMMIT is the frame whose
-			// server-side span parents the whole commit pipeline. Point ops stay
-			// bare — tracing every GET would double framing overhead for spans
-			// nobody looks at.
-			traceID = t.traceID
-		}
+		traceID := t.envelope(op)
 		payload := t.payload(build)
 		err = t.c.withRetry(func() (err error) {
 			resp, err = t.cn.callTraced(traceID, op, payload)
@@ -529,6 +605,17 @@ func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 		t.wrote = true
 	}
 	return resp, err
+}
+
+// envelope is the trace id op's frame carries. Only BEGIN and COMMIT ride the
+// envelope: COMMIT is the frame whose server-side span parents the whole
+// commit pipeline. Point ops stay bare — tracing every GET would double
+// framing overhead for spans nobody looks at.
+func (t *Tx) envelope(op wire.Op) uint64 {
+	if op == wire.OpCommit {
+		return t.traceID
+	}
+	return 0
 }
 
 // first runs the transaction's first operation with the deferred BEGIN in
@@ -734,26 +821,33 @@ func (t *Tx) Scan(lo, hi int64, limit int) ([]KV, error) {
 	return out, nil
 }
 
-// finish sends the final op and returns the connection to the pool.
+// finish sends the final op and returns the connection to the pool. Only a
+// transaction that sent a write waits for the reply; the end of any other
+// leaves with the connection's next request (see the package doc).
 func (t *Tx) finish(op wire.Op) error {
 	if t.done {
 		return errors.New("client: transaction finished")
 	}
-	var resp []byte
 	var err error
-	if t.handle != 0 { // else BEGIN never left: the server has nothing to finish
-		resp, err = t.call(op, nil)
+	switch {
+	case t.handle == 0: // BEGIN never left: the server has nothing to finish
+	case !t.sentWrite:
+		if err = t.cn.send(t.envelope(op), op, t.payload(nil)); err == nil {
+			t.cn.owed++
+		}
+	default:
+		var resp []byte
+		if resp, err = t.call(op, nil); err == nil && op == wire.OpCommit {
+			// The COMMIT ack carries the per-shard durable LSN vector;
+			// remember it so BeginRead only routes to replicas that have
+			// caught up past this session's writes.
+			t.c.noteCommit(resp)
+		}
 	}
 	broken := t.cn != nil && t.cn.broken
 	t.done = true
 	t.c.put(t.cn)
 	t.cn = nil
-	if err == nil && op == wire.OpCommit && !t.readOnly {
-		// The COMMIT ack carries the per-shard durable LSN vector; remember
-		// it so BeginRead only routes to replicas that have caught up past
-		// this session's writes.
-		t.c.noteCommit(resp)
-	}
 	if err != nil && op == wire.OpCommit && (broken && t.wrote || errors.Is(err, engine.ErrInDoubt)) {
 		// The connection died with the commit in flight, or the server could
 		// not tell whether its commit decision reached the device: either
@@ -765,10 +859,14 @@ func (t *Tx) finish(op wire.Op) error {
 	return err
 }
 
-// Commit makes the transaction durable (group-committed server-side).
+// Commit makes the transaction durable (group-committed server-side) and
+// returns its outcome. For a transaction that sent no write there is no
+// outcome to wait for: Commit buffers the COMMIT, returns nil, and the frame
+// leaves with the connection's next request or within lazyEndDelay.
 func (t *Tx) Commit() error { return t.finish(wire.OpCommit) }
 
-// Abort rolls the transaction back.
+// Abort rolls the transaction back; like Commit, it waits for the server
+// only if the transaction sent a write.
 func (t *Tx) Abort() error { return t.finish(wire.OpAbort) }
 
 // Stats fetches engine and service counters.

@@ -2,10 +2,12 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,11 +124,33 @@ func rows(t *testing.T, c *Client) []KV {
 type countingConn struct {
 	net.Conn
 	writes atomic.Int64
+
+	mu     sync.Mutex
+	frames []string // the ops of each write, space-separated
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
+	var ops []string
+	for r := bytes.NewReader(p); r.Len() > 0; {
+		tag, _, err := wire.ReadFrame(r)
+		if err != nil {
+			ops = append(ops, "?")
+			break
+		}
+		ops = append(ops, wire.Op(tag).String())
+	}
+	c.mu.Lock()
+	c.frames = append(c.frames, strings.Join(ops, " "))
+	c.mu.Unlock()
 	return c.Conn.Write(p)
+}
+
+// sent lists the frames of each socket write so far, one string a write.
+func (c *countingConn) sent() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.frames...)
 }
 
 // poolCounted replaces c's idle pool by one fresh connection whose writes are
@@ -194,6 +218,169 @@ func TestWriteBudget(t *testing.T) {
 	if got := rows(t, c); len(got) != 2 || string(got[0].Val) != "a2" || string(got[1].Val) != "b2" {
 		t.Errorf("after the transaction: %v", got)
 	}
+}
+
+// stopLazyFlush stops the lazy-end timer of c's one pooled connection and
+// reports whether it had not fired yet.
+func stopLazyFlush(c *Client) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cn := c.idle[c.addr][0]
+	return cn.flushTimer != nil && cn.flushTimer.Stop()
+}
+
+// TestReadBudget pins what a transaction that sends no write costs on the
+// wire: Begin + 2 x Get + Commit is 2 socket writes, because its COMMIT is
+// not flushed on its own — it leaves in the same write as the next
+// transaction's BEGIN and first operation. A transaction that sent a write,
+// even one that failed, still waits for its COMMIT reply.
+func TestReadBudget(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	put(t, c, 1, "a")
+	put(t, c, 2, "b")
+
+	// Left alone, the idle connection flushes the COMMIT by itself after
+	// lazyEndDelay. Stop that as Commit returns; a machine too slow to gets
+	// another try.
+	var cc *countingConn
+	for attempt := 1; ; attempt++ {
+		cc = poolCounted(t, c)
+		before := srv.Stats().Requests
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int64{1, 2} {
+			if _, err := tx.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("write-free Commit: %v", err)
+		}
+		if !stopLazyFlush(c) {
+			if attempt == 20 {
+				t.Fatal("the lazy flush fired before Commit's caller could stop it, 20 times")
+			}
+			continue
+		}
+		if n := srv.Stats().Requests - before; n != 3 {
+			t.Errorf("the server executed %d requests by Commit's return, want 3 (BEGIN, 2 x GET)", n)
+		}
+		break
+	}
+	if got := cc.sent(); len(got) != 2 || got[0] != "BEGIN GET" || got[1] != "GET" {
+		t.Errorf("Begin + 2 x Get + Commit wrote %q, want 2 writes: [BEGIN GET] [GET]", got)
+	}
+	if n := srv.Stats().OpenTxns; n != 1 {
+		t.Errorf("%d open transactions with the COMMIT still buffered, want 1", n)
+	}
+
+	// The next transaction's first write carries the COMMIT.
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tx.Get(1); err != nil || string(v) != "a" {
+		t.Fatalf("Get behind the owed COMMIT reply: %q, %v", v, err)
+	}
+	if got := cc.sent(); len(got) != 3 || got[2] != "COMMIT BEGIN GET" {
+		t.Errorf("writes %q, want the third to be [COMMIT BEGIN GET]", got)
+	}
+	if n := srv.Stats().OpenTxns; n != 1 {
+		t.Errorf("%d open transactions once the COMMIT arrived, want 1 (this one)", n)
+	}
+
+	// An Update that failed was still sent: COMMIT waits for its reply.
+	if err := tx.Update(99, []byte("x")); !errors.Is(err, engine.ErrNotFound) {
+		t.Fatalf("Update of a missing key: %v, want not found", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.sent(); len(got) != 5 || got[3] != "UPDATE" || got[4] != "COMMIT" {
+		t.Errorf("writes %q, want [UPDATE] [COMMIT] last", got)
+	}
+	if n := srv.Stats().OpenTxns; n != 0 {
+		t.Errorf("%d open transactions once Commit returned, want 0: it did not wait", n)
+	}
+}
+
+// TestLazyEndReachesIdleServer runs one write-free transaction and then
+// nothing: no request follows to carry its COMMIT, so the idle connection
+// flushes it, and the server ends the transaction within the lazy bound.
+func TestLazyEndReachesIdleServer(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	put(t, c, 1, "a")
+	for _, finish := range []func(*Tx) error{(*Tx).Commit, (*Tx).Abort} {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Get(1); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := finish(tx); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "the idle connection to deliver the end", func() bool { return srv.Stats().OpenTxns == 0 })
+		if d := time.Since(start); d > lazyEndDelay+250*time.Millisecond {
+			t.Errorf("the server ended the transaction %v after the client did, want about %v", d, lazyEndDelay)
+		}
+	}
+}
+
+// TestLazyFlushRacesNextTransaction alternates short transactions with idle
+// gaps around the lazy bound, so the next transaction takes the connection
+// before, while and after its timer flushes the last end. Run under -race:
+// the timer never writes under a transaction, and it never holds the
+// connection from the pool, so no transaction dials a second one. Close then
+// delivers the last end.
+func TestLazyFlushRacesNextTransaction(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	put(t, c, 1, "a")
+	dialed := srv.Stats().Connections
+	for i := 0; i < 300; i++ {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Get(1); err != nil {
+			t.Fatalf("transaction %d: %v", i, err)
+		}
+		if i%4 == 3 {
+			if err := tx.Update(1, []byte(fmt.Sprint(i))); err != nil {
+				t.Fatalf("transaction %d: %v", i, err)
+			}
+		}
+		end := tx.Commit
+		if i%2 == 1 {
+			end = tx.Abort
+		}
+		if err := end(); err != nil {
+			t.Fatalf("transaction %d: %v", i, err)
+		}
+		time.Sleep(time.Duration(i%5) * lazyEndDelay / 2) // 0 to 2 ms
+	}
+	if n := srv.Stats().Connections - dialed; n != 0 {
+		t.Errorf("%d connections dialed beside the pooled one", n)
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	waitUntil(t, "Close to leave no transaction open", func() bool { return srv.Stats().OpenTxns == 0 })
 }
 
 // TestScanValuesAreCapped pins that Scan's values, which share one reply,
@@ -423,9 +610,9 @@ func TestRefusedBeginRepeatsThePair(t *testing.T) {
 	if got := rows(t, b); len(got) != 1 || got[0].Key != 2 {
 		t.Fatalf("rows %v, want key 2 once", got)
 	}
-	if st := srv.Stats(); st.OpenTxns != 0 {
-		t.Errorf("%d transactions left open by the refused attempts", st.OpenTxns)
-	}
+	// rows' write-free COMMIT does not wait for its reply: it ends on the
+	// server within the lazy-flush bound.
+	waitUntil(t, "no transaction to be left open by the refused attempts", func() bool { return srv.Stats().OpenTxns == 0 })
 }
 
 // TestDeadPooledConnection kills the pooled connection between two

@@ -1033,6 +1033,12 @@ func followerHas(t *testing.T, f *repl.Follower, sh shard.Shard, key int64, want
 // durable LSN. Once the writes stop, the last one's outcome record has no
 // later flush on the participant to ride: the lazy flush must make it
 // durable, and every follower must then show the write, within a second.
+//
+// Last, the session's floor is its own writes, not everybody's: with both
+// followers stopped where they cover this session's last commit, another
+// client writes, and this session commits a read on the primary. That
+// COMMIT sent no write and reads no reply, so the floor stays put and the
+// next routed read still lands on a replica.
 func TestReadYourWritesRouting(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -1122,6 +1128,38 @@ func TestReadYourWritesRouting(t *testing.T) {
 			t.Logf("read routing: primary=%d replica=%d", primary, replica)
 			if primary+replica < rounds+1 {
 				t.Fatalf("routing counters lost reads: primary=%d replica=%d", primary, replica)
+			}
+
+			for _, f := range fs {
+				f.Stop()
+			}
+			other, err := client.Dial(c.Addr(), client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			loadKeys(t, other, 1<<40, 1<<40+4, "other")
+			tx, err := c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Get(1 << 40); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rtx, err := c.BeginRead()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rtx.Get(read[rounds-1])
+			rtx.Abort()
+			if want := fmt.Sprintf("v%d", rounds-1); err != nil || string(got) != want {
+				t.Fatalf("routed read of the session's last write: %q, %v", got, err)
+			}
+			if _, r := c.ReadRouting(); r != replica+1 {
+				t.Errorf("after a primary read committed over another client's write, the routed read went to the primary (replica reads %d, want %d)", r, replica+1)
 			}
 		})
 	}

@@ -266,6 +266,17 @@ func (d *gatedWAL) WritePage(at simclock.Time, pageNo int64, p []byte) (simclock
 	return d.BlockDevice.WritePage(at, pageNo, p)
 }
 
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServerAdmissionControl holds the single in-flight slot with a CREATE
 // TABLE stuck in its WAL flush. Requests that start or run inside a
 // transaction are refused with the typed overload error, not queued; COMMIT
@@ -305,13 +316,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	admitted := srv.Stats().Requests
 	ddlDone := make(chan error, 1)
 	go func() { ddlDone <- ca.CreateTable("held", kvSchema(), "k") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Requests == admitted {
-		if time.Now().After(deadline) {
-			t.Fatal("the DDL never took the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the DDL to take the slot", func() bool { return srv.Stats().Requests != admitted })
 
 	// A BEGIN on connection B is refused. Raw wire framing so no
 	// client-side retry masks the code.
@@ -335,9 +340,10 @@ func TestServerAdmissionControl(t *testing.T) {
 	if err := txs[1].Abort(); err != nil {
 		t.Errorf("ABORT beside the held slot: %v", err)
 	}
-	if st := srv.Stats(); st.OpenTxns != 0 {
-		t.Errorf("%d transactions left open by COMMIT and ABORT under overload", st.OpenTxns)
-	}
+	// Neither transaction wrote, so their ends wait for no reply: they
+	// reach the server within the lazy-flush bound, while the slot is still
+	// held.
+	waitUntil(t, "COMMIT and ABORT under overload to end their transactions", func() bool { return srv.Stats().OpenTxns == 0 })
 
 	// Release the flush; A's DDL completes, and with the slot free a
 	// transaction runs.
