@@ -148,7 +148,7 @@ func (r *Relation) ApplyFinish(id txn.ID, committed bool) {
 func (r *Relation) ApplyBlockFree(block uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.deadByBlock, block)
+	r.forgetDeadLocked(block)
 	r.tupleCount[block] = 0
 	for _, fb := range r.freeBlocks {
 		if fb == block {

@@ -174,9 +174,9 @@ type Relation struct {
 	nextBlock   uint32
 	freeBlocks  []uint32
 	tupleCount  map[uint32]int // per block: versions appended
-	// deadByBlock maps block -> set of dead slots on it; per-block layout
-	// keeps GC victim processing O(page) instead of O(all garbage).
-	deadByBlock map[uint32]map[uint16]struct{}
+	// deadByBlock is the dead set, indexed by block: per-block layout keeps
+	// GC victim processing O(page) instead of O(all garbage).
+	deadByBlock []deadSlots
 	pendingDead []pendingDead
 	// replay tracks writes replayed from the log — by ApplyInsert, or found
 	// on the heap by RebuildFromHeap — whose transaction has no outcome yet;
@@ -237,7 +237,6 @@ func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
 		idxPool:     cfg.IndexPool,
 		idxAlloc:    cfg.IndexAlloc,
 		tupleCount:  map[uint32]int{},
-		deadByBlock: map[uint32]map[uint16]struct{}{},
 		gcFraction:  frac,
 		missPenalty: cfg.VMapMissPenalty,
 		eraser:      cfg.Eraser,
@@ -667,20 +666,46 @@ func (r *Relation) addEntry(at simclock.Time, tree *index.Tree, key int64, vid u
 	return t, err
 }
 
+// deadSlots is one block's dead set: a bitmap over its slots, and how many
+// of its bits are set.
+type deadSlots struct {
+	bits []uint64
+	n    int
+}
+
 // markDeadLocked adds tid to the per-block dead set. Caller holds r.mu.
 func (r *Relation) markDeadLocked(tid page.TID) {
-	set := r.deadByBlock[tid.Block]
-	if set == nil {
-		set = map[uint16]struct{}{}
-		r.deadByBlock[tid.Block] = set
+	if n := int(tid.Block) + 1; n > len(r.deadByBlock) {
+		r.deadByBlock = append(r.deadByBlock, make([]deadSlots, n-len(r.deadByBlock))...)
 	}
-	set[tid.Slot] = struct{}{}
+	d := &r.deadByBlock[tid.Block]
+	w, bit := int(tid.Slot/64), uint64(1)<<(tid.Slot%64)
+	if w >= len(d.bits) {
+		d.bits = append(d.bits, make([]uint64, w+1-len(d.bits))...)
+	}
+	if d.bits[w]&bit == 0 {
+		d.bits[w] |= bit
+		d.n++
+	}
 }
 
 // isDeadLocked reports whether tid is known garbage. Caller holds r.mu.
 func (r *Relation) isDeadLocked(tid page.TID) bool {
-	_, ok := r.deadByBlock[tid.Block][tid.Slot]
-	return ok
+	if int(tid.Block) >= len(r.deadByBlock) {
+		return false
+	}
+	bits, w := r.deadByBlock[tid.Block].bits, int(tid.Slot/64)
+	return w < len(bits) && bits[w]&(uint64(1)<<(tid.Slot%64)) != 0
+}
+
+// forgetDeadLocked empties block's dead set: the block was reclaimed. Caller
+// holds r.mu.
+func (r *Relation) forgetDeadLocked(block uint32) {
+	if int(block) < len(r.deadByBlock) {
+		d := &r.deadByBlock[block]
+		clear(d.bits)
+		d.n = 0
+	}
 }
 
 // noteDead records a version as immediate garbage (aborted writes).

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
@@ -34,24 +32,24 @@ func (r *Relation) GC(at simclock.Time, horizon txn.ID) (reclaimed int, _ simclo
 	defer r.gcMu.Unlock()
 	r.PromoteDead(horizon)
 
+	// Victims in ascending block order: a round relocates the same way every
+	// time and reads its victims in device order.
 	r.mu.Lock()
 	var victims []uint32
-	for block, set := range r.deadByBlock {
-		if r.appendOpen && block == r.appendBlock {
+	for b, set := range r.deadByBlock {
+		block := uint32(b)
+		if set.n == 0 || (r.appendOpen && block == r.appendBlock) {
 			continue
 		}
 		total := r.tupleCount[block]
 		if total == 0 {
 			continue
 		}
-		if float64(len(set)) >= r.gcFraction*float64(total) {
+		if float64(set.n) >= r.gcFraction*float64(total) {
 			victims = append(victims, block)
 		}
 	}
 	r.mu.Unlock()
-	// Map order is random: sort, so that a round relocates the same way
-	// every time and reads its victims in ascending block order.
-	slices.Sort(victims)
 
 	t := at
 	for _, block := range victims {
@@ -100,8 +98,8 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 	var live []liveVer
 	collectible := true
 	discarded := 0
-	// Hold r.mu across the page scan (it guards the dead-slot maps read in
-	// the callback) plus the frame's shared latch for the content bytes:
+	// Hold r.mu across the page scan (it guards the dead set read in the
+	// callback) plus the frame's shared latch for the content bytes:
 	// sealed victim pages are immutable, but the latch keeps the read
 	// race-free against the pool's write-back machinery.
 	r.mu.Lock()
@@ -174,7 +172,7 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 
 	// The block is now free: every version on it is dead or relocated.
 	r.mu.Lock()
-	delete(r.deadByBlock, block)
+	r.forgetDeadLocked(block)
 	r.tupleCount[block] = 0
 	if r.eraser == nil {
 		r.freeBlocks = append(r.freeBlocks, block)

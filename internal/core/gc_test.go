@@ -97,3 +97,32 @@ func TestGCVictimsInBlockOrder(t *testing.T) {
 		t.Errorf("two identical relations collected differently:\n%s\n%s", fmt.Sprint(recs), fmt.Sprint(again))
 	}
 }
+
+// TestDeadSetBitmap pins the dead set's bookkeeping: a slot counts once
+// however often it is marked, slots in different bitmap words and blocks
+// stay apart, and a reclaimed block forgets every slot.
+func TestDeadSetBitmap(t *testing.T) {
+	r := &Relation{}
+	dead := []page.TID{{Block: 5, Slot: 0}, {Block: 5, Slot: 63}, {Block: 5, Slot: 64}, {Block: 5, Slot: 200}, {Block: 9, Slot: 64}}
+	for _, tid := range append(dead, dead[2], dead[4]) {
+		r.markDeadLocked(tid)
+	}
+	for _, tid := range dead {
+		if !r.isDeadLocked(tid) {
+			t.Errorf("%v marked dead, not reported dead", tid)
+		}
+	}
+	for _, tid := range []page.TID{{Block: 5, Slot: 1}, {Block: 5, Slot: 65}, {Block: 5, Slot: 1000}, {Block: 4, Slot: 0}, {Block: 9, Slot: 0}, {Block: 1 << 20, Slot: 0}} {
+		if r.isDeadLocked(tid) {
+			t.Errorf("%v never marked, reported dead", tid)
+		}
+	}
+	if n5, n9 := r.deadByBlock[5].n, r.deadByBlock[9].n; n5 != 4 || n9 != 1 {
+		t.Errorf("dead counts: block 5 %d, block 9 %d; want 4 and 1", n5, n9)
+	}
+	r.forgetDeadLocked(5)
+	r.forgetDeadLocked(1 << 20) // never marked: nothing to forget
+	if r.deadByBlock[5].n != 0 || r.isDeadLocked(dead[0]) || r.isDeadLocked(dead[3]) || !r.isDeadLocked(dead[4]) {
+		t.Error("forgetting block 5 left its slots dead or cleared block 9's")
+	}
+}

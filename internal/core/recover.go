@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sias/internal/page"
 	"sias/internal/simclock"
@@ -112,6 +113,11 @@ func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(p
 		})
 		if err != nil {
 			return t, err
+		}
+		if cap(vers) == len(vers) && len(vers) > 0 {
+			// Blocks fill alike: size for the rest at the average so far,
+			// rather than grow by copying as the heap is read.
+			vers = slices.Grow(vers, len(vers)/int(b+1)*int(blocks-b-1))
 		}
 		r.mu.Lock()
 		r.tupleCount[b] = count

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sias/internal/buffer"
 	"sias/internal/device"
@@ -149,6 +150,10 @@ type DB struct {
 	redoFrom    wal.LSN
 	decisions   map[uint64]bool
 	maxBlockRel map[uint32]uint32
+	// The last recovery's phase durations in nanoseconds — Open's analysis
+	// pass, Recover's redo pass and heap rebuild — for Stats. Only recovery
+	// writes them.
+	recoverAnalyzeNs, recoverRedoNs, recoverRebuildNs atomic.Int64
 	// prepared holds the 2PC participants redo has seen prepared and not yet
 	// decided. Written only by redo and finishUndecided, which recovery runs
 	// single-threaded and the repl.Follower serializes.
@@ -205,10 +210,12 @@ func Open(opts Options) (*DB, error) {
 		// Analyse the existing log before creating the writer, so the new
 		// generation appends after the old records.
 		db.decisions = map[uint64]bool{}
+		start := time.Now()
 		end, err := wal.Scan(opts.WALDevice, db.analyze)
 		if err != nil {
 			return nil, fmt.Errorf("engine: WAL pre-scan: %w", err)
 		}
+		db.recoverAnalyzeNs.Store(int64(time.Since(start)))
 		db.logEnd = end
 		if opts.ResumeWAL {
 			db.walw, err = wal.NewWriterResume(opts.WALDevice, end)
@@ -558,12 +565,21 @@ type Stats struct {
 	// InDoubtCommits/InDoubtAborts count in-doubt prepared transactions that
 	// crash recovery resolved by consulting (or presuming against) the
 	// coordinator's decision log.
-	Prepares       int64        `metric:"sias_engine_prepares_total,counter" help:"2PC prepare records durably logged as a participant."`
-	InDoubtCommits int64        `metric:"sias_engine_indoubt_commits_total,counter" help:"In-doubt transactions recovery resolved to commit via the decision log."`
-	InDoubtAborts  int64        `metric:"sias_engine_indoubt_aborts_total,counter" help:"In-doubt transactions recovery resolved to abort (presumed abort)."`
-	Data           device.Stats `label:"device=data"`
-	WALDevice      device.Stats `label:"device=wal"`
-	Pool           buffer.Stats
+	Prepares       int64 `metric:"sias_engine_prepares_total,counter" help:"2PC prepare records durably logged as a participant."`
+	InDoubtCommits int64 `metric:"sias_engine_indoubt_commits_total,counter" help:"In-doubt transactions recovery resolved to commit via the decision log."`
+	InDoubtAborts  int64 `metric:"sias_engine_indoubt_aborts_total,counter" help:"In-doubt transactions recovery resolved to abort (presumed abort)."`
+	// The last crash recovery, by phase: Open's analysis pass over the log,
+	// Recover's redo pass over it again, and the heap rebuild of the volatile
+	// state; RecoverLogBytes is the log they replayed, which each pass reads
+	// once. All zero on an engine that did not recover. Shards recover in
+	// parallel, so an aggregate keeps the slowest shard's durations.
+	RecoverAnalyzeSeconds float64      `metric:"sias_engine_recover_analyze_seconds,gauge,max" help:"Wall time of the last recovery's analysis pass over the log (Open)."`
+	RecoverRedoSeconds    float64      `metric:"sias_engine_recover_redo_seconds,gauge,max" help:"Wall time of the last recovery's redo pass over the log."`
+	RecoverRebuildSeconds float64      `metric:"sias_engine_recover_rebuild_seconds,gauge,max" help:"Wall time of the last recovery's heap rebuild of the VIDmap, indexes and dead sets."`
+	RecoverLogBytes       int64        `metric:"sias_engine_recover_log_bytes,gauge" help:"Log bytes the last recovery replayed (each of its two passes reads them once)."`
+	Data                  device.Stats `label:"device=data"`
+	WALDevice             device.Stats `label:"device=wal"`
+	Pool                  buffer.Stats
 	// PoolHitRatio is Pool.HitRatio() precomputed for reports, and
 	// PoolPartitions the stripe count the pool actually chose.
 	PoolHitRatio   float64 `metric:"sias_pool_hit_ratio,gauge,noagg" help:"Buffer pool hit ratio, hits/(hits+misses)."`
@@ -685,6 +701,12 @@ func (db *DB) Stats() Stats {
 		Prepares:       db.prepares.Load(),
 		InDoubtCommits: db.inDoubtCommits.Load(),
 		InDoubtAborts:  db.inDoubtAborts.Load(),
+
+		RecoverAnalyzeSeconds: time.Duration(db.recoverAnalyzeNs.Load()).Seconds(),
+		RecoverRedoSeconds:    time.Duration(db.recoverRedoNs.Load()).Seconds(),
+		RecoverRebuildSeconds: time.Duration(db.recoverRebuildNs.Load()).Seconds(),
+		RecoverLogBytes:       int64(db.logEnd),
+
 		Data:           db.opts.DataDevice.Stats(),
 		WALDevice:      db.opts.WALDevice.Stats(),
 		Pool:           db.pool.Stats(),

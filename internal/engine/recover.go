@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"sias/internal/simclock"
 	"sias/internal/txn"
@@ -57,6 +58,7 @@ func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 	}
 	maxTx := txn.ID(0)
 	t := at
+	start := time.Now()
 	_, err := wal.Scan(db.opts.WALDevice, func(lsn wal.LSN, rec wal.Record) error {
 		if lsn >= db.logEnd {
 			return errLogEnd
@@ -70,10 +72,13 @@ func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 		return t, err
 	}
 	db.txm.SetNextID(maxTx + 1)
+	db.recoverRedoNs.Store(int64(time.Since(start)))
 
+	start = time.Now()
 	if t, err = db.rebuildVolatile(t); err != nil {
 		return t, err
 	}
+	db.recoverRebuildNs.Store(int64(time.Since(start)))
 	// A replica decides nothing: outcomes are the primary's to make and arrive
 	// through the stream, and appending locally would fork the byte-mirrored
 	// log. The rebuild left its undecided writers where ApplyRecord expects
@@ -259,12 +264,21 @@ func (db *DB) noteHeapBlock(rec *wal.Record) {
 // the data pages. It is idempotent — slots already present are skipped —
 // which is what lets both crash recovery and the replication follower drive
 // it.
+//
+// The insert into a block's slot 0 formats the block's page without reading
+// it: whatever the device holds there — nothing, the block's first slots, or
+// a life the block had before GC reclaimed it — every later slot's record
+// follows this one in the log, so redo rebuilds the page from here on either
+// way. A page already in the pool is used as it is (Pool.Get reads only a
+// page it does not hold): a reclaim reset it, or this record was applied
+// before.
 func (db *DB) redoHeap(t simclock.Time, rec *wal.Record) (simclock.Time, error) {
 	devPage, err := db.alloc.DevicePage(rec.Rel, rec.TID.Block)
 	if err != nil {
 		return t, fmt.Errorf("engine: redo %s rel %d block %d: %w", rec.Type, rec.Rel, rec.TID.Block, err)
 	}
-	f, t2, err := db.pool.Get(t, devPage, false)
+	format := rec.Type == wal.RecHeapInsert && rec.TID.Slot == 0
+	f, t2, err := db.pool.Get(t, devPage, format)
 	t = t2
 	if err != nil {
 		return t, err

@@ -37,6 +37,7 @@ func scanLog(t *testing.T, walDev device.BlockDevice) []logRec {
 	t.Helper()
 	var recs []logRec
 	if _, err := wal.Scan(walDev, func(lsn wal.LSN, rec wal.Record) error {
+		rec.Data = bytes.Clone(rec.Data) // valid only until fn returns
 		recs = append(recs, logRec{lsn, rec})
 		return nil
 	}); err != nil {
@@ -136,7 +137,7 @@ func (rep *applyReplica) restart(t *testing.T) *applyReplica {
 	return re
 }
 
-func cloneMem(t *testing.T, src *device.Mem) *device.Mem {
+func cloneMem(t testing.TB, src *device.Mem) *device.Mem {
 	t.Helper()
 	dst := device.NewMem(src.PageSize(), src.NumPages())
 	buf, zero := make([]byte, src.PageSize()), make([]byte, src.PageSize())

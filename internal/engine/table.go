@@ -206,12 +206,11 @@ func (t *Table) Key(row tuple.Row) int64 {
 	return v
 }
 
+// keyOfPayload is Key of the row payload encodes, read without building the
+// row: 0 when it does not decode, like a NULL key.
 func (t *Table) keyOfPayload(payload []byte) int64 {
-	row, err := t.schema.DecodeRow(payload)
-	if err != nil {
-		return 0
-	}
-	return t.Key(row)
+	k, _ := t.schema.Int64Col(payload, t.pkCol)
+	return k
 }
 
 // Insert stores row under its primary key.

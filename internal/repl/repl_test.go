@@ -1106,12 +1106,16 @@ func TestReadYourWritesRouting(t *testing.T) {
 
 			// Once both replicas cover the session's commit point, routed
 			// reads must leave the primary. Poll with fresh reads — each
-			// BeginRead re-probes.
+			// BeginRead re-probes — until one probe of its own lands on a
+			// replica: reads during the write rounds may have landed there
+			// already, and only a replica that serves now covers the floor
+			// the tail below depends on.
 			for i, f := range fs {
 				f := f
 				waitFor(t, 10*time.Second, fmt.Sprintf("replica %d to catch up", i), func() bool { return caughtUp(f) })
 			}
 			waitFor(t, 10*time.Second, "a routed read to land on a replica", func() bool {
+				_, before := c.ReadRouting()
 				rtx, err := c.BeginRead()
 				if err != nil {
 					return false
@@ -1121,8 +1125,8 @@ func TestReadYourWritesRouting(t *testing.T) {
 				if err != nil || string(got) != "v42" {
 					t.Fatalf("replica read of key %d: %q, %v", read[42], got, err)
 				}
-				_, replica := c.ReadRouting()
-				return replica > 0
+				_, after := c.ReadRouting()
+				return after > before
 			})
 			primary, replica := c.ReadRouting()
 			t.Logf("read routing: primary=%d replica=%d", primary, replica)

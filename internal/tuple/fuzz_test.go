@@ -17,7 +17,8 @@ func fuzzSchema() *Schema {
 
 // FuzzDecodeRow throws arbitrary bytes at the row decoder: it must never
 // panic, and anything it accepts must re-encode byte-identically (the codec
-// is canonical — one encoding per row).
+// is canonical — one encoding per row). The key-only reader must agree with
+// it on every column: the same value, or both fail.
 func FuzzDecodeRow(f *testing.F) {
 	s := fuzzSchema()
 	for _, row := range []Row{
@@ -38,6 +39,18 @@ func FuzzDecodeRow(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		row, err := s.DecodeRow(data)
+		for col := range s.Cols {
+			k, kerr := s.Int64Col(data, col)
+			if (kerr != nil) != (err != nil) {
+				t.Fatalf("row % x, column %d: Int64Col fails with %v, DecodeRow with %v", data, col, kerr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if want, _ := row[col].(int64); k != want {
+				t.Fatalf("row % x, column %d: Int64Col reads %d, DecodeRow %v", data, col, k, row[col])
+			}
+		}
 		if err != nil {
 			return
 		}

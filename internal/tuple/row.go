@@ -137,69 +137,115 @@ func (s *Schema) EncodeRow(r Row) ([]byte, error) {
 // copies them first or drops the row before b changes.
 func (s *Schema) DecodeRow(b []byte) (Row, error) {
 	r := make(Row, len(s.Cols))
-	var tmp [binary.MaxVarintLen64]byte
 	off := 0
 	for i, c := range s.Cols {
-		if off >= len(b) {
-			return nil, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+		v, next, err := nextField(b, off, c)
+		if err != nil {
+			return nil, err
 		}
-		present := b[off]
-		off++
-		if present == 0 {
-			r[i] = nil
-			continue
-		}
-		// Strict: rows arrive over the wire, and a canonical encoding (one
-		// byte pattern per row) keeps decode→encode the identity.
-		if present != 1 {
-			return nil, fmt.Errorf("tuple: bad presence byte %d at column %s", present, c.Name)
-		}
-		switch c.Type {
-		case TypeInt64:
-			v, n := binary.Varint(b[off:])
-			if n <= 0 || n != binary.PutVarint(tmp[:], v) {
-				return nil, fmt.Errorf("tuple: bad varint at column %s", c.Name)
-			}
-			off += n
-			r[i] = v
-		case TypeFloat64:
-			if off+8 > len(b) {
-				return nil, fmt.Errorf("tuple: row truncated at column %s", c.Name)
-			}
-			r[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		case TypeString:
-			l, n := binary.Uvarint(b[off:])
-			if n <= 0 || n != binary.PutUvarint(tmp[:], l) || l > uint64(len(b)-off-n) {
-				return nil, fmt.Errorf("tuple: bad string at column %s", c.Name)
-			}
-			off += n
-			r[i] = string(b[off : off+int(l)])
-			off += int(l)
-		case TypeBytes:
-			l, n := binary.Uvarint(b[off:])
-			if n <= 0 || n != binary.PutUvarint(tmp[:], l) || l > uint64(len(b)-off-n) {
-				return nil, fmt.Errorf("tuple: bad bytes at column %s", c.Name)
-			}
-			off += n
-			end := off + int(l)
-			r[i] = b[off:end:end]
-			off = end
-		case TypeBool:
-			if off >= len(b) {
-				return nil, fmt.Errorf("tuple: row truncated at column %s", c.Name)
-			}
-			if b[off] > 1 {
-				return nil, fmt.Errorf("tuple: bad bool byte %d at column %s", b[off], c.Name)
-			}
-			r[i] = b[off] != 0
-			off++
-		default:
-			return nil, fmt.Errorf("tuple: column %s: unsupported type %v", c.Name, c.Type)
+		off = next
+		switch {
+		case v.null:
+		case c.Type == TypeInt64:
+			r[i] = v.i
+		case c.Type == TypeFloat64:
+			r[i] = math.Float64frombits(uint64(v.i))
+		case c.Type == TypeString:
+			r[i] = string(v.raw)
+		case c.Type == TypeBytes:
+			r[i] = v.raw
+		default: // TypeBool
+			r[i] = v.i != 0
 		}
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("tuple: %d trailing bytes after row", len(b)-off)
+		return nil, trailing(b, off)
 	}
 	return r, nil
+}
+
+// Int64Col reads int64 column col of the encoded row b without building the
+// row: 0 when the value is NULL or the column is not an int64. It steps over
+// and checks every column the way DecodeRow does, so it fails exactly when
+// DecodeRow would.
+func (s *Schema) Int64Col(b []byte, col int) (int64, error) {
+	var v int64
+	off := 0
+	for i, c := range s.Cols {
+		f, next, err := nextField(b, off, c)
+		if err != nil {
+			return 0, err
+		}
+		off = next
+		if i == col && c.Type == TypeInt64 {
+			v = f.i // 0 when NULL
+		}
+	}
+	if off != len(b) {
+		return 0, trailing(b, off)
+	}
+	return v, nil
+}
+
+// field is one column's value as nextField reads it: NULL, or the bits of an
+// int64, float64 or bool in i, or the bytes of a string or bytes value in raw
+// (aliasing the row, capacity-capped).
+type field struct {
+	null bool
+	i    int64
+	raw  []byte
+}
+
+// nextField is the one decoder of a column: it reads column c's value from
+// the encoded row b at off, strictly (see DecodeRow), and returns it with the
+// offset of the next column.
+func nextField(b []byte, off int, c Column) (field, int, error) {
+	if off >= len(b) {
+		return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+	}
+	present := b[off]
+	off++
+	if present == 0 {
+		return field{null: true}, off, nil
+	}
+	// Strict: rows arrive over the wire, and a canonical encoding (one byte
+	// pattern per row) keeps decode→encode the identity.
+	if present != 1 {
+		return field{}, 0, fmt.Errorf("tuple: bad presence byte %d at column %s", present, c.Name)
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	switch c.Type {
+	case TypeInt64:
+		v, n := binary.Varint(b[off:])
+		if n <= 0 || n != binary.PutVarint(tmp[:], v) {
+			return field{}, 0, fmt.Errorf("tuple: bad varint at column %s", c.Name)
+		}
+		return field{i: v}, off + n, nil
+	case TypeFloat64:
+		if off+8 > len(b) {
+			return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+		}
+		return field{i: int64(binary.LittleEndian.Uint64(b[off:]))}, off + 8, nil
+	case TypeString, TypeBytes:
+		l, n := binary.Uvarint(b[off:])
+		if n <= 0 || n != binary.PutUvarint(tmp[:], l) || l > uint64(len(b)-off-n) {
+			return field{}, 0, fmt.Errorf("tuple: bad %s at column %s", c.Type, c.Name)
+		}
+		off += n
+		end := off + int(l)
+		return field{raw: b[off:end:end]}, end, nil
+	case TypeBool:
+		if off >= len(b) {
+			return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+		}
+		if b[off] > 1 {
+			return field{}, 0, fmt.Errorf("tuple: bad bool byte %d at column %s", b[off], c.Name)
+		}
+		return field{i: int64(b[off])}, off + 1, nil
+	}
+	return field{}, 0, fmt.Errorf("tuple: column %s: unsupported type %v", c.Name, c.Type)
+}
+
+func trailing(b []byte, off int) error {
+	return fmt.Errorf("tuple: %d trailing bytes after row", len(b)-off)
 }

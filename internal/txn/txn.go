@@ -391,7 +391,7 @@ func (k LockKey) String() string { return fmt.Sprintf("rel %d item %d", k.Rel, k
 type lockEntry struct {
 	holder  *Tx
 	waiters int
-	cond    *sync.Cond
+	cond    *sync.Cond // made by the first waiter: a lock nobody waits for needs none
 }
 
 // LockTable provides exclusive per-data-item transaction locks. The paper
@@ -422,14 +422,19 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 	e := lt.tab[key]
 	if e == nil {
 		e = &lockEntry{}
-		e.cond = sync.NewCond(&lt.mu)
 		lt.tab[key] = e
 	}
 	if e.holder == t {
 		lt.mu.Unlock()
 		return nil
 	}
-	deadline := time.Now().Add(lt.mgr.WaitBudget)
+	var deadline time.Time // read the clock only if there is a wait to bound
+	if e.holder != nil {
+		deadline = time.Now().Add(lt.mgr.WaitBudget)
+		if e.cond == nil {
+			e.cond = sync.NewCond(&lt.mu)
+		}
+	}
 	for e.holder != nil {
 		e.waiters++
 		waitDone := make(chan struct{})
@@ -482,7 +487,6 @@ func (lt *LockTable) TryAcquire(t *Tx, key LockKey) bool {
 	e := lt.tab[key]
 	if e == nil {
 		e = &lockEntry{}
-		e.cond = sync.NewCond(&lt.mu)
 		lt.tab[key] = e
 	}
 	if e.holder != nil && e.holder != t {
@@ -517,7 +521,7 @@ func (lt *LockTable) release(t *Tx, key LockKey) {
 	e := lt.tab[key]
 	if e != nil && e.holder == t {
 		e.holder = nil
-		if e.waiters > 0 {
+		if e.waiters > 0 { // a waiter made the cond
 			e.cond.Broadcast()
 		} else {
 			delete(lt.tab, key)

@@ -73,6 +73,7 @@ func testAppendDuringFlushSurvives(t *testing.T, newDev func(*testing.T) device.
 
 			var got []Record
 			end, err := Scan(dev, func(_ LSN, rec Record) error {
+				rec.Data = bytes.Clone(rec.Data) // valid only until fn returns
 				got = append(got, rec)
 				return nil
 			})

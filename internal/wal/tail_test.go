@@ -25,6 +25,7 @@ func fill(t *testing.T, w *Writer, firstTx, n int) LSN {
 func scanAll(t testing.TB, dev device.BlockDevice) (recs []Record, end LSN) {
 	t.Helper()
 	end, err := Scan(dev, func(_ LSN, rec Record) error {
+		rec.Data = bytes.Clone(rec.Data) // valid only until fn returns
 		recs = append(recs, rec)
 		return nil
 	})

@@ -220,8 +220,9 @@ func allZeros(b []byte) bool {
 //
 // The record's Data aliases b, capacity-capped so an append to it cannot
 // spill into the next record: callers must not rewrite b while they hold it.
-// Scan never rewrites a byte it has decoded, TailReader discards the record,
-// and a replication follower decodes a frame nobody reuses.
+// Scan rewrites its buffer only after fn has returned (so Data lives as long
+// as that call), TailReader discards the record, and a replication follower
+// decodes a frame nobody reuses.
 func DecodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recHeaderSize {
 		return Record{}, 0, errNeedMore
@@ -589,15 +590,19 @@ const scanRun = 32
 // two consecutive all-zero pages. Returns the stream offset just past the
 // last intact record.
 //
-// The log is read in runs of scanRun pages, each into a fresh buffer that
-// starts with the undecoded remainder of the one before: no byte is written
-// after a record over it is decoded, so a record's Data (which aliases the
-// buffer, see DecodeRecord) stays valid for as long as fn's caller keeps it,
-// and a record fn drops costs no copy.
+// The log is read in runs of scanRun pages into one buffer, reused for every
+// run: the undecoded remainder of a run moves to its front and the next run
+// is read in behind it. A record's Data aliases that buffer (see
+// DecodeRecord), so it is valid only until fn returns: fn copies what it
+// keeps. The buffer grows only for a remainder longer than a page, which a
+// record longer than a page (a DDL record) or debris whose length field
+// claims one can leave, so a scan allocates a number of buffers that does not
+// grow with the log.
 func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, error) {
 	pageSize := dev.PageSize()
 	rr, _ := dev.(device.PageRangeReader)
-	var stream []byte
+	buf := make([]byte, (scanRun+1)*pageSize) // a run, and a page of remainder
+	var stream []byte                         // the undecoded bytes, in buf
 	at := simclock.Time(0)
 	var base LSN // absolute offset of stream[0]
 	var end LSN  // offset past the last decoded record
@@ -645,8 +650,10 @@ func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, erro
 	zeroRun := 0
 	for p := int64(0); p < dev.NumPages() && zeroRun < 2; {
 		n := int(min(scanRun, dev.NumPages()-p))
-		next := make([]byte, len(stream)+n*pageSize)
-		run := next[copy(next, stream):]
+		if need := len(stream) + n*pageSize; need > len(buf) {
+			buf = make([]byte, max(need, 2*len(buf)))
+		}
+		run := buf[copy(buf, stream) : len(stream)+n*pageSize]
 		var err error
 		if rr != nil {
 			at, err = rr.ReadPages(at, p, n, run)
@@ -670,7 +677,7 @@ func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, erro
 				break
 			}
 		}
-		stream = next[:len(stream)+n*pageSize]
+		stream = buf[:len(stream)+n*pageSize]
 		p += int64(n)
 		if err := decode(false); err != nil {
 			return end, err
