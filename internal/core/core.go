@@ -186,8 +186,13 @@ type Relation struct {
 	missPenalty simclock.Duration
 
 	// gcMu keeps GC and an index backfill apart: both walk the heap assuming
-	// a version they have not reached yet stays where it is.
-	gcMu sync.Mutex
+	// a version they have not reached yet stays where it is. It also guards
+	// collectPage's reused scratch: a victim's live versions (gcLive) and
+	// the copies of their payloads (gcBuf), which a page's relocation reads
+	// and nothing keeps.
+	gcMu   sync.Mutex
+	gcLive []liveVer
+	gcBuf  []byte
 
 	// NoFTL mode: freed blocks wait per erase unit until the whole unit is
 	// reclaimable, then get erased and returned for reuse.
@@ -464,9 +469,14 @@ func (r *Relation) getPage(at simclock.Time, block uint32, initNew bool) (*buffe
 	return f, t, nil
 }
 
-// append places one encoded tuple version onto the current append page,
-// opening a new page when full. Caller holds r.mu.
-func (r *Relation) append(tx txn.ID, at simclock.Time, tupBytes []byte) (page.TID, simclock.Time, error) {
+// append places one tuple version — hdr followed by payload — onto the
+// current append page, opening a new page when it is full. The version is
+// written straight into the slot it reserves, and the heap-insert record's
+// after-image is that slot: the WAL frames it under the frame latch, before
+// anyone else can write the page. Any error but a full page is returned,
+// leaving the append page as it is. Caller holds r.mu.
+func (r *Relation) append(tx txn.ID, at simclock.Time, hdr tuple.SIASHeader, payload []byte) (page.TID, simclock.Time, error) {
+	size := tuple.SIASHeaderSize + len(payload)
 	t := at
 	for attempt := 0; attempt < 2; attempt++ {
 		if !r.appendOpen {
@@ -482,16 +492,20 @@ func (r *Relation) append(tx txn.ID, at simclock.Time, tupBytes []byte) (page.TI
 		// concurrent chain readers of earlier slots proceed under the
 		// shared latch between our critical sections.
 		f.Lock()
-		slot, ierr := f.Data.Insert(tupBytes)
-		if ierr != nil {
-			// Page full: seal it and retry on a fresh one.
+		slot, dst, rerr := f.Data.Reserve(size)
+		if rerr != nil {
 			f.Unlock()
 			r.pool.Release(f, false)
+			if !errors.Is(rerr, page.ErrPageFull) {
+				return page.InvalidTID, t, fmt.Errorf("sias: append to block %d: %w", r.appendBlock, rerr)
+			}
+			// Page full: seal it and retry on a fresh one.
 			r.sealLocked(false)
 			continue
 		}
+		tuple.PutSIAS(dst, hdr, payload)
 		tid := page.TID{Block: r.appendBlock, Slot: uint16(slot)}
-		lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapInsert, Tx: tx, Rel: r.id, TID: tid, Data: tupBytes})
+		lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapInsert, Tx: tx, Rel: r.id, TID: tid, Data: dst})
 		f.Data.SetLSN(uint64(lsn))
 		f.Unlock()
 		r.pool.Release(f, true)
@@ -499,7 +513,7 @@ func (r *Relation) append(tx txn.ID, at simclock.Time, tupBytes []byte) (page.TI
 		r.stats.appends.Add(1)
 		return tid, t, nil
 	}
-	return page.InvalidTID, t, fmt.Errorf("sias: tuple of %d bytes does not fit an empty page", len(tupBytes))
+	return page.InvalidTID, t, fmt.Errorf("sias: tuple of %d bytes does not fit an empty page", size)
 }
 
 // openAppendBlockLocked starts a new append page, preferring GC-reclaimed
@@ -617,10 +631,8 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
 		return 0, at, err
 	}
-	tup := tuple.EncodeSIAS(tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: page.InvalidTID}, payload)
-
 	r.mu.Lock()
-	tid, t, err := r.append(tx.ID, at, tup)
+	tid, t, err := r.append(tx.ID, at, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: page.InvalidTID}, payload)
 	r.mu.Unlock()
 	if err != nil {
 		return 0, t, err
@@ -748,9 +760,8 @@ func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey 
 		return t, err
 	}
 
-	newTup := tuple.EncodeSIAS(tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID}, newPayload)
 	r.mu.Lock()
-	newTID, t, err := r.append(tx.ID, t, newTup)
+	newTID, t, err := r.append(tx.ID, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID}, newPayload)
 	r.mu.Unlock()
 	if err != nil {
 		return t, err
@@ -828,9 +839,8 @@ func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64, check f
 			return t, err
 		}
 	}
-	tomb := tuple.EncodeSIAS(tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID, Flags: tuple.FlagTombstone}, nil)
 	r.mu.Lock()
-	newTID, t, err := r.append(tx.ID, t, tomb)
+	newTID, t, err := r.append(tx.ID, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID, Flags: tuple.FlagTombstone}, nil)
 	r.stats.tombstones.Add(1)
 	r.mu.Unlock()
 	if err != nil {
@@ -867,8 +877,9 @@ func (r *Relation) GetByVID(tx *txn.Tx, at simclock.Time, vid uint64) ([]byte, s
 // VIDsForKey returns every VID the primary index maps key to. Multiple VIDs
 // (or stale key epochs) can match; callers re-check the predicate against
 // the returned versions, as in any index whose entries outlive key changes.
-func (r *Relation) VIDsForKey(at simclock.Time, key int64) ([]uint64, simclock.Time, error) {
-	return r.pk.Search(at, key)
+// The VIDs are appended to dst (index.Tree.SearchAppend).
+func (r *Relation) VIDsForKey(at simclock.Time, key int64, dst []uint64) ([]uint64, simclock.Time, error) {
+	return r.pk.SearchAppend(at, key, dst)
 }
 
 // Scan is Algorithm 1: iterate the VIDmap and resolve each data item to its

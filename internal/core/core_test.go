@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -417,3 +418,34 @@ func TestVMapMissPenaltyCharged(t *testing.T) {
 }
 
 var _ = tuple.SIASHeaderSize // keep import if assertions change
+
+// TestCorruptAppendPageFailsTheAppend corrupts the free-space bounds of the
+// open append page. The next insert must fail with page.ErrCorrupt and leave
+// the page open where it is, not seal it and carry on on a fresh block as if
+// it were merely full.
+func TestCorruptAppendPageFailsTheAppend(t *testing.T) {
+	e := newEnv(t)
+	tx := e.txm.Begin()
+	defer e.txm.Abort(tx)
+	if _, _, err := e.rel.Insert(tx, 0, 1, payload("first")); err != nil {
+		t.Fatal(err)
+	}
+	block := e.rel.appendBlock
+	f, _, err := e.rel.getPage(0, block, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Lock()
+	binary.LittleEndian.PutUint16(f.Data[6:], page.HeaderSize) // upper below lower
+	f.Unlock()
+	e.pool.Release(f, true)
+	sealed := e.rel.Stats().PagesSealed
+
+	if _, _, err := e.rel.Insert(tx, 0, 2, payload("second")); !errors.Is(err, page.ErrCorrupt) {
+		t.Fatalf("insert onto a corrupt append page: %v, want page.ErrCorrupt", err)
+	}
+	if e.rel.appendBlock != block || !e.rel.appendOpen || e.rel.Stats().PagesSealed != sealed {
+		t.Errorf("append page moved from block %d to %d (open %v, %d sealed, was %d): the corrupt page was abandoned",
+			block, e.rel.appendBlock, e.rel.appendOpen, e.rel.Stats().PagesSealed, sealed)
+	}
+}

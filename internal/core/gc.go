@@ -83,6 +83,13 @@ func (r *Relation) PromoteDead(horizon txn.ID) {
 	r.pendingDead = keep
 }
 
+// liveVer is a live version collectPage relocates off its victim page.
+type liveVer struct {
+	tid     page.TID
+	hdr     tuple.SIASHeader
+	payload []byte
+}
+
 // collectPage attempts to reclaim one block. Returns ok=false when the page
 // is not collectible this round (mid-chain live versions or locked items).
 func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (bool, simclock.Time, error) {
@@ -90,12 +97,11 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 	if err != nil {
 		return false, t, err
 	}
-	type liveVer struct {
-		tid     page.TID
-		hdr     tuple.SIASHeader
-		payload []byte
-	}
-	var live []liveVer
+	live, buf := r.gcLive[:0], r.gcBuf[:0]
+	defer func() {
+		clear(live)
+		r.gcLive, r.gcBuf = live[:0], buf[:0]
+	}()
 	collectible := true
 	discarded := 0
 	// Hold r.mu across the page scan (it guards the dead set read in the
@@ -126,7 +132,9 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 		// pointer does not lead into this page's own live space. Simpler
 		// and safe: require the predecessor to be dead or absent before
 		// clearing it; otherwise keep the pointer as is.
-		live = append(live, liveVer{tid, hdr, append([]byte(nil), payload...)})
+		start := len(buf)
+		buf = append(buf, payload...)
+		live = append(live, liveVer{tid, hdr, buf[start:len(buf):len(buf)]})
 		return true
 	})
 	f.RUnlock()
@@ -153,9 +161,8 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 			// No active snapshot needs anything older; cut the chain.
 			newHdr.Pred = page.InvalidTID
 		}
-		newTup := tuple.EncodeSIAS(newHdr, lv.payload)
 		r.mu.Lock()
-		newTID, t2, aerr := r.append(gcTx.ID, t, newTup)
+		newTID, t2, aerr := r.append(gcTx.ID, t, newHdr, lv.payload)
 		r.mu.Unlock()
 		t = t2
 		if aerr != nil {

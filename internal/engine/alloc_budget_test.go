@@ -79,8 +79,9 @@ func TestRangeByKeyAllocBudget(t *testing.T) {
 	}
 }
 
-// TestGetAllocBudget pins a point read: the index probe's VID slice, the
-// version's one copy and the decoded row with its two boxed columns.
+// TestGetAllocBudget pins a point read at 4 allocations: the version's one
+// copy and the decoded row with its two boxed columns. The index probe fills
+// a VID buffer on Get's stack (index.Tree.SearchAppend).
 func TestGetAllocBudget(t *testing.T) {
 	db, tab, at := openBudgetTable(t)
 	tx := db.Begin()
@@ -94,15 +95,28 @@ func TestGetAllocBudget(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, %v", key, row, err)
 		}
 	})
-	if perGet > 5.2 {
-		t.Errorf("Get costs %.2f allocations, want at most 5.2", perGet)
+	if perGet > 4 {
+		t.Errorf("Get costs %.2f allocations, want at most 4", perGet)
 	}
 }
 
 // TestCommitAllocBudget pins a served write transaction — Begin, one Update
 // and Commit — through a facade built the way siasserver builds one: an
-// Options literal over in-memory devices. 23 allocations; a commit runs no
-// maintenance, so nothing copies the table list on the way out.
+// Options literal over in-memory devices. 12 allocations:
+//   - Begin: the Tx (1);
+//   - Update: the version's private copy out of the page, the decoded old
+//     row and its two boxed columns (4), and the finish hook that swings
+//     the VIDmap back on abort (1);
+//   - the test's mutate boxing the new value into the row (1);
+//   - Commit: the group-commit waiter and its done channel, the queue the
+//     waiter joins, and the batch's transaction and error slices (5).
+//
+// Nothing else may: the two log records are framed in the log tail, the
+// version is written into its page slot, the row is encoded into a pooled
+// buffer, the index probe fills a stack buffer, the lock entry is recycled,
+// the Tx's lock and hook slices use its inline arrays, and a commit runs no
+// maintenance.
+// Under -race the pool may drop the row buffer, so one more is allowed.
 func TestCommitAllocBudget(t *testing.T) {
 	db, err := Open(Options{
 		Kind:       KindSIAS,
@@ -148,7 +162,11 @@ func TestCommitAllocBudget(t *testing.T) {
 			t.Fatalf("Commit: %v", err)
 		}
 	})
-	if perTxn > 23 {
-		t.Errorf("Begin + Update + Commit costs %.2f allocations, want at most 23", perTxn)
+	limit := 12.0
+	if raceEnabled {
+		limit++
+	}
+	if perTxn > limit {
+		t.Errorf("Begin + Update + Commit costs %.2f allocations, want at most %v", perTxn, limit)
 	}
 }

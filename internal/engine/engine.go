@@ -292,7 +292,9 @@ func (db *DB) Begin() *txn.Tx {
 // Commit makes tx durable: the commit record is forced to the log before
 // the CLOG flips (group commit batches whatever else is pending).
 func (db *DB) Commit(tx *txn.Tx, at simclock.Time) (simclock.Time, error) {
-	t, errs := db.CommitBatch([]*txn.Tx{tx}, at)
+	txs := [1]*txn.Tx{tx}
+	var errs [1]error
+	t := db.CommitBatch(txs[:], errs[:], at)
 	return t, errs[0]
 }
 
@@ -301,12 +303,13 @@ func (db *DB) Commit(tx *txn.Tx, at simclock.Time) (simclock.Time, error) {
 // and only then do the CLOGs flip. This is the group-commit primitive the
 // concurrent facade coalesces callers into (Larson et al. use the same
 // batching to stop the log from serializing multi-version commit
-// throughput). Per-transaction results are returned positionally; a flush
-// failure fails the whole batch, since none of the records are durable.
-func (db *DB) CommitBatch(txs []*txn.Tx, at simclock.Time) (simclock.Time, []error) {
-	errs := make([]error, len(txs))
+// throughput). Each transaction's result lands in errs at its position
+// (errs is as long as txs and the caller's, so a batch allocates nothing);
+// a flush failure fails the whole batch, since none of the records are
+// durable.
+func (db *DB) CommitBatch(txs []*txn.Tx, errs []error, at simclock.Time) simclock.Time {
 	if len(txs) == 0 {
-		return at, errs
+		return at
 	}
 	// Read-only transactions (replica snapshots) have no commit record and
 	// force nothing; they are still Commit()ed so finish hooks run.
@@ -327,7 +330,7 @@ func (db *DB) CommitBatch(txs []*txn.Tx, at simclock.Time) (simclock.Time, []err
 			for i := range errs {
 				errs[i] = err
 			}
-			return t, errs
+			return t
 		}
 	}
 	committed := int64(0)
@@ -349,7 +352,7 @@ func (db *DB) CommitBatch(txs []*txn.Tx, at simclock.Time) (simclock.Time, []err
 			break
 		}
 	}
-	return t, errs
+	return t
 }
 
 // finishUnlogged ends a transaction that wrote nothing (txn.Tx.Wrote is

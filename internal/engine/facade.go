@@ -160,8 +160,9 @@ func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 				f.db.walw.Append(&wal.Record{Type: wal.RecTraceCtx, Tx: b.tx.ID, Aux: b.tc.TraceID})
 			}
 		}
+		errs := make([]error, len(batch))
 		flushStart := time.Now()
-		_, errs := f.db.CommitBatch(txs, 0)
+		f.db.CommitBatch(txs, errs, 0)
 		if sampled {
 			f.traceBatch(batch, w, flushStart, time.Now())
 		}

@@ -30,7 +30,8 @@ func TestCommitBatchSingleFlush(t *testing.T) {
 				}
 			}
 			before := db.Stats()
-			at, errs := db.CommitBatch(txs, at)
+			errs := make([]error, len(txs))
+			at = db.CommitBatch(txs, errs, at)
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("tx %d: %v", i, err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"sias/internal/core"
@@ -213,12 +214,45 @@ func (t *Table) keyOfPayload(payload []byte) int64 {
 	return k
 }
 
+// rowBufs holds the scratch buffers a write encodes its row into. The
+// payload lives only for the relation call it is handed to: both engines
+// copy it into a page slot and the WAL tail (core.Relation.append,
+// si.Relation.placeVersion) and read it for secondary keys before they
+// return, and nothing they leave behind — finish hooks, index entries —
+// refers to it.
+var rowBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxRowBuf is the largest scratch buffer rowBufs takes back: a row near a
+// page is rare, and its buffer is not worth keeping.
+const maxRowBuf = 16 << 10
+
+// encodeRow encodes row into *buf, keeping the grown array there.
+func (t *Table) encodeRow(buf *[]byte, row tuple.Row) ([]byte, error) {
+	b, err := t.schema.AppendRow((*buf)[:0], row)
+	if err != nil {
+		return nil, err
+	}
+	*buf = b
+	return b, nil
+}
+
+func putRowBuf(buf *[]byte) {
+	if cap(*buf) <= maxRowBuf {
+		rowBufs.Put(buf)
+	}
+}
+
 // Insert stores row under its primary key.
 func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Time, error) {
 	if tx.ReadOnly() {
 		return at, ErrReadOnly
 	}
-	payload, err := t.schema.EncodeRow(row)
+	buf := rowBufs.Get().(*[]byte)
+	defer putRowBuf(buf)
+	payload, err := t.encodeRow(buf, row)
 	if err != nil {
 		return at, err
 	}
@@ -230,12 +264,17 @@ func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Ti
 	return t.si.Insert(tx, at, key, payload)
 }
 
+// pointVIDs sizes the VID buffer a point lookup hands the primary index: a
+// key has one VID unless rows moved through it (stale key epochs).
+const pointVIDs = 4
+
 // Get returns the row of key visible to tx.
 func (t *Table) Get(tx *txn.Tx, at simclock.Time, key int64) (tuple.Row, simclock.Time, error) {
 	if t.sias != nil {
 		// <key, VID> entries survive key changes: re-check the key of the
 		// returned version (Section 4.3, Example 1).
-		vids, tm, err := t.sias.VIDsForKey(at, key)
+		var vidBuf [pointVIDs]uint64
+		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
 		if err != nil {
 			return nil, tm, err
 		}
@@ -283,6 +322,8 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tupl
 	if tx.ReadOnly() {
 		return at, ErrReadOnly
 	}
+	buf := rowBufs.Get().(*[]byte)
+	defer putRowBuf(buf)
 	wrap := func(old []byte) ([]byte, int64, error) {
 		row, err := t.schema.DecodeRow(old)
 		if err != nil {
@@ -295,14 +336,15 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tupl
 		if err != nil {
 			return nil, 0, err
 		}
-		payload, err := t.schema.EncodeRow(newRow)
+		payload, err := t.encodeRow(buf, newRow)
 		if err != nil {
 			return nil, 0, err
 		}
 		return payload, t.Key(newRow), nil
 	}
 	if t.sias != nil {
-		vids, tm, err := t.sias.VIDsForKey(at, key)
+		var vidBuf [pointVIDs]uint64
+		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
 		if err != nil {
 			return tm, err
 		}
@@ -341,7 +383,8 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 			}
 			return nil
 		}
-		vids, tm, err := t.sias.VIDsForKey(at, key)
+		var vidBuf [pointVIDs]uint64
+		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
 		if err != nil {
 			return tm, err
 		}

@@ -167,6 +167,30 @@ func max(a, b int) int {
 // Run executes one full experiment: build devices, open the engine, load
 // TPC-C, reset counters, run the measured interval.
 func Run(cfg Config) (Result, error) {
+	l, err := Load(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return l.Run()
+}
+
+// Loaded is an experiment whose engine is open and whose TPC-C tables are
+// loaded, ready for its measured interval. Load builds one, Run measures it
+// once.
+type Loaded struct {
+	cfg    Config
+	db     *engine.DB
+	bench  *tpcc.Bench
+	at     simclock.Time
+	data   device.BlockDevice
+	walDev device.BlockDevice
+	ssds   []*flash.SSD
+	tracer *trace.Recorder
+}
+
+// Load builds the devices of cfg, opens the engine and loads TPC-C: every
+// step of Run before the measured interval.
+func Load(cfg Config) (*Loaded, error) {
 	if cfg.Scale == (tpcc.Scale{}) {
 		cfg.Scale = tpcc.SmallScale()
 	}
@@ -192,23 +216,28 @@ func Run(cfg Config) (Result, error) {
 	}
 	db, err := engine.Open(opts)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	b, at, err := tpcc.CreateTables(db, 0)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	b.Scale = cfg.Scale
 	at, err = b.Load(at, cfg.Warehouses)
 	if err != nil {
-		return Result{}, fmt.Errorf("exp: load %d WH: %w", cfg.Warehouses, err)
+		return nil, fmt.Errorf("exp: load %d WH: %w", cfg.Warehouses, err)
 	}
+	return &Loaded{cfg: cfg, db: db, bench: b, at: at, data: data, walDev: walDev, ssds: ssds, tracer: tracer}, nil
+}
 
+// Run resets the load-phase counters and runs the measured interval.
+func (l *Loaded) Run() (Result, error) {
+	cfg := l.cfg
 	// Steady-state measurement starts here: drop load-phase accounting.
-	data.ResetStats()
-	walDev.ResetStats()
-	if tracer != nil {
-		tracer.Reset()
+	l.data.ResetStats()
+	l.walDev.ResetStats()
+	if l.tracer != nil {
+		l.tracer.Reset()
 	}
 
 	dcfg := tpcc.DefaultDriverConfig(cfg.Warehouses)
@@ -218,7 +247,7 @@ func Run(cfg Config) (Result, error) {
 		dcfg.Terminals = cfg.Terminals
 	}
 	dcfg.ThinkTime = cfg.ThinkTime
-	metrics, at, err := b.Run(at, dcfg)
+	metrics, _, err := l.bench.Run(l.at, dcfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("exp: run: %w", err)
 	}
@@ -226,16 +255,15 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		Config:        cfg,
 		Metrics:       metrics,
-		Data:          data.Stats(),
-		WAL:           walDev.Stats(),
-		Pool:          db.Pool().Stats(),
-		LiveDataPages: liveDataPages(db),
-		Tracer:        tracer,
+		Data:          l.data.Stats(),
+		WAL:           l.walDev.Stats(),
+		Pool:          l.db.Pool().Stats(),
+		LiveDataPages: liveDataPages(l.db),
+		Tracer:        l.tracer,
 	}
-	for _, s := range ssds {
+	for _, s := range l.ssds {
 		res.Wear = append(res.Wear, s.Wear())
 	}
-	_ = at
 	return res, nil
 }
 

@@ -429,12 +429,18 @@ func (t *Tree) descendToLeaf(at simclock.Time, key int64) (uint32, simclock.Time
 
 // Search returns every payload stored under key, in payload order.
 func (t *Tree) Search(at simclock.Time, key int64) ([]uint64, simclock.Time, error) {
-	var out []uint64
+	return t.SearchAppend(at, key, nil)
+}
+
+// SearchAppend is Search appending to dst: a point lookup that passes a
+// buffer of its own allocates nothing while the key has at most cap(dst)
+// entries.
+func (t *Tree) SearchAppend(at simclock.Time, key int64, dst []uint64) ([]uint64, simclock.Time, error) {
 	tm, err := t.Range(at, key, key, func(_ int64, v uint64) bool {
-		out = append(out, v)
+		dst = append(dst, v)
 		return true
 	})
-	return out, tm, err
+	return dst, tm, err
 }
 
 // Range invokes fn for every entry with lo <= key <= hi in ascending order;

@@ -178,20 +178,36 @@ func (p Page) setLP(slot, off, length int, dead bool) {
 
 // Insert stores data in a new slot and returns the slot index.
 func (p Page) Insert(data []byte) (int, error) {
-	if !p.Initialized() {
-		return 0, ErrCorrupt
+	slot, dst, err := p.Reserve(len(data))
+	if err != nil {
+		return 0, err
 	}
-	need := len(data) + lpSize
-	if p.upper()-p.lower() < need {
-		return 0, ErrPageFull
+	copy(dst, data)
+	return slot, nil
+}
+
+// Reserve allocates a new slot of n bytes and returns its index and its
+// bytes (aliasing the page), for the caller to write in place of a copy.
+// It fails with ErrPageFull when the free space is too small and with
+// ErrCorrupt when the page is not formatted or its free-space bounds are
+// impossible.
+func (p Page) Reserve(n int) (int, []byte, error) {
+	if !p.Initialized() {
+		return 0, nil, ErrCorrupt
+	}
+	lower, upper := p.lower(), p.upper()
+	if lower < HeaderSize || upper > Size || lower > upper {
+		return 0, nil, ErrCorrupt
+	}
+	if upper-lower < n+lpSize {
+		return 0, nil, ErrPageFull
 	}
 	slot := p.NumSlots()
-	newUpper := p.upper() - len(data)
-	copy(p[newUpper:], data)
+	newUpper := upper - n
 	p.setUpper(newUpper)
-	p.setLower(p.lower() + lpSize)
-	p.setLP(slot, newUpper, len(data), false)
-	return slot, nil
+	p.setLower(lower + lpSize)
+	p.setLP(slot, newUpper, n, false)
+	return slot, p[newUpper:upper:upper], nil
 }
 
 // Tuple returns the stored bytes of slot (aliasing the page buffer).

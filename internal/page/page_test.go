@@ -267,3 +267,30 @@ func TestCompactPreservesLiveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReserveWritesInPlace checks that a reserved slot is the page's own
+// bytes (a write into it is the stored tuple), that Reserve leaves the page
+// as Insert of the same bytes does, and that it tells a full page from one
+// whose free-space bounds are impossible.
+func TestReserveWritesInPlace(t *testing.T) {
+	p, q := New(1, 0), New(1, 0)
+	data := bytes.Repeat([]byte{0x5A}, 100)
+	slot, dst, err := p.Reserve(len(data))
+	if err != nil || len(dst) != len(data) || cap(dst) != len(data) {
+		t.Fatalf("Reserve(%d) = slot %d, %d bytes (cap %d), %v", len(data), slot, len(dst), cap(dst), err)
+	}
+	copy(dst, data)
+	if _, err := q.Insert(data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, q) {
+		t.Error("Reserve and a write into the slot left another page than Insert")
+	}
+	if _, _, err := p.Reserve(p.FreeSpace() + 1); err != ErrPageFull {
+		t.Errorf("Reserve past the free space: %v, want ErrPageFull", err)
+	}
+	p.setUpper(p.lower() - 1)
+	if _, _, err := p.Reserve(1); err != ErrCorrupt {
+		t.Errorf("Reserve on a page with upper below lower: %v, want ErrCorrupt", err)
+	}
+}

@@ -15,6 +15,7 @@ package space
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultExtentSize is the number of blocks per extent.
@@ -36,12 +37,22 @@ type Allocator struct {
 	// capacity, so the region is empty until scratch mode is used.
 	scratchNext int64
 	scratch     bool
-	m           map[extKey]int64
+	// rels is the extent map: (*rels)[rel][ext] holds base+1 of each extent
+	// granted to rel, 0 for one not granted. DevicePage and Peek read it
+	// without the mutex. Every grant and Restore writes it under mu: an
+	// entry in place, and a table too short for the entry as a longer copy
+	// published in a new outer slice, so a reader holding an old copy sees
+	// the grant as missing and looks again under mu.
+	rels atomic.Pointer[[]extTable]
 	// OnAlloc, if set, is invoked (with the lock held) whenever a new extent
 	// is granted, so the caller can log it before any page of the extent is
 	// written.
 	OnAlloc func(rel uint32, ext uint32, base int64)
 }
+
+// extTable holds base+1 of each granted extent of one relation, by extent
+// number; 0 marks an extent not granted.
+type extTable []atomic.Int64
 
 // NewAllocator manages a device of capacity pages with the given extent size
 // (0 means DefaultExtentSize).
@@ -49,7 +60,7 @@ func NewAllocator(capacity int64, extentSize int) *Allocator {
 	if extentSize <= 0 {
 		extentSize = DefaultExtentSize
 	}
-	return &Allocator{extentSize: extentSize, capacity: capacity, scratchNext: capacity, m: map[extKey]int64{}}
+	return &Allocator{extentSize: extentSize, capacity: capacity, scratchNext: capacity}
 }
 
 // SetScratch switches new-extent grants to the unlogged scratch region at the
@@ -65,12 +76,16 @@ func (a *Allocator) SetScratch(on bool) {
 }
 
 // DevicePage translates (rel, block) to a device page, allocating the
-// containing extent on first touch.
+// containing extent on first touch. An extent granted before takes no lock.
 func (a *Allocator) DevicePage(rel uint32, block uint32) (int64, error) {
 	k := extKey{rel, block / uint32(a.extentSize)}
+	off := int64(block % uint32(a.extentSize))
+	if base, ok := a.lookup(k); ok {
+		return base + off, nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	base, ok := a.m[k]
+	base, ok := a.lookup(k) // granted since the first look?
 	if !ok {
 		if a.scratch {
 			if a.scratchNext-int64(a.extentSize) < a.next {
@@ -78,7 +93,7 @@ func (a *Allocator) DevicePage(rel uint32, block uint32) (int64, error) {
 			}
 			a.scratchNext -= int64(a.extentSize)
 			base = a.scratchNext
-			a.m[k] = base
+			a.grantLocked(k, base)
 			// Deliberately no OnAlloc: scratch grants are follower-local.
 		} else {
 			if a.next+int64(a.extentSize) > a.scratchNext {
@@ -86,33 +101,75 @@ func (a *Allocator) DevicePage(rel uint32, block uint32) (int64, error) {
 			}
 			base = a.next
 			a.next += int64(a.extentSize)
-			a.m[k] = base
+			a.grantLocked(k, base)
 			if a.OnAlloc != nil {
 				a.OnAlloc(rel, k.ext, base)
 			}
 		}
 	}
-	return base + int64(block%uint32(a.extentSize)), nil
+	return base + off, nil
+}
+
+// lookup reads k's base from the extent map; ok is false if the map does
+// not show the extent (not granted, or, without a.mu, granted after the
+// reader's copy).
+func (a *Allocator) lookup(k extKey) (int64, bool) {
+	rels := a.rels.Load()
+	if rels == nil || int(k.rel) >= len(*rels) {
+		return 0, false
+	}
+	tab := (*rels)[k.rel]
+	if int(k.ext) >= len(tab) {
+		return 0, false
+	}
+	v := tab[k.ext].Load()
+	return v - 1, v != 0
+}
+
+// grantLocked records k at base in the extent map. Caller holds a.mu.
+func (a *Allocator) grantLocked(k extKey, base int64) {
+	var rels []extTable
+	if p := a.rels.Load(); p != nil {
+		rels = *p
+	}
+	if int(k.rel) >= len(rels) || int(k.ext) >= len(rels[k.rel]) {
+		grown := make([]extTable, max(len(rels), int(k.rel)+1))
+		copy(grown, rels)
+		if old := grown[k.rel]; int(k.ext) >= len(old) {
+			tab := make(extTable, max(int(k.ext)+1, 2*len(old), 8))
+			for i := range old {
+				tab[i].Store(old[i].Load())
+			}
+			grown[k.rel] = tab
+		}
+		a.rels.Store(&grown)
+		rels = grown
+	}
+	rels[k.rel][k.ext].Store(base + 1)
 }
 
 // Peek translates without allocating; ok is false if the extent was never
 // granted (the block has never been written).
 func (a *Allocator) Peek(rel uint32, block uint32) (int64, bool) {
 	k := extKey{rel, block / uint32(a.extentSize)}
+	off := int64(block % uint32(a.extentSize))
+	if base, ok := a.lookup(k); ok {
+		return base + off, true
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	base, ok := a.m[k]
+	base, ok := a.lookup(k)
 	if !ok {
 		return 0, false
 	}
-	return base + int64(block%uint32(a.extentSize)), true
+	return base + off, true
 }
 
 // Restore re-applies an extent grant during recovery. Idempotent.
 func (a *Allocator) Restore(rel uint32, ext uint32, base int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.m[extKey{rel, ext}] = base
+	a.grantLocked(extKey{rel, ext}, base)
 	if end := base + int64(a.extentSize); end > a.next {
 		a.next = end
 	}
@@ -130,9 +187,11 @@ func (a *Allocator) ExtentsOf(rel uint32) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
-	for k := range a.m {
-		if k.rel == rel {
-			n++
+	if rels := a.rels.Load(); rels != nil && int(rel) < len(*rels) {
+		for i := range (*rels)[rel] {
+			if (*rels)[rel][i].Load() != 0 {
+				n++
+			}
 		}
 	}
 	return n

@@ -65,10 +65,18 @@ type Row []any
 // EncodeRow serializes a row against its schema. Every value is preceded by
 // a presence byte (0 = NULL); variable-length values carry a uvarint length.
 func (s *Schema) EncodeRow(r Row) ([]byte, error) {
+	return s.AppendRow(nil, r)
+}
+
+// AppendRow appends the encoding EncodeRow returns to dst and returns the
+// extended slice, so a caller with a scratch buffer encodes without
+// allocating. On error it returns nil; dst's first len(dst) bytes are
+// untouched either way.
+func (s *Schema) AppendRow(dst []byte, r Row) ([]byte, error) {
 	if len(r) != len(s.Cols) {
 		return nil, fmt.Errorf("tuple: row has %d values, schema has %d columns", len(r), len(s.Cols))
 	}
-	var b []byte
+	b := dst
 	var tmp [binary.MaxVarintLen64]byte
 	for i, c := range s.Cols {
 		v := r[i]

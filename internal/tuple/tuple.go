@@ -45,15 +45,18 @@ type SIASHeader struct {
 // Tombstone reports whether this version is a deletion marker.
 func (h SIASHeader) Tombstone() bool { return h.Flags&FlagTombstone != 0 }
 
-// EncodeSIAS serializes hdr followed by payload into a fresh buffer.
-func EncodeSIAS(hdr SIASHeader, payload []byte) []byte {
-	b := make([]byte, SIASHeaderSize+len(payload))
-	binary.LittleEndian.PutUint64(b[0:], uint64(hdr.Create))
-	binary.LittleEndian.PutUint64(b[8:], hdr.VID)
-	page.EncodeTID(b[16:], hdr.Pred)
-	b[22] = hdr.Flags
-	copy(b[SIASHeaderSize:], payload)
-	return b
+// PutSIAS writes hdr followed by payload into dst, which must be exactly
+// SIASHeaderSize+len(payload) bytes — a page slot reserved for the version
+// (page.Page.Reserve), so appending a version copies its payload once.
+func PutSIAS(dst []byte, hdr SIASHeader, payload []byte) {
+	if len(dst) != SIASHeaderSize+len(payload) {
+		panic(fmt.Sprintf("tuple: PutSIAS into %d bytes, want %d", len(dst), SIASHeaderSize+len(payload)))
+	}
+	binary.LittleEndian.PutUint64(dst[0:], uint64(hdr.Create))
+	binary.LittleEndian.PutUint64(dst[8:], hdr.VID)
+	page.EncodeTID(dst[16:], hdr.Pred)
+	dst[22] = hdr.Flags
+	copy(dst[SIASHeaderSize:], payload)
 }
 
 // DecodeSIAS splits an encoded SIAS tuple into header and payload. The

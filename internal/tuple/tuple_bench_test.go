@@ -6,17 +6,19 @@ import (
 	"sias/internal/page"
 )
 
-func BenchmarkEncodeSIAS(b *testing.B) {
+func BenchmarkPutSIAS(b *testing.B) {
 	payload := make([]byte, 120)
 	hdr := SIASHeader{Create: 42, VID: 7, Pred: page.TID{Block: 3, Slot: 1}}
+	dst := make([]byte, SIASHeaderSize+len(payload))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeSIAS(hdr, payload)
+		PutSIAS(dst, hdr, payload)
 	}
 }
 
 func BenchmarkDecodeSIAS(b *testing.B) {
-	enc := EncodeSIAS(SIASHeader{Create: 42, VID: 7}, make([]byte, 120))
+	enc := make([]byte, SIASHeaderSize+120)
+	PutSIAS(enc, SIASHeader{Create: 42, VID: 7}, make([]byte, 120))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeSIAS(enc); err != nil {

@@ -17,7 +17,8 @@ func TestSIASHeaderRoundtrip(t *testing.T) {
 			Pred:   page.TID{Block: block, Slot: slot},
 			Flags:  flags,
 		}
-		enc := EncodeSIAS(hdr, payload)
+		enc := make([]byte, SIASHeaderSize+len(payload))
+		PutSIAS(enc, hdr, payload)
 		got, pl, err := DecodeSIAS(enc)
 		return err == nil && got == hdr && bytes.Equal(pl, payload)
 	}

@@ -18,7 +18,7 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +79,8 @@ type Snapshot struct {
 
 // InConcurrent reports whether id was running when the snapshot was taken.
 func (s *Snapshot) InConcurrent(id ID) bool {
-	i := sort.Search(len(s.Concurrent), func(i int) bool { return s.Concurrent[i] >= id })
-	return i < len(s.Concurrent) && s.Concurrent[i] == id
+	_, ok := slices.BinarySearch(s.Concurrent, id)
+	return ok
 }
 
 // Tx is a running (or finished) transaction.
@@ -94,6 +94,11 @@ type Tx struct {
 	status   Status
 	locks    []LockKey
 	onFinish []func(committed bool)
+	// locks and onFinish start on these inline arrays, so a transaction
+	// that writes a few items allocates neither slice; past them append
+	// grows the slices as usual.
+	lockBuf [4]LockKey
+	hookBuf [4]func(committed bool)
 }
 
 // ReadOnly reports whether t was started by BeginReadOnlyAt and therefore
@@ -216,14 +221,19 @@ func (m *Manager) Begin() *Tx {
 	id := m.nextID
 	m.nextID++
 	snap := Snapshot{XMax: id, XMin: id}
+	if len(m.active) > 0 {
+		snap.Concurrent = make([]ID, 0, len(m.active))
+	}
 	for aid := range m.active {
 		snap.Concurrent = append(snap.Concurrent, aid)
 		if aid < snap.XMin {
 			snap.XMin = aid
 		}
 	}
-	sort.Slice(snap.Concurrent, func(i, j int) bool { return snap.Concurrent[i] < snap.Concurrent[j] })
+	slices.Sort(snap.Concurrent)
 	t := &Tx{ID: id, Snap: snap, mgr: m, status: StatusInProgress}
+	t.locks = t.lockBuf[:0]
+	t.onFinish = t.hookBuf[:0]
 	m.active[id] = t
 	m.mu.Unlock()
 	m.clog.Set(id, StatusInProgress)
@@ -295,6 +305,7 @@ func (m *Manager) finish(t *Tx, st Status) error {
 	for _, k := range locks {
 		m.locks.release(t, k)
 	}
+	clear(hooks) // let the inline array drop the closures with the hooks run
 	return nil
 }
 
@@ -404,7 +415,16 @@ type LockTable struct {
 	mgr *Manager
 	mu  sync.Mutex
 	tab map[LockKey]*lockEntry
+	// free holds released entries that no waiter ever touched (no cond),
+	// for the next acquire of any key: an uncontended lock allocates
+	// nothing. An entry that had a waiter is never recycled, because a
+	// waiter's timeout watchdog may still broadcast on its cond after the
+	// entry left the table.
+	free []*lockEntry
 }
+
+// maxFreeLockEntries bounds the recycled entries a table keeps.
+const maxFreeLockEntries = 1024
 
 // NewLockTable returns an empty table.
 func NewLockTable(m *Manager) *LockTable {
@@ -419,11 +439,7 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 		return ErrFinished
 	}
 	lt.mu.Lock()
-	e := lt.tab[key]
-	if e == nil {
-		e = &lockEntry{}
-		lt.tab[key] = e
-	}
+	e := lt.entryLocked(key)
 	if e.holder == t {
 		lt.mu.Unlock()
 		return nil
@@ -438,20 +454,21 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 	for e.holder != nil {
 		e.waiters++
 		waitDone := make(chan struct{})
-		go func() {
-			// Timeout watchdog: wake the cond var when the deadline passes
-			// so the waiter can observe it. Broadcast is spurious-wakeup
-			// safe by construction of the loop.
+		// Timeout watchdog: wake the cond var when the deadline passes so
+		// the waiter can observe it. Broadcast is spurious-wakeup safe by
+		// construction of the loop. Its inputs go in as arguments, so an
+		// acquire that never waits keeps them off the heap.
+		go func(cond *sync.Cond, deadline time.Time, done <-chan struct{}) {
 			timer := time.NewTimer(time.Until(deadline))
 			defer timer.Stop()
 			select {
 			case <-timer.C:
 				lt.mu.Lock()
-				e.cond.Broadcast()
+				cond.Broadcast()
 				lt.mu.Unlock()
-			case <-waitDone:
+			case <-done:
 			}
-		}()
+		}(e.cond, deadline, waitDone)
 		e.cond.Wait()
 		close(waitDone)
 		e.waiters--
@@ -459,9 +476,7 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 			break
 		}
 		if time.Now().After(deadline) {
-			if e.waiters == 0 && e.holder == nil {
-				delete(lt.tab, key)
-			}
+			// The entry stays: it has a holder, whose release removes it.
 			lt.mu.Unlock()
 			return ErrLockTimeout
 		}
@@ -484,11 +499,7 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 // TryAcquire takes the lock if free, without blocking. Reports success.
 func (lt *LockTable) TryAcquire(t *Tx, key LockKey) bool {
 	lt.mu.Lock()
-	e := lt.tab[key]
-	if e == nil {
-		e = &lockEntry{}
-		lt.tab[key] = e
-	}
+	e := lt.entryLocked(key)
 	if e.holder != nil && e.holder != t {
 		lt.mu.Unlock()
 		return false
@@ -502,6 +513,23 @@ func (lt *LockTable) TryAcquire(t *Tx, key LockKey) bool {
 		t.mu.Unlock()
 	}
 	return true
+}
+
+// entryLocked returns key's entry, adding one — recycled if any is free —
+// when the key has none. Caller holds lt.mu.
+func (lt *LockTable) entryLocked(key LockKey) *lockEntry {
+	e := lt.tab[key]
+	if e == nil {
+		if n := len(lt.free); n > 0 {
+			e = lt.free[n-1]
+			lt.free[n-1] = nil
+			lt.free = lt.free[:n-1]
+		} else {
+			e = &lockEntry{}
+		}
+		lt.tab[key] = e
+	}
+	return e
 }
 
 // Holder returns the transaction currently holding key, or nil.
@@ -525,6 +553,9 @@ func (lt *LockTable) release(t *Tx, key LockKey) {
 			e.cond.Broadcast()
 		} else {
 			delete(lt.tab, key)
+			if e.cond == nil && len(lt.free) < maxFreeLockEntries {
+				lt.free = append(lt.free, e)
+			}
 		}
 	}
 	lt.mu.Unlock()

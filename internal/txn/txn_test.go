@@ -288,3 +288,126 @@ func TestAbortReleasesLocks(t *testing.T) {
 	}
 	m.Commit(t2)
 }
+
+// TestLockAllocBudget pins uncontended locks at 0 allocations beyond the Tx:
+// Begin + n Acquires + Commit allocates what Begin + Commit does, for as
+// many locks as the Tx's inline array holds. Each entry comes from the
+// table's free list, where an earlier release put it; the keys land in the
+// inline array.
+func TestLockAllocBudget(t *testing.T) {
+	m := NewManager()
+	item := uint64(0)
+	locking := func(n int) func() {
+		return func() {
+			tx := m.Begin()
+			for i := 0; i < n; i++ {
+				item++
+				if err := m.Locks().Acquire(tx, LockKey{Rel: 1, Item: item}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bare := func() {
+		if err := m.Commit(m.Begin()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{2, len(Tx{}.lockBuf)} {
+		run := locking(n)
+		for i := 0; i < 100; i++ { // warm the CLOG, the maps, the free list and the pool
+			run()
+		}
+		withLocks := testing.AllocsPerRun(1000, run)
+		without := testing.AllocsPerRun(1000, bare)
+		if without > 1 {
+			t.Errorf("Begin + Commit allocates %v times, want 1 (the Tx)", without)
+		}
+		if withLocks != without {
+			t.Errorf("%d uncontended locks cost %v allocations, want 0", n, withLocks-without)
+		}
+	}
+}
+
+// TestLockTimeoutThenRecycle times a waiter out, releases the holder and at
+// once locks that key and another with a third transaction, over and over,
+// so recycled entries are handed out while timed-out waiters' watchdog
+// goroutines may still run. Under -race it shows the watchdog touches only
+// its own entry under the table mutex; it also checks that no entry a waiter
+// made a cond for reaches the free list, where a late broadcast could wake a
+// waiter on an unrelated key.
+func TestLockTimeoutThenRecycle(t *testing.T) {
+	m := NewManager()
+	m.WaitBudget = time.Millisecond
+	lt := m.Locks()
+	for i := uint64(0); i < 20; i++ {
+		key, other := LockKey{Rel: 1, Item: 2 * i}, LockKey{Rel: 1, Item: 2*i + 1}
+		holder, waiter := m.Begin(), m.Begin()
+		if err := lt.Acquire(holder, key); err != nil {
+			t.Fatal(err)
+		}
+		if err := lt.Acquire(waiter, key); !errors.Is(err, ErrLockTimeout) {
+			t.Fatalf("waiter: %v, want ErrLockTimeout", err)
+		}
+		if err := m.Commit(holder); err != nil {
+			t.Fatal(err)
+		}
+		next := m.Begin()
+		for _, k := range []LockKey{other, key} {
+			if err := lt.Acquire(next, k); err != nil {
+				t.Fatalf("after the timeout: %v", err)
+			}
+			if h := lt.Holder(k); h != next {
+				t.Fatalf("%v is held by %v, want the new transaction", k, h)
+			}
+		}
+		if lt.TryAcquire(m.Begin(), key) {
+			t.Fatal("a second transaction took a held lock")
+		}
+		lt.mu.Lock()
+		for _, e := range lt.free {
+			if e.cond != nil || e.holder != nil || e.waiters != 0 {
+				t.Errorf("free list holds a used entry: %+v", *e)
+			}
+		}
+		lt.mu.Unlock()
+		m.Commit(next)
+		m.Abort(waiter)
+	}
+}
+
+// TestManyHooksAndLocksStayInOrder registers more hooks and locks than the
+// inline arrays hold, over several transactions: every hook runs once,
+// newest first, and every lock is released.
+func TestManyHooksAndLocksStayInOrder(t *testing.T) {
+	m := NewManager()
+	for round := 0; round < 5; round++ {
+		tx := m.Begin()
+		var order []int
+		for i := 0; i < 40; i++ {
+			tx.OnFinish(func(bool) { order = append(order, i) })
+			if err := m.Locks().Acquire(tx, LockKey{Rel: 3, Item: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 40 {
+			t.Fatalf("round %d: %d hooks ran, want 40", round, len(order))
+		}
+		for j, i := range order {
+			if i != 39-j {
+				t.Fatalf("round %d: hook %d ran in place %d, want newest first", round, i, j)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			if h := m.Locks().Holder(LockKey{Rel: 3, Item: uint64(i)}); h != nil {
+				t.Fatalf("round %d: item %d still locked", round, i)
+			}
+		}
+	}
+}

@@ -99,8 +99,8 @@ func testAppendDuringFlushSurvives(t *testing.T, newDev func(*testing.T) device.
 // TestFlushAllocatesNothing pins the flush budget of a small commit: two heap
 // after-images and a commit record go to the device through the writer's own
 // buffer, and pending is trimmed where it lies — on either path, and the 4,100
-// commits cross some 330 page boundaries on the way. The appends' own
-// allocations (EncodeRecord) are measured apart and taken off.
+// commits cross some 330 page boundaries on the way. The appends are
+// measured apart and taken off (TestAppendAllocBudget holds them at 0).
 func TestFlushAllocatesNothing(t *testing.T) {
 	testFlushAllocatesNothing(t, newDev())
 	t.Run("on File", func(t *testing.T) { testFlushAllocatesNothing(t, newFileDev(t, page.Size, 1024)) })

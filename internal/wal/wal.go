@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,8 +141,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // deterministic, which is what lets a replication follower re-append
 // received records and keep its log byte-identical to the primary's.
 func EncodeRecord(r *Record) []byte {
-	b := make([]byte, recHeaderSize+len(r.Data))
-	binary.LittleEndian.PutUint32(b[4:], uint32(recHeaderSize+len(r.Data)))
+	return appendRecord(make([]byte, 0, recHeaderSize+len(r.Data)), r)
+}
+
+// appendRecord appends r's framing to dst: the bytes EncodeRecord returns,
+// written in place, so Append encodes straight into the pending tail.
+func appendRecord(dst []byte, r *Record) []byte {
+	n := recHeaderSize + len(r.Data)
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	b := dst[start:]
+	binary.LittleEndian.PutUint32(b[4:], uint32(n))
 	b[8] = byte(r.Type)
 	binary.LittleEndian.PutUint64(b[9:], uint64(r.Tx))
 	binary.LittleEndian.PutUint32(b[17:], r.Rel)
@@ -149,7 +159,7 @@ func EncodeRecord(r *Record) []byte {
 	binary.LittleEndian.PutUint64(b[27:], r.Aux)
 	copy(b[recHeaderSize:], r.Data)
 	binary.LittleEndian.PutUint32(b[0:], crc32.Checksum(b[4:], castagnoli))
-	return b
+	return dst
 }
 
 // ErrEndOfLog is returned by the scanner at the end of valid records.
@@ -392,19 +402,22 @@ func (w *Writer) SkipTo(lsn LSN) {
 }
 
 // Append buffers a record and returns the LSN just past it. The record is
-// not durable until Flush reaches that LSN.
+// not durable until Flush reaches that LSN. It frames r straight into the
+// pending tail under the buffer latch and keeps nothing of r: r.Data may
+// alias memory the caller rewrites once Append returns (core appends a
+// version's page slot, under the frame latch).
 func (w *Writer) Append(r *Record) LSN {
 	var t0 time.Time
 	if w.appendHist != nil {
 		t0 = time.Now()
 	}
-	b := EncodeRecord(r)
-	if len(b) > maxRecordSize {
-		panic(fmt.Sprintf("wal: a %d-byte %s record is longer than the %d bytes a record may take", len(b), r.Type, maxRecordSize))
+	n := recHeaderSize + len(r.Data)
+	if n > maxRecordSize {
+		panic(fmt.Sprintf("wal: a %d-byte %s record is longer than the %d bytes a record may take", n, r.Type, maxRecordSize))
 	}
 	w.mu.Lock()
-	w.pending = append(w.pending, b...)
-	w.nextLSN += LSN(len(b))
+	w.pending = appendRecord(w.pending, r)
+	w.nextLSN += LSN(n)
 	lsn := w.nextLSN
 	w.mu.Unlock()
 	if w.appendHist != nil {

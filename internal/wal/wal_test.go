@@ -257,6 +257,41 @@ func TestScanBufferReuseKeepsRecords(t *testing.T) {
 	}
 }
 
+// TestAppendAllocBudget pins a warm Append at 0 allocations: the record is
+// framed straight into the pending tail, whose array a flush trims in place
+// and the next appends refill. Append keeps nothing of the record, so the
+// bytes it buffers are exactly EncodeRecord's, and rewriting Data after the
+// call (a page slot the caller reuses) does not reach the log.
+func TestAppendAllocBudget(t *testing.T) {
+	w := NewWriter(newDev())
+	data := bytes.Repeat([]byte{7}, 256)
+	heap := &Record{Type: RecHeapInsert, Tx: 5, Rel: 2, TID: page.TID{Block: 9, Slot: 3}, Aux: 1, Data: data}
+	commit := &Record{Type: RecCommit, Tx: 5}
+	commitOne := func() {
+		w.Append(heap)
+		if _, err := w.Flush(0, w.Append(commit)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm pending's array
+		commitOne()
+	}
+	// Flush allocates nothing (TestFlushAllocatesNothing), so this is the
+	// two appends' cost.
+	if n := testing.AllocsPerRun(1000, commitOne); n != 0 {
+		t.Errorf("two warm Appends and a Flush allocate %v times, want 0", n)
+	}
+
+	w = NewWriter(newDev())
+	want := append(EncodeRecord(heap), EncodeRecord(commit)...)
+	w.Append(heap)
+	w.Append(commit)
+	data[0] = 8 // the caller reuses its buffer
+	if got := w.pending[:w.nextLSN]; !bytes.Equal(got, want) {
+		t.Errorf("Append buffered %x, want EncodeRecord's %x", got, want)
+	}
+}
+
 func TestDurableTracking(t *testing.T) {
 	w := NewWriter(newDev())
 	if w.Durable() != 0 {
