@@ -72,13 +72,7 @@ type xshardResult struct {
 // cross-shard group rewrites from cfg.Workers workers. Unless -expect-crash
 // is set, the run ends with an in-process verify pass.
 func runXShard(cfg loadConfig, jsonPath string, groups int, expectCrash bool) error {
-	opts := client.Options{PoolSize: cfg.Workers, TraceSample: cfg.TraceSample}
-	if expectCrash {
-		// Retries would only thrash against a server that killed itself at a
-		// crashpoint; fail fast so the run ends at the first broken commit.
-		opts.MaxRetries = 0
-	}
-	c, err := client.Dial(cfg.Addr, opts)
+	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers, TraceSample: cfg.TraceSample})
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
 	}

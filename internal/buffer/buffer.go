@@ -98,9 +98,6 @@ type Config struct {
 	// WALFlush, if set, is called before writing a dirty page whose LSN
 	// exceeds the durable WAL horizon.
 	WALFlush func(at simclock.Time, lsn uint64) (simclock.Time, error)
-	// PrefetchWorkers bounds the number of prefetch device reads in flight
-	// at once; 0 uses DefaultPrefetchWorkers.
-	PrefetchWorkers int
 }
 
 // DefaultPartitions is the stripe count used when Config.Partitions is 0
@@ -111,10 +108,10 @@ const DefaultPartitions = 16
 // striping only fragments the replacement policy.
 const minPartitionFrames = 64
 
-// DefaultPrefetchWorkers bounds concurrent prefetch reads when
-// Config.PrefetchWorkers is 0: enough to keep a flash device's channels
-// busy without unbounded goroutine fan-out.
-const DefaultPrefetchWorkers = 8
+// prefetchWorkers bounds the number of prefetch device reads in flight at
+// once: enough to keep a flash device's channels busy without unbounded
+// goroutine fan-out.
+const prefetchWorkers = 8
 
 // maxCoalesce caps how many adjacent pages one prefetch batch merges into a
 // single pread (32 pages = 256 KB at the default page size).
@@ -263,18 +260,14 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 	if nparts > cfg.Frames {
 		nparts = cfg.Frames
 	}
-	workers := cfg.PrefetchWorkers
-	if workers <= 0 {
-		workers = DefaultPrefetchWorkers
-	}
 	p := &Pool{
 		cfg:          cfg,
 		dev:          dev,
 		parts:        make([]partition, nparts),
 		frames:       cfg.Frames,
-		prefetchBufs: make(chan []byte, workers),
+		prefetchBufs: make(chan []byte, prefetchWorkers),
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < prefetchWorkers; i++ {
 		p.prefetchBufs <- nil
 	}
 	for i := range p.parts {
@@ -514,7 +507,7 @@ type prefetchClaim struct {
 // scan's own Get will read those synchronously). Claimed pages are sorted,
 // adjacent device pages are merged into one batched pread (up to
 // maxCoalesce) when the device implements device.PageRangeReader, and the
-// reads run on a worker pool bounded by Config.PrefetchWorkers. A Get that
+// reads run on a worker pool bounded by prefetchWorkers. A Get that
 // arrives before a prefetched read completes singleflight-joins it.
 func (p *Pool) Prefetch(at simclock.Time, pages []int64) {
 	claims := p.claimPrefetch(at, pages)

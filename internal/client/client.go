@@ -75,17 +75,13 @@ var ErrNoPrimary = errors.New("client: no reachable primary")
 type Options struct {
 	// PoolSize caps idle pooled connections per server address (default 4).
 	PoolSize int
-	// DialTimeout bounds connection establishment (default 3s).
-	DialTimeout time.Duration
 	// MaxRetries bounds retry-on-overload attempts per op, and reconnect
-	// attempts per transaction start (default 6).
+	// attempts per transaction start. A value <= 0 selects the default, 6:
+	// retries cannot be turned off.
 	MaxRetries int
 	// RetryBase is the first backoff delay; it doubles per attempt with
 	// full jitter, capped at 64x (default 2ms).
 	RetryBase time.Duration
-	// MaxRedirects caps how many failover redirects one transaction start
-	// will chase before surfacing ErrNoPrimary (default 4).
-	MaxRedirects int
 	// Replicas are read-only follower addresses eligible to serve BeginRead
 	// transactions. Optional; with none, BeginRead runs on the primary.
 	Replicas []string
@@ -120,6 +116,13 @@ type Client struct {
 // flush.
 const lazyEndDelay = time.Millisecond
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 3 * time.Second
+
+// maxRedirects caps how many failover redirects one transaction start chases
+// before surfacing ErrNoPrimary.
+const maxRedirects = 4
+
 // A conn is owned — by a transaction or a one-off call — from get to put, and
 // mu is held for exactly that span. The lazy-end timer only TryLocks it: it
 // never writes under an owner, whose next write carries the end anyway, and
@@ -148,17 +151,11 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 3 * time.Second
-	}
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = 6
 	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = 2 * time.Millisecond
-	}
-	if opts.MaxRedirects <= 0 {
-		opts.MaxRedirects = 4
 	}
 	c := &Client{addr: addr, opts: opts, idle: make(map[string][]*conn)}
 	cn, err := c.dialAddr(addr)
@@ -188,7 +185,7 @@ func (c *Client) Close() error {
 
 // dialAddr opens a connection to addr, owned by the caller.
 func (c *Client) dialAddr(addr string) (*conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -635,7 +632,7 @@ func (t *Tx) envelope(op wire.Op) uint64 {
 // OVERLOADED is retried in place: the pair if BEGIN was refused, the
 // operation alone under its real handle if BEGIN got through.
 //
-// The chase is bounded: at most Options.MaxRedirects repoints and
+// The chase is bounded: at most maxRedirects repoints and
 // Options.MaxRetries reconnects, with backoff between reconnects. Once the
 // budget is spent the last error is surfaced wrapped in ErrNoPrimary so
 // callers can errors.Is(err, client.ErrNoPrimary) rather than pattern-match.
@@ -684,7 +681,7 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 			continue
 		}
 		if addr := wire.FailoverAddr(err); addr != "" {
-			if redirects++; redirects > c.opts.MaxRedirects {
+			if redirects++; redirects > maxRedirects {
 				break
 			}
 			c.redirect(addr)

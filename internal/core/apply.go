@@ -142,9 +142,7 @@ func (r *Relation) ApplyFinish(id txn.ID, committed bool) {
 
 // ApplyBlockFree mirrors a primary GC page reclamation (RecHeapDead with the
 // whole-block slot marker): every version on the block is dead or relocated,
-// so the dead set forgets it and it returns to the free list for reuse. The
-// NoFTL erase-unit path does not apply here — replicas run on conventional
-// devices, and a promoted replica simply re-learns unit state as it collects.
+// so the dead set forgets it and it returns to the free list for reuse.
 func (r *Relation) ApplyBlockFree(block uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -57,7 +57,6 @@ type Stats struct {
 	GCRelocations int64 // live entrypoints re-appended by GC
 	GCDiscarded   int64 // dead versions discarded by GC
 	VMapMisses    int64 // VIDmap bucket residency misses
-	Erases        int64 // DBMS-issued erases (NoFTL mode)
 }
 
 // relStats is the live, race-safe counter set behind Stats. The read path
@@ -76,7 +75,6 @@ type relStats struct {
 	gcRelocations atomic.Int64
 	gcDiscarded   atomic.Int64
 	vmapMisses    atomic.Int64
-	erases        atomic.Int64
 }
 
 func (s *relStats) snapshot() Stats {
@@ -93,7 +91,6 @@ func (s *relStats) snapshot() Stats {
 		GCRelocations: s.gcRelocations.Load(),
 		GCDiscarded:   s.gcDiscarded.Load(),
 		VMapMisses:    s.vmapMisses.Load(),
-		Erases:        s.erases.Load(),
 	}
 }
 
@@ -122,32 +119,12 @@ type Config struct {
 	// non-resident VIDmap bucket (one device page read).
 	VMapMissPenalty simclock.Duration
 	// GCDeadFraction is the minimum dead fraction for a victim page
-	// (default 0.5).
+	// (default 0.35).
 	GCDeadFraction float64
 	// Readahead is the scan readahead window in data items: scans stage the
 	// entrypoint pages of the next Readahead VIDs into the buffer pool's
 	// async prefetcher ahead of the cursor. 0 disables readahead.
 	Readahead int
-	// Eraser, when set, puts the relation in NoFTL mode (Section 6 /
-	// Hardock et al. [22]): GC-freed blocks are grouped into erase units
-	// and the engine erases them explicitly before reuse, taking full
-	// control of the flash geometry away from a device-side FTL.
-	Eraser Eraser
-	// IndexPool/IndexAlloc optionally place index pages on different
-	// storage than the heap (required in NoFTL mode: B+ tree pages are
-	// rewritten in place, which raw flash forbids; the paper's NoFTL
-	// design likewise confines in-place structures to conventional
-	// regions). Defaults: Pool/Alloc.
-	IndexPool  *buffer.Pool
-	IndexAlloc *space.Allocator
-}
-
-// Eraser is the direct-flash capability used in NoFTL mode; the flash
-// package's NoFTL device implements it.
-type Eraser interface {
-	Erase(at simclock.Time, block int64) (simclock.Time, error)
-	PagesPerBlock() int
-	BlockOf(pageNo int64) int64
 }
 
 // Relation is one SIAS-managed table.
@@ -162,11 +139,9 @@ type Relation struct {
 	vmap *vidmap.Map
 	resi *vidmap.Residency
 
-	pk       *index.Tree
-	secs     []*index.Tree
-	secFns   []SecondaryKey
-	idxPool  *buffer.Pool
-	idxAlloc *space.Allocator
+	pk     *index.Tree
+	secs   []*index.Tree
+	secFns []SecondaryKey
 
 	mu          sync.Mutex
 	appendBlock uint32
@@ -194,11 +169,6 @@ type Relation struct {
 	gcLive []liveVer
 	gcBuf  []byte
 
-	// NoFTL mode: freed blocks wait per erase unit until the whole unit is
-	// reclaimable, then get erased and returned for reuse.
-	eraser     Eraser
-	freeByUnit map[uint32][]uint32
-
 	// readahead is the scan prefetch window in VIDs (atomic so tests and
 	// operators can retune a live relation).
 	readahead atomic.Int32
@@ -215,13 +185,7 @@ type pendingDead struct {
 
 // New creates an empty SIAS relation with its VIDmap and primary index.
 func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
-	if cfg.IndexPool == nil {
-		cfg.IndexPool = cfg.Pool
-	}
-	if cfg.IndexAlloc == nil {
-		cfg.IndexAlloc = cfg.Alloc
-	}
-	pk, t, err := index.New(at, cfg.PKRelID, cfg.IndexPool, cfg.IndexAlloc)
+	pk, t, err := index.New(at, cfg.PKRelID, cfg.Pool, cfg.Alloc)
 	if err != nil {
 		return nil, t, err
 	}
@@ -239,13 +203,9 @@ func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
 		vmap:        vidmap.New(),
 		resi:        vidmap.NewResidency(cfg.VMapResidentBuckets),
 		pk:          pk,
-		idxPool:     cfg.IndexPool,
-		idxAlloc:    cfg.IndexAlloc,
 		tupleCount:  map[uint32]int{},
 		gcFraction:  frac,
 		missPenalty: cfg.VMapMissPenalty,
-		eraser:      cfg.Eraser,
-		freeByUnit:  map[uint32][]uint32{},
 	}
 	r.readahead.Store(int32(cfg.Readahead))
 	return r, t, nil
@@ -304,7 +264,7 @@ func (r *Relation) prefetchVIDs(at simclock.Time, vids []uint64) {
 // position. The slices are replaced copy-on-write under r.mu so concurrent
 // readers holding a snapshot never observe a partial mutation.
 func (r *Relation) AddSecondary(at simclock.Time, relID uint32, fn SecondaryKey) (simclock.Time, error) {
-	t, tm, err := index.New(at, relID, r.idxPool, r.idxAlloc)
+	t, tm, err := index.New(at, relID, r.pool, r.alloc)
 	if err != nil {
 		return tm, err
 	}

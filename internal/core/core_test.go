@@ -17,7 +17,7 @@ import (
 )
 
 type env struct {
-	dev   *device.Mem
+	dev   device.BlockDevice
 	pool  *buffer.Pool
 	alloc *space.Allocator
 	walw  *wal.Writer
@@ -27,7 +27,12 @@ type env struct {
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	dev := device.NewMem(page.Size, 1<<16)
+	return newEnvOn(t, device.NewMem(page.Size, 1<<16))
+}
+
+// newEnvOn builds a relation whose heap and indexes live on dev.
+func newEnvOn(t *testing.T, dev device.BlockDevice) *env {
+	t.Helper()
 	walDev := device.NewMem(page.Size, 1<<14)
 	pool := buffer.New(buffer.Config{Frames: 1024, HitCost: 0}, dev)
 	alloc := space.NewAllocator(dev.NumPages(), 64)

@@ -181,30 +181,7 @@ func (r *Relation) collectPage(at simclock.Time, block uint32, horizon txn.ID) (
 	r.mu.Lock()
 	r.forgetDeadLocked(block)
 	r.tupleCount[block] = 0
-	if r.eraser == nil {
-		r.freeBlocks = append(r.freeBlocks, block)
-	} else {
-		// NoFTL: hold the block back until its whole erase unit is free,
-		// then erase explicitly and return the unit for reuse.
-		unitSize := uint32(r.eraser.PagesPerBlock())
-		unit := block / unitSize
-		r.freeByUnit[unit] = append(r.freeByUnit[unit], block)
-		if uint32(len(r.freeByUnit[unit])) == unitSize {
-			blocks := r.freeByUnit[unit]
-			delete(r.freeByUnit, unit)
-			r.mu.Unlock()
-			if devPage, ok := r.alloc.Peek(r.id, unit*unitSize); ok {
-				var eerr error
-				t, eerr = r.eraser.Erase(t, r.eraser.BlockOf(devPage))
-				if eerr != nil {
-					return false, t, eerr
-				}
-			}
-			r.mu.Lock()
-			r.freeBlocks = append(r.freeBlocks, blocks...)
-			r.stats.erases.Add(1)
-		}
-	}
+	r.freeBlocks = append(r.freeBlocks, block)
 	r.stats.gcPages.Add(1)
 	r.stats.gcDiscarded.Add(int64(discarded))
 	r.mu.Unlock()

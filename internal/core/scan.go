@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/txn"
 )
@@ -89,30 +88,14 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			ra := int(r.readahead.Load())
-			var window []uint64
-			t := at
-			for vid := lo; vid < hi; vid++ {
-				window = r.stageVIDs(t, lo, hi, vid, ra, window)
-				if _, ok := r.vmap.Get(vid); !ok {
-					continue
-				}
-				hdr, payload, t2, found, err := r.chainLookup(tx, t, vid)
-				t = t2
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				if !found || hdr.Tombstone() {
-					continue
-				}
+			t, err := r.ScanVIDRange(tx, at, lo, hi, func(vid uint64, payload []byte) bool {
 				fn(vid, payload)
-			}
+				return true
+			})
 			mu.Lock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 			if t > latest {
 				latest = t
 			}
@@ -124,7 +107,7 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 }
 
 // ChainLength walks vid's full physical chain and reports its length
-// (diagnostics and the chain-length ablation benchmark).
+// (diagnostics).
 func (r *Relation) ChainLength(at simclock.Time, vid uint64) (int, simclock.Time, error) {
 	tid, ok := r.vmap.Get(vid)
 	if !ok {
@@ -143,5 +126,3 @@ func (r *Relation) ChainLength(at simclock.Time, vid uint64) (int, simclock.Time
 	}
 	return n, t, nil
 }
-
-var _ = page.InvalidTID

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"sias/internal/device"
+	"sias/internal/page"
 	"sias/internal/simclock"
+	"sias/internal/txn"
 )
 
 func loadItems(t *testing.T, e *env, n int) {
@@ -128,6 +132,54 @@ func TestParallelScanWallClockBenefit(t *testing.T) {
 		t.Errorf("parallel scan virtual end %v > sequential %v", parEnd, seqEnd)
 	}
 	e.txm.Commit(r)
+}
+
+// TestParallelScanSurfacesReadError fails the device read of one entrypoint page
+// near the end of the VID range, with the pool cold, and checks that every
+// VID-range scan hands that error to its caller: ParallelScan at several
+// degrees of parallelism, and ScanVIDRange over the same range.
+func TestParallelScanSurfacesReadError(t *testing.T) {
+	errRead := errors.New("injected read failure")
+	dev := device.NewWrap(device.NewMem(page.Size, 1<<16))
+	bad := int64(-1)
+	dev.SetReadHook(func(pageNo int64, n int) error {
+		if pageNo <= bad && bad < pageNo+int64(n) {
+			return errRead
+		}
+		return nil
+	})
+	e := newEnvOn(t, dev)
+	const n = 2000
+	loadItems(t, e, n)
+	tid, ok := e.rel.VIDMap().Get(n - 3)
+	if !ok {
+		t.Fatal("no entrypoint")
+	}
+	var err error
+	if bad, err = e.alloc.DevicePage(1, tid.Block); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, scan func(tx *txn.Tx) error) {
+		t.Helper()
+		coldPool(t, e, 0)
+		r := e.txm.Begin()
+		err := scan(r)
+		e.txm.Commit(r)
+		if !errors.Is(err, errRead) {
+			t.Errorf("%s: err = %v, want the injected read failure", name, err)
+		}
+	}
+	for _, par := range []int{1, 4, 8} {
+		check(fmt.Sprintf("ParallelScan(%d)", par), func(tx *txn.Tx) error {
+			_, err := e.rel.ParallelScan(tx, 0, par, func(uint64, []byte) {})
+			return err
+		})
+	}
+	check("ScanVIDRange", func(tx *txn.Tx) error {
+		_, err := e.rel.ScanVIDRange(tx, 0, 0, n, func(uint64, []byte) bool { return true })
+		return err
+	})
 }
 
 func TestChainLength(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 // a per-read hook. It is the test stand-in for a slow device: virtual-time
 // latencies (Mem, File) model cost in the simulation arithmetic, but only a
 // real time.Sleep makes a lock held across a read hurt on the wall clock —
-// which is exactly what the async-miss-path tests and the CI slow-device
-// smoke need to observe. The hook doubles as a fault injector (fail the Nth
-// read) and a gate (block one read while asserting another proceeds).
+// which is exactly what the async-miss-path tests and the slow-device
+// smoke (engine's TestSlowDeviceColdScan) need to observe. The hook doubles
+// as a fault injector (fail the Nth read) and a gate (block one read while
+// asserting another proceeds).
 //
 // Configure ReadDelay/WriteDelay and the hook before sharing the device;
 // they are not synchronized against in-flight operations.

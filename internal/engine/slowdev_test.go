@@ -11,7 +11,7 @@ import (
 	"sias/internal/tuple"
 )
 
-// TestSlowDeviceColdScan is the CI slow-device smoke: a cold full-table scan
+// TestSlowDeviceColdScan is the slow-device smoke: a cold full-table scan
 // with the pool sized at 1/4 of the dataset, over a device whose reads cost
 // real wall-clock time. The readahead pipeline must keep several reads in
 // flight — the scan has to finish far sooner than the serial

@@ -46,6 +46,9 @@ import (
 // follower is the designated successor — it should promote itself.
 var errDrained = errors.New("repl: primary drained")
 
+// dialTimeout bounds each connection attempt to the primary.
+const dialTimeout = 3 * time.Second
+
 // Config configures a Follower.
 type Config struct {
 	// PrimaryAddr is the primary server's listen address.
@@ -56,8 +59,6 @@ type Config struct {
 	// Shards are the follower's engines, in the same shard order as the
 	// primary's. Each must already be in replica mode (engine.SetReplica).
 	Shards []*engine.Facade
-	// DialTimeout bounds each connection attempt (default 3s).
-	DialTimeout time.Duration
 	// Logf logs replication progress (default log.Printf).
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records a "repl.apply" span for every applied
@@ -106,9 +107,6 @@ func NewFollower(cfg Config) (*Follower, error) {
 		if fc == nil || !fc.DB().Replica() {
 			return nil, fmt.Errorf("repl: shard %d is not in replica mode", i)
 		}
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -189,7 +187,7 @@ func (f *Follower) streamEnded(successor string) error {
 
 // stream runs one subscription connection until error or drain.
 func (f *Follower) stream() error {
-	d := net.Dialer{Timeout: f.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.Dial("tcp", f.PrimaryAddr())
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ import (
 // not the writes.
 func TestCommitConnectionLossInDoubt(t *testing.T) {
 	srv, addr := startServer(t, memRouter(t, 2), nil)
-	c, err := client.Dial(addr, client.Options{MaxRetries: 0})
+	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCommitConnectionLossInDoubt(t *testing.T) {
 // it.
 func TestCommitConnectionLossReadOnlyNotInDoubt(t *testing.T) {
 	srv, addr := startServer(t, memRouter(t, 2), nil)
-	c, err := client.Dial(addr, client.Options{MaxRetries: 0})
+	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCommittedCrossShardCommitNeverFails(t *testing.T) {
 	})
 	r := routerOf(t, openKV(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false), part)
 	_, addr := startServer(t, r, nil)
-	c, err := client.Dial(addr, client.Options{MaxRetries: 0})
+	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

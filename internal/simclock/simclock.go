@@ -90,7 +90,6 @@ func (r *Resource) Acquire(at Time, service Duration) Time {
 		if f < r.free[best] {
 			best = i
 		}
-		_ = i
 	}
 	start := at
 	if r.free[best] > start {
@@ -98,21 +97,6 @@ func (r *Resource) Acquire(at Time, service Duration) Time {
 	}
 	end := start.Add(service)
 	r.free[best] = end
-	r.busy += service
-	return end
-}
-
-// AcquireUnit is Acquire pinned to a specific unit (e.g. a RAID stripe that
-// maps a block to one spindle).
-func (r *Resource) AcquireUnit(unit int, at Time, service Duration) Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	start := at
-	if r.free[unit] > start {
-		start = r.free[unit]
-	}
-	end := start.Add(service)
-	r.free[unit] = end
 	r.busy += service
 	return end
 }

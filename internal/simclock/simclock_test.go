@@ -67,18 +67,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestAcquireUnitPinning(t *testing.T) {
-	r := NewResource(2)
-	d1 := r.AcquireUnit(0, 0, 10)
-	d2 := r.AcquireUnit(0, 0, 10)
-	if d1 != 10 || d2 != 20 {
-		t.Errorf("pinned unit should serialize: %v, %v", d1, d2)
-	}
-	if d := r.AcquireUnit(1, 0, 10); d != 10 {
-		t.Errorf("other unit should be free: %v", d)
-	}
-}
-
 func TestBusyTimeAndHorizon(t *testing.T) {
 	r := NewResource(1)
 	r.Acquire(0, 7)

@@ -38,7 +38,7 @@ type Allocator struct {
 	scratchNext int64
 	scratch     bool
 	// rels is the extent map: (*rels)[rel][ext] holds base+1 of each extent
-	// granted to rel, 0 for one not granted. DevicePage and Peek read it
+	// granted to rel, 0 for one not granted. DevicePage reads it
 	// without the mutex. Every grant and Restore writes it under mu: an
 	// entry in place, and a table too short for the entry as a longer copy
 	// published in a new outer slice, so a reader holding an old copy sees
@@ -146,23 +146,6 @@ func (a *Allocator) grantLocked(k extKey, base int64) {
 		rels = grown
 	}
 	rels[k.rel][k.ext].Store(base + 1)
-}
-
-// Peek translates without allocating; ok is false if the extent was never
-// granted (the block has never been written).
-func (a *Allocator) Peek(rel uint32, block uint32) (int64, bool) {
-	k := extKey{rel, block / uint32(a.extentSize)}
-	off := int64(block % uint32(a.extentSize))
-	if base, ok := a.lookup(k); ok {
-		return base + off, true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	base, ok := a.lookup(k)
-	if !ok {
-		return 0, false
-	}
-	return base + off, true
 }
 
 // Restore re-applies an extent grant during recovery. Idempotent.

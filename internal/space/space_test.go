@@ -43,20 +43,6 @@ func TestRelationsSeparated(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotAllocate(t *testing.T) {
-	a := NewAllocator(1000, 64)
-	if _, ok := a.Peek(1, 0); ok {
-		t.Error("Peek should miss before allocation")
-	}
-	if a.AllocatedPages() != 0 {
-		t.Error("Peek must not allocate")
-	}
-	a.DevicePage(1, 0)
-	if _, ok := a.Peek(1, 5); !ok {
-		t.Error("Peek should hit within the granted extent")
-	}
-}
-
 func TestOnAllocHookFiresOncePerExtent(t *testing.T) {
 	a := NewAllocator(10000, 64)
 	var grants []uint32
@@ -91,9 +77,9 @@ func TestRestoreIdempotent(t *testing.T) {
 	a := NewAllocator(10000, 64)
 	a.Restore(1, 0, 128)
 	a.Restore(1, 0, 128)
-	p, ok := a.Peek(1, 10)
-	if !ok || p != 138 {
-		t.Errorf("Peek after restore = %d,%v; want 138,true", p, ok)
+	p, err := a.DevicePage(1, 10)
+	if err != nil || p != 138 {
+		t.Errorf("DevicePage after restore = %d,%v; want 138,nil", p, err)
 	}
 	if a.AllocatedPages() != 192 {
 		t.Errorf("AllocatedPages = %d, want 192 (high-water past restored extent)", a.AllocatedPages())

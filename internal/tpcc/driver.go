@@ -16,9 +16,6 @@ type DriverConfig struct {
 	// (a connection pool rather than 10 per warehouse). Default: one per
 	// warehouse, capped at 64.
 	Terminals int
-	// TxnCPU is a fixed virtual CPU cost charged per transaction for
-	// parse/plan/executor overhead outside the storage manager.
-	TxnCPU simclock.Duration
 	// ThinkTime, when non-zero, makes the workload open-loop: each terminal
 	// pauses this long between transactions, so both engines process the
 	// same arrival stream (used by the write-volume experiment to compare
@@ -27,6 +24,10 @@ type DriverConfig struct {
 	// Seed makes runs reproducible.
 	Seed int64
 }
+
+// txnCPU is a fixed virtual CPU cost charged per transaction for
+// parse/plan/executor overhead outside the storage manager.
+const txnCPU = 100 * simclock.Microsecond
 
 // DefaultDriverConfig returns a 60-virtual-second run configuration.
 func DefaultDriverConfig(warehouses int) DriverConfig {
@@ -40,7 +41,6 @@ func DefaultDriverConfig(warehouses int) DriverConfig {
 	return DriverConfig{
 		Duration:  60 * simclock.Second,
 		Terminals: term,
-		TxnCPU:    100 * simclock.Microsecond,
 		Seed:      7,
 	}
 }
@@ -124,7 +124,7 @@ func (b *Bench) Run(start simclock.Time, cfg DriverConfig) (Metrics, simclock.Ti
 		if b.Warehouses > 1 && t.rng.Intn(10) == 0 {
 			w = 1 + t.rng.Int63n(int64(b.Warehouses))
 		}
-		after, res, err := b.Execute(t.clock.Add(cfg.TxnCPU), t.rng, typ, w)
+		after, res, err := b.Execute(t.clock.Add(txnCPU), t.rng, typ, w)
 		if err != nil {
 			return m, t.clock, fmt.Errorf("tpcc: %s on warehouse %d: %w", typ, w, err)
 		}

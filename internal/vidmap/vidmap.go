@@ -19,9 +19,6 @@
 package vidmap
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -173,53 +170,6 @@ func (m *Map) SetNextVID(v uint64) {
 			return
 		}
 	}
-}
-
-// Persist serializes the map (Section 6: "the SIAS data structures are only
-// persisted during the shutdown of the DBMS"). Format: nextVID, bucket
-// count, then raw slots.
-func (m *Map) Persist(w io.Writer) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], m.nextVID.Load())
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(m.buckets)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var slot [8]byte
-	for _, b := range m.buckets {
-		for i := range b.slots {
-			binary.LittleEndian.PutUint64(slot[:], b.slots[i].Load())
-			if _, err := w.Write(slot[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Load restores a map persisted with Persist.
-func Load(r io.Reader) (*Map, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("vidmap: load header: %w", err)
-	}
-	m := New()
-	m.nextVID.Store(binary.LittleEndian.Uint64(hdr[0:]))
-	nb := binary.LittleEndian.Uint64(hdr[8:])
-	var slot [8]byte
-	for i := uint64(0); i < nb; i++ {
-		b := &bucket{}
-		for j := 0; j < BucketCapacity; j++ {
-			if _, err := io.ReadFull(r, slot[:]); err != nil {
-				return nil, fmt.Errorf("vidmap: load bucket %d: %w", i, err)
-			}
-			b.slots[j].Store(binary.LittleEndian.Uint64(slot[:]))
-		}
-		m.buckets = append(m.buckets, b)
-	}
-	return m, nil
 }
 
 // Residency simulates the paper's swap-to-disk behaviour: on large databases

@@ -1,7 +1,6 @@
 package vidmap
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -136,34 +135,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	m.Range(func(uint64, page.TID) bool { n++; return n < 4 })
 	if n != 4 {
 		t.Errorf("Range visited %d entries, want 4", n)
-	}
-}
-
-func TestPersistLoadRoundtrip(t *testing.T) {
-	m := New()
-	for i := 0; i < 3000; i++ {
-		vid := m.AllocVID()
-		if i%3 != 0 {
-			m.Set(vid, page.TID{Block: uint32(i * 7), Slot: uint16(i)})
-		}
-	}
-	var buf bytes.Buffer
-	if err := m.Persist(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxVID() != m.MaxVID() {
-		t.Errorf("MaxVID = %d, want %d", got.MaxVID(), m.MaxVID())
-	}
-	for vid := uint64(0); vid < m.MaxVID(); vid++ {
-		a, aok := m.Get(vid)
-		b, bok := got.Get(vid)
-		if aok != bok || a != b {
-			t.Fatalf("vid %d: (%v,%v) != (%v,%v)", vid, a, aok, b, bok)
-		}
 	}
 }
 
