@@ -172,12 +172,11 @@ func openShard(cfg serverConfig, i int) (openedShard, error) {
 			return openedShard{}, err
 		}
 		walPath := filepath.Join(dir, "wal.img")
-		// A pre-existing WAL means a previous generation to replay. A
-		// follower resumes its mirrored log at the exact byte position so it
-		// stays identical to the primary's.
+		// A pre-existing WAL is a log to replay and then continue at the
+		// exact end of its intact records — on a follower too, so its
+		// mirrored log stays identical to the primary's.
 		if _, err := os.Stat(walPath); err == nil {
 			opts.Recover = true
-			opts.ResumeWAL = cfg.follow != ""
 		}
 		data, err := device.OpenFile(filepath.Join(dir, "data.img"), page.Size, dataPages)
 		if err != nil {

@@ -397,10 +397,10 @@ func TestPrefetchCoalesce(t *testing.T) {
 	}
 }
 
-// TestReadBatchAllocsFlat pins the coalesced read's budget: with the worker's
+// TestReadBatchAllocBudget pins the coalesced read's budget: with the worker's
 // staging buffer warm, a 32-page readBatch allocates exactly as often as a
 // 2-page one — not at all — where a buffer per batch would cost 256 KB a run.
-func TestReadBatchAllocsFlat(t *testing.T) {
+func TestReadBatchAllocBudget(t *testing.T) {
 	p := New(Config{Frames: 64, Partitions: 1}, device.NewMem(page.Size, 1<<10))
 	run := func(n int) []int64 {
 		pages := make([]int64, n)

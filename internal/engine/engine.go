@@ -101,15 +101,9 @@ type Options struct {
 	VMapResidentBuckets int
 
 	// Recover scans the WAL device and replays it; use when reopening
-	// existing devices after a crash.
+	// existing devices after a crash. The log is continued at the exact end
+	// of its intact records.
 	Recover bool
-
-	// ResumeWAL (with Recover) continues the existing log exactly where its
-	// intact records end instead of starting a page-aligned new generation.
-	// A replication follower needs this: its log must stay byte-identical to
-	// the primary's, so restart gaps are not allowed — padding only ever
-	// arrives by mirroring the primary's own generation rounding.
-	ResumeWAL bool
 }
 
 // DefaultOptions returns a SIAS/t2 configuration with a 2048-frame pool and
@@ -189,7 +183,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.DataDevice == nil || opts.WALDevice == nil {
 		return nil, errors.New("engine: data and WAL devices are required")
 	}
-	if opts.Kind == KindSI && (opts.Recover || opts.ResumeWAL || opts.GCRetention > 0) {
+	if opts.Kind == KindSI && (opts.Recover || opts.GCRetention > 0) {
 		return nil, ErrSIBaseline
 	}
 	if opts.PoolFrames <= 0 {
@@ -207,8 +201,8 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	if opts.Recover {
-		// Analyse the existing log before creating the writer, so the new
-		// generation appends after the old records.
+		// Analyse the existing log before creating the writer, which goes on
+		// writing at the exact end of its intact records.
 		db.decisions = map[uint64]bool{}
 		start := time.Now()
 		end, err := wal.Scan(opts.WALDevice, db.analyze)
@@ -217,14 +211,7 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.recoverAnalyzeNs.Store(int64(time.Since(start)))
 		db.logEnd = end
-		if opts.ResumeWAL {
-			db.walw, err = wal.NewWriterResume(opts.WALDevice, end)
-		} else {
-			// Start the new generation at the next page boundary past the data.
-			ps := wal.LSN(opts.WALDevice.PageSize())
-			db.walw, err = wal.NewWriterAt(opts.WALDevice, (end+ps-1)/ps*ps)
-		}
-		if err != nil {
+		if db.walw, err = wal.NewWriterResume(opts.WALDevice, end); err != nil {
 			return nil, fmt.Errorf("engine: WAL writer: %w", err)
 		}
 	} else {
@@ -275,7 +262,7 @@ func (db *DB) Alloc() *space.Allocator { return db.alloc }
 var ErrReadOnly = errors.New("engine: read-only replica")
 
 // ErrSIBaseline refuses, on a KindSI DB, every path only a served engine
-// takes: Open with Recover, ResumeWAL or GCRetention, follower apply
+// takes: Open with Recover or GCRetention, follower apply
 // (ApplyRecord, RefreshReplica, Promote) and logged DDL. The SI baseline is
 // the simulator's comparison engine; it never replays its log.
 var ErrSIBaseline = errors.New("engine: the SI baseline is simulator-only (no recovery, replication, logged DDL or AS OF retention)")

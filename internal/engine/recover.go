@@ -49,9 +49,9 @@ var errLogEnd = errors.New("engine: redo reached the analysed log end")
 // one for. Heap records below the last checkpoint's redo point skip their
 // page redo: those pages are on the device already. The pass reads the log
 // device again, so recovery holds one scan buffer of log rather than the
-// log, and stops at the end Open found: what this generation has appended
-// and flushed since (a bootstrap extent grant, a flush forced by an
-// eviction) is not replayed.
+// log, and stops at the end Open found: what the writer, continuing the log
+// at that end, has appended and flushed since (a bootstrap extent grant, a
+// flush forced by an eviction) is not replayed.
 func (db *DB) Recover(at simclock.Time) (simclock.Time, error) {
 	if !db.opts.Recover {
 		return at, fmt.Errorf("engine: Recover on a DB opened without Options.Recover")

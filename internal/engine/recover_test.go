@@ -11,6 +11,7 @@ import (
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
+	"sias/internal/txn"
 	"sias/internal/wal"
 )
 
@@ -187,6 +188,79 @@ func TestRecoveryUncommittedInvisible(t *testing.T) {
 	}
 }
 
+// TestRecoverEndsAtTornLogHole: a torn flush lost the sector that holds the
+// header of a transaction's insert, and its commit record, on the next page,
+// reached the device. The log ends where the insert starts, so recovery must
+// leave that transaction uncommitted rather than commit it without its heap
+// records. Advisory trace records pad the log so the insert starts on a
+// sector boundary and the commit on a page boundary.
+func TestRecoverEndsAtTornLogHole(t *testing.T) {
+	data := device.NewMem(page.Size, 1<<16)
+	walDev := device.NewMem(page.Size, 1<<14)
+	db, err := Open(DefaultOptions(data, walDev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, at, err := db.CreateTable(0, "accounts", testSchema(), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := db.Begin()
+	at, _ = tab.Insert(kept, at, tuple.Row{int64(1), "kept", int64(1)})
+	at, _ = db.Commit(kept, at)
+
+	w := db.WAL()
+	header := wal.LSN(len(wal.EncodeRecord(&wal.Record{})))
+	padTo := func(tx txn.ID, unit wal.LSN) {
+		size := (unit - w.NextLSN()%unit) % unit
+		if size > 0 && size < header {
+			size += unit
+		}
+		if size > 0 {
+			w.Append(&wal.Record{Type: wal.RecTraceCtx, Tx: tx, Data: make([]byte, size-header)})
+		}
+	}
+	torn := db.Begin()
+	padTo(kept.ID, 512)
+	insertAt := w.NextLSN()
+	at, _ = tab.Insert(torn, at, tuple.Row{int64(2), "torn", int64(2)})
+	padTo(torn.ID, page.Size)
+	commitAt := w.NextLSN()
+	if _, err := db.Commit(torn, at); err != nil {
+		t.Fatal(err)
+	}
+	if commitAt < insertAt+512 {
+		t.Fatalf("the commit at %d lies in the sector the insert at %d starts", commitAt, insertAt)
+	}
+
+	buf := make([]byte, page.Size)
+	pg := int64(insertAt) / page.Size
+	if _, err := walDev.ReadPage(0, pg, buf); err != nil {
+		t.Fatal(err)
+	}
+	off := int(insertAt) % page.Size
+	clear(buf[off : off+512])
+	if _, err := walDev.WritePage(0, pg, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, tab2 := crashAndRecover(t, KindSIAS, data, walDev)
+	if got := db2.Stats().RecoverLogBytes; got != int64(insertAt) {
+		t.Errorf("recovery replayed %d log bytes, want %d, up to the lost insert", got, insertAt)
+	}
+	if st := db2.Txns().CLOG().Get(torn.ID); st == txn.StatusCommitted {
+		t.Errorf("tx %d, whose insert was lost, recovered as committed", torn.ID)
+	}
+	check := db2.Begin()
+	if _, _, err := tab2.Get(check, 0, 1); err != nil {
+		t.Errorf("committed row lost: %v", err)
+	}
+	if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the torn transaction's row: %v, want ErrNotFound", err)
+	}
+	db2.Commit(check, 0)
+}
+
 func TestRecoveryDeleteSurvives(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
@@ -240,8 +314,8 @@ func TestRecoveryTxnIDsAdvance(t *testing.T) {
 }
 
 func TestDoubleCrashRecovery(t *testing.T) {
-	// Recover, do more work, crash again, recover again: the second
-	// generation of WAL records must replay after the first.
+	// Recover, do more work, crash again, recover again: the records written
+	// after the first recovery must replay after the earlier ones.
 	data := device.NewMem(page.Size, 1<<16)
 	walDev := device.NewMem(page.Size, 1<<14)
 	opts := DefaultOptions(data, walDev)
@@ -271,8 +345,9 @@ func TestDoubleCrashRecovery(t *testing.T) {
 // TestRecoverHoldsNoLog pins the shape of recovery: Open's analysis pass
 // reads every log page once and keeps none of it — the live heap grows by a
 // fraction of the log — and Recover's redo pass reads every page holding a
-// record below the end Open found exactly once more, and no page a third
-// time, however many record types it replays.
+// record below the end Open found exactly once more, however many record
+// types it replays. The one page read once more is the page the log ends
+// inside, which the writer that continues the log reloads in Open.
 func TestRecoverHoldsNoLog(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
@@ -328,6 +403,13 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			endPage := (int64(end) + page.Size - 1) / page.Size // pages [0, endPage) hold records
+			// passes reads of page p, the tail page's reload on top.
+			wantReads := func(p int64, passes int) int {
+				if int64(end)%page.Size != 0 && p == endPage-1 {
+					return passes + 1
+				}
+				return passes
+			}
 
 			reads := map[int64]int{}
 			wrapped := device.NewWrap(walDev)
@@ -351,12 +433,12 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 			}
 			t.Logf("Open over a %d-byte log grew the live heap by %d bytes", end, grew)
 			for p := int64(0); p < endPage; p++ {
-				if reads[p] != 1 {
-					t.Fatalf("Open read log page %d %d times, want 1", p, reads[p])
+				if reads[p] != wantReads(p, 1) {
+					t.Fatalf("Open read log page %d %d times, want %d", p, reads[p], wantReads(p, 1))
 				}
 			}
 			for p, n := range reads {
-				if n != 1 {
+				if n != wantReads(p, 1) {
 					t.Errorf("Open read log page %d %d times", p, n)
 				}
 			}
@@ -368,13 +450,13 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			for p := int64(0); p < endPage; p++ {
-				if reads[p] != 2 {
-					t.Errorf("log page %d read %d times by Open and Recover, want 2", p, reads[p])
+				if reads[p] != wantReads(p, 2) {
+					t.Errorf("log page %d read %d times by Open and Recover, want %d", p, reads[p], wantReads(p, 2))
 					break
 				}
 			}
 			for p, n := range reads {
-				if n > 2 {
+				if n > wantReads(p, 2) {
 					t.Errorf("log page %d read %d times by Open and Recover", p, n)
 				}
 			}
@@ -396,7 +478,7 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 }
 
 // TestRecoverStopsAtTheAnalysedEnd pins that the redo pass replays the log
-// Open analysed and nothing this generation appended after it: a record
+// Open analysed and nothing the writer appended after it: a record
 // flushed between Open and Recover — here an outcome for the in-doubt
 // participant, which would commit it — is on the device when Recover reads it,
 // and must not be applied.

@@ -169,7 +169,7 @@ func (db *DB) ReplicaDirty() bool { return db.replicaDirty.Load() }
 // The id allocator already sits past every replayed transaction
 // (RefreshReplica fast-forwards it), so new local transactions sort after the
 // primary's history. The WAL writer keeps appending where the mirrored log
-// ends — no generation gap, because the mirror is exact.
+// ends, as the primary's would have.
 func (db *DB) Promote(at simclock.Time) (simclock.Time, error) {
 	t, err := db.RefreshReplica(at)
 	if err != nil {

@@ -74,7 +74,7 @@ func openApplyReplica(t *testing.T, kind Kind, data, walDev *device.Mem, restart
 	opts := DefaultOptions(data, walDev)
 	opts.Kind = kind
 	opts.GCRetention = 4
-	opts.Recover, opts.ResumeWAL = restart, restart
+	opts.Recover = restart
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,6 @@ func (rep *applyReplica) catchUp(t *testing.T, recs []logRec) {
 	w := rep.db.WAL()
 	for ; rep.pos < len(recs); rep.pos++ {
 		r := &recs[rep.pos]
-		w.SkipTo(r.lsn)
 		if got := w.NextLSN(); got != r.lsn {
 			t.Fatalf("mirror at LSN %d, primary record %d starts at %d", got, rep.pos, r.lsn)
 		}

@@ -35,7 +35,6 @@ func checkSIRefusals(t *testing.T) {
 	}
 	for name, tweak := range map[string]func(*Options){
 		"Recover":     func(o *Options) { o.Recover = true },
-		"ResumeWAL":   func(o *Options) { o.Recover, o.ResumeWAL = true, true },
 		"GCRetention": func(o *Options) { o.GCRetention = 1 },
 	} {
 		opts := siOpts()

@@ -5,10 +5,33 @@ import (
 	"os"
 	"testing"
 
+	"sias/internal/engine"
 	"sias/internal/simclock"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/table1.golden from the simulator")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the simulator")
+
+// checkGolden fails unless got is the content of testdata/name, which -update
+// rewrites from got first.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/" + name
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s moved (regenerate with -update only if that is intended):\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
 
 // TestTable1Golden pins the simulator: Table 1 at 2 warehouses and 40
 // virtual seconds — exactly what `siasbench -exp table1 -wh 2 -dur 40`
@@ -24,22 +47,31 @@ func TestTable1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := FormatTable1(rows)
+	checkGolden(t, "table1.golden", FormatTable1(rows))
+}
 
-	const path = "testdata/table1.golden"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("Table 1 moved (regenerate with -update only if that is intended):\n got:\n%s\nwant:\n%s", got, want)
+// TestBlocktraceGolden pins Figures 3 and 4 the same way: the block trace
+// scatter and read/write totals of SIAS and of SI at 2 warehouses and 40
+// virtual seconds, what `siasbench -exp fig3` (fig4) `-wh 2 -dur 40` prints.
+// A shorter run leaves Figure 3 empty: SIAS under t2 writes its data pages
+// at the first checkpoint, 30 s in.
+func TestBlocktraceGolden(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		kind engine.Kind
+	}{
+		{"fig3", engine.KindSIAS},
+		{"fig4", engine.KindSI},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			cfg := DefaultBlocktraceConfig()
+			cfg.Warehouses = 2
+			cfg.Duration = 40 * simclock.Second
+			_, got, err := RunBlocktrace(fig.kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fig.name+".golden", got)
+		})
 	}
 }

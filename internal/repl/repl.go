@@ -2,17 +2,17 @@
 //
 // The primary side lives in internal/server: a SUBSCRIBE request turns a
 // connection into a log stream, shipping CRC-framed WAL records (read off
-// the log device with wal.TailReader, below the durable LSN) as LOGBATCH
+// the log device with wal.ReadBatch, below the durable LSN) as LOGBATCH
 // frames, one cursor per shard, with start-LSN resume.
 //
 // This package is the follower side. A Follower dials the primary,
 // subscribes from its own logs' current ends, and for every received batch
 //
 //  1. re-appends the records verbatim to its local WAL (the encoding is
-//     deterministic and the primary's inter-generation padding is mirrored
-//     with SkipTo, so the follower's log stays byte-identical to the
-//     primary's — which is what makes "lag" a plain LSN subtraction and
-//     lets a restarted follower resume from exactly where it stopped);
+//     deterministic and both logs are one stream that every restart
+//     continues at its exact end, so the follower's log stays byte-identical
+//     to the primary's — which is what makes "lag" a plain LSN subtraction
+//     and lets a restarted follower resume from exactly where it stopped);
 //  2. replays them through the engine's idempotent recovery redo and folds
 //     each record into the volatile read structures incrementally
 //     (engine.ApplyRecord), the way the primary's own write path did.
@@ -272,9 +272,10 @@ func (f *Follower) stream() error {
 }
 
 // applyBatch mirrors one batch into the local WAL and replays it. Duplicate
-// prefixes (a reconnect race can re-ship records) are dropped; a gap between
-// the local log end and the batch start is primary generation padding and is
-// mirrored with SkipTo.
+// prefixes (a reconnect race can re-ship records) are dropped. A batch that
+// starts past the local log end would leave a hole in the mirror, so it is
+// refused: the stream reconnects from the applied end, as after any apply
+// error.
 func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDurable wal.LSN) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -293,7 +294,7 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 		start = cur
 	}
 	if start > cur {
-		w.SkipTo(start)
+		return fmt.Errorf("repl: shard %d: batch starts at LSN %d, past the local log end %d", shard, start, cur)
 	}
 	applyStart := time.Now()
 	var traceIDs map[uint64]int // trace id -> records applied under it

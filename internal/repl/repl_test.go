@@ -2,6 +2,7 @@ package repl_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -58,7 +59,6 @@ func openFollower(t *testing.T, data, walDev device.BlockDevice, recover bool) s
 	t.Helper()
 	opts := engine.DefaultOptions(data, walDev)
 	opts.Recover = recover
-	opts.ResumeWAL = recover
 	db, err := engine.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +314,9 @@ func TestReplicationBasic(t *testing.T) {
 
 // TestPrimaryKillResume SIGKILLs the primary (Server.Kill: no drain, no
 // checkpoint) mid-replication, restarts it over the same devices with crash
-// recovery, and requires the follower to resume from its applied LSN across
-// the generation gap — ending with every committed row present exactly once.
+// recovery, and requires the follower to resume from its applied LSN —
+// ending with every committed row present exactly once, and a log
+// byte-identical to the primary's across the restart.
 func TestPrimaryKillResume(t *testing.T) {
 	pData := device.NewMem(page.Size, 1<<16)
 	pWAL := device.NewMem(page.Size, 1<<14)
@@ -331,7 +332,8 @@ func TestPrimaryKillResume(t *testing.T) {
 	}
 	pErr := serveOn(psrv, pln)
 
-	fsh := openFollower(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false)
+	fWAL := device.NewMem(page.Size, 1<<14)
+	fsh := openFollower(t, device.NewMem(page.Size, 1<<16), fWAL, false)
 	f, err := repl.NewFollower(repl.Config{
 		PrimaryAddr: addr,
 		Shards:      []*engine.Facade{fsh.Facade},
@@ -358,8 +360,7 @@ func TestPrimaryKillResume(t *testing.T) {
 	pc.Close()
 
 	// Restart over the same devices: recovery replays the durable log and the
-	// new generation starts at the next page boundary — a padding gap the
-	// follower must mirror, not a divergence.
+	// primary writes on at its exact end, where the follower's log ends too.
 	pln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +385,23 @@ func TestPrimaryKillResume(t *testing.T) {
 	waitFor(t, 10*time.Second, "follower to catch up after the restart", func() bool {
 		return caughtUp(f) && f.Stats().Shards[0].AppliedLSN > appliedBefore
 	})
+	applied := int64(f.Stats().Shards[0].AppliedLSN)
+	pBuf, fBuf := make([]byte, page.Size), make([]byte, page.Size)
+	for pg := int64(0); pg*page.Size < applied; pg++ {
+		if _, err := pWAL.ReadPage(0, pg, pBuf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fWAL.ReadPage(0, pg, fBuf); err != nil {
+			t.Fatal(err)
+		}
+		n := min(page.Size, applied-pg*page.Size)
+		if !bytes.Equal(pBuf[:n], fBuf[:n]) {
+			t.Fatalf("log page %d differs between the primary and the follower", pg)
+		}
+	}
 
-	// The follower serves both generations' rows, each exactly once.
+	// The follower serves the rows from before and after the restart, each
+	// exactly once.
 	fsrv, err := server.New(server.Config{Router: routerOf(t, fsh), Replica: f})
 	if err != nil {
 		t.Fatal(err)

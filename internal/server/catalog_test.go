@@ -618,7 +618,7 @@ func TestCreateIndexCoversExistingRows(t *testing.T) {
 	fdata, fwal := device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14)
 	openFollower := func(restart bool) shard.Shard {
 		opts := engine.DefaultOptions(fdata, fwal)
-		opts.Recover, opts.ResumeWAL = restart, restart
+		opts.Recover = restart
 		db, err := engine.Open(opts)
 		if err != nil {
 			t.Fatal(err)

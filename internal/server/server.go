@@ -697,11 +697,8 @@ func (c *session) runSubscriber(payload []byte) {
 
 	var hs wire.Buf
 	hs.U32(n)
-	readers := make([]*wal.TailReader, n)
 	for i := 0; i < int(n); i++ {
-		db := srv.cfg.Router.Shard(i).Facade.DB()
-		readers[i] = wal.NewTailReader(db.WALDevice())
-		hs.U64(uint64(db.WAL().Durable()))
+		hs.U64(uint64(srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()))
 	}
 	if c.send(uint8(wire.CodeOK), hs.B) != nil {
 		return
@@ -767,21 +764,20 @@ func (c *session) runSubscriber(payload []byte) {
 			db := srv.cfg.Router.Shard(i).Facade.DB()
 			durable := db.WAL().Durable()
 			if durable > cursors[i] {
-				start, data, next, err := readers[i].ReadBatch(cursors[i], durable, 0)
+				data, err := wal.ReadBatch(db.WALDevice(), cursors[i], durable, 0)
 				if err != nil {
 					return
 				}
-				if data != nil {
-					var lb wire.Buf
-					lb.U32(uint32(i))
-					lb.U64(uint64(start))
-					lb.U64(uint64(durable))
-					lb.Bytes(data)
-					if !enqueue(subFrame{uint8(wire.CodeLogBatch), lb.B, i, uint64(next)}) {
-						return
-					}
-					progressed = true
+				next := cursors[i] + wal.LSN(len(data))
+				var lb wire.Buf
+				lb.U32(uint32(i))
+				lb.U64(uint64(cursors[i]))
+				lb.U64(uint64(durable))
+				lb.Bytes(data)
+				if !enqueue(subFrame{uint8(wire.CodeLogBatch), lb.B, i, uint64(next)}) {
+					return
 				}
+				progressed = true
 				cursors[i] = next
 			}
 			if db.WAL().Durable() > cursors[i] {

@@ -84,11 +84,11 @@ func scanRequest(h uint64, lo, hi int64) []byte {
 	return b.B
 }
 
-// TestScanReplyAllocsDoNotGrowWithSize pins the session's half of a scan's
-// cost: once warm, a 128-row SCAN allocates as often with 4000-byte values
-// (a 514 KB reply) as with 100-byte ones (14 KB). Every allocation left is the
-// engine's per row; none comes from regrowing the reply.
-func TestScanReplyAllocsDoNotGrowWithSize(t *testing.T) {
+// TestScanReplyAllocBudget pins the session's half of a scan's cost: once
+// warm, a 128-row SCAN allocates as often with 4000-byte values (a 514 KB
+// reply) as with 100-byte ones (14 KB). Every allocation left is the engine's
+// per row; none comes from regrowing the reply.
+func TestScanReplyAllocBudget(t *testing.T) {
 	c := newTestSession(t, io.Discard)
 	const rows = 128
 	load(t, c, 1<<20, rows, 100)
@@ -118,10 +118,10 @@ func TestScanReplyAllocsDoNotGrowWithSize(t *testing.T) {
 	}
 }
 
-// TestSessionDropsOversizedBuffers: a reply or a request past maxSessionBuf
-// is served from a buffer of its own, which the session lets go once the
-// reply is written; a normal reply after it grows a normal buffer again.
-func TestSessionDropsOversizedBuffers(t *testing.T) {
+// TestSessionBufferBudget: a reply or a request past maxSessionBuf is served
+// from a buffer of its own, which the session lets go once the reply is
+// written; a normal reply after it grows a normal buffer again.
+func TestSessionBufferBudget(t *testing.T) {
 	var out bytes.Buffer
 	c := newTestSession(t, &out)
 	const rows = 300 // 300 × 4000 bytes: a reply of 1.2 MB

@@ -75,14 +75,12 @@ func (r *rangeRecorder) WritePage(at simclock.Time, pageNo int64, p []byte) (sim
 const scriptPages = 24
 
 // checkFlushImage interprets script as a sequence of writer operations —
-// appends of many sizes, flushes, SkipTo, crash-and-resume, crash-and-new-
-// generation, either of them behind a torn write's debris — and runs it in
-// lockstep on a Mem (the whole-page path, the reference), a File (the range
-// path) and the checking recorder (the range path again). After every
-// operation that writes or reopens, the three device images must be equal
-// byte for byte; at the end Scan must read the same records from each, and,
-// unless a run of zeros ended mid-page (Scan skips from it to the next page
-// boundary), exactly the records that were flushed and not lost to a crash.
+// appends of many sizes, flushes, crash-and-resume, the crash leaving a torn
+// write's debris or not — and runs it in lockstep on a Mem (the whole-page
+// path, the reference), a File (the range path) and the checking recorder
+// (the range path again). After every operation that writes or reopens, the
+// three device images must be equal byte for byte; at the end Scan must read
+// from each exactly the records that were flushed and not lost to a crash.
 func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 	t.Helper()
 	rec := &rangeRecorder{Mem: device.NewMem(pageSize, scriptPages), t: t}
@@ -99,7 +97,6 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 
 	var want []Record // appended, less what crashes lost
 	flushed := 0      // of want, how many a flush has made durable
-	exact := true     // no run of zeros has ended mid-page: Scan must read want
 	flush := func() {
 		rec.floor = int64(ws[2].Durable()) &^ (sectorSize - 1)
 		flushed = len(want)
@@ -113,13 +110,13 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 		}
 	}
 	// reopen scans every device, which must agree on where the log ends, and
-	// replaces each writer. With torn set, the crash first leaves debris over
-	// the whole window past the end of the intact records.
-	reopen := func(torn bool, open func(dev device.BlockDevice, end LSN) *Writer) {
+	// resumes each writer there. With torn set, the crash first leaves debris
+	// over the whole window past the end of the intact records.
+	reopen := func(torn bool) {
 		_, end := scanAll(t, devs[0])
 		want = want[:flushed]
 		// The new writer's first write, the window, starts in the sector of
-		// its durable LSN: end, or the page boundary past it.
+		// its durable LSN, end.
 		rec.floor = int64(end) &^ (sectorSize - 1)
 		for i, dev := range devs {
 			if _, e := scanAll(t, dev); e != end {
@@ -132,12 +129,16 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 				}
 				leaveDebris(t, raw, end, 0)
 			}
-			ws[i] = open(dev, end)
+			w, err := NewWriterResume(dev, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = w
 		}
 	}
 	tx := 0
 	for step := 0; step+1 < len(script); step += 2 {
-		op, arg := script[step]%8, int(script[step+1])
+		op, arg := script[step]%6, int(script[step+1])
 		switch op {
 		case 0, 1, 2, 3:
 			size := arg * 3 // commits are a few hundred bytes
@@ -156,30 +157,8 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 			continue
 		case 4:
 			flush()
-		case 5: // a follower mirrors a gap: to the next page boundary, or (odd arg) any length
-			to, anyLength := (ws[0].NextLSN()+ps-1)/ps*ps, arg&1 == 1
-			if anyLength {
-				to = ws[0].NextLSN() + LSN(arg*40)
-			}
-			if to <= room {
-				exact = exact && !anyLength
-				for _, w := range ws {
-					w.SkipTo(to)
-				}
-			}
-			continue
-		case 6: // the unflushed tail is lost; continue where the intact records end
-			reopen(arg&1 == 1, func(dev device.BlockDevice, end LSN) *Writer {
-				w, err := NewWriterResume(dev, end)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return w
-			})
-		case 7: // the same, but begin a new generation on the next page
-			reopen(arg&1 == 1, func(dev device.BlockDevice, end LSN) *Writer {
-				return newWriterAt(t, dev, (end+ps-1)/ps*ps)
-			})
+		case 5: // the unflushed tail is lost; continue where the intact records end
+			reopen(arg&1 == 1)
 		}
 		for _, dev := range devs[1:] {
 			sameImage(t, devs[0], dev, fmt.Sprintf("%T after step %d (op %d)", dev, step/2, op))
@@ -187,9 +166,7 @@ func checkFlushImage(t testing.TB, pageSize int, script []byte) {
 	}
 	flush()
 	ref, refEnd := scanAll(t, devs[0])
-	if exact {
-		sameRecords(t, "the page path", ref, want)
-	}
+	sameRecords(t, "the page path", ref, want)
 	for _, dev := range devs[1:] {
 		sameImage(t, devs[0], dev, fmt.Sprintf("%T after the last flush", dev))
 		got, gotEnd := scanAll(t, dev)
@@ -262,13 +239,6 @@ func TestFlushImageMatchesPagePath(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		script := make([]byte, 2*(20+rng.Intn(200)))
 		rng.Read(script)
-		if i%2 == 0 { // every gap ends on a page boundary, so Scan must read the records exactly
-			for j := 0; j+1 < len(script); j += 2 {
-				if script[j]%8 == 5 {
-					script[j+1] &^= 1
-				}
-			}
-		}
 		checkFlushImage(t, flushScriptPageSizes[i%len(flushScriptPageSizes)], script)
 	}
 }
@@ -277,10 +247,10 @@ func TestFlushImageMatchesPagePath(t *testing.T) {
 // page size, from its first byte) chosen by the fuzzer.
 func FuzzFlushImage(f *testing.F) {
 	f.Add([]byte{2, 0, 96, 0, 96, 0, 0, 4, 0, 0, 96, 4, 0})                   // two commits on one page
-	f.Add([]byte{0, 3, 255, 4, 0, 0, 10, 4, 0, 6, 0, 1, 200, 4, 0})           // a 16 KB record, then resume
-	f.Add([]byte{1, 0, 50, 4, 0, 7, 0, 0, 50, 4, 0, 5, 30, 2, 9, 4, 0})       // new generation, SkipTo
-	f.Add([]byte{0, 0, 50, 5, 31, 0, 50, 4, 0, 7, 1, 0, 50, 4, 0})            // a gap ending mid-page, torn new generation
-	f.Add([]byte{0, 0, 200, 6, 1, 0, 200, 4, 0, 0, 1, 7, 1, 3, 100, 6, 0, 4}) // crashes with an unflushed tail and debris
+	f.Add([]byte{0, 3, 255, 4, 0, 0, 10, 4, 0, 5, 0, 1, 200, 4, 0})           // a 16 KB record, then resume
+	f.Add([]byte{1, 0, 50, 4, 0, 5, 0, 3, 40, 4, 0})                          // resume mid-page, then cross the boundary
+	f.Add([]byte{0, 0, 50, 4, 0, 5, 1, 0, 50, 4, 0, 5, 1, 0, 50, 4, 0})       // two torn resumes
+	f.Add([]byte{0, 0, 200, 5, 1, 0, 200, 4, 0, 0, 1, 5, 1, 3, 100, 5, 0, 4}) // crashes with an unflushed tail and debris
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 1<<12 {
 			return
@@ -389,9 +359,9 @@ func TestSyncedFlushIsOneSync(t *testing.T) {
 	}
 }
 
-// TestTailReaderDuringSectorFlushes: a TailReader follows a File log while
-// the writer flushes sector ranges into the very pages it reads. Every batch
-// must be whole records, contiguous from the cursor, ending at or below the
+// TestTailReaderDuringSectorFlushes: ReadBatch follows a File log while the
+// writer flushes sector ranges into the very pages it reads. Every batch must
+// be whole records, contiguous from the cursor, ending at or below the
 // durable LSN it was given.
 func TestTailReaderDuringSectorFlushes(t *testing.T) {
 	const commits = 1500
@@ -417,17 +387,17 @@ func TestTailReaderDuringSectorFlushes(t *testing.T) {
 		}
 	}()
 
-	tr := NewTailReader(dev)
 	cur, records := LSN(0), 0
 	for {
 		finished := done.Load() // read before the limit: a true here means the limit is final
 		limit := LSN(durable.Load())
-		start, data, next, err := tr.ReadBatch(cur, limit, 4096)
+		data, err := ReadBatch(dev, cur, limit, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if start != cur || next != start+LSN(len(data)) || next > limit {
-			t.Fatalf("batch [%d,%d) of %d bytes from cursor %d under limit %d", start, next, len(data), cur, limit)
+		next := cur + LSN(len(data))
+		if next > limit || (len(data) == 0) != (cur == limit) {
+			t.Fatalf("a batch of %d bytes from cursor %d under limit %d", len(data), cur, limit)
 		}
 		for len(data) > 0 {
 			rec, n, err := DecodeRecord(data)

@@ -1,115 +1,48 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 
 	"sias/internal/device"
-	"sias/internal/simclock"
 )
 
-// defaultBatchBytes is the soft payload cap a shipper passes to ReadBatch:
-// large enough to amortize framing, small enough to keep follower apply
+// DefaultBatchBytes is the soft payload cap ReadBatch applies when given
+// none: large enough to amortize framing, small enough to keep follower apply
 // latency (and heartbeat cadence) low.
 const DefaultBatchBytes = 256 << 10
 
-// TailReader reads intact, contiguous record runs out of a live log for
-// replication shipping. It is stateless per call — the caller owns the
-// cursor — so one reader can serve many subscribers, and a subscriber that
-// reconnects simply resumes from its last applied LSN.
-//
-// TailReader reads pages the Writer has already flushed; the caller must
-// never pass a limit beyond the writer's durable LSN, which is always a
-// record boundary.
-type TailReader struct {
-	dev device.BlockDevice
-}
+// errBatchFull stops ReadBatch's scan once the batch has reached its cap.
+var errBatchFull = errors.New("wal: batch full")
 
-// NewTailReader returns a reader over dev. It shares the device with the
-// live Writer; flushed pages are stable, so no locking is needed.
-func NewTailReader(dev device.BlockDevice) *TailReader {
-	return &TailReader{dev: dev}
-}
-
-// ReadBatch returns a contiguous run of encoded records starting at or after
-// `from`, bounded by the durable `limit`. It returns the LSN of the first
-// byte of the batch (ahead of `from` when padding or a superseded torn tail
-// was skipped), the raw encoded bytes (verbatim from the log, so a follower
-// can re-append them unchanged), and the LSN just past the batch. data is
-// nil when `from` has caught up to `limit` after skipping; next still
-// advances past any padding so the caller's cursor makes progress.
+// ReadBatch returns, verbatim, the encoded records of the log on dev from
+// `from` on, for replication shipping: a follower re-appends them unchanged.
+// It is Scan's loop started at from, a record boundary, and bounded by limit,
+// the writer's durable LSN: it reads no page past the one that holds limit's
+// last byte, so it touches only pages the writer has flushed (they are stable,
+// so it shares the device with the live writer without locking). The batch
+// starts at from and ends at from+len(data); it is never empty while from is
+// below limit, since every byte below the durable LSN is intact records.
 //
 // maxBytes is a soft cap: the batch ends at the first record boundary at or
 // beyond it. Pass 0 for the default.
-func (tr *TailReader) ReadBatch(from, limit LSN, maxBytes int) (start LSN, data []byte, next LSN, err error) {
+func ReadBatch(dev device.BlockDevice, from, limit LSN, maxBytes int) ([]byte, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultBatchBytes
 	}
-	if limit <= from {
-		return from, nil, from, nil
-	}
-	ps := tr.dev.PageSize()
-	floor := int64(from) / int64(ps)
-	// Window budget: everything requested, plus slack so a record straddling
-	// the maxBytes boundary (or the limit page) always fits — a short window
-	// could otherwise decode as needs-more and spin without progress.
-	lastWant := floor + int64((maxBytes+2*maxRecordSize)/ps) + 2
-	lastPage := (int64(limit) + int64(ps) - 1) / int64(ps)
-	if lastWant > lastPage {
-		lastWant = lastPage
-	}
-	if lastWant > tr.dev.NumPages() {
-		lastWant = tr.dev.NumPages()
-	}
-	stream := make([]byte, 0, int(lastWant-floor)*ps)
-	buf := make([]byte, ps)
-	at := simclock.Time(0)
-	for p := floor; p < lastWant; p++ {
-		var rerr error
-		at, rerr = tr.dev.ReadPage(at, p, buf)
-		if rerr != nil {
-			return from, nil, from, fmt.Errorf("wal: tail read page %d: %w", p, rerr)
+	var data []byte
+	_, err := scan(dev, from, limit, func(_ LSN, _ Record, raw []byte) error {
+		data = append(data, raw...)
+		if len(data) >= maxBytes {
+			return errBatchFull
 		}
-		stream = append(stream, buf...)
+		return nil
+	})
+	if errors.Is(err, errBatchFull) {
+		err = nil
 	}
-	base := LSN(floor * int64(ps))
-	winEnd := base + LSN(len(stream))
-	if winEnd > limit {
-		winEnd = limit
+	if err == nil && data == nil && from < limit {
+		err = fmt.Errorf("wal: no intact record at %d, below the durable %d", from, limit)
 	}
-	cur := from
-	var out []byte
-	start = from
-	for cur < winEnd {
-		b := stream[int(cur-base):int(winEnd-base)]
-		_, n, derr := DecodeRecord(b)
-		if derr == nil {
-			if out == nil {
-				start = cur
-			}
-			out = append(out, b[:n]...)
-			cur += LSN(n)
-			if len(out) >= maxBytes {
-				break
-			}
-			continue
-		}
-		if out != nil {
-			break // ship the contiguous run collected so far
-		}
-		// Nothing collected yet and the bytes at cur don't decode. Below the
-		// durable limit that can only be padding or a superseded torn tail
-		// (durable is a record boundary, and generations resume page-aligned
-		// after recovery) — skip to the next page boundary, like Scan does.
-		pad := LSN(ps - int(cur)%ps)
-		if cur+pad > winEnd {
-			cur = winEnd
-			break
-		}
-		cur += pad
-		start = cur
-	}
-	if out == nil {
-		return cur, nil, cur, nil
-	}
-	return start, out, start + LSN(len(out)), nil
+	return data, err
 }

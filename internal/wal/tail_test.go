@@ -35,47 +35,6 @@ func scanAll(t testing.TB, dev device.BlockDevice) (recs []Record, end LSN) {
 	return recs, end
 }
 
-// A torn tail from an abandoned generation must not stop Scan from reaching
-// records in a newer generation past it.
-func TestScanSkipsTornTailBetweenGenerations(t *testing.T) {
-	dev := newDev()
-	w := NewWriter(dev)
-	durable := fill(t, w, 1, 3)
-
-	// Simulate a torn tail: scribble a half-written record after the durable
-	// prefix on the flushed tail page, as a crashed flush could leave it.
-	ps := page.Size
-	tailPage := int64(durable) / int64(ps)
-	buf := make([]byte, ps)
-	if _, err := dev.ReadPage(0, tailPage, buf); err != nil {
-		t.Fatal(err)
-	}
-	torn := EncodeRecord(&Record{Type: RecHeapInsert, Tx: 99, Data: []byte("lost")})
-	off := int(durable) % ps
-	copy(buf[off:], torn[:len(torn)-3]) // drop last bytes: CRC cannot match
-	if _, err := dev.WritePage(0, tailPage, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// New generation begins at the next page boundary, as after recovery.
-	gen2 := LSN((int64(durable) + int64(ps) - 1) / int64(ps) * int64(ps))
-	w2 := newWriterAt(t, dev, gen2)
-	if _, err := w2.Flush(0, w2.Append(&Record{Type: RecCommit, Tx: 50})); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, end := scanAll(t, dev)
-	if len(recs) != 4 {
-		t.Fatalf("scanned %d records, want 4 (3 old + 1 new past torn tail)", len(recs))
-	}
-	if recs[3].Tx != 50 {
-		t.Errorf("last record tx = %d, want 50 from the new generation", recs[3].Tx)
-	}
-	if end != w2.Durable() {
-		t.Errorf("scan end = %d, want %d", end, w2.Durable())
-	}
-}
-
 // Scan still stops at a torn tail when it is the true end of the log.
 func TestScanStopsAtFinalTornTail(t *testing.T) {
 	dev := newDev()
@@ -103,6 +62,61 @@ func TestScanStopsAtFinalTornTail(t *testing.T) {
 	}
 }
 
+// TestScanEndsAtFirstHole: a torn flush that lost one sector mid-stream — the
+// one that holds B's header — leaves the log as the records before B. Records
+// A and B fill page 0 exactly, so C starts on a page boundary, where a scan
+// that stepped over a hole to the next page would pick the stream up again
+// and replay C and D without B. Scan and ReadBatch must stop at B's start.
+func TestScanEndsAtFirstHole(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dev  device.BlockDevice
+	}{
+		{"Mem", newDev()},
+		{"File", newFileDev(t, page.Size, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const bStart = 2 * sectorSize // A ends on a sector boundary, so the hole leaves it whole
+			a := heapRec(1, bStart-recHeaderSize)
+			b := heapRec(2, page.Size-bStart-recHeaderSize)
+			w := NewWriter(tc.dev)
+			w.Append(&a)
+			if end := w.Append(&b); end != page.Size {
+				t.Fatalf("A and B end at %d, want the page boundary", end)
+			}
+			w.Append(&Record{Type: RecCommit, Tx: 2})
+			w.Append(&Record{Type: RecCommit, Tx: 3})
+			if _, err := w.Flush(0, w.NextLSN()); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, page.Size)
+			if _, err := tc.dev.ReadPage(0, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf[bStart : bStart+sectorSize])
+			if _, err := tc.dev.WritePage(0, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+
+			recs, end := scanAll(t, tc.dev)
+			sameRecords(t, "Scan", recs, []Record{a})
+			if end != bStart {
+				t.Errorf("Scan ends at %d, want %d, where B starts", end, bStart)
+			}
+			data, err := ReadBatch(tc.dev, 0, w.Durable(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, EncodeRecord(&a)) {
+				t.Errorf("ReadBatch shipped %d bytes, want A's %d", len(data), bStart)
+			}
+			if data, err := ReadBatch(tc.dev, bStart, w.Durable(), 0); err == nil {
+				t.Errorf("ReadBatch at the hole shipped %d bytes, want an error", len(data))
+			}
+		})
+	}
+}
+
 func TestTailReaderStreamsVerbatimBytes(t *testing.T) {
 	dev := newDev()
 	w := NewWriter(dev)
@@ -119,67 +133,19 @@ func TestTailReaderStreamsVerbatimBytes(t *testing.T) {
 	}
 	durable := w.Durable()
 
-	tr := NewTailReader(dev)
 	var got []byte
-	cursor := LSN(0)
-	for cursor < durable {
-		start, data, next, err := tr.ReadBatch(cursor, durable, 512)
+	for LSN(len(got)) < durable { // the cursor is what has been shipped
+		data, err := ReadBatch(dev, LSN(len(got)), durable, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if next <= cursor {
-			t.Fatalf("cursor stuck at %d", cursor)
-		}
-		if data != nil && start != cursor {
-			t.Fatalf("batch start = %d, want contiguous %d", start, cursor)
+		if len(data) == 0 {
+			t.Fatalf("cursor stuck at %d", len(got))
 		}
 		got = append(got, data...)
-		cursor = next
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("shipped bytes differ from encoded log: got %d bytes, want %d", len(got), len(want))
-	}
-}
-
-// A follower cursor parked before inter-generation padding must advance
-// through it and pick up the next generation's records.
-func TestTailReaderSkipsGenerationGap(t *testing.T) {
-	dev := newDev()
-	w := NewWriter(dev)
-	durable := fill(t, w, 1, 3)
-
-	ps := page.Size
-	gen2 := LSN((int64(durable) + int64(ps) - 1) / int64(ps) * int64(ps))
-	w2 := newWriterAt(t, dev, gen2)
-	rec := Record{Type: RecCommit, Tx: 77}
-	wantBytes := EncodeRecord(&rec)
-	if _, err := w2.Flush(0, w2.Append(&rec)); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := NewTailReader(dev)
-	cursor := durable
-	var got []byte
-	var start LSN
-	for len(got) == 0 {
-		var data []byte
-		var next LSN
-		var err error
-		start, data, next, err = tr.ReadBatch(cursor, w2.Durable(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next <= cursor {
-			t.Fatalf("cursor stuck at %d crossing generation gap", cursor)
-		}
-		got = append(got, data...)
-		cursor = next
-	}
-	if start != gen2 {
-		t.Errorf("batch start = %d, want generation start %d", start, gen2)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("bytes across gap differ: got %x want %x", got, wantBytes)
 	}
 }
 
@@ -245,32 +211,5 @@ func TestWriterResumeKeepsTailPage(t *testing.T) {
 	recsSplit, _ := scanAll(t, split)
 	if len(recsOne) != len(recs) || len(recsSplit) != len(recs) {
 		t.Fatalf("scan counts: continuous %d, resumed %d, want %d", len(recsOne), len(recsSplit), len(recs))
-	}
-}
-
-// SkipTo mirrors the primary's generation padding on a follower: appending
-// past a gap keeps offsets identical to a log that was rounded up by Open.
-func TestSkipToMirrorsGenerationPadding(t *testing.T) {
-	dev := newDev()
-	w := NewWriter(dev)
-	durable := fill(t, w, 1, 1)
-
-	ps := page.Size
-	gen2 := LSN((int64(durable) + int64(ps) - 1) / int64(ps) * int64(ps))
-	w.SkipTo(gen2)
-	if w.NextLSN() != gen2 {
-		t.Fatalf("after SkipTo next = %d, want %d", w.NextLSN(), gen2)
-	}
-	rec := Record{Type: RecCommit, Tx: 2}
-	lsn := w.Append(&rec) // returns the LSN just past the record
-	if want := gen2 + LSN(len(EncodeRecord(&rec))); lsn != want {
-		t.Fatalf("record after SkipTo ends at %d, want %d", lsn, want)
-	}
-	if _, err := w.Flush(0, w.NextLSN()); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := scanAll(t, dev)
-	if len(recs) != 2 || recs[1].Tx != 2 {
-		t.Fatalf("scan after SkipTo = %+v, want both records", recs)
 	}
 }

@@ -131,7 +131,7 @@ const recHeaderSize = 4 + 4 + 1 + 8 + 4 + page.TIDSize + 8
 // claiming to be larger is corruption — the bound lets the scanner
 // classify a garbage length field as corrupt instead of waiting forever for
 // bytes that will never arrive. Append refuses a longer record, which Scan
-// would end the log at, and a new generation zeroes this much past its
+// would end the log at, and a resumed writer zeroes this much past its
 // window (see window).
 const maxRecordSize = 1 << 20
 
@@ -175,10 +175,10 @@ var ErrLogFull = fmt.Errorf("wal: log device full: %w", device.ErrOutOfRange)
 const sectorSize = 512
 
 // window is, in pages, the most one device write of the log covers (256 KB at
-// the default page size, a scan run). A writer that starts over an existing
-// log (NewWriterAt, NewWriterResume) zeroes, before its first record, from
-// the recovered end to window pages plus maxRecordSize past the page boundary
-// at or after it (1.25 MB at the default page size).
+// the default page size, a scan run). A writer that continues an existing log
+// (NewWriterResume) zeroes, before its first record, from the recovered end to
+// window pages plus maxRecordSize past the page boundary at or after it
+// (1.25 MB at the default page size).
 //
 // With both rules a flush need not write past the sector that holds the
 // stream end, because every byte past the end of the intact records is zero:
@@ -194,45 +194,39 @@ const sectorSize = 512
 //     the recovered end reaches at least the start of the record that
 //     straddles it, which is less than maxRecordSize before the boundary
 //     (Append holds every record to it). So the torn write begins less than
-//     maxRecordSize past the recovered end, and ends inside what the next
-//     generation zeroes: window pages, plus maxRecordSize rounded up to
-//     pages, past the page boundary at or after the recovered end.
+//     maxRecordSize past the recovered end, and ends inside what the resumed
+//     writer zeroes: window pages, plus maxRecordSize rounded up to pages,
+//     past the page boundary at or after the recovered end.
 //
-// A fresh log (NewWriter) has no debris and zeroes nothing. A recycled one
-// would have to zero its window on every reuse, or records would need a
-// generation id; the log is not recycled.
+// So the log on the device is always one stream, its longest intact prefix:
+// Scan ends at the first bytes that do not decode, and a restart writes on
+// from exactly there. A fresh log (NewWriter) has no debris and zeroes
+// nothing. A recycled one would have to zero its window on every reuse, or
+// records would need a generation id; the log is not recycled.
 const window = scanRun
 
 // Decode failures split into two classes so the scanner can tell "wait for
 // the rest of the page" from "these bytes can never become a record":
 // errNeedMore means the (plausible) record extends past the available bytes;
 // errCorrupt means the framing itself is invalid — a length below the header
-// size (which includes zero padding), a length above maxRecordSize, or a CRC
-// mismatch over a fully-available record.
+// size (zeros past the end read as one), a length above maxRecordSize, or a
+// CRC mismatch over a fully-available record.
 var (
 	errNeedMore = errors.New("wal: record needs more bytes")
 	errCorrupt  = errors.New("wal: corrupt record framing")
 )
 
-func allZeros(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // DecodeRecord parses one framed record from the head of b, returning the
 // record and its encoded length. It fails with errNeedMore when b is a
 // plausible prefix of a record, and errCorrupt when the bytes can never
-// decode (zero padding, garbage, or a torn tail with all its bytes present).
+// decode (zeros past the end, garbage, or a torn tail with all its bytes
+// present).
 //
 // The record's Data aliases b, capacity-capped so an append to it cannot
 // spill into the next record: callers must not rewrite b while they hold it.
 // Scan rewrites its buffer only after fn has returned (so Data lives as long
-// as that call), TailReader discards the record, and a replication follower
-// decodes a frame nobody reuses.
+// as that call), ReadBatch copies the record's bytes out, and a replication
+// follower decodes a frame nobody reuses.
 func DecodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recHeaderSize {
 		return Record{}, 0, errNeedMore
@@ -309,34 +303,7 @@ func (w *Writer) SetDurationMetrics(appendH, flushH *obs.Histogram) {
 // 0. The device must hold no earlier log: nothing past the stream end is
 // zeroed (see window).
 func NewWriter(dev device.BlockDevice) *Writer {
-	return newWriter(dev, 0, 0)
-}
-
-// NewWriterAt returns a writer whose log generation begins at start, which
-// must be page-aligned: the first page boundary at or past the end of the
-// intact records of the log already on dev. Used after recovery to append
-// past the old records. Before it returns it zeroes the window from start
-// (see window), whatever a torn write left there; the bytes between the old
-// end and start stay, since Scan steps from the old end straight to the
-// boundary.
-func NewWriterAt(dev device.BlockDevice, start LSN) (*Writer, error) {
-	if int(start)%dev.PageSize() != 0 {
-		panic("wal: start LSN must be page-aligned")
-	}
-	w := newWriter(dev, start, start)
-	return w, w.zeroWindow(start)
-}
-
-// newWriter returns a writer whose stream ends at end, with pending starting
-// at floor, the page boundary at or below it.
-func newWriter(dev device.BlockDevice, floor, end LSN) *Writer {
-	w := &Writer{
-		dev:        dev,
-		pageSize:   dev.PageSize(),
-		pendingOff: floor,
-		nextLSN:    end,
-		durable:    end,
-	}
+	w := &Writer{dev: dev, pageSize: dev.PageSize()}
 	if rw, ok := device.RangeWriterOf(dev); ok && w.pageSize%sectorSize == 0 {
 		w.rw = rw
 	}
@@ -344,23 +311,23 @@ func newWriter(dev device.BlockDevice, floor, end LSN) *Writer {
 }
 
 // NewWriterResume returns a writer that continues an existing log whose
-// intact records end exactly at end — no page rounding, no new generation.
-// The partial tail page is reloaded from the device first, since a flush
-// writes from the start of the page (page path) or of the sector (range
-// path) that holds the durable LSN; otherwise that flush would zero the bytes
-// before end. Before it returns it zeroes the window from end (see window),
-// whatever a torn write left there. A replication follower resumes this way
-// so its stream offsets stay byte-identical to the primary's.
+// intact records end exactly at end, the end Scan returns. The partial tail
+// page is reloaded from the device first, since a flush writes from the start
+// of the page (page path) or of the sector (range path) that holds the
+// durable LSN; otherwise that flush would zero the bytes before end. Before it
+// returns it zeroes the window from end (see window), whatever a torn write
+// left there. Every restart resumes this way, so a replication follower's log
+// stays byte-identical to its primary's.
 func NewWriterResume(dev device.BlockDevice, end LSN) (*Writer, error) {
-	ps := dev.PageSize()
-	floor := LSN(int64(end) / int64(ps) * int64(ps))
-	w := newWriter(dev, floor, end)
-	if end > floor {
+	w := NewWriter(dev)
+	ps := LSN(w.pageSize)
+	w.pendingOff, w.nextLSN, w.durable = end/ps*ps, end, end
+	if end > w.pendingOff {
 		buf := make([]byte, ps)
-		if _, err := dev.ReadPage(0, int64(floor)/int64(ps), buf); err != nil {
+		if _, err := dev.ReadPage(0, int64(w.pendingOff/ps), buf); err != nil {
 			return nil, fmt.Errorf("wal: resume read tail page: %w", err)
 		}
-		w.pending = append([]byte(nil), buf[:end-floor]...)
+		w.pending = buf[:end-w.pendingOff]
 	}
 	return w, w.zeroWindow(end)
 }
@@ -385,20 +352,6 @@ func (w *Writer) zeroWindow(end LSN) error {
 		return fmt.Errorf("wal: zero the log past %d: %w", end, err)
 	}
 	return nil
-}
-
-// SkipTo zero-fills the stream up to lsn. A follower mirrors the primary's
-// inter-generation padding with it (the primary rounds each generation up to
-// a page boundary after recovery), so both logs keep identical offsets. A
-// no-op when lsn is not ahead of the stream.
-func (w *Writer) SkipTo(lsn LSN) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if lsn <= w.nextLSN {
-		return
-	}
-	w.pending = append(w.pending, make([]byte, lsn-w.nextLSN)...)
-	w.nextLSN = lsn
 }
 
 // Append buffers a record and returns the LSN just past it. The record is
@@ -597,11 +550,11 @@ func (w *Writer) PageWrites() int64 {
 const scanRun = 32
 
 // Scan replays the log on dev from offset 0, invoking fn for every intact
-// record in order. Page-tail padding (zero bytes — no valid record starts
-// with a zero length) is skipped, so multiple log generations separated by
-// page boundaries replay seamlessly. Scanning ends at a torn record or after
-// two consecutive all-zero pages. Returns the stream offset just past the
-// last intact record.
+// record in order, and returns the stream offset just past the last one. The
+// log is its longest intact prefix: Scan ends at the first bytes that do not
+// decode — zeros past the end, a torn record, or the hole a lost sector left
+// — and never looks past them, since nothing after a hole can be trusted to
+// belong to the stream (see window).
 //
 // The log is read in runs of scanRun pages into one buffer, reused for every
 // run: the undecoded remainder of a run moves to its front and the next run
@@ -612,92 +565,65 @@ const scanRun = 32
 // claims one can leave, so a scan allocates a number of buffers that does not
 // grow with the log.
 func Scan(dev device.BlockDevice, fn func(lsn LSN, rec Record) error) (LSN, error) {
-	pageSize := dev.PageSize()
+	return scan(dev, 0, LSN(dev.NumPages())*LSN(dev.PageSize()), func(lsn LSN, rec Record, _ []byte) error {
+		return fn(lsn, rec)
+	})
+}
+
+// scan is Scan's loop over the records of [from, limit), from a record
+// boundary on: it reads no page past the one that holds the byte before limit
+// and no record that ends past limit. fn also gets the record's encoded bytes,
+// which alias the buffer like its Data.
+func scan(dev device.BlockDevice, from, limit LSN, fn func(lsn LSN, rec Record, raw []byte) error) (LSN, error) {
+	ps := int64(dev.PageSize())
 	rr, _ := dev.(device.PageRangeReader)
-	buf := make([]byte, (scanRun+1)*pageSize) // a run, and a page of remainder
-	var stream []byte                         // the undecoded bytes, in buf
-	at := simclock.Time(0)
-	var base LSN // absolute offset of stream[0]
-	var end LSN  // offset past the last decoded record
-
-	// decode consumes every record the buffered stream holds. A decode
-	// failure is one of three things: (a) an incomplete record awaiting the
-	// next page, (b) the torn tail of an old generation, or (c)
-	// inter-generation padding — zeros up to the next page boundary, where a
-	// new generation begins. (b) and (c) both end at the next page boundary
-	// (generations start page-aligned), so they are skipped to it and the
-	// scan goes on: a later generation may hold newer records. `end` only
-	// advances on intact records and the CRC keeps stale debris from
-	// decoding, so this never resurrects torn data.
-	//
-	// Which of the three it is is decided by the framing alone, once the
-	// bytes the header claims are all present — never by "the rest of this
-	// page is zero": a record whose first bytes land in the last bytes of a
-	// page may lead with zero CRC bytes and is not padding. So (a) waits
-	// while pages keep coming, and only when the log has ended (final) is an
-	// incomplete record a torn tail like any other.
-	decode := func(final bool) error {
-		for {
-			rec, n, derr := DecodeRecord(stream)
-			if derr == nil {
-				if err := fn(base, rec); err != nil {
-					return err
-				}
-				stream = stream[n:]
-				base += LSN(n)
-				end = base
-				continue
-			}
-			if errors.Is(derr, errNeedMore) && !final {
-				return nil
-			}
-			pad := pageSize - int(base)%pageSize // at a boundary: a zero page may gap generations
-			if len(stream) < pad {
-				return nil
-			}
-			stream = stream[pad:]
-			base += LSN(pad)
-		}
+	p, last := int64(from)/ps, min((int64(limit)+ps-1)/ps, dev.NumPages())
+	if p >= last {
+		return from, nil
 	}
-
-	zeroRun := 0
-	for p := int64(0); p < dev.NumPages() && zeroRun < 2; {
-		n := int(min(scanRun, dev.NumPages()-p))
-		if need := len(stream) + n*pageSize; need > len(buf) {
+	buf := make([]byte, (min(scanRun, last-p)+1)*ps) // a run, and a page of remainder
+	lead := int(int64(from) % ps)                    // bytes of the first page before from
+	var stream []byte                                // the undecoded bytes, in buf
+	base := from                                     // offset of stream[0]
+	at := simclock.Time(0)
+	for p < last {
+		n := min(scanRun, last-p)
+		size := int(n * ps)
+		if need := len(stream) + size; need > len(buf) {
 			buf = make([]byte, max(need, 2*len(buf)))
 		}
-		run := buf[copy(buf, stream) : len(stream)+n*pageSize]
+		run := buf[copy(buf, stream) : len(stream)+size]
 		var err error
 		if rr != nil {
-			at, err = rr.ReadPages(at, p, n, run)
+			at, err = rr.ReadPages(at, p, int(n), run)
 		} else {
-			for i := 0; i < n && err == nil; i++ {
-				at, err = dev.ReadPage(at, p+int64(i), run[i*pageSize:])
+			for i := int64(0); i < n && err == nil; i++ {
+				at, err = dev.ReadPage(at, p+i, run[i*ps:])
 			}
 		}
 		if err != nil {
-			return end, fmt.Errorf("wal: scan read pages [%d,%d): %w", p, p+int64(n), err)
+			return base, fmt.Errorf("wal: scan read pages [%d,%d): %w", p, p+n, err)
 		}
-		// The log ends after two all-zero pages, wherever they fall in the run.
-		for i := 0; i < n; i++ {
-			if allZeros(run[i*pageSize : (i+1)*pageSize]) {
-				zeroRun++
-			} else {
-				zeroRun = 0
+		stream = buf[lead : len(stream)+size]
+		lead = 0
+		stream = stream[:min(LSN(len(stream)), limit-base)]
+		p += n
+		// A record whose bytes run past this run waits for the next one; any
+		// other decode failure, or one at the last page, is the end.
+		for {
+			rec, k, err := DecodeRecord(stream)
+			if err != nil {
+				if errors.Is(err, errNeedMore) && p < last {
+					break
+				}
+				return base, nil
 			}
-			if zeroRun == 2 {
-				n = i + 1
-				break
+			if err := fn(base, rec, stream[:k:k]); err != nil {
+				return base, err
 			}
-		}
-		stream = buf[:len(stream)+n*pageSize]
-		p += int64(n)
-		if err := decode(false); err != nil {
-			return end, err
+			stream = stream[k:]
+			base += LSN(k)
 		}
 	}
-	// The log has ended. What looked like the head of a record still waiting
-	// for bytes can never complete; step over it, so that a short newest
-	// generation behind such a head is not lost with it.
-	return end, decode(true)
+	return base, nil
 }

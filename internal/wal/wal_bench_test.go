@@ -47,7 +47,7 @@ func BenchmarkFlushTail(b *testing.B) {
 // flushTailRing is how many pages of the device the benchmark's log uses
 // before it begins a new log at page 0 again, so that any b.N fits. The log
 // is never read back, so the restart zeroes no window (NewWriter, not
-// NewWriterAt) and costs nothing a commit would not.
+// NewWriterResume) and costs nothing a commit would not.
 const flushTailRing = 4096
 
 // The kv-write commit as the log sees it: 2 × (35 + 288) + 35 = 681 B.

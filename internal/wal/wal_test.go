@@ -141,38 +141,6 @@ func TestScanStopsAtTornTail(t *testing.T) {
 	}
 }
 
-// newWriterAt is NewWriterAt for a test: a failure to zero the window fails t.
-func newWriterAt(t testing.TB, dev device.BlockDevice, start LSN) *Writer {
-	t.Helper()
-	w, err := NewWriterAt(dev, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-func TestNewWriterAtAppendsAfterOldLog(t *testing.T) {
-	dev := newDev()
-	w1 := NewWriter(dev)
-	w1.Append(&Record{Type: RecCommit, Tx: 1})
-	w1.Flush(0, w1.NextLSN())
-
-	// New generation starting at the next page boundary.
-	w2 := newWriterAt(t, dev, LSN(page.Size))
-	w2.Append(&Record{Type: RecCommit, Tx: 2})
-	if _, err := w2.Flush(0, w2.NextLSN()); err != nil {
-		t.Fatal(err)
-	}
-	var txs []txn.ID
-	_, _ = Scan(dev, func(_ LSN, rec Record) error {
-		txs = append(txs, rec.Tx)
-		return nil
-	})
-	if len(txs) != 2 || txs[0] != 1 || txs[1] != 2 {
-		t.Errorf("scanned txs = %v, want [1 2]", txs)
-	}
-}
-
 // writeLog writes a log of n 100-byte heap records to dev.
 func writeLog(t testing.TB, dev device.BlockDevice, n int) {
 	t.Helper()

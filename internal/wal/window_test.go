@@ -11,13 +11,12 @@ import (
 )
 
 // TestTornWindowNeverReplays: debris a torn write left past the end of the
-// intact records — CRC-valid records included, three and more pages on, where
-// recovery's Scan stopped at two zero pages short of them — is zeroed by the
-// next generation before its first record. Scan of the grown log returns
-// exactly its records, on either write path and either way of reopening,
-// however far the new records reach toward the debris. The last subtests tear
-// a flush that splits inside a record longer than a page, so recovery ends
-// more than a page before the torn write begins.
+// intact records — CRC-valid records included, three and more pages on, past
+// the zero pages recovery's Scan stops at — is zeroed by the resumed writer
+// before its first record. Scan of the grown log returns exactly its records,
+// on either write path, however far the new records reach toward the debris.
+// The last subtests tear a flush that splits inside a record longer than a
+// page, so recovery ends more than a page before the torn write begins.
 func TestTornWindowNeverReplays(t *testing.T) {
 	const pages = 2 * window
 	devs := []struct {
@@ -27,64 +26,53 @@ func TestTornWindowNeverReplays(t *testing.T) {
 		{"File", func(t *testing.T) device.BlockDevice { return newFileDev(t, page.Size, pages) }},
 		{"Mem", func(*testing.T) device.BlockDevice { return device.NewMem(page.Size, pages) }},
 	}
-	opens := []struct {
-		name string
-		open func(dev device.BlockDevice, end LSN) (*Writer, error)
-	}{
-		{"NewWriterAt", func(dev device.BlockDevice, end LSN) (*Writer, error) {
-			return NewWriterAt(dev, (end+page.Size-1)/page.Size*page.Size)
-		}},
-		{"NewWriterResume", NewWriterResume},
-	}
 	firstGens := []struct {
 		name  string
-		sizes []int // payloads of the first generation's records
+		sizes []int // payloads of the records written before the crash
 	}{
 		{"end mid-page", []int{3000, 3000}},
 		{"end on a page boundary", []int{page.Size - recHeaderSize}},
 	}
 	for _, d := range devs {
-		for _, o := range opens {
-			for _, g := range firstGens {
-				for zeroAt := int64(1); zeroAt <= 2; zeroAt++ {
-					t.Run(fmt.Sprintf("%s/%s/%s/zero pages at +%d", d.name, o.name, g.name, zeroAt), func(t *testing.T) {
-						dev := d.new(t)
-						w := NewWriter(dev)
-						var want []Record
-						for _, size := range g.sizes {
-							r := heapRec(len(want)+1, size)
-							want = append(want, r)
-							w.Append(&r)
-						}
-						if _, err := w.Flush(0, w.NextLSN()); err != nil {
-							t.Fatal(err)
-						}
-						end := w.Durable()
-						leaveDebris(t, dev, end, zeroAt)
-						if recs, e := scanAll(t, dev); e != end || len(recs) != len(want) {
-							t.Fatalf("recovery reads %d records ending at %d, want %d ending at %d: the debris is not past where it stops",
-								len(recs), e, len(want), end)
-						}
+		for _, g := range firstGens {
+			for zeroAt := int64(1); zeroAt <= 2; zeroAt++ {
+				t.Run(fmt.Sprintf("%s/NewWriterResume/%s/zero pages at +%d", d.name, g.name, zeroAt), func(t *testing.T) {
+					dev := d.new(t)
+					w := NewWriter(dev)
+					var want []Record
+					for _, size := range g.sizes {
+						r := heapRec(len(want)+1, size)
+						want = append(want, r)
+						w.Append(&r)
+					}
+					if _, err := w.Flush(0, w.NextLSN()); err != nil {
+						t.Fatal(err)
+					}
+					end := w.Durable()
+					leaveDebris(t, dev, end, zeroAt)
+					if recs, e := scanAll(t, dev); e != end || len(recs) != len(want) {
+						t.Fatalf("recovery reads %d records ending at %d, want %d ending at %d: the debris is not past where it stops",
+							len(recs), e, len(want), end)
+					}
 
-						w, err := o.open(dev, end)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := 0; i < 3; i++ { // 9 KB: past the next page boundary
-							r := heapRec(len(want)+1, 3000)
-							want = append(want, r)
-							w.Append(&r)
-						}
-						if _, err := w.Flush(0, w.NextLSN()); err != nil {
-							t.Fatal(err)
-						}
-						got, gotEnd := scanAll(t, dev)
-						if gotEnd != w.Durable() {
-							t.Fatalf("Scan ends at %d, want %d", gotEnd, w.Durable())
-						}
-						sameRecords(t, "the grown log", got, want)
-					})
-				}
+					w, err := NewWriterResume(dev, end)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 3; i++ { // 9 KB: past the next page boundary
+						r := heapRec(len(want)+1, 3000)
+						want = append(want, r)
+						w.Append(&r)
+					}
+					if _, err := w.Flush(0, w.NextLSN()); err != nil {
+						t.Fatal(err)
+					}
+					got, gotEnd := scanAll(t, dev)
+					if gotEnd != w.Durable() {
+						t.Fatalf("Scan ends at %d, want %d", gotEnd, w.Durable())
+					}
+					sameRecords(t, "the grown log", got, want)
+				})
 			}
 		}
 	}
@@ -98,44 +86,42 @@ func TestTornWindowNeverReplays(t *testing.T) {
 	split, q := window*ps, (2*window-1)*ps
 	long := recHeaderSize + page.Size - page.HeaderSize - 4 // page.Insert's largest tuple
 	for _, d := range devs {
-		for _, o := range opens {
-			t.Run(fmt.Sprintf("%s/%s/a %d-B record straddles a window split", d.name, o.name, long), func(t *testing.T) {
-				dev := d.new(t)
-				w := NewWriter(dev)
-				want := fillTo(w, split-8195, 1)
-				w.Append(&Record{Type: RecHeapInsert, Tx: 1 << 20, Rel: 2, Data: bytes.Repeat([]byte{7}, long-recHeaderSize)})
-				fillTo(w, q, 1<<20+1)
-				w.Append(&Record{Type: RecCommit, Tx: 1 << 30})
-				if _, err := w.Flush(0, w.NextLSN()); err != nil {
+		t.Run(fmt.Sprintf("%s/NewWriterResume/a %d-B record straddles a window split", d.name, long), func(t *testing.T) {
+			dev := d.new(t)
+			w := NewWriter(dev)
+			want := fillTo(w, split-8195, 1)
+			w.Append(&Record{Type: RecHeapInsert, Tx: 1 << 20, Rel: 2, Data: bytes.Repeat([]byte{7}, long-recHeaderSize)})
+			fillTo(w, q, 1<<20+1)
+			w.Append(&Record{Type: RecCommit, Tx: 1 << 30})
+			if _, err := w.Flush(0, w.NextLSN()); err != nil {
+				t.Fatal(err)
+			}
+			zero := make([]byte, page.Size)
+			for pg := int64(split / ps); pg < int64(q/ps); pg++ {
+				if _, err := dev.WritePage(0, pg, zero); err != nil {
 					t.Fatal(err)
 				}
-				zero := make([]byte, page.Size)
-				for pg := int64(split / ps); pg < int64(q/ps); pg++ {
-					if _, err := dev.WritePage(0, pg, zero); err != nil {
-						t.Fatal(err)
-					}
-				}
-				recs, end := scanAll(t, dev)
-				if end != split-8195 {
-					t.Fatalf("recovery ends at %d, want %d, where the record that straddles the split starts", end, split-8195)
-				}
-				sameRecords(t, "recovery", recs, want)
+			}
+			recs, end := scanAll(t, dev)
+			if end != split-8195 {
+				t.Fatalf("recovery ends at %d, want %d, where the record that straddles the split starts", end, split-8195)
+			}
+			sameRecords(t, "recovery", recs, want)
 
-				w, err := o.open(dev, end)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, fillTo(w, q-100, len(want)+1)...) // the grown log ends on the page before Q
-				if _, err := w.Flush(0, w.NextLSN()); err != nil {
-					t.Fatal(err)
-				}
-				got, gotEnd := scanAll(t, dev)
-				if gotEnd != q-100 {
-					t.Fatalf("Scan ends at %d, want %d", gotEnd, q-100)
-				}
-				sameRecords(t, "the grown log", got, want)
-			})
-		}
+			w, err := NewWriterResume(dev, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, fillTo(w, q-100, len(want)+1)...) // the grown log ends on the page before Q
+			if _, err := w.Flush(0, w.NextLSN()); err != nil {
+				t.Fatal(err)
+			}
+			got, gotEnd := scanAll(t, dev)
+			if gotEnd != q-100 {
+				t.Fatalf("Scan ends at %d, want %d", gotEnd, q-100)
+			}
+			sameRecords(t, "the grown log", got, want)
+		})
 	}
 }
 
@@ -176,13 +162,11 @@ func TestAppendRefusesOversizedRecord(t *testing.T) {
 }
 
 // leaveDebris writes what a torn multi-page write could leave past end, the
-// end of the intact records, across all a new writer zeroes (or to the device
-// end): 0xEE bytes, with a CRC-valid record in the middle of
-// every page and at the start of every page after end's. With zeroAt > 0,
-// pages zeroAt and zeroAt+1 past end's stay zero and hold the first such
-// page-start records after them, so recovery's Scan stops there; the bytes at
-// end and at the start of every page before them never decode, so it finds
-// nothing in them either.
+// end of the intact records, across all a resumed writer zeroes (or to the
+// device end): 0xEE bytes, with a CRC-valid record in the middle of every
+// page and at the start of every page after end's. With zeroAt > 0, pages
+// zeroAt and zeroAt+1 past end's stay zero, with the first such page-start
+// records behind them. The bytes at end never decode, so Scan stops there.
 func leaveDebris(t testing.TB, dev device.BlockDevice, end LSN, zeroAt int64) {
 	t.Helper()
 	ps := int64(dev.PageSize())
