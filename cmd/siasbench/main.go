@@ -68,11 +68,16 @@ func main() {
 			if id == "fig4" {
 				kind = engine.KindSI
 			}
-			_, rendered, err := exp.RunBlocktrace(kind, cfg)
+			res, rendered, err := exp.RunBlocktrace(kind, cfg)
 			if err != nil {
 				return err
 			}
 			fmt.Print(rendered)
+			fmt.Printf("throughput: %.0f NOTPM, avg response %s\n", res.Metrics.NOTPM, res.Metrics.AvgResponse)
+			for i, w := range res.Wear {
+				fmt.Printf("ssd%d wear: %d erases (max/block %d), %d pages relocated by device GC\n",
+					i, w.TotalErases, w.MaxErases, w.Relocated)
+			}
 		case "fig5":
 			cfg := exp.DefaultFigure5Config()
 			if *dur > 0 {

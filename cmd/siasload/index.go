@@ -23,15 +23,12 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"sias/internal/client"
 	"sias/internal/engine"
 	"sias/internal/shard"
 	"sias/internal/tuple"
-	"sias/internal/txn"
-	"sias/internal/wire"
 )
 
 const (
@@ -48,13 +45,12 @@ func idxSchema() *tuple.Schema {
 	)
 }
 
-// indexReport is the -workload index slice of the result JSON.
+// indexReport is the -workload index slice of the report; the engine's
+// IndexLookups and IndexInserts deltas are in its engine field.
 type indexReport struct {
 	Table         string  `json:"table"`
 	Index         string  `json:"index"`
 	Groups        int64   `json:"groups"`
-	IndexLookups  int64   `json:"index_lookups"` // engine counter delta
-	IndexInserts  int64   `json:"index_inserts"` // engine counter delta
 	RowsReturned  int64   `json:"rows_returned"` // rows gathered by lookups
 	LookupsPerSec float64 `json:"lookups_per_sec"`
 	// AsOfGroupsChecked sampled groups were re-read AS OF the pre-churn
@@ -107,210 +103,110 @@ func groupCounts(tx *client.Tx, groups []int64) (map[string]int64, error) {
 	return out, nil
 }
 
-func runIndex(cfg loadConfig, jsonPath, statePath string) error {
-	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers})
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
-	}
-	defer c.Close()
-
-	// DDL is idempotent across runs: an existing table/index is reused.
+// indexWorkload creates the table and index (reusing them if they exist),
+// preloads -keys rows, takes the AS OF baseline before the run and verifies
+// it after; with statePath set it also writes the baseline there.
+func indexWorkload(c *client.Client, cfg *loadConfig, statePath string) (*workload, error) {
 	if err := c.CreateTable(idxTable, idxSchema(), "id"); err != nil && !errors.Is(err, engine.ErrExists) {
-		return fmt.Errorf("create table: %w", err)
+		return nil, fmt.Errorf("create table: %w", err)
 	}
 	if err := c.CreateIndex(idxTable, idxIndex, idxCol); err != nil && !errors.Is(err, engine.ErrExists) {
-		return fmt.Errorf("create index: %w", err)
+		return nil, fmt.Errorf("create index: %w", err)
 	}
-
-	groups := groupsFor(cfg.Keys)
-	preStart := time.Now()
-	const batch = 256
-	for lo := int64(0); lo < cfg.Keys; lo += batch {
-		hi := lo + batch
-		if hi > cfg.Keys {
-			hi = cfg.Keys
-		}
-		tx, err := c.Begin()
-		if err != nil {
-			return fmt.Errorf("preload begin: %w", err)
-		}
-		for k := lo; k < hi; k++ {
-			row := tuple.Row{k, k % groups, "seed"}
-			if err := tx.InsertRow(idxTable, row); err != nil {
-				if uerr := tx.UpdateRow(idxTable, row); uerr != nil {
-					tx.Abort()
-					return fmt.Errorf("preload row %d: %w", k, err)
-				}
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("preload commit: %w", err)
-		}
-	}
-	fmt.Printf("preloaded %d rows across %d groups in %.2fs\n", cfg.Keys, groups, time.Since(preStart).Seconds())
-
-	// The AS OF baseline: snapshot tokens and the tracked groups' counts.
-	tokens, err := c.Snapshot()
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
+	run := *cfg
+	groups := groupsFor(run.Keys)
 	tracked := sampleGroups(groups)
-	base, err := c.Begin()
-	if err != nil {
-		return err
-	}
-	baseCounts, err := groupCounts(base, tracked)
-	if err != nil {
-		base.Abort()
-		return err
-	}
-	if err := base.Commit(); err != nil {
-		return err
-	}
-
-	before, err := c.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	cfg.Shards = before.Router.Shards
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-
 	var (
-		mu        sync.Mutex
-		conflicts int64
-		drained   int64
-		failures  int64
-		rowsOut   int64
-		lookups   int64
+		tokens          []uint64
+		baseCounts      map[string]int64
+		rowsOut, looked atomic.Int64
 	)
-	samples := make([][]txnSample, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			out := make([]txnSample, 0, cfg.Txns)
-			for i := 0; i < cfg.Txns; i++ {
-				t0 := time.Now()
-				home, nRows, nLook, err := runIdxTxn(c, rng, cfg, groups)
-				switch {
-				case err == nil:
-					out = append(out, txnSample{lat: time.Since(t0), shard: home})
-					mu.Lock()
-					rowsOut += nRows
-					lookups += nLook
-					mu.Unlock()
-				case errors.Is(err, txn.ErrSerialization) || errors.Is(err, txn.ErrLockTimeout):
-					mu.Lock()
-					conflicts++
-					mu.Unlock()
-				case errors.Is(err, wire.ErrShuttingDown), errors.Is(err, engine.ErrReadOnly):
-					mu.Lock()
-					drained++
-					mu.Unlock()
-				default:
-					mu.Lock()
-					failures++
-					n := failures
-					mu.Unlock()
-					if n <= 5 {
-						fmt.Fprintf(os.Stderr, "worker %d txn %d: %v\n", w, i, err)
-					}
+	return &workload{
+		desc: fmt.Sprintf("index (%d ops/txn, %.0f%% reads, %d rows in %d groups)",
+			opsPerTxn, run.ReadFrac*100, run.Keys, groups),
+		items: int(run.Keys), batch: 256,
+		put: func(tx *client.Tx, i int, update bool) error {
+			row := tuple.Row{int64(i), int64(i) % groups, "seed"}
+			if update {
+				return tx.UpdateRow(idxTable, row)
+			}
+			return tx.InsertRow(idxTable, row)
+		},
+		txn: func(c *client.Client, rng *rand.Rand, _, _ int) (int, error) {
+			home, rows, lookups, err := idxTxn(c, rng, run, groups)
+			if err == nil {
+				rowsOut.Add(rows)
+				looked.Add(lookups)
+			}
+			return home, err
+		},
+		// The AS OF baseline: snapshot tokens and the tracked groups' counts.
+		before: func(c *client.Client) error {
+			var err error
+			if tokens, err = c.Snapshot(); err != nil {
+				return fmt.Errorf("snapshot: %w", err)
+			}
+			base, err := c.Begin()
+			if err != nil {
+				return err
+			}
+			if baseCounts, err = groupCounts(base, tracked); err != nil {
+				base.Abort()
+				return err
+			}
+			return base.Commit()
+		},
+		// AS OF the pre-churn snapshot the tracked groups must count exactly
+		// as they did before the run, no matter what the churn moved.
+		after: func(c *client.Client, res *report) error {
+			asOf, err := c.BeginAt(tokens)
+			if err != nil {
+				return fmt.Errorf("begin AS OF: %w", err)
+			}
+			asOfCounts, err := groupCounts(asOf, tracked)
+			asOf.Abort()
+			if err != nil {
+				return fmt.Errorf("AS OF lookups: %w", err)
+			}
+			verified := true
+			for g, want := range baseCounts {
+				if asOfCounts[g] != want {
+					verified = false
+					fmt.Fprintf(os.Stderr, "AS OF mismatch: group %s has %d rows at snapshot, expected %d\n", g, asOfCounts[g], want)
 				}
 			}
-			samples[w] = out
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	after, err := c.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-
-	// AS OF the pre-churn snapshot: the tracked groups must count exactly as
-	// they did before the run, no matter what the churn moved.
-	asOf, err := c.BeginAt(tokens)
-	if err != nil {
-		return fmt.Errorf("begin AS OF: %w", err)
-	}
-	asOfCounts, err := groupCounts(asOf, tracked)
-	asOf.Abort()
-	if err != nil {
-		return fmt.Errorf("AS OF lookups: %w", err)
-	}
-	verified := true
-	for g, want := range baseCounts {
-		if asOfCounts[g] != want {
-			verified = false
-			fmt.Fprintf(os.Stderr, "AS OF mismatch: group %s has %d rows at snapshot, expected %d\n", g, asOfCounts[g], want)
-		}
-	}
-
-	res := summarize(cfg, elapsed, samples, before, after)
-	res.Conflicts = conflicts
-	res.Drained = drained
-	res.Failures = failures
-	d := engineDelta(before, after)
-	res.Index = &indexReport{
-		Table:             idxTable,
-		Index:             idxIndex,
-		Groups:            groups,
-		IndexLookups:      d.IndexLookups,
-		IndexInserts:      d.IndexInserts,
-		RowsReturned:      rowsOut,
-		LookupsPerSec:     float64(lookups) / elapsed.Seconds(),
-		AsOfGroupsChecked: len(tracked),
-		AsOfVerified:      verified,
-	}
-	printResult(res)
-	fmt.Printf("\nindex workload (%s/%s, %d groups):\n", idxTable, idxIndex, groups)
-	fmt.Printf("  index lookups    %d (%.0f/s, %d rows returned)\n", d.IndexLookups, res.Index.LookupsPerSec, rowsOut)
-	fmt.Printf("  index inserts    %d\n", d.IndexInserts)
-	fmt.Printf("  AS OF verify     %d groups, match=%v\n", len(tracked), verified)
-
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	if statePath != "" {
-		blob, err := json.MarshalIndent(indexState{
-			Table: idxTable, Index: idxIndex, Tokens: tokens, Groups: baseCounts,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(statePath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote snapshot state %s\n", statePath)
-	}
-	if !verified {
-		return fmt.Errorf("AS OF verification failed")
-	}
-	return nil
+			res.Index = &indexReport{
+				Table: idxTable, Index: idxIndex, Groups: groups,
+				RowsReturned:      rowsOut.Load(),
+				LookupsPerSec:     float64(looked.Load()) / res.ElapsedSec,
+				AsOfGroupsChecked: len(tracked),
+				AsOfVerified:      verified,
+			}
+			if statePath != "" {
+				if err := writeJSON(statePath, indexState{
+					Table: idxTable, Index: idxIndex, Tokens: tokens, Groups: baseCounts,
+				}); err != nil {
+					return err
+				}
+				fmt.Printf("wrote snapshot state %s\n", statePath)
+			}
+			if !verified {
+				return fmt.Errorf("AS OF verification failed")
+			}
+			return nil
+		},
+	}, nil
 }
 
-// runIdxTxn executes one typed transaction: index lookups for reads, row
+// idxTxn executes one typed transaction: index lookups for reads, row
 // updates for writes (1 in 8 moves the row to another group, the rest touch
 // only the non-indexed note column — the zero-index-page-write path).
-func runIdxTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, groups int64) (home int, rows, lookups int64, err error) {
+func idxTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, groups int64) (home int, rows, lookups int64, err error) {
 	tx, err := c.Begin()
 	if err != nil {
 		return -1, 0, 0, err
 	}
-	home = -2
+	home = noHome
 	for i := 0; i < opsPerTxn; i++ {
 		if rng.Float64() < cfg.ReadFrac {
 			got, lerr := tx.IndexLookup(idxTable, idxIndex, rng.Int63n(groups))
@@ -332,17 +228,9 @@ func runIdxTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, groups int64) (
 			tx.Abort()
 			return -1, rows, lookups, uerr
 		}
-		switch s := shard.Of(id, cfg.Shards); {
-		case home == -2:
-			home = s
-		case home != s:
-			home = -1
-		}
+		home = joinHome(home, shard.Of(id, cfg.Shards))
 	}
-	if home == -2 {
-		home = -1
-	}
-	return home, rows, lookups, tx.Commit()
+	return max(home, -1), rows, lookups, tx.Commit()
 }
 
 // verifyState checks a recovered server against a -state-out file: the

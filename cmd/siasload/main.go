@@ -1,10 +1,10 @@
 // Command siasload is a closed-loop load generator for siasserver: N
-// workers each run begin → (reads|update mix) → commit in a loop over a
-// pooled client, then the tool prints throughput, transaction latency
-// percentiles and the engine/server counter deltas — overall and per shard,
-// so group-commit effectiveness and WAL flush sharing are visible for every
-// partition. Transactions whose keys all hash to one shard are attributed
-// to it; the rest are reported as cross-shard.
+// workers each repeat one workload transaction over a pooled client, then
+// the tool prints throughput, transaction latency percentiles and the engine
+// counter deltas — overall and per shard, so group-commit effectiveness and
+// WAL flush sharing are visible for every partition. Transactions whose keys
+// all hash to one shard are attributed to it; the rest are reported as
+// cross-shard.
 //
 // Usage:
 //
@@ -14,9 +14,12 @@
 //	         [-workload kv|index|xshard] [-state-out FILE] [-verify-state FILE]
 //	         [-groups N] [-expect-crash] [-xshard-verify] [-stats-only]
 //
-// Every kv and index transaction runs 2 data ops; kv writes carry 64-byte
-// values. With -json, a machine-readable result (the same numbers as the
-// text report) is written to FILE.
+// Every workload runs through one loop, drive: a preload, the workers'
+// transactions, STATS before and after, and the workload's hooks around the
+// run. Every kv and index transaction runs 2 data ops; kv writes carry
+// 64-byte values. With -json, a machine-readable report (the same numbers as
+// the text report) is written to FILE; its engine counters are the
+// engine.Stats delta over the run under the STATS reply's own names.
 //
 // With -workload index, the loop runs against a catalog table with a
 // secondary index instead of the kv table: reads are index lookups, writes
@@ -51,6 +54,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sias/internal/client"
@@ -73,7 +77,7 @@ func main() {
 	statsOnly := flag.Bool("stats-only", false, "fetch STATS, print the raw reply JSON (to -json FILE if set, else stdout), and exit")
 	metricsAddr := flag.String("metrics-addr", "", "server observability listener to fetch sampled traces from (/debug/traces) with -trace-sample (empty = skip)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of transactions traced end to end (TRACE envelopes); with -metrics-addr, the per-stage span breakdown from /debug/traces joins the report")
-	workload := flag.String("workload", "kv", "workload: kv (key/value ops), index (typed table with secondary-index lookups and AS OF verification) or xshard (cross-shard group rewrites)")
+	wlName := flag.String("workload", "kv", "workload: kv (key/value ops), index (typed table with secondary-index lookups and AS OF verification) or xshard (cross-shard group rewrites)")
 	stateOut := flag.String("state-out", "", "index workload: write snapshot tokens and group counts to this file for a later -verify-state run")
 	verifyPath := flag.String("verify-state", "", "verify a recovered server against a -state-out file and exit")
 	groups := flag.Int("groups", 64, "xshard workload: cross-shard key groups (one key per shard each)")
@@ -102,7 +106,7 @@ func main() {
 	cfg := loadConfig{
 		Addr: *addr, Workers: *workers, Txns: *txns, Keys: *keys,
 		ReadFrac: *readFrac, MetricsAddr: *metricsAddr,
-		Workload: *workload, TraceSample: *traceSample,
+		Workload: *wlName, TraceSample: *traceSample,
 	}
 	if *replicas != "" {
 		for _, a := range strings.Split(*replicas, ",") {
@@ -111,23 +115,20 @@ func main() {
 			}
 		}
 	}
-	switch *workload {
+	var mk func(*client.Client, *loadConfig) (*workload, error)
+	switch *wlName {
 	case "kv":
-		if err := run(cfg, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
+		mk = kvWorkload
 	case "index":
-		if err := runIndex(cfg, *jsonPath, *stateOut); err != nil {
-			log.Fatal(err)
-		}
+		mk = func(c *client.Client, cfg *loadConfig) (*workload, error) { return indexWorkload(c, cfg, *stateOut) }
 	case "xshard":
-		// Cross-shard 2PC atomicity workload: group rewrites spanning every
-		// shard, with an all-or-nothing verify pass; see xshard.go.
-		if err := runXShard(cfg, *jsonPath, *groups, *expectCrash); err != nil {
-			log.Fatal(err)
-		}
+		cfg.Groups = *groups
+		mk = func(c *client.Client, cfg *loadConfig) (*workload, error) { return xshardWorkload(cfg, *expectCrash) }
 	default:
-		log.Fatalf("unknown -workload %q (want kv, index or xshard)", *workload)
+		log.Fatalf("unknown -workload %q (want kv, index or xshard)", *wlName)
+	}
+	if err := drive(cfg, *jsonPath, mk); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -143,16 +144,24 @@ func dumpStats(addr, jsonPath string) error {
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
+	if jsonPath != "" {
+		return writeJSON(jsonPath, st)
+	}
 	blob, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	if jsonPath != "" {
-		return os.WriteFile(jsonPath, blob, 0o644)
-	}
-	_, err = os.Stdout.Write(blob)
+	_, err = os.Stdout.Write(append(blob, '\n'))
 	return err
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 // The shape of a kv or index transaction: its data-op count and, for kv
@@ -169,6 +178,7 @@ type loadConfig struct {
 	Keys     int64   `json:"keys"`
 	ReadFrac float64 `json:"read_frac"`
 	Workload string  `json:"workload,omitempty"` // kv (default), index or xshard
+	Groups   int     `json:"groups,omitempty"`   // xshard key groups
 	// Replicas are follower addresses eligible to serve pure-read
 	// transactions (client.Options.Replicas).
 	Replicas []string `json:"replicas,omitempty"`
@@ -182,6 +192,28 @@ type loadConfig struct {
 	TraceSample float64 `json:"trace_sample,omitempty"`
 }
 
+// A workload is what drive runs: the rows it loads first, the transaction
+// every worker repeats, and hooks around the measured run.
+type workload struct {
+	desc string // the text report's workload line
+	// The preload upserts items 0..items-1, batch of them per transaction:
+	// put writes item i, inserting it, or updating it when update is set
+	// (the insert found it from an earlier run).
+	items, batch int
+	put          func(tx *client.Tx, i int, update bool) error
+	// txn runs worker w's i-th transaction and returns its home shard, -1
+	// when it spanned shards.
+	txn func(c *client.Client, rng *rand.Rand, w, i int) (home int, err error)
+	// With stopOnFailure the first failure ends every worker's loop; with
+	// expectCrash that failure is the server dying, the run's expected end.
+	stopOnFailure, expectCrash bool
+	// before runs after the preload, before the run is measured; after runs
+	// once the report is summarized, may add to it, and its error is the
+	// run's. Either may be nil.
+	before func(c *client.Client) error
+	after  func(c *client.Client, res *report) error
+}
+
 // latencyMs summarizes a latency distribution in milliseconds.
 type latencyMs struct {
 	P50 float64 `json:"p50_ms"`
@@ -190,66 +222,39 @@ type latencyMs struct {
 	Max float64 `json:"max_ms"`
 }
 
-// shardReport is the per-shard slice of the run: engine counter deltas plus
-// the latency of transactions routed entirely to this shard.
-type shardReport struct {
-	Shard            int       `json:"shard"`
-	Commits          int64     `json:"commits"`
-	ReadOnlyCommits  int64     `json:"readonly_commits"`
-	CommitFlushes    int64     `json:"wal_flushes"`
-	CommitBatches    int64     `json:"multi_tx_batches"`
-	CommitMaxBatch   int64     `json:"max_batch"`
-	WALPageWrites    int64     `json:"wal_page_writes"`
-	FlushesPerCommit float64   `json:"flushes_per_commit"`
-	Txns             int64     `json:"single_shard_txns"`
-	TxnPerSec        float64   `json:"txn_per_sec"`
-	Latency          latencyMs `json:"latency"`
+// homeLatency is the client-side view of the committed transactions that
+// share one home.
+type homeLatency struct {
+	Txns    int64     `json:"txns"`
+	Latency latencyMs `json:"latency"`
 }
 
-// engineAgg is the aggregate engine delta over the run.
-//
-// FlushesPerCommit and FlushSavedPct are taken over the commits that logged
-// something (Commits - ReadOnlyCommits): a reader never needed a flush, so
-// counting it would report unlogged readers as group-commit wins.
-type engineAgg struct {
-	Commits          int64   `json:"commits"`
-	ReadOnlyCommits  int64   `json:"readonly_commits"`
-	Aborts           int64   `json:"aborts"`
-	CommitFlushes    int64   `json:"wal_flushes"`
-	CommitBatches    int64   `json:"multi_tx_batches"`
-	WALPageWrites    int64   `json:"wal_page_writes"`
-	FlushesPerCommit float64 `json:"flushes_per_commit"`
-	FlushSavedPct    float64 `json:"group_commit_saved_pct"`
-	PoolHits         int64   `json:"pool_hits"`
-	PoolMisses       int64   `json:"pool_misses"`
-	PoolHitRatio     float64 `json:"pool_hit_ratio"`
-	PoolEvictions    int64   `json:"pool_evictions"`
-	PoolPartitions   int     `json:"pool_partitions"` // summed across shards
-	PoolReadWaits    int64   `json:"pool_read_waits"` // singleflight joins on in-flight reads
-	PrefetchIssued   int64   `json:"pool_prefetch_issued"`
-	PrefetchCoalesce int64   `json:"pool_prefetch_coalesced"` // device reads saved by batching
-	PrefetchWasted   int64   `json:"pool_prefetch_wasted"`
-	DataReads        int64   `json:"data_reads"` // host read ops on the data device
-}
-
-// result is the full machine-readable run report (-json).
-type result struct {
-	Config     loadConfig    `json:"config"`
-	ElapsedSec float64       `json:"elapsed_sec"`
-	Committed  int64         `json:"committed"`
-	TxnPerSec  float64       `json:"txn_per_sec"`
-	Conflicts  int64         `json:"conflicts"`
-	Drained    int64         `json:"drain_rejected"`
-	Failures   int64         `json:"failures"`
-	Latency    latencyMs     `json:"latency"`
-	Engine     engineAgg     `json:"engine"`
-	PerShard   []shardReport `json:"per_shard"`
-	CrossShard struct {
-		Txns    int64     `json:"txns"`
-		Latency latencyMs `json:"latency"`
-	} `json:"cross_shard"`
-	// Index is present for -workload index: secondary-index counter deltas
-	// and the AS OF verification outcome.
+// report is the run's result: printed, and with -json written as JSON.
+type report struct {
+	Config     loadConfig `json:"config"`
+	ElapsedSec float64    `json:"elapsed_sec"`
+	// Every transaction a worker ran is exactly one of Committed,
+	// Conflicts, Drained and Failures; InDoubt counts the failures whose
+	// commit outcome is unknown (client.ErrInDoubt).
+	Committed int64     `json:"committed"`
+	TxnPerSec float64   `json:"txn_per_sec"`
+	Conflicts int64     `json:"conflicts"`
+	Drained   int64     `json:"drain_rejected"`
+	Failures  int64     `json:"failures"`
+	InDoubt   int64     `json:"in_doubt"`
+	Crashed   bool      `json:"crashed"` // -expect-crash saw the server die
+	Latency   latencyMs `json:"latency"`
+	// ByHome holds the committed single-shard transactions by shard,
+	// CrossShard the rest.
+	ByHome     []homeLatency `json:"by_home"`
+	CrossShard homeLatency   `json:"cross_shard"`
+	// Engine and Shards are the engine.Stats delta over the run, aggregated
+	// and per shard, as the STATS reply's engine and shards carry them.
+	// After a crash they stay empty: there is no later STATS to subtract.
+	Engine engine.Stats   `json:"engine"`
+	Shards []engine.Stats `json:"shards,omitempty"`
+	// Index is present for -workload index: its lookups and the AS OF
+	// verification outcome.
 	Index *indexReport `json:"index,omitempty"`
 	// Repl is present when the target server is a replication follower:
 	// its per-shard applied-vs-primary-durable position after the run.
@@ -277,51 +282,33 @@ type txnSample struct {
 	shard int
 }
 
-func run(cfg loadConfig, jsonPath string) error {
+// drive runs one workload end to end: dial, build the workload, preload,
+// measure the workers' closed loop between two STATS replies, report.
+func drive(cfg loadConfig, jsonPath string, mk func(*client.Client, *loadConfig) (*workload, error)) error {
 	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers, Replicas: cfg.Replicas, TraceSample: cfg.TraceSample})
 	if err != nil {
 		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
 	}
 	defer c.Close()
-
-	// Preload the keyspace (idempotent across runs: existing keys are
-	// updated instead of inserted).
-	val := make([]byte, valueSize)
-	for i := range val {
-		val[i] = byte('a' + i%26)
-	}
-	preStart := time.Now()
-	const batch = 256
-	for lo := int64(0); lo < cfg.Keys; lo += batch {
-		hi := lo + batch
-		if hi > cfg.Keys {
-			hi = cfg.Keys
-		}
-		tx, err := c.Begin()
-		if err != nil {
-			return fmt.Errorf("preload begin: %w", err)
-		}
-		for k := lo; k < hi; k++ {
-			if err := tx.Insert(k, val); err != nil {
-				if uerr := tx.Update(k, val); uerr != nil {
-					tx.Abort()
-					return fmt.Errorf("preload key %d: %w", k, err)
-				}
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("preload commit: %w", err)
-		}
-	}
-	fmt.Printf("preloaded %d keys in %.2fs\n", cfg.Keys, time.Since(preStart).Seconds())
-
-	before, err := c.Stats()
+	st, err := c.Stats()
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	cfg.Shards = before.Router.Shards
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	cfg.Shards = max(st.Router.Shards, 1)
+	wl, err := mk(c, &cfg)
+	if err != nil {
+		return err
+	}
+
+	preStart := time.Now()
+	if err := preload(c, wl); err != nil {
+		return err
+	}
+	fmt.Printf("preloaded %d rows in %.2fs\n", wl.items, time.Since(preStart).Seconds())
+	if wl.before != nil {
+		if err := wl.before(c); err != nil {
+			return err
+		}
 	}
 
 	// With -replicas, each worker runs over its own client: the
@@ -331,9 +318,7 @@ func run(cfg loadConfig, jsonPath string) error {
 	workerC := make([]*client.Client, cfg.Workers)
 	for w := range workerC {
 		workerC[w] = c
-	}
-	if len(cfg.Replicas) > 0 {
-		for w := range workerC {
+		if len(cfg.Replicas) > 0 {
 			wc, err := client.Dial(cfg.Addr, client.Options{PoolSize: 2, Replicas: cfg.Replicas, TraceSample: cfg.TraceSample})
 			if err != nil {
 				return fmt.Errorf("dial worker client: %w", err)
@@ -343,45 +328,43 @@ func run(cfg loadConfig, jsonPath string) error {
 		}
 	}
 
-	var (
-		mu        sync.Mutex
-		conflicts int64
-		drained   int64
-		failures  int64
-	)
+	before, err := c.Stats()
+	if err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
+	var conflicts, drained, failures, inDoubt atomic.Int64
+	var stop atomic.Bool
 	samples := make([][]txnSample, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
+	for w := range samples {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
 			out := make([]txnSample, 0, cfg.Txns)
-			for i := 0; i < cfg.Txns; i++ {
+			for i := 0; i < cfg.Txns && !stop.Load(); i++ {
 				t0 := time.Now()
-				home, err := runTxn(workerC[w], rng, cfg, val)
+				home, err := wl.txn(workerC[w], rng, w, i)
 				switch {
 				case err == nil:
 					out = append(out, txnSample{lat: time.Since(t0), shard: home})
-				case errors.Is(err, txn.ErrSerialization) || errors.Is(err, txn.ErrLockTimeout):
-					mu.Lock()
-					conflicts++
-					mu.Unlock()
+				case errors.Is(err, txn.ErrSerialization), errors.Is(err, txn.ErrLockTimeout):
+					conflicts.Add(1)
 				case errors.Is(err, wire.ErrShuttingDown), errors.Is(err, engine.ErrReadOnly):
 					// Both are handoff-window outcomes: the primary refused
 					// because it drains, or the follower refused because it
 					// has not finished promoting yet.
-					mu.Lock()
-					drained++
-					mu.Unlock()
+					drained.Add(1)
 				default:
-					mu.Lock()
-					failures++
-					n := failures
-					mu.Unlock()
-					if n <= 5 {
+					if errors.Is(err, client.ErrInDoubt) {
+						inDoubt.Add(1)
+					}
+					if n := failures.Add(1); n <= 5 && !wl.expectCrash {
 						fmt.Fprintf(os.Stderr, "worker %d txn %d: %v\n", w, i, err)
+					}
+					if wl.stopOnFailure {
+						stop.Store(true)
 					}
 				}
 			}
@@ -391,53 +374,215 @@ func run(cfg loadConfig, jsonPath string) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	after, err := c.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
+	res := report{
+		Conflicts: conflicts.Load(), Drained: drained.Load(),
+		Failures: failures.Load(), InDoubt: inDoubt.Load(),
+		Crashed: wl.expectCrash && failures.Load() > 0,
 	}
-
-	res := summarize(cfg, elapsed, samples, before, after)
-	if cfg.MetricsAddr != "" && cfg.TraceSample > 0 {
-		if bd, err := scrapeTraces(cfg.MetricsAddr, 1000); err != nil {
-			fmt.Fprintf(os.Stderr, "trace scrape: %v\n", err)
-		} else {
-			res.Trace = bd
+	summarize(&res, cfg, elapsed, samples)
+	if !res.Crashed { // a crashed server answers nothing more
+		after, err := c.Stats()
+		if err != nil {
+			return fmt.Errorf("stats: %w", err)
+		}
+		res.Engine, res.Shards = statsDelta(before, after)
+		res.Repl = after.Repl
+		if cfg.MetricsAddr != "" && cfg.TraceSample > 0 {
+			if bd, err := scrapeTraces(cfg.MetricsAddr, 1000); err != nil {
+				fmt.Fprintf(os.Stderr, "trace scrape: %v\n", err)
+			} else {
+				res.Trace = bd
+			}
 		}
 	}
-	res.Conflicts = conflicts
-	res.Drained = drained
-	res.Failures = failures
 	if len(cfg.Replicas) > 0 {
 		var p, r int64
 		for _, wc := range workerC {
 			wp, wr := wc.ReadRouting()
 			p, r = p+wp, r+wr
 		}
-		res.Reads = &readRouting{
-			PrimaryReads: p,
-			ReplicaReads: r,
-			ReplicaFrac:  ratio(r, p+r),
-		}
+		res.Reads = &readRouting{PrimaryReads: p, ReplicaReads: r, ReplicaFrac: ratio(r, p+r)}
 	}
-	printResult(res)
-
+	var check error
+	if wl.after != nil {
+		check = wl.after(c, &res)
+	}
+	fmt.Printf("\n%s: %d workers x %d txns, %d shard(s)\n", wl.desc, cfg.Workers, cfg.Txns, cfg.Shards)
+	printReport(res)
 	if jsonPath != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
+		if err := writeJSON(jsonPath, res); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", jsonPath)
 	}
+	return check
+}
+
+// preload upserts the workload's items in batches, so a rerun against a
+// loaded server reuses its rows.
+func preload(c *client.Client, wl *workload) error {
+	for lo := 0; lo < wl.items; lo += wl.batch {
+		tx, err := c.Begin()
+		if err != nil {
+			return fmt.Errorf("preload begin: %w", err)
+		}
+		for i := lo; i < min(lo+wl.batch, wl.items); i++ {
+			if err := wl.put(tx, i, false); err != nil {
+				if uerr := wl.put(tx, i, true); uerr != nil {
+					tx.Abort()
+					return fmt.Errorf("preload item %d: %w", i, err)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("preload commit: %w", err)
+		}
+	}
 	return nil
 }
 
-// runTxn executes one closed-loop transaction and reports its home shard
-// (-1 when its keys spanned shards); client-level retry already absorbs
-// overload rejections.
-func runTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, error) {
+// summarize folds the worker samples into res.
+func summarize(res *report, cfg loadConfig, elapsed time.Duration, samples [][]txnSample) {
+	res.Config, res.ElapsedSec = cfg, elapsed.Seconds()
+	var all, cross []time.Duration
+	perShard := make([][]time.Duration, cfg.Shards)
+	for _, ss := range samples {
+		for _, s := range ss {
+			all = append(all, s.lat)
+			if s.shard >= 0 && s.shard < cfg.Shards {
+				perShard[s.shard] = append(perShard[s.shard], s.lat)
+			} else {
+				cross = append(cross, s.lat)
+			}
+		}
+	}
+	res.Committed = int64(len(all))
+	res.TxnPerSec = float64(len(all)) / elapsed.Seconds()
+	res.Latency = summarizeLat(all)
+	res.CrossShard = homeLatency{Txns: int64(len(cross)), Latency: summarizeLat(cross)}
+	res.ByHome = make([]homeLatency, cfg.Shards)
+	for i, lats := range perShard {
+		res.ByHome[i] = homeLatency{Txns: int64(len(lats)), Latency: summarizeLat(lats)}
+	}
+}
+
+// statsDelta is the engine change between two STATS replies of one server,
+// aggregated and per shard.
+func statsDelta(before, after server.StatsReply) (engine.Stats, []engine.Stats) {
+	shards := make([]engine.Stats, len(after.Shards))
+	for i := range shards {
+		shards[i] = after.Shards[i].Sub(before.Shards[i])
+	}
+	return after.Engine.Sub(before.Engine), shards
+}
+
+// printReport prints res as text. Flushes per commit and the group-commit
+// saving are taken over the commits that logged something (Commits -
+// ReadOnlyCommits): a reader never needed a flush, so counting it would
+// report unlogged readers as group-commit wins.
+func printReport(res report) {
+	fmt.Printf("elapsed            %.2fs\n", res.ElapsedSec)
+	fmt.Printf("committed          %d (%.0f txn/s)\n", res.Committed, res.TxnPerSec)
+	fmt.Printf("conflicts          %d\n", res.Conflicts)
+	if res.Drained > 0 {
+		fmt.Printf("drain-rejected     %d\n", res.Drained)
+	}
+	if res.Failures > 0 {
+		fmt.Printf("failures           %d (%d in doubt)\n", res.Failures, res.InDoubt)
+	}
+	if res.Crashed {
+		fmt.Printf("crashed            the server died mid-run, as -expect-crash expects\n")
+	}
+	fmt.Printf("latency p50/p95/p99/max  %.2f / %.2f / %.2f / %.2f ms\n",
+		res.Latency.P50, res.Latency.P95, res.Latency.P99, res.Latency.Max)
+
+	if !res.Crashed {
+		e := res.Engine
+		fmt.Printf("\nengine deltas over the run:\n")
+		fmt.Printf("  commits          %d (%d read-only: no log record, no flush)\n", e.Commits, e.ReadOnlyCommits)
+		fmt.Printf("  aborts           %d\n", e.Aborts)
+		fmt.Printf("  commit flushes   %d (group commit saved %.1f%% of the logged commits' flushes)\n",
+			e.CommitFlushes, saved(e.Commits-e.ReadOnlyCommits, e.CommitFlushes))
+		fmt.Printf("  multi-tx batches %d\n", e.CommitBatches)
+		fmt.Printf("  WAL page writes  %d\n", e.WALPageWrites)
+		fmt.Printf("  pool hit ratio   %.4f (%d hits / %d misses, %d evictions, %d stripe(s))\n",
+			e.PoolHitRatio, e.Pool.Hits, e.Pool.Misses, e.Pool.Evictions, e.PoolPartitions)
+		if e.Pool.ReadWaits > 0 || e.Pool.PrefetchIssued > 0 {
+			fmt.Printf("  pool read path   %d singleflight waits, prefetch %d issued / %d coalesced / %d wasted, %d device reads\n",
+				e.Pool.ReadWaits, e.Pool.PrefetchIssued, e.Pool.PrefetchCoalesced, e.Pool.PrefetchWasted, e.Data.Reads)
+		}
+	}
+
+	if len(res.Shards) > 1 {
+		fmt.Printf("\nper-shard breakdown (single-shard txns attributed to their shard):\n")
+		fmt.Printf("  %-5s %10s %10s %10s %8s %9s %9s %9s\n",
+			"shard", "txns", "txn/s", "commits", "flushes", "fl/commit", "maxbatch", "p99 ms")
+		for i, s := range res.Shards {
+			h := res.ByHome[i]
+			fmt.Printf("  %-5d %10d %10.0f %10d %8d %9.3f %9d %9.2f\n",
+				i, h.Txns, float64(h.Txns)/res.ElapsedSec, s.Commits, s.CommitFlushes,
+				ratio(s.CommitFlushes, s.Commits-s.ReadOnlyCommits), s.CommitMaxBatch, h.Latency.P99)
+		}
+		fmt.Printf("  cross-shard txns %d (p50 %.2f ms, p99 %.2f ms)\n",
+			res.CrossShard.Txns, res.CrossShard.Latency.P50, res.CrossShard.Latency.P99)
+	}
+
+	if res.Index != nil {
+		ix := res.Index
+		fmt.Printf("\nindex workload (%s/%s, %d groups):\n", ix.Table, ix.Index, ix.Groups)
+		fmt.Printf("  index lookups    %d (%.0f/s, %d rows returned)\n", res.Engine.IndexLookups, ix.LookupsPerSec, ix.RowsReturned)
+		fmt.Printf("  index inserts    %d\n", res.Engine.IndexInserts)
+		fmt.Printf("  AS OF verify     %d groups, match=%v\n", ix.AsOfGroupsChecked, ix.AsOfVerified)
+	}
+
+	if res.Trace != nil {
+		printTraceBreakdown(res.Trace)
+	}
+
+	if res.Reads != nil {
+		fmt.Printf("\nread routing (-replicas %s):\n", strings.Join(res.Config.Replicas, ","))
+		fmt.Printf("  replica reads    %d (%.1f%% of routed read txns)\n",
+			res.Reads.ReplicaReads, 100*res.Reads.ReplicaFrac)
+		fmt.Printf("  primary reads    %d\n", res.Reads.PrimaryReads)
+	}
+
+	if res.Repl != nil {
+		fmt.Printf("\nreplication (follower of %s, promoted=%v):\n", res.Repl.Primary, res.Repl.Promoted)
+		for i, s := range res.Repl.Shards {
+			fmt.Printf("  shard %d: applied LSN %d / primary durable %d (lag %d bytes)\n",
+				i, s.AppliedLSN, s.PrimaryDurableLSN, s.LagBytes)
+		}
+	}
+}
+
+// kvWorkload is the default mix on the kv table: opsPerTxn point reads or
+// updates of uniformly drawn keys.
+func kvWorkload(_ *client.Client, cfg *loadConfig) (*workload, error) {
+	val := make([]byte, valueSize)
+	for i := range val {
+		val[i] = byte('a' + i%26)
+	}
+	run := *cfg
+	return &workload{
+		desc: fmt.Sprintf("kv (%d ops/txn, %.0f%% reads, %d keys, %dB values)",
+			opsPerTxn, cfg.ReadFrac*100, cfg.Keys, valueSize),
+		items: int(cfg.Keys), batch: 256,
+		put: func(tx *client.Tx, i int, update bool) error {
+			if update {
+				return tx.Update(int64(i), val)
+			}
+			return tx.Insert(int64(i), val)
+		},
+		txn: func(c *client.Client, rng *rand.Rand, _, _ int) (int, error) {
+			return kvTxn(c, rng, run, val)
+		},
+	}, nil
+}
+
+// kvTxn executes one kv transaction and reports its home shard (-1 when its
+// keys spanned shards); client-level retry already absorbs overload
+// rejections.
+func kvTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, error) {
 	// Draw the op mix up front: a transaction with no writes can run as a
 	// routed read-only transaction when replicas are configured. Drawing
 	// before Begin keeps the op-level read fraction exactly cfg.ReadFrac.
@@ -457,167 +602,32 @@ func runTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, val []byte) (int, 
 	if err != nil {
 		return -1, err
 	}
-	home := -2 // no key touched yet
+	home := noHome
 	for i := range isRead {
 		key := rng.Int63n(cfg.Keys)
-		switch s := shard.Of(key, cfg.Shards); {
-		case home == -2:
-			home = s
-		case home != s:
-			home = -1
-		}
+		home = joinHome(home, shard.Of(key, cfg.Shards))
 		if isRead[i] {
-			if _, err := tx.Get(key); err != nil {
-				tx.Abort()
-				return home, err
-			}
+			_, err = tx.Get(key)
 		} else {
-			if err := tx.Update(key, val); err != nil {
-				tx.Abort()
-				return home, err
-			}
+			err = tx.Update(key, val)
+		}
+		if err != nil {
+			tx.Abort()
+			return home, err
 		}
 	}
-	if home == -2 {
-		home = -1
-	}
-	return home, tx.Commit()
+	return max(home, -1), tx.Commit()
 }
 
-// summarize folds worker samples and stats deltas into a result.
-func summarize(cfg loadConfig, elapsed time.Duration, samples [][]txnSample, before, after server.StatsReply) result {
-	res := result{Config: cfg, ElapsedSec: elapsed.Seconds(), Repl: after.Repl}
+// noHome is the home of a transaction that has touched no key yet.
+const noHome = -2
 
-	var all []time.Duration
-	perShard := make([][]time.Duration, cfg.Shards)
-	var cross []time.Duration
-	for _, ss := range samples {
-		for _, s := range ss {
-			all = append(all, s.lat)
-			if s.shard >= 0 && s.shard < cfg.Shards {
-				perShard[s.shard] = append(perShard[s.shard], s.lat)
-			} else {
-				cross = append(cross, s.lat)
-			}
-		}
+// joinHome is the home of a transaction at home h that touches shard s.
+func joinHome(h, s int) int {
+	if h == noHome || h == s {
+		return s
 	}
-	res.Committed = int64(len(all))
-	res.TxnPerSec = float64(len(all)) / elapsed.Seconds()
-	res.Latency = summarizeLat(all)
-	res.CrossShard.Txns = int64(len(cross))
-	res.CrossShard.Latency = summarizeLat(cross)
-
-	d := engineDelta(before, after)
-	res.Engine = engineAgg{
-		Commits:          d.Commits,
-		ReadOnlyCommits:  d.ReadOnlyCommits,
-		Aborts:           d.Aborts,
-		CommitFlushes:    d.CommitFlushes,
-		CommitBatches:    d.CommitBatches,
-		WALPageWrites:    d.WALPageWrites,
-		FlushesPerCommit: ratio(d.CommitFlushes, d.Commits-d.ReadOnlyCommits),
-		FlushSavedPct:    saved(d.Commits-d.ReadOnlyCommits, d.CommitFlushes),
-		PoolHits:         d.Pool.Hits,
-		PoolMisses:       d.Pool.Misses,
-		PoolHitRatio:     d.Pool.HitRatio(),
-		PoolEvictions:    d.Pool.Evictions,
-		PoolPartitions:   d.PoolPartitions,
-		PoolReadWaits:    d.Pool.ReadWaits,
-		PrefetchIssued:   d.Pool.PrefetchIssued,
-		PrefetchCoalesce: d.Pool.PrefetchCoalesced,
-		PrefetchWasted:   d.Pool.PrefetchWasted,
-		DataReads:        d.Data.Reads,
-	}
-
-	for i := 0; i < cfg.Shards; i++ {
-		var b, a engine.Stats
-		if i < len(before.Shards) {
-			b = before.Shards[i]
-		}
-		if i < len(after.Shards) {
-			a = after.Shards[i]
-		}
-		sd := a.Sub(b)
-		res.PerShard = append(res.PerShard, shardReport{
-			Shard:            i,
-			Commits:          sd.Commits,
-			ReadOnlyCommits:  sd.ReadOnlyCommits,
-			CommitFlushes:    sd.CommitFlushes,
-			CommitBatches:    sd.CommitBatches,
-			CommitMaxBatch:   sd.CommitMaxBatch, // high-water mark: a gauge, so the later value
-			WALPageWrites:    sd.WALPageWrites,
-			FlushesPerCommit: ratio(sd.CommitFlushes, sd.Commits-sd.ReadOnlyCommits),
-			Txns:             int64(len(perShard[i])),
-			TxnPerSec:        float64(len(perShard[i])) / elapsed.Seconds(),
-			Latency:          summarizeLat(perShard[i]),
-		})
-	}
-	return res
-}
-
-func printResult(res result) {
-	cfg := res.Config
-	fmt.Printf("\n%d workers x %d txns (%d ops/txn, %.0f%% reads, %d keys, %dB values, %d shard(s))\n",
-		cfg.Workers, cfg.Txns, opsPerTxn, cfg.ReadFrac*100, cfg.Keys, valueSize, cfg.Shards)
-	fmt.Printf("elapsed            %.2fs\n", res.ElapsedSec)
-	fmt.Printf("committed          %d (%.0f txn/s)\n", res.Committed, res.TxnPerSec)
-	fmt.Printf("conflicts          %d\n", res.Conflicts)
-	if res.Drained > 0 {
-		fmt.Printf("drain-rejected     %d\n", res.Drained)
-	}
-	if res.Failures > 0 {
-		fmt.Printf("failures           %d\n", res.Failures)
-	}
-	fmt.Printf("latency p50/p95/p99/max  %.2f / %.2f / %.2f / %.2f ms\n",
-		res.Latency.P50, res.Latency.P95, res.Latency.P99, res.Latency.Max)
-
-	fmt.Printf("\nengine deltas over the run:\n")
-	fmt.Printf("  commits          %d (%d read-only: no log record, no flush)\n", res.Engine.Commits, res.Engine.ReadOnlyCommits)
-	fmt.Printf("  aborts           %d\n", res.Engine.Aborts)
-	fmt.Printf("  commit flushes   %d (group commit saved %.1f%% of the logged commits' flushes)\n",
-		res.Engine.CommitFlushes, res.Engine.FlushSavedPct)
-	fmt.Printf("  multi-tx batches %d\n", res.Engine.CommitBatches)
-	fmt.Printf("  WAL page writes  %d\n", res.Engine.WALPageWrites)
-	fmt.Printf("  pool hit ratio   %.4f (%d hits / %d misses, %d evictions, %d stripe(s))\n",
-		res.Engine.PoolHitRatio, res.Engine.PoolHits, res.Engine.PoolMisses,
-		res.Engine.PoolEvictions, res.Engine.PoolPartitions)
-	if res.Engine.PoolReadWaits > 0 || res.Engine.PrefetchIssued > 0 {
-		fmt.Printf("  pool read path   %d singleflight waits, prefetch %d issued / %d coalesced / %d wasted, %d device reads\n",
-			res.Engine.PoolReadWaits, res.Engine.PrefetchIssued, res.Engine.PrefetchCoalesce,
-			res.Engine.PrefetchWasted, res.Engine.DataReads)
-	}
-
-	if cfg.Shards > 1 {
-		fmt.Printf("\nper-shard breakdown (single-shard txns attributed to their shard):\n")
-		fmt.Printf("  %-5s %10s %10s %10s %8s %9s %9s %9s\n",
-			"shard", "txns", "txn/s", "commits", "flushes", "fl/commit", "maxbatch", "p99 ms")
-		for _, s := range res.PerShard {
-			fmt.Printf("  %-5d %10d %10.0f %10d %8d %9.3f %9d %9.2f\n",
-				s.Shard, s.Txns, s.TxnPerSec, s.Commits, s.CommitFlushes,
-				s.FlushesPerCommit, s.CommitMaxBatch, s.Latency.P99)
-		}
-		fmt.Printf("  cross-shard txns %d (p50 %.2f ms, p99 %.2f ms)\n",
-			res.CrossShard.Txns, res.CrossShard.Latency.P50, res.CrossShard.Latency.P99)
-	}
-
-	if res.Trace != nil {
-		printTraceBreakdown(res.Trace)
-	}
-
-	if res.Reads != nil {
-		fmt.Printf("\nread routing (-replicas %s):\n", strings.Join(cfg.Replicas, ","))
-		fmt.Printf("  replica reads    %d (%.1f%% of routed read txns)\n",
-			res.Reads.ReplicaReads, 100*res.Reads.ReplicaFrac)
-		fmt.Printf("  primary reads    %d\n", res.Reads.PrimaryReads)
-	}
-
-	if res.Repl != nil {
-		fmt.Printf("\nreplication (follower of %s, promoted=%v):\n", res.Repl.Primary, res.Repl.Promoted)
-		for i, s := range res.Repl.Shards {
-			fmt.Printf("  shard %d: applied LSN %d / primary durable %d (lag %d bytes)\n",
-				i, s.AppliedLSN, s.PrimaryDurableLSN, s.LagBytes)
-		}
-	}
+	return -1
 }
 
 func summarizeLat(lats []time.Duration) latencyMs {
@@ -659,18 +669,4 @@ func saved(commits, flushes int64) float64 {
 		return 0
 	}
 	return 100 * float64(commits-flushes) / float64(commits)
-}
-
-// shardAgg returns the aggregate engine view of a stats reply, tolerating
-// replies that predate the per-shard field.
-func shardAgg(r server.StatsReply) engine.Stats {
-	if len(r.Shards) > 0 {
-		return shard.Aggregate(r.Shards)
-	}
-	return r.Engine
-}
-
-// engineDelta is the engine-wide change between two STATS replies.
-func engineDelta(before, after server.StatsReply) engine.Stats {
-	return shardAgg(after).Sub(shardAgg(before))
 }

@@ -1,18 +1,12 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"sias/internal/client"
 	"sias/internal/shard"
-	"sias/internal/txn"
 )
 
 // The xshard workload exercises cross-shard (2PC) atomicity: the keyspace is
@@ -51,142 +45,45 @@ func xshardGroups(shards, groups int) [][]int64 {
 	return out
 }
 
-// xshardResult is the machine-readable xshard run report (-json).
-type xshardResult struct {
-	Workload  string  `json:"workload"`
-	Shards    int     `json:"shards"`
-	Groups    int     `json:"groups"`
-	Committed int64   `json:"committed"`
-	Conflicts int64   `json:"conflicts"`
-	InDoubt   int64   `json:"in_doubt"`
-	Crashed   bool    `json:"crashed"`
-	Elapsed   float64 `json:"elapsed_sec"`
-	// Trace is the per-stage span breakdown from /debug/traces; present when
-	// -trace-sample and -metrics-addr are both set. For this workload the
-	// 2PC stages (route, prepare, decide, outcome) dominate.
-	Trace *traceBreakdown `json:"trace,omitempty"`
-}
-
-// runXShard preloads the groups with single-shard transactions (one batch
-// per shard, so no 2PC record is logged before the churn starts), then churns
-// cross-shard group rewrites from cfg.Workers workers. Unless -expect-crash
-// is set, the run ends with an in-process verify pass.
-func runXShard(cfg loadConfig, jsonPath string, groups int, expectCrash bool) error {
-	c, err := client.Dial(cfg.Addr, client.Options{PoolSize: cfg.Workers, TraceSample: cfg.TraceSample})
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", cfg.Addr, err)
-	}
-	defer c.Close()
-
-	st, err := c.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	shards := st.Router.Shards
+// xshardWorkload preloads the groups with single-shard transactions (one
+// batch per shard, so no 2PC record is logged before the churn starts), then
+// churns cross-shard group rewrites. The first failure ends the run; unless
+// expectCrash makes it the expected end, the run ends with a verify pass.
+func xshardWorkload(cfg *loadConfig, expectCrash bool) (*workload, error) {
+	shards, groups := cfg.Shards, cfg.Groups
 	if shards < 2 {
-		return fmt.Errorf("xshard workload needs >= 2 shards, server has %d", shards)
+		return nil, fmt.Errorf("xshard workload needs >= 2 shards, server has %d", shards)
 	}
 	members := xshardGroups(shards, groups)
-
-	// Preload: every member of shard s in one single-shard transaction.
-	// Idempotent across runs (insert falls back to update).
-	for s := 0; s < shards; s++ {
-		tx, err := c.Begin()
-		if err != nil {
-			return fmt.Errorf("preload begin: %w", err)
-		}
-		for g := 0; g < groups; g++ {
-			k := members[g][s]
-			val := []byte(fmt.Sprintf("g%d-init", g))
-			if err := tx.Insert(k, val); err != nil {
-				if uerr := tx.Update(k, val); uerr != nil {
-					tx.Abort()
-					return fmt.Errorf("preload key %d: %w", k, err)
-				}
+	return &workload{
+		desc:  fmt.Sprintf("xshard (%d groups x %d shards)", groups, shards),
+		items: shards * groups, batch: groups,
+		put: func(tx *client.Tx, i int, update bool) error {
+			g := i % groups
+			k, val := members[g][i/groups], []byte(fmt.Sprintf("g%d-init", g))
+			if update {
+				return tx.Update(k, val)
 			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("preload commit shard %d: %w", s, err)
-		}
-	}
-	fmt.Printf("preloaded %d groups x %d shards\n", groups, shards)
-
-	var (
-		committed atomic.Int64
-		conflicts atomic.Int64
-		inDoubt   atomic.Int64
-		crashed   atomic.Bool
-		stop      atomic.Bool
-	)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)*104729 + 7))
-			for i := 0; i < cfg.Txns && !stop.Load(); i++ {
-				g := rng.Intn(groups)
-				token := []byte(fmt.Sprintf("g%d-w%d-i%d", g, w, i))
-				err := xshardTxn(c, members[g], token)
-				switch {
-				case err == nil:
-					committed.Add(1)
-				case errors.Is(err, txn.ErrSerialization) || errors.Is(err, txn.ErrLockTimeout):
-					conflicts.Add(1)
-				case expectCrash:
-					// Any transport-level failure is the server dying at its
-					// crashpoint — the event this mode waits for.
-					if errors.Is(err, client.ErrInDoubt) {
-						inDoubt.Add(1)
-					}
-					crashed.Store(true)
-					stop.Store(true)
-				default:
-					stop.Store(true)
-					fmt.Fprintf(os.Stderr, "worker %d txn %d: %v\n", w, i, err)
-				}
+			return tx.Insert(k, val)
+		},
+		txn: func(c *client.Client, rng *rand.Rand, w, i int) (int, error) {
+			g := rng.Intn(groups)
+			return -1, xshardTxn(c, members[g], []byte(fmt.Sprintf("g%d-w%d-i%d", g, w, i)))
+		},
+		stopOnFailure: true,
+		expectCrash:   expectCrash,
+		after: func(_ *client.Client, res *report) error {
+			switch {
+			case expectCrash && !res.Crashed:
+				return fmt.Errorf("xshard: -expect-crash set but the server survived %d committed transactions", res.Committed)
+			case expectCrash:
+				return nil
+			case res.Failures > 0 || res.Committed == 0:
+				return fmt.Errorf("xshard churn failed: committed=%d failures=%d", res.Committed, res.Failures)
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := xshardResult{
-		Workload: "xshard", Shards: shards, Groups: groups,
-		Committed: committed.Load(), Conflicts: conflicts.Load(),
-		InDoubt: inDoubt.Load(), Crashed: crashed.Load(),
-		Elapsed: elapsed.Seconds(),
-	}
-	fmt.Printf("xshard churn: %d committed, %d conflicts, %d in-doubt, crashed=%v in %.2fs\n",
-		res.Committed, res.Conflicts, res.InDoubt, res.Crashed, res.Elapsed)
-	if cfg.MetricsAddr != "" && cfg.TraceSample > 0 && !res.Crashed {
-		if bd, err := scrapeTraces(cfg.MetricsAddr, 1000); err != nil {
-			fmt.Fprintf(os.Stderr, "trace scrape: %v\n", err)
-		} else if bd != nil {
-			res.Trace = bd
-			printTraceBreakdown(bd)
-		}
-	}
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if expectCrash {
-		if !res.Crashed {
-			return fmt.Errorf("xshard: -expect-crash set but the server survived %d committed transactions", res.Committed)
-		}
-		return nil
-	}
-	if res.Crashed || res.Committed == 0 {
-		return fmt.Errorf("xshard churn failed: committed=%d crashed=%v", res.Committed, res.Crashed)
-	}
-	return verifyXShard(cfg.Addr, groups)
+			return verifyXShard(cfg.Addr, groups)
+		},
+	}, nil
 }
 
 // xshardTxn rewrites every member of one group to the same token in a single

@@ -134,10 +134,6 @@ type conn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	broken bool
-	// eagerBegin is set once the server behind this connection has answered
-	// UNKNOWN_TX to handle 0 right after a successful BEGIN: it predates the
-	// rule, so BEGIN gets its own round trip here from then on.
-	eagerBegin bool
 	// owed counts replies to ends sent without waiting (Tx.finish); recv
 	// reads and drops them before its own.
 	owed int
@@ -663,12 +659,13 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 			}
 			return err
 		})
-		cn := t.cn
-		if t.handle != 0 && !cn.broken {
+		cn, broken := t.cn, t.cn.broken
+		if t.handle != 0 && !broken {
 			return resp, err // the transaction is open; err is the operation's own
 		}
 
-		// Nothing of this attempt survives on the server.
+		// Nothing of this attempt survives on the server. Once pooled, cn
+		// belongs to its next owner: nothing of it is read after put.
 		t.cn, t.handle = nil, 0
 		c.put(cn) // broken connections are closed, healthy ones pooled
 		lastErr = err
@@ -687,7 +684,7 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 			c.redirect(addr)
 			continue
 		}
-		if cn.broken {
+		if broken {
 			// A pooled connection died under us (drain force-close, primary
 			// crash): retry on a freshly dialed one.
 			if reconnects++; reconnects > c.opts.MaxRetries {
@@ -702,19 +699,17 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 		ErrNoPrimary, redirects, reconnects, lastErr)
 }
 
-// beginWith is one attempt of first: BEGIN and the operation in one flush,
-// then both replies. t.handle is set iff BEGIN succeeded, and then the
-// results are the operation's; otherwise the error says why nothing ran.
+// beginWith is one attempt of first: BEGIN and the operation (handle 0) in
+// one flush, then both replies. t.handle is set iff BEGIN succeeded, and
+// then the results are the operation's; otherwise the error says why nothing
+// ran.
 func (t *Tx) beginWith(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	cn := t.cn
-	paired := !cn.eagerBegin
 	if err := cn.send(t.traceID, wire.OpBegin, nil); err != nil {
 		return nil, err
 	}
-	if paired {
-		if err := cn.send(0, op, t.payload(build)); err != nil { // handle 0
-			return nil, err
-		}
+	if err := cn.send(0, op, t.payload(build)); err != nil {
+		return nil, err
 	}
 	if err := cn.flush(); err != nil {
 		return nil, err
@@ -723,14 +718,11 @@ func (t *Tx) beginWith(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	if cn.broken {
 		return nil, beginErr
 	}
-	var resp []byte
-	var opErr error
-	if paired {
-		// The server answers every frame: after a refused BEGIN the operation
-		// behind it found no transaction, and its reply still has to be read.
-		if resp, opErr = cn.recv(); cn.broken {
-			return nil, opErr
-		}
+	// The server answers every frame: after a refused BEGIN the operation
+	// behind it found no transaction, and its reply still has to be read.
+	resp, opErr := cn.recv()
+	if cn.broken {
+		return nil, opErr
 	}
 	if beginErr != nil {
 		return nil, beginErr
@@ -741,14 +733,7 @@ func (t *Tx) beginWith(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 		return nil, err
 	}
 	t.handle = handle
-	if paired && !errors.Is(opErr, wire.ErrUnknownTx) {
-		return resp, opErr
-	}
-	// BEGIN succeeded, yet handle 0 named nothing: a server from before the
-	// rule. The operation goes again under its real handle, as it does from
-	// the start on every later transaction of this connection.
-	cn.eagerBegin = true
-	return cn.call(op, t.payload(build))
+	return resp, opErr
 }
 
 // Get returns the value of key visible to the transaction.

@@ -763,46 +763,33 @@ func sameOps(got []gotFrame, want ...string) bool {
 	return true
 }
 
-// TestOldServerFallsBackToEagerBegin talks to a server from before the
-// handle-0 rule: BEGIN succeeds, the operation behind it is UNKNOWN_TX. The
-// client sends the operation again under the handle BEGIN returned, the
-// transaction completes, and on that connection every later transaction
-// gives BEGIN its own round trip and never names handle 0 again.
-func TestOldServerFallsBackToEagerBegin(t *testing.T) {
-	next := uint64(4)
+// TestUnknownTxBehindGoodBeginIsTheOpsError: BEGIN succeeded, yet the
+// operation behind it answered UNKNOWN_TX. That is the operation's error —
+// nothing is sent again — and the transaction BEGIN opened stays abortable
+// under its real handle.
+func TestUnknownTxBehindGoodBeginIsTheOpsError(t *testing.T) {
 	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
 		switch {
 		case f.op == wire.OpBegin:
-			next++
-			return wire.CodeOK, handleReply(next), true
+			return wire.CodeOK, handleReply(5), true
 		case f.handle == 0:
 			return wire.CodeUnknownTx, []byte("unknown transaction handle"), true
 		}
 		return wire.CodeOK, nil, true
 	})
 	c := dial(t, s.addr, Options{PoolSize: 1})
-	cc := poolCounted(t, c)
-
-	for i := 0; i < 2; i++ {
-		tx, err := c.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Update(1, []byte("x")); err != nil {
-			t.Fatalf("transaction %d, Update against an old server: %v", i, err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.seen(); !sameOps(got,
-		"1:BEGIN/0", "1:UPDATE/0", "1:UPDATE/5", "1:COMMIT/5", // found out
-		"1:BEGIN/0", "1:UPDATE/6", "1:COMMIT/6", // eager from then on
-	) {
+	if err := tx.Update(1, []byte("x")); !errors.Is(err, wire.ErrUnknownTx) {
+		t.Fatalf("Update behind a good BEGIN: %v, want UNKNOWN_TX", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:UPDATE/0", "0:ABORT/5") {
 		t.Errorf("frames %v", ops(got))
-	}
-	if n := cc.writes.Load(); n != 3+3 {
-		t.Errorf("%d socket writes, want 3 (pair, repeat, commit) + 3 (begin, update, commit)", n)
 	}
 }
 

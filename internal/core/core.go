@@ -102,6 +102,14 @@ func (s Stats) AvgFill() float64 {
 	return float64(s.SealedTuples) / float64(s.PagesSealed)
 }
 
+const (
+	// vmapMissPenalty is the virtual time charged for swapping in a
+	// non-resident VIDmap bucket (one device page read).
+	vmapMissPenalty = 100 * simclock.Microsecond
+	// gcDeadFraction is the minimum dead fraction for a GC victim page.
+	gcDeadFraction = 0.35
+)
+
 // Config wires a Relation to its substrates.
 type Config struct {
 	ID    uint32
@@ -115,12 +123,6 @@ type Config struct {
 	// VMapResidentBuckets bounds the in-memory VIDmap bucket set;
 	// 0 keeps the whole map resident.
 	VMapResidentBuckets int
-	// VMapMissPenalty is the virtual time charged for swapping in a
-	// non-resident VIDmap bucket (one device page read).
-	VMapMissPenalty simclock.Duration
-	// GCDeadFraction is the minimum dead fraction for a victim page
-	// (default 0.35).
-	GCDeadFraction float64
 	// Readahead is the scan readahead window in data items: scans stage the
 	// entrypoint pages of the next Readahead VIDs into the buffer pool's
 	// async prefetcher ahead of the cursor. 0 disables readahead.
@@ -156,9 +158,7 @@ type Relation struct {
 	// replay tracks writes replayed from the log — by ApplyInsert, or found
 	// on the heap by RebuildFromHeap — whose transaction has no outcome yet;
 	// ApplyFinish resolves them. Nil on an engine that never replayed.
-	replay      map[txn.ID][]replayOp
-	gcFraction  float64
-	missPenalty simclock.Duration
+	replay map[txn.ID][]replayOp
 
 	// gcMu keeps GC and an index backfill apart: both walk the heap assuming
 	// a version they have not reached yet stays where it is. It also guards
@@ -189,23 +189,17 @@ func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
 	if err != nil {
 		return nil, t, err
 	}
-	frac := cfg.GCDeadFraction
-	if frac <= 0 {
-		frac = 0.35
-	}
 	r := &Relation{
-		id:          cfg.ID,
-		name:        cfg.Name,
-		pool:        cfg.Pool,
-		alloc:       cfg.Alloc,
-		walw:        cfg.WAL,
-		txm:         cfg.Txns,
-		vmap:        vidmap.New(),
-		resi:        vidmap.NewResidency(cfg.VMapResidentBuckets),
-		pk:          pk,
-		tupleCount:  map[uint32]int{},
-		gcFraction:  frac,
-		missPenalty: cfg.VMapMissPenalty,
+		id:         cfg.ID,
+		name:       cfg.Name,
+		pool:       cfg.Pool,
+		alloc:      cfg.Alloc,
+		walw:       cfg.WAL,
+		txm:        cfg.Txns,
+		vmap:       vidmap.New(),
+		resi:       vidmap.NewResidency(cfg.VMapResidentBuckets),
+		pk:         pk,
+		tupleCount: map[uint32]int{},
 	}
 	r.readahead.Store(int32(cfg.Readahead))
 	return r, t, nil
@@ -393,7 +387,7 @@ func (r *Relation) LiveBlocks() int {
 func (r *Relation) vmapTouch(at simclock.Time, vid uint64) simclock.Time {
 	if !r.resi.Touch(vidmap.BucketOf(vid)) {
 		r.stats.vmapMisses.Add(1)
-		return at.Add(r.missPenalty)
+		return at.Add(vmapMissPenalty)
 	}
 	return at
 }

@@ -400,7 +400,7 @@ func TestVMapMissPenaltyCharged(t *testing.T) {
 	txm := txn.NewManager()
 	rel, _, err := New(0, Config{
 		ID: 1, Name: "t", Pool: pool, Alloc: alloc, WAL: walw, Txns: txm, PKRelID: 2,
-		VMapResidentBuckets: 1, VMapMissPenalty: simclock.Millisecond,
+		VMapResidentBuckets: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,6 +419,14 @@ func TestVMapMissPenaltyCharged(t *testing.T) {
 	txm.Commit(tx)
 	if rel.Stats().VMapMisses == 0 {
 		t.Error("bucket thrashing should cause residency misses")
+	}
+	// The last insert left bucket 1 resident: touching bucket 0 swaps it
+	// back in and costs one device page read, 100 us.
+	if got := rel.vmapTouch(at, 0).Sub(at); got != 100*simclock.Microsecond {
+		t.Errorf("a VIDmap miss charged %v, want 100us", got)
+	}
+	if got := rel.vmapTouch(at, 0).Sub(at); got != 0 {
+		t.Errorf("a resident bucket charged %v", got)
 	}
 }
 

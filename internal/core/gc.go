@@ -45,7 +45,7 @@ func (r *Relation) GC(at simclock.Time, horizon txn.ID) (reclaimed int, _ simclo
 		if total == 0 {
 			continue
 		}
-		if float64(set.n) >= r.gcFraction*float64(total) {
+		if float64(set.n) >= gcDeadFraction*float64(total) {
 			victims = append(victims, block)
 		}
 	}

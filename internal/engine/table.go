@@ -107,7 +107,6 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 			Txns:                db.txm,
 			PKRelID:             pkID,
 			VMapResidentBuckets: db.opts.VMapResidentBuckets,
-			VMapMissPenalty:     100 * simclock.Microsecond,
 			Readahead:           db.opts.ScanReadahead,
 		})
 	case KindSI:

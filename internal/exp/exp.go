@@ -59,8 +59,6 @@ type Config struct {
 	Scale      tpcc.Scale
 	Trace      bool // record a block trace of the data device
 	Seed       int64
-	// Terminals overrides the driver's terminal count (0 = default).
-	Terminals int
 	// ThinkTime makes the run open-loop (see tpcc.DriverConfig.ThinkTime).
 	ThinkTime simclock.Duration
 }
@@ -243,9 +241,6 @@ func (l *Loaded) Run() (Result, error) {
 	dcfg := tpcc.DefaultDriverConfig(cfg.Warehouses)
 	dcfg.Duration = cfg.Duration
 	dcfg.Seed = cfg.Seed
-	if cfg.Terminals > 0 {
-		dcfg.Terminals = cfg.Terminals
-	}
 	dcfg.ThinkTime = cfg.ThinkTime
 	metrics, _, err := l.bench.Run(l.at, dcfg)
 	if err != nil {

@@ -134,7 +134,7 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestBlocktraceSmoke(t *testing.T) {
-	cfg := BlocktraceConfig{Warehouses: 2, Duration: 2 * simclock.Second, Width: 40, Height: 8}
+	cfg := BlocktraceConfig{Warehouses: 2, Duration: 2 * simclock.Second}
 	_, rendered, err := RunBlocktrace(engine.KindSIAS, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -218,13 +218,17 @@ func FormatSweep(title string, pts []SweepPoint) string {
 type BlocktraceConfig struct {
 	Warehouses int
 	Duration   simclock.Duration
-	Width      int
-	Height     int
 }
+
+// The Figure 3/4 scatter is scatterWidth characters by scatterHeight lines.
+const (
+	scatterWidth  = 100
+	scatterHeight = 24
+)
 
 // DefaultBlocktraceConfig returns the scaled Figure 3/4 setup.
 func DefaultBlocktraceConfig() BlocktraceConfig {
-	return BlocktraceConfig{Warehouses: 20, Duration: 300 * simclock.Second, Width: 100, Height: 24}
+	return BlocktraceConfig{Warehouses: 20, Duration: 300 * simclock.Second}
 }
 
 // RunBlocktrace records the data-volume trace of one engine (Figure 3 for
@@ -256,7 +260,7 @@ func RunBlocktrace(kind engine.Kind, cfg BlocktraceConfig) (Result, string, erro
 		name = "Figure 4: Blocktrace SI"
 	}
 	fmt.Fprintf(&b, "%s — SSD, %d WH (scaled), %.0f s\n", name, cfg.Warehouses, cfg.Duration.Seconds())
-	b.WriteString(res.Tracer.Scatter(cfg.Width, cfg.Height))
+	b.WriteString(res.Tracer.Scatter(scatterWidth, scatterHeight))
 	fmt.Fprintf(&b, "reads=%d (%.1f MB)  writes=%d (%.1f MB)  read:write=%.1f:1\n",
 		sum.Reads, sum.ReadMB(), sum.Writes, sum.WriteMB(),
 		float64(sum.Reads)/float64(maxi(sum.Writes, 1)))

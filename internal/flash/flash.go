@@ -37,7 +37,6 @@ type Config struct {
 	ReadLatency   simclock.Duration
 	WriteLatency  simclock.Duration
 	EraseLatency  simclock.Duration
-	GCLowWater    int // GC runs while free blocks < GCLowWater (default 2)
 }
 
 // DefaultConfig models an SLC enterprise SSD in the X25-E class:
@@ -52,12 +51,13 @@ func DefaultConfig() Config {
 		ReadLatency:   25 * simclock.Microsecond,
 		WriteLatency:  250 * simclock.Microsecond,
 		EraseLatency:  1500 * simclock.Microsecond,
-		GCLowWater:    2,
 	}
 }
 
 const (
 	invalidPPN = int64(-1)
+	// gcLowWater is the free-block floor: GC runs while fewer blocks are free.
+	gcLowWater = 2
 )
 
 type block struct {
@@ -96,9 +96,6 @@ func New(cfg Config, tracer *trace.Recorder) *SSD {
 		if cfg.OverProvision < 2 {
 			cfg.OverProvision = 2
 		}
-	}
-	if cfg.GCLowWater <= 0 {
-		cfg.GCLowWater = 2
 	}
 	physPages := int64(cfg.Blocks) * int64(cfg.PagesPerBlock)
 	exported := int64(cfg.Blocks-cfg.OverProvision) * int64(cfg.PagesPerBlock)
@@ -224,7 +221,7 @@ func (s *SSD) programLocked(pageNo int64) (simclock.Duration, error) {
 // garbage collection if the list is too short. Returns virtual time spent.
 func (s *SSD) advanceActiveLocked() simclock.Duration {
 	var extra simclock.Duration
-	for len(s.freeList) < s.cfg.GCLowWater {
+	for len(s.freeList) < gcLowWater {
 		d, ok := s.gcOnceLocked()
 		extra += d
 		if !ok {

@@ -55,9 +55,7 @@
 // UNKNOWN_TX — it never reaches an older transaction still open on the
 // connection. This lets a client write BEGIN and the transaction's first
 // operation in one segment without knowing the handle yet: either both take
-// effect or neither does. A server from before the rule answers UNKNOWN_TX
-// to handle 0 after a successful BEGIN; the client then repeats the operation
-// under the handle BEGIN returned.
+// effect or neither does.
 //
 // TRACE is a transparent envelope: the server records a span for the inner
 // op under the carried trace context and then dispatches the inner frame
