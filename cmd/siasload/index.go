@@ -94,7 +94,7 @@ func sampleGroups(groups int64) []int64 {
 func groupCounts(tx *client.Tx, groups []int64) (map[string]int64, error) {
 	out := make(map[string]int64, len(groups))
 	for _, g := range groups {
-		rows, err := tx.IndexLookup(idxTable, idxIndex, g)
+		rows, err := tx.IndexRange(idxTable, idxIndex, g, g, 0)
 		if err != nil {
 			return nil, fmt.Errorf("lookup group %d: %w", g, err)
 		}
@@ -209,7 +209,8 @@ func idxTxn(c *client.Client, rng *rand.Rand, cfg loadConfig, groups int64) (hom
 	home = noHome
 	for i := 0; i < opsPerTxn; i++ {
 		if rng.Float64() < cfg.ReadFrac {
-			got, lerr := tx.IndexLookup(idxTable, idxIndex, rng.Int63n(groups))
+			g := rng.Int63n(groups)
+			got, lerr := tx.IndexRange(idxTable, idxIndex, g, g, 0)
 			if lerr != nil {
 				tx.Abort()
 				return -1, rows, lookups, lerr
@@ -281,7 +282,7 @@ func verifyState(addr, path string) error {
 		if err != nil {
 			return fmt.Errorf("state file group %q: %w", g, err)
 		}
-		rows, err := asOf.IndexLookup(st.Table, st.Index, grp)
+		rows, err := asOf.IndexRange(st.Table, st.Index, grp, grp, 0)
 		if err != nil {
 			return fmt.Errorf("AS OF lookup group %d: %w", grp, err)
 		}

@@ -281,23 +281,6 @@ func (t *Tx) ScanRows(table string, lo, hi int64, limit int) ([]tuple.Row, error
 	return decodeRows(sch, resp)
 }
 
-// IndexLookup returns the visible rows of table whose indexed column equals
-// key, gathered across shards and ordered by primary key.
-func (t *Tx) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
-	sch, err := t.c.schemaOf(table)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := t.rowCall(wire.OpIndexLookup, table, func(b *wire.Buf) {
-		b.Bytes([]byte(index))
-		b.I64(key)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(sch, resp)
-}
-
 // IndexEntry is one IndexRange result: the indexed column value and its row.
 type IndexEntry struct {
 	Key int64
@@ -305,7 +288,8 @@ type IndexEntry struct {
 }
 
 // IndexRange returns up to limit visible rows of table with lo <= indexed
-// value <= hi in global index-key order (limit 0 = unlimited).
+// value <= hi in global index-key order (limit 0 = unlimited). A point
+// lookup is the range lo == hi.
 func (t *Tx) IndexRange(table, index string, lo, hi int64, limit int) ([]IndexEntry, error) {
 	sch, err := t.c.schemaOf(table)
 	if err != nil {

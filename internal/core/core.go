@@ -454,7 +454,7 @@ func (r *Relation) append(tx txn.ID, at simclock.Time, hdr tuple.SIASHeader, pay
 				return page.InvalidTID, t, fmt.Errorf("sias: append to block %d: %w", r.appendBlock, rerr)
 			}
 			// Page full: seal it and retry on a fresh one.
-			r.sealLocked(false)
+			r.sealLocked()
 			continue
 		}
 		tuple.PutSIAS(dst, hdr, payload)
@@ -486,7 +486,7 @@ func (r *Relation) openAppendBlockLocked() {
 
 // sealLocked closes the current append page. Sealed pages are immutable:
 // the next append opens a fresh page. Counted toward fill-degree stats.
-func (r *Relation) sealLocked(threshold bool) {
+func (r *Relation) sealLocked() {
 	if !r.appendOpen {
 		return
 	}
@@ -497,7 +497,6 @@ func (r *Relation) sealLocked(threshold bool) {
 	r.stats.pagesSealed.Add(1)
 	r.stats.sealedTuples.Add(int64(n))
 	r.appendOpen = false
-	_ = threshold
 }
 
 // SealAppend applies the flush threshold (Section 5.2): it seals the open
@@ -511,7 +510,7 @@ func (r *Relation) SealAppend(at simclock.Time, flush bool) (simclock.Time, erro
 		return at, nil
 	}
 	block := r.appendBlock
-	r.sealLocked(true)
+	r.sealLocked()
 	if !flush {
 		return at, nil
 	}
@@ -837,52 +836,10 @@ func (r *Relation) VIDsForKey(at simclock.Time, key int64, dst []uint64) ([]uint
 }
 
 // Scan is Algorithm 1: iterate the VIDmap and resolve each data item to its
-// visible version, rather than reading the whole relation. fn returning
-// false stops the scan. With readahead enabled, the entrypoint pages of the
-// VIDs ahead of the cursor are staged into the pool's async prefetcher, so
-// a cold scan keeps several device reads in flight instead of serializing
-// misses.
+// visible version, rather than reading the whole relation — a VID-range scan
+// over every VID issued so far. fn returning false stops the scan.
 func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(vid uint64, payload []byte) bool) (simclock.Time, error) {
-	if ra := int(r.readahead.Load()); ra > 0 {
-		var vids []uint64
-		r.vmap.Range(func(vid uint64, _ page.TID) bool {
-			vids = append(vids, vid)
-			return true
-		})
-		t := at
-		for i, vid := range vids {
-			if lo, hi := stageWindow(i, len(vids), ra); lo < hi {
-				r.prefetchVIDs(t, vids[lo:hi])
-			}
-			hdr, payload, t2, found, err := r.chainLookup(tx, t, vid)
-			t = t2
-			if err != nil {
-				return t, err
-			}
-			if !found || hdr.Tombstone() {
-				continue
-			}
-			if !fn(vid, payload) {
-				return t, nil
-			}
-		}
-		return t, nil
-	}
-	t := at
-	var outerErr error
-	r.vmap.Range(func(vid uint64, _ page.TID) bool {
-		hdr, payload, t2, found, err := r.chainLookup(tx, t, vid)
-		t = t2
-		if err != nil {
-			outerErr = err
-			return false
-		}
-		if !found || hdr.Tombstone() {
-			return true
-		}
-		return fn(vid, payload)
-	})
-	return t, outerErr
+	return r.ScanVIDRange(tx, at, 0, r.vmap.MaxVID(), fn)
 }
 
 // idxEnt is one materialized index entry awaiting chain resolution.
@@ -891,17 +848,47 @@ type idxEnt struct {
 	vid uint64
 }
 
-// resolveEnts resolves materialized index entries to visible versions in
-// order, staging the readahead window's entrypoint pages ahead of the
-// cursor. fn returning false stops the resolution.
-func (r *Relation) resolveEnts(tx *txn.Tx, at simclock.Time, ents []idxEnt, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
+// RangeByKey resolves the primary-index key range [lo, hi] to visible
+// versions in key order. Because <key,VID> entries survive key changes, fn
+// receives the index key alongside the payload and callers re-check the
+// predicate against the decoded row.
+func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
+	return r.rangeIndex(tx, at, r.pk, lo, hi, fn)
+}
+
+// RangeBySecondary resolves the secondary-index key range [lo, hi] to
+// visible versions in index-key order; a point lookup is the range lo == hi.
+// Entries outlive indexed-column changes (exactly like the primary index),
+// so fn receives the index key and callers re-check the predicate against
+// the decoded row.
+func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
+	secs, _ := r.secSnapshot()
+	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
+		return at, fmt.Errorf("sias: no secondary index %d", idx)
+	}
+	r.stats.indexLookups.Add(1)
+	return r.rangeIndex(tx, at, secs[idx], lo, hi, fn)
+}
+
+// rangeIndex is every index read (Section 4.3): collect tree's <key, VID>
+// entries in [lo, hi], then resolve each through the VIDmap to its visible
+// version in entry order, staging the readahead window's entrypoint pages
+// ahead of the cursor. fn returning false stops the resolution.
+func (r *Relation) rangeIndex(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
+	var ents []idxEnt
+	t, err := tree.Range(at, lo, hi, func(k int64, vid uint64) bool {
+		ents = append(ents, idxEnt{k, vid})
+		return true
+	})
+	if err != nil {
+		return t, err
+	}
 	ra := int(r.readahead.Load())
 	var window []uint64
-	t := at
 	for i, e := range ents {
-		if lo, hi := stageWindow(i, len(ents), ra); lo < hi {
+		if a, b := stageWindow(i, len(ents), ra); a < b {
 			window = window[:0]
-			for _, w := range ents[lo:hi] {
+			for _, w := range ents[a:b] {
 				window = append(window, w.vid)
 			}
 			r.prefetchVIDs(t, window)
@@ -919,65 +906,4 @@ func (r *Relation) resolveEnts(tx *txn.Tx, at simclock.Time, ents []idxEnt, fn f
 		}
 	}
 	return t, nil
-}
-
-// RangeByKey resolves the primary-index key range [lo, hi] to visible
-// versions in key order. Because <key,VID> entries survive key changes, fn
-// receives the index key alongside the payload and callers re-check the
-// predicate against the decoded row.
-func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
-	var ents []idxEnt
-	t, err := r.pk.Range(at, lo, hi, func(k int64, vid uint64) bool {
-		ents = append(ents, idxEnt{k, vid})
-		return true
-	})
-	if err != nil {
-		return t, err
-	}
-	return r.resolveEnts(tx, t, ents, fn)
-}
-
-// SearchSecondary resolves a secondary-index key to visible payloads.
-func (r *Relation) SearchSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64) ([][]byte, simclock.Time, error) {
-	secs, _ := r.secSnapshot()
-	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
-		return nil, at, fmt.Errorf("sias: no secondary index %d", idx)
-	}
-	r.stats.indexLookups.Add(1)
-	vids, t, err := secs[idx].Search(at, key)
-	if err != nil {
-		return nil, t, err
-	}
-	var out [][]byte
-	for _, vid := range vids {
-		payload, t2, err := r.GetByVID(tx, t, vid)
-		t = t2
-		if err == nil {
-			out = append(out, payload)
-		} else if !errors.Is(err, ErrNotFound) {
-			return nil, t, err
-		}
-	}
-	return out, t, nil
-}
-
-// RangeBySecondary resolves the secondary-index key range [lo, hi] to
-// visible versions in index-key order. Entries outlive indexed-column
-// changes (exactly like the primary index), so fn receives the index key and
-// callers re-check the predicate against the decoded row.
-func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
-	secs, _ := r.secSnapshot()
-	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
-		return at, fmt.Errorf("sias: no secondary index %d", idx)
-	}
-	r.stats.indexLookups.Add(1)
-	var ents []idxEnt
-	t, err := secs[idx].Range(at, lo, hi, func(k int64, vid uint64) bool {
-		ents = append(ents, idxEnt{k, vid})
-		return true
-	})
-	if err != nil {
-		return t, err
-	}
-	return r.resolveEnts(tx, t, ents, fn)
 }

@@ -233,7 +233,7 @@ func (t *Table) SecondaryIndex(name string) (int, error) {
 type IndexInfo struct {
 	Name   string
 	Column string // "" for programmatic (keyFn) indexes
-	Pos    int    // positional id for LookupSecondary / RangeBySecondary
+	Pos    int    // positional id for RangeBySecondary
 }
 
 // Secondaries lists the table's live secondary indexes.

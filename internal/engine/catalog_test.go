@@ -78,7 +78,7 @@ func TestLoggedDDLSurvivesCrash(t *testing.T) {
 				t.Fatalf("index did not survive recovery: %v", err)
 			}
 			tx := db2.Begin()
-			rows, at2, err := tab2.LookupSecondary(tx, 0, idx, 2)
+			rows, at2, err := pointRows(tab2, tx, 0, idx, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,14 +324,14 @@ func TestAsOfThroughSecondaryIndex(t *testing.T) {
 			at, _ = db.Commit(tx, at)
 
 			asOf := db.BeginReadOnlyAt(token)
-			rows, at2, err := tab.LookupSecondary(asOf, at, idx, 7)
+			rows, at2, err := pointRows(tab, asOf, at, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rows) != 6 {
 				t.Fatalf("AS OF index lookup: customer 7 has %d orders, want 6", len(rows))
 			}
-			rows, at2, err = tab.LookupSecondary(asOf, at2, idx, 9)
+			rows, at2, err = pointRows(tab, asOf, at2, idx, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,14 +341,14 @@ func TestAsOfThroughSecondaryIndex(t *testing.T) {
 			db.Abort(asOf, at2)
 
 			cur := db.Begin()
-			rows, at2, err = tab.LookupSecondary(cur, at, idx, 7)
+			rows, at2, err = pointRows(tab, cur, at, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rows) != 5 {
 				t.Fatalf("current index lookup: customer 7 has %d orders, want 5", len(rows))
 			}
-			rows, at2, err = tab.LookupSecondary(cur, at2, idx, 9)
+			rows, at2, err = pointRows(tab, cur, at2, idx, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +394,7 @@ func TestIndexEntryDedupOnKeyReentry(t *testing.T) {
 			move(3, 7)
 
 			cur := db.Begin()
-			rows, at2, err := tab.LookupSecondary(cur, at, idx, 7)
+			rows, at2, err := pointRows(tab, cur, at, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,14 +403,14 @@ func TestIndexEntryDedupOnKeyReentry(t *testing.T) {
 			}
 			db.Abort(cur, at2)
 
-			rows, at2, err = tab.LookupSecondary(asOf, at, idx, 7)
+			rows, at2, err = pointRows(tab, asOf, at, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rows) != 8 {
 				t.Fatalf("AS OF lookup: customer 7 has %d rows at pre-churn snapshot, want 8", len(rows))
 			}
-			rows, at2, err = tab.LookupSecondary(asOf, at2, idx, 9)
+			rows, at2, err = pointRows(tab, asOf, at2, idx, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,7 +571,7 @@ func TestStatsReportTables(t *testing.T) {
 		at, _ = db.Commit(tx, at)
 	}
 	tx := db.Begin()
-	if _, _, err := tab.LookupSecondary(tx, at, idx, 1); err != nil {
+	if _, _, err := pointRows(tab, tx, at, idx, 1); err != nil {
 		t.Fatal(err)
 	}
 	db.Abort(tx, at)
@@ -696,7 +696,7 @@ func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
 
 			check := f.Begin()
 			want := map[int64]int64{} // id -> balance
-			if err := f.Scan(tab, check, func(r tuple.Row) bool {
+			if _, err := tab.Scan(check, 0, func(r tuple.Row) bool {
 				want[r[0].(int64)] = r[2].(int64)
 				return true
 			}); err != nil {
@@ -785,7 +785,7 @@ func TestCreateIndexRacesIndexLookup(t *testing.T) {
 						return
 					default:
 					}
-					rows, err := f.LookupSecondary(tab, rtx, ix0, 1)
+					rows, _, err := pointRows(tab, rtx, 0, ix0, 1)
 					if err != nil || len(rows) != 16 {
 						t.Errorf("lookup during CREATE INDEX: %d rows, %v; want 16", len(rows), err)
 						return

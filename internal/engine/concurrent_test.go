@@ -86,7 +86,7 @@ func TestFacadeConcurrentSmoke(t *testing.T) {
 			check := f.Begin()
 			var sum int64
 			n := 0
-			if err := f.Scan(tab, check, func(r tuple.Row) bool {
+			if _, err := tab.Scan(check, 0, func(r tuple.Row) bool {
 				sum += r[2].(int64)
 				n++
 				return true

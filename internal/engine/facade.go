@@ -247,27 +247,14 @@ func (f *Facade) Delete(tab *Table, tx *txn.Tx, key int64) error {
 	return err
 }
 
-// Scan visits every row of tab visible to tx.
-func (f *Facade) Scan(tab *Table, tx *txn.Tx, fn func(tuple.Row) bool) error {
-	_, err := tab.Scan(tx, 0, fn)
-	return err
-}
-
 // RangeByKey visits visible rows of tab with lo <= primary key <= hi.
 func (f *Facade) RangeByKey(tab *Table, tx *txn.Tx, lo, hi int64, fn func(tuple.Row) bool) error {
 	_, err := tab.RangeByKey(tx, 0, lo, hi, fn)
 	return err
 }
 
-// LookupSecondary returns visible rows of tab matching key in secondary
-// index idx.
-func (f *Facade) LookupSecondary(tab *Table, tx *txn.Tx, idx int, key int64) ([]tuple.Row, error) {
-	rows, _, err := tab.LookupSecondary(tx, 0, idx, key)
-	return rows, err
-}
-
 // RangeBySecondary visits visible rows of tab with lo <= indexed value <= hi
-// through secondary index idx, in index order.
+// through secondary index idx, in index order (a point lookup: lo == hi).
 func (f *Facade) RangeBySecondary(tab *Table, tx *txn.Tx, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) error {
 	_, err := tab.RangeBySecondary(tx, 0, idx, lo, hi, fn)
 	return err

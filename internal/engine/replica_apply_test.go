@@ -206,7 +206,7 @@ func snapshotReads(t *testing.T, db *DB, tab *Table, maxKey int64, secIdx int) r
 		}
 		// Balance values are drawn from [0, 50); probe them all point-wise.
 		for k := int64(0); k < 50; k++ {
-			rows, a, lerr := tab.LookupSecondary(tx, at, secIdx, k)
+			rows, a, lerr := pointRows(tab, tx, at, secIdx, k)
 			at = a
 			if lerr != nil {
 				t.Fatalf("lookup secondary %d: %v", k, lerr)

@@ -106,7 +106,7 @@ func TestLiveAsOfPinsMaintenanceHorizon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, at2, err := tab.LookupSecondary(asOf, at2, idx, 7)
+			rows, at2, err := pointRows(tab, asOf, at2, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestGCRetentionKeepsUnpinnedTokensReadable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, at2, err := tab.LookupSecondary(asOf, at2, idx, 7)
+			rows, at2, err := pointRows(tab, asOf, at2, idx, 7)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,9 @@ type Table struct {
 	// secs is the table's secondary-index metadata, positionally aligned
 	// with the relation's secondary slice. The slice is immutable once
 	// published: DDL builds a new one and swaps it in under db.mu, so index
-	// reads (LookupSecondary, RangeBySecondary) running alongside a CREATE or
-	// DROP INDEX on the same table take a consistent view without the lock —
-	// the same copy-on-write rule core.Relation follows for its trees.
+	// reads (RangeBySecondary) running alongside a CREATE or DROP INDEX on
+	// the same table take a consistent view without the lock — the same
+	// copy-on-write rule core.Relation follows for its trees.
 	secs atomic.Pointer[[]secondary]
 }
 
@@ -146,7 +146,7 @@ func (t *Table) heapID() uint32 {
 }
 
 // AddSecondaryIndex attaches a secondary index computed by keyFn over rows.
-// Returns the index id to pass to LookupSecondary. Not logged: an arbitrary
+// Returns the index id to pass to RangeBySecondary. Not logged: an arbitrary
 // Go function cannot be replayed from the WAL — durable indexes are created
 // by column through CreateIndexLogged.
 func (t *Table) AddSecondaryIndex(at simclock.Time, name string, keyFn func(tuple.Row) (int64, bool)) (int, simclock.Time, error) {
@@ -476,41 +476,10 @@ func (t *Table) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn f
 	})
 }
 
-// LookupSecondary returns visible rows matching key in the secondary index.
-func (t *Table) LookupSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64) ([]tuple.Row, simclock.Time, error) {
-	var payloads [][]byte
-	var tm simclock.Time
-	var err error
-	if t.sias != nil {
-		payloads, tm, err = t.sias.SearchSecondary(tx, at, idx, key)
-	} else {
-		payloads, tm, err = t.si.SearchSecondary(tx, at, idx, key)
-	}
-	if err != nil {
-		return nil, tm, err
-	}
-	secs := t.secondaries()
-	rows := make([]tuple.Row, 0, len(payloads))
-	for _, p := range payloads {
-		row, derr := t.schema.DecodeRow(p)
-		if derr != nil {
-			return nil, tm, derr
-		}
-		// Secondary entries can also be stale after updates; re-check.
-		if idx < len(secs) {
-			if k, ok := secs[idx].keyFn(row); !ok || k != key {
-				continue
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, tm, nil
-}
-
 // RangeBySecondary visits visible rows with lo <= indexed value <= hi in
-// index order. Stale entries (the row's current indexed value moved out from
-// under the entry after an update) are re-checked and skipped, mirroring
-// LookupSecondary.
+// index order; a point lookup is the range lo == hi. Stale entries (the
+// row's current indexed value moved out from under the entry after an
+// update) are re-checked and skipped.
 func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) (simclock.Time, error) {
 	secs := t.secondaries()
 	visit := func(indexKey int64, payload []byte) bool {

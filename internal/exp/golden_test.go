@@ -75,3 +75,19 @@ func TestBlocktraceGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTable2Golden pins Table 2, the HDD sweep: the paper's configuration
+// (DefaultTable2Config) cut to warehouses {1, 2} and 2 virtual seconds, as
+// `siasbench -exp table2` formats it. Figures 5 and 6 are the same sweep on
+// the simulated SSD arrays; at a scale this test can afford they print the
+// same rows on 2 and 6 SSDs, so they are left unpinned.
+func TestTable2Golden(t *testing.T) {
+	cfg := DefaultTable2Config()
+	cfg.Warehouses = []int{1, 2}
+	cfg.Duration = 2 * simclock.Second
+	pts, err := RunSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table2.golden", FormatSweep("Table 2: TPC-C on HDD — Throughput (NOTPM) and Response Time (sec.)", pts))
+}

@@ -206,30 +206,6 @@ func (c *session) handleRowOp(op wire.Op, tx *shard.Txn, r *wire.Reader) ([]byte
 		}
 		return counted(count, entries), nil
 
-	case wire.OpIndexLookup:
-		ib, err := r.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-		}
-		key, err := r.I64()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-		}
-		rows, err := tx.IndexLookup(table, string(ib), key)
-		if err != nil {
-			return nil, err
-		}
-		b := c.reply()
-		b.U32(uint32(len(rows)))
-		for _, row := range rows {
-			enc, e := sch.EncodeRow(row)
-			if e != nil {
-				return nil, fmt.Errorf("server: encode row: %v", e)
-			}
-			b.Bytes(enc)
-		}
-		return b.B, nil
-
 	default: // wire.OpIndexRange
 		ib, err := r.Bytes()
 		if err != nil {

@@ -105,17 +105,12 @@ func TestServerCatalogEndToEnd(t *testing.T) {
 	if _, err := cur.GetRow("orders", 12); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("deleted row: %v, want engine.ErrNotFound", err)
 	}
-	rows, err := cur.IndexLookup("orders", "by_customer", 1)
+	rows, err := cur.IndexRange("orders", "by_customer", 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 12 { // 10 original + order 9 moved in + order 31
-		t.Fatalf("IndexLookup(customer=1) returned %d rows, want 12", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][0].(int64) >= rows[i][0].(int64) {
-			t.Fatal("IndexLookup results not ordered by primary key")
-		}
+		t.Fatalf("IndexRange(customer=1) returned %d rows, want 12", len(rows))
 	}
 	ents, err := cur.IndexRange("orders", "by_customer", 0, 2, 0)
 	if err != nil {
@@ -133,7 +128,7 @@ func TestServerCatalogEndToEnd(t *testing.T) {
 	if err != nil || len(head) != 5 || head[4][0].(int64) != 5 {
 		t.Fatalf("limited ScanRows: %v, %v", head, err)
 	}
-	if _, err := cur.IndexLookup("orders", "ghost", 1); !errors.Is(err, engine.ErrNoIndex) {
+	if _, err := cur.IndexRange("orders", "ghost", 1, 1, 0); !errors.Is(err, engine.ErrNoIndex) {
 		t.Fatalf("unknown index: %v, want engine.ErrNoIndex", err)
 	}
 	if err := cur.Commit(); err != nil {
@@ -155,12 +150,12 @@ func TestServerCatalogEndToEnd(t *testing.T) {
 	if _, err := asOf.GetRow("orders", 31); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("AS OF sees later-inserted row: %v", err)
 	}
-	rows, err = asOf.IndexLookup("orders", "by_customer", 1)
+	rows, err = asOf.IndexRange("orders", "by_customer", 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
-		t.Fatalf("AS OF IndexLookup(customer=1) returned %d rows, want 10", len(rows))
+		t.Fatalf("AS OF IndexRange(customer=1) returned %d rows, want 10", len(rows))
 	}
 	all, err := asOf.ScanRows("orders", 1, 100, 0)
 	if err != nil || len(all) != 30 {
@@ -232,31 +227,50 @@ func TestServerCatalogEndToEnd(t *testing.T) {
 
 // TestServerUnknownOpKeepsSession is the ERR_BAD_OP regression test: an
 // unknown opcode must be answered with wire.CodeBadOp on the same connection,
-// and the connection must keep serving requests afterwards.
+// and the connection must keep serving requests afterwards. Opcode 23 (the
+// retired INDEX_LOOKUP) is unknown too: a well-formed frame of it, on an open
+// transaction against an indexed table, is refused like any other.
 func TestServerUnknownOpKeepsSession(t *testing.T) {
 	_, addr := startServer(t, memRouter(t, 1), nil)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("orders", ordersSchema(), "id"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateIndex("orders", "by_customer", "customer"); err != nil {
+		t.Fatal(err)
+	}
+
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	refused := func(what string, op uint8, payload []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(nc, op, payload); err != nil {
+			t.Fatal(err)
+		}
+		tag, msg, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatalf("connection dropped on %s: %v", what, err)
+		}
+		if wire.Code(tag) != wire.CodeBadOp {
+			t.Fatalf("%s answered %s, want %s", what, wire.Code(tag), wire.CodeBadOp)
+		}
+		if len(msg) == 0 {
+			t.Fatalf("ERR_BAD_OP reply to %s carries no message", what)
+		}
+	}
 
 	// An opcode from far in the future.
-	if err := wire.WriteFrame(nc, 250, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	tag, msg, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatalf("connection dropped on unknown op: %v", err)
-	}
-	if wire.Code(tag) != wire.CodeBadOp {
-		t.Fatalf("unknown op answered %s, want %s", wire.Code(tag), wire.CodeBadOp)
-	}
-	if len(msg) == 0 {
-		t.Fatal("ERR_BAD_OP reply carries no message")
-	}
+	refused("op 250", 250, []byte{1, 2, 3})
 
-	// The same connection still works: BEGIN then COMMIT.
+	// The same connection still works: BEGIN, the retired op inside the
+	// transaction, then COMMIT.
 	if err := wire.WriteFrame(nc, uint8(wire.OpBegin), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +283,13 @@ func TestServerUnknownOpKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var lookup wire.Buf
+	lookup.U64(h)
+	lookup.Bytes([]byte("orders"))
+	lookup.Bytes([]byte("by_customer"))
+	lookup.I64(1)
+	refused("retired op 23", 23, lookup.B)
+
 	var b wire.Buf
 	b.U64(h)
 	if err := wire.WriteFrame(nc, uint8(wire.OpCommit), b.B); err != nil {
@@ -392,14 +413,14 @@ func TestServerCatalogCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tx2.IndexLookup("orders", "by_customer", 8)
+	rows, err := tx2.IndexRange("orders", "by_customer", 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 20 {
 		t.Fatalf("recovered index lookup(8) returned %d rows, want 20", len(rows))
 	}
-	if rows2, err := tx2.IndexLookup("orders", "by_customer", 7); err != nil || len(rows2) != 0 {
+	if rows2, err := tx2.IndexRange("orders", "by_customer", 7, 7, 0); err != nil || len(rows2) != 0 {
 		t.Fatalf("recovered index lookup(7): %d rows, %v, want 0", len(rows2), err)
 	}
 	tx2.Commit()
@@ -415,7 +436,7 @@ func TestServerCatalogCrashRecovery(t *testing.T) {
 	if err != nil || row[1].(int64) != 7 || row[2].(string) != "pre" {
 		t.Fatalf("AS OF across the crash: %v, %v (want customer=7 note=pre)", row, err)
 	}
-	rows, err = asOf.IndexLookup("orders", "by_customer", 7)
+	rows, err = asOf.IndexRange("orders", "by_customer", 7, 7, 0)
 	if err != nil || len(rows) != 20 {
 		t.Fatalf("AS OF index lookup across the crash: %d rows, %v, want 20", len(rows), err)
 	}
@@ -531,7 +552,7 @@ func TestFollowerServesCatalogReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := ftx.IndexLookup("orders", "by_customer", 1)
+			rows, err := ftx.IndexRange("orders", "by_customer", 1, 1, 0)
 			ftx.Abort()
 			if err != nil && !errors.Is(err, engine.ErrNoIndex) {
 				t.Fatal(err)
@@ -568,8 +589,8 @@ func TestFollowerServesCatalogReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fAsOf.Abort()
-	if rows, err := fAsOf.IndexLookup("orders", "by_customer", 0); err != nil || len(rows) != 7 {
-		t.Fatalf("follower AS OF IndexLookup(customer=0): %d rows, %v, want 7", len(rows), err)
+	if rows, err := fAsOf.IndexRange("orders", "by_customer", 0, 0, 0); err != nil || len(rows) != 7 {
+		t.Fatalf("follower AS OF IndexRange(customer=0): %d rows, %v, want 7", len(rows), err)
 	}
 }
 
@@ -584,9 +605,9 @@ func indexAnswers(t *testing.T, c *client.Client) string {
 	defer tx.Abort()
 	out := ""
 	for key := int64(0); key < 3; key++ {
-		rows, err := tx.IndexLookup("orders", "by_customer", key)
+		rows, err := tx.IndexRange("orders", "by_customer", key, key, 0)
 		if err != nil {
-			t.Fatalf("INDEX_LOOKUP %d: %v", key, err)
+			t.Fatalf("INDEX_RANGE %d: %v", key, err)
 		}
 		out += fmt.Sprintf("lookup %d: %v\n", key, rows)
 	}
@@ -686,10 +707,10 @@ func TestCreateIndexCoversExistingRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tx.IndexLookup("orders", "by_customer", 1)
+	rows, err := tx.IndexRange("orders", "by_customer", 1, 1, 0)
 	tx.Abort()
 	if err != nil || len(rows) != 10 {
-		t.Fatalf("live primary: INDEX_LOOKUP(customer=1) returned %d rows (%v), want the 10 inserted before CREATE INDEX", len(rows), err)
+		t.Fatalf("live primary: INDEX_RANGE(customer=1) returned %d rows (%v), want the 10 inserted before CREATE INDEX", len(rows), err)
 	}
 
 	fc, err := client.Dial(fln.Addr().String(), client.Options{})

@@ -106,7 +106,7 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tx.IndexLookup("orders", "by_customer", 2); err != nil {
+	if _, err := tx.IndexRange("orders", "by_customer", 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -1016,7 +1016,7 @@ func (c *session) handle(op wire.Op, payload []byte, sp *obs.Span) ([]byte, erro
 		return c.handleDDL(op, &r)
 
 	case wire.OpInsertRow, wire.OpGetRow, wire.OpUpdateRow, wire.OpDeleteRow,
-		wire.OpScanTable, wire.OpIndexLookup, wire.OpIndexRange:
+		wire.OpScanTable, wire.OpIndexRange:
 		return c.handleRowOp(op, tx, &r)
 
 	case wire.OpListTables:

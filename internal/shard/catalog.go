@@ -3,7 +3,6 @@ package shard
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sias/internal/engine"
@@ -108,54 +107,10 @@ func (r *Router) BeginAt(tokens []uint64) (*Txn, error) {
 // AsOf reports whether the transaction is a pinned AS OF snapshot.
 func (t *Txn) AsOf() bool { return t.asOf }
 
-// IndexLookup returns visible rows of the named table whose indexed column
-// equals key, gathered from every shard and ordered by primary key for
-// determinism.
-func (t *Txn) IndexLookup(table, index string, key int64) ([]tuple.Row, error) {
-	if t.done {
-		return nil, ErrFinished
-	}
-	n := t.r.N()
-	of := t.named(table)
-	type res struct {
-		rows []tuple.Row
-		err  error
-	}
-	results := make([]res, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		tab, err := of(i)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := tab.SecondaryIndex(index)
-		if err != nil {
-			return nil, err
-		}
-		sub := t.at(i)
-		wg.Add(1)
-		go func(i int, tab *engine.Table, sub *txn.Tx) {
-			defer wg.Done()
-			rows, err := t.r.shards[i].Facade.LookupSecondary(tab, sub, idx, key)
-			results[i] = res{rows, err}
-		}(i, tab, sub)
-	}
-	wg.Wait()
-	var out []tuple.Row
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("shard %d index lookup: %w", i, r.err)
-		}
-		out = append(out, r.rows...)
-	}
-	meta, _ := of(0)
-	sort.Slice(out, func(a, b int) bool { return meta.Key(out[a]) < meta.Key(out[b]) })
-	return out, nil
-}
-
 // IndexRange visits visible rows of the named table with lo <= indexed value
 // <= hi in global index-key order (ties across shards break by shard id),
-// k-way merging the shards' already-sorted index scans.
+// k-way merging the shards' already-sorted index scans. A point lookup is
+// the range lo == hi.
 func (t *Txn) IndexRange(table, index string, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) error {
 	// Resolve the index position up front so an unknown index reports
 	// cleanly instead of from inside a producer.
@@ -203,11 +158,17 @@ func (h entHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *entHeap) Push(x any)   { *h = append(*h, x.(mergeEnt)) }
 func (h *entHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
+// mergeBatch is how many rows a producer hands the merge per channel
+// operation: a send per row would cost a goroutine handoff per row, and a
+// short range (a point lookup) would pay more for the merge than for the
+// reads.
+const mergeBatch = 64
+
 // fanMerge is the router's one k-way merge: one sorted producer per shard
-// streams into a bounded channel and a heap merges them in (sortKey, shard)
-// order — key ranges (scan) and index scans alike. of names the table each
-// shard scans. Early exit from fn tears the producers down through the done
-// channel.
+// streams batches of rows into a channel and a heap merges them in
+// (sortKey, shard) order — key ranges (scan) and index scans alike. of names
+// the table each shard scans. Early exit from fn tears the producers down
+// through the done channel; a producer runs at most two batches ahead.
 func (t *Txn) fanMerge(
 	of tableOf,
 	run func(i int, tab *engine.Table, sub *txn.Tx, emit func(sortKey, ikey int64, row tuple.Row) bool) error,
@@ -231,7 +192,7 @@ func (t *Txn) fanMerge(
 	// Defer order matters: close(done) must run before wg.Wait so blocked
 	// producers unblock before we wait for them.
 	done := make(chan struct{})
-	chans := make([]chan mergeEnt, n)
+	chans := make([]chan []mergeEnt, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -246,25 +207,55 @@ func (t *Txn) fanMerge(
 		// Sub-transactions open here, serially: facade Begin is cheap, and
 		// it keeps Txn's lazy-open slice single-goroutine.
 		sub := t.at(i)
-		ch := make(chan mergeEnt, 64)
+		ch := make(chan []mergeEnt, 1)
 		chans[i] = ch
 		wg.Add(1)
-		go func(i int, tab *engine.Table, sub *txn.Tx, ch chan mergeEnt) {
+		go func(i int, tab *engine.Table, sub *txn.Tx, ch chan []mergeEnt) {
 			defer wg.Done()
 			defer close(ch)
+			// The first batch grows from empty, so a short range (a point
+			// lookup) allocates for its rows only; once one batch fills, the
+			// range is long and the next ones start at full size.
+			var batch []mergeEnt
 			errs[i] = run(i, tab, sub, func(sortKey, ikey int64, row tuple.Row) bool {
+				batch = append(batch, mergeEnt{sortKey: sortKey, ikey: ikey, row: row, src: i})
+				if len(batch) < mergeBatch {
+					return true
+				}
 				select {
-				case ch <- mergeEnt{sortKey: sortKey, ikey: ikey, row: row, src: i}:
+				case ch <- batch:
+					batch = make([]mergeEnt, 0, mergeBatch)
 					return true
 				case <-done:
 					return false
 				}
 			})
+			if len(batch) > 0 {
+				select {
+				case ch <- batch:
+				case <-done:
+				}
+			}
 		}(i, tab, sub, ch)
 	}
+	// pending[i] is the unmerged rest of shard i's current batch; batches
+	// are never empty, so a closed channel is the only end of a source.
+	pending := make([][]mergeEnt, n)
+	next := func(i int) (mergeEnt, bool) {
+		if len(pending[i]) == 0 {
+			b, ok := <-chans[i]
+			if !ok {
+				return mergeEnt{}, false
+			}
+			pending[i] = b
+		}
+		e := pending[i][0]
+		pending[i] = pending[i][1:]
+		return e, true
+	}
 	h := make(entHeap, 0, n)
-	for _, ch := range chans {
-		if e, ok := <-ch; ok {
+	for i := range chans {
+		if e, ok := next(i); ok {
 			h = append(h, e)
 		}
 	}
@@ -274,7 +265,7 @@ func (t *Txn) fanMerge(
 		if !fn(top.ikey, top.row) {
 			return nil
 		}
-		if e, ok := <-chans[top.src]; ok {
+		if e, ok := next(top.src); ok {
 			h[0] = e
 			heap.Fix(&h, 0)
 		} else {

@@ -84,22 +84,23 @@ func TestOfIsStableAndBalanced(t *testing.T) {
 }
 
 // TestRangeMergeMatchesSingleShard is the cross-shard ordering property
-// test: a fanned-out range merge over 4 shards must return exactly the rows
-// and order a single-shard engine returns for the same data — and both must
-// match an in-memory model.
+// test: a fanned-out range merge over 2 and 4 shards must return exactly the
+// rows and order a single-shard engine returns for the same data — and all
+// must match an in-memory model.
 func TestRangeMergeMatchesSingleShard(t *testing.T) {
 	r1 := newRouter(t, 1)
+	r2 := newRouter(t, 2)
 	r4 := newRouter(t, 4)
 	rng := rand.New(rand.NewSource(42))
 	model := map[int64][]byte{}
 
-	// Random mutation history applied identically to both routers.
-	for step := 0; step < 400; step++ {
+	// Random mutation history applied identically to every router.
+	for step := 0; step < 1500; step++ {
 		key := rng.Int63n(512)
 		val := []byte(fmt.Sprintf("v%d.%d", key, step))
 		_, exists := model[key]
 		op := rng.Intn(3)
-		for _, r := range []*shard.Router{r1, r4} {
+		for _, r := range []*shard.Router{r1, r2, r4} {
 			tx := r.Begin()
 			var err error
 			switch {
@@ -169,8 +170,13 @@ func TestRangeMergeMatchesSingleShard(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			limit = 1 + rng.Intn(50)
 		}
+		if q == 0 {
+			// The whole key space: ~100 rows per shard on 2 shards, more
+			// than one merge batch each.
+			lo, hi, limit = -1, 512, 0
+		}
 		want := expect(lo, hi, limit)
-		for name, r := range map[string]*shard.Router{"1-shard": r1, "4-shard": r4} {
+		for name, r := range map[string]*shard.Router{"1-shard": r1, "2-shard": r2, "4-shard": r4} {
 			got := collect(r, lo, hi, limit)
 			if len(got) != len(want) {
 				t.Fatalf("%s range [%d,%d] limit %d: %d rows, want %d", name, lo, hi, limit, len(got), len(want))

@@ -59,7 +59,7 @@ type Relation struct {
 	secs   []*index.Tree
 	secFns []SecondaryKey
 
-	// mu is a reader/writer lock: Get/Scan/RangeByKey/SearchSecondary take
+	// mu is a reader/writer lock: Get/Scan/RangeByKey/RangeBySecondary take
 	// it shared (page bytes they touch are additionally bracketed by frame
 	// latches), while every mutating path — Insert, Update, Delete, Vacuum,
 	// recovery — takes it exclusively, so the FSM, stats and in-place
@@ -644,65 +644,13 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(payload []byte) bo
 func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(key int64, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	type ent struct {
-		key int64
-		tid page.TID
-	}
-	var ents []ent
-	t, err := r.pk.Range(at, lo, hi, func(k int64, v uint64) bool {
-		ents = append(ents, ent{k, unpackTID(v)})
-		return true
-	})
-	if err != nil {
-		return t, err
-	}
-	for _, e := range ents {
-		hdr, payload, t2, ferr := r.fetch(t, e.tid)
-		t = t2
-		if ferr != nil {
-			continue // pruned entry
-		}
-		if !r.visible(tx, hdr) {
-			continue
-		}
-		if !fn(e.key, payload) {
-			return t, nil
-		}
-	}
-	return t, nil
-}
-
-// SearchSecondary returns payloads of visible versions matching key in
-// secondary index idx.
-func (r *Relation) SearchSecondary(tx *txn.Tx, at simclock.Time, idx int, key int64) ([][]byte, simclock.Time, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) {
-		return nil, at, fmt.Errorf("si: no secondary index %d", idx)
-	}
-	r.idxLookups.Add(1)
-	cands, t, err := r.secs[idx].Search(at, key)
-	if err != nil {
-		return nil, t, err
-	}
-	var out [][]byte
-	for _, c := range cands {
-		hdr, payload, t2, err := r.fetch(t, unpackTID(c))
-		t = t2
-		if err != nil {
-			continue
-		}
-		if r.visible(tx, hdr) {
-			out = append(out, payload)
-		}
-	}
-	return out, t, nil
+	return r.rangeIndexLocked(tx, at, r.pk, lo, hi, fn)
 }
 
 // RangeBySecondary returns visible rows with lo <= secondary key <= hi in
-// index-key order. SI indexes every version, so multiple entries can resolve
-// to the same visible row under different keys; callers re-check predicates
-// against the decoded row.
+// index-key order; a point lookup is the range lo == hi. SI indexes every
+// version, so multiple entries can resolve to the same visible row under
+// different keys; callers re-check predicates against the decoded row.
 func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -710,12 +658,19 @@ func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, h
 		return at, fmt.Errorf("si: no secondary index %d", idx)
 	}
 	r.idxLookups.Add(1)
+	return r.rangeIndexLocked(tx, at, r.secs[idx], lo, hi, fn)
+}
+
+// rangeIndexLocked collects tree's <key, TID> entries in [lo, hi] and hands
+// fn each one whose version is visible to tx, in entry order. Caller holds
+// r.mu (shared).
+func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(key int64, payload []byte) bool) (simclock.Time, error) {
 	type ent struct {
 		key int64
 		tid page.TID
 	}
 	var ents []ent
-	t, err := r.secs[idx].Range(at, lo, hi, func(k int64, v uint64) bool {
+	t, err := tree.Range(at, lo, hi, func(k int64, v uint64) bool {
 		ents = append(ents, ent{k, unpackTID(v)})
 		return true
 	})

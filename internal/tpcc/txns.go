@@ -203,17 +203,21 @@ func (b *Bench) PaymentTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock.
 	var cKey int64
 	if rng.Intn(100) < 60 {
 		nameNum := LastNameIndex(nuRand(rng, 255, 1, int64(b.Scale.CustomersPerDistrict)))
-		rows, a, err := b.Customer.LookupSecondary(tx, at, b.CustByName, KeyCustomerByName(w, d, nameNum))
-		at = a
+		nameKey := KeyCustomerByName(w, d, nameNum)
+		var keys []int64
+		at, err = b.Customer.RangeBySecondary(tx, at, b.CustByName, nameKey, nameKey, func(_ int64, r tuple.Row) bool {
+			keys = append(keys, r[0].(int64))
+			return true
+		})
 		if err != nil {
 			return abort()
 		}
-		if len(rows) == 0 {
+		if len(keys) == 0 {
 			// Name absent in the scaled population: fall back to id.
 			cKey = KeyCustomer(w, d, nuRand(rng, 255, 1, int64(b.Scale.CustomersPerDistrict)))
 		} else {
 			// Take the middle row, per spec (ordered by first name there).
-			cKey = rows[len(rows)/2][0].(int64)
+			cKey = keys[len(keys)/2]
 		}
 	} else {
 		cKey = KeyCustomer(w, d, nuRand(rng, 255, 1, int64(b.Scale.CustomersPerDistrict)))

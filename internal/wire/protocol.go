@@ -38,7 +38,7 @@
 //	21  DELETE_ROW    handle u64, table bytes, key i64                 -> ()
 //	22  SCAN_TABLE    handle u64, table bytes, lo i64, hi i64,
 //	                  limit u32                                        -> count u32, {row bytes}*
-//	23  INDEX_LOOKUP  handle u64, table bytes, index bytes, key i64    -> count u32, {row bytes}*
+//	23  (retired)     was INDEX_LOOKUP; now BAD_REQUEST — a point lookup is INDEX_RANGE with lo == hi
 //	24  INDEX_RANGE   handle u64, table bytes, index bytes, lo i64,
 //	                  hi i64, limit u32                                -> count u32, {ikey i64, row bytes}*
 //	25  LIST_TABLES   ()                                               -> JSON bytes (catalog listing)
@@ -148,14 +148,15 @@ const (
 	OpDropIndex   Op = 17
 
 	// Typed row operations against catalog tables.
-	OpInsertRow   Op = 18
-	OpGetRow      Op = 19
-	OpUpdateRow   Op = 20
-	OpDeleteRow   Op = 21
-	OpScanTable   Op = 22
-	OpIndexLookup Op = 23
-	OpIndexRange  Op = 24
-	OpListTables  Op = 25
+	OpInsertRow Op = 18
+	OpGetRow    Op = 19
+	OpUpdateRow Op = 20
+	OpDeleteRow Op = 21
+	OpScanTable Op = 22
+	// 23 was INDEX_LOOKUP, retired for INDEX_RANGE with lo == hi. It is never
+	// reused, so a client that still sends it gets BAD_REQUEST.
+	OpIndexRange Op = 24
+	OpListTables Op = 25
 
 	// OpReplLSN reports the per-shard LSN vector reads on this server observe
 	// (applied positions on a follower, durable positions on a primary). Cheap
@@ -239,7 +240,6 @@ var ops = [...]struct {
 	OpUpdateRow:   {"UPDATE_ROW", KindWrite, ShapeHandleTable},
 	OpDeleteRow:   {"DELETE_ROW", KindWrite, ShapeHandleTableKey},
 	OpScanTable:   {"SCAN_TABLE", KindRead, ShapeHandleTable},
-	OpIndexLookup: {"INDEX_LOOKUP", KindRead, ShapeHandleTable},
 	OpIndexRange:  {"INDEX_RANGE", KindRead, ShapeHandleTable},
 	OpListTables:  {"LIST_TABLES", KindControl, ShapeNone},
 	OpReplLSN:     {"REPL_LSN", KindMeta, ShapeNone},

@@ -261,7 +261,7 @@ func (db *DB) CreateTable(name string, schema *Schema, pkCol string) (*Table, er
 }
 
 // AddSecondaryIndex attaches a secondary index computed from rows.
-// Returns the index id for LookupSecondary.
+// Returns the index id for RangeBySecondary.
 func (t *Table) AddSecondaryIndex(name string, keyFn func(Row) (int64, bool)) (int, error) {
 	var id int
 	err := t.db.advance(func(at simclock.Time) (simclock.Time, error) {
@@ -330,15 +330,12 @@ func (t *Table) ParallelScan(tx *Tx, parallelism int, fn func(Row)) error {
 	})
 }
 
-// LookupSecondary returns the visible rows matching key in index idx.
-func (t *Table) LookupSecondary(tx *Tx, idx int, key int64) ([]Row, error) {
-	var rows []Row
-	err := t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		r, a, err := t.inner.LookupSecondary(tx, at, idx, key)
-		rows = r
-		return a, err
+// RangeBySecondary visits the visible rows with lo <= key <= hi in index idx,
+// in index-key order; a point lookup is the range lo == hi.
+func (t *Table) RangeBySecondary(tx *Tx, idx int, lo, hi int64, fn func(indexKey int64, row Row) bool) error {
+	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
+		return t.inner.RangeBySecondary(tx, at, idx, lo, hi, fn)
 	})
-	return rows, err
 }
 
 // Internal exposes the engine-level table (stats, chain inspection).

@@ -132,12 +132,12 @@ func TestPublicAPIScanAndSecondary(t *testing.T) {
 	if n != 10 {
 		t.Errorf("scan saw %d rows", n)
 	}
-	rows, err := tab.LookupSecondary(tx, idx, 0)
-	if err != nil {
+	rows := 0
+	if err := tab.RangeBySecondary(tx, idx, 0, 0, func(int64, Row) bool { rows++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Errorf("secondary lookup = %d rows, want 3", len(rows))
+	if rows != 3 {
+		t.Errorf("secondary lookup = %d rows, want 3", rows)
 	}
 	db.Commit(tx)
 }
