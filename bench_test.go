@@ -219,6 +219,35 @@ func BenchmarkAblationEngineOnHDDvsSSD(b *testing.B) {
 	}
 }
 
+// loadOLTPMix loads the TPC-C mix on memory-backed storage for a run of
+// virtual length d: the floor of both engines, no device latency.
+func loadOLTPMix(tb testing.TB, kind engine.Kind, d simclock.Duration) *exp.Loaded {
+	loaded, err := exp.Load(exp.Config{
+		Engine: kind, Policy: engine.PolicyT2, Storage: exp.StorageMem,
+		Warehouses: 2, Duration: d, Scale: tpcc.SmallScale(), Seed: 7,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return loaded
+}
+
+// runOLTPMix runs a loaded mix and returns its result and the heap
+// allocations (count and bytes) the run made.
+func runOLTPMix(tb testing.TB, loaded *exp.Loaded) (exp.Result, uint64, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := loaded.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Metrics.Committed == 0 {
+		tb.Fatal("no transaction committed")
+	}
+	return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
 // BenchmarkMicroOLTPMix measures the engine's own CPU cost per transaction:
 // the TPC-C mix on memory-backed storage (no device latency), the floor of
 // both engines. The load runs outside the timer and one op is 10 ms of
@@ -227,34 +256,32 @@ func BenchmarkAblationEngineOnHDDvsSSD(b *testing.B) {
 func BenchmarkMicroOLTPMix(b *testing.B) {
 	for _, kind := range []engine.Kind{engine.KindSIAS, engine.KindSI} {
 		b.Run(kind.String(), func(b *testing.B) {
-			loaded, err := exp.Load(exp.Config{
-				Engine: kind, Policy: engine.PolicyT2, Storage: exp.StorageMem,
-				Warehouses: 2, Duration: simclock.Duration(b.N) * 10 * simclock.Millisecond,
-				Scale: tpcc.SmallScale(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-
+			loaded := loadOLTPMix(b, kind, simclock.Duration(b.N)*10*simclock.Millisecond)
 			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			res, err := loaded.Run()
+			res, mallocs, bytes := runOLTPMix(b, loaded)
 			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				b.Fatal(err)
-			}
 			m := res.Metrics
-			if m.Committed == 0 {
-				b.Fatal("no transaction committed")
-			}
 			n := float64(m.Committed)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/txn")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/txn")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/txn")
+			b.ReportMetric(float64(mallocs)/n, "allocs/txn")
+			b.ReportMetric(float64(bytes)/n, "B/txn")
 			b.ReportMetric(float64(m.Total)/float64(b.N), "txns/op")
 		})
+	}
+}
+
+// TestOLTPAllocBudget pins the heap allocations of a committed SIAS TPC-C
+// transaction on memory-backed storage at 110. The simulator reads rows as
+// views of each version's one private copy and edits only the columns it
+// sets, so what is left is that copy per version read, the inserted rows,
+// and the locks, hooks and commit of each transaction.
+func TestOLTPAllocBudget(t *testing.T) {
+	loaded := loadOLTPMix(t, engine.KindSIAS, 500*simclock.Millisecond)
+	res, mallocs, _ := runOLTPMix(t, loaded)
+	perTxn := float64(mallocs) / float64(res.Metrics.Committed)
+	t.Logf("%d committed transactions, %.1f allocations each", res.Metrics.Committed, perTxn)
+	if perTxn > 110 {
+		t.Errorf("a committed TPC-C transaction costs %.1f allocations, want at most 110", perTxn)
 	}
 }

@@ -70,9 +70,10 @@ func run(kind engine.Kind) (flash.Wear, device.Stats) {
 		tx := db.Begin()
 		for i := 0; i < updatesPerRound; i++ {
 			key := 1 + rng.Int63n(rows) // scattered across the whole heap
-			at, err = tab.Update(tx, at, key, func(r tuple.Row) (tuple.Row, error) {
-				r[1] = r[1].(int64) + 1
-				return r, nil
+			at, err = tab.Update(tx, at, key, func(r tuple.View, dst []byte) ([]byte, error) {
+				e := r.Edit()
+				e.SetInt64(1, r.Int64(1)+1)
+				return e.Append(dst)
 			})
 			if err != nil {
 				log.Fatal(err)

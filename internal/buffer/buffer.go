@@ -73,7 +73,7 @@ package buffer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -501,14 +501,25 @@ type prefetchClaim struct {
 	devPage int64
 }
 
+// Holds reports whether devPage is resident or being read in: a page
+// Prefetch would skip.
+func (p *Pool) Holds(devPage int64) bool {
+	pt := p.partOf(devPage)
+	pt.mu.Lock()
+	_, ok := pt.index[devPage]
+	pt.mu.Unlock()
+	return ok
+}
+
 // Prefetch stages pages into the pool ahead of a scan cursor and returns
-// without waiting for the reads. Pages already resident or in flight are
-// skipped; so are pages whose stripe has no clean unpinned victim (the
-// scan's own Get will read those synchronously). Claimed pages are sorted,
-// adjacent device pages are merged into one batched pread (up to
-// maxCoalesce) when the device implements device.PageRangeReader, and the
-// reads run on a worker pool bounded by prefetchWorkers. A Get that
-// arrives before a prefetched read completes singleflight-joins it.
+// without waiting for the reads; it sorts pages in place and keeps no
+// reference to it. Pages already resident or in flight are skipped; so are
+// pages whose stripe has no clean unpinned victim (the scan's own Get will
+// read those synchronously). Adjacent claimed device pages are merged into
+// one batched pread (up to maxCoalesce) when the device implements
+// device.PageRangeReader, and the reads run on a worker pool bounded by
+// prefetchWorkers. A Get that arrives before a prefetched read completes
+// singleflight-joins it.
 func (p *Pool) Prefetch(at simclock.Time, pages []int64) {
 	claims := p.claimPrefetch(at, pages)
 	for start := 0; start < len(claims); {
@@ -529,16 +540,13 @@ func (p *Pool) Prefetch(at simclock.Time, pages []int64) {
 
 // claimPrefetch claims an IO-pending frame for each page of pages that is
 // neither resident nor in flight and has a clean victim, in device page
-// order.
+// order; pages is sorted in place. The claim list is built only once a page
+// is claimed, so a batch of resident pages allocates nothing.
 func (p *Pool) claimPrefetch(at simclock.Time, pages []int64) []prefetchClaim {
-	if len(pages) == 0 {
-		return nil
-	}
-	sorted := append([]int64(nil), pages...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	claims := make([]prefetchClaim, 0, len(sorted))
+	slices.Sort(pages)
+	var claims []prefetchClaim
 	last := int64(-1)
-	for _, dp := range sorted {
+	for i, dp := range pages {
 		if dp == last {
 			continue
 		}
@@ -567,6 +575,9 @@ func (p *Pool) claimPrefetch(at simclock.Time, pages []int64) []prefetchClaim {
 		p.ioPending.Add(1)
 		p.prefetchIssued.Add(1)
 		pt.mu.Unlock()
+		if claims == nil {
+			claims = make([]prefetchClaim, 0, len(pages)-i)
+		}
 		claims = append(claims, prefetchClaim{pt: pt, f: f, idx: idx, ld: ld, devPage: dp})
 	}
 	return claims

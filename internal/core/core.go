@@ -227,32 +227,38 @@ func stageWindow(i, n, ra int) (lo, hi int) {
 }
 
 // prefetchVIDs stages the distinct device pages holding the entrypoint
-// versions of vids into the pool's async prefetcher. Chain predecessors are
+// versions of the n VIDs vid(0), …, vid(n-1) into the pool's async
+// prefetcher. Pages already resident or in flight are dropped before
+// anything is handed over, so a window over a resident pool allocates
+// nothing and never calls the prefetcher; the rest are gathered on the stack
+// unless a window spans more than maxStaged of them. Chain predecessors are
 // not staged — the window targets the first hop, which Algorithm 1 touches
 // for every live item; deeper hops are the chain-length tail.
-func (r *Relation) prefetchVIDs(at simclock.Time, vids []uint64) {
-	if len(vids) == 0 {
-		return
-	}
-	pages := make([]int64, 0, len(vids))
+func (r *Relation) prefetchVIDs(at simclock.Time, n int, vid func(i int) uint64) {
+	var buf [maxStaged]int64
+	pages := buf[:0]
 	last := int64(-1)
-	for _, vid := range vids {
-		tid, ok := r.vmap.Get(vid)
+	for i := 0; i < n; i++ {
+		tid, ok := r.vmap.Get(vid(i))
 		if !ok || !tid.Valid() {
 			continue
 		}
 		dev, err := r.alloc.DevicePage(r.id, tid.Block)
-		if err != nil {
-			continue
-		}
-		if dev == last {
+		if err != nil || dev == last {
 			continue
 		}
 		last = dev
-		pages = append(pages, dev)
+		if !r.pool.Holds(dev) {
+			pages = append(pages, dev)
+		}
 	}
-	r.pool.Prefetch(at, pages)
+	if len(pages) > 0 {
+		r.pool.Prefetch(at, pages)
+	}
 }
+
+// maxStaged is how many pages one readahead window gathers on the stack.
+const maxStaged = 64
 
 // AddSecondary attaches a secondary <key, VID> index and returns its
 // position. The slices are replaced copy-on-write under r.mu so concurrent
@@ -884,14 +890,9 @@ func (r *Relation) rangeIndex(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo
 		return t, err
 	}
 	ra := int(r.readahead.Load())
-	var window []uint64
 	for i, e := range ents {
 		if a, b := stageWindow(i, len(ents), ra); a < b {
-			window = window[:0]
-			for _, w := range ents[a:b] {
-				window = append(window, w.vid)
-			}
-			r.prefetchVIDs(t, window)
+			r.prefetchVIDs(t, b-a, func(j int) uint64 { return ents[a+j].vid })
 		}
 		hdr, payload, t2, found, err := r.chainLookup(tx, t, e.vid)
 		t = t2

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sias/internal/simclock"
 	"sias/internal/txn"
@@ -16,10 +17,11 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 		hi = max
 	}
 	ra := int(r.readahead.Load())
-	var window []uint64
 	t := at
 	for vid := lo; vid < hi; vid++ {
-		window = r.stageVIDs(t, lo, hi, vid, ra, window)
+		if a, b := stageWindow(int(vid-lo), int(hi-lo), ra); a < b {
+			r.prefetchVIDs(t, b-a, func(j int) uint64 { return lo + uint64(a+j) })
+		}
 		if _, ok := r.vmap.Get(vid); !ok {
 			continue
 		}
@@ -38,30 +40,15 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 	return t, nil
 }
 
-// stageVIDs applies the readahead schedule (stageWindow) to a cursor at vid
-// in the VID run [lo, hi), staging the VIDs due there; window is scratch
-// space, returned for reuse.
-func (r *Relation) stageVIDs(at simclock.Time, lo, hi, vid uint64, ra int, window []uint64) []uint64 {
-	a, b := stageWindow(int(vid-lo), int(hi-lo), ra)
-	if a == b {
-		return window
-	}
-	window = window[:0]
-	for w := lo + uint64(a); w < lo+uint64(b); w++ {
-		window = append(window, w)
-	}
-	r.prefetchVIDs(at, window)
-	return window
-}
-
 // ParallelScan is the parallel variant of Algorithm 1. The paper notes the
 // VIDmap access path "is parallelizable and therefore complements the
 // parallelism of the Flash storage": the VID space is partitioned across
 // `parallelism` workers that resolve chains concurrently. Results are
 // delivered to fn from multiple goroutines; fn must be safe for concurrent
-// use. The returned virtual time is the max over the workers' partitions —
-// the wall-clock of a parallel scan.
-func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(vid uint64, payload []byte)) (simclock.Time, error) {
+// use, and fn returning false stops every worker at its next item. The
+// returned virtual time is the max over the workers' partitions — the
+// wall-clock of a parallel scan.
+func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(vid uint64, payload []byte) bool) (simclock.Time, error) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -75,6 +62,7 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 		mu       sync.Mutex
 		latest   = at
 		firstErr error
+		stop     atomic.Bool
 	)
 	for w := 0; w < parallelism; w++ {
 		lo := uint64(w) * chunk
@@ -89,7 +77,10 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 		go func(lo, hi uint64) {
 			defer wg.Done()
 			t, err := r.ScanVIDRange(tx, at, lo, hi, func(vid uint64, payload []byte) bool {
-				fn(vid, payload)
+				if stop.Load() || !fn(vid, payload) {
+					stop.Store(true)
+					return false
+				}
 				return true
 			})
 			mu.Lock()

@@ -116,10 +116,11 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	r2 := e.txm.Begin()
 	var mu sync.Mutex
 	par := map[uint64]string{}
-	if _, err := e.rel.ParallelScan(r2, at, 4, func(vid uint64, pl []byte) {
+	if _, err := e.rel.ParallelScan(r2, at, 4, func(vid uint64, pl []byte) bool {
 		mu.Lock()
 		par[vid] = string(pl)
 		mu.Unlock()
+		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +217,41 @@ func TestScanReadaheadEarlyStop(t *testing.T) {
 	e.pool.DrainPrefetch()
 	if n != 7 {
 		t.Fatalf("visited %d rows, want 7", n)
+	}
+}
+
+// TestReadaheadAllocBudget pins what a readahead window costs when its pages
+// are already resident: nothing. A 32-entry RangeBySecondary on a warm pool
+// allocates no more at readahead 32 than at readahead 0 — the window drops
+// resident pages before building anything, so it neither gathers a page list
+// nor calls the prefetcher.
+func TestReadaheadAllocBudget(t *testing.T) {
+	e := newEnv(t)
+	at, err := e.rel.AddSecondary(0, 3, func([]byte) (int64, bool) { return 1, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	loadItems(t, e, n)
+	r := e.txm.Begin()
+	defer e.txm.Commit(r)
+	allocs := func(ra int) float64 {
+		e.rel.SetReadahead(ra)
+		return testing.AllocsPerRun(50, func() {
+			rows := 0
+			if _, err := e.rel.RangeBySecondary(r, at, 0, 1, 1, func(int64, uint64, []byte) bool {
+				rows++
+				return true
+			}); err != nil || rows != n {
+				t.Fatalf("range saw %d rows, err %v; want %d", rows, err, n)
+			}
+		})
+	}
+	off, on := allocs(0), allocs(n)
+	if on > off {
+		t.Errorf("readahead %d costs %.1f allocations per range, readahead 0 %.1f", n, on, off)
+	}
+	if st := e.pool.Stats(); st.PrefetchIssued != 0 {
+		t.Errorf("a resident pool issued %d prefetches", st.PrefetchIssued)
 	}
 }

@@ -89,10 +89,11 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 8} {
 		var mu sync.Mutex
 		got := map[uint64]string{}
-		_, err := e.rel.ParallelScan(r, at, par, func(vid uint64, pl []byte) {
+		_, err := e.rel.ParallelScan(r, at, par, func(vid uint64, pl []byte) bool {
 			mu.Lock()
 			got[vid] = string(pl)
 			mu.Unlock()
+			return true
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +122,7 @@ func TestParallelScanWallClockBenefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n2 atomic.Int64
-	parEnd, err := e.rel.ParallelScan(r, 0, 8, func(uint64, []byte) { n2.Add(1) })
+	parEnd, err := e.rel.ParallelScan(r, 0, 8, func(uint64, []byte) bool { n2.Add(1); return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestParallelScanSurfacesReadError(t *testing.T) {
 	}
 	for _, par := range []int{1, 4, 8} {
 		check(fmt.Sprintf("ParallelScan(%d)", par), func(tx *txn.Tx) error {
-			_, err := e.rel.ParallelScan(tx, 0, par, func(uint64, []byte) {})
+			_, err := e.rel.ParallelScan(tx, 0, par, func(uint64, []byte) bool { return true })
 			return err
 		})
 	}

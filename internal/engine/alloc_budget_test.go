@@ -49,10 +49,10 @@ func openBudgetTable(t *testing.T) (*DB, *Table, simclock.Time) {
 }
 
 // TestRangeByKeyAllocBudget pins what a scanned row costs the engine: the
-// version's one copy out of the page, the row and its two boxed columns — 4
-// allocations. The bytes column aliases that copy rather than copying it
-// again. The scan's own fixed cost (the doublings of its index-entry slice,
-// 8 for 128 entries) is allowed on top, spread over the rows.
+// version's one copy out of the page — 1 allocation. The row reaches fn as a
+// view of that copy, checked without allocating, and its bytes column is read
+// in place. The scan's own fixed cost (the doublings of its index-entry
+// slice, 8 for 128 entries) is allowed on top, spread over the rows.
 func TestRangeByKeyAllocBudget(t *testing.T) {
 	db, tab, at := openBudgetTable(t)
 	tx := db.Begin()
@@ -60,9 +60,9 @@ func TestRangeByKeyAllocBudget(t *testing.T) {
 	rows := 0
 	scan := func() {
 		rows = 0
-		if _, err := tab.RangeByKey(tx, at, budgetBase, budgetBase+budgetRows-1, func(row tuple.Row) bool {
-			if v := row[1].([]byte); len(v) != budgetValue || v[0] != byte(row[0].(int64)-budgetBase) {
-				t.Fatalf("row %d carries the wrong value", row[0])
+		if _, err := tab.RangeByKey(tx, at, budgetBase, budgetBase+budgetRows-1, func(row tuple.View) bool {
+			if v := row.Bytes(1); len(v) != budgetValue || v[0] != byte(row.Int64(0)-budgetBase) {
+				t.Fatalf("row %d carries the wrong value", row.Int64(0))
 			}
 			rows++
 			return true
@@ -74,14 +74,14 @@ func TestRangeByKeyAllocBudget(t *testing.T) {
 	if rows != budgetRows {
 		t.Fatalf("range saw %d rows, want %d", rows, budgetRows)
 	}
-	if perRow > 4+0.1 {
-		t.Errorf("RangeByKey costs %.2f allocations per row, want 4 (plus under 0.1 of per-scan cost)", perRow)
+	if perRow > 1+0.1 {
+		t.Errorf("RangeByKey costs %.2f allocations per row, want 1 (plus under 0.1 of per-scan cost)", perRow)
 	}
 }
 
-// TestGetAllocBudget pins a point read at 4 allocations: the version's one
-// copy and the decoded row with its two boxed columns. The index probe fills
-// a VID buffer on Get's stack (index.Tree.SearchAppend).
+// TestGetAllocBudget pins a point read at 1 allocation: the version's one
+// copy, which Get returns as a view. The index probe fills a VID buffer on
+// Get's stack (index.Tree.SearchAppend).
 func TestGetAllocBudget(t *testing.T) {
 	db, tab, at := openBudgetTable(t)
 	tx := db.Begin()
@@ -91,12 +91,12 @@ func TestGetAllocBudget(t *testing.T) {
 		key := budgetBase + i%budgetRows
 		i++
 		row, _, err := tab.Get(tx, at, key)
-		if err != nil || row[0].(int64) != key {
+		if err != nil || row.Int64(0) != key {
 			t.Fatalf("Get(%d) = %v, %v", key, row, err)
 		}
 	})
-	if perGet > 4 {
-		t.Errorf("Get costs %.2f allocations, want at most 4", perGet)
+	if perGet > 1 {
+		t.Errorf("Get costs %.2f allocations, want at most 1", perGet)
 	}
 }
 
@@ -104,9 +104,10 @@ func TestGetAllocBudget(t *testing.T) {
 // and Commit — through a facade built the way siasserver builds one: an
 // Options literal over in-memory devices. 12 allocations:
 //   - Begin: the Tx (1);
-//   - Update: the version's private copy out of the page, the decoded old
-//     row and its two boxed columns (4), and the finish hook that swings
-//     the VIDmap back on abort (1);
+//   - Update: the version's private copy out of the page (1), the facade's
+//     row adapter decoding that version's view into the old row and its two
+//     boxed columns (3), and the finish hook that swings the VIDmap back on
+//     abort (1);
 //   - the test's mutate boxing the new value into the row (1);
 //   - Commit: the group-commit waiter and its done channel, the queue the
 //     waiter joins, and the batch's transaction and error slices (5).

@@ -57,7 +57,7 @@ func TestUpdateMissingKey(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			db, tab := openTestDB(t, k)
 			tx := db.Begin()
-			_, err := tab.Update(tx, 0, 42, func(r tuple.Row) (tuple.Row, error) { return r, nil })
+			_, err := tab.Update(tx, 0, 42, rowUpdate(func(r tuple.Row) (tuple.Row, error) { return r, nil }))
 			if !errors.Is(err, ErrNotFound) {
 				t.Errorf("update missing key err = %v", err)
 			}
@@ -79,16 +79,16 @@ func TestDeleteMovedKey(t *testing.T) {
 			db, tab := openTestDB(t, k)
 			tx := db.Begin()
 			at, _ := tab.Insert(tx, 0, tuple.Row{int64(1), "x", int64(1)})
-			at, err := tab.Update(tx, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err := tab.Update(tx, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				return tuple.Row{int64(2), r[1], r[2]}, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			at, _ = db.Commit(tx, at)
 
 			del := db.Begin()
-			if _, _, err := tab.Get(del, at, 1); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, del, at, 1); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Get(1) after the move: %v, want ErrNotFound", err)
 			}
 			if at, err = tab.Delete(del, at, 1); !errors.Is(err, ErrNotFound) {
@@ -97,7 +97,7 @@ func TestDeleteMovedKey(t *testing.T) {
 			at, _ = db.Commit(del, at)
 
 			check := db.Begin()
-			if row, _, err := tab.Get(check, at, 2); err != nil || row[0] != int64(2) {
+			if row, _, err := getRow(tab, check, at, 2); err != nil || row[0] != int64(2) {
 				t.Errorf("moved row after Delete(1): %v, %v", row, err)
 			}
 			db.Commit(check, at)
@@ -114,16 +114,16 @@ func TestMutateErrorAborts(t *testing.T) {
 			at, _ = db.Commit(tx, at)
 			u := db.Begin()
 			boom := errors.New("boom")
-			_, err := tab.Update(u, at, 1, func(tuple.Row) (tuple.Row, error) {
+			_, err := tab.Update(u, at, 1, rowUpdate(func(tuple.Row) (tuple.Row, error) {
 				return nil, boom
-			})
+			}))
 			if !errors.Is(err, boom) {
 				t.Errorf("mutate error not propagated: %v", err)
 			}
 			db.Abort(u, at)
 			// Row unchanged.
 			check := db.Begin()
-			row, _, err := tab.Get(check, at, 1)
+			row, _, err := getRow(tab, check, at, 1)
 			if err != nil || row[2] != int64(1) {
 				t.Errorf("row after failed mutate: %v %v", row, err)
 			}

@@ -197,9 +197,11 @@ func (t *Table) createColumnIndex(at simclock.Time, index, column string, relID 
 	if liveSecondary(t.secondaries(), index) >= 0 {
 		return 0, at, fmt.Errorf("%w: index %s on %s", ErrExists, index, t.name)
 	}
-	keyFn := func(row tuple.Row) (int64, bool) {
-		v, ok := row[ci].(int64)
-		return v, ok
+	keyFn := func(v tuple.View) (int64, bool) {
+		if v.Null(ci) {
+			return 0, false
+		}
+		return v.Int64(ci), true
 	}
 	return t.addSecondary(at, index, column, relID, keyFn)
 }

@@ -90,7 +90,7 @@ func TestLoggedDDLSurvivesCrash(t *testing.T) {
 					t.Fatalf("index returned row with customer %v", r[1])
 				}
 			}
-			if _, _, err := tab2.Get(tx, at2, 17); err != nil {
+			if _, _, err := getRow(tab2, tx, at2, 17); err != nil {
 				t.Fatalf("row 17 lost: %v", err)
 			}
 			db2.Abort(tx, at2)
@@ -141,7 +141,7 @@ func TestDDLReplayIdempotentOverBootstrap(t *testing.T) {
 		t.Fatal("DDL replay replaced the pre-created table")
 	}
 	rtx := db2.Begin()
-	row, at2, err := tab2.Get(rtx, at, 1)
+	row, at2, err := getRow(tab2, rtx, at, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestNonIndexedUpdateWritesZeroIndexPages(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			for i := int64(1); i <= 50; i++ {
 				tx := db.Begin()
-				at, err = tab.Update(tx, at, i, func(r tuple.Row) (tuple.Row, error) {
+				at, err = tab.Update(tx, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = r[2].(int64) + 1
 					return r, nil
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,10 +223,10 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 			}
 			update := func(id, bal int64) {
 				tx := db.Begin()
-				at, err = tab.Update(tx, at, id, func(r tuple.Row) (tuple.Row, error) {
+				at, err = tab.Update(tx, at, id, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = bal
 					return r, nil
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -241,21 +241,21 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 			insert(11, 1100)
 
 			asOf := db.BeginReadOnlyAt(token)
-			row, at2, err := tab.Get(asOf, at, 3)
+			row, at2, err := getRow(tab, asOf, at, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if row[2].(int64) != 300 {
 				t.Fatalf("AS OF read of row 3: balance %v, want 300 (pre-update)", row[2])
 			}
-			if _, _, err := tab.Get(asOf, at2, 11); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, asOf, at2, 11); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("AS OF read sees row inserted after the token: err=%v", err)
 			}
 			count := 0
-			at2, err = tab.RangeByKey(asOf, at2, 1, 100, func(tuple.Row) bool {
+			at2, err = tab.RangeByKey(asOf, at2, 1, 100, rowVisit(func(tuple.Row) bool {
 				count++
 				return true
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 			// The snapshot takes no writes, and refusing one logs nothing.
 			lsn := db.WAL().NextLSN()
 			_, ierr := tab.Insert(asOf, at2, tuple.Row{int64(12), "u", int64(0)})
-			_, uerr := tab.Update(asOf, at2, 3, func(r tuple.Row) (tuple.Row, error) { return r, nil })
+			_, uerr := tab.Update(asOf, at2, 3, rowUpdate(func(r tuple.Row) (tuple.Row, error) { return r, nil }))
 			_, derr := tab.Delete(asOf, at2, 3)
 			for op, err := range map[string]error{"Insert": ierr, "Update": uerr, "Delete": derr} {
 				if !errors.Is(err, ErrReadOnly) {
@@ -279,7 +279,7 @@ func TestAsOfReadsSeeHistoricalState(t *testing.T) {
 
 			// A fresh (current) read sees the new state.
 			cur := db.Begin()
-			row, at2, err = tab.Get(cur, at, 3)
+			row, at2, err = getRow(tab, cur, at, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,10 +314,10 @@ func TestAsOfThroughSecondaryIndex(t *testing.T) {
 			token := db.SnapshotToken()
 			// Reassign order 4 to customer 9 after the token.
 			tx := db.Begin()
-			at, err = tab.Update(tx, at, 4, func(r tuple.Row) (tuple.Row, error) {
+			at, err = tab.Update(tx, at, 4, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[1] = int64(9)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,10 +378,10 @@ func TestIndexEntryDedupOnKeyReentry(t *testing.T) {
 			asOf := db.BeginReadOnlyAt(db.SnapshotToken())
 			move := func(id, to int64) {
 				tx := db.Begin()
-				at, err = tab.Update(tx, at, id, func(r tuple.Row) (tuple.Row, error) {
+				at, err = tab.Update(tx, at, id, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[1] = to
 					return r, nil
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -496,7 +496,7 @@ func TestDropIndexAndTable(t *testing.T) {
 		t.Fatal("dropped index resurrected by recovery")
 	}
 	rtx := db2.Begin()
-	if _, _, err := tab2.Get(rtx, at, 1); err != nil {
+	if _, _, err := getRow(tab2, rtx, at, 1); err != nil {
 		t.Fatalf("row lost: %v", err)
 	}
 	db2.Abort(rtx, at)
@@ -696,10 +696,10 @@ func TestCreateIndexBackfillsUnderWriters(t *testing.T) {
 
 			check := f.Begin()
 			want := map[int64]int64{} // id -> balance
-			if _, err := tab.Scan(check, 0, func(r tuple.Row) bool {
+			if _, err := tab.Scan(check, 0, rowVisit(func(r tuple.Row) bool {
 				want[r[0].(int64)] = r[2].(int64)
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			for idx := 0; idx < indexes; idx++ {

@@ -86,11 +86,11 @@ func TestFacadeConcurrentSmoke(t *testing.T) {
 			check := f.Begin()
 			var sum int64
 			n := 0
-			if _, err := tab.Scan(check, 0, func(r tuple.Row) bool {
+			if _, err := tab.Scan(check, 0, rowVisit(func(r tuple.Row) bool {
 				sum += r[2].(int64)
 				n++
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			f.Commit(check)

@@ -64,10 +64,10 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 					delta := rng.Int63n(100)
 					apply(func(db *DB, tab *Table, at simclock.Time) (simclock.Time, error) {
 						tx := db.Begin()
-						at, err := tab.Update(tx, at, key, func(row tuple.Row) (tuple.Row, error) {
+						at, err := tab.Update(tx, at, key, rowUpdate(func(row tuple.Row) (tuple.Row, error) {
 							row[2] = row[2].(int64) + delta
 							return row, nil
-						})
+						}))
 						if err != nil {
 							db.Abort(tx, at)
 							return at, err
@@ -94,10 +94,10 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 						tx := db.Begin()
 						var err error
 						if _, exists := model[key]; exists {
-							at, err = tab.Update(tx, at, key, func(row tuple.Row) (tuple.Row, error) {
+							at, err = tab.Update(tx, at, key, rowUpdate(func(row tuple.Row) (tuple.Row, error) {
 								row[2] = int64(-999)
 								return row, nil
-							})
+							}))
 						} else {
 							at, err = tab.Insert(tx, at, tuple.Row{key, "ghost", int64(-999)})
 						}
@@ -116,9 +116,9 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 			txSIAS := dbSIAS.Begin()
 			for key := int64(0); key < keyspace; key++ {
 				want, exists := model[key]
-				rowSI, a1, err1 := tabSI.Get(txSI, atSI, key)
+				rowSI, a1, err1 := getRow(tabSI, txSI, atSI, key)
 				atSI = a1
-				rowSIAS, a2, err2 := tabSIAS.Get(txSIAS, atSIAS, key)
+				rowSIAS, a2, err2 := getRow(tabSIAS, txSIAS, atSIAS, key)
 				atSIAS = a2
 				if exists {
 					if err1 != nil || err2 != nil {
@@ -141,10 +141,10 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 			}{"si": {dbSI, tabSI, nil}, "sias": {dbSIAS, tabSIAS, nil}} {
 				got := map[int64]int64{}
 				tx := pair.db.Begin()
-				_, err := pair.tab.Scan(tx, 0, func(r tuple.Row) bool {
+				_, err := pair.tab.Scan(tx, 0, rowVisit(func(r tuple.Row) bool {
 					got[r[0].(int64)] = r[2].(int64)
 					return true
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,10 +193,10 @@ func TestDifferentialCrashSimple(t *testing.T) {
 					at, err = tab.Delete(tx, at, key)
 					delete(model, key)
 				} else {
-					at, err = tab.Update(tx, at, key, func(r tuple.Row) (tuple.Row, error) {
+					at, err = tab.Update(tx, at, key, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 						r[2] = val
 						return r, nil
-					})
+					}))
 					model[key] = val
 				}
 				if err != nil {
@@ -217,7 +217,7 @@ func TestDifferentialCrashSimple(t *testing.T) {
 			at2 := simclock.Time(0)
 			for key := int64(0); key < 50; key++ {
 				want, exists := model[key]
-				row, a, err := tab2.Get(tx, at2, key)
+				row, a, err := getRow(tab2, tx, at2, key)
 				at2 = a
 				if exists {
 					if err != nil || row[2] != want {

@@ -521,7 +521,7 @@ func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
 		if tab.sias != nil {
 			_, t, err = tab.sias.GC(t, horizon)
 		} else {
-			_, t, err = tab.si.Vacuum(t, horizon, tab.keyOfPayload)
+			_, t, err = tab.si.Vacuum(t, horizon, tab.keyOf)
 		}
 		if err != nil {
 			return t, err

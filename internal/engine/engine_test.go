@@ -49,7 +49,7 @@ func TestInsertGetBothEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Own write visible before commit.
-			row, at, err := tab.Get(tx, at, 1)
+			row, at, err := getRow(tab, tx, at, 1)
 			if err != nil {
 				t.Fatalf("own write not visible: %v", err)
 			}
@@ -59,11 +59,11 @@ func TestInsertGetBothEngines(t *testing.T) {
 			db.Commit(tx, at)
 
 			tx2 := db.Begin()
-			row, _, err = tab.Get(tx2, at, 1)
+			row, _, err = getRow(tab, tx2, at, 1)
 			if err != nil || row[2] != int64(100) {
 				t.Fatalf("committed row: %v %v", row, err)
 			}
-			if _, _, err := tab.Get(tx2, at, 999); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, tx2, at, 999); !errors.Is(err, ErrNotFound) {
 				t.Errorf("missing key err = %v", err)
 			}
 			db.Commit(tx2, at)
@@ -81,33 +81,33 @@ func TestSnapshotIsolationReadersSeeOldVersion(t *testing.T) {
 
 			reader := db.Begin() // snapshot taken before the update commits
 			writer := db.Begin()
-			at, err := tab.Update(writer, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err := tab.Update(writer, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(20)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Writer sees its own new version.
-			row, at, _ := tab.Get(writer, at, 1)
+			row, at, _ := getRow(tab, writer, at, 1)
 			if row[2] != int64(20) {
 				t.Errorf("writer sees %v", row[2])
 			}
 			// Reader still sees the old version (uncommitted writer).
-			row, at, err = tab.Get(reader, at, 1)
+			row, at, err = getRow(tab, reader, at, 1)
 			if err != nil || row[2] != int64(10) {
 				t.Errorf("reader sees %v, %v; want 10", row, err)
 			}
 			at, _ = db.Commit(writer, at)
 			// Reader STILL sees the old version: snapshot isolation.
-			row, at, err = tab.Get(reader, at, 1)
+			row, at, err = getRow(tab, reader, at, 1)
 			if err != nil || row[2] != int64(10) {
 				t.Errorf("reader after writer-commit sees %v, %v; want 10", row, err)
 			}
 			db.Commit(reader, at)
 			// A fresh transaction sees the new version.
 			fresh := db.Begin()
-			row, _, err = tab.Get(fresh, at, 1)
+			row, _, err = getRow(tab, fresh, at, 1)
 			if err != nil || row[2] != int64(20) {
 				t.Errorf("fresh tx sees %v, %v; want 20", row, err)
 			}
@@ -126,27 +126,27 @@ func TestFirstUpdaterWins(t *testing.T) {
 
 			t1 := db.Begin()
 			t2 := db.Begin() // concurrent
-			at, err := tab.Update(t1, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err := tab.Update(t1, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(1)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			at, _ = db.Commit(t1, at)
 			// t2 was concurrent with t1 and t1 committed first: t2 must get
 			// a serialization failure.
-			_, err = tab.Update(t2, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			_, err = tab.Update(t2, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(2)
 				return r, nil
-			})
+			}))
 			if !errors.Is(err, txn.ErrSerialization) {
 				t.Errorf("second updater err = %v, want ErrSerialization", err)
 			}
 			db.Abort(t2, at)
 
 			final := db.Begin()
-			row, _, _ := tab.Get(final, at, 1)
+			row, _, _ := getRow(tab, final, at, 1)
 			if row[2] != int64(1) {
 				t.Errorf("final balance = %v, want 1 (first updater)", row[2])
 			}
@@ -164,23 +164,23 @@ func TestAbortRollsBackUpdate(t *testing.T) {
 			at, _ = db.Commit(setup, at)
 
 			tx := db.Begin()
-			at, _ = tab.Update(tx, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, _ = tab.Update(tx, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(99)
 				return r, nil
-			})
+			}))
 			at, _ = db.Abort(tx, at)
 
 			after := db.Begin()
-			row, _, err := tab.Get(after, at, 1)
+			row, _, err := getRow(tab, after, at, 1)
 			if err != nil || row[2] != int64(5) {
 				t.Errorf("after abort: %v %v, want 5", row, err)
 			}
 			// The item must be updatable again (entrypoint restored / lock
 			// released).
-			at, err = tab.Update(after, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err = tab.Update(after, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(6)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Errorf("update after abort: %v", err)
 			}
@@ -197,7 +197,7 @@ func TestAbortRollsBackInsert(t *testing.T) {
 			at, _ := tab.Insert(tx, 0, tuple.Row{int64(7), "ghost", int64(0)})
 			at, _ = db.Abort(tx, at)
 			after := db.Begin()
-			if _, _, err := tab.Get(after, at, 7); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, after, at, 7); !errors.Is(err, ErrNotFound) {
 				t.Errorf("aborted insert visible: %v", err)
 			}
 			db.Commit(after, at)
@@ -220,20 +220,20 @@ func TestDeleteSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Deleter no longer sees it.
-			if _, _, err := tab.Get(deleter, at, 1); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, deleter, at, 1); !errors.Is(err, ErrNotFound) {
 				t.Errorf("deleter still sees row: %v", err)
 			}
 			at, _ = db.Commit(deleter, at)
 			// The older transaction still sees the last committed state
 			// (the paper's tombstone rationale).
-			row, at, err := tab.Get(older, at, 1)
+			row, at, err := getRow(tab, older, at, 1)
 			if err != nil || row[2] != int64(5) {
 				t.Errorf("older tx after delete: %v %v, want visible 5", row, err)
 			}
 			db.Commit(older, at)
 			// New transactions do not see it.
 			fresh := db.Begin()
-			if _, _, err := tab.Get(fresh, at, 1); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab, fresh, at, 1); !errors.Is(err, ErrNotFound) {
 				t.Errorf("fresh tx sees deleted row: %v", err)
 			}
 			db.Commit(fresh, at)
@@ -254,10 +254,10 @@ func TestScanVisibleOnly(t *testing.T) {
 			// Update half, delete two, in a committed txn.
 			mod := db.Begin()
 			for i := int64(1); i <= 5; i++ {
-				at, _ = tab.Update(mod, at, i, func(r tuple.Row) (tuple.Row, error) {
+				at, _ = tab.Update(mod, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = r[2].(int64) + 1
 					return r, nil
-				})
+				}))
 			}
 			at, _ = tab.Delete(mod, at, 9)
 			at, _ = tab.Delete(mod, at, 10)
@@ -266,11 +266,11 @@ func TestScanVisibleOnly(t *testing.T) {
 			reader := db.Begin()
 			sum := int64(0)
 			count := 0
-			at, err := tab.Scan(reader, at, func(r tuple.Row) bool {
+			at, err := tab.Scan(reader, at, rowVisit(func(r tuple.Row) bool {
 				sum += r[2].(int64)
 				count++
 				return true
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,17 +295,17 @@ func TestUpdateManyVersionsChain(t *testing.T) {
 			for i := 1; i <= 50; i++ {
 				tx := db.Begin()
 				var err error
-				at, err = tab.Update(tx, at, 1, func(r tuple.Row) (tuple.Row, error) {
+				at, err = tab.Update(tx, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = r[2].(int64) + 1
 					return r, nil
-				})
+				}))
 				if err != nil {
 					t.Fatalf("update %d: %v", i, err)
 				}
 				at, _ = db.Commit(tx, at)
 			}
 			final := db.Begin()
-			row, _, err := tab.Get(final, at, 1)
+			row, _, err := getRow(tab, final, at, 1)
 			if err != nil || row[2] != int64(50) {
 				t.Errorf("final = %v %v, want 50", row, err)
 			}
@@ -318,10 +318,10 @@ func TestUpdateManyVersionsChain(t *testing.T) {
 // visits: the engine's point lookup.
 func pointRows(tab *Table, tx *txn.Tx, at simclock.Time, idx int, key int64) ([]tuple.Row, simclock.Time, error) {
 	var rows []tuple.Row
-	at, err := tab.RangeBySecondary(tx, at, idx, key, key, func(_ int64, r tuple.Row) bool {
+	at, err := tab.RangeBySecondary(tx, at, idx, key, key, rowVisitKey(func(_ int64, r tuple.Row) bool {
 		rows = append(rows, r)
 		return true
-	})
+	}))
 	return rows, at, err
 }
 
@@ -329,9 +329,9 @@ func TestSecondaryIndexLookup(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
 			db, tab := openTestDB(t, k)
-			idx, at, err := tab.AddSecondaryIndex(0, "by_balance", func(r tuple.Row) (int64, bool) {
+			idx, at, err := tab.AddSecondaryIndex(0, "by_balance", rowKeyFn(func(r tuple.Row) (int64, bool) {
 				return r[2].(int64), true
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,10 +350,10 @@ func TestSecondaryIndexLookup(t *testing.T) {
 			}
 			// After an update that changes the secondary key, lookups follow.
 			u := db.Begin()
-			at, err = tab.Update(u, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err = tab.Update(u, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(0)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -223,10 +223,17 @@ func (f *Facade) Checkpoint() error {
 // Stats returns engine-wide counters.
 func (f *Facade) Stats() Stats { return f.db.Stats() }
 
+// The facade's row methods are thin adapters over Table's view path for
+// callers that want whole rows: each decodes the view it reads (View.Row),
+// and Update encodes the row mutate returns.
+
 // Get returns the row of key in tab visible to tx.
 func (f *Facade) Get(tab *Table, tx *txn.Tx, key int64) (tuple.Row, error) {
-	row, _, err := tab.Get(tx, 0, key)
-	return row, err
+	v, _, err := tab.Get(tx, 0, key)
+	if err != nil {
+		return nil, err
+	}
+	return v.Row(), nil
 }
 
 // Insert stores row in tab under its primary key.
@@ -235,9 +242,17 @@ func (f *Facade) Insert(tab *Table, tx *txn.Tx, row tuple.Row) error {
 	return err
 }
 
-// Update applies mutate to the visible row of key in tab.
+// Update applies mutate to the visible row of key in tab. The row mutate
+// gets aliases the version's private copy: mutate may return its values in
+// the new row but must not write into its bytes columns.
 func (f *Facade) Update(tab *Table, tx *txn.Tx, key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
-	_, err := tab.Update(tx, 0, key, mutate)
+	_, err := tab.Update(tx, 0, key, func(old tuple.View, dst []byte) ([]byte, error) {
+		row, err := mutate(old.Row())
+		if err != nil {
+			return nil, err
+		}
+		return tab.schema.AppendRow(dst, row)
+	})
 	return err
 }
 
@@ -249,14 +264,14 @@ func (f *Facade) Delete(tab *Table, tx *txn.Tx, key int64) error {
 
 // RangeByKey visits visible rows of tab with lo <= primary key <= hi.
 func (f *Facade) RangeByKey(tab *Table, tx *txn.Tx, lo, hi int64, fn func(tuple.Row) bool) error {
-	_, err := tab.RangeByKey(tx, 0, lo, hi, fn)
+	_, err := tab.RangeByKey(tx, 0, lo, hi, func(v tuple.View) bool { return fn(v.Row()) })
 	return err
 }
 
 // RangeBySecondary visits visible rows of tab with lo <= indexed value <= hi
 // through secondary index idx, in index order (a point lookup: lo == hi).
 func (f *Facade) RangeBySecondary(tab *Table, tx *txn.Tx, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) error {
-	_, err := tab.RangeBySecondary(tx, 0, idx, lo, hi, fn)
+	_, err := tab.RangeBySecondary(tx, 0, idx, lo, hi, func(k int64, v tuple.View) bool { return fn(k, v.Row()) })
 	return err
 }
 

@@ -50,7 +50,7 @@ func TestCommitBatchSingleFlush(t *testing.T) {
 			// Everything in the batch is visible afterwards.
 			check := db.Begin()
 			for i := 0; i < m; i++ {
-				if _, _, err := tab.Get(check, at, int64(i)); err != nil {
+				if _, _, err := getRow(tab, check, at, int64(i)); err != nil {
 					t.Errorf("key %d after batch commit: %v", i, err)
 				}
 			}

@@ -51,10 +51,10 @@ func TestTornWALTailLosesOnlyUncommitted(t *testing.T) {
 			db.Pool().InvalidateAll()
 			db2, tab2 := crashAndRecover(t, k, data, walDev)
 			check := db2.Begin()
-			if _, _, err := tab2.Get(check, 0, 1); err != nil {
+			if _, _, err := getRow(tab2, check, 0, 1); err != nil {
 				t.Errorf("committed row lost: %v", err)
 			}
-			if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab2, check, 0, 2); !errors.Is(err, ErrNotFound) {
 				t.Errorf("uncommitted row visible: %v", err)
 			}
 			db2.Commit(check, 0)
@@ -86,7 +86,7 @@ func TestCrashBeforeCommitRecordDiscardsTxn(t *testing.T) {
 
 			db2, tab2 := crashAndRecover(t, k, data, walDev)
 			check := db2.Begin()
-			if _, _, err := tab2.Get(check, 0, 5); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab2, check, 0, 5); !errors.Is(err, ErrNotFound) {
 				t.Errorf("uncommitted insert visible after crash: %v", err)
 			}
 			db2.Commit(check, 0)
@@ -118,7 +118,7 @@ func TestRepeatedCrashRecoveryIdempotent(t *testing.T) {
 	check := db3.Begin()
 	at2 := simclock.Time(0)
 	for i := int64(1); i <= 12; i++ {
-		if _, a, err := tab3.Get(check, at2, i); err != nil {
+		if _, a, err := getRow(tab3, check, at2, i); err != nil {
 			t.Errorf("key %d lost after double recovery: %v", i, err)
 		} else {
 			at2 = a

@@ -23,21 +23,21 @@ func TestRangeByKeyBothEngines(t *testing.T) {
 				at, _ = tab.Delete(mod, at, i)
 			}
 			for i := int64(50); i < 60; i++ {
-				at, _ = tab.Update(mod, at, i, func(r tuple.Row) (tuple.Row, error) {
+				at, _ = tab.Update(mod, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = r[2].(int64) + 1
 					return r, nil
-				})
+				}))
 			}
 			at, _ = db.Commit(mod, at)
 
 			r := db.Begin()
 			var keys []int64
 			var sum int64
-			at, err := tab.RangeByKey(r, at, 30, 69, func(row tuple.Row) bool {
+			at, err := tab.RangeByKey(r, at, 30, 69, rowVisit(func(row tuple.Row) bool {
 				keys = append(keys, row[0].(int64))
 				sum += row[2].(int64)
 				return true
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,17 +81,17 @@ func TestRangeByKeySnapshot(t *testing.T) {
 			reader := db.Begin()
 			w := db.Begin()
 			for i := int64(0); i < 10; i++ {
-				at, _ = tab.Update(w, at, i, func(r tuple.Row) (tuple.Row, error) {
+				at, _ = tab.Update(w, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = int64(7)
 					return r, nil
-				})
+				}))
 			}
 			at, _ = db.Commit(w, at)
 			var sum int64
-			at, err := tab.RangeByKey(reader, at, 0, 9, func(r tuple.Row) bool {
+			at, err := tab.RangeByKey(reader, at, 0, 9, rowVisit(func(r tuple.Row) bool {
 				sum += r[2].(int64)
 				return true
-			})
+			}))
 			if err != nil || sum != 0 {
 				t.Errorf("snapshot range sum = %d (%v), want 0", sum, err)
 			}
@@ -110,7 +110,7 @@ func TestRangeByKeyEarlyStop(t *testing.T) {
 	at, _ = db.Commit(tx, at)
 	r := db.Begin()
 	n := 0
-	tab.RangeByKey(r, at, 0, 19, func(tuple.Row) bool { n++; return n < 5 })
+	tab.RangeByKey(r, at, 0, 19, rowVisit(func(tuple.Row) bool { n++; return n < 5 }))
 	if n != 5 {
 		t.Errorf("visited %d, want 5", n)
 	}
@@ -129,9 +129,9 @@ func TestParallelScanEngineLevel(t *testing.T) {
 			at, _ = db.Commit(tx, at)
 			r := db.Begin()
 			var mu chan int64 = make(chan int64, 256)
-			_, err := tab.ParallelScan(r, at, 4, func(row tuple.Row) {
+			_, err := tab.ParallelScan(r, at, 4, rowVisitAll(func(row tuple.Row) {
 				mu <- row[0].(int64)
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,10 +192,10 @@ func TestUnloggedIDsReusedAfterCrash(t *testing.T) {
 				r := f.Begin()
 				defer f.Abort(r)
 				seen := map[int64]int64{}
-				if _, err := tab.Scan(r, 0, func(row tuple.Row) bool {
+				if _, err := tab.Scan(r, 0, rowVisit(func(row tuple.Row) bool {
 					seen[row[0].(int64)] = row[2].(int64)
 					return true
-				}); err != nil {
+				})); err != nil {
 					t.Fatal(err)
 				}
 				for key, want := range oracle {

@@ -324,7 +324,7 @@ func (db *DB) rebuildVolatile(at simclock.Time) (simclock.Time, error) {
 		blocks := db.maxBlockRel[tab.heapID()]
 		db.mu.Unlock()
 		var err error
-		if t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOfPayload); err != nil {
+		if t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOf); err != nil {
 			return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
 		}
 	}

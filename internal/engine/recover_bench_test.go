@@ -47,10 +47,10 @@ func BenchmarkRecover(b *testing.B) {
 	for i := 0; i < txns; i++ {
 		tx := db.Begin()
 		for _, k := range []int64{int64(i*7919) % keys, int64(i*104729+1) % keys} {
-			if at, err = tab.Update(tx, at, k, func(r tuple.Row) (tuple.Row, error) {
+			if at, err = tab.Update(tx, at, k, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[1] = value
 				return r, nil
-			}); err != nil {
+			})); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -66,10 +66,10 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 			}
 			for i := int64(1); i <= 10; i++ {
 				tx := db.Begin()
-				at, err = tab.Update(tx, at, i, func(r tuple.Row) (tuple.Row, error) {
+				at, err = tab.Update(tx, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 					r[2] = r[2].(int64) * 100
 					return r, nil
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,10 +77,10 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 			}
 			// Loser: uncommitted at crash.
 			loser := db.Begin()
-			at, _ = tab.Update(loser, at, 15, func(r tuple.Row) (tuple.Row, error) {
+			at, _ = tab.Update(loser, at, 15, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(-1)
 				return r, nil
-			})
+			}))
 			// CRASH: drop the buffer pool, reopen from devices.
 			db.Pool().InvalidateAll()
 
@@ -88,7 +88,7 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 			check := db2.Begin()
 			at2 := simclock.Time(0)
 			for i := int64(1); i <= 20; i++ {
-				row, a, err := tab2.Get(check, at2, i)
+				row, a, err := getRow(tab2, check, at2, i)
 				at2 = a
 				if err != nil {
 					t.Fatalf("key %d lost after crash: %v", i, err)
@@ -140,7 +140,7 @@ func TestRecoveryAfterCheckpointAndMoreWork(t *testing.T) {
 			check := db2.Begin()
 			at2 := simclock.Time(0)
 			for i := int64(1); i <= 15; i++ {
-				if _, a, err := tab2.Get(check, at2, i); err != nil {
+				if _, a, err := getRow(tab2, check, at2, i); err != nil {
 					t.Errorf("key %d lost: %v", i, err)
 				} else {
 					at2 = a
@@ -177,10 +177,10 @@ func TestRecoveryUncommittedInvisible(t *testing.T) {
 
 			db2, tab2 := crashAndRecover(t, k, data, walDev)
 			check := db2.Begin()
-			if _, _, err := tab2.Get(check, 0, 1); err != nil {
+			if _, _, err := getRow(tab2, check, 0, 1); err != nil {
 				t.Errorf("committed row lost: %v", err)
 			}
-			if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab2, check, 0, 2); !errors.Is(err, ErrNotFound) {
 				t.Errorf("uncommitted row visible after recovery: %v", err)
 			}
 			db2.Commit(check, 0)
@@ -252,10 +252,10 @@ func TestRecoverEndsAtTornLogHole(t *testing.T) {
 		t.Errorf("tx %d, whose insert was lost, recovered as committed", torn.ID)
 	}
 	check := db2.Begin()
-	if _, _, err := tab2.Get(check, 0, 1); err != nil {
+	if _, _, err := getRow(tab2, check, 0, 1); err != nil {
 		t.Errorf("committed row lost: %v", err)
 	}
-	if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+	if _, _, err := getRow(tab2, check, 0, 2); !errors.Is(err, ErrNotFound) {
 		t.Errorf("the torn transaction's row: %v, want ErrNotFound", err)
 	}
 	db2.Commit(check, 0)
@@ -283,7 +283,7 @@ func TestRecoveryDeleteSurvives(t *testing.T) {
 
 			db2, tab2 := crashAndRecover(t, k, data, walDev)
 			check := db2.Begin()
-			if _, _, err := tab2.Get(check, 0, 1); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab2, check, 0, 1); !errors.Is(err, ErrNotFound) {
 				t.Errorf("deleted row resurrected: %v", err)
 			}
 			db2.Commit(check, 0)
@@ -335,7 +335,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	db3, tab3 := crashAndRecover(t, KindSIAS, data, walDev)
 	check := db3.Begin()
 	for i := int64(1); i <= 2; i++ {
-		if _, _, err := tab3.Get(check, 0, i); err != nil {
+		if _, _, err := getRow(tab3, check, 0, i); err != nil {
 			t.Errorf("key %d lost after double crash: %v", i, err)
 		}
 	}
@@ -463,7 +463,7 @@ func TestRecoverHoldsNoLog(t *testing.T) {
 			// And it did recover: every committed row, none of the others.
 			check := db2.Begin()
 			n := 0
-			if _, err := tab2.Scan(check, 0, func(tuple.Row) bool { n++; return true }); err != nil {
+			if _, err := tab2.Scan(check, 0, rowVisit(func(tuple.Row) bool { n++; return true })); err != nil {
 				t.Fatal(err)
 			}
 			if n != 610 {
@@ -530,7 +530,7 @@ func TestRecoverStopsAtTheAnalysedEnd(t *testing.T) {
 				t.Errorf("in-doubt aborts = %d, want 1: Recover applied a record past the end Open found", st.InDoubtAborts)
 			}
 			check := db2.Begin()
-			if _, _, err := tab2.Get(check, 0, 2); !errors.Is(err, ErrNotFound) {
+			if _, _, err := getRow(tab2, check, 0, 2); !errors.Is(err, ErrNotFound) {
 				t.Errorf("in-doubt row visible after recovery: %v", err)
 			}
 			db2.Commit(check, 0)

@@ -109,10 +109,10 @@ func TestRedoFormatsBlockFromSlotZero(t *testing.T) {
 	}
 	for i := int64(1); i <= rows; i += 3 {
 		tx := db.Begin()
-		if at, err = tab.Update(tx, at, i, func(r tuple.Row) (tuple.Row, error) {
+		if at, err = tab.Update(tx, at, i, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 			r[2] = -i
 			return r, nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if at, err = db.Commit(tx, at); err != nil {
@@ -156,7 +156,7 @@ func TestRedoFormatsBlockFromSlotZero(t *testing.T) {
 	check := db1.Begin()
 	var at1 simclock.Time
 	for i := int64(1); i <= rows; i++ {
-		row, a, err := tab1.Get(check, at1, i)
+		row, a, err := getRow(tab1, check, at1, i)
 		at1 = a
 		want := i
 		if (i-1)%3 == 0 {
@@ -212,10 +212,10 @@ func TestRedoReusedBlockReplaysClean(t *testing.T) {
 					if round == 0 {
 						at, err = ptab.Insert(tx, at, tuple.Row{k, name, k})
 					} else {
-						at, err = ptab.Update(tx, at, k, func(r tuple.Row) (tuple.Row, error) {
+						at, err = ptab.Update(tx, at, k, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 							r[2] = round*1000 + k
 							return r, nil
-						})
+						}))
 					}
 					if err != nil {
 						t.Fatal(err)

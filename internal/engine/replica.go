@@ -95,7 +95,7 @@ func (db *DB) ApplyRecord(at simclock.Time, rec *wal.Record) (simclock.Time, err
 		}
 	case wal.RecHeapInsert:
 		if tab := db.relTable(rec.Rel); tab != nil {
-			if t, err = tab.sias.ApplyInsert(t, rec, tab.keyOfPayload); err != nil {
+			if t, err = tab.sias.ApplyInsert(t, rec, tab.keyOf); err != nil {
 				return t, err
 			}
 		}

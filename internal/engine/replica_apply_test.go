@@ -170,15 +170,15 @@ func snapshotReads(t *testing.T, db *DB, tab *Table, maxKey int64, secIdx int) r
 	at := simclock.Time(0)
 	st := readState{scan: map[int64]string{}, gets: map[int64]string{}}
 	var err error
-	at, err = tab.Scan(tx, at, func(row tuple.Row) bool {
+	at, err = tab.Scan(tx, at, rowVisit(func(row tuple.Row) bool {
 		st.scan[row[0].(int64)] = fmt.Sprintf("%v", row)
 		return true
-	})
+	}))
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	for k := int64(1); k <= maxKey; k++ {
-		row, a, gerr := tab.Get(tx, at, k)
+		row, a, gerr := getRow(tab, tx, at, k)
 		at = a
 		switch {
 		case gerr == nil:
@@ -189,18 +189,18 @@ func snapshotReads(t *testing.T, db *DB, tab *Table, maxKey int64, secIdx int) r
 			t.Fatalf("get %d: %v", k, gerr)
 		}
 	}
-	at, err = tab.RangeByKey(tx, at, math.MinInt64, math.MaxInt64, func(row tuple.Row) bool {
+	at, err = tab.RangeByKey(tx, at, math.MinInt64, math.MaxInt64, rowVisit(func(row tuple.Row) bool {
 		st.pk = append(st.pk, fmt.Sprintf("%v", row))
 		return true
-	})
+	}))
 	if err != nil {
 		t.Fatalf("range: %v", err)
 	}
 	if secIdx >= 0 {
-		at, err = tab.RangeBySecondary(tx, at, secIdx, math.MinInt64, math.MaxInt64, func(k int64, row tuple.Row) bool {
+		at, err = tab.RangeBySecondary(tx, at, secIdx, math.MinInt64, math.MaxInt64, rowVisitKey(func(k int64, row tuple.Row) bool {
 			st.sec = append(st.sec, fmt.Sprintf("%d=%v", k, row))
 			return true
-		})
+		}))
 		if err != nil {
 			t.Fatalf("range secondary: %v", err)
 		}
@@ -334,10 +334,10 @@ func runReplicaApplyDifferential(t *testing.T, kind Kind, seed int64) {
 		case n < 8: // update
 			k := live[i]
 			tx.touched = append(tx.touched, k)
-			at, err = ptab.Update(tx.tx, at, k, func(r tuple.Row) (tuple.Row, error) {
+			at, err = ptab.Update(tx.tx, at, k, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = rng.Int63n(50)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatalf("update %d: %v", k, err)
 			}
@@ -467,10 +467,11 @@ func replayPrimary(t *testing.T, kind Kind) (*DB, *Table, *device.Mem, simclock.
 }
 
 // setBalance returns the mutation that moves a row's indexed column.
-func setBalance(v int64) func(tuple.Row) (tuple.Row, error) {
-	return func(r tuple.Row) (tuple.Row, error) {
-		r[2] = v
-		return r, nil
+func setBalance(v int64) func(tuple.View, []byte) ([]byte, error) {
+	return func(r tuple.View, dst []byte) ([]byte, error) {
+		e := r.Edit()
+		e.SetInt64(2, v)
+		return e.Append(dst)
 	}
 }
 

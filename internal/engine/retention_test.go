@@ -46,10 +46,9 @@ func ordersFixture(t *testing.T, k Kind, retention uint64, n int64) (*DB, *Table
 
 // column is the secondary key function over int64 column i, the unlogged
 // counterpart of CreateIndexLogged that the SI baseline takes too.
-func column(i int) func(tuple.Row) (int64, bool) {
-	return func(r tuple.Row) (int64, bool) {
-		v, ok := r[i].(int64)
-		return v, ok
+func column(i int) func(tuple.View) (int64, bool) {
+	return func(r tuple.View) (int64, bool) {
+		return r.Int64(i), !r.Null(i)
 	}
 }
 
@@ -61,10 +60,10 @@ func churnCustomers(t *testing.T, db *DB, tab *Table, at simclock.Time, n int64,
 		for i := int64(1); i <= n; i++ {
 			tx := db.Begin()
 			var err error
-			at, err = tab.Update(tx, at, i, func(row tuple.Row) (tuple.Row, error) {
+			at, err = tab.Update(tx, at, i, rowUpdate(func(row tuple.Row) (tuple.Row, error) {
 				row[1] = int64(100 + r)
 				return row, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +94,7 @@ func TestLiveAsOfPinsMaintenanceHorizon(t *testing.T) {
 			}
 			// The pinned snapshot still resolves the pre-churn state, by key
 			// and through the secondary index.
-			row, at2, err := tab.Get(asOf, at, 11)
+			row, at2, err := getRow(tab, asOf, at, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +144,7 @@ func TestGCRetentionKeepsUnpinnedTokensReadable(t *testing.T) {
 			}
 
 			asOf := db.BeginReadOnlyAt(token)
-			row, at2, err := tab.Get(asOf, at, 5)
+			row, at2, err := getRow(tab, asOf, at, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,10 +163,10 @@ func TestGCRetentionKeepsUnpinnedTokensReadable(t *testing.T) {
 				t.Fatalf("AS OF index lookup inside retention window: %d rows, want 20", len(rows))
 			}
 			count := 0
-			at2, err = tab.RangeByKey(asOf, at2, 1, 100, func(tuple.Row) bool {
+			at2, err = tab.RangeByKey(asOf, at2, 1, 100, rowVisit(func(tuple.Row) bool {
 				count++
 				return true
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

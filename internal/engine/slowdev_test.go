@@ -61,7 +61,7 @@ func TestSlowDeviceColdScan(t *testing.T) {
 	tx := db.Begin()
 	start := time.Now()
 	seen := 0
-	if _, err := tab.Scan(tx, at, func(tuple.Row) bool { seen++; return true }); err != nil {
+	if _, err := tab.Scan(tx, at, rowVisit(func(tuple.Row) bool { seen++; return true })); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

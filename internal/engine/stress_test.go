@@ -53,15 +53,15 @@ func TestConcurrentStress(t *testing.T) {
 						}
 						tx := db.Begin()
 						var err error
-						myAt, err = tab.Update(tx, myAt, from, func(r tuple.Row) (tuple.Row, error) {
+						myAt, err = tab.Update(tx, myAt, from, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 							r[2] = r[2].(int64) - 1
 							return r, nil
-						})
+						}))
 						if err == nil {
-							myAt, err = tab.Update(tx, myAt, to, func(r tuple.Row) (tuple.Row, error) {
+							myAt, err = tab.Update(tx, myAt, to, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 								r[2] = r[2].(int64) + 1
 								return r, nil
-							})
+							}))
 						}
 						if err != nil {
 							db.Abort(tx, myAt)
@@ -88,11 +88,11 @@ func TestConcurrentStress(t *testing.T) {
 			check := db.Begin()
 			var sum int64
 			n := 0
-			if _, err := tab.Scan(check, at, func(r tuple.Row) bool {
+			if _, err := tab.Scan(check, at, rowVisit(func(r tuple.Row) bool {
 				sum += r[2].(int64)
 				n++
 				return true
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			db.Commit(check, at)
@@ -118,10 +118,10 @@ func TestConcurrentReadersDontBlock(t *testing.T) {
 			at, _ = db.Commit(setup, at)
 
 			writer := db.Begin()
-			at, err := tab.Update(writer, at, 1, func(r tuple.Row) (tuple.Row, error) {
+			at, err := tab.Update(writer, at, 1, rowUpdate(func(r tuple.Row) (tuple.Row, error) {
 				r[2] = int64(8)
 				return r, nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestConcurrentReadersDontBlock(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					r := db.Begin()
-					row, _, err := tab.Get(r, at, 1)
+					row, _, err := getRow(tab, r, at, 1)
 					if err != nil || row[2] != int64(7) {
 						t.Errorf("reader got %v %v, want 7", row, err)
 					}

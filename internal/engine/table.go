@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"sias/internal/core"
+	"sias/internal/page"
 	"sias/internal/si"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
@@ -43,7 +44,7 @@ type secondary struct {
 	column  string // "" for programmatic keyFn indexes: test-only, not replayable
 	relID   uint32
 	dropped bool // DROP INDEX tombstones the slot, so positions stay stable
-	keyFn   func(tuple.Row) (int64, bool)
+	keyFn   func(tuple.View) (int64, bool)
 }
 
 // secondaries returns the current index metadata; the slice is read-only.
@@ -149,7 +150,7 @@ func (t *Table) heapID() uint32 {
 // Returns the index id to pass to RangeBySecondary. Not logged: an arbitrary
 // Go function cannot be replayed from the WAL — durable indexes are created
 // by column through CreateIndexLogged.
-func (t *Table) AddSecondaryIndex(at simclock.Time, name string, keyFn func(tuple.Row) (int64, bool)) (int, simclock.Time, error) {
+func (t *Table) AddSecondaryIndex(at simclock.Time, name string, keyFn func(tuple.View) (int64, bool)) (int, simclock.Time, error) {
 	t.db.mu.Lock()
 	relID := t.db.nextRelID
 	t.db.nextRelID++
@@ -159,13 +160,13 @@ func (t *Table) AddSecondaryIndex(at simclock.Time, name string, keyFn func(tupl
 
 // addSecondary attaches the index to the relation and records its metadata.
 // col is the indexed column name ("" for programmatic indexes).
-func (t *Table) addSecondary(at simclock.Time, name, col string, relID uint32, keyFn func(tuple.Row) (int64, bool)) (int, simclock.Time, error) {
+func (t *Table) addSecondary(at simclock.Time, name, col string, relID uint32, keyFn func(tuple.View) (int64, bool)) (int, simclock.Time, error) {
 	payloadFn := func(payload []byte) (int64, bool) {
-		row, err := t.schema.DecodeRow(payload)
+		v, err := t.schema.View(payload)
 		if err != nil {
 			return 0, false
 		}
-		return keyFn(row)
+		return keyFn(v)
 	}
 	var tm simclock.Time
 	var err error
@@ -200,17 +201,45 @@ func (t *Table) SIAS() *core.Relation { return t.sias }
 // SI exposes the underlying SI relation (nil for SIAS tables).
 func (t *Table) SI() *si.Relation { return t.si }
 
-// Key extracts the primary key of a row.
-func (t *Table) Key(row tuple.Row) int64 {
-	v, _ := row[t.pkCol].(int64)
-	return v
+// keyOf reads the primary key of a stored payload through a view, for the
+// relations' rebuild, replay and vacuum: 0 when it does not decode, like a
+// NULL key.
+func (t *Table) keyOf(payload []byte) int64 {
+	v, err := t.schema.View(payload)
+	if err != nil {
+		return 0
+	}
+	return v.Int64(t.pkCol)
 }
 
-// keyOfPayload is Key of the row payload encodes, read without building the
-// row: 0 when it does not decode, like a NULL key.
-func (t *Table) keyOfPayload(payload []byte) int64 {
-	k, _ := t.schema.Int64Col(payload, t.pkCol)
-	return k
+// CorruptRowError is what a read or write of a table returns when a stored
+// version's payload does not decode against the table's schema: the call
+// stops there instead of skipping the row. It names the table and the
+// version — by VID under SIAS, by TID under SI.
+type CorruptRowError struct {
+	Table string
+	VID   uint64   // SIAS
+	TID   page.TID // SI; page.InvalidTID under SIAS
+	Err   error    // the decoder's complaint
+}
+
+func (e *CorruptRowError) Error() string {
+	if e.TID.Valid() {
+		return fmt.Sprintf("engine: table %s: version at %v does not decode: %v", e.Table, e.TID, e.Err)
+	}
+	return fmt.Sprintf("engine: table %s: version of VID %d does not decode: %v", e.Table, e.VID, e.Err)
+}
+
+func (e *CorruptRowError) Unwrap() error { return e.Err }
+
+// view checks a stored version's payload against the table's schema; vid
+// names the version under SIAS, tid under SI.
+func (t *Table) view(payload []byte, vid uint64, tid page.TID) (tuple.View, error) {
+	v, err := t.schema.View(payload)
+	if err != nil {
+		return tuple.View{}, &CorruptRowError{Table: t.name, VID: vid, TID: tid, Err: err}
+	}
+	return v, nil
 }
 
 // rowBufs holds the scratch buffers a write encodes its row into. The
@@ -228,16 +257,6 @@ var rowBufs = sync.Pool{New: func() any {
 // page is rare, and its buffer is not worth keeping.
 const maxRowBuf = 16 << 10
 
-// encodeRow encodes row into *buf, keeping the grown array there.
-func (t *Table) encodeRow(buf *[]byte, row tuple.Row) ([]byte, error) {
-	b, err := t.schema.AppendRow((*buf)[:0], row)
-	if err != nil {
-		return nil, err
-	}
-	*buf = b
-	return b, nil
-}
-
 func putRowBuf(buf *[]byte) {
 	if cap(*buf) <= maxRowBuf {
 		rowBufs.Put(buf)
@@ -251,11 +270,12 @@ func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Ti
 	}
 	buf := rowBufs.Get().(*[]byte)
 	defer putRowBuf(buf)
-	payload, err := t.encodeRow(buf, row)
+	payload, err := t.schema.AppendRow((*buf)[:0], row)
 	if err != nil {
 		return at, err
 	}
-	key := t.Key(row)
+	*buf = payload
+	key, _ := row[t.pkCol].(int64)
 	if t.sias != nil {
 		_, tm, err := t.sias.Insert(tx, at, key, payload)
 		return tm, err
@@ -267,15 +287,16 @@ func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Ti
 // key has one VID unless rows moved through it (stale key epochs).
 const pointVIDs = 4
 
-// Get returns the row of key visible to tx.
-func (t *Table) Get(tx *txn.Tx, at simclock.Time, key int64) (tuple.Row, simclock.Time, error) {
+// Get returns the row of key visible to tx, as a view of the version's
+// private copy.
+func (t *Table) Get(tx *txn.Tx, at simclock.Time, key int64) (tuple.View, simclock.Time, error) {
 	if t.sias != nil {
 		// <key, VID> entries survive key changes: re-check the key of the
 		// returned version (Section 4.3, Example 1).
 		var vidBuf [pointVIDs]uint64
 		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
 		if err != nil {
-			return nil, tm, err
+			return tuple.View{}, tm, err
 		}
 		for _, vid := range vids {
 			payload, tm2, err := t.sias.GetByVID(tx, tm, vid)
@@ -284,62 +305,65 @@ func (t *Table) Get(tx *txn.Tx, at simclock.Time, key int64) (tuple.Row, simcloc
 				continue
 			}
 			if err != nil {
-				return nil, tm, err
+				return tuple.View{}, tm, err
 			}
-			row, derr := t.schema.DecodeRow(payload)
-			if derr != nil {
-				return nil, tm, derr
+			v, err := t.view(payload, vid, page.InvalidTID)
+			if err != nil {
+				return tuple.View{}, tm, err
 			}
-			if t.Key(row) == key {
-				return row, tm, nil
+			if v.Int64(t.pkCol) == key {
+				return v, tm, nil
 			}
 		}
-		return nil, tm, ErrNotFound
+		return tuple.View{}, tm, ErrNotFound
 	}
-	payload, tm, err := t.si.Get(tx, at, key)
+	payload, tid, tm, err := t.si.Get(tx, at, key)
 	if errors.Is(err, si.ErrNotFound) {
-		return nil, tm, ErrNotFound
+		return tuple.View{}, tm, ErrNotFound
 	}
 	if err != nil {
-		return nil, tm, err
+		return tuple.View{}, tm, err
 	}
-	row, derr := t.schema.DecodeRow(payload)
-	return row, tm, derr
+	v, err := t.view(payload, 0, tid)
+	return v, tm, err
 }
 
 // errWrongKeyEpoch signals that a visible version matched a stale index
 // entry for a different key; the caller tries the next candidate.
 var errWrongKeyEpoch = errors.New("engine: stale index entry")
 
-// Update applies mutate to the visible row of key. The mutated row may
-// change the primary key; index maintenance follows the engine's rules
-// (SIAS leaves the index untouched for non-key updates). The row mutate gets
-// is decoded in place from the version's private copy: mutate may return its
-// values in the new row but must not write into its bytes columns, which the
-// relation still reads to re-key secondary indexes.
-func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tuple.Row) (tuple.Row, error)) (simclock.Time, error) {
+// Update rewrites the visible row of key. mutate gets that row as a view of
+// the version's private copy, appends the new row's encoding to dst — with
+// a tuple.Edit, which re-encodes only the columns it sets, or with
+// Schema.AppendRow — and returns the extended dst. The new row may change
+// the primary key; index maintenance follows the engine's rules (SIAS leaves
+// the index untouched for non-key updates). mutate must not write into
+// old's bytes, which the relation still reads to re-key secondary indexes.
+func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old tuple.View, dst []byte) ([]byte, error)) (simclock.Time, error) {
 	if tx.ReadOnly() {
 		return at, ErrReadOnly
 	}
 	buf := rowBufs.Get().(*[]byte)
 	defer putRowBuf(buf)
-	wrap := func(old []byte) ([]byte, int64, error) {
-		row, err := t.schema.DecodeRow(old)
+	var vid uint64 // the version being rewritten, for a CorruptRowError
+	wrap := func(tid page.TID, old []byte) ([]byte, int64, error) {
+		ov, err := t.view(old, vid, tid)
 		if err != nil {
 			return nil, 0, err
 		}
-		if t.Key(row) != key {
+		if ov.Int64(t.pkCol) != key {
 			return nil, 0, errWrongKeyEpoch
 		}
-		newRow, err := mutate(row)
+		payload, err := mutate(ov, (*buf)[:0])
 		if err != nil {
 			return nil, 0, err
 		}
-		payload, err := t.encodeRow(buf, newRow)
+		nv, err := t.schema.View(payload)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("engine: table %s: update of key %d: %w", t.name, key, err)
 		}
-		return payload, t.Key(newRow), nil
+		*buf = payload
+		return payload, nv.Int64(t.pkCol), nil
 	}
 	if t.sias != nil {
 		var vidBuf [pointVIDs]uint64
@@ -347,8 +371,9 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tupl
 		if err != nil {
 			return tm, err
 		}
-		for _, vid := range vids {
-			tm2, err := t.sias.UpdateByVID(tx, tm, vid, key, wrap)
+		byVID := func(old []byte) ([]byte, int64, error) { return wrap(page.InvalidTID, old) }
+		for _, vid = range vids {
+			tm2, err := t.sias.UpdateByVID(tx, tm, vid, key, byVID)
 			tm = tm2
 			if errors.Is(err, core.ErrNotFound) || errors.Is(err, errWrongKeyEpoch) {
 				continue
@@ -372,12 +397,13 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 	}
 	if t.sias != nil {
 		// As in Update: an entry may name a row whose key has since moved.
+		var vid uint64
 		check := func(old []byte) error {
-			row, err := t.schema.DecodeRow(old)
+			v, err := t.view(old, vid, page.InvalidTID)
 			if err != nil {
 				return err
 			}
-			if t.Key(row) != key {
+			if v.Int64(t.pkCol) != key {
 				return errWrongKeyEpoch
 			}
 			return nil
@@ -387,7 +413,7 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 		if err != nil {
 			return tm, err
 		}
-		for _, vid := range vids {
+		for _, vid = range vids {
 			tm2, err := t.sias.DeleteByVID(tx, tm, vid, check)
 			tm = tm2
 			if errors.Is(err, core.ErrNotFound) || errors.Is(err, errWrongKeyEpoch) {
@@ -404,51 +430,76 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 	return tm, err
 }
 
+// Every read below hands fn views of the versions' private copies, and a
+// version whose payload does not decode stops it with a CorruptRowError:
+// the relation callback records it in bad and returns false, and the read
+// returns it unless the relation failed first.
+func readErr(err, bad error) error {
+	if err != nil {
+		return err
+	}
+	return bad
+}
+
 // Scan visits every visible row. Under SIAS this is the paper's Algorithm 1
 // (VIDmap-first); under SI the traditional full relation scan.
-func (t *Table) Scan(tx *txn.Tx, at simclock.Time, fn func(tuple.Row) bool) (simclock.Time, error) {
+func (t *Table) Scan(tx *txn.Tx, at simclock.Time, fn func(tuple.View) bool) (simclock.Time, error) {
+	var bad error
+	var tm simclock.Time
+	var err error
 	if t.sias != nil {
-		return t.sias.Scan(tx, at, func(_ uint64, payload []byte) bool {
-			row, err := t.schema.DecodeRow(payload)
-			if err != nil {
-				return true
+		tm, err = t.sias.Scan(tx, at, func(vid uint64, payload []byte) bool {
+			v, verr := t.view(payload, vid, page.InvalidTID)
+			if verr != nil {
+				bad = verr
+				return false
 			}
-			return fn(row)
+			return fn(v)
+		})
+	} else {
+		tm, err = t.si.Scan(tx, at, func(tid page.TID, payload []byte) bool {
+			v, verr := t.view(payload, 0, tid)
+			if verr != nil {
+				bad = verr
+				return false
+			}
+			return fn(v)
 		})
 	}
-	return t.si.Scan(tx, at, func(payload []byte) bool {
-		row, err := t.schema.DecodeRow(payload)
-		if err != nil {
-			return true
-		}
-		return fn(row)
-	})
+	return tm, readErr(err, bad)
 }
 
 // RangeByKey visits visible rows with lo <= primary key <= hi in key order.
-func (t *Table) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(tuple.Row) bool) (simclock.Time, error) {
+func (t *Table) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(tuple.View) bool) (simclock.Time, error) {
+	var bad error
+	var tm simclock.Time
+	var err error
 	if t.sias != nil {
-		return t.sias.RangeByKey(tx, at, lo, hi, func(indexKey int64, _ uint64, payload []byte) bool {
-			row, err := t.schema.DecodeRow(payload)
-			if err != nil {
-				return true
+		tm, err = t.sias.RangeByKey(tx, at, lo, hi, func(indexKey int64, vid uint64, payload []byte) bool {
+			v, verr := t.view(payload, vid, page.InvalidTID)
+			if verr != nil {
+				bad = verr
+				return false
 			}
 			// Stale key-epoch entries resolve to rows whose current key
 			// differs; skip them (the row is also reachable via its
 			// current-key entry).
-			if t.Key(row) != indexKey {
+			if v.Int64(t.pkCol) != indexKey {
 				return true
 			}
-			return fn(row)
+			return fn(v)
+		})
+	} else {
+		tm, err = t.si.RangeByKey(tx, at, lo, hi, func(_ int64, tid page.TID, payload []byte) bool {
+			v, verr := t.view(payload, 0, tid)
+			if verr != nil {
+				bad = verr
+				return false
+			}
+			return fn(v)
 		})
 	}
-	return t.si.RangeByKey(tx, at, lo, hi, func(_ int64, payload []byte) bool {
-		row, err := t.schema.DecodeRow(payload)
-		if err != nil {
-			return true
-		}
-		return fn(row)
-	})
+	return tm, readErr(err, bad)
 }
 
 // ParallelScan visits every visible row using the parallelizable VIDmap
@@ -456,50 +507,63 @@ func (t *Table) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(t
 // be safe for concurrent use). The SI baseline has no equivalent parallel
 // path — its traditional relation scan runs sequentially, as the paper
 // contrasts — so SI falls back to Scan.
-func (t *Table) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(tuple.Row)) (simclock.Time, error) {
-	if t.sias != nil {
-		return t.sias.ParallelScan(tx, at, parallelism, func(_ uint64, payload []byte) {
-			row, err := t.schema.DecodeRow(payload)
-			if err != nil {
-				return
-			}
-			fn(row)
+func (t *Table) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(tuple.View)) (simclock.Time, error) {
+	if t.sias == nil {
+		return t.Scan(tx, at, func(v tuple.View) bool {
+			fn(v)
+			return true
 		})
 	}
-	return t.si.Scan(tx, at, func(payload []byte) bool {
-		row, err := t.schema.DecodeRow(payload)
-		if err != nil {
-			return true
+	var mu sync.Mutex
+	var bad error
+	tm, err := t.sias.ParallelScan(tx, at, parallelism, func(vid uint64, payload []byte) bool {
+		v, verr := t.view(payload, vid, page.InvalidTID)
+		if verr != nil {
+			mu.Lock()
+			if bad == nil {
+				bad = verr
+			}
+			mu.Unlock()
+			return false
 		}
-		fn(row)
+		fn(v)
 		return true
 	})
+	return tm, readErr(err, bad)
 }
 
 // RangeBySecondary visits visible rows with lo <= indexed value <= hi in
 // index order; a point lookup is the range lo == hi. Stale entries (the
 // row's current indexed value moved out from under the entry after an
 // update) are re-checked and skipped.
-func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, row tuple.Row) bool) (simclock.Time, error) {
+func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, v tuple.View) bool) (simclock.Time, error) {
 	secs := t.secondaries()
-	visit := func(indexKey int64, payload []byte) bool {
-		row, err := t.schema.DecodeRow(payload)
-		if err != nil {
-			return true
+	var bad error
+	visit := func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool {
+		v, verr := t.view(payload, vid, tid)
+		if verr != nil {
+			bad = verr
+			return false
 		}
 		if idx < len(secs) {
-			if k, ok := secs[idx].keyFn(row); !ok || k != indexKey {
+			if k, ok := secs[idx].keyFn(v); !ok || k != indexKey {
 				return true
 			}
 		}
-		return fn(indexKey, row)
+		return fn(indexKey, v)
 	}
+	var tm simclock.Time
+	var err error
 	if t.sias != nil {
-		return t.sias.RangeBySecondary(tx, at, idx, lo, hi, func(indexKey int64, _ uint64, payload []byte) bool {
-			return visit(indexKey, payload)
+		tm, err = t.sias.RangeBySecondary(tx, at, idx, lo, hi, func(indexKey int64, vid uint64, payload []byte) bool {
+			return visit(indexKey, vid, page.InvalidTID, payload)
+		})
+	} else {
+		tm, err = t.si.RangeBySecondary(tx, at, idx, lo, hi, func(indexKey int64, tid page.TID, payload []byte) bool {
+			return visit(indexKey, 0, tid, payload)
 		})
 	}
-	return t.si.RangeBySecondary(tx, at, idx, lo, hi, visit)
+	return tm, readErr(err, bad)
 }
 
 // SecondaryPageWrites reports the cumulative page writes of one secondary

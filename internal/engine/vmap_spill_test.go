@@ -44,7 +44,7 @@ func TestVMapResidencyOption(t *testing.T) {
 		if i%2 == 1 {
 			key = 1400
 		}
-		if _, a, err := tab.Get(r, at, key); err != nil {
+		if _, a, err := getRow(tab, r, at, key); err != nil {
 			t.Fatal(err)
 		} else {
 			at = a

@@ -363,12 +363,23 @@ func (t *Txn) insert(of tableOf, row tuple.Row) error {
 	if err != nil {
 		return err
 	}
-	i := t.r.ShardOf(meta.Key(row))
+	i := t.r.ShardOf(rowKey(meta, row))
 	tab, err := of(i)
 	if err != nil {
 		return err
 	}
 	return t.r.shards[i].Facade.Insert(tab, t.at(i), row)
+}
+
+// rowKey reads the primary key of a row of tab: 0 for a row too short to
+// have one or a non-int64 key, both of which the engine's encoder refuses,
+// and for a NULL key, which it stores as 0.
+func rowKey(tab *engine.Table, row tuple.Row) int64 {
+	if pk := tab.Schema().Col(tab.PKCol()); pk < len(row) {
+		k, _ := row[pk].(int64)
+		return k
+	}
+	return 0
 }
 
 // Update applies mutate to the visible row of key.
@@ -387,7 +398,7 @@ func (t *Txn) UpdateRow(table string, row tuple.Row) error {
 	if err != nil {
 		return err
 	}
-	return t.update(of, meta.Key(row), func(tuple.Row) (tuple.Row, error) { return row, nil })
+	return t.update(of, rowKey(meta, row), func(tuple.Row) (tuple.Row, error) { return row, nil })
 }
 
 func (t *Txn) update(of tableOf, key int64, mutate func(tuple.Row) (tuple.Row, error)) error {
@@ -683,10 +694,12 @@ func (t *Txn) scan(of tableOf, lo, hi int64, fn func(tuple.Row) bool) error {
 	if t.r.N() == 1 {
 		return t.r.shards[0].Facade.RangeByKey(meta, t.at(0), lo, hi, fn)
 	}
+	pk := meta.Schema().Col(meta.PKCol())
 	return t.fanMerge(of,
 		func(i int, tab *engine.Table, sub *txn.Tx, emit func(int64, int64, tuple.Row) bool) error {
 			return t.r.shards[i].Facade.RangeByKey(tab, sub, lo, hi, func(row tuple.Row) bool {
-				return emit(meta.Key(row), 0, row)
+				k, _ := row[pk].(int64)
+				return emit(k, 0, row)
 			})
 		},
 		func(_ int64, row tuple.Row) bool { return fn(row) })

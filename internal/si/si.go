@@ -463,31 +463,34 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 	return t, nil
 }
 
-// Get returns the payload of the version of key visible to tx.
-func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, simclock.Time, error) {
+// Get returns the payload of the version of key visible to tx, and where
+// that version lies.
+func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, page.TID, simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cands, t, err := r.pk.Search(at, key)
 	if err != nil {
-		return nil, t, err
+		return nil, page.InvalidTID, t, err
 	}
 	for _, c := range cands {
-		hdr, payload, t2, err := r.fetch(t, unpackTID(c))
+		tid := unpackTID(c)
+		hdr, payload, t2, err := r.fetch(t, tid)
 		t = t2
 		if err != nil {
 			continue
 		}
 		if r.visible(tx, hdr) {
-			return payload, t, nil
+			return payload, tid, t, nil
 		}
 	}
-	return nil, t, ErrNotFound
+	return nil, page.InvalidTID, t, ErrNotFound
 }
 
 // Update applies mutate to the current version of key, producing a successor
-// version; first-updater-wins via the item transaction lock. mutate returns
-// the new payload and the (possibly changed) index key.
-func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+// version; first-updater-wins via the item transaction lock. mutate gets the
+// current version's place and payload and returns the new payload and the
+// (possibly changed) index key.
+func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
 	tx.MarkWrote()
 	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
 	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
@@ -508,7 +511,7 @@ func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(o
 	if !r.visible(tx, oldHdr) {
 		return t, txn.ErrSerialization
 	}
-	newPayload, newKey, err := mutate(oldPayload)
+	newPayload, newKey, err := mutate(oldTID, oldPayload)
 	if err != nil {
 		return t, err
 	}
@@ -601,7 +604,7 @@ func (r *Relation) invalidateInPlace(tx *txn.Tx, at simclock.Time, tid page.TID,
 // Scan performs the traditional full-relation scan: read every block, check
 // every tuple version individually (the HDD-era access path the paper
 // contrasts with the VIDmap scan).
-func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	blocks := r.nextBlock
 	r.mu.RUnlock()
@@ -613,16 +616,19 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(payload []byte) bo
 			r.mu.RUnlock()
 			return t2, err
 		}
-		type hit struct{ payload []byte }
+		type hit struct {
+			tid     page.TID
+			payload []byte
+		}
 		var hits []hit
 		f.RLock()
-		f.Data.LiveTuples(func(_ int, raw []byte) bool {
+		f.Data.LiveTuples(func(slot int, raw []byte) bool {
 			hdr, payload, err := tuple.DecodeSI(raw)
 			if err != nil {
 				return true
 			}
 			if r.visible(tx, hdr) {
-				hits = append(hits, hit{append([]byte(nil), payload...)})
+				hits = append(hits, hit{page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
 			}
 			return true
 		})
@@ -631,7 +637,7 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(payload []byte) bo
 		r.mu.RUnlock()
 		t = t2
 		for _, h := range hits {
-			if !fn(h.payload) {
+			if !fn(h.tid, h.payload) {
 				return t, nil
 			}
 		}
@@ -641,7 +647,7 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(payload []byte) bo
 
 // RangeByKey returns visible rows with lo <= key <= hi in key order via the
 // primary index.
-func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(key int64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(key int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.rangeIndexLocked(tx, at, r.pk, lo, hi, fn)
@@ -651,7 +657,7 @@ func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn fun
 // index-key order; a point lookup is the range lo == hi. SI indexes every
 // version, so multiple entries can resolve to the same visible row under
 // different keys; callers re-check predicates against the decoded row.
-func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if idx < 0 || idx >= len(r.secs) {
@@ -664,7 +670,7 @@ func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, h
 // rangeIndexLocked collects tree's <key, TID> entries in [lo, hi] and hands
 // fn each one whose version is visible to tx, in entry order. Caller holds
 // r.mu (shared).
-func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(key int64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(key int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	type ent struct {
 		key int64
 		tid page.TID
@@ -686,7 +692,7 @@ func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tr
 		if !r.visible(tx, hdr) {
 			continue
 		}
-		if !fn(e.key, payload) {
+		if !fn(e.key, e.tid, payload) {
 			return t, nil
 		}
 	}

@@ -52,13 +52,13 @@ func TestInsertGetVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, at, err := e.rel.Get(tx, at, 1)
+	got, _, at, err := e.rel.Get(tx, at, 1)
 	if err != nil || string(got) != "k1:a" {
 		t.Errorf("own insert: %q %v", got, err)
 	}
 	e.txm.Commit(tx)
 	r := e.txm.Begin()
-	if _, _, err := e.rel.Get(r, at, 2); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := e.rel.Get(r, at, 2); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing key err = %v", err)
 	}
 	e.txm.Commit(r)
@@ -72,7 +72,7 @@ func TestUpdateInvalidatesInPlace(t *testing.T) {
 
 	before := e.rel.Stats().InPlaceUpdates
 	u := e.txm.Begin()
-	at, err := e.rel.Update(u, at, 1, func(old []byte) ([]byte, int64, error) {
+	at, err := e.rel.Update(u, at, 1, func(_ page.TID, old []byte) ([]byte, int64, error) {
 		return pl(1, "v1"), 1, nil
 	})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestUpdateInvalidatesInPlace(t *testing.T) {
 		t.Error("update must invalidate the old version in place")
 	}
 	r := e.txm.Begin()
-	got, _, err := e.rel.Get(r, at, 1)
+	got, _, _, err := e.rel.Get(r, at, 1)
 	if err != nil || string(got) != "k1:v1" {
 		t.Errorf("after update: %q %v", got, err)
 	}
@@ -97,11 +97,11 @@ func TestSnapshotReadOldVersion(t *testing.T) {
 	e.txm.Commit(tx)
 	reader := e.txm.Begin()
 	writer := e.txm.Begin()
-	at, _ = e.rel.Update(writer, at, 1, func([]byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(writer, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "new"), 1, nil
 	})
 	e.txm.Commit(writer)
-	got, _, err := e.rel.Get(reader, at, 1)
+	got, _, _, err := e.rel.Get(reader, at, 1)
 	if err != nil || string(got) != "k1:old" {
 		t.Errorf("snapshot read = %q, %v; want old", got, err)
 	}
@@ -115,14 +115,14 @@ func TestFirstUpdaterWinsSI(t *testing.T) {
 	e.txm.Commit(tx)
 	t1 := e.txm.Begin()
 	t2 := e.txm.Begin()
-	at, err := e.rel.Update(t1, at, 1, func([]byte) ([]byte, int64, error) {
+	at, err := e.rel.Update(t1, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "t1"), 1, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.txm.Commit(t1)
-	_, err = e.rel.Update(t2, at, 1, func([]byte) ([]byte, int64, error) {
+	_, err = e.rel.Update(t2, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "t2"), 1, nil
 	})
 	if !errors.Is(err, txn.ErrSerialization) {
@@ -144,12 +144,12 @@ func TestDeleteSetsXmax(t *testing.T) {
 	}
 	e.txm.Commit(del)
 	// Old snapshot still sees the row (xmax not visible to it).
-	if got, _, err := e.rel.Get(old, at, 1); err != nil || string(got) != "k1:x" {
+	if got, _, _, err := e.rel.Get(old, at, 1); err != nil || string(got) != "k1:x" {
 		t.Errorf("old snapshot after delete: %q %v", got, err)
 	}
 	e.txm.Commit(old)
 	fresh := e.txm.Begin()
-	if _, _, err := e.rel.Get(fresh, at, 1); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := e.rel.Get(fresh, at, 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("fresh read of deleted row: %v", err)
 	}
 	e.txm.Commit(fresh)
@@ -165,7 +165,7 @@ func TestScanTraditional(t *testing.T) {
 	e.txm.Commit(tx)
 	r := e.txm.Begin()
 	n := 0
-	at, err := e.rel.Scan(r, at, func(payload []byte) bool {
+	at, err := e.rel.Scan(r, at, func(_ page.TID, payload []byte) bool {
 		n++
 		return true
 	})
@@ -182,7 +182,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	e.txm.Commit(tx)
 	for i := 1; i <= 10; i++ {
 		u := e.txm.Begin()
-		at, _ = e.rel.Update(u, at, 1, func([]byte) ([]byte, int64, error) {
+		at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 			return pl(1, fmt.Sprintf("v%d", i)), 1, nil
 		})
 		e.txm.Commit(u)
@@ -199,7 +199,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	}
 	// Current version intact.
 	r := e.txm.Begin()
-	got, _, err := e.rel.Get(r, at, 1)
+	got, _, _, err := e.rel.Get(r, at, 1)
 	if err != nil || string(got) != "k1:v10" {
 		t.Errorf("after vacuum: %q %v", got, err)
 	}
@@ -217,7 +217,7 @@ func TestVacuumSparesVisibleVersions(t *testing.T) {
 	e.txm.Commit(tx)
 	pinned := e.txm.Begin() // holds horizon
 	u := e.txm.Begin()
-	at, _ = e.rel.Update(u, at, 1, func([]byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "new"), 1, nil
 	})
 	e.txm.Commit(u)
@@ -225,7 +225,7 @@ func TestVacuumSparesVisibleVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e.rel.Get(pinned, at, 1)
+	got, _, _, err := e.rel.Get(pinned, at, 1)
 	if err != nil || string(got) != "k1:old" {
 		t.Errorf("pinned snapshot lost version to vacuum: %q %v", got, err)
 	}
@@ -256,7 +256,7 @@ func TestFreeSpaceReuseAfterVacuum(t *testing.T) {
 	// (scattered placement into freed space: the random-write pattern).
 	for i := 0; i < 200; i++ {
 		u := e.txm.Begin()
-		at, _ = e.rel.Update(u, at, 1, func([]byte) ([]byte, int64, error) {
+		at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 			return pl(1, fmt.Sprintf("v%d", i)), 1, nil
 		})
 		e.txm.Commit(u)
@@ -278,7 +278,7 @@ func TestUpdateAddsIndexEntryEvenWithoutKeyChange(t *testing.T) {
 	e.txm.Commit(tx)
 	before := e.rel.Stats().IndexInserts
 	u := e.txm.Begin()
-	at, _ = e.rel.Update(u, at, 1, func([]byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "v1"), 1, nil
 	})
 	e.txm.Commit(u)

@@ -62,8 +62,8 @@ func CreateTables(db *engine.DB, at simclock.Time) (*Bench, simclock.Time, error
 		return nil, at, err
 	}
 	// Secondary index: customer by (w, d, last-name).
-	b.CustByName, at, err = b.Customer.AddSecondaryIndex(at, "cust_by_name", func(r tuple.Row) (int64, bool) {
-		cKey := r[0].(int64)
+	b.CustByName, at, err = b.Customer.AddSecondaryIndex(at, "cust_by_name", func(r tuple.View) (int64, bool) {
+		cKey := r.Int64(0)
 		c := cKey & 0xFFFF
 		wd := cKey >> 16
 		return wd<<10 | LastNameIndex(c), true

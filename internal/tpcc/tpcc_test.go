@@ -181,7 +181,7 @@ func TestConsistencyAfterRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nextO := drow[4].(int64)
+		nextO := drow.Int64(4)
 		if nextO > InitialOrders+1 {
 			if _, a, err := b.Order.Get(tx, at, KeyOrder(1, d, nextO-1)); err != nil {
 				t.Errorf("district %d: order %d missing (next_o_id=%d)", d, nextO-1, nextO)

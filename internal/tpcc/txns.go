@@ -97,10 +97,11 @@ func (b *Bench) NewOrderTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock
 	}
 	// Allocate the order id by updating the district row (hot update).
 	var oID int64
-	at, err = b.District.Update(tx, at, KeyDistrict(w, d), func(r tuple.Row) (tuple.Row, error) {
-		oID = r[4].(int64)
-		r[4] = oID + 1
-		return r, nil
+	at, err = b.District.Update(tx, at, KeyDistrict(w, d), func(r tuple.View, dst []byte) ([]byte, error) {
+		oID = r.Int64(4)
+		e := r.Edit()
+		e.SetInt64(4, oID+1)
+		return e.Append(dst)
 	})
 	if err != nil {
 		res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -129,20 +130,21 @@ func (b *Bench) NewOrderTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock
 			return abort()
 		}
 		remote := supplyW != w
-		at, err = b.Stock.Update(tx, at, KeyStock(supplyW, item), func(r tuple.Row) (tuple.Row, error) {
-			q := r[1].(int64)
+		at, err = b.Stock.Update(tx, at, KeyStock(supplyW, item), func(r tuple.View, dst []byte) ([]byte, error) {
+			q := r.Int64(1)
 			if q >= 10+int64(l) {
 				q -= int64(l)
 			} else {
 				q = q - int64(l) + 91
 			}
-			r[1] = q
-			r[2] = r[2].(int64) + int64(l)
-			r[3] = r[3].(int64) + 1
+			e := r.Edit()
+			e.SetInt64(1, q)
+			e.SetInt64(2, r.Int64(2)+int64(l))
+			e.SetInt64(3, r.Int64(3)+1)
 			if remote {
-				r[4] = r[4].(int64) + 1
+				e.SetInt64(4, r.Int64(4)+1)
 			}
-			return r, nil
+			return e.Append(dst)
 		})
 		if err != nil {
 			res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -182,17 +184,19 @@ func (b *Bench) PaymentTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock.
 	amount := 1 + rng.Float64()*4999
 
 	var err error
-	at, err = b.Warehouse.Update(tx, at, KeyWarehouse(w), func(r tuple.Row) (tuple.Row, error) {
-		r[3] = r[3].(float64) + amount
-		return r, nil
+	at, err = b.Warehouse.Update(tx, at, KeyWarehouse(w), func(r tuple.View, dst []byte) ([]byte, error) {
+		e := r.Edit()
+		e.SetFloat64(3, r.Float64(3)+amount)
+		return e.Append(dst)
 	})
 	if err != nil {
 		res.Conflict = errors.Is(err, txn.ErrSerialization)
 		return abort()
 	}
-	at, err = b.District.Update(tx, at, KeyDistrict(w, d), func(r tuple.Row) (tuple.Row, error) {
-		r[3] = r[3].(float64) + amount
-		return r, nil
+	at, err = b.District.Update(tx, at, KeyDistrict(w, d), func(r tuple.View, dst []byte) ([]byte, error) {
+		e := r.Edit()
+		e.SetFloat64(3, r.Float64(3)+amount)
+		return e.Append(dst)
 	})
 	if err != nil {
 		res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -205,8 +209,8 @@ func (b *Bench) PaymentTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock.
 		nameNum := LastNameIndex(nuRand(rng, 255, 1, int64(b.Scale.CustomersPerDistrict)))
 		nameKey := KeyCustomerByName(w, d, nameNum)
 		var keys []int64
-		at, err = b.Customer.RangeBySecondary(tx, at, b.CustByName, nameKey, nameKey, func(_ int64, r tuple.Row) bool {
-			keys = append(keys, r[0].(int64))
+		at, err = b.Customer.RangeBySecondary(tx, at, b.CustByName, nameKey, nameKey, func(_ int64, r tuple.View) bool {
+			keys = append(keys, r.Int64(0))
 			return true
 		})
 		if err != nil {
@@ -222,19 +226,20 @@ func (b *Bench) PaymentTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock.
 	} else {
 		cKey = KeyCustomer(w, d, nuRand(rng, 255, 1, int64(b.Scale.CustomersPerDistrict)))
 	}
-	at, err = b.Customer.Update(tx, at, cKey, func(r tuple.Row) (tuple.Row, error) {
-		r[3] = r[3].(float64) - amount
-		r[4] = r[4].(float64) + amount
-		r[5] = r[5].(int64) + 1
-		if r[2].(string) == "BC" {
+	at, err = b.Customer.Update(tx, at, cKey, func(r tuple.View, dst []byte) ([]byte, error) {
+		e := r.Edit()
+		e.SetFloat64(3, r.Float64(3)-amount)
+		e.SetFloat64(4, r.Float64(4)+amount)
+		e.SetInt64(5, r.Int64(5)+1)
+		if string(r.Bytes(2)) == "BC" {
 			// Bad credit: carry payment info in c_data (bounded).
-			data := r[7].(string)
+			data := r.Bytes(7)
 			if len(data) > 120 {
 				data = data[:120]
 			}
-			r[7] = "pay;" + data
+			e.SetString(7, "pay;"+string(data))
 		}
-		return r, nil
+		return e.Append(dst)
 	})
 	if err != nil {
 		res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -276,17 +281,17 @@ func (b *Bench) OrderStatusTxn(at simclock.Time, rng *rand.Rand, w int64) (simcl
 	if err != nil {
 		return abort()
 	}
-	nextO := drow[4].(int64)
+	nextO := drow.Int64(4)
 	for o := nextO - 1; o > nextO-20 && o >= 1; o-- {
 		orow, a, err := b.Order.Get(tx, at, KeyOrder(w, d, o))
 		at = a
 		if err != nil {
 			continue
 		}
-		if orow[1].(int64) != c {
+		if orow.Int64(1) != c {
 			continue
 		}
-		cnt := orow[3].(int64)
+		cnt := orow.Int64(3)
 		for l := int64(1); l <= cnt; l++ {
 			if _, a, err := b.OrderLine.Get(tx, at, KeyOrderLine(w, d, o, l)); err == nil {
 				at = a
@@ -333,11 +338,12 @@ func (b *Bench) DeliveryTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock
 			return abort()
 		}
 		var cID, cnt int64
-		at, err = b.Order.Update(tx, at, KeyOrder(w, d, oID), func(r tuple.Row) (tuple.Row, error) {
-			cID = r[1].(int64)
-			cnt = r[3].(int64)
-			r[2] = carrier
-			return r, nil
+		at, err = b.Order.Update(tx, at, KeyOrder(w, d, oID), func(r tuple.View, dst []byte) ([]byte, error) {
+			cID = r.Int64(1)
+			cnt = r.Int64(3)
+			e := r.Edit()
+			e.SetInt64(2, carrier)
+			return e.Append(dst)
 		})
 		if err != nil {
 			res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -345,19 +351,20 @@ func (b *Bench) DeliveryTxn(at simclock.Time, rng *rand.Rand, w int64) (simclock
 		}
 		total := 0.0
 		for l := int64(1); l <= cnt; l++ {
-			at, err = b.OrderLine.Update(tx, at, KeyOrderLine(w, d, oID, l), func(r tuple.Row) (tuple.Row, error) {
-				total += r[3].(float64)
-				return r, nil
+			at, err = b.OrderLine.Update(tx, at, KeyOrderLine(w, d, oID, l), func(r tuple.View, dst []byte) ([]byte, error) {
+				total += r.Float64(3)
+				return append(dst, r.Encoded()...), nil
 			})
 			if err != nil && !errors.Is(err, engine.ErrNotFound) {
 				res.Conflict = errors.Is(err, txn.ErrSerialization)
 				return abort()
 			}
 		}
-		at, err = b.Customer.Update(tx, at, KeyCustomer(w, d, cID), func(r tuple.Row) (tuple.Row, error) {
-			r[3] = r[3].(float64) + total
-			r[6] = r[6].(int64) + 1
-			return r, nil
+		at, err = b.Customer.Update(tx, at, KeyCustomer(w, d, cID), func(r tuple.View, dst []byte) ([]byte, error) {
+			e := r.Edit()
+			e.SetFloat64(3, r.Float64(3)+total)
+			e.SetInt64(6, r.Int64(6)+1)
+			return e.Append(dst)
 		})
 		if err != nil {
 			res.Conflict = errors.Is(err, txn.ErrSerialization)
@@ -392,7 +399,7 @@ func (b *Bench) StockLevelTxn(at simclock.Time, rng *rand.Rand, w int64) (simclo
 	if err != nil {
 		return abort()
 	}
-	nextO := drow[4].(int64)
+	nextO := drow.Int64(4)
 	seen := map[int64]bool{}
 	low := 0
 	for o := nextO - 1; o > nextO-20 && o >= 1; o-- {
@@ -401,14 +408,14 @@ func (b *Bench) StockLevelTxn(at simclock.Time, rng *rand.Rand, w int64) (simclo
 		if err != nil {
 			continue
 		}
-		cnt := orow[3].(int64)
+		cnt := orow.Int64(3)
 		for l := int64(1); l <= cnt; l++ {
 			lrow, a, err := b.OrderLine.Get(tx, at, KeyOrderLine(w, d, o, l))
 			at = a
 			if err != nil {
 				continue
 			}
-			item := lrow[1].(int64)
+			item := lrow.Int64(1)
 			if seen[item] {
 				continue
 			}
@@ -418,7 +425,7 @@ func (b *Bench) StockLevelTxn(at simclock.Time, rng *rand.Rand, w int64) (simclo
 			if err != nil {
 				continue
 			}
-			if srow[1].(int64) < threshold {
+			if srow.Int64(1) < threshold {
 				low++
 			}
 		}

@@ -25,7 +25,7 @@ func TestNewOrderAdvancesDistrictCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.DB.Commit(tx, at)
-		return row[4].(int64)
+		return row.Int64(4)
 	}
 	before := make(map[int64]int64)
 	for d := int64(1); d <= DistrictsPerWH; d++ {
@@ -79,7 +79,7 @@ func TestNewOrderCreatesOrderAndLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := drow[4].(int64)
+		next := drow.Int64(4)
 		if next == int64(b.Scale.InitialOrders+1) {
 			continue // no new orders here
 		}
@@ -89,7 +89,7 @@ func TestNewOrderCreatesOrderAndLines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("order %d missing: %v", o, err)
 		}
-		cnt := orow[3].(int64)
+		cnt := orow.Int64(3)
 		for l := int64(1); l <= cnt; l++ {
 			if _, a4, err := b.OrderLine.Get(tx, at, KeyOrderLine(1, d, o, l)); err != nil {
 				t.Errorf("order line %d missing: %v", l, err)
@@ -121,7 +121,7 @@ func TestPaymentMovesMoney(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.DB.Commit(tx, at)
-		return row[3].(float64)
+		return row.Float64(3)
 	}
 	before := readYTD()
 	n := 0
@@ -179,7 +179,7 @@ func TestDeliveryConsumesOldestNewOrders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delivered order missing: %v", err)
 		}
-		if orow[2].(int64) == 0 {
+		if orow.Int64(2) == 0 {
 			t.Errorf("district %d order %d: carrier not set", d, o)
 		}
 		if _, _, err := b.NewOrder.Get(tx, at, KeyOrder(w, d, o)); err == nil {

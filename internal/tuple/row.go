@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // ColType enumerates the column types supported by the row codec.
@@ -77,125 +78,91 @@ func (s *Schema) AppendRow(dst []byte, r Row) ([]byte, error) {
 		return nil, fmt.Errorf("tuple: row has %d values, schema has %d columns", len(r), len(s.Cols))
 	}
 	b := dst
-	var tmp [binary.MaxVarintLen64]byte
 	for i, c := range s.Cols {
 		v := r[i]
 		if v == nil {
 			b = append(b, 0)
 			continue
 		}
-		b = append(b, 1)
+		var ok bool
 		switch c.Type {
 		case TypeInt64:
-			iv, ok := v.(int64)
-			if !ok {
-				return nil, fmt.Errorf("tuple: column %s: want int64, got %T", c.Name, v)
+			var iv int64
+			if iv, ok = v.(int64); ok {
+				b = appendInt64(b, iv)
 			}
-			n := binary.PutVarint(tmp[:], iv)
-			b = append(b, tmp[:n]...)
 		case TypeFloat64:
-			fv, ok := v.(float64)
-			if !ok {
-				return nil, fmt.Errorf("tuple: column %s: want float64, got %T", c.Name, v)
+			var fv float64
+			if fv, ok = v.(float64); ok {
+				b = appendFloat64(b, fv)
 			}
-			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(fv))
-			b = append(b, fb[:]...)
 		case TypeString:
-			sv, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("tuple: column %s: want string, got %T", c.Name, v)
+			var sv string
+			if sv, ok = v.(string); ok {
+				b = appendString(b, sv)
 			}
-			n := binary.PutUvarint(tmp[:], uint64(len(sv)))
-			b = append(b, tmp[:n]...)
-			b = append(b, sv...)
 		case TypeBytes:
-			bv, ok := v.([]byte)
-			if !ok {
-				return nil, fmt.Errorf("tuple: column %s: want []byte, got %T", c.Name, v)
+			var bv []byte
+			if bv, ok = v.([]byte); ok {
+				b = appendString(b, bv)
 			}
-			n := binary.PutUvarint(tmp[:], uint64(len(bv)))
-			b = append(b, tmp[:n]...)
-			b = append(b, bv...)
 		case TypeBool:
-			bv, ok := v.(bool)
-			if !ok {
-				return nil, fmt.Errorf("tuple: column %s: want bool, got %T", c.Name, v)
-			}
-			if bv {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
+			var bv bool
+			if bv, ok = v.(bool); ok {
+				b = appendBool(b, bv)
 			}
 		default:
 			return nil, fmt.Errorf("tuple: column %s: unsupported type %v", c.Name, c.Type)
+		}
+		if !ok {
+			return nil, typeError(c, v)
 		}
 	}
 	return b, nil
 }
 
-// DecodeRow deserializes a row previously encoded with EncodeRow. The
-// decoder is strict — overlong varints, out-of-range presence/bool bytes and
-// trailing garbage are rejected — so the encoding is canonical: every row
-// has exactly one byte representation and decode→encode is the identity.
+// DecodeRow deserializes a row previously encoded with EncodeRow: the
+// whole-row form of View, for callers that want every column. The decoder is
+// strict — overlong varints, out-of-range presence/bool bytes and trailing
+// garbage are rejected — so the encoding is canonical: every row has exactly
+// one byte representation and decode→encode is the identity.
 //
 // A bytes column aliases b (capped, so appending to it cannot reach the next
 // column): the row is valid only as long as b is. A caller that decodes bytes
 // it does not own — page bytes under a latch, a reused request buffer —
 // copies them first or drops the row before b changes.
 func (s *Schema) DecodeRow(b []byte) (Row, error) {
-	r := make(Row, len(s.Cols))
-	off := 0
-	for i, c := range s.Cols {
-		v, next, err := nextField(b, off, c)
-		if err != nil {
-			return nil, err
-		}
-		off = next
-		switch {
-		case v.null:
-		case c.Type == TypeInt64:
-			r[i] = v.i
-		case c.Type == TypeFloat64:
-			r[i] = math.Float64frombits(uint64(v.i))
-		case c.Type == TypeString:
-			r[i] = string(v.raw)
-		case c.Type == TypeBytes:
-			r[i] = v.raw
-		default: // TypeBool
-			r[i] = v.i != 0
-		}
+	v, err := s.View(b)
+	if err != nil {
+		return nil, err
 	}
-	if off != len(b) {
-		return nil, trailing(b, off)
-	}
-	return r, nil
+	return v.Row(), nil
 }
 
-// Int64Col reads int64 column col of the encoded row b without building the
-// row: 0 when the value is NULL or the column is not an int64. It steps over
-// and checks every column the way DecodeRow does, so it fails exactly when
-// DecodeRow would.
-func (s *Schema) Int64Col(b []byte, col int) (int64, error) {
-	var v int64
-	off := 0
-	for i, c := range s.Cols {
-		f, next, err := nextField(b, off, c)
-		if err != nil {
-			return 0, err
-		}
-		off = next
-		if i == col && c.Type == TypeInt64 {
-			v = f.i // 0 when NULL
-		}
-	}
-	if off != len(b) {
-		return 0, trailing(b, off)
-	}
-	return v, nil
+// appendInt64, appendFloat64, appendString and appendBool append one present
+// value of their type: the presence byte 1, then the value. They are the one
+// encoder of a column, shared by AppendRow and Edit.
+func appendInt64(b []byte, v int64) []byte {
+	return binary.AppendVarint(append(b, 1), v)
 }
 
-// field is one column's value as nextField reads it: NULL, or the bits of an
+func appendFloat64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(v))
+}
+
+func appendString[T string | []byte](b []byte, v T) []byte {
+	b = binary.AppendUvarint(append(b, 1), uint64(len(v)))
+	return append(b, v...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1, 1)
+	}
+	return append(b, 1, 0)
+}
+
+// field is one column's value as fieldAt reads it: NULL, or the bits of an
 // int64, float64 or bool in i, or the bytes of a string or bytes value in raw
 // (aliasing the row, capacity-capped).
 type field struct {
@@ -204,56 +171,101 @@ type field struct {
 	raw  []byte
 }
 
-// nextField is the one decoder of a column: it reads column c's value from
-// the encoded row b at off, strictly (see DecodeRow), and returns it with the
-// offset of the next column.
-func nextField(b []byte, off int, c Column) (field, int, error) {
+// checkField is the one check of a column: it reads column c's encoding in
+// the row b at off, strictly (see DecodeRow), and returns the offset of the
+// next column. fieldAt then decodes what it accepted.
+func checkField(b []byte, off int, c Column) (int, error) {
 	if off >= len(b) {
-		return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+		return 0, truncated(c)
 	}
 	present := b[off]
 	off++
 	if present == 0 {
-		return field{null: true}, off, nil
+		return off, nil
 	}
 	// Strict: rows arrive over the wire, and a canonical encoding (one byte
 	// pattern per row) keeps decode→encode the identity.
 	if present != 1 {
-		return field{}, 0, fmt.Errorf("tuple: bad presence byte %d at column %s", present, c.Name)
+		return 0, fmt.Errorf("tuple: bad presence byte %d at column %s", present, c.Name)
 	}
-	var tmp [binary.MaxVarintLen64]byte
 	switch c.Type {
 	case TypeInt64:
-		v, n := binary.Varint(b[off:])
-		if n <= 0 || n != binary.PutVarint(tmp[:], v) {
-			return field{}, 0, fmt.Errorf("tuple: bad varint at column %s", c.Name)
+		_, n := binary.Varint(b[off:])
+		if !minimal(b[off:], n) {
+			return 0, fmt.Errorf("tuple: bad varint at column %s", c.Name)
 		}
-		return field{i: v}, off + n, nil
+		return off + n, nil
 	case TypeFloat64:
 		if off+8 > len(b) {
-			return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+			return 0, truncated(c)
 		}
-		return field{i: int64(binary.LittleEndian.Uint64(b[off:]))}, off + 8, nil
+		return off + 8, nil
 	case TypeString, TypeBytes:
 		l, n := binary.Uvarint(b[off:])
-		if n <= 0 || n != binary.PutUvarint(tmp[:], l) || l > uint64(len(b)-off-n) {
-			return field{}, 0, fmt.Errorf("tuple: bad %s at column %s", c.Type, c.Name)
+		if !minimal(b[off:], n) || l > uint64(len(b)-off-n) {
+			return 0, fmt.Errorf("tuple: bad %s at column %s", c.Type, c.Name)
 		}
-		off += n
-		end := off + int(l)
-		return field{raw: b[off:end:end]}, end, nil
+		return off + n + int(l), nil
 	case TypeBool:
 		if off >= len(b) {
-			return field{}, 0, fmt.Errorf("tuple: row truncated at column %s", c.Name)
+			return 0, truncated(c)
 		}
 		if b[off] > 1 {
-			return field{}, 0, fmt.Errorf("tuple: bad bool byte %d at column %s", b[off], c.Name)
+			return 0, fmt.Errorf("tuple: bad bool byte %d at column %s", b[off], c.Name)
 		}
-		return field{i: int64(b[off])}, off + 1, nil
+		return off + 1, nil
 	}
-	return field{}, 0, fmt.Errorf("tuple: column %s: unsupported type %v", c.Name, c.Type)
+	return 0, fmt.Errorf("tuple: column %s: unsupported type %v", c.Name, c.Type)
+}
+
+// fieldAt decodes the value of a column of type t (TypeBytes reads either
+// string or bytes) at off in a row checkField accepted, and returns it with
+// the offset of the next column. The bytes were checked, so it checks
+// nothing again.
+func fieldAt(b []byte, off int, t ColType) (field, int) {
+	if b[off] == 0 {
+		return field{null: true}, off + 1
+	}
+	off++
+	switch t {
+	case TypeInt64:
+		x, n := binary.Varint(b[off:])
+		return field{i: x}, off + n
+	case TypeFloat64:
+		return field{i: int64(binary.LittleEndian.Uint64(b[off:]))}, off + 8
+	case TypeString, TypeBytes:
+		l, n := binary.Uvarint(b[off:])
+		off += n
+		end := off + int(l)
+		return field{raw: b[off:end:end]}, end
+	default: // TypeBool
+		return field{i: int64(b[off])}, off + 1
+	}
+}
+
+func truncated(c Column) error {
+	return fmt.Errorf("tuple: row truncated at column %s", c.Name)
+}
+
+// minimal reports whether the n-byte varint at the start of b (n as
+// binary.Uvarint or Varint returns it) is the one PutUvarint or PutVarint
+// writes: it was read (n > 0), and a continuation did not end in a zero
+// group, which only an overlong encoding has.
+func minimal(b []byte, n int) bool {
+	return n == 1 || n > 1 && b[n-1] != 0
 }
 
 func trailing(b []byte, off int) error {
 	return fmt.Errorf("tuple: %d trailing bytes after row", len(b)-off)
+}
+
+// typeError reports a value whose Go type does not match its column's. It
+// names the type without keeping v, so a row handed to AppendRow does not
+// escape through its error path.
+func typeError(c Column, v any) error {
+	want := c.Type.String()
+	if c.Type == TypeBytes {
+		want = "[]byte"
+	}
+	return fmt.Errorf("tuple: column %s: want %s, got %s", c.Name, want, reflect.TypeOf(v))
 }

@@ -58,3 +58,22 @@ func BenchmarkRowDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViewRead is BenchmarkRowDecode's row read the view way: check it
+// and read the two columns a caller uses.
+func BenchmarkViewRead(b *testing.B) {
+	s := NewSchema(
+		Column{"id", TypeInt64},
+		Column{"name", TypeString},
+		Column{"balance", TypeFloat64},
+		Column{"pad", TypeString},
+	)
+	enc, _ := s.EncodeRow(Row{int64(123456), "customer name", 99.5, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v, err := s.View(enc)
+		if err != nil || v.Int64(0) != 123456 || v.Float64(2) != 99.5 {
+			b.Fatal(v, err)
+		}
+	}
+}

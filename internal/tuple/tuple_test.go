@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +204,144 @@ func TestDecodeRowTrailingGarbage(t *testing.T) {
 	enc = append(enc, 0xFF)
 	if _, err := s.DecodeRow(enc); err == nil {
 		t.Error("DecodeRow should reject trailing bytes")
+	}
+}
+
+// TestViewReadsAndEditsWithoutAllocating pins the view path's cost: checking
+// a row, reading its columns and re-encoding an edit of it into a buffer
+// with room allocate nothing. Only String, which returns a new string, may.
+func TestViewReadsAndEditsWithoutAllocating(t *testing.T) {
+	s := NewSchema(
+		Column{"id", TypeInt64}, Column{"qty", TypeInt64}, Column{"price", TypeFloat64},
+		Column{"name", TypeString}, Column{"blob", TypeBytes}, Column{"ok", TypeBool},
+	)
+	enc, err := s.EncodeRow(Row{int64(1 << 40), int64(300), 2.5, "widget", []byte{1, 2, 3}, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 2*len(enc))
+	var out []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		v, err := s.View(enc)
+		if err != nil || v.Int64(0) != 1<<40 || v.Float64(2) != 2.5 || string(v.Bytes(3)) != "widget" || !v.Bool(5) {
+			t.Fatalf("view reads %v, %v", v.Row(), err)
+		}
+		e := v.Edit()
+		e.SetInt64(1, v.Int64(1)-7)
+		e.SetFloat64(2, v.Float64(2)*2)
+		e.SetBytes(4, v.Bytes(4)[:1])
+		if out, err = e.Append(dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("view, read and edit cost %.1f allocations, want 0", allocs)
+	}
+	want, _ := s.EncodeRow(Row{int64(1 << 40), int64(293), 5.0, "widget", []byte{1}, true})
+	if !bytes.Equal(out, want) {
+		t.Fatalf("edit encodes % x, want % x", out, want)
+	}
+}
+
+// TestEditSetsMoreColumnsThanInline sets every column of a wide row — past
+// the sets an Edit holds inline — and each twice, the last value winning.
+func TestEditSetsMoreColumnsThanInline(t *testing.T) {
+	var cols []Column
+	var row Row
+	for i := 0; i < 2*inlineSets; i++ {
+		cols = append(cols, Column{fmt.Sprintf("c%d", i), TypeInt64})
+		row = append(row, int64(i))
+	}
+	s := NewSchema(cols...)
+	enc, err := s.EncodeRow(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.View(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := v.Edit()
+	for i := range cols {
+		e.SetNull(i)
+		e.SetInt64(i, int64(1000*i))
+		row[i] = int64(1000 * i)
+	}
+	e.SetNull(3)
+	row[3] = nil
+	got, err := e.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := s.EncodeRow(row); !bytes.Equal(got, want) {
+		t.Fatalf("edit encodes % x, want % x", got, want)
+	}
+	e.SetInt64(len(cols), 1)
+	if _, err := e.Append(nil); err == nil {
+		t.Fatal("an edit of a column past the row's end must fail")
+	}
+}
+
+// TestViewTypedAccessorPanicsOnWrongType: reading a column as another type
+// is a programming error, as a failed type assertion on a decoded row is.
+func TestViewTypedAccessorPanicsOnWrongType(t *testing.T) {
+	s := NewSchema(Column{"id", TypeInt64}, Column{"name", TypeString})
+	enc, _ := s.EncodeRow(Row{int64(1), "a"})
+	v, _ := s.View(enc)
+	if got := string(v.Bytes(1)); got != "a" {
+		t.Fatalf("Bytes of a string column = %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Float64 of an int64 column did not panic")
+		}
+	}()
+	v.Float64(0)
+}
+
+// TestViewReadsPastRecordedOffsets reads every column of a schema wider
+// than the offsets a view records, and of a row whose later columns start
+// past 64 KiB, where the view walks on from the last recorded column.
+func TestViewReadsPastRecordedOffsets(t *testing.T) {
+	var cols []Column
+	var row Row
+	for i := 0; i < viewOffsets+5; i++ {
+		if i%3 == 1 {
+			cols = append(cols, Column{fmt.Sprintf("s%d", i), TypeString})
+			row = append(row, fmt.Sprintf("v%d", i))
+			continue
+		}
+		cols = append(cols, Column{fmt.Sprintf("i%d", i), TypeInt64})
+		row = append(row, int64(i*1000))
+	}
+	wide := NewSchema(cols...)
+	long := NewSchema(Column{"big", TypeBytes}, Column{"n", TypeInt64}, Column{"s", TypeString})
+	for _, c := range []struct {
+		s   *Schema
+		row Row
+	}{{wide, row}, {long, Row{make([]byte, 70000), int64(-7), "tail"}}} {
+		enc, err := c.s.EncodeRow(c.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.s.View(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, col := range c.s.Cols {
+			var got any
+			switch col.Type {
+			case TypeInt64:
+				got = v.Int64(i)
+			case TypeString:
+				got = v.String(i)
+			case TypeBytes:
+				got = len(v.Bytes(i))
+				c.row[i] = len(c.row[i].([]byte))
+			}
+			if got != c.row[i] {
+				t.Fatalf("%d columns, column %d reads %v, want %v", len(c.s.Cols), i, got, c.row[i])
+			}
+		}
 	}
 }

@@ -265,7 +265,7 @@ func (db *DB) CreateTable(name string, schema *Schema, pkCol string) (*Table, er
 func (t *Table) AddSecondaryIndex(name string, keyFn func(Row) (int64, bool)) (int, error) {
 	var id int
 	err := t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		i, a, err := t.inner.AddSecondaryIndex(at, name, keyFn)
+		i, a, err := t.inner.AddSecondaryIndex(at, name, func(v tuple.View) (int64, bool) { return keyFn(v.Row()) })
 		id = i
 		return a, err
 	})
@@ -286,8 +286,10 @@ func (t *Table) Insert(tx *Tx, row Row) error {
 func (t *Table) Get(tx *Tx, key int64) (Row, error) {
 	var row Row
 	err := t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		r, a, err := t.inner.Get(tx, at, key)
-		row = r
+		v, a, err := t.inner.Get(tx, at, key)
+		if err == nil {
+			row = v.Row()
+		}
 		return a, err
 	})
 	return row, err
@@ -296,7 +298,13 @@ func (t *Table) Get(tx *Tx, key int64) (Row, error) {
 // Update applies mutate to the visible row of key.
 func (t *Table) Update(tx *Tx, key int64, mutate func(Row) (Row, error)) error {
 	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		return t.inner.Update(tx, at, key, mutate)
+		return t.inner.Update(tx, at, key, func(old tuple.View, dst []byte) ([]byte, error) {
+			row, err := mutate(old.Row())
+			if err != nil {
+				return nil, err
+			}
+			return old.Schema().AppendRow(dst, row)
+		})
 	})
 }
 
@@ -310,14 +318,14 @@ func (t *Table) Delete(tx *Tx, key int64) error {
 // Scan visits every row visible to tx.
 func (t *Table) Scan(tx *Tx, fn func(Row) bool) error {
 	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		return t.inner.Scan(tx, at, fn)
+		return t.inner.Scan(tx, at, func(v tuple.View) bool { return fn(v.Row()) })
 	})
 }
 
 // RangeByKey visits visible rows with lo <= primary key <= hi in key order.
 func (t *Table) RangeByKey(tx *Tx, lo, hi int64, fn func(Row) bool) error {
 	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		return t.inner.RangeByKey(tx, at, lo, hi, fn)
+		return t.inner.RangeByKey(tx, at, lo, hi, func(v tuple.View) bool { return fn(v.Row()) })
 	})
 }
 
@@ -326,7 +334,7 @@ func (t *Table) RangeByKey(tx *Tx, lo, hi int64, fn func(Row) bool) error {
 // use.
 func (t *Table) ParallelScan(tx *Tx, parallelism int, fn func(Row)) error {
 	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		return t.inner.ParallelScan(tx, at, parallelism, fn)
+		return t.inner.ParallelScan(tx, at, parallelism, func(v tuple.View) { fn(v.Row()) })
 	})
 }
 
@@ -334,7 +342,7 @@ func (t *Table) ParallelScan(tx *Tx, parallelism int, fn func(Row)) error {
 // in index-key order; a point lookup is the range lo == hi.
 func (t *Table) RangeBySecondary(tx *Tx, idx int, lo, hi int64, fn func(indexKey int64, row Row) bool) error {
 	return t.db.advance(func(at simclock.Time) (simclock.Time, error) {
-		return t.inner.RangeBySecondary(tx, at, idx, lo, hi, fn)
+		return t.inner.RangeBySecondary(tx, at, idx, lo, hi, func(k int64, v tuple.View) bool { return fn(k, v.Row()) })
 	})
 }
 
