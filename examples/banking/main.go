@@ -58,14 +58,22 @@ func main() {
 					continue
 				}
 				amount := 1 + rng.Int63n(50)
+				// Update the lower account id first: two transfers between
+				// the same accounts then lock them in the same order, so one
+				// waits for the other instead of deadlocking.
+				first, second := from, to
+				delta := -amount
+				if to < from {
+					first, second, delta = to, from, amount
+				}
 				tx := db.Begin()
-				err := tab.Update(tx, from, func(r sias.Row) (sias.Row, error) {
-					r[1] = r[1].(int64) - amount
+				err := tab.Update(tx, first, func(r sias.Row) (sias.Row, error) {
+					r[1] = r[1].(int64) + delta
 					return r, nil
 				})
 				if err == nil {
-					err = tab.Update(tx, to, func(r sias.Row) (sias.Row, error) {
-						r[1] = r[1].(int64) + amount
+					err = tab.Update(tx, second, func(r sias.Row) (sias.Row, error) {
+						r[1] = r[1].(int64) - delta
 						return r, nil
 					})
 				}

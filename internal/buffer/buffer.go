@@ -19,21 +19,42 @@
 //
 // The pool is lock-striped: frames are hash-partitioned over P independent
 // partitions, each with its own mutex, frame table, free list, clock hand
-// and counters, so Get/Release traffic on distinct pages contends only
-// within a partition. A device page always maps to the same partition, so
-// all metadata transitions for a page (lookup, pin, eviction, write-back)
-// are serialized by one partition mutex.
+// and counters, so misses, prefetch and write-back on distinct pages
+// contend only within a partition. A device page always maps to the same
+// partition, and its partition's index is the only authority on where the
+// page lives: every claim, load, eviction and write-back of the page is
+// serialized by that one partition mutex.
+//
+// A hit takes no mutex. Each frame publishes, in an atomic, the device page
+// it holds while that page is resident and readable (-1 otherwise), and the
+// pool keeps a direct-mapped hint table from device page to the frame that
+// last held it. Get loads the hint, checks the frame's page, adds 1 to its
+// pin and checks the page again; on any mismatch it drops that pin and takes
+// the partition mutex. The hint is never trusted on its own: a stale one
+// costs a failed check, not a wrong frame.
+//
+// What makes this sound is how a frame is claimed for another page: the
+// claim swaps the pin from 0 to a large negative sentinel (evicting) by CAS,
+// under the partition mutex, before it touches the frame. A pin taken before
+// the swap makes the CAS fail, so the frame stays; a pin taken after it
+// reads a count <= 0 and backs out. Once a frame can be reached through the
+// hint, its pin only changes by Add or CAS, never by Store, so a backing-out
+// reader's +1/-1 is never lost. The write-back paths (sweep, checkpoint)
+// still skip any pinned frame, and FlushPage writes a pinned one under the
+// exclusive latch.
 //
 // Page *content* is protected by a per-frame reader/writer latch, not the
 // partition mutex: callers hold the latch (shared for reads, exclusive for
 // mutations) only between Get and Release, and the pool's write-back paths
 // take the latch exclusively before reading the frame bytes, so checksums
-// and device writes never race with an in-flight mutator. Pin counts are
-// atomic; a frame with a nonzero pin count is never evicted.
+// and device writes never race with an in-flight mutator.
 //
 // Lock ordering rule: partition mutex, then frame latch. Callers must never
-// re-enter the pool (which acquires a partition mutex) while holding a
-// frame latch, and must release the latch before Release drops the pin.
+// re-enter the pool (which may acquire a partition mutex) while holding a
+// frame latch, and must release the latch before Release drops the pin. The
+// write-back paths rely on it: a hit may pin a frame just after their pin
+// check, so they may wait for that caller's latch while holding the
+// partition mutex.
 //
 // # The IO-pending miss path
 //
@@ -47,8 +68,10 @@
 // the pending state and wakes the waiters; a failed read unpublishes the
 // frame (index entry removed, slot returned to the free list) and delivers
 // the error to every waiter. An IO-pending frame is never chosen as an
-// eviction victim and is invisible to the sweep/checkpoint writers (its
-// valid flag is still false).
+// eviction victim, so a miss that finds every frame of its stripe pinned
+// or pending waits for a pending read to finish and looks again, and fails
+// only when every frame is pinned. A pending frame is invisible to the
+// sweep/checkpoint writers (its valid flag is still false).
 //
 // Frame lifecycle:
 //
@@ -72,7 +95,10 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -117,6 +143,15 @@ const prefetchWorkers = 8
 // single pread (32 pages = 256 KB at the default page size).
 const maxCoalesce = 32
 
+// errNoVictim is what claimLocked's error wraps when no frame of the stripe
+// can be claimed: every one is pinned or loading.
+var errNoVictim = errors.New("no frame to claim")
+
+// evicting is the pin count a claim swaps in while it takes a frame for
+// another page. A hit that pins the frame meanwhile reads a count <= 0 and
+// backs out; half of MinInt32 leaves room for any number of such readers.
+const evicting = math.MinInt32 / 2
+
 // DefaultConfig returns a 1024-frame pool (8 MB) with a 1µs hit cost.
 func DefaultConfig() Config {
 	return Config{Frames: 1024, HitCost: simclock.Microsecond}
@@ -140,17 +175,22 @@ type Frame struct {
 
 	latch sync.RWMutex
 	pin   atomic.Int32
+	// page is devPage while the frame is resident and readable, -1
+	// otherwise: what a hit checks around its pin instead of taking the
+	// partition mutex.
+	page atomic.Int64
+	// hits counts the Gets that found this frame resident; Stats sums it.
+	hits  atomic.Int64
 	dirty atomic.Bool
 	ref   atomic.Bool
-	valid bool // partition-mutex protected
+	// prefetched marks a frame staged by Prefetch that no Get has used yet;
+	// eviction of such a frame counts as wasted readahead.
+	prefetched atomic.Bool
+	valid      bool // partition-mutex protected
 	// load is non-nil while a device read into this frame is in flight
 	// (IO-pending state). Partition-mutex protected; the loader holds the
 	// frame latch exclusively for the whole load.
 	load *loadState
-	// prefetched marks a frame staged by Prefetch that no Get has used yet;
-	// eviction of such a frame counts as wasted readahead. Partition-mutex
-	// protected.
-	prefetched bool
 }
 
 // DevPage reports the device page currently held (stable while pinned).
@@ -167,6 +207,19 @@ func (f *Frame) Lock() { f.latch.Lock() }
 
 // Unlock releases an exclusive content latch.
 func (f *Frame) Unlock() { f.latch.Unlock() }
+
+// hit records a Get that found f resident and pinned it: f is referenced
+// for the clock and, if prefetched, used. Each flag is written only when it
+// changes, so a hit on a hot frame writes its pin and its hit count.
+func (f *Frame) hit() {
+	f.hits.Add(1)
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+	if f.prefetched.Load() {
+		f.prefetched.Store(false)
+	}
+}
 
 // Stats counts pool activity. PartitionEvictions has one entry per lock
 // stripe, so skew across partitions is visible to operators.
@@ -211,7 +264,6 @@ type partition struct {
 	free   []int // never-used frames (stack); refilled by InvalidateAll
 	hand   int
 
-	hits      int64
 	misses    int64
 	evictions int64
 	dirtyOut  int64
@@ -223,6 +275,13 @@ type Pool struct {
 	dev    device.BlockDevice
 	parts  []partition
 	frames int
+
+	// hints maps a device page, by Fibonacci hash, to the frame that last
+	// held it: a power-of-two table of at least 2 × frames slots, written
+	// under the page's partition mutex when a load publishes and on a locked
+	// hit. It is never authoritative; see Get.
+	hints     []atomic.Pointer[Frame]
+	hintShift uint
 
 	ioPending         atomic.Int64
 	readWaits         atomic.Int64
@@ -260,11 +319,17 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 	if nparts > cfg.Frames {
 		nparts = cfg.Frames
 	}
+	nhints := 2
+	for nhints < 2*cfg.Frames {
+		nhints <<= 1
+	}
 	p := &Pool{
 		cfg:          cfg,
 		dev:          dev,
 		parts:        make([]partition, nparts),
 		frames:       cfg.Frames,
+		hints:        make([]atomic.Pointer[Frame], nhints),
+		hintShift:    uint(64 - bits.TrailingZeros(uint(nhints))),
 		prefetchBufs: make(chan []byte, prefetchWorkers),
 	}
 	for i := 0; i < prefetchWorkers; i++ {
@@ -280,8 +345,10 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 		pt.frames = make([]*Frame, n)
 		pt.free = make([]int, n)
 		for j := range pt.frames {
-			pt.frames[j] = &Frame{devPage: -1} // Data comes with the first claim
-			pt.free[j] = n - 1 - j             // pop order 0,1,2,...
+			f := &Frame{devPage: -1} // Data comes with the first claim
+			f.page.Store(-1)
+			pt.frames[j] = f
+			pt.free[j] = n - 1 - j // pop order 0,1,2,...
 		}
 	}
 	return p
@@ -304,27 +371,68 @@ func (p *Pool) partOf(devPage int64) *partition {
 	return &p.parts[z%uint64(len(p.parts))]
 }
 
+// hint returns devPage's slot in the hint table (Fibonacci hashing: the top
+// bits of devPage × 2^64/φ).
+func (p *Pool) hint(devPage int64) *atomic.Pointer[Frame] {
+	return &p.hints[uint64(devPage)*0x9e3779b97f4a7c15>>p.hintShift]
+}
+
 // Get pins the frame holding devPage, reading it from the device on a miss.
 // If init is true the page is being created: no device read is issued and
 // the frame contents are zeroed for the caller to format.
 //
-// The partition mutex is released before any device read: a Get that misses
-// becomes the frame's loader, and concurrent Gets of the same page wait on
-// the loader's completion instead of issuing their own reads.
+// A hit on a page the hint table names takes no mutex: it pins the frame
+// and checks, before and after, that the frame still publishes devPage (see
+// the package comment). Anything else — a stale or empty hint, a frame being
+// claimed, a page in flight or absent — undoes any pin it took and takes the
+// partition mutex. There the partition mutex is released before any device
+// read: a Get that misses becomes the frame's loader, and concurrent Gets of
+// the same page wait on the loader's completion instead of issuing their
+// own reads. A miss that finds no victim waits for a read in flight in its
+// stripe, if there is one, and tries again.
 func (p *Pool) Get(at simclock.Time, devPage int64, init bool) (*Frame, simclock.Time, error) {
+	if !init {
+		if f := p.hint(devPage).Load(); f != nil && f.page.Load() == devPage {
+			if f.pin.Add(1) > 0 && f.page.Load() == devPage {
+				f.hit()
+				return f, at.Add(p.cfg.HitCost), nil
+			}
+			f.pin.Add(-1)
+		}
+	}
 	pt := p.partOf(devPage)
 	pt.mu.Lock()
+	var idx int
+	var t simclock.Time
 	for {
-		idx, ok := pt.index[devPage]
-		if !ok {
-			break
+		var ok bool
+		if idx, ok = pt.index[devPage]; !ok {
+			var err error
+			if idx, t, err = p.claimLocked(pt, at, false); err == nil {
+				break
+			}
+			// With no victim, every frame is pinned or loading. A load ends
+			// on its own, so wait for one and look again; with none in
+			// flight the stripe is pinned full.
+			var ld *loadState
+			if errors.Is(err, errNoVictim) {
+				ld = pt.anyLoad()
+			}
+			if ld == nil {
+				pt.mu.Unlock()
+				return nil, t, err
+			}
+			pt.mu.Unlock()
+			<-ld.done
+			at = max(at, ld.doneAt)
+			pt.mu.Lock()
+			continue
 		}
 		f := pt.frames[idx]
 		if f.load == nil {
 			f.pin.Add(1)
-			f.ref.Store(true)
-			f.prefetched = false
-			pt.hits++
+			f.hit()
+			p.hint(devPage).Store(f)
 			pt.mu.Unlock()
 			return f, at.Add(p.cfg.HitCost), nil
 		}
@@ -351,25 +459,22 @@ func (p *Pool) Get(at simclock.Time, devPage int64, init bool) (*Frame, simclock
 		pt.mu.Lock()
 	}
 	pt.misses++
-	idx, t, err := p.claimLocked(pt, at, false)
-	if err != nil {
-		pt.mu.Unlock()
-		return nil, t, err
-	}
 	// claimLocked returns with the frame latch held exclusively; the latch
 	// stays held across the device read so the race detector checks that
 	// loading never overlaps a reader.
 	f := pt.frames[idx]
 	f.devPage = devPage
 	f.dirty.Store(false)
-	f.pin.Store(1)
+	f.pin.Add(1 - evicting) // the claim's sentinel becomes the loader's pin
 	f.ref.Store(true)
-	f.prefetched = false
+	f.prefetched.Store(false)
 	if init {
 		// Page creation: no device read, so no pending state either.
 		f.valid = true
 		pt.index[devPage] = idx
 		clear(f.Data)
+		f.page.Store(devPage)
+		p.hint(devPage).Store(f)
 		f.Unlock()
 		pt.mu.Unlock()
 		return f, t.Add(p.cfg.HitCost), nil
@@ -382,6 +487,9 @@ func (p *Pool) Get(at simclock.Time, devPage int64, init bool) (*Frame, simclock
 	pt.mu.Unlock()
 
 	t, rerr := p.dev.ReadPage(t, devPage, f.Data)
+	if rerr != nil {
+		f.pin.Add(-1) // a frame that failed to load is not handed out
+	}
 	p.publish(pt, f, idx, devPage, t, rerr, ld)
 	if rerr != nil {
 		return nil, t, fmt.Errorf("buffer: read page %d: %w", devPage, rerr)
@@ -391,15 +499,18 @@ func (p *Pool) Get(at simclock.Time, devPage int64, init bool) (*Frame, simclock
 
 // publish completes an in-flight load: it clears the pending state under
 // the partition mutex, wakes every singleflight waiter, and releases the
-// frame latch held since the claim. On error the frame is unpublished — the
-// index entry removed, the pin dropped and the slot returned to the free
-// list — so a failed read leaks nothing and the next Get retries from
-// scratch.
+// frame latch held since the claim. A loaded frame is published to the hit
+// path: its page atomic and devPage's hint. On error the frame is
+// unpublished — the index entry removed and the slot returned to the free
+// list, the loader having dropped any pin it held — so a failed read leaks
+// nothing and the next Get retries from scratch.
 func (p *Pool) publish(pt *partition, f *Frame, idx int, devPage int64, t simclock.Time, err error, ld *loadState) {
 	pt.mu.Lock()
 	p.ioPending.Add(-1)
 	if err == nil {
 		f.valid = true
+		f.page.Store(devPage)
+		p.hint(devPage).Store(f)
 	} else {
 		if j, ok := pt.index[devPage]; ok && j == idx {
 			delete(pt.index, devPage)
@@ -408,8 +519,7 @@ func (p *Pool) publish(pt *partition, f *Frame, idx int, devPage int64, t simclo
 		f.valid = false
 		f.devPage = -1
 		f.dirty.Store(false)
-		f.prefetched = false
-		f.pin.Store(0)
+		f.prefetched.Store(false)
 	}
 	f.load = nil
 	pt.mu.Unlock()
@@ -422,8 +532,10 @@ func (p *Pool) publish(pt *partition, f *Frame, idx int, devPage int64, t simclo
 // claimLocked finds a victim frame in pt via free list then clock sweep,
 // flushing it if dirty (cleanOnly skips dirty frames instead — the prefetch
 // path refuses to pay write-backs). IO-pending frames are never victims.
-// Caller holds pt.mu; on success the victim's latch is held exclusively and
-// the victim is no longer in the index.
+// Caller holds pt.mu; on success the victim's latch is held exclusively, the
+// victim is no longer in the index or published, and its pin holds the
+// evicting sentinel (plus any hit still backing out), which the caller turns
+// into its own count with an Add.
 //
 // A frame gets its page the first time it leaves the free list, not in New,
 // so the heap holds pages for the frames in use rather than for the pool
@@ -440,6 +552,9 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 		if f.Data == nil {
 			f.Data = make(page.Page, page.Size)
 		}
+		// The frame is unpublished, but a hit that read it through a stale
+		// hint may still pin it: the sentinel makes that pin back out.
+		f.pin.Add(evicting)
 		f.Lock()
 		return idx, t, nil
 	}
@@ -447,7 +562,7 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 		idx := pt.hand
 		f := pt.frames[idx]
 		pt.hand = (pt.hand + 1) % len(pt.frames)
-		if f.load != nil || f.pin.Load() > 0 {
+		if f.load != nil || f.pin.Load() != 0 {
 			// A pending frame's read is still publishing into Data; it is
 			// as untouchable as a pinned one.
 			continue
@@ -456,13 +571,16 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 			f.ref.Store(false)
 			continue
 		}
-		if cleanOnly && f.dirty.Load() {
+		// From the swap on, a hit that pins f backs out, so the frame can
+		// change hands; a hit that pinned it first makes the swap fail.
+		if !f.pin.CompareAndSwap(0, evicting) {
 			continue
 		}
-		// pin == 0 under pt.mu means no caller holds the latch (the latch
-		// is only held while pinned), so TryLock failing would be a caller
-		// protocol violation; treat the frame as pinned and move on.
-		if !f.latch.TryLock() {
+		// pin == 0 means no caller holds the latch (the latch is only held
+		// while pinned), so TryLock failing would be a caller protocol
+		// violation; treat the frame as pinned and move on.
+		if (cleanOnly && f.dirty.Load()) || !f.latch.TryLock() {
+			f.pin.Add(-evicting)
 			continue
 		}
 		if f.valid {
@@ -471,15 +589,16 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 				t, err = p.writeFrameLocked(t, pt, f)
 				if err != nil {
 					f.latch.Unlock()
+					f.pin.Add(-evicting)
 					return 0, t, err
 				}
 				pt.dirtyOut++
 			}
+			f.page.Store(-1)
 			delete(pt.index, f.devPage)
 			pt.evictions++
-			if f.prefetched {
+			if f.prefetched.Swap(false) {
 				p.prefetchWasted.Add(1)
-				f.prefetched = false
 			}
 		}
 		f.valid = false
@@ -487,8 +606,19 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 		f.dirty.Store(false)
 		return idx, t, nil
 	}
-	return 0, t, fmt.Errorf("buffer: all %d frames in partition pinned (%d frames, %d partitions)",
-		len(pt.frames), p.frames, len(p.parts))
+	return 0, t, fmt.Errorf("buffer: all %d frames in partition pinned (%d frames, %d partitions): %w",
+		len(pt.frames), p.frames, len(p.parts), errNoVictim)
+}
+
+// anyLoad returns the rendezvous of some read in flight in pt, or nil.
+// Caller holds pt.mu.
+func (pt *partition) anyLoad() *loadState {
+	for _, f := range pt.frames {
+		if f.load != nil {
+			return f.load
+		}
+	}
+	return nil
 }
 
 // prefetchClaim is one pending frame staged by Prefetch, carrying what the
@@ -566,10 +696,10 @@ func (p *Pool) claimPrefetch(at simclock.Time, pages []int64) []prefetchClaim {
 		ld := &loadState{done: make(chan struct{})}
 		f.devPage = dp
 		f.dirty.Store(false)
-		f.pin.Store(0)
+		f.pin.Add(-evicting) // staged unpinned
 		f.ref.Store(true)
 		f.valid = false
-		f.prefetched = true
+		f.prefetched.Store(true)
 		f.load = ld
 		pt.index[dp] = idx
 		p.ioPending.Add(1)
@@ -770,8 +900,9 @@ func (p *Pool) DirtyCount() int {
 }
 
 // InvalidateAll drops every frame without writing (crash simulation). It
-// requires a quiesced pool: no concurrent Get may be in flight. In-flight
-// prefetches are drained first.
+// requires a quiesced pool: no concurrent Get may be in flight, so it may
+// Store the pins a crashed caller left. In-flight prefetches are drained
+// first.
 func (p *Pool) InvalidateAll() {
 	p.DrainPrefetch()
 	for pi := range p.parts {
@@ -781,10 +912,11 @@ func (p *Pool) InvalidateAll() {
 		for j := len(pt.frames) - 1; j >= 0; j-- {
 			f := pt.frames[j]
 			f.valid = false
+			f.page.Store(-1)
 			f.dirty.Store(false)
 			f.pin.Store(0)
 			f.devPage = -1
-			f.prefetched = false
+			f.prefetched.Store(false)
 			pt.free = append(pt.free, j)
 		}
 		pt.index = make(map[int64]int, len(pt.frames))
@@ -800,7 +932,9 @@ func (p *Pool) Stats() Stats {
 	for pi := range p.parts {
 		pt := &p.parts[pi]
 		pt.mu.Lock()
-		s.Hits += pt.hits
+		for _, f := range pt.frames {
+			s.Hits += f.hits.Load()
+		}
 		s.Misses += pt.misses
 		s.Evictions += pt.evictions
 		s.DirtyOut += pt.dirtyOut

@@ -337,6 +337,39 @@ func TestPendingFrameNeverEvicted(t *testing.T) {
 	p.Release(loaded, false)
 }
 
+// TestMissWaitsForLoadingVictims fills a two-frame pool with gated prefetch
+// reads and misses a third page: with no victim but reads in flight, the
+// Get must wait for one to finish instead of reporting the stripe pinned.
+func TestMissWaitsForLoadingVictims(t *testing.T) {
+	p, dev := newWrappedPool(2, 1)
+	gate := make(chan struct{})
+	dev.SetReadHook(func(pageNo int64, n int) error {
+		if pageNo < 2 {
+			<-gate
+		}
+		return nil
+	})
+	p.Prefetch(0, []int64{0, 1})
+	done := make(chan error, 1)
+	go func() {
+		f, _, err := p.Get(0, 5, false)
+		if err == nil {
+			p.Release(f, false)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Get returned (%v) while every frame was loading", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	p.DrainPrefetch()
+}
+
 // TestPrefetchCoalesce stages eight consecutive cold pages and verifies they
 // arrive through a single batched device read, publish with the right bytes,
 // and the follow-up Gets are all hits.

@@ -533,9 +533,15 @@ func (r *Relation) SealAppend(at simclock.Time, flush bool) (simclock.Time, erro
 // the frame's shared latch, not r.mu: the tid may live on the open append
 // page, but appenders mutate it under the exclusive latch, and a slot is only
 // reachable (via VIDmap or a chain pointer) after its insert completed — so
-// concurrent chain readers never serialize on the relation mutex.
+// concurrent chain readers never serialize on the relation mutex. For the
+// same reason the page is formatted already, so fetch pins it without
+// getPage's first-touch check and latches it once.
 func (r *Relation) fetch(at simclock.Time, tid page.TID) (tuple.SIASHeader, []byte, simclock.Time, error) {
-	f, t, err := r.getPage(at, tid.Block, false)
+	dev, err := r.alloc.DevicePage(r.id, tid.Block)
+	if err != nil {
+		return tuple.SIASHeader{}, nil, at, err
+	}
+	f, t, err := r.pool.Get(at, dev, false)
 	if err != nil {
 		return tuple.SIASHeader{}, nil, t, err
 	}

@@ -414,7 +414,9 @@ type lockEntry struct {
 type LockTable struct {
 	mgr *Manager
 	mu  sync.Mutex
-	tab map[LockKey]*lockEntry
+	// tab holds one map per relation, keyed by item: a lookup hashes a
+	// word, not a padded LockKey.
+	tab map[uint32]map[uint64]*lockEntry
 	// free holds released entries that no waiter ever touched (no cond),
 	// for the next acquire of any key: an uncontended lock allocates
 	// nothing. An entry that had a waiter is never recycled, because a
@@ -428,7 +430,7 @@ const maxFreeLockEntries = 1024
 
 // NewLockTable returns an empty table.
 func NewLockTable(m *Manager) *LockTable {
-	return &LockTable{mgr: m, tab: map[LockKey]*lockEntry{}}
+	return &LockTable{mgr: m, tab: map[uint32]map[uint64]*lockEntry{}}
 }
 
 // Acquire takes the exclusive lock on key for t, blocking while another
@@ -518,7 +520,12 @@ func (lt *LockTable) TryAcquire(t *Tx, key LockKey) bool {
 // entryLocked returns key's entry, adding one — recycled if any is free —
 // when the key has none. Caller holds lt.mu.
 func (lt *LockTable) entryLocked(key LockKey) *lockEntry {
-	e := lt.tab[key]
+	items := lt.tab[key.Rel]
+	if items == nil {
+		items = map[uint64]*lockEntry{}
+		lt.tab[key.Rel] = items
+	}
+	e := items[key.Item]
 	if e == nil {
 		if n := len(lt.free); n > 0 {
 			e = lt.free[n-1]
@@ -527,7 +534,7 @@ func (lt *LockTable) entryLocked(key LockKey) *lockEntry {
 		} else {
 			e = &lockEntry{}
 		}
-		lt.tab[key] = e
+		items[key.Item] = e
 	}
 	return e
 }
@@ -536,7 +543,7 @@ func (lt *LockTable) entryLocked(key LockKey) *lockEntry {
 func (lt *LockTable) Holder(key LockKey) *Tx {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if e := lt.tab[key]; e != nil {
+	if e := lt.tab[key.Rel][key.Item]; e != nil {
 		return e.holder
 	}
 	return nil
@@ -546,13 +553,14 @@ func (lt *LockTable) Holder(key LockKey) *Tx {
 // transactions" in Algorithms 2 and 3).
 func (lt *LockTable) release(t *Tx, key LockKey) {
 	lt.mu.Lock()
-	e := lt.tab[key]
+	items := lt.tab[key.Rel]
+	e := items[key.Item]
 	if e != nil && e.holder == t {
 		e.holder = nil
 		if e.waiters > 0 { // a waiter made the cond
 			e.cond.Broadcast()
 		} else {
-			delete(lt.tab, key)
+			delete(items, key.Item)
 			if e.cond == nil && len(lt.free) < maxFreeLockEntries {
 				lt.free = append(lt.free, e)
 			}

@@ -181,11 +181,18 @@ func Open(opts Options) (*DB, error) {
 	return &DB{inner: inner, tracer: tracer}, nil
 }
 
-// advance runs fn against the DB's virtual clock cursor.
+// advance runs fn at the DB's virtual clock cursor and moves the cursor to
+// where fn ended. fn runs without db.mu: an operation that waits for a row
+// lock must not keep the lock's holder from committing. Concurrent
+// operations start from the same cursor and overlap in virtual time; the
+// cursor and the maintenance it drives stay serialized.
 func (db *DB) advance(fn func(at simclock.Time) (simclock.Time, error)) error {
 	db.mu.Lock()
+	at := db.now
+	db.mu.Unlock()
+	t, err := fn(at)
+	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, err := fn(db.now)
 	if t > db.now {
 		db.now = t
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func openAPI(t *testing.T, opts Options) *DB {
@@ -109,6 +110,40 @@ func TestPublicAPIConflict(t *testing.T) {
 		t.Fatalf("err = %v, want ErrSerialization", err)
 	}
 	db.Abort(b)
+}
+
+// TestPublicAPILockWaitLetsHolderCommit has a second updater wait for the
+// row lock of an uncommitted first one: the wait must not keep the holder
+// from committing, and the waiter then loses first-updater-wins.
+func TestPublicAPILockWaitLetsHolderCommit(t *testing.T) {
+	db := openAPI(t, Options{Storage: StorageMem})
+	tab := usersTable(t, db)
+	tx := db.Begin()
+	tab.Insert(tx, Row{int64(1), "a", int64(0)})
+	db.Commit(tx)
+
+	a := db.Begin()
+	b := db.Begin()
+	if err := tab.Update(a, 1, func(r Row) (Row, error) { r[2] = int64(1); return r, nil }); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() {
+		err := tab.Update(b, 1, func(r Row) (Row, error) { r[2] = int64(2); return r, nil })
+		db.Abort(b)
+		waited <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let b reach the lock wait
+	start := time.Now()
+	if err := db.Commit(a); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("commit of the lock holder took %v: it waited for the waiter", d)
+	}
+	if err := <-waited; !errors.Is(err, ErrSerialization) {
+		t.Fatalf("waiter err = %v, want ErrSerialization", err)
+	}
 }
 
 func TestPublicAPIScanAndSecondary(t *testing.T) {
