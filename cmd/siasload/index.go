@@ -132,6 +132,10 @@ func indexWorkload(c *client.Client, cfg *loadConfig, statePath string) (*worklo
 			}
 			return tx.InsertRow(idxTable, row)
 		},
+		get: func(tx *client.Tx, i int) error {
+			_, err := tx.GetRow(idxTable, int64(i))
+			return err
+		},
 		txn: func(c *client.Client, rng *rand.Rand, _, _ int) (int, error) {
 			home, rows, lookups, err := idxTxn(c, rng, run, groups)
 			if err == nil {

@@ -201,6 +201,7 @@ func TestDriveCountsEveryOutcome(t *testing.T) {
 		return &workload{
 			desc: "outcomes", items: 1, batch: 1,
 			put: func(tx *client.Tx, i int, update bool) error { return nil },
+			get: func(tx *client.Tx, i int) error { return engine.ErrNotFound },
 			txn: func(_ *client.Client, _ *rand.Rand, _, i int) (int, error) {
 				return i % 2, outcomes[i%len(outcomes)]
 			},
@@ -216,5 +217,43 @@ func TestDriveCountsEveryOutcome(t *testing.T) {
 	if res.Committed != per || res.Conflicts != 2*per || res.Drained != 2*per || res.Failures != 2*per || res.InDoubt != per {
 		t.Errorf("committed %d, conflicts %d, drained %d, failures %d (%d in doubt); want %d, %d, %d, %d (%d)",
 			res.Committed, res.Conflicts, res.Drained, res.Failures, res.InDoubt, per, 2*per, 2*per, 2*per, per)
+	}
+}
+
+// TestPreloadRerunReusesRows preloads the kv workload twice into one server,
+// as a rerun of siasload against a loaded server does: the second run
+// updates the rows the first inserted, so the keyspace holds each key once.
+// A third run with a larger keyspace updates what exists and inserts the
+// rest.
+func TestPreloadRerunReusesRows(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, keys := range []int64{300, 300, 400} {
+		cfg := loadConfig{Keys: keys, Shards: 2}
+		wl, err := kvWorkload(c, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := preload(c, wl); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kvs, err := tx.Scan(0, 1<<62, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(kvs)) != keys {
+			t.Fatalf("after a preload of %d keys the keyspace holds %d rows", keys, len(kvs))
+		}
 	}
 }

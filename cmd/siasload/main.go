@@ -197,10 +197,12 @@ type loadConfig struct {
 type workload struct {
 	desc string // the text report's workload line
 	// The preload upserts items 0..items-1, batch of them per transaction:
-	// put writes item i, inserting it, or updating it when update is set
-	// (the insert found it from an earlier run).
+	// put writes item i, inserting it, or updating it when update is set.
+	// get reads item i; the preload probes item 0 with it to tell a server
+	// loaded by an earlier run, whose items it updates, from an empty one.
 	items, batch int
 	put          func(tx *client.Tx, i int, update bool) error
+	get          func(tx *client.Tx, i int) error
 	// txn runs worker w's i-th transaction and returns its home shard, -1
 	// when it spanned shards.
 	txn func(c *client.Client, rng *rand.Rand, w, i int) (home int, err error)
@@ -232,6 +234,7 @@ type homeLatency struct {
 // report is the run's result: printed, and with -json written as JSON.
 type report struct {
 	Config     loadConfig `json:"config"`
+	PreloadSec float64    `json:"preload_sec"`
 	ElapsedSec float64    `json:"elapsed_sec"`
 	// Every transaction a worker ran is exactly one of Committed,
 	// Conflicts, Drained and Failures; InDoubt counts the failures whose
@@ -304,7 +307,8 @@ func drive(cfg loadConfig, jsonPath string, mk func(*client.Client, *loadConfig)
 	if err := preload(c, wl); err != nil {
 		return err
 	}
-	fmt.Printf("preloaded %d rows in %.2fs\n", wl.items, time.Since(preStart).Seconds())
+	preloadSec := time.Since(preStart).Seconds()
+	fmt.Printf("preloaded %d rows in %.2fs\n", wl.items, preloadSec)
 	if wl.before != nil {
 		if err := wl.before(c); err != nil {
 			return err
@@ -375,7 +379,8 @@ func drive(cfg loadConfig, jsonPath string, mk func(*client.Client, *loadConfig)
 	elapsed := time.Since(start)
 
 	res := report{
-		Conflicts: conflicts.Load(), Drained: drained.Load(),
+		PreloadSec: preloadSec,
+		Conflicts:  conflicts.Load(), Drained: drained.Load(),
 		Failures: failures.Load(), InDoubt: inDoubt.Load(),
 		Crashed: wl.expectCrash && failures.Load() > 0,
 	}
@@ -419,19 +424,26 @@ func drive(cfg loadConfig, jsonPath string, mk func(*client.Client, *loadConfig)
 }
 
 // preload upserts the workload's items in batches, so a rerun against a
-// loaded server reuses its rows.
+// loaded server reuses its rows: an insert is never refused, even of a key
+// that exists, so whether to insert is decided up front by probing item 0.
 func preload(c *client.Client, wl *workload) error {
+	loaded, err := probe(c, wl)
+	if err != nil {
+		return err
+	}
 	for lo := 0; lo < wl.items; lo += wl.batch {
 		tx, err := c.Begin()
 		if err != nil {
 			return fmt.Errorf("preload begin: %w", err)
 		}
 		for i := lo; i < min(lo+wl.batch, wl.items); i++ {
-			if err := wl.put(tx, i, false); err != nil {
-				if uerr := wl.put(tx, i, true); uerr != nil {
-					tx.Abort()
-					return fmt.Errorf("preload item %d: %w", i, err)
-				}
+			err := wl.put(tx, i, loaded)
+			if loaded && errors.Is(err, engine.ErrNotFound) {
+				err = wl.put(tx, i, false)
+			}
+			if err != nil {
+				tx.Abort()
+				return fmt.Errorf("preload item %d: %w", i, err)
 			}
 		}
 		if err := tx.Commit(); err != nil {
@@ -439,6 +451,23 @@ func preload(c *client.Client, wl *workload) error {
 		}
 	}
 	return nil
+}
+
+// probe reports whether the server holds the workload's item 0 already.
+func probe(c *client.Client, wl *workload) (bool, error) {
+	tx, err := c.Begin()
+	if err != nil {
+		return false, fmt.Errorf("preload probe: %w", err)
+	}
+	err = wl.get(tx, 0)
+	tx.Abort()
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, engine.ErrNotFound):
+		return false, nil
+	}
+	return false, fmt.Errorf("preload probe: %w", err)
 }
 
 // summarize folds the worker samples into res.
@@ -572,6 +601,10 @@ func kvWorkload(_ *client.Client, cfg *loadConfig) (*workload, error) {
 				return tx.Update(int64(i), val)
 			}
 			return tx.Insert(int64(i), val)
+		},
+		get: func(tx *client.Tx, i int) error {
+			_, err := tx.Get(int64(i))
+			return err
 		},
 		txn: func(c *client.Client, rng *rand.Rand, _, _ int) (int, error) {
 			return kvTxn(c, rng, run, val)

@@ -66,6 +66,10 @@ func xshardWorkload(cfg *loadConfig, expectCrash bool) (*workload, error) {
 			}
 			return tx.Insert(k, val)
 		},
+		get: func(tx *client.Tx, i int) error {
+			_, err := tx.Get(members[i%groups][i/groups])
+			return err
+		},
 		txn: func(c *client.Client, rng *rand.Rand, w, i int) (int, error) {
 			g := rng.Intn(groups)
 			return -1, xshardTxn(c, members[g], []byte(fmt.Sprintf("g%d-w%d-i%d", g, w, i)))

@@ -193,7 +193,9 @@ func (t *Tx) rowCall(op wire.Op, table string, build func(*wire.Buf)) ([]byte, e
 	})
 }
 
-// InsertRow stores a typed row in table.
+// InsertRow stores a typed row in table. Like Insert, behind the
+// transaction's first operation it does not wait for the server: its failure
+// is returned by the next call that waits or by Commit.
 func (t *Tx) InsertRow(table string, row tuple.Row) error {
 	return t.putRow(wire.OpInsertRow, table, row)
 }

@@ -28,6 +28,21 @@
 // snapshot for long. A transaction that sent a write waits for its reply, as
 // the outcome — and an in-doubt one — is the caller's to know.
 //
+// An insert does not wait for its reply either. Under SI an insert takes a
+// fresh item no other transaction can hold, and the engine checks no unique
+// key, so its reply can only say "ok" or report a failure that dooms the
+// transaction. Once the transaction's first operation has been answered,
+// Insert and InsertRow only buffer their frame and return nil; the frame
+// leaves when the buffer fills or with the next call that needs a reply, and
+// the transaction settles its inserts — reads their replies in order — before
+// any operation that waits, before COMMIT and ABORT, and once maxAhead
+// inserts or maxAheadBytes of their payloads are outstanding. An insert that
+// admission control refused is sent again alone. Any other failure of an
+// insert is returned by the next call that waits, or by Commit, which then
+// ends the transaction with ABORT instead; a connection lost with inserts
+// unanswered fails Commit with the transport error, not ErrInDoubt, as no
+// COMMIT was sent.
+//
 // When Options.Replicas names read-only followers, BeginRead routes
 // read-only transactions to them round-robin — but only to a replica whose
 // advertised applied-LSN vector (the REPL_LSN probe) covers everything this
@@ -122,6 +137,14 @@ const dialTimeout = 3 * time.Second
 // maxRedirects caps how many failover redirects one transaction start chases
 // before surfacing ErrNoPrimary.
 const maxRedirects = 4
+
+// maxAhead and maxAheadBytes bound the inserts a transaction has sent without
+// reading their replies: what the client holds for a re-send, and how many
+// replies the server queues toward a client that is not reading.
+const (
+	maxAhead      = 64
+	maxAheadBytes = 1 << 20
+)
 
 // A conn is owned — by a transaction or a one-off call — from get to put, and
 // mu is held for exactly that span. The lazy-end timer only TryLocks it: it
@@ -399,8 +422,22 @@ type Tx struct {
 	readOnly  bool   // opened by BeginRead/BeginAt; call rejects writes client-side
 	replica   bool   // cn is a follower picked by BeginRead, BEGIN still to be sent
 	sentWrite bool   // a write op was sent, whatever its answer; the end then waits (see finish)
-	wrote     bool   // a write op succeeded (set by call); COMMIT transport loss is then in-doubt
+	wrote     bool   // a write op succeeded (set by call and settle); COMMIT transport loss is then in-doubt
 	traceID   uint64 // nonzero when this transaction is trace-sampled
+	// ahead holds the inserts sent without reading their replies, with
+	// aheadBytes of payload, until settle reads them.
+	ahead      []aheadFrame
+	aheadBytes int
+	// doomed is the failure settle met: an insert's error or the lost
+	// connection. Every later call returns it, and the end is an ABORT.
+	doomed error
+}
+
+// aheadFrame is an insert sent ahead: kept until its reply is read, so that
+// an OVERLOADED refusal can send it again.
+type aheadFrame struct {
+	op      wire.Op
+	payload []byte
 }
 
 // Begin opens a transaction without talking to the server: BEGIN goes out
@@ -570,7 +607,8 @@ func (t *Tx) payload(build func(*wire.Buf)) []byte {
 // op beyond its payload comes from its wire.Kind: a write is refused on a
 // read-only transaction before anything is sent, once one is sent the end
 // waits for its reply, and once one has succeeded a lost COMMIT is in doubt
-// (see finish).
+// (see finish). Behind the first operation an insert goes ahead (sendAhead);
+// any other operation settles the inserts ahead of it and waits.
 func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	write := op.Kind() == wire.KindWrite
 	if write && t.readOnly {
@@ -579,25 +617,105 @@ func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
+	if t.doomed != nil {
+		return nil, t.doomed
+	}
 	if write {
 		t.sentWrite = true
 	}
 	var resp []byte
 	var err error
-	if t.handle == 0 {
+	switch {
+	case t.handle == 0:
 		resp, err = t.first(op, build)
-	} else {
-		traceID := t.envelope(op)
-		payload := t.payload(build)
-		err = t.c.withRetry(func() (err error) {
-			resp, err = t.cn.callTraced(traceID, op, payload)
-			return err
-		})
+	case op == wire.OpInsert || op == wire.OpInsertRow:
+		return nil, t.sendAhead(op, t.payload(build))
+	default:
+		if err = t.settle(); err != nil {
+			return nil, err
+		}
+		resp, err = t.roundTrip(op, t.payload(build))
 	}
 	if write && err == nil {
 		t.wrote = true
 	}
 	return resp, err
+}
+
+// roundTrip sends one operation under the transaction's handle and waits for
+// its reply, retrying OVERLOADED with backoff.
+func (t *Tx) roundTrip(op wire.Op, payload []byte) (resp []byte, err error) {
+	traceID := t.envelope(op)
+	err = t.c.withRetry(func() (err error) {
+		resp, err = t.cn.callTraced(traceID, op, payload)
+		return err
+	})
+	return resp, err
+}
+
+// sendAhead buffers an insert without reading its reply, and settles once
+// maxAhead inserts or maxAheadBytes of their payloads are outstanding.
+func (t *Tx) sendAhead(op wire.Op, payload []byte) error {
+	if err := t.cn.send(0, op, payload); err != nil {
+		t.doomed = err
+		return err
+	}
+	t.ahead = append(t.ahead, aheadFrame{op: op, payload: payload})
+	if t.aheadBytes += len(payload); len(t.ahead) >= maxAhead || t.aheadBytes >= maxAheadBytes {
+		return t.settle()
+	}
+	return nil
+}
+
+// settle flushes the inserts sent ahead and reads their replies, and returns
+// the failure that dooms the transaction, if one has.
+func (t *Tx) settle() error {
+	if len(t.ahead) > 0 {
+		t.doomed = t.readAhead()
+		clear(t.ahead) // drop the payloads
+		t.ahead, t.aheadBytes = t.ahead[:0], 0
+	}
+	return t.doomed
+}
+
+// readAhead is settle's work. The replies come back in order, after any
+// owed ones (recv). Admission control refuses an insert before executing it,
+// so a refused one is sent again alone, after a backoff; any other failure,
+// or a connection lost before every reply is in, is returned; on a live
+// connection only once every reply has been read, so the stream stays in
+// step.
+func (t *Tx) readAhead() error {
+	cn := t.cn
+	if err := cn.flush(); err != nil {
+		return err
+	}
+	var failed error
+	var refused []aheadFrame
+	for _, f := range t.ahead {
+		_, err := cn.recv()
+		switch {
+		case cn.broken:
+			return err
+		case err == nil:
+			t.wrote = true
+		case errors.Is(err, wire.ErrOverloaded):
+			refused = append(refused, f)
+		case failed == nil:
+			failed = err
+		}
+	}
+	if failed != nil || len(refused) == 0 {
+		return failed
+	}
+	bo := t.c.newBackoff()
+	bo.sleep()
+	for _, f := range refused {
+		if _, err := t.roundTrip(f.op, f.payload); err != nil {
+			return err
+		}
+	}
+	t.wrote = true
+	return nil
 }
 
 // envelope is the trace id op's frame carries. Only BEGIN and COMMIT ride the
@@ -746,7 +864,9 @@ func (t *Tx) Get(key int64) ([]byte, error) {
 	return r.Bytes()
 }
 
-// Insert stores val under key.
+// Insert stores val under key. Behind the transaction's first operation it
+// returns without waiting for the server (see the package doc): its failure,
+// if any, is returned by the next call that waits or by Commit.
 func (t *Tx) Insert(key int64, val []byte) error {
 	_, err := t.call(wire.OpInsert, func(b *wire.Buf) { b.I64(key); b.Bytes(val) })
 	return err
@@ -805,7 +925,8 @@ func (t *Tx) Scan(lo, hi int64, limit int) ([]KV, error) {
 
 // finish sends the final op and returns the connection to the pool. Only a
 // transaction that sent a write waits for the reply; the end of any other
-// leaves with the connection's next request (see the package doc).
+// leaves with the connection's next request (see the package doc). Inserts
+// sent ahead are settled first, and a failed one turns the end into ABORT.
 func (t *Tx) finish(op wire.Op) error {
 	if t.done {
 		return errors.New("client: transaction finished")
@@ -817,34 +938,47 @@ func (t *Tx) finish(op wire.Op) error {
 		if err = t.cn.send(t.envelope(op), op, t.payload(nil)); err == nil {
 			t.cn.owed++
 		}
+	case t.settle() != nil:
+		// An insert failed, or the connection died with inserts unanswered.
+		// No COMMIT goes out, so nothing is in doubt: on a live connection
+		// the transaction ends with ABORT, and Commit returns the failure.
+		err = t.doomed
+		if !t.cn.broken {
+			if _, aerr := t.roundTrip(wire.OpAbort, t.payload(nil)); op == wire.OpAbort {
+				err = aerr
+			}
+		}
 	default:
 		var resp []byte
-		if resp, err = t.call(op, nil); err == nil && op == wire.OpCommit {
+		resp, err = t.roundTrip(op, t.payload(nil))
+		switch {
+		case err == nil && op == wire.OpCommit:
 			// The COMMIT ack carries the per-shard durable LSN vector;
 			// remember it so BeginRead only routes to replicas that have
 			// caught up past this session's writes.
 			t.c.noteCommit(resp)
+		case err != nil && op == wire.OpCommit && (t.cn.broken && t.wrote || errors.Is(err, engine.ErrInDoubt)):
+			// The connection died with the commit in flight, or the server
+			// could not tell whether its commit decision reached the device:
+			// either way it may have carried the commit through, so this is
+			// not a failure — it is an unknown outcome. Surface the typed
+			// sentinel so callers re-read instead of blindly retrying the
+			// writes.
+			err = fmt.Errorf("%w: %w", ErrInDoubt, err)
 		}
 	}
-	broken := t.cn != nil && t.cn.broken
 	t.done = true
 	t.c.put(t.cn)
 	t.cn = nil
-	if err != nil && op == wire.OpCommit && (broken && t.wrote || errors.Is(err, engine.ErrInDoubt)) {
-		// The connection died with the commit in flight, or the server could
-		// not tell whether its commit decision reached the device: either
-		// way it may have carried the commit through, so this is not a
-		// failure — it is an unknown outcome. Surface the typed sentinel so
-		// callers re-read instead of blindly retrying the writes.
-		return fmt.Errorf("%w: %w", ErrInDoubt, err)
-	}
 	return err
 }
 
 // Commit makes the transaction durable (group-committed server-side) and
 // returns its outcome. For a transaction that sent no write there is no
 // outcome to wait for: Commit buffers the COMMIT, returns nil, and the frame
-// leaves with the connection's next request or within lazyEndDelay.
+// leaves with the connection's next request or within lazyEndDelay. If an
+// insert sent ahead failed, Commit aborts the transaction and returns that
+// failure.
 func (t *Tx) Commit() error { return t.finish(wire.OpCommit) }
 
 // Abort rolls the transaction back; like Commit, it waits for the server

@@ -220,6 +220,49 @@ func TestWriteBudget(t *testing.T) {
 	}
 }
 
+// TestInsertBudget pins what inserts cost on the wire: behind the first
+// operation an insert waits for nothing, so Begin + 100 x Insert + Commit is 4
+// socket writes, each followed by the one wait it needs — BEGIN + the first
+// INSERT, the next 64 INSERTs (the maxAhead settle), the last 35 (settled
+// before COMMIT), COMMIT — while the server still executes all 102 requests.
+// It was 101 round trips.
+func TestInsertBudget(t *testing.T) {
+	srv, addr := startServer(t, nil, nil)
+	c := dial(t, addr, Options{PoolSize: 1})
+	cc := poolCounted(t, c)
+	before := srv.Stats().Requests
+
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 100; k++ {
+		if err := tx.Insert(k, []byte(fmt.Sprint(k))); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	inserts := func(n int) string { return strings.TrimSpace(strings.Repeat("INSERT ", n)) }
+	want := []string{"BEGIN INSERT", inserts(maxAhead), inserts(100 - 1 - maxAhead), "COMMIT"}
+	if got := cc.sent(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Begin + 100 x Insert + Commit wrote %d times: %q, want %d writes: %q", len(got), got, len(want), want)
+	}
+	if n := srv.Stats().Requests - before; n != 102 {
+		t.Errorf("the server executed %d requests, want 102 (BEGIN, 100 x INSERT, COMMIT)", n)
+	}
+	got := rows(t, c)
+	if len(got) != 100 {
+		t.Fatalf("after the transaction: %d rows, want 100", len(got))
+	}
+	for i, kv := range got {
+		if kv.Key != int64(i) || string(kv.Val) != fmt.Sprint(i) {
+			t.Fatalf("row %d is %d=%q", i, kv.Key, kv.Val)
+		}
+	}
+}
+
 // stopLazyFlush stops the lazy-end timer of c's one pooled connection and
 // reports whether it had not fired yet.
 func stopLazyFlush(c *Client) bool {
@@ -820,6 +863,109 @@ func TestOverloadedOperationBehindGoodBegin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:UPDATE/0", "0:UPDATE/7", "0:COMMIT/7") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
+// TestOverloadedInsertAheadIsResent: an insert sent ahead was refused by
+// admission control, which executes nothing, so settling sends it again
+// alone under the transaction's handle, and COMMIT follows.
+func TestOverloadedInsertAheadIsResent(t *testing.T) {
+	refused := false
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(7), true
+		case f.op == wire.OpInsert && f.handle == 7 && !refused:
+			refused = true
+			return wire.CodeOverloaded, []byte("overloaded"), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 2; k++ {
+		if err := tx.Insert(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:INSERT/0", "0:INSERT/7", "0:INSERT/7", "0:COMMIT/7") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
+// TestFailedInsertAheadDoomsTheTransaction: an insert sent ahead failed. The
+// next call that waits returns that failure without sending anything, so does
+// every later call, and Commit ends the transaction with ABORT, not COMMIT.
+func TestFailedInsertAheadDoomsTheTransaction(t *testing.T) {
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(7), true
+		case f.op == wire.OpInsert && f.handle == 7:
+			return wire.CodeInternal, []byte("no room"), true
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 2; k++ {
+		if err := tx.Insert(k, []byte("x")); err != nil {
+			t.Fatalf("Insert %d: %v, want nil: the second goes ahead", k, err)
+		}
+	}
+	_, failed := tx.Get(1)
+	if failed == nil || !strings.Contains(failed.Error(), "no room") {
+		t.Fatalf("Get behind a failed insert: %v, want the insert's error", failed)
+	}
+	if err := tx.Insert(3, []byte("x")); !errors.Is(err, failed) {
+		t.Errorf("Insert in a doomed transaction: %v, want the insert's error", err)
+	}
+	if err := tx.Commit(); !errors.Is(err, failed) || errors.Is(err, ErrInDoubt) {
+		t.Errorf("Commit of a doomed transaction: %v, want the insert's error", err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:INSERT/0", "0:INSERT/7", "0:ABORT/7") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
+// TestConnectionLostWithInsertsAheadIsNotInDoubt: the server hangs up on an
+// insert sent ahead. Commit fails with the transport error, and it is not
+// ErrInDoubt although the first insert succeeded: no COMMIT was sent.
+func TestConnectionLostWithInsertsAheadIsNotInDoubt(t *testing.T) {
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(7), true
+		case f.op == wire.OpInsert && f.handle == 7:
+			return 0, nil, false
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 2; k++ {
+		if err := tx.Insert(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = tx.Commit()
+	if err == nil || errors.Is(err, ErrInDoubt) {
+		t.Errorf("Commit after the connection died under an insert: %v, want a transport error, not in doubt", err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:INSERT/0", "0:INSERT/7") {
 		t.Errorf("frames %v", ops(got))
 	}
 }

@@ -293,10 +293,14 @@ func TestReplicationBasic(t *testing.T) {
 			t.Fatalf("follower row %d: (%d,%q)", i, kv.Key, kv.Val)
 		}
 	}
-	if err := tx.Insert(1000, []byte("nope")); !errors.Is(err, engine.ErrReadOnly) {
+	// The INSERT goes ahead of its reply: the follower's refusal is the
+	// error of the Commit that settles it.
+	if err := tx.Insert(1000, []byte("nope")); err != nil {
+		t.Fatalf("follower write sent ahead: %v", err)
+	}
+	if err := tx.Commit(); !errors.Is(err, engine.ErrReadOnly) {
 		t.Fatalf("follower write: %v, want engine.ErrReadOnly", err)
 	}
-	tx.Abort()
 
 	st, err := fc.Stats()
 	if err != nil {

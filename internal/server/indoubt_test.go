@@ -43,6 +43,11 @@ func TestCommitConnectionLossInDoubt(t *testing.T) {
 	if err := tx.Insert(k1, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
+	// The second INSERT went ahead of its reply; a read settles it, so both
+	// writes are confirmed before the connection dies.
+	if _, err := tx.Get(k1); err != nil {
+		t.Fatal(err)
+	}
 
 	srv.Kill() // the connection dies with the commit about to be in flight
 
