@@ -86,6 +86,10 @@ var ErrInDoubt = errors.New("client: commit outcome unknown")
 // accepts new transactions.
 var ErrNoPrimary = errors.New("client: no reachable primary")
 
+// errBroken is what a request on a connection that an earlier transport
+// failure broke returns: nothing was sent.
+var errBroken = errors.New("client: connection is broken")
+
 // Options configures Dial. The zero value gets sensible defaults.
 type Options struct {
 	// PoolSize caps idle pooled connections per server address (default 4).
@@ -326,7 +330,7 @@ func (c *Client) put(cn *conn) {
 // client's trace. Transport failures mark the connection broken.
 func (cn *conn) send(traceID uint64, op wire.Op, payload []byte) error {
 	if cn.broken {
-		return errors.New("client: connection is broken")
+		return errBroken
 	}
 	if traceID != 0 {
 		op, payload = wire.OpTrace, wire.EncodeTraceEnvelope(traceID, 0, true, op, payload)
@@ -948,6 +952,11 @@ func (t *Tx) finish(op wire.Op) error {
 				err = aerr
 			}
 		}
+	case t.cn.broken:
+		// An earlier operation's round trip broke the connection, and the
+		// session's transaction died with it. No COMMIT can leave, so
+		// nothing is in doubt.
+		err = errBroken
 	default:
 		var resp []byte
 		resp, err = t.roundTrip(op, t.payload(nil))

@@ -970,6 +970,39 @@ func TestConnectionLostWithInsertsAheadIsNotInDoubt(t *testing.T) {
 	}
 }
 
+// TestConnectionLostUnderAnUpdateIsNotInDoubt: the server hangs up on the
+// transaction's second UPDATE, after the first one wrote. The session and its
+// transaction are gone, and no COMMIT can leave, so Commit fails with the
+// transport error and not ErrInDoubt.
+func TestConnectionLostUnderAnUpdateIsNotInDoubt(t *testing.T) {
+	s := startScripted(t, func(f gotFrame) (wire.Code, []byte, bool) {
+		switch {
+		case f.op == wire.OpBegin:
+			return wire.CodeOK, handleReply(7), true
+		case f.op == wire.OpUpdate && f.handle == 7:
+			return 0, nil, false
+		}
+		return wire.CodeOK, nil, true
+	})
+	c := dial(t, s.addr, Options{})
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(2, []byte("x")); err == nil {
+		t.Fatal("Update answered by a hang-up succeeded")
+	}
+	if err := tx.Commit(); err == nil || errors.Is(err, ErrInDoubt) {
+		t.Errorf("Commit on the broken connection: %v, want a transport error, not in doubt", err)
+	}
+	if got := s.seen(); !sameOps(got, "0:BEGIN/0", "0:UPDATE/0", "0:UPDATE/7") {
+		t.Errorf("frames %v", ops(got))
+	}
+}
+
 // TestConnectionLostBeforeRepliesRepeatsThePair: the server takes BEGIN and
 // the operation and hangs up without answering. Its session's transactions
 // die with the connection, so the client runs the pair again on a fresh one.

@@ -41,7 +41,7 @@ type replayOp struct {
 // unconditionally and no index entry changes (SIAS indexes map keys to VIDs,
 // which relocation keeps). Any other write is tracked under its transaction
 // until ApplyFinish resolves it.
-func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record, keyOf func(payload []byte) int64) (simclock.Time, error) {
+func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record) (simclock.Time, error) {
 	hdr, payload, err := tuple.DecodeSIAS(rec.Data)
 	if err != nil {
 		return at, err
@@ -88,22 +88,11 @@ func (r *Relation) ApplyInsert(at simclock.Time, rec *wal.Record, keyOf func(pay
 	// live path inserts <key, VID> on Insert and only on key change for
 	// Update, but an unchanged key already has its entry from the prior
 	// version, so set inserts reproduce the same tree content.
-	t, err := r.addEntry(at, r.pk, keyOf(payload), hdr.VID)
+	t, err := r.addEntry(at, r.PK, r.keyOf(payload), hdr.VID)
 	if err != nil {
 		return t, err
 	}
-	secs, secFns := r.secSnapshot()
-	for i, sec := range secs {
-		if sec == nil {
-			continue
-		}
-		if k, ok := secFns[i](payload); ok {
-			if t, err = r.addEntry(t, sec, k, hdr.VID); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
+	return r.indexSecondaries(t, hdr.VID, nil, payload)
 }
 
 // ApplyFinish resolves the tracked writes of one transaction once its outcome

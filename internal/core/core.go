@@ -32,16 +32,6 @@ import (
 	"sias/internal/wal"
 )
 
-// Errors returned by the SIAS engine.
-var (
-	// ErrNotFound is returned when no visible version exists.
-	ErrNotFound = errors.New("sias: no visible tuple version")
-)
-
-// SecondaryKey derives a secondary index key from a payload; ok=false means
-// "do not index this row".
-type SecondaryKey func(payload []byte) (int64, bool)
-
 // Stats counts engine-level events, exposing the behaviours the paper
 // argues about.
 type Stats struct {
@@ -52,7 +42,7 @@ type Stats struct {
 	ChainWalks    int64 // visibility chain traversals started
 	ChainHops     int64 // predecessor fetches during walks
 	IndexInserts  int64
-	IndexLookups  int64 // secondary-index point and range lookups
+	IndexLookups  int64 // secondary-index point and range lookups (index.Set)
 	GCPages       int64 // append pages reclaimed
 	GCRelocations int64 // live entrypoints re-appended by GC
 	GCDiscarded   int64 // dead versions discarded by GC
@@ -70,7 +60,6 @@ type relStats struct {
 	chainWalks    atomic.Int64
 	chainHops     atomic.Int64
 	indexInserts  atomic.Int64
-	indexLookups  atomic.Int64
 	gcPages       atomic.Int64
 	gcRelocations atomic.Int64
 	gcDiscarded   atomic.Int64
@@ -86,7 +75,6 @@ func (s *relStats) snapshot() Stats {
 		ChainWalks:    s.chainWalks.Load(),
 		ChainHops:     s.chainHops.Load(),
 		IndexInserts:  s.indexInserts.Load(),
-		IndexLookups:  s.indexLookups.Load(),
 		GCPages:       s.gcPages.Load(),
 		GCRelocations: s.gcRelocations.Load(),
 		GCDiscarded:   s.gcDiscarded.Load(),
@@ -120,6 +108,9 @@ type Config struct {
 	Txns  *txn.Manager
 	// PKRelID is the relation id for the primary index's pages.
 	PKRelID uint32
+	// KeyOf recovers the primary key of a stored payload, for the rebuild
+	// and replay of the primary index.
+	KeyOf func(payload []byte) int64
 	// VMapResidentBuckets bounds the in-memory VIDmap bucket set;
 	// 0 keeps the whole map resident.
 	VMapResidentBuckets int
@@ -129,21 +120,20 @@ type Config struct {
 	Readahead int
 }
 
-// Relation is one SIAS-managed table.
+// Relation is one SIAS-managed table. Its indexes map keys to VIDs.
 type Relation struct {
+	*index.Set
+
 	id    uint32
 	name  string
 	pool  *buffer.Pool
 	alloc *space.Allocator
 	walw  *wal.Writer
 	txm   *txn.Manager
+	keyOf func(payload []byte) int64
 
 	vmap *vidmap.Map
 	resi *vidmap.Residency
-
-	pk     *index.Tree
-	secs   []*index.Tree
-	secFns []SecondaryKey
 
 	mu          sync.Mutex
 	appendBlock uint32
@@ -185,20 +175,21 @@ type pendingDead struct {
 
 // New creates an empty SIAS relation with its VIDmap and primary index.
 func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
-	pk, t, err := index.New(at, cfg.PKRelID, cfg.Pool, cfg.Alloc)
+	ix, t, err := index.NewSet(at, cfg.PKRelID, cfg.Pool, cfg.Alloc)
 	if err != nil {
 		return nil, t, err
 	}
 	r := &Relation{
+		Set:        ix,
 		id:         cfg.ID,
 		name:       cfg.Name,
 		pool:       cfg.Pool,
 		alloc:      cfg.Alloc,
 		walw:       cfg.WAL,
 		txm:        cfg.Txns,
+		keyOf:      cfg.KeyOf,
 		vmap:       vidmap.New(),
 		resi:       vidmap.NewResidency(cfg.VMapResidentBuckets),
-		pk:         pk,
 		tupleCount: map[uint32]int{},
 	}
 	r.readahead.Store(int32(cfg.Readahead))
@@ -260,98 +251,6 @@ func (r *Relation) prefetchVIDs(at simclock.Time, n int, vid func(i int) uint64)
 // maxStaged is how many pages one readahead window gathers on the stack.
 const maxStaged = 64
 
-// AddSecondary attaches a secondary <key, VID> index and returns its
-// position. The slices are replaced copy-on-write under r.mu so concurrent
-// readers holding a snapshot never observe a partial mutation.
-func (r *Relation) AddSecondary(at simclock.Time, relID uint32, fn SecondaryKey) (simclock.Time, error) {
-	t, tm, err := index.New(at, relID, r.pool, r.alloc)
-	if err != nil {
-		return tm, err
-	}
-	r.mu.Lock()
-	secs := append(append([]*index.Tree(nil), r.secs...), t)
-	secFns := append(append([]SecondaryKey(nil), r.secFns...), fn)
-	r.secs, r.secFns = secs, secFns
-	r.mu.Unlock()
-	return tm, nil
-}
-
-// DropSecondary detaches secondary index idx. The slot is tombstoned with a
-// nil entry (not removed) so other indexes keep their positions; the tree's
-// pages are abandoned, not reclaimed.
-func (r *Relation) DropSecondary(idx int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx < 0 || idx >= len(r.secs) || r.secs[idx] == nil {
-		return fmt.Errorf("sias: no secondary index %d", idx)
-	}
-	secs := append([]*index.Tree(nil), r.secs...)
-	secFns := append([]SecondaryKey(nil), r.secFns...)
-	secs[idx], secFns[idx] = nil, nil
-	r.secs, r.secFns = secs, secFns
-	return nil
-}
-
-// secSnapshot returns a consistent view of the secondary-index slices.
-// Dropped slots are nil; callers skip them.
-func (r *Relation) secSnapshot() ([]*index.Tree, []SecondaryKey) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.secs, r.secFns
-}
-
-// SecondaryPageWrites reports how many pages secondary index idx has
-// dirtied (0 when idx is out of range or dropped) — the §6 zero-index-write
-// claim is asserted against this.
-func (r *Relation) SecondaryPageWrites(idx int) int64 {
-	secs, _ := r.secSnapshot()
-	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
-		return 0
-	}
-	return secs[idx].PageWrites()
-}
-
-// PKEntries reports the primary index entry count (>= live rows: entries for
-// superseded key epochs and tombstoned items linger until GC/rebuild).
-func (r *Relation) PKEntries() int64 { return r.pk.Len() }
-
-// SecondaryEntries sums entry counts across live secondary indexes.
-func (r *Relation) SecondaryEntries() int64 {
-	secs, _ := r.secSnapshot()
-	var n int64
-	for _, sec := range secs {
-		if sec != nil {
-			n += sec.Len()
-		}
-	}
-	return n
-}
-
-// SecondaryInserts sums cumulative insert counts across live secondary
-// indexes (rebuild inserts included).
-func (r *Relation) SecondaryInserts() int64 {
-	secs, _ := r.secSnapshot()
-	var n int64
-	for _, sec := range secs {
-		if sec != nil {
-			n += sec.Inserts()
-		}
-	}
-	return n
-}
-
-// SecondaryCount reports the number of live (non-dropped) secondary indexes.
-func (r *Relation) SecondaryCount() int {
-	secs, _ := r.secSnapshot()
-	n := 0
-	for _, sec := range secs {
-		if sec != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
 
@@ -363,7 +262,9 @@ func (r *Relation) VIDMap() *vidmap.Map { return r.vmap }
 
 // Stats returns a snapshot of counters.
 func (r *Relation) Stats() Stats {
-	return r.stats.snapshot()
+	s := r.stats.snapshot()
+	s.IndexLookups = r.Lookups()
+	return s
 }
 
 // VMapResidency reports the VIDmap residency cache's hit/miss probe counts.
@@ -611,26 +512,41 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 		}
 	})
 
-	t, err = r.pk.Insert(t, key, vid)
+	t, err = r.PK.Insert(t, key, vid)
 	if err != nil {
 		return 0, t, err
 	}
 	r.stats.indexInserts.Add(1)
-	secs, secFns := r.secSnapshot()
-	for i, sec := range secs {
-		if sec == nil {
+	// Set inserts although the VID is new: a backfill of one of these trees
+	// may be scanning the page the version just landed on (BackfillSecondary).
+	t, err = r.indexSecondaries(t, vid, nil, payload)
+	return vid, t, err
+}
+
+// indexSecondaries set-inserts <key, vid> into every live secondary index
+// that indexes payload, except where old — vid's previous version, nil for a
+// new item — has the same key already: a non-key update writes no index.
+func (r *Relation) indexSecondaries(at simclock.Time, vid uint64, old, payload []byte) (simclock.Time, error) {
+	t := at
+	for _, sec := range r.Secondaries() {
+		if sec.Tree == nil {
 			continue
 		}
-		if k, ok := secFns[i](payload); ok {
-			// A set insert although the VID is new: a backfill of this very
-			// tree may be scanning the page the version just landed on
-			// (BackfillSecondary).
-			if t, err = r.addEntry(t, sec, k, vid); err != nil {
-				return 0, t, err
+		k, ok := sec.Key(payload)
+		if !ok {
+			continue
+		}
+		if old != nil {
+			if oldK, oldOk := sec.Key(old); oldOk && oldK == k {
+				continue
 			}
 		}
+		var err error
+		if t, err = r.addEntry(t, sec.Tree, k, vid); err != nil {
+			return t, err
+		}
 	}
-	return vid, t, nil
+	return t, nil
 }
 
 // addEntry set-inserts <key, vid> into tree (index.Tree.Add) and counts the
@@ -692,128 +608,148 @@ func (r *Relation) noteDead(tid page.TID) {
 	r.mu.Unlock()
 }
 
-// UpdateByVID applies mutate to the item's current version, appending the
-// successor (Algorithm 3). mutate receives the visible payload and returns
-// the new payload plus the new primary-index key (used only when the key
-// changes — non-key updates leave the index untouched, Section 4.3).
-func (r *Relation) UpdateByVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey int64, mutate func(old []byte) ([]byte, int64, error)) (simclock.Time, error) {
-	tx.MarkWrote()
-	// Algorithm 3, line 7: REQUESTXLOCK — blocks behind a concurrent
-	// updater; on wakeup the entrypoint is re-validated below.
-	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
-		return at, err
-	}
-	t := r.vmapTouch(at, vid)
-	entryTID, ok := r.vmap.Get(vid)
-	if !ok {
-		return t, ErrNotFound
-	}
-	hdr, payload, t, err := r.fetch(t, entryTID)
-	if err != nil {
-		return t, err
-	}
-	// Algorithm 3, line 4: the entrypoint must be visible to us, otherwise
-	// a concurrent transaction won the update race (first-updater-wins).
-	if !tx.Visible(hdr.Create) {
-		return t, txn.ErrSerialization
-	}
-	if hdr.Tombstone() {
-		return t, ErrNotFound
-	}
-	newPayload, newKey, err := mutate(payload)
-	if err != nil {
-		return t, err
-	}
+// pointVIDs sizes the VID buffer of a key-level Get, Update or Delete: a
+// key has one VID unless rows moved through it (stale key epochs).
+const pointVIDs = 4
 
-	r.mu.Lock()
-	newTID, t, err := r.append(tx.ID, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID}, newPayload)
-	r.mu.Unlock()
+// byKey is every key-level operation (Section 4.3): collect the VIDs the
+// primary index maps key to, and run op on each in turn until it returns
+// anything but index.ErrNoRow or index.ErrStale. <key, VID> entries outlive
+// key changes (Example 1), so a key may name rows that have moved to
+// another: op's callback re-checks the key of the version it resolves and
+// passes over it with index.ErrStale.
+func (r *Relation) byKey(at simclock.Time, key int64, op func(t simclock.Time, vid uint64) (simclock.Time, error)) (simclock.Time, error) {
+	var buf [pointVIDs]uint64
+	vids, t, err := r.PK.SearchAppend(at, key, buf[:0])
 	if err != nil {
 		return t, err
 	}
-	// The VIDmap immediately points at the new (still uncommitted) version:
-	// it is invisible to everyone else, which "locks" the item (Section
-	// 4.2.2). Rollback restores the old entrypoint.
-	t = r.vmapTouch(t, vid)
-	r.vmap.Set(vid, newTID)
-	pred := entryTID
-	tx.OnFinish(func(committed bool) {
-		if committed {
-			r.mu.Lock()
-			r.pendingDead = append(r.pendingDead, pendingDead{pred: pred, by: tx.ID})
-			r.mu.Unlock()
-		} else {
-			r.vmap.CompareAndSwap(vid, newTID, pred)
-			r.noteDead(newTID)
+	for _, vid := range vids {
+		t, err = op(t, vid)
+		if !errors.Is(err, index.ErrNoRow) && !errors.Is(err, index.ErrStale) {
+			return t, err
 		}
-	})
+	}
+	return t, index.ErrNoRow
+}
 
+// Get hands fn the version of key visible to tx, with its VID (no TID:
+// SIAS names a version by its item). fn returns nil to accept it,
+// index.ErrStale to pass over it (byKey), or an error to return.
+func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64, fn func(vid uint64, tid page.TID, payload []byte) error) (simclock.Time, error) {
+	return r.byKey(at, key, func(t simclock.Time, vid uint64) (simclock.Time, error) {
+		payload, t, err := r.getVID(tx, t, vid)
+		if err != nil {
+			return t, err
+		}
+		return t, fn(vid, page.InvalidTID, payload)
+	})
+}
+
+// Update applies mutate to the visible version of key, appending the
+// successor (Algorithm 3). mutate gets the version as Get's fn does, and may
+// pass over it the same way; it returns the new payload plus the new primary
+// key — a changed key adds a <key, VID> entry, and an unchanged one leaves
+// the index untouched (Section 4.3).
+func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(vid uint64, tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+	return r.byKey(at, key, func(t simclock.Time, vid uint64) (simclock.Time, error) {
+		return r.updateVID(tx, t, vid, key, mutate)
+	})
+}
+
+// Delete appends a tombstone to the visible version of key (Section
+// 4.2.2): transactions that started before the deleting transaction commits
+// still reach the last committed state through the chain. check sees the
+// version first, as Get's fn does; an error from it returns before anything
+// is appended.
+func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64, check func(vid uint64, tid page.TID, old []byte) error) (simclock.Time, error) {
+	return r.byKey(at, key, func(t simclock.Time, vid uint64) (simclock.Time, error) {
+		return r.deleteVID(tx, t, vid, check)
+	})
+}
+
+// updateVID is Update of one item, vid, whose key is oldKey.
+func (r *Relation) updateVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey int64, mutate func(vid uint64, tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+	entryTID, payload, t, err := r.lockEntrypoint(tx, at, vid)
+	if err != nil {
+		return t, err
+	}
+	newPayload, newKey, err := mutate(vid, page.InvalidTID, payload)
+	if err != nil {
+		return t, err
+	}
+	if t, err = r.supersede(tx, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID}, newPayload); err != nil {
+		return t, err
+	}
 	if newKey != oldKey {
 		// Key change: add the new <key, VID> entry; the old entry remains
 		// valid for transactions that still see old versions (Figure 2).
 		// Entries are a set per <key, VID>: a row returning to a key it held
 		// before finds its old entry still there and must not duplicate it,
 		// or multi-version lookups would count the row once per stint.
-		if t, err = r.addEntry(t, r.pk, newKey, vid); err != nil {
+		if t, err = r.addEntry(t, r.PK, newKey, vid); err != nil {
 			return t, err
 		}
 	}
-	secs, secFns := r.secSnapshot()
-	for i, sec := range secs {
-		if sec == nil {
-			continue
-		}
-		oldK, oldOk := secFns[i](payload)
-		newK, newOk := secFns[i](newPayload)
-		if newOk && (!oldOk || newK != oldK) {
-			if t, err = r.addEntry(t, sec, newK, vid); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
+	return r.indexSecondaries(t, vid, payload, newPayload)
 }
 
-// DeleteByVID appends a tombstone version (Section 4.2.2): transactions that
-// started before the deleting transaction commits still reach the last
-// committed state through the chain. A non-nil check sees the visible
-// payload first, and an error from it returns before anything is appended —
-// the caller's re-check of a key whose <key, VID> entry may be stale.
-func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64, check func(old []byte) error) (simclock.Time, error) {
+// deleteVID is Delete of one item, vid.
+func (r *Relation) deleteVID(tx *txn.Tx, at simclock.Time, vid uint64, check func(vid uint64, tid page.TID, old []byte) error) (simclock.Time, error) {
+	entryTID, payload, t, err := r.lockEntrypoint(tx, at, vid)
+	if err != nil {
+		return t, err
+	}
+	if err := check(vid, page.InvalidTID, payload); err != nil {
+		return t, err
+	}
+	r.stats.tombstones.Add(1)
+	return r.supersede(tx, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID, Flags: tuple.FlagTombstone}, nil)
+}
+
+// lockEntrypoint takes item vid's lock for tx (Algorithm 3, line 7:
+// REQUESTXLOCK — it blocks behind a concurrent updater) and returns the
+// entrypoint version it re-validates on wakeup: it must be visible to tx —
+// otherwise a concurrent transaction won the update race (line 4,
+// first-updater-wins) — and not a tombstone.
+func (r *Relation) lockEntrypoint(tx *txn.Tx, at simclock.Time, vid uint64) (page.TID, []byte, simclock.Time, error) {
 	tx.MarkWrote()
 	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
-		return at, err
+		return page.InvalidTID, nil, at, err
 	}
 	t := r.vmapTouch(at, vid)
 	entryTID, ok := r.vmap.Get(vid)
 	if !ok {
-		return t, ErrNotFound
+		return page.InvalidTID, nil, t, index.ErrNoRow
 	}
 	hdr, payload, t, err := r.fetch(t, entryTID)
 	if err != nil {
-		return t, err
+		return page.InvalidTID, nil, t, err
 	}
 	if !tx.Visible(hdr.Create) {
-		return t, txn.ErrSerialization
+		return page.InvalidTID, nil, t, txn.ErrSerialization
 	}
 	if hdr.Tombstone() {
-		return t, ErrNotFound
+		return page.InvalidTID, nil, t, index.ErrNoRow
 	}
-	if check != nil {
-		if err := check(payload); err != nil {
-			return t, err
-		}
-	}
+	return entryTID, payload, t, nil
+}
+
+// supersede appends hdr and payload as the new entrypoint of the item
+// hdr.VID, whose current one is hdr.Pred. The VIDmap points at the new
+// (still uncommitted) version at once: it is invisible to everyone else,
+// which "locks" the item (Section 4.2.2). Commit queues the predecessor for
+// GC; rollback restores it as the entrypoint.
+func (r *Relation) supersede(tx *txn.Tx, at simclock.Time, hdr tuple.SIASHeader, payload []byte) (simclock.Time, error) {
 	r.mu.Lock()
-	newTID, t, err := r.append(tx.ID, t, tuple.SIASHeader{Create: tx.ID, VID: vid, Pred: entryTID, Flags: tuple.FlagTombstone}, nil)
-	r.stats.tombstones.Add(1)
+	newTID, t, err := r.append(tx.ID, at, hdr, payload)
 	r.mu.Unlock()
 	if err != nil {
 		return t, err
 	}
+	vid, pred := hdr.VID, hdr.Pred
 	t = r.vmapTouch(t, vid)
 	r.vmap.Set(vid, newTID)
-	pred := entryTID
 	tx.OnFinish(func(committed bool) {
 		if committed {
 			r.mu.Lock()
@@ -827,30 +763,22 @@ func (r *Relation) DeleteByVID(tx *txn.Tx, at simclock.Time, vid uint64, check f
 	return t, nil
 }
 
-// GetByVID returns the payload of vid's version visible to tx.
-func (r *Relation) GetByVID(tx *txn.Tx, at simclock.Time, vid uint64) ([]byte, simclock.Time, error) {
+// getVID returns the payload of vid's version visible to tx.
+func (r *Relation) getVID(tx *txn.Tx, at simclock.Time, vid uint64) ([]byte, simclock.Time, error) {
 	hdr, payload, t, found, err := r.chainLookup(tx, at, vid)
 	if err != nil {
 		return nil, t, err
 	}
 	if !found || hdr.Tombstone() {
-		return nil, t, ErrNotFound
+		return nil, t, index.ErrNoRow
 	}
 	return payload, t, nil
-}
-
-// VIDsForKey returns every VID the primary index maps key to. Multiple VIDs
-// (or stale key epochs) can match; callers re-check the predicate against
-// the returned versions, as in any index whose entries outlive key changes.
-// The VIDs are appended to dst (index.Tree.SearchAppend).
-func (r *Relation) VIDsForKey(at simclock.Time, key int64, dst []uint64) ([]uint64, simclock.Time, error) {
-	return r.pk.SearchAppend(at, key, dst)
 }
 
 // Scan is Algorithm 1: iterate the VIDmap and resolve each data item to its
 // visible version, rather than reading the whole relation — a VID-range scan
 // over every VID issued so far. fn returning false stops the scan.
-func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(vid uint64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	return r.ScanVIDRange(tx, at, 0, r.vmap.MaxVID(), fn)
 }
 
@@ -864,8 +792,8 @@ type idxEnt struct {
 // versions in key order. Because <key,VID> entries survive key changes, fn
 // receives the index key alongside the payload and callers re-check the
 // predicate against the decoded row.
-func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
-	return r.rangeIndex(tx, at, r.pk, lo, hi, fn)
+func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+	return r.rangeIndex(tx, at, r.PK, lo, hi, fn)
 }
 
 // RangeBySecondary resolves the secondary-index key range [lo, hi] to
@@ -873,20 +801,19 @@ func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn fun
 // Entries outlive indexed-column changes (exactly like the primary index),
 // so fn receives the index key and callers re-check the predicate against
 // the decoded row.
-func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
-	secs, _ := r.secSnapshot()
-	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
-		return at, fmt.Errorf("sias: no secondary index %d", idx)
+func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+	tree, err := r.Probe(idx)
+	if err != nil {
+		return at, err
 	}
-	r.stats.indexLookups.Add(1)
-	return r.rangeIndex(tx, at, secs[idx], lo, hi, fn)
+	return r.rangeIndex(tx, at, tree, lo, hi, fn)
 }
 
 // rangeIndex is every index read (Section 4.3): collect tree's <key, VID>
 // entries in [lo, hi], then resolve each through the VIDmap to its visible
 // version in entry order, staging the readahead window's entrypoint pages
 // ahead of the cursor. fn returning false stops the resolution.
-func (r *Relation) rangeIndex(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(indexKey int64, vid uint64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) rangeIndex(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	var ents []idxEnt
 	t, err := tree.Range(at, lo, hi, func(k int64, vid uint64) bool {
 		ents = append(ents, idxEnt{k, vid})
@@ -908,7 +835,7 @@ func (r *Relation) rangeIndex(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo
 		if !found || hdr.Tombstone() {
 			continue
 		}
-		if !fn(e.key, e.vid, payload) {
+		if !fn(e.key, e.vid, page.InvalidTID, payload) {
 			return t, nil
 		}
 	}

@@ -57,7 +57,7 @@ func BenchmarkUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := e.txm.Begin()
-		at, err = e.rel.UpdateByVID(tx, at, vid, 1, func([]byte) ([]byte, int64, error) {
+		at, err = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return pl, 1, nil
 		})
 		if err != nil {
@@ -81,14 +81,14 @@ func BenchmarkGetByVIDChainDepth(b *testing.B) {
 			oldSnap := e.txm.Begin() // pins the original version
 			for i := 0; i < depth; i++ {
 				tx := e.txm.Begin()
-				at, _ = e.rel.UpdateByVID(tx, at, vid, 1, func([]byte) ([]byte, int64, error) {
+				at, _ = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 					return pl, 1, nil
 				})
 				e.txm.Commit(tx)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.rel.GetByVID(oldSnap, at, vid); err != nil {
+				if _, _, err := e.rel.getVID(oldSnap, at, vid); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,7 +111,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if _, err := e.rel.Scan(r, at, func(uint64, []byte) bool { n++; return true }); err != nil {
+		if _, err := e.rel.Scan(r, at, func(uint64, page.TID, []byte) bool { n++; return true }); err != nil {
 			b.Fatal(err)
 		}
 		if n != 10000 {
@@ -137,7 +137,7 @@ func BenchmarkGC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 20; j++ {
 			tx := e.txm.Begin()
-			at, _ = e.rel.UpdateByVID(tx, at, vid, 1, func([]byte) ([]byte, int64, error) {
+			at, _ = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 				return pl, 1, nil
 			})
 			e.txm.Commit(tx)

@@ -8,6 +8,7 @@ import (
 
 	"sias/internal/buffer"
 	"sias/internal/device"
+	"sias/internal/index"
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/space"
@@ -49,6 +50,9 @@ func newEnvOn(t *testing.T, dev device.BlockDevice) *env {
 
 func payload(s string) []byte { return []byte(s) }
 
+// anyVersion is a deleteVID check that accepts every version.
+func anyVersion(uint64, page.TID, []byte) error { return nil }
+
 func TestInsertAssignsSequentialVIDs(t *testing.T) {
 	e := newEnv(t)
 	tx := e.txm.Begin()
@@ -76,7 +80,7 @@ func TestChainGrowsBackwards(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		u := e.txm.Begin()
 		var err error
-		at, err = e.rel.UpdateByVID(u, at, vid, 1, func(old []byte) ([]byte, int64, error) {
+		at, err = e.rel.updateVID(u, at, vid, 1, func(_ uint64, _ page.TID, old []byte) ([]byte, int64, error) {
 			return payload(fmt.Sprintf("v%d", i)), 1, nil
 		})
 		if err != nil {
@@ -121,12 +125,12 @@ func TestOldSnapshotWalksChain(t *testing.T) {
 
 	oldReader := e.txm.Begin() // sees "old"
 	writer := e.txm.Begin()
-	at, _ = e.rel.UpdateByVID(writer, at, vid, 1, func([]byte) ([]byte, int64, error) {
+	at, _ = e.rel.updateVID(writer, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return payload("new"), 1, nil
 	})
 	e.txm.Commit(writer)
 
-	got, at, err := e.rel.GetByVID(oldReader, at, vid)
+	got, at, err := e.rel.getVID(oldReader, at, vid)
 	if err != nil || string(got) != "old" {
 		t.Errorf("old reader got %q, %v", got, err)
 	}
@@ -135,7 +139,7 @@ func TestOldSnapshotWalksChain(t *testing.T) {
 		t.Error("old reader should have walked at least one chain hop")
 	}
 	newReader := e.txm.Begin()
-	got, _, err = e.rel.GetByVID(newReader, at, vid)
+	got, _, err = e.rel.getVID(newReader, at, vid)
 	if err != nil || string(got) != "new" {
 		t.Errorf("new reader got %q, %v", got, err)
 	}
@@ -155,7 +159,7 @@ func TestNoInPlaceWritesOnUpdate(t *testing.T) {
 	hdrBefore, plBefore, at, _ := e.rel.fetch(at, tidBefore)
 
 	u := e.txm.Begin()
-	at, _ = e.rel.UpdateByVID(u, at, vid, 1, func([]byte) ([]byte, int64, error) {
+	at, _ = e.rel.updateVID(u, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return payload("changed"), 1, nil
 	})
 	e.txm.Commit(u)
@@ -177,16 +181,16 @@ func TestTombstoneChain(t *testing.T) {
 	e.txm.Commit(setup)
 	old := e.txm.Begin()
 	del := e.txm.Begin()
-	at, _ = e.rel.DeleteByVID(del, at, vid, nil)
+	at, _ = e.rel.deleteVID(del, at, vid, anyVersion)
 	e.txm.Commit(del)
 	// Old transaction still reaches the predecessor through the tombstone.
-	got, at, err := e.rel.GetByVID(old, at, vid)
+	got, at, err := e.rel.getVID(old, at, vid)
 	if err != nil || string(got) != "x" {
 		t.Errorf("old reader through tombstone: %q %v", got, err)
 	}
 	// Double delete fails.
 	del2 := e.txm.Begin()
-	if _, err := e.rel.DeleteByVID(del2, at, vid, nil); !errors.Is(err, ErrNotFound) {
+	if _, err := e.rel.deleteVID(del2, at, vid, anyVersion); !errors.Is(err, index.ErrNoRow) {
 		t.Errorf("second delete err = %v", err)
 	}
 	e.txm.Commit(old)
@@ -207,7 +211,7 @@ func TestScanUsesVIDMap(t *testing.T) {
 	e.txm.Commit(tx)
 	r := e.txm.Begin()
 	var seen []uint64
-	at, err := e.rel.Scan(r, at, func(vid uint64, pl []byte) bool {
+	at, err := e.rel.Scan(r, at, func(vid uint64, _ page.TID, pl []byte) bool {
 		seen = append(seen, vid)
 		return true
 	})
@@ -294,7 +298,7 @@ func TestGCReclaimsDeadSuffixes(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		u := e.txm.Begin()
 		var err error
-		at, err = e.rel.UpdateByVID(u, at, vid, 1, func([]byte) ([]byte, int64, error) {
+		at, err = e.rel.updateVID(u, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return big, 1, nil
 		})
 		if err != nil {
@@ -317,7 +321,7 @@ func TestGCReclaimsDeadSuffixes(t *testing.T) {
 	}
 	// The item's current version must survive GC.
 	r := e.txm.Begin()
-	got, _, err := e.rel.GetByVID(r, at, vid)
+	got, _, err := e.rel.getVID(r, at, vid)
 	if err != nil || len(got) != len(big) {
 		t.Errorf("entrypoint lost by GC: %v len=%d", err, len(got))
 	}
@@ -339,7 +343,7 @@ func TestGCRespectsActiveSnapshots(t *testing.T) {
 	big := make([]byte, 1500)
 	for i := 0; i < 20; i++ {
 		u := e.txm.Begin()
-		at, _ = e.rel.UpdateByVID(u, at, vid, 1, func([]byte) ([]byte, int64, error) {
+		at, _ = e.rel.updateVID(u, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return big, 1, nil
 		})
 		e.txm.Commit(u)
@@ -350,7 +354,7 @@ func TestGCRespectsActiveSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, at, err := e.rel.GetByVID(oldReader, at, vid)
+	got, at, err := e.rel.getVID(oldReader, at, vid)
 	if err != nil || string(got) != "old" {
 		t.Fatalf("old snapshot lost its version after GC: %q %v", got, err)
 	}
@@ -361,7 +365,7 @@ func TestGCRespectsActiveSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	newReader := e.txm.Begin()
-	if got, _, err := e.rel.GetByVID(newReader, at, vid); err != nil || len(got) != len(big) {
+	if got, _, err := e.rel.getVID(newReader, at, vid); err != nil || len(got) != len(big) {
 		t.Errorf("current version lost: %v", err)
 	}
 	e.txm.Commit(newReader)
@@ -377,7 +381,7 @@ func TestGCBlockReuse(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20; i++ {
 			u := e.txm.Begin()
-			at, _ = e.rel.UpdateByVID(u, at, vid, 1, func([]byte) ([]byte, int64, error) {
+			at, _ = e.rel.updateVID(u, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 				return big, 1, nil
 			})
 			e.txm.Commit(u)

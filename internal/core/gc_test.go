@@ -44,7 +44,7 @@ func gcRound(t *testing.T) []wal.Record {
 	for r := 0; r < rounds; r++ {
 		for i, vid := range vids {
 			u := txm.Begin()
-			if at, err = rel.UpdateByVID(u, at, vid, int64(i), func([]byte) ([]byte, int64, error) {
+			if at, err = rel.updateVID(u, at, vid, int64(i), func(uint64, page.TID, []byte) ([]byte, int64, error) {
 				return big, int64(i), nil
 			}); err != nil {
 				t.Fatal(err)

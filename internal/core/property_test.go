@@ -48,7 +48,7 @@ func TestChainInvariantsProperty(t *testing.T) {
 			case op < 8 && len(vids) > 0: // update (sometimes aborted)
 				vid := vids[rng.Intn(len(vids))]
 				tx := e.txm.Begin()
-				a, err := e.rel.UpdateByVID(tx, at, vid, 0, func([]byte) ([]byte, int64, error) {
+				a, err := e.rel.updateVID(tx, at, vid, 0, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 					return payload("u"), 0, nil
 				})
 				at = a
@@ -128,7 +128,7 @@ func TestVisibilityFollowsSnapshotOrderProperty(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			tx := e.txm.Begin()
 			gen := i
-			at, err = e.rel.UpdateByVID(tx, at, vid, 1, func([]byte) ([]byte, int64, error) {
+			at, err = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 				return payload(string(rune('g')) + string(rune('0'+gen%10))), 1, nil
 			})
 			if err != nil {
@@ -139,7 +139,7 @@ func TestVisibilityFollowsSnapshotOrderProperty(t *testing.T) {
 		}
 		ok := true
 		for i, snap := range snaps {
-			got, _, err := e.rel.GetByVID(snap, at, vid)
+			got, _, err := e.rel.getVID(snap, at, vid)
 			if err != nil {
 				ok = false
 				break

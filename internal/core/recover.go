@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"sias/internal/page"
@@ -66,11 +65,10 @@ type rebuilt struct {
 // shipped outcome record on a follower, by the engine (as an abort) once a
 // primary has read its whole log.
 //
-// blocks is the heap high-water mark observed during redo. keyOf recovers
-// the primary key from a payload.
-func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(payload []byte) int64) (simclock.Time, error) {
+// blocks is the heap high-water mark observed during redo.
+func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32) (simclock.Time, error) {
 	clog := r.txm.CLOG()
-	secs, secFns := r.secSnapshot()
+	secs := r.Secondaries()
 
 	r.mu.Lock()
 	r.nextBlock = blocks
@@ -99,14 +97,14 @@ func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(p
 			v := rebuilt{tid: tid, pred: hdr.Pred, vid: hdr.VID, create: hdr.Create,
 				tomb: hdr.Tombstone(), undecided: st != txn.StatusCommitted}
 			if !v.tomb {
-				v.key = keyOf(payload)
+				v.key = r.keyOf(payload)
 			}
 			vers = append(vers, v)
-			for i, sec := range secs {
+			for _, sec := range secs {
 				var k int64
 				ok := false
-				if sec != nil && !v.tomb {
-					k, ok = secFns[i](payload)
+				if sec.Tree != nil && !v.tomb {
+					k, ok = sec.Key(payload)
 				}
 				secKeys, secOK = append(secKeys, k), append(secOK, ok)
 			}
@@ -227,7 +225,7 @@ func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(p
 			}
 			var err error
 			if !seenKey || v.key != lastKey {
-				if _, t, err = r.pk.Add(t, v.key, v.vid); err != nil {
+				if _, t, err = r.PK.Add(t, v.key, v.vid); err != nil {
 					return t, err
 				}
 				seenKey, lastKey = true, v.key
@@ -237,7 +235,7 @@ func (r *Relation) RebuildFromHeap(at simclock.Time, blocks uint32, keyOf func(p
 				if !ok || (seenSec[j] && k == lastSec[j]) {
 					continue
 				}
-				if _, t, err = sec.Add(t, k, v.vid); err != nil {
+				if _, t, err = sec.Tree.Add(t, k, v.vid); err != nil {
 					return t, err
 				}
 				seenSec[j], lastSec[j] = true, k
@@ -310,9 +308,9 @@ func chainOrder(vers []rebuilt, idx []int32) {
 // would move a version out of a block the scan has yet to read into one it
 // has passed.
 func (r *Relation) BackfillSecondary(at simclock.Time, idx int) (simclock.Time, error) {
-	secs, secFns := r.secSnapshot()
-	if idx < 0 || idx >= len(secs) || secs[idx] == nil {
-		return at, fmt.Errorf("sias: no secondary index %d", idx)
+	sec, err := r.Slot(idx)
+	if err != nil {
+		return at, err
 	}
 	r.gcMu.Lock()
 	defer r.gcMu.Unlock()
@@ -327,7 +325,7 @@ func (r *Relation) BackfillSecondary(at simclock.Time, idx int) (simclock.Time, 
 			if hdr.Tombstone() || clog.Get(hdr.Create) == txn.StatusAborted {
 				return
 			}
-			if k, ok := secFns[idx](payload); ok {
+			if k, ok := sec.Key(payload); ok {
 				ents = append(ents, idxEnt{k, hdr.VID})
 			}
 		})
@@ -335,7 +333,7 @@ func (r *Relation) BackfillSecondary(at simclock.Time, idx int) (simclock.Time, 
 			return t, err
 		}
 		for _, e := range ents {
-			if t, err = r.addEntry(t, secs[idx], e.key, e.vid); err != nil {
+			if t, err = r.addEntry(t, sec.Tree, e.key, e.vid); err != nil {
 				return t, err
 			}
 		}

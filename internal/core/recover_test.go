@@ -25,8 +25,8 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 			return p
 		}
 		keyOf := func(p []byte) int64 { return int64(p[0]) }
-		rewrite := func(key byte) func([]byte) ([]byte, int64, error) {
-			return func([]byte) ([]byte, int64, error) { return row(key), int64(key), nil }
+		rewrite := func(key byte) func(uint64, page.TID, []byte) ([]byte, int64, error) {
+			return func(uint64, page.TID, []byte) ([]byte, int64, error) { return row(key), int64(key), nil }
 		}
 
 		setup := e.txm.Begin()
@@ -37,7 +37,7 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 		// list, which the append path reuses before it extends the heap.
 		for i := 0; i < 40; i++ {
 			u := e.txm.Begin()
-			at, _ = e.rel.UpdateByVID(u, at, churn, 1, rewrite(1))
+			at, _ = e.rel.updateVID(u, at, churn, 1, rewrite(1))
 			e.txm.Commit(u)
 		}
 		at, _ = e.rel.SealAppend(at, false)
@@ -50,7 +50,7 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 		open := e.txm.Begin()
 		var err error
 		for i := 0; i < 14; i++ {
-			if at, err = e.rel.UpdateByVID(open, at, item, 2, rewrite(2)); err != nil {
+			if at, err = e.rel.updateVID(open, at, item, 2, rewrite(2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -59,11 +59,11 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r2, at, err := New(at, Config{ID: 1, Name: "t", Pool: e.pool, Alloc: e.alloc, WAL: e.walw, Txns: e.txm, PKRelID: 9})
+		r2, at, err := New(at, Config{ID: 1, Name: "t", Pool: e.pool, Alloc: e.alloc, WAL: e.walw, Txns: e.txm, PKRelID: 9, KeyOf: keyOf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if at, err = r2.RebuildFromHeap(at, e.rel.Blocks(), keyOf); err != nil {
+		if at, err = r2.RebuildFromHeap(at, e.rel.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 		sameEntrypoints := func(when string) {
@@ -108,13 +108,13 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 		}
 		reader := e.txm.Begin()
 		for _, vid := range []uint64{churn, item, fresh} {
-			a, _, aerr := e.rel.GetByVID(reader, at, vid)
-			b, _, berr := r2.GetByVID(reader, at, vid)
+			a, _, aerr := e.rel.getVID(reader, at, vid)
+			b, _, berr := r2.getVID(reader, at, vid)
 			if !bytes.Equal(a, b) || (aerr == nil) != (berr == nil) {
 				t.Errorf("commit=%v: vid %d reads differ: %v vs %v", commit, vid, aerr, berr)
 			}
 		}
-		if vids, _, _ := r2.VIDsForKey(at, 3, nil); len(vids) != 1 || vids[0] != fresh {
+		if vids, _, _ := r2.PK.Search(at, 3); len(vids) != 1 || vids[0] != fresh {
 			t.Errorf("commit=%v: rebuilt primary index maps key 3 to %v, want [%d]", commit, vids, fresh)
 		}
 		e.txm.Commit(reader)

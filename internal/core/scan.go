@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/txn"
 )
@@ -12,7 +13,7 @@ import (
 // versions, exploiting the VIDmap's sequential bucket layout (Section 4.1.3:
 // "queries on VID ranges are also facilitated"). fn returning false stops
 // the scan.
-func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn func(vid uint64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn func(vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	if max := r.vmap.MaxVID(); hi > max {
 		hi = max
 	}
@@ -33,7 +34,7 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 		if !found || hdr.Tombstone() {
 			continue
 		}
-		if !fn(vid, payload) {
+		if !fn(vid, page.InvalidTID, payload) {
 			return t, nil
 		}
 	}
@@ -48,7 +49,7 @@ func (r *Relation) ScanVIDRange(tx *txn.Tx, at simclock.Time, lo, hi uint64, fn 
 // use, and fn returning false stops every worker at its next item. The
 // returned virtual time is the max over the workers' partitions — the
 // wall-clock of a parallel scan.
-func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(vid uint64, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -76,8 +77,8 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			t, err := r.ScanVIDRange(tx, at, lo, hi, func(vid uint64, payload []byte) bool {
-				if stop.Load() || !fn(vid, payload) {
+			t, err := r.ScanVIDRange(tx, at, lo, hi, func(vid uint64, tid page.TID, payload []byte) bool {
+				if stop.Load() || !fn(vid, tid, payload) {
 					stop.Store(true)
 					return false
 				}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sias/internal/page"
 	"sias/internal/simclock"
 )
 
@@ -25,7 +26,7 @@ func collectScan(t *testing.T, e *env, at simclock.Time) map[uint64]string {
 	r := e.txm.Begin()
 	defer e.txm.Commit(r)
 	got := map[uint64]string{}
-	if _, err := e.rel.Scan(r, at, func(vid uint64, pl []byte) bool {
+	if _, err := e.rel.Scan(r, at, func(vid uint64, _ page.TID, pl []byte) bool {
 		got[vid] = string(pl)
 		return true
 	}); err != nil {
@@ -47,7 +48,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	for i := 0; i < 100; i += 10 {
 		tx := e.txm.Begin()
 		var err error
-		at, err = e.rel.DeleteByVID(tx, at, uint64(i), nil)
+		at, err = e.rel.deleteVID(tx, at, uint64(i), anyVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	// ScanVIDRange with readahead matches a plain range.
 	r := e.txm.Begin()
 	var ra []uint64
-	if _, err := e.rel.ScanVIDRange(r, at, 100, 300, func(vid uint64, _ []byte) bool {
+	if _, err := e.rel.ScanVIDRange(r, at, 100, 300, func(vid uint64, _ page.TID, _ []byte) bool {
 		ra = append(ra, vid)
 		return true
 	}); err != nil {
@@ -94,7 +95,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	}
 	e.rel.SetReadahead(0)
 	var plain []uint64
-	if _, err := e.rel.ScanVIDRange(r, at, 100, 300, func(vid uint64, _ []byte) bool {
+	if _, err := e.rel.ScanVIDRange(r, at, 100, 300, func(vid uint64, _ page.TID, _ []byte) bool {
 		plain = append(plain, vid)
 		return true
 	}); err != nil {
@@ -116,7 +117,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 	r2 := e.txm.Begin()
 	var mu sync.Mutex
 	par := map[uint64]string{}
-	if _, err := e.rel.ParallelScan(r2, at, 4, func(vid uint64, pl []byte) bool {
+	if _, err := e.rel.ParallelScan(r2, at, 4, func(vid uint64, _ page.TID, pl []byte) bool {
 		mu.Lock()
 		par[vid] = string(pl)
 		mu.Unlock()
@@ -141,7 +142,7 @@ func TestScanReadaheadMatchesBaseline(t *testing.T) {
 		r := e.txm.Begin()
 		defer e.txm.Commit(r)
 		var rows []string
-		if _, err := e.rel.RangeByKey(r, at, 200, 400, func(k int64, vid uint64, pl []byte) bool {
+		if _, err := e.rel.RangeByKey(r, at, 200, 400, func(k int64, vid uint64, _ page.TID, pl []byte) bool {
 			rows = append(rows, fmt.Sprintf("%d:%d:%s", k, vid, pl))
 			return true
 		}); err != nil {
@@ -210,7 +211,7 @@ func TestScanReadaheadEarlyStop(t *testing.T) {
 	e.rel.SetReadahead(16)
 	r := e.txm.Begin()
 	n := 0
-	if _, err := e.rel.Scan(r, 0, func(uint64, []byte) bool { n++; return n < 7 }); err != nil {
+	if _, err := e.rel.Scan(r, 0, func(uint64, page.TID, []byte) bool { n++; return n < 7 }); err != nil {
 		t.Fatal(err)
 	}
 	e.txm.Commit(r)
@@ -239,7 +240,7 @@ func TestReadaheadAllocBudget(t *testing.T) {
 		e.rel.SetReadahead(ra)
 		return testing.AllocsPerRun(50, func() {
 			rows := 0
-			if _, err := e.rel.RangeBySecondary(r, at, 0, 1, 1, func(int64, uint64, []byte) bool {
+			if _, err := e.rel.RangeBySecondary(r, at, 0, 1, 1, func(int64, uint64, page.TID, []byte) bool {
 				rows++
 				return true
 			}); err != nil || rows != n {

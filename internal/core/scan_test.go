@@ -32,7 +32,7 @@ func TestScanVIDRange(t *testing.T) {
 	loadItems(t, e, 100)
 	r := e.txm.Begin()
 	var got []uint64
-	_, err := e.rel.ScanVIDRange(r, 0, 20, 50, func(vid uint64, _ []byte) bool {
+	_, err := e.rel.ScanVIDRange(r, 0, 20, 50, func(vid uint64, _ page.TID, _ []byte) bool {
 		got = append(got, vid)
 		return true
 	})
@@ -44,7 +44,7 @@ func TestScanVIDRange(t *testing.T) {
 	}
 	// hi beyond MaxVID clamps.
 	n := 0
-	_, err = e.rel.ScanVIDRange(r, 0, 90, 1<<40, func(uint64, []byte) bool { n++; return true })
+	_, err = e.rel.ScanVIDRange(r, 0, 90, 1<<40, func(uint64, page.TID, []byte) bool { n++; return true })
 	if err != nil || n != 10 {
 		t.Errorf("clamped range = %d, err %v", n, err)
 	}
@@ -56,7 +56,7 @@ func TestScanVIDRangeEarlyStop(t *testing.T) {
 	loadItems(t, e, 20)
 	r := e.txm.Begin()
 	n := 0
-	e.rel.ScanVIDRange(r, 0, 0, 20, func(uint64, []byte) bool { n++; return n < 5 })
+	e.rel.ScanVIDRange(r, 0, 0, 20, func(uint64, page.TID, []byte) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("visited %d, want 5", n)
 	}
@@ -71,7 +71,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	for i := 0; i < 50; i += 10 {
 		tx := e.txm.Begin()
 		var err error
-		at, err = e.rel.DeleteByVID(tx, at, uint64(i), nil)
+		at, err = e.rel.deleteVID(tx, at, uint64(i), anyVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	}
 	r := e.txm.Begin()
 	want := map[uint64]string{}
-	_, err := e.rel.Scan(r, at, func(vid uint64, pl []byte) bool {
+	_, err := e.rel.Scan(r, at, func(vid uint64, _ page.TID, pl []byte) bool {
 		want[vid] = string(pl)
 		return true
 	})
@@ -89,7 +89,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 8} {
 		var mu sync.Mutex
 		got := map[uint64]string{}
-		_, err := e.rel.ParallelScan(r, at, par, func(vid uint64, pl []byte) bool {
+		_, err := e.rel.ParallelScan(r, at, par, func(vid uint64, _ page.TID, pl []byte) bool {
 			mu.Lock()
 			got[vid] = string(pl)
 			mu.Unlock()
@@ -117,12 +117,12 @@ func TestParallelScanWallClockBenefit(t *testing.T) {
 	loadItems(t, e, 2000)
 	r := e.txm.Begin()
 	var n1 atomic.Int64
-	seqEnd, err := e.rel.Scan(r, 0, func(uint64, []byte) bool { n1.Add(1); return true })
+	seqEnd, err := e.rel.Scan(r, 0, func(uint64, page.TID, []byte) bool { n1.Add(1); return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n2 atomic.Int64
-	parEnd, err := e.rel.ParallelScan(r, 0, 8, func(uint64, []byte) bool { n2.Add(1); return true })
+	parEnd, err := e.rel.ParallelScan(r, 0, 8, func(uint64, page.TID, []byte) bool { n2.Add(1); return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +173,12 @@ func TestParallelScanSurfacesReadError(t *testing.T) {
 	}
 	for _, par := range []int{1, 4, 8} {
 		check(fmt.Sprintf("ParallelScan(%d)", par), func(tx *txn.Tx) error {
-			_, err := e.rel.ParallelScan(tx, 0, par, func(uint64, []byte) bool { return true })
+			_, err := e.rel.ParallelScan(tx, 0, par, func(uint64, page.TID, []byte) bool { return true })
 			return err
 		})
 	}
 	check("ScanVIDRange", func(tx *txn.Tx) error {
-		_, err := e.rel.ScanVIDRange(tx, 0, 0, n, func(uint64, []byte) bool { return true })
+		_, err := e.rel.ScanVIDRange(tx, 0, 0, n, func(uint64, page.TID, []byte) bool { return true })
 		return err
 	})
 }
@@ -190,7 +190,7 @@ func TestChainLength(t *testing.T) {
 	e.txm.Commit(setup)
 	for i := 0; i < 7; i++ {
 		tx := e.txm.Begin()
-		at, _ = e.rel.UpdateByVID(tx, at, vid, 1, func([]byte) ([]byte, int64, error) {
+		at, _ = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return payload("v"), 1, nil
 		})
 		e.txm.Commit(tx)

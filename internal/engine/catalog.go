@@ -118,7 +118,7 @@ func (db *DB) removeTable(name string) bool {
 		return false
 	}
 	delete(db.tables, name)
-	delete(db.rels, tab.heapID())
+	delete(db.rels, tab.heapID)
 	for i, o := range db.order {
 		if o == tab {
 			db.order = append(db.order[:i], db.order[i+1:]...)
@@ -219,7 +219,7 @@ func (t *Table) dropSecondaryByName(index string) error {
 	secs[idx].dropped = true
 	t.secs.Store(&secs)
 	t.db.mu.Unlock()
-	return t.sias.DropSecondary(idx)
+	return t.ix.DropSecondary(idx)
 }
 
 // SecondaryIndex returns the positional id of the named live index, or

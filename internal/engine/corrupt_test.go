@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sias/internal/device"
@@ -93,22 +94,24 @@ func locate(t *testing.T, db *DB, tab *Table, at simclock.Time, key int64) (uint
 	t.Helper()
 	r := db.Begin()
 	defer db.Commit(r, at)
+	var vid uint64
+	var tid page.TID
+	found := func(v uint64, at page.TID, _ []byte) error {
+		vid, tid = v, at
+		return nil
+	}
+	var err error
 	if tab.sias != nil {
-		vids, _, err := tab.sias.VIDsForKey(at, key, nil)
-		if err != nil || len(vids) != 1 {
-			t.Fatalf("VIDs of key %d: %v, %v", key, vids, err)
+		if _, err = tab.sias.Get(r, at, key, found); err == nil {
+			tid, _ = tab.sias.VIDMap().Get(vid) // SIAS names the version by VID alone
 		}
-		tid, ok := tab.sias.VIDMap().Get(vids[0])
-		if !ok {
-			t.Fatalf("VID %d has no entrypoint", vids[0])
-		}
-		return vids[0], tid
+	} else {
+		_, err = tab.si.Get(r, at, key, found)
 	}
-	_, tid, _, err := tab.si.Get(r, at, key)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !tid.Valid() {
+		t.Fatalf("locate key %d: %v at %v, %v", key, vid, tid, err)
 	}
-	return 0, tid
+	return vid, tid
 }
 
 // corruptPayload rewrites the first byte of the row stored at tid — the
@@ -117,7 +120,7 @@ func locate(t *testing.T, db *DB, tab *Table, at simclock.Time, key int64) (uint
 // comes from the device.
 func corruptPayload(t *testing.T, db *DB, data *device.Mem, tab *Table, tid page.TID) {
 	t.Helper()
-	dev, err := db.alloc.DevicePage(tab.heapID(), tid.Block)
+	dev, err := db.alloc.DevicePage(tab.heapID, tid.Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,4 +142,86 @@ func corruptPayload(t *testing.T, db *DB, data *device.Mem, tab *Table, tid page
 		t.Fatal(err)
 	}
 	db.pool.InvalidateAll()
+}
+
+// TestHeapReadFailureFailsEveryOperation fails every device read of the
+// heap's first page, where all the rows live, and requires every operation
+// that reaches a version there to return that failure under both engines,
+// instead of passing over the version as if vacuum had removed it.
+func TestHeapReadFailureFailsEveryOperation(t *testing.T) {
+	boom := errors.New("boom")
+	for _, kind := range kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			dev := device.NewWrap(device.NewMem(page.Size, 1<<12))
+			var failPage atomic.Int64
+			failPage.Store(-1)
+			dev.SetReadHook(func(pageNo int64, n int) error {
+				if p := failPage.Load(); p >= pageNo && p < pageNo+int64(n) {
+					return boom
+				}
+				return nil
+			})
+			opts := DefaultOptions(dev, device.NewMem(page.Size, 1<<12))
+			opts.Kind = kind
+			opts.PoolFrames = 32
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, at, err := db.CreateTable(0, "accounts", testSchema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			byBal, at, err := tab.AddSecondaryIndex(at, "by_balance", func(v tuple.View) (int64, bool) { return v.Int64(2), true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			for k := int64(1); k <= 8; k++ {
+				if at, err = tab.Insert(tx, at, tuple.Row{k, "r", k * 10}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if at, err = db.Commit(tx, at); err != nil {
+				t.Fatal(err)
+			}
+			if at, err = db.Checkpoint(at); err != nil {
+				t.Fatal(err)
+			}
+			heap0, err := db.alloc.DevicePage(tab.heapID, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.pool.InvalidateAll()
+			failPage.Store(heap0)
+
+			wantBoom := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, boom) {
+					t.Errorf("%s: err = %v, want the device's read failure", what, err)
+				}
+			}
+			r := db.Begin()
+			_, _, err = tab.Get(r, at, 1)
+			wantBoom("Get", err)
+			n := 0
+			count := func(tuple.View) bool { n++; return true }
+			_, err = tab.Scan(r, at, count)
+			wantBoom("Scan", err)
+			_, err = tab.RangeByKey(r, at, 1, 5, count)
+			wantBoom("RangeByKey", err)
+			_, err = tab.RangeBySecondary(r, at, byBal, 10, 50, func(int64, tuple.View) bool { n++; return true })
+			wantBoom("RangeBySecondary", err)
+			if n != 0 {
+				t.Errorf("the reads handed out %d rows, want none", n)
+			}
+			db.Commit(r, at)
+			w := db.Begin()
+			_, err = tab.Update(w, at, 2, rowUpdate(func(row tuple.Row) (tuple.Row, error) { return row, nil }))
+			wantBoom("Update", err)
+			_, err = tab.Delete(w, at, 3)
+			wantBoom("Delete", err)
+			db.Abort(w, at)
+		})
+	}
 }

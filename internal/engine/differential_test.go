@@ -1,29 +1,42 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sias/internal/device"
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/tuple"
+	"sias/internal/txn"
 )
 
 // TestDifferentialEnginesAgree applies the same randomized, committed
-// operation stream to the SI engine, the SIAS engine and a plain map model,
-// then verifies all three report identical visible contents — point lookups
-// and full scans. This is the strongest equivalence check in the suite: any
-// divergence in visibility, chain maintenance, index upkeep, vacuum or GC
-// shows up as a mismatch.
+// operation stream — inserts, updates of the balance and of the primary key,
+// deletes, aborted writes, maintenance — to the SI engine, the SIAS engine
+// and a plain map model. Along the way it compares key-range reads and
+// balance-index range reads of both engines with the model, and at the end
+// point lookups and full scans. This is the strongest equivalence check in
+// the suite: any divergence in visibility, chain maintenance, index upkeep
+// (stale <key, VID> entries included), vacuum or GC shows up as a mismatch.
 func TestDifferentialEnginesAgree(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dbSI, tabSI := openTestDB(t, KindSI)
 			dbSIAS, tabSIAS := openTestDB(t, KindSIAS)
+			byBalance := func(v tuple.View) (int64, bool) { return v.Int64(2), true }
+			var byBal int
+			for _, tab := range []*Table{tabSI, tabSIAS} {
+				var err error
+				if byBal, _, err = tab.AddSecondaryIndex(0, "by_balance", byBalance); err != nil {
+					t.Fatal(err)
+				}
+			}
 			model := map[int64]int64{} // key -> balance
 			rng := rand.New(rand.NewSource(seed))
 			atSI := simclock.Time(0)
@@ -38,11 +51,37 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 				}
 			}
 
+			// reads runs read on both engines under a fresh snapshot each and
+			// requires both to return want, in order when ordered.
+			reads := func(what string, want [][2]int64, ordered bool, read func(tab *Table, tx *txn.Tx, at simclock.Time, got *[][2]int64) (simclock.Time, error)) {
+				t.Helper()
+				for _, e := range []struct {
+					name string
+					db   *DB
+					tab  *Table
+					at   *simclock.Time
+				}{{"SI", dbSI, tabSI, &atSI}, {"SIAS", dbSIAS, tabSIAS, &atSIAS}} {
+					var got [][2]int64
+					tx := e.db.Begin()
+					at, err := read(e.tab, tx, *e.at, &got)
+					if err != nil {
+						t.Fatalf("%s %s: %v", e.name, what, err)
+					}
+					*e.at, _ = e.db.Commit(tx, at)
+					if !ordered {
+						slices.SortFunc(got, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %s: %v, model %v", e.name, what, got, want)
+					}
+				}
+			}
+
 			const keyspace = 60
 			for step := 0; step < 800; step++ {
 				key := int64(rng.Intn(keyspace))
 				switch r := rng.Intn(100); {
-				case r < 35: // insert if absent
+				case r < 30: // insert if absent
 					if _, exists := model[key]; exists {
 						continue
 					}
@@ -57,7 +96,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 						return db.Commit(tx, at)
 					})
 					model[key] = val
-				case r < 70: // update if present
+				case r < 55: // update if present
 					if _, exists := model[key]; !exists {
 						continue
 					}
@@ -75,7 +114,29 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 						return db.Commit(tx, at)
 					})
 					model[key] += delta
-				case r < 85: // delete if present
+				case r < 63: // move to an absent key if present
+					to := int64(rng.Intn(keyspace))
+					if _, exists := model[key]; !exists {
+						continue
+					}
+					if _, taken := model[to]; taken {
+						continue
+					}
+					apply(func(db *DB, tab *Table, at simclock.Time) (simclock.Time, error) {
+						tx := db.Begin()
+						at, err := tab.Update(tx, at, key, rowUpdate(func(row tuple.Row) (tuple.Row, error) {
+							row[0] = to
+							return row, nil
+						}))
+						if err != nil {
+							db.Abort(tx, at)
+							return at, err
+						}
+						return db.Commit(tx, at)
+					})
+					model[to] = model[key]
+					delete(model, key)
+				case r < 75: // delete if present
 					if _, exists := model[key]; !exists {
 						continue
 					}
@@ -89,7 +150,7 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 						return db.Commit(tx, at)
 					})
 					delete(model, key)
-				case r < 92: // aborted mutation: must leave no trace
+				case r < 80: // aborted mutation: must leave no trace
 					apply(func(db *DB, tab *Table, at simclock.Time) (simclock.Time, error) {
 						tx := db.Begin()
 						var err error
@@ -103,6 +164,37 @@ func TestDifferentialEnginesAgree(t *testing.T) {
 						}
 						_ = err
 						return db.Abort(tx, at)
+					})
+				case r < 87: // key window
+					lo := int64(rng.Intn(keyspace))
+					hi := lo + int64(rng.Intn(keyspace/4))
+					var want [][2]int64
+					for k := lo; k <= hi; k++ {
+						if bal, ok := model[k]; ok {
+							want = append(want, [2]int64{k, bal})
+						}
+					}
+					reads(fmt.Sprintf("RangeByKey(%d, %d)", lo, hi), want, true, func(tab *Table, tx *txn.Tx, at simclock.Time, got *[][2]int64) (simclock.Time, error) {
+						return tab.RangeByKey(tx, at, lo, hi, func(v tuple.View) bool {
+							*got = append(*got, [2]int64{v.Int64(0), v.Int64(2)})
+							return true
+						})
+					})
+				case r < 94: // balance window through the secondary index
+					lo := rng.Int63n(1200)
+					hi := lo + rng.Int63n(300)
+					var want [][2]int64
+					for k, bal := range model {
+						if lo <= bal && bal <= hi {
+							want = append(want, [2]int64{bal, k})
+						}
+					}
+					slices.SortFunc(want, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+					reads(fmt.Sprintf("RangeBySecondary(%d, %d)", lo, hi), want, false, func(tab *Table, tx *txn.Tx, at simclock.Time, got *[][2]int64) (simclock.Time, error) {
+						return tab.RangeBySecondary(tx, at, byBal, lo, hi, func(bal int64, v tuple.View) bool {
+							*got = append(*got, [2]int64{bal, v.Int64(0)})
+							return true
+						})
 					})
 				default: // maintenance
 					apply(func(db *DB, tab *Table, at simclock.Time) (simclock.Time, error) {

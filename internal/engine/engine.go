@@ -423,11 +423,8 @@ func (db *DB) Tick(at simclock.Time) (simclock.Time, error) {
 		// Background writer (threshold t1): seal + flush append pages,
 		// then sweep other dirty pages.
 		for _, tab := range tabs {
-			if tab.sias != nil {
-				t, err = tab.sias.SealAppend(t, true)
-				if err != nil {
-					return t, err
-				}
+			if t, err = tab.seal(t, true); err != nil {
+				return t, err
 			}
 		}
 		// PostgreSQL's bgwriter_lru_maxpages default caps each round.
@@ -471,11 +468,8 @@ func (db *DB) Checkpoint(at simclock.Time) (simclock.Time, error) {
 	t := at
 	var err error
 	for _, tab := range tabs {
-		if tab.sias != nil {
-			t, err = tab.sias.SealAppend(t, false)
-			if err != nil {
-				return t, err
-			}
+		if t, err = tab.seal(t, false); err != nil {
+			return t, err
 		}
 	}
 	// Everything logged so far will be on disk once FlushAll returns, so
@@ -518,12 +512,7 @@ func (db *DB) RunMaintenance(at simclock.Time) (simclock.Time, error) {
 	t := at
 	var err error
 	for _, tab := range db.Tables() {
-		if tab.sias != nil {
-			_, t, err = tab.sias.GC(t, horizon)
-		} else {
-			_, t, err = tab.si.Vacuum(t, horizon, tab.keyOf)
-		}
-		if err != nil {
+		if t, err = tab.reclaim(t, horizon); err != nil {
 			return t, err
 		}
 	}
@@ -651,30 +640,19 @@ func (db *DB) Stats() Stats {
 	var idxLookups, idxInserts int64
 	var tables []TableStats
 	for _, tab := range db.Tables() {
-		ts := TableStats{Name: tab.Name()}
-		if rel := tab.SIAS(); rel != nil {
-			h, m := rel.VMapResidency()
-			vmapHits += h
-			vmapMisses += m
-			ts.Rows = rel.PKEntries()
-			ts.Indexes = int64(rel.SecondaryCount())
-			ts.IndexEntries = rel.SecondaryEntries()
-			ts.IndexInserts = rel.SecondaryInserts()
-			cs := rel.Stats()
-			ts.IndexLookups = cs.IndexLookups
-			ts.Appends, ts.PagesSealed, ts.SealedTuples = cs.Appends, cs.PagesSealed, cs.SealedTuples
-			ts.ChainWalks, ts.ChainHops = cs.ChainWalks, cs.ChainHops
-			ts.GCPages, ts.GCRelocations, ts.GCDiscarded = cs.GCPages, cs.GCRelocations, cs.GCDiscarded
-		} else if rel := tab.SI(); rel != nil {
-			ts.Rows = rel.PKEntries()
-			ts.Indexes = int64(rel.SecondaryCount())
-			ts.IndexEntries = rel.SecondaryEntries()
-			ts.IndexLookups = rel.Stats().IndexLookups
-			ts.IndexInserts = rel.SecondaryInserts()
-		}
-		idxLookups += ts.IndexLookups
-		idxInserts += ts.IndexInserts
-		tables = append(tables, ts)
+		ix := tab.ix.Counts()
+		cs, h, m := tab.chainStats()
+		vmapHits += h
+		vmapMisses += m
+		idxLookups += ix.Lookups
+		idxInserts += ix.Inserts
+		tables = append(tables, TableStats{
+			Name: tab.name, Rows: ix.PKEntries,
+			Indexes: ix.Secondaries, IndexEntries: ix.Entries, IndexLookups: ix.Lookups, IndexInserts: ix.Inserts,
+			Appends: cs.Appends, PagesSealed: cs.PagesSealed, SealedTuples: cs.SealedTuples,
+			ChainWalks: cs.ChainWalks, ChainHops: cs.ChainHops,
+			GCPages: cs.GCPages, GCRelocations: cs.GCRelocations, GCDiscarded: cs.GCDiscarded,
+		})
 	}
 	// Durable before NextLSN: each only grows, so the difference is never
 	// negative.

@@ -321,10 +321,10 @@ func (db *DB) rebuildVolatile(at simclock.Time) (simclock.Time, error) {
 	t := at
 	for _, tab := range db.Tables() {
 		db.mu.Lock()
-		blocks := db.maxBlockRel[tab.heapID()]
+		blocks := db.maxBlockRel[tab.heapID]
 		db.mu.Unlock()
 		var err error
-		if t, err = tab.sias.RebuildFromHeap(t, blocks, tab.keyOf); err != nil {
+		if t, err = tab.sias.RebuildFromHeap(t, blocks); err != nil {
 			return t, fmt.Errorf("engine: rebuild %s: %w", tab.name, err)
 		}
 	}

@@ -35,7 +35,7 @@ func heapDevPages(t *testing.T, db *DB, tab *Table) []int64 {
 	t.Helper()
 	var devs []int64
 	for b := uint32(0); b < tab.sias.Blocks(); b++ {
-		dev, err := db.alloc.DevicePage(tab.heapID(), b)
+		dev, err := db.alloc.DevicePage(tab.heapID, b)
 		if err != nil {
 			t.Fatal(err)
 		}

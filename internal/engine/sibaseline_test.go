@@ -113,7 +113,7 @@ func TestRecoverRejectsInPlaceRecords(t *testing.T) {
 			if at, err = db.Commit(tx, at); err != nil {
 				t.Fatal(err)
 			}
-			rec.Rel = tab.heapID()
+			rec.Rel = tab.heapID
 			rec.TID = page.TID{Block: 0, Slot: 0}
 			w := db.WAL()
 			if _, err := w.Flush(at, w.Append(&rec)); err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"sias/internal/core"
+	"sias/internal/index"
 	"sias/internal/page"
 	"sias/internal/si"
 	"sias/internal/simclock"
@@ -14,27 +15,40 @@ import (
 	"sias/internal/txn"
 )
 
-// ErrNotFound is returned when a key has no visible row.
-var ErrNotFound = errors.New("engine: no visible row for key")
+// ErrNotFound is returned when a key has no visible row. Both relations
+// return it as it is.
+var ErrNotFound = index.ErrNoRow
 
 // Table is a schema-typed view over one relation of either engine kind. The
 // primary key is a single int64 column (composite keys are bit-packed by the
 // workload layer).
+//
+// Exactly one of sias and si is set, and this file is the only one that asks
+// which. The two relations take the same arguments and callbacks for every
+// operation, so each method below builds its callback once — the view check
+// that makes a CorruptRowError, the key re-check — and makes one call on
+// whichever is set. It is not an interface: called through one, the
+// compiler can no longer keep a callback and what it captures on the stack —
+// with Update alone behind one, a served Begin + Update + Commit costs 14
+// allocations instead of 12 (TestCommitAllocBudget).
 type Table struct {
 	db     *DB
 	name   string
 	schema *tuple.Schema
 	pkCol  int
+	heapID uint32
 
 	sias *core.Relation
 	si   *si.Relation
+	// ix is the relation's index set (its primary and secondary trees).
+	ix *index.Set
 
 	// secs is the table's secondary-index metadata, positionally aligned
 	// with the relation's secondary slice. The slice is immutable once
 	// published: DDL builds a new one and swaps it in under db.mu, so index
 	// reads (RangeBySecondary) running alongside a CREATE or DROP INDEX on
 	// the same table take a consistent view without the lock — the same
-	// copy-on-write rule core.Relation follows for its trees.
+	// copy-on-write rule index.Set follows for its trees.
 	secs atomic.Pointer[[]secondary]
 }
 
@@ -94,12 +108,12 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 	if schema.Cols[pi].Type != tuple.TypeInt64 {
 		return nil, at, fmt.Errorf("engine: table %s: primary key %q must be int64", name, pkCol)
 	}
-	tab := &Table{db: db, name: name, schema: schema, pkCol: pi}
+	tab := &Table{db: db, name: name, schema: schema, pkCol: pi, heapID: heapID}
 	var t simclock.Time
 	var err error
 	switch db.opts.Kind {
 	case KindSIAS:
-		tab.sias, t, err = core.New(at, core.Config{
+		if tab.sias, t, err = core.New(at, core.Config{
 			ID:                  heapID,
 			Name:                name,
 			Pool:                db.pool,
@@ -107,11 +121,14 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 			WAL:                 db.walw,
 			Txns:                db.txm,
 			PKRelID:             pkID,
+			KeyOf:               tab.keyOf,
 			VMapResidentBuckets: db.opts.VMapResidentBuckets,
 			Readahead:           db.opts.ScanReadahead,
-		})
+		}); err == nil {
+			tab.ix = tab.sias.Set
+		}
 	case KindSI:
-		tab.si, t, err = si.New(at, si.Config{
+		if tab.si, t, err = si.New(at, si.Config{
 			ID:      heapID,
 			Name:    name,
 			Pool:    db.pool,
@@ -119,7 +136,10 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 			WAL:     db.walw,
 			Txns:    db.txm,
 			PKRelID: pkID,
-		})
+			KeyOf:   tab.keyOf,
+		}); err == nil {
+			tab.ix = tab.si.Set
+		}
 	default:
 		err = fmt.Errorf("engine: unknown kind %v", db.opts.Kind)
 	}
@@ -136,14 +156,6 @@ func (db *DB) createTableWithIDs(at simclock.Time, name string, schema *tuple.Sc
 	db.rels[heapID] = tab
 	db.mu.Unlock()
 	return tab, t, nil
-}
-
-// heapID returns the table's heap relation id.
-func (t *Table) heapID() uint32 {
-	if t.sias != nil {
-		return t.sias.ID()
-	}
-	return t.si.ID()
 }
 
 // AddSecondaryIndex attaches a secondary index computed by keyFn over rows.
@@ -168,13 +180,7 @@ func (t *Table) addSecondary(at simclock.Time, name, col string, relID uint32, k
 		}
 		return keyFn(v)
 	}
-	var tm simclock.Time
-	var err error
-	if t.sias != nil {
-		tm, err = t.sias.AddSecondary(at, relID, payloadFn)
-	} else {
-		tm, err = t.si.AddSecondary(at, relID, payloadFn)
-	}
+	tm, err := t.ix.AddSecondary(at, relID, payloadFn)
 	if err != nil {
 		return 0, tm, err
 	}
@@ -197,9 +203,6 @@ func (t *Table) PKCol() string { return t.schema.Cols[t.pkCol].Name }
 
 // SIAS exposes the underlying SIAS relation (nil for SI tables).
 func (t *Table) SIAS() *core.Relation { return t.sias }
-
-// SI exposes the underlying SI relation (nil for SIAS tables).
-func (t *Table) SI() *si.Relation { return t.si }
 
 // keyOf reads the primary key of a stored payload through a view, for the
 // relations' rebuild, replay and vacuum: 0 when it does not decode, like a
@@ -240,6 +243,18 @@ func (t *Table) view(payload []byte, vid uint64, tid page.TID) (tuple.View, erro
 		return tuple.View{}, &CorruptRowError{Table: t.name, VID: vid, TID: tid, Err: err}
 	}
 	return v, nil
+}
+
+// keyed is view for a version an index entry of key resolved to: it also
+// re-checks the version's key, and reports index.ErrStale when the row has
+// moved to another key since the entry was made — SIAS <key, VID> entries
+// survive key changes (Section 4.3, Example 1).
+func (t *Table) keyed(key int64, payload []byte, vid uint64, tid page.TID) (tuple.View, error) {
+	v, err := t.view(payload, vid, tid)
+	if err == nil && v.Int64(t.pkCol) != key {
+		return tuple.View{}, index.ErrStale
+	}
+	return v, err
 }
 
 // rowBufs holds the scratch buffers a write encodes its row into. The
@@ -283,54 +298,27 @@ func (t *Table) Insert(tx *txn.Tx, at simclock.Time, row tuple.Row) (simclock.Ti
 	return t.si.Insert(tx, at, key, payload)
 }
 
-// pointVIDs sizes the VID buffer a point lookup hands the primary index: a
-// key has one VID unless rows moved through it (stale key epochs).
-const pointVIDs = 4
-
 // Get returns the row of key visible to tx, as a view of the version's
 // private copy.
 func (t *Table) Get(tx *txn.Tx, at simclock.Time, key int64) (tuple.View, simclock.Time, error) {
-	if t.sias != nil {
-		// <key, VID> entries survive key changes: re-check the key of the
-		// returned version (Section 4.3, Example 1).
-		var vidBuf [pointVIDs]uint64
-		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
-		if err != nil {
-			return tuple.View{}, tm, err
-		}
-		for _, vid := range vids {
-			payload, tm2, err := t.sias.GetByVID(tx, tm, vid)
-			tm = tm2
-			if errors.Is(err, core.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return tuple.View{}, tm, err
-			}
-			v, err := t.view(payload, vid, page.InvalidTID)
-			if err != nil {
-				return tuple.View{}, tm, err
-			}
-			if v.Int64(t.pkCol) == key {
-				return v, tm, nil
-			}
-		}
-		return tuple.View{}, tm, ErrNotFound
+	var row tuple.View
+	fn := func(vid uint64, tid page.TID, payload []byte) error {
+		v, err := t.keyed(key, payload, vid, tid)
+		row = v
+		return err
 	}
-	payload, tid, tm, err := t.si.Get(tx, at, key)
-	if errors.Is(err, si.ErrNotFound) {
-		return tuple.View{}, tm, ErrNotFound
+	var tm simclock.Time
+	var err error
+	if t.sias != nil {
+		tm, err = t.sias.Get(tx, at, key, fn)
+	} else {
+		tm, err = t.si.Get(tx, at, key, fn)
 	}
 	if err != nil {
 		return tuple.View{}, tm, err
 	}
-	v, err := t.view(payload, 0, tid)
-	return v, tm, err
+	return row, tm, nil
 }
-
-// errWrongKeyEpoch signals that a visible version matched a stale index
-// entry for a different key; the caller tries the next candidate.
-var errWrongKeyEpoch = errors.New("engine: stale index entry")
 
 // Update rewrites the visible row of key. mutate gets that row as a view of
 // the version's private copy, appends the new row's encoding to dst — with
@@ -345,14 +333,10 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old 
 	}
 	buf := rowBufs.Get().(*[]byte)
 	defer putRowBuf(buf)
-	var vid uint64 // the version being rewritten, for a CorruptRowError
-	wrap := func(tid page.TID, old []byte) ([]byte, int64, error) {
-		ov, err := t.view(old, vid, tid)
+	fn := func(vid uint64, tid page.TID, old []byte) ([]byte, int64, error) {
+		ov, err := t.keyed(key, old, vid, tid)
 		if err != nil {
 			return nil, 0, err
-		}
-		if ov.Int64(t.pkCol) != key {
-			return nil, 0, errWrongKeyEpoch
 		}
 		payload, err := mutate(ov, (*buf)[:0])
 		if err != nil {
@@ -366,27 +350,9 @@ func (t *Table) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(old 
 		return payload, nv.Int64(t.pkCol), nil
 	}
 	if t.sias != nil {
-		var vidBuf [pointVIDs]uint64
-		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
-		if err != nil {
-			return tm, err
-		}
-		byVID := func(old []byte) ([]byte, int64, error) { return wrap(page.InvalidTID, old) }
-		for _, vid = range vids {
-			tm2, err := t.sias.UpdateByVID(tx, tm, vid, key, byVID)
-			tm = tm2
-			if errors.Is(err, core.ErrNotFound) || errors.Is(err, errWrongKeyEpoch) {
-				continue
-			}
-			return tm, err
-		}
-		return tm, ErrNotFound
+		return t.sias.Update(tx, at, key, fn)
 	}
-	tm, err := t.si.Update(tx, at, key, wrap)
-	if errors.Is(err, si.ErrNotFound) {
-		return tm, ErrNotFound
-	}
-	return tm, err
+	return t.si.Update(tx, at, key, fn)
 }
 
 // Delete removes the row of key (tombstone under SIAS, in-place xmax under
@@ -395,39 +361,14 @@ func (t *Table) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, 
 	if tx.ReadOnly() {
 		return at, ErrReadOnly
 	}
+	check := func(vid uint64, tid page.TID, old []byte) error {
+		_, err := t.keyed(key, old, vid, tid)
+		return err
+	}
 	if t.sias != nil {
-		// As in Update: an entry may name a row whose key has since moved.
-		var vid uint64
-		check := func(old []byte) error {
-			v, err := t.view(old, vid, page.InvalidTID)
-			if err != nil {
-				return err
-			}
-			if v.Int64(t.pkCol) != key {
-				return errWrongKeyEpoch
-			}
-			return nil
-		}
-		var vidBuf [pointVIDs]uint64
-		vids, tm, err := t.sias.VIDsForKey(at, key, vidBuf[:0])
-		if err != nil {
-			return tm, err
-		}
-		for _, vid = range vids {
-			tm2, err := t.sias.DeleteByVID(tx, tm, vid, check)
-			tm = tm2
-			if errors.Is(err, core.ErrNotFound) || errors.Is(err, errWrongKeyEpoch) {
-				continue
-			}
-			return tm, err
-		}
-		return tm, ErrNotFound
+		return t.sias.Delete(tx, at, key, check)
 	}
-	tm, err := t.si.Delete(tx, at, key)
-	if errors.Is(err, si.ErrNotFound) {
-		return tm, ErrNotFound
-	}
-	return tm, err
+	return t.si.Delete(tx, at, key, check)
 }
 
 // Every read below hands fn views of the versions' private copies, and a
@@ -445,26 +386,20 @@ func readErr(err, bad error) error {
 // (VIDmap-first); under SI the traditional full relation scan.
 func (t *Table) Scan(tx *txn.Tx, at simclock.Time, fn func(tuple.View) bool) (simclock.Time, error) {
 	var bad error
+	visit := func(vid uint64, tid page.TID, payload []byte) bool {
+		v, err := t.view(payload, vid, tid)
+		if err != nil {
+			bad = err
+			return false
+		}
+		return fn(v)
+	}
 	var tm simclock.Time
 	var err error
 	if t.sias != nil {
-		tm, err = t.sias.Scan(tx, at, func(vid uint64, payload []byte) bool {
-			v, verr := t.view(payload, vid, page.InvalidTID)
-			if verr != nil {
-				bad = verr
-				return false
-			}
-			return fn(v)
-		})
+		tm, err = t.sias.Scan(tx, at, visit)
 	} else {
-		tm, err = t.si.Scan(tx, at, func(tid page.TID, payload []byte) bool {
-			v, verr := t.view(payload, 0, tid)
-			if verr != nil {
-				bad = verr
-				return false
-			}
-			return fn(v)
-		})
+		tm, err = t.si.Scan(tx, at, visit)
 	}
 	return tm, readErr(err, bad)
 }
@@ -472,32 +407,23 @@ func (t *Table) Scan(tx *txn.Tx, at simclock.Time, fn func(tuple.View) bool) (si
 // RangeByKey visits visible rows with lo <= primary key <= hi in key order.
 func (t *Table) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(tuple.View) bool) (simclock.Time, error) {
 	var bad error
+	visit := func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool {
+		v, err := t.keyed(indexKey, payload, vid, tid)
+		if errors.Is(err, index.ErrStale) {
+			return true // the row is reached through its current key's entry
+		}
+		if err != nil {
+			bad = err
+			return false
+		}
+		return fn(v)
+	}
 	var tm simclock.Time
 	var err error
 	if t.sias != nil {
-		tm, err = t.sias.RangeByKey(tx, at, lo, hi, func(indexKey int64, vid uint64, payload []byte) bool {
-			v, verr := t.view(payload, vid, page.InvalidTID)
-			if verr != nil {
-				bad = verr
-				return false
-			}
-			// Stale key-epoch entries resolve to rows whose current key
-			// differs; skip them (the row is also reachable via its
-			// current-key entry).
-			if v.Int64(t.pkCol) != indexKey {
-				return true
-			}
-			return fn(v)
-		})
+		tm, err = t.sias.RangeByKey(tx, at, lo, hi, visit)
 	} else {
-		tm, err = t.si.RangeByKey(tx, at, lo, hi, func(_ int64, tid page.TID, payload []byte) bool {
-			v, verr := t.view(payload, 0, tid)
-			if verr != nil {
-				bad = verr
-				return false
-			}
-			return fn(v)
-		})
+		tm, err = t.si.RangeByKey(tx, at, lo, hi, visit)
 	}
 	return tm, readErr(err, bad)
 }
@@ -506,29 +432,30 @@ func (t *Table) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(t
 // access path under SIAS (fn may be called from multiple goroutines and must
 // be safe for concurrent use). The SI baseline has no equivalent parallel
 // path — its traditional relation scan runs sequentially, as the paper
-// contrasts — so SI falls back to Scan.
+// contrasts.
 func (t *Table) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, fn func(tuple.View)) (simclock.Time, error) {
-	if t.sias == nil {
-		return t.Scan(tx, at, func(v tuple.View) bool {
-			fn(v)
-			return true
-		})
-	}
 	var mu sync.Mutex
 	var bad error
-	tm, err := t.sias.ParallelScan(tx, at, parallelism, func(vid uint64, payload []byte) bool {
-		v, verr := t.view(payload, vid, page.InvalidTID)
-		if verr != nil {
+	visit := func(vid uint64, tid page.TID, payload []byte) bool {
+		v, err := t.view(payload, vid, tid)
+		if err != nil {
 			mu.Lock()
 			if bad == nil {
-				bad = verr
+				bad = err
 			}
 			mu.Unlock()
 			return false
 		}
 		fn(v)
 		return true
-	})
+	}
+	var tm simclock.Time
+	var err error
+	if t.sias != nil {
+		tm, err = t.sias.ParallelScan(tx, at, parallelism, visit)
+	} else {
+		tm, err = t.si.ParallelScan(tx, at, parallelism, visit)
+	}
 	return tm, readErr(err, bad)
 }
 
@@ -540,9 +467,9 @@ func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi i
 	secs := t.secondaries()
 	var bad error
 	visit := func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool {
-		v, verr := t.view(payload, vid, tid)
-		if verr != nil {
-			bad = verr
+		v, err := t.view(payload, vid, tid)
+		if err != nil {
+			bad = err
 			return false
 		}
 		if idx < len(secs) {
@@ -555,13 +482,9 @@ func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi i
 	var tm simclock.Time
 	var err error
 	if t.sias != nil {
-		tm, err = t.sias.RangeBySecondary(tx, at, idx, lo, hi, func(indexKey int64, vid uint64, payload []byte) bool {
-			return visit(indexKey, vid, page.InvalidTID, payload)
-		})
+		tm, err = t.sias.RangeBySecondary(tx, at, idx, lo, hi, visit)
 	} else {
-		tm, err = t.si.RangeBySecondary(tx, at, idx, lo, hi, func(indexKey int64, tid page.TID, payload []byte) bool {
-			return visit(indexKey, 0, tid, payload)
-		})
+		tm, err = t.si.RangeBySecondary(tx, at, idx, lo, hi, visit)
 	}
 	return tm, readErr(err, bad)
 }
@@ -569,9 +492,46 @@ func (t *Table) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi i
 // SecondaryPageWrites reports the cumulative page writes of one secondary
 // index tree — the measurable half of the paper's Section 6 claim that
 // non-key updates write zero index pages under SIAS.
-func (t *Table) SecondaryPageWrites(idx int) int64 {
-	if t.sias != nil {
-		return t.sias.SecondaryPageWrites(idx)
+func (t *Table) SecondaryPageWrites(idx int) int64 { return t.ix.SecondaryPageWrites(idx) }
+
+// seal applies the flush threshold (Section 5.2) to the table's open append
+// page, flushing it if asked; an SI heap has none.
+func (t *Table) seal(at simclock.Time, flush bool) (simclock.Time, error) {
+	if t.sias == nil {
+		return at, nil
 	}
-	return t.si.SecondaryPageWrites(idx)
+	return t.sias.SealAppend(at, flush)
+}
+
+// reclaim frees what no snapshot at or above horizon can reach: SIAS GC, or
+// SI vacuum.
+func (t *Table) reclaim(at simclock.Time, horizon txn.ID) (simclock.Time, error) {
+	var tm simclock.Time
+	var err error
+	if t.sias != nil {
+		_, tm, err = t.sias.GC(at, horizon)
+	} else {
+		_, tm, err = t.si.Vacuum(at, horizon)
+	}
+	return tm, err
+}
+
+// LivePages reports the heap pages the table occupies: under SIAS the
+// blocks allocated less those GC returned for reuse, under SI (which
+// returns none) its high-water mark.
+func (t *Table) LivePages() int64 {
+	if t.sias != nil {
+		return int64(t.sias.LiveBlocks())
+	}
+	return int64(t.si.Blocks())
+}
+
+// chainStats reports the SIAS relation's counters and the probes of its
+// VIDmap's residency cache; all zero under SI, which keeps no chains.
+func (t *Table) chainStats() (cs core.Stats, vmapHits, vmapMisses int64) {
+	if t.sias == nil {
+		return cs, 0, 0
+	}
+	vmapHits, vmapMisses = t.sias.VMapResidency()
+	return t.sias.Stats(), vmapHits, vmapMisses
 }

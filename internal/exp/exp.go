@@ -267,11 +267,7 @@ func (l *Loaded) Run() (Result, error) {
 func liveDataPages(db *engine.DB) int64 {
 	var total int64
 	for _, tab := range db.Tables() {
-		if r := tab.SIAS(); r != nil {
-			total += int64(r.LiveBlocks())
-		} else if r := tab.SI(); r != nil {
-			total += int64(r.Blocks())
-		}
+		total += tab.LivePages()
 	}
 	return total
 }

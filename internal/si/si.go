@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sias/internal/buffer"
 	"sias/internal/index"
@@ -30,34 +29,26 @@ import (
 	"sias/internal/wal"
 )
 
-// ErrNotFound is returned when no visible version exists for a key.
-var ErrNotFound = errors.New("si: no visible tuple for key")
-
-// SecondaryKey derives a secondary index key from a payload; ok=false means
-// "do not index this row".
-type SecondaryKey func(payload []byte) (int64, bool)
-
 // Stats counts engine-level events.
 type Stats struct {
 	VersionsCreated int64
 	InPlaceUpdates  int64 // xmax/ctid invalidations written into existing pages
 	IndexInserts    int64
-	IndexLookups    int64 // secondary-index point and range lookups
 	VacuumedTuples  int64
 }
 
-// Relation is one SI-managed table: heap + primary index + secondaries.
+// Relation is one SI-managed table: a heap and its indexes, which map keys
+// to TIDs.
 type Relation struct {
+	*index.Set
+
 	id    uint32
 	name  string
 	pool  *buffer.Pool
 	alloc *space.Allocator
 	walw  *wal.Writer
 	txm   *txn.Manager
-
-	pk     *index.Tree
-	secs   []*index.Tree
-	secFns []SecondaryKey
+	keyOf func(payload []byte) int64
 
 	// mu is a reader/writer lock: Get/Scan/RangeByKey/RangeBySecondary take
 	// it shared (page bytes they touch are additionally bracketed by frame
@@ -72,10 +63,6 @@ type Relation struct {
 	fsm     []int
 	fsmHint uint32
 	stats   Stats
-
-	// idxLookups is atomic, not mu-guarded: lookups run under the shared
-	// lock, so concurrent readers may bump it simultaneously.
-	idxLookups atomic.Int64
 }
 
 // Config wires a Relation to its substrates.
@@ -88,81 +75,27 @@ type Config struct {
 	Txns  *txn.Manager
 	// PKRelID is the relation id for the primary index's pages.
 	PKRelID uint32
+	// KeyOf recovers the primary key of a stored payload, for vacuum's
+	// pruning of the primary index.
+	KeyOf func(payload []byte) int64
 }
 
 // New creates an empty SI relation with its primary index.
 func New(at simclock.Time, cfg Config) (*Relation, simclock.Time, error) {
-	pk, t, err := index.New(at, cfg.PKRelID, cfg.Pool, cfg.Alloc)
+	ix, t, err := index.NewSet(at, cfg.PKRelID, cfg.Pool, cfg.Alloc)
 	if err != nil {
 		return nil, t, err
 	}
 	return &Relation{
+		Set:   ix,
 		id:    cfg.ID,
 		name:  cfg.Name,
 		pool:  cfg.Pool,
 		alloc: cfg.Alloc,
 		walw:  cfg.WAL,
 		txm:   cfg.Txns,
-		pk:    pk,
+		keyOf: cfg.KeyOf,
 	}, t, nil
-}
-
-// AddSecondary attaches a secondary index (entries maintained on every new
-// version, the pre-HOT PostgreSQL behaviour).
-func (r *Relation) AddSecondary(at simclock.Time, relID uint32, fn SecondaryKey) (simclock.Time, error) {
-	t, tm, err := index.New(at, relID, r.pool, r.alloc)
-	if err != nil {
-		return tm, err
-	}
-	r.mu.Lock()
-	r.secs = append(r.secs, t)
-	r.secFns = append(r.secFns, fn)
-	r.mu.Unlock()
-	return tm, nil
-}
-
-// SecondaryPageWrites reports how many pages secondary index idx has
-// dirtied (0 when idx is out of range).
-func (r *Relation) SecondaryPageWrites(idx int) int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) {
-		return 0
-	}
-	return r.secs[idx].PageWrites()
-}
-
-// PKEntries reports the primary index entry count (>= live rows: SI inserts
-// a fresh entry per version; vacuum prunes them lazily).
-func (r *Relation) PKEntries() int64 { return r.pk.Len() }
-
-// SecondaryEntries sums entry counts across secondary indexes.
-func (r *Relation) SecondaryEntries() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	for _, sec := range r.secs {
-		n += sec.Len()
-	}
-	return n
-}
-
-// SecondaryInserts sums cumulative insert counts across secondary indexes.
-func (r *Relation) SecondaryInserts() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	for _, sec := range r.secs {
-		n += sec.Inserts()
-	}
-	return n
-}
-
-// SecondaryCount reports the number of secondary indexes.
-func (r *Relation) SecondaryCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.secs)
 }
 
 // Name returns the relation name.
@@ -175,9 +108,7 @@ func (r *Relation) ID() uint32 { return r.id }
 func (r *Relation) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := r.stats
-	s.IndexLookups = r.idxLookups.Load()
-	return s
+	return r.stats
 }
 
 // Blocks reports the number of heap blocks allocated.
@@ -331,6 +262,14 @@ func (r *Relation) visible(tx *txn.Tx, hdr tuple.SIHeader) bool {
 	return true
 }
 
+// pruned reports whether a fetch failed because vacuum or pruning removed
+// the slot: the index entry naming it is cleaned up lazily, so readers pass
+// over it. Any other failure — a device read, a header that does not decode
+// — is the read's error.
+func pruned(err error) bool {
+	return errors.Is(err, page.ErrDeadSlot) || errors.Is(err, page.ErrBadSlot)
+}
+
 // newestLive finds the chain head for key: the committed (or own) version
 // with no effective invalidator. Returns ok=false if the key has no live
 // version. Caller holds r.mu and the item lock.
@@ -341,7 +280,7 @@ func (r *Relation) visible(tx *txn.Tx, hdr tuple.SIHeader) bool {
 // hot keys accumulate thousands of dead candidates between vacuum runs and
 // every update degenerates to a linear pass over them.
 func (r *Relation) newestLive(tx *txn.Tx, at simclock.Time, key int64) (page.TID, tuple.SIHeader, []byte, simclock.Time, bool, error) {
-	cands, t, err := r.pk.Search(at, key)
+	cands, t, err := r.PK.Search(at, key)
 	if err != nil {
 		return page.InvalidTID, tuple.SIHeader{}, nil, t, false, err
 	}
@@ -355,8 +294,11 @@ func (r *Relation) newestLive(tx *txn.Tx, at simclock.Time, key int64) (page.TID
 		tid := unpackTID(c)
 		hdr, payload, t2, err := r.fetch(t, tid)
 		t = t2
+		if pruned(err) {
+			continue
+		}
 		if err != nil {
-			continue // vacuumed entry; index cleanup is lazy
+			return page.InvalidTID, tuple.SIHeader{}, nil, t, false, err
 		}
 		st := r.txm.CLOG().Get(hdr.Xmin)
 		if st == txn.StatusAborted {
@@ -397,9 +339,10 @@ func (r *Relation) pruneVersion(at simclock.Time, key int64, tid page.TID) (simc
 	if err != nil {
 		return t, err
 	}
+	secs := r.Secondaries()
 	var secPayload []byte
 	f.Lock()
-	if len(r.secs) > 0 {
+	if len(secs) > 0 {
 		if raw, terr := f.Data.Tuple(int(tid.Slot)); terr == nil {
 			if _, payload, derr := tuple.DecodeSI(raw); derr == nil {
 				secPayload = append([]byte(nil), payload...)
@@ -417,22 +360,58 @@ func (r *Relation) pruneVersion(at simclock.Time, key int64, tid page.TID) (simc
 	r.setFree(tid.Block, f.Data.FreeSpace())
 	f.Unlock()
 	r.pool.Release(f, true)
-	t, err = r.pk.Delete(t, key, packTID(tid))
+	if secPayload == nil {
+		secs = nil
+	}
+	if t, err = r.unindexVersion(t, secs, key, tid, secPayload); err != nil {
+		return t, err
+	}
+	r.stats.VacuumedTuples++
+	return t, nil
+}
+
+// indexVersion inserts the entries of the version at tid: <key, TID> into the
+// primary index and, pre-HOT, one into every live secondary index that
+// indexes payload. Caller holds r.mu.
+func (r *Relation) indexVersion(at simclock.Time, key int64, tid page.TID, payload []byte) (simclock.Time, error) {
+	t, err := r.PK.Insert(at, key, packTID(tid))
+	if err != nil {
+		return t, err
+	}
+	r.stats.IndexInserts++
+	for _, sec := range r.Secondaries() {
+		if sec.Tree == nil {
+			continue
+		}
+		if k, ok := sec.Key(payload); ok {
+			if t, err = sec.Tree.Insert(t, k, packTID(tid)); err != nil {
+				return t, err
+			}
+			r.stats.IndexInserts++
+		}
+	}
+	return t, nil
+}
+
+// unindexVersion drops the entries of the removed version at tid: its
+// <key, TID> from the primary index and its entries from secs, read off
+// payload. Entries already gone are no error.
+func (r *Relation) unindexVersion(at simclock.Time, secs []index.Secondary, key int64, tid page.TID, payload []byte) (simclock.Time, error) {
+	t, err := r.PK.Delete(at, key, packTID(tid))
 	if err != nil && !errors.Is(err, index.ErrNotFound) {
 		return t, err
 	}
-	for i, sec := range r.secs {
-		if secPayload == nil {
-			break
+	for _, sec := range secs {
+		if sec.Tree == nil {
+			continue
 		}
-		if k, ok := r.secFns[i](secPayload); ok {
-			t, err = sec.Delete(t, k, packTID(tid))
+		if k, ok := sec.Key(payload); ok {
+			t, err = sec.Tree.Delete(t, k, packTID(tid))
 			if err != nil && !errors.Is(err, index.ErrNotFound) {
 				return t, err
 			}
 		}
 	}
-	r.stats.VacuumedTuples++
 	return t, nil
 }
 
@@ -446,72 +425,47 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 	if err != nil {
 		return t, err
 	}
-	t, err = r.pk.Insert(t, key, packTID(tid))
-	if err != nil {
-		return t, err
-	}
-	r.stats.IndexInserts++
-	for i, sec := range r.secs {
-		if k, ok := r.secFns[i](payload); ok {
-			t, err = sec.Insert(t, k, packTID(tid))
-			if err != nil {
-				return t, err
-			}
-			r.stats.IndexInserts++
-		}
-	}
-	return t, nil
+	return r.indexVersion(t, key, tid, payload)
 }
 
-// Get returns the payload of the version of key visible to tx, and where
-// that version lies.
-func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, page.TID, simclock.Time, error) {
+// Get hands fn the version of key visible to tx, with its TID; an error
+// from fn is returned. The callbacks of Get, Update and Delete have the
+// shape of core.Relation's (vid is 0: SI names a version by its place).
+func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64, fn func(vid uint64, tid page.TID, payload []byte) error) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cands, t, err := r.pk.Search(at, key)
+	cands, t, err := r.PK.Search(at, key)
 	if err != nil {
-		return nil, page.InvalidTID, t, err
+		return t, err
 	}
 	for _, c := range cands {
 		tid := unpackTID(c)
 		hdr, payload, t2, err := r.fetch(t, tid)
 		t = t2
-		if err != nil {
+		if pruned(err) {
 			continue
 		}
+		if err != nil {
+			return t, err
+		}
 		if r.visible(tx, hdr) {
-			return payload, tid, t, nil
+			return t, fn(0, tid, payload)
 		}
 	}
-	return nil, page.InvalidTID, t, ErrNotFound
+	return t, index.ErrNoRow
 }
 
 // Update applies mutate to the current version of key, producing a successor
 // version; first-updater-wins via the item transaction lock. mutate gets the
-// current version's place and payload and returns the new payload and the
+// current version as Get's fn does and returns the new payload and the
 // (possibly changed) index key.
-func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
-	tx.MarkWrote()
-	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
-	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
-		return at, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	oldTID, oldHdr, oldPayload, t, found, err := r.newestLive(tx, at, key)
+func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(vid uint64, tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
+	oldTID, oldPayload, t, err := r.lockHead(tx, at, key)
 	if err != nil {
 		return t, err
 	}
-	if !found {
-		return t, ErrNotFound
-	}
-	// First-updater-wins: the chain head must be visible to us; if a
-	// concurrent transaction committed a successor we cannot see, abort.
-	if !r.visible(tx, oldHdr) {
-		return t, txn.ErrSerialization
-	}
-	newPayload, newKey, err := mutate(oldTID, oldPayload)
+	defer r.mu.Unlock()
+	newPayload, newKey, err := mutate(0, oldTID, oldPayload)
 	if err != nil {
 		return t, err
 	}
@@ -529,44 +483,47 @@ func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(t
 		return t, err
 	}
 	// (c) new index entries for the new version.
-	t, err = r.pk.Insert(t, newKey, packTID(newTID))
-	if err != nil {
-		return t, err
-	}
-	r.stats.IndexInserts++
-	for i, sec := range r.secs {
-		if k, ok := r.secFns[i](newPayload); ok {
-			t, err = sec.Insert(t, k, packTID(newTID))
-			if err != nil {
-				return t, err
-			}
-			r.stats.IndexInserts++
-		}
-	}
-	return t, nil
+	return r.indexVersion(t, newKey, newTID, newPayload)
 }
 
 // Delete invalidates the current version of key in place (no tombstone
-// version is created under SI).
-func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64) (simclock.Time, error) {
-	tx.MarkWrote()
-	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
-	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
-		return at, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tid, hdr, _, t, found, err := r.newestLive(tx, at, key)
+// version is created under SI). check sees the version first, as Get's fn
+// does; an error from it returns before anything is written.
+func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64, check func(vid uint64, tid page.TID, old []byte) error) (simclock.Time, error) {
+	tid, payload, t, err := r.lockHead(tx, at, key)
 	if err != nil {
 		return t, err
 	}
-	if !found {
-		return t, ErrNotFound
-	}
-	if !r.visible(tx, hdr) {
-		return t, txn.ErrSerialization
+	defer r.mu.Unlock()
+	if err := check(0, tid, payload); err != nil {
+		return t, err
 	}
 	return r.invalidateInPlace(tx, t, tid, tx.ID, page.InvalidTID)
+}
+
+// lockHead takes key's item lock for tx, then r.mu, and returns the chain
+// head, which must be visible to tx: a concurrent transaction that committed
+// a successor tx cannot see won the update race (first-updater-wins). r.mu
+// stays held iff the error is nil.
+func (r *Relation) lockHead(tx *txn.Tx, at simclock.Time, key int64) (page.TID, []byte, simclock.Time, error) {
+	tx.MarkWrote()
+	lk := txn.LockKey{Rel: r.id, Item: uint64(key)}
+	if err := r.txm.Locks().Acquire(tx, lk); err != nil {
+		return page.InvalidTID, nil, at, err
+	}
+	r.mu.Lock()
+	tid, hdr, payload, t, found, err := r.newestLive(tx, at, key)
+	switch {
+	case err != nil:
+	case !found:
+		err = index.ErrNoRow
+	case !r.visible(tx, hdr):
+		err = txn.ErrSerialization
+	default:
+		return tid, payload, t, nil
+	}
+	r.mu.Unlock()
+	return page.InvalidTID, nil, t, err
 }
 
 // invalidateInPlace rewrites the version's xmax/ctid on its page.
@@ -603,8 +560,9 @@ func (r *Relation) invalidateInPlace(tx *txn.Tx, at simclock.Time, tid page.TID,
 
 // Scan performs the traditional full-relation scan: read every block, check
 // every tuple version individually (the HDD-era access path the paper
-// contrasts with the VIDmap scan).
-func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(tid page.TID, payload []byte) bool) (simclock.Time, error) {
+// contrasts with the VIDmap scan). A version whose header does not decode
+// stops the scan with the decoder's error.
+func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	blocks := r.nextBlock
 	r.mu.RUnlock()
@@ -621,11 +579,13 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(tid page.TID, payl
 			payload []byte
 		}
 		var hits []hit
+		var bad error
 		f.RLock()
 		f.Data.LiveTuples(func(slot int, raw []byte) bool {
 			hdr, payload, err := tuple.DecodeSI(raw)
 			if err != nil {
-				return true
+				bad = fmt.Errorf("si: scan %v: %w", page.TID{Block: b, Slot: uint16(slot)}, err)
+				return false
 			}
 			if r.visible(tx, hdr) {
 				hits = append(hits, hit{page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
@@ -637,40 +597,50 @@ func (r *Relation) Scan(tx *txn.Tx, at simclock.Time, fn func(tid page.TID, payl
 		r.mu.RUnlock()
 		t = t2
 		for _, h := range hits {
-			if !fn(h.tid, h.payload) {
+			if !fn(0, h.tid, h.payload) {
 				return t, nil
 			}
+		}
+		if bad != nil {
+			return t, bad
 		}
 	}
 	return t, nil
 }
 
+// ParallelScan is Scan: the traditional relation scan runs sequentially,
+// which is what the paper contrasts with the parallelizable VIDmap access
+// path of core.Relation.ParallelScan.
+func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, _ int, fn func(vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+	return r.Scan(tx, at, fn)
+}
+
 // RangeByKey returns visible rows with lo <= key <= hi in key order via the
 // primary index.
-func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(key int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) RangeByKey(tx *txn.Tx, at simclock.Time, lo, hi int64, fn func(key int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.rangeIndexLocked(tx, at, r.pk, lo, hi, fn)
+	return r.rangeIndexLocked(tx, at, r.PK, lo, hi, fn)
 }
 
 // RangeBySecondary returns visible rows with lo <= secondary key <= hi in
 // index-key order; a point lookup is the range lo == hi. SI indexes every
 // version, so multiple entries can resolve to the same visible row under
 // different keys; callers re-check predicates against the decoded row.
-func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) RangeBySecondary(tx *txn.Tx, at simclock.Time, idx int, lo, hi int64, fn func(indexKey int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if idx < 0 || idx >= len(r.secs) {
-		return at, fmt.Errorf("si: no secondary index %d", idx)
+	tree, err := r.Probe(idx)
+	if err != nil {
+		return at, err
 	}
-	r.idxLookups.Add(1)
-	return r.rangeIndexLocked(tx, at, r.secs[idx], lo, hi, fn)
+	return r.rangeIndexLocked(tx, at, tree, lo, hi, fn)
 }
 
 // rangeIndexLocked collects tree's <key, TID> entries in [lo, hi] and hands
 // fn each one whose version is visible to tx, in entry order. Caller holds
 // r.mu (shared).
-func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(key int64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
+func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tree, lo, hi int64, fn func(key int64, vid uint64, tid page.TID, payload []byte) bool) (simclock.Time, error) {
 	type ent struct {
 		key int64
 		tid page.TID
@@ -686,13 +656,16 @@ func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tr
 	for _, e := range ents {
 		hdr, payload, t2, ferr := r.fetch(t, e.tid)
 		t = t2
+		if pruned(ferr) {
+			continue
+		}
 		if ferr != nil {
-			continue // pruned entry
+			return t, ferr
 		}
 		if !r.visible(tx, hdr) {
 			continue
 		}
-		if !fn(e.key, e.tid, payload) {
+		if !fn(e.key, 0, e.tid, payload) {
 			return t, nil
 		}
 	}
@@ -701,11 +674,13 @@ func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tr
 
 // Vacuum reclaims versions invalidated before horizon and versions created
 // by aborted transactions, marking slots dead, compacting pages and pruning
-// index entries (given keyOf to recover the key of a dead payload).
-func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload []byte) int64) (int, simclock.Time, error) {
+// index entries (the primary key of a dead payload comes from the
+// configured KeyOf).
+func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID) (int, simclock.Time, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	clog := r.txm.CLOG()
+	secs := r.Secondaries()
 	reclaimed := 0
 	t := at
 	for b := uint32(0); b < r.nextBlock; b++ {
@@ -730,7 +705,7 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload [
 			deadByUpdate := hdr.Xmax != txn.InvalidID && clog.Get(hdr.Xmax) == txn.StatusCommitted && hdr.Xmax < horizon
 			abortedInsert := clog.Get(hdr.Xmin) == txn.StatusAborted
 			if deadByUpdate || abortedInsert {
-				victims = append(victims, victim{slot, keyOf(payload), page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
+				victims = append(victims, victim{slot, r.keyOf(payload), page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
 			}
 			return true
 		})
@@ -760,17 +735,8 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID, keyOf func(payload [
 		r.stats.VacuumedTuples += int64(len(victims))
 		// Prune index entries outside the page latch.
 		for _, v := range victims {
-			t, err = r.pk.Delete(t, v.key, packTID(v.tid))
-			if err != nil && !errors.Is(err, index.ErrNotFound) {
+			if t, err = r.unindexVersion(t, secs, v.key, v.tid, v.payload); err != nil {
 				return reclaimed, t, err
-			}
-			for i, sec := range r.secs {
-				if k, ok := r.secFns[i](v.payload); ok {
-					t, err = sec.Delete(t, k, packTID(v.tid))
-					if err != nil && !errors.Is(err, index.ErrNotFound) {
-						return reclaimed, t, err
-					}
-				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"sias/internal/buffer"
 	"sias/internal/device"
+	"sias/internal/index"
 	"sias/internal/page"
 	"sias/internal/simclock"
 	"sias/internal/space"
@@ -29,7 +30,7 @@ func newEnv(t *testing.T) *env {
 	alloc := space.NewAllocator(dev.NumPages(), 64)
 	walw := wal.NewWriter(walDev)
 	txm := txn.NewManager()
-	rel, _, err := New(0, Config{ID: 1, Name: "t", Pool: pool, Alloc: alloc, WAL: walw, Txns: txm, PKRelID: 2})
+	rel, _, err := New(0, Config{ID: 1, Name: "t", Pool: pool, Alloc: alloc, WAL: walw, Txns: txm, PKRelID: 2, KeyOf: keyOf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +44,20 @@ func keyOf(payload []byte) int64 {
 	return k
 }
 
+// get returns the payload and place of key's version visible to tx.
+func (e *env) get(tx *txn.Tx, at simclock.Time, key int64) ([]byte, page.TID, simclock.Time, error) {
+	var payload []byte
+	var tid page.TID
+	at, err := e.rel.Get(tx, at, key, func(_ uint64, t page.TID, p []byte) error {
+		payload, tid = p, t
+		return nil
+	})
+	return payload, tid, at, err
+}
+
+// anyVersion is a Delete check that accepts every version.
+func anyVersion(uint64, page.TID, []byte) error { return nil }
+
 func pl(key int64, suffix string) []byte { return []byte(fmt.Sprintf("k%d:%s", key, suffix)) }
 
 func TestInsertGetVisible(t *testing.T) {
@@ -52,13 +67,13 @@ func TestInsertGetVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, at, err := e.rel.Get(tx, at, 1)
+	got, _, at, err := e.get(tx, at, 1)
 	if err != nil || string(got) != "k1:a" {
 		t.Errorf("own insert: %q %v", got, err)
 	}
 	e.txm.Commit(tx)
 	r := e.txm.Begin()
-	if _, _, _, err := e.rel.Get(r, at, 2); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := e.get(r, at, 2); !errors.Is(err, index.ErrNoRow) {
 		t.Errorf("missing key err = %v", err)
 	}
 	e.txm.Commit(r)
@@ -72,7 +87,7 @@ func TestUpdateInvalidatesInPlace(t *testing.T) {
 
 	before := e.rel.Stats().InPlaceUpdates
 	u := e.txm.Begin()
-	at, err := e.rel.Update(u, at, 1, func(_ page.TID, old []byte) ([]byte, int64, error) {
+	at, err := e.rel.Update(u, at, 1, func(_ uint64, _ page.TID, old []byte) ([]byte, int64, error) {
 		return pl(1, "v1"), 1, nil
 	})
 	if err != nil {
@@ -83,7 +98,7 @@ func TestUpdateInvalidatesInPlace(t *testing.T) {
 		t.Error("update must invalidate the old version in place")
 	}
 	r := e.txm.Begin()
-	got, _, _, err := e.rel.Get(r, at, 1)
+	got, _, _, err := e.get(r, at, 1)
 	if err != nil || string(got) != "k1:v1" {
 		t.Errorf("after update: %q %v", got, err)
 	}
@@ -97,11 +112,11 @@ func TestSnapshotReadOldVersion(t *testing.T) {
 	e.txm.Commit(tx)
 	reader := e.txm.Begin()
 	writer := e.txm.Begin()
-	at, _ = e.rel.Update(writer, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(writer, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "new"), 1, nil
 	})
 	e.txm.Commit(writer)
-	got, _, _, err := e.rel.Get(reader, at, 1)
+	got, _, _, err := e.get(reader, at, 1)
 	if err != nil || string(got) != "k1:old" {
 		t.Errorf("snapshot read = %q, %v; want old", got, err)
 	}
@@ -115,14 +130,14 @@ func TestFirstUpdaterWinsSI(t *testing.T) {
 	e.txm.Commit(tx)
 	t1 := e.txm.Begin()
 	t2 := e.txm.Begin()
-	at, err := e.rel.Update(t1, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+	at, err := e.rel.Update(t1, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "t1"), 1, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.txm.Commit(t1)
-	_, err = e.rel.Update(t2, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+	_, err = e.rel.Update(t2, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "t2"), 1, nil
 	})
 	if !errors.Is(err, txn.ErrSerialization) {
@@ -138,18 +153,18 @@ func TestDeleteSetsXmax(t *testing.T) {
 	e.txm.Commit(tx)
 	old := e.txm.Begin()
 	del := e.txm.Begin()
-	at, err := e.rel.Delete(del, at, 1)
+	at, err := e.rel.Delete(del, at, 1, anyVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.txm.Commit(del)
 	// Old snapshot still sees the row (xmax not visible to it).
-	if got, _, _, err := e.rel.Get(old, at, 1); err != nil || string(got) != "k1:x" {
+	if got, _, _, err := e.get(old, at, 1); err != nil || string(got) != "k1:x" {
 		t.Errorf("old snapshot after delete: %q %v", got, err)
 	}
 	e.txm.Commit(old)
 	fresh := e.txm.Begin()
-	if _, _, _, err := e.rel.Get(fresh, at, 1); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := e.get(fresh, at, 1); !errors.Is(err, index.ErrNoRow) {
 		t.Errorf("fresh read of deleted row: %v", err)
 	}
 	e.txm.Commit(fresh)
@@ -165,7 +180,7 @@ func TestScanTraditional(t *testing.T) {
 	e.txm.Commit(tx)
 	r := e.txm.Begin()
 	n := 0
-	at, err := e.rel.Scan(r, at, func(_ page.TID, payload []byte) bool {
+	at, err := e.rel.Scan(r, at, func(_ uint64, _ page.TID, payload []byte) bool {
 		n++
 		return true
 	})
@@ -182,13 +197,13 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	e.txm.Commit(tx)
 	for i := 1; i <= 10; i++ {
 		u := e.txm.Begin()
-		at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+		at, _ = e.rel.Update(u, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return pl(1, fmt.Sprintf("v%d", i)), 1, nil
 		})
 		e.txm.Commit(u)
 	}
 	horizon := e.txm.Horizon()
-	_, at, err := e.rel.Vacuum(at, horizon, keyOf)
+	_, at, err := e.rel.Vacuum(at, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +214,14 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	}
 	// Current version intact.
 	r := e.txm.Begin()
-	got, _, _, err := e.rel.Get(r, at, 1)
+	got, _, _, err := e.get(r, at, 1)
 	if err != nil || string(got) != "k1:v10" {
 		t.Errorf("after vacuum: %q %v", got, err)
 	}
 	e.txm.Commit(r)
 	// Index pruned: exactly one candidate remains.
-	if e.rel.pk.Len() != 1 {
-		t.Errorf("index entries = %d, want 1", e.rel.pk.Len())
+	if e.rel.PK.Len() != 1 {
+		t.Errorf("index entries = %d, want 1", e.rel.PK.Len())
 	}
 }
 
@@ -217,15 +232,15 @@ func TestVacuumSparesVisibleVersions(t *testing.T) {
 	e.txm.Commit(tx)
 	pinned := e.txm.Begin() // holds horizon
 	u := e.txm.Begin()
-	at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(u, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "new"), 1, nil
 	})
 	e.txm.Commit(u)
-	_, at, err := e.rel.Vacuum(at, e.txm.Horizon(), keyOf)
+	_, at, err := e.rel.Vacuum(at, e.txm.Horizon())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := e.rel.Get(pinned, at, 1)
+	got, _, _, err := e.get(pinned, at, 1)
 	if err != nil || string(got) != "k1:old" {
 		t.Errorf("pinned snapshot lost version to vacuum: %q %v", got, err)
 	}
@@ -237,7 +252,7 @@ func TestVacuumRemovesAbortedInserts(t *testing.T) {
 	tx := e.txm.Begin()
 	at, _ := e.rel.Insert(tx, 0, 1, pl(1, "ghost"))
 	e.txm.Abort(tx)
-	n, _, err := e.rel.Vacuum(at, e.txm.Horizon(), keyOf)
+	n, _, err := e.rel.Vacuum(at, e.txm.Horizon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +271,12 @@ func TestFreeSpaceReuseAfterVacuum(t *testing.T) {
 	// (scattered placement into freed space: the random-write pattern).
 	for i := 0; i < 200; i++ {
 		u := e.txm.Begin()
-		at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+		at, _ = e.rel.Update(u, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 			return pl(1, fmt.Sprintf("v%d", i)), 1, nil
 		})
 		e.txm.Commit(u)
 		if i%50 == 49 {
-			_, at, _ = e.rel.Vacuum(at, e.txm.Horizon(), keyOf)
+			_, at, _ = e.rel.Vacuum(at, e.txm.Horizon())
 		}
 	}
 	if e.rel.Blocks() > 3 {
@@ -278,7 +293,7 @@ func TestUpdateAddsIndexEntryEvenWithoutKeyChange(t *testing.T) {
 	e.txm.Commit(tx)
 	before := e.rel.Stats().IndexInserts
 	u := e.txm.Begin()
-	at, _ = e.rel.Update(u, at, 1, func(page.TID, []byte) ([]byte, int64, error) {
+	at, _ = e.rel.Update(u, at, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
 		return pl(1, "v1"), 1, nil
 	})
 	e.txm.Commit(u)
@@ -286,4 +301,33 @@ func TestUpdateAddsIndexEntryEvenWithoutKeyChange(t *testing.T) {
 		t.Errorf("index inserts = %d, want %d", got, before+1)
 	}
 	_ = at
+}
+
+// TestScanStopsAtUndecodableHeader: a slot whose bytes are too short for a
+// version header fails the scan that reaches it, after the rows before it.
+func TestScanStopsAtUndecodableHeader(t *testing.T) {
+	e := newEnv(t)
+	tx := e.txm.Begin()
+	at, err := e.rel.Insert(tx, 0, 1, pl(1, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.txm.Commit(tx)
+	f, at, err := e.rel.getPage(at, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Lock()
+	_, err = f.Data.Insert([]byte{1, 2})
+	f.Unlock()
+	e.pool.Release(f, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.txm.Begin()
+	defer e.txm.Commit(r)
+	n := 0
+	if _, err := e.rel.Scan(r, at, func(uint64, page.TID, []byte) bool { n++; return true }); err == nil || n != 1 {
+		t.Errorf("scan over an undecodable header: %d rows, err %v; want the row before it and an error", n, err)
+	}
 }
