@@ -475,6 +475,13 @@ func (r *Relation) chainLookup(tx *txn.Tx, at simclock.Time, vid uint64) (tuple.
 		return tuple.SIASHeader{}, nil, t, false, nil
 	}
 	r.stats.chainWalks.Add(1)
+	return r.walkChain(tx, t, tid)
+}
+
+// walkChain walks a chain from tid toward older versions and returns the
+// first version visible to tx; found=false when none is.
+func (r *Relation) walkChain(tx *txn.Tx, at simclock.Time, tid page.TID) (tuple.SIASHeader, []byte, simclock.Time, bool, error) {
+	t := at
 	for tid.Valid() {
 		hdr, payload, t2, err := r.fetch(t, tid)
 		t = t2
@@ -670,11 +677,12 @@ func (r *Relation) Delete(tx *txn.Tx, at simclock.Time, key int64, check func(vi
 
 // updateVID is Update of one item, vid, whose key is oldKey.
 func (r *Relation) updateVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey int64, mutate func(vid uint64, tid page.TID, old []byte) ([]byte, int64, error)) (simclock.Time, error) {
-	entryTID, payload, t, err := r.lockEntrypoint(tx, at, vid)
-	if err != nil {
-		return t, err
-	}
-	newPayload, newKey, err := mutate(vid, page.InvalidTID, payload)
+	var newPayload []byte
+	var newKey int64
+	entryTID, payload, t, err := r.lockEntrypoint(tx, at, vid, func(old []byte) (err error) {
+		newPayload, newKey, err = mutate(vid, page.InvalidTID, old)
+		return err
+	})
 	if err != nil {
 		return t, err
 	}
@@ -696,11 +704,10 @@ func (r *Relation) updateVID(tx *txn.Tx, at simclock.Time, vid uint64, oldKey in
 
 // deleteVID is Delete of one item, vid.
 func (r *Relation) deleteVID(tx *txn.Tx, at simclock.Time, vid uint64, check func(vid uint64, tid page.TID, old []byte) error) (simclock.Time, error) {
-	entryTID, payload, t, err := r.lockEntrypoint(tx, at, vid)
+	entryTID, _, t, err := r.lockEntrypoint(tx, at, vid, func(old []byte) error {
+		return check(vid, page.InvalidTID, old)
+	})
 	if err != nil {
-		return t, err
-	}
-	if err := check(vid, page.InvalidTID, payload); err != nil {
 		return t, err
 	}
 	r.stats.tombstones.Add(1)
@@ -709,14 +716,17 @@ func (r *Relation) deleteVID(tx *txn.Tx, at simclock.Time, vid uint64, check fun
 
 // lockEntrypoint takes item vid's lock for tx (Algorithm 3, line 7:
 // REQUESTXLOCK — it blocks behind a concurrent updater) and returns the
-// entrypoint version it re-validates on wakeup: it must be visible to tx —
+// entrypoint version, with its payload, once fn has accepted it. The
+// entrypoint is re-validated on wakeup: it must be visible to tx —
 // otherwise a concurrent transaction won the update race (line 4,
 // first-updater-wins) — and not a tombstone.
-func (r *Relation) lockEntrypoint(tx *txn.Tx, at simclock.Time, vid uint64) (page.TID, []byte, simclock.Time, error) {
-	tx.MarkWrote()
-	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
-		return page.InvalidTID, nil, at, err
-	}
+//
+// fn first sees the version visible to tx, before the lock, so a stale
+// <key, VID> entry whose row has moved to another key (fn returns
+// index.ErrStale) is passed over without locking that row and stalling its
+// key's updater. fn sees the entrypoint again only if it is not that
+// version.
+func (r *Relation) lockEntrypoint(tx *txn.Tx, at simclock.Time, vid uint64, fn func(payload []byte) error) (page.TID, []byte, simclock.Time, error) {
 	t := r.vmapTouch(at, vid)
 	entryTID, ok := r.vmap.Get(vid)
 	if !ok {
@@ -726,11 +736,46 @@ func (r *Relation) lockEntrypoint(tx *txn.Tx, at simclock.Time, vid uint64) (pag
 	if err != nil {
 		return page.InvalidTID, nil, t, err
 	}
+	seen, found := entryTID, true // seen: the entrypoint fn accepts, if any
+	if !tx.Visible(hdr.Create) {
+		// A concurrent updater's version, or one committed after tx's
+		// snapshot: fn decides on the version tx sees, if there is one, and
+		// the entrypoint is re-validated under the lock.
+		seen = page.InvalidTID
+		if hdr, payload, t, found, err = r.walkChain(tx, t, hdr.Pred); err != nil {
+			return page.InvalidTID, nil, t, err
+		}
+	}
+	if found {
+		if hdr.Tombstone() {
+			return page.InvalidTID, nil, t, index.ErrNoRow
+		}
+		if err := fn(payload); err != nil {
+			return page.InvalidTID, nil, t, err
+		}
+	}
+
+	tx.MarkWrote()
+	if err := r.txm.Locks().Acquire(tx, txn.LockKey{Rel: r.id, Item: vid}); err != nil {
+		return page.InvalidTID, nil, t, err
+	}
+	if entryTID, ok = r.vmap.Get(vid); !ok {
+		return page.InvalidTID, nil, t, index.ErrNoRow
+	}
+	if entryTID == seen {
+		return entryTID, payload, t, nil
+	}
+	if hdr, payload, t, err = r.fetch(t, entryTID); err != nil {
+		return page.InvalidTID, nil, t, err
+	}
 	if !tx.Visible(hdr.Create) {
 		return page.InvalidTID, nil, t, txn.ErrSerialization
 	}
 	if hdr.Tombstone() {
 		return page.InvalidTID, nil, t, index.ErrNoRow
+	}
+	if err := fn(payload); err != nil {
+		return page.InvalidTID, nil, t, err
 	}
 	return entryTID, payload, t, nil
 }

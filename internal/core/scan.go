@@ -97,24 +97,3 @@ func (r *Relation) ParallelScan(tx *txn.Tx, at simclock.Time, parallelism int, f
 	wg.Wait()
 	return latest, firstErr
 }
-
-// ChainLength walks vid's full physical chain and reports its length
-// (diagnostics).
-func (r *Relation) ChainLength(at simclock.Time, vid uint64) (int, simclock.Time, error) {
-	tid, ok := r.vmap.Get(vid)
-	if !ok {
-		return 0, at, nil
-	}
-	n := 0
-	t := at
-	for tid.Valid() {
-		hdr, _, t2, err := r.fetch(t, tid)
-		t = t2
-		if err != nil {
-			return n, t, err
-		}
-		n++
-		tid = hdr.Pred
-	}
-	return n, t, nil
-}

@@ -182,21 +182,3 @@ func TestParallelScanSurfacesReadError(t *testing.T) {
 		return err
 	})
 }
-
-func TestChainLength(t *testing.T) {
-	e := newEnv(t)
-	setup := e.txm.Begin()
-	vid, at, _ := e.rel.Insert(setup, 0, 1, payload("v"))
-	e.txm.Commit(setup)
-	for i := 0; i < 7; i++ {
-		tx := e.txm.Begin()
-		at, _ = e.rel.updateVID(tx, at, vid, 1, func(uint64, page.TID, []byte) ([]byte, int64, error) {
-			return payload("v"), 1, nil
-		})
-		e.txm.Commit(tx)
-	}
-	n, _, err := e.rel.ChainLength(at, vid)
-	if err != nil || n != 8 {
-		t.Errorf("chain length = %d (%v), want 8", n, err)
-	}
-}

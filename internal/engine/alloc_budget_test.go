@@ -102,21 +102,20 @@ func TestGetAllocBudget(t *testing.T) {
 
 // TestCommitAllocBudget pins a served write transaction — Begin, one Update
 // and Commit — through a facade built the way siasserver builds one: an
-// Options literal over in-memory devices. 12 allocations:
+// Options literal over in-memory devices. 7 allocations:
 //   - Begin: the Tx (1);
 //   - Update: the version's private copy out of the page (1), the facade's
 //     row adapter decoding that version's view into the old row and its two
 //     boxed columns (3), and the finish hook that swings the VIDmap back on
 //     abort (1);
-//   - the test's mutate boxing the new value into the row (1);
-//   - Commit: the group-commit waiter and its done channel, the queue the
-//     waiter joins, and the batch's transaction and error slices (5).
+//   - the test's mutate boxing the new value into the row (1).
 //
-// Nothing else may: the two log records are framed in the log tail, the
-// version is written into its page slot, the row is encoded into a pooled
-// buffer, the index probe fills a stack buffer, the lock entry is recycled,
-// the Tx's lock and hook slices use its inline arrays, and a commit runs no
-// maintenance.
+// Nothing else may: Commit appends its record and flushes through the log's
+// flush gate, which allocates nothing, the two log records are framed in the
+// log tail, the version is written into its page slot, the row is encoded
+// into a pooled buffer, the index probe fills a stack buffer, the lock entry
+// is recycled, the Tx's lock and hook slices use its inline arrays, and a
+// commit runs no maintenance.
 // Under -race the pool may drop the row buffer, so one more is allowed.
 func TestCommitAllocBudget(t *testing.T) {
 	db, err := Open(Options{
@@ -163,7 +162,7 @@ func TestCommitAllocBudget(t *testing.T) {
 			t.Fatalf("Commit: %v", err)
 		}
 	})
-	limit := 12.0
+	limit := 7.0
 	if raceEnabled {
 		limit++
 	}

@@ -165,9 +165,9 @@ type DB struct {
 	commits        atomic.Int64
 	roCommits      atomic.Int64 // of commits: finished without a log record
 	aborts         atomic.Int64
-	commitFlushes  atomic.Int64 // WAL flushes issued for commits (batched or not)
-	commitBatches  atomic.Int64 // group-commit batches with more than one member
-	commitMaxBatch atomic.Int64 // largest group-commit batch observed
+	commitFlushes  atomic.Int64 // commit, prepare and decide calls that wrote the log
+	commitBatches  atomic.Int64 // commits' log writes that carried more than one commit
+	commitMaxBatch atomic.Int64 // most commit records one commit's log write carried
 
 	// 2PC state: participant prepares logged, and in-doubt transactions
 	// recovery resolved each way. resolver consults sibling shards' decision
@@ -276,70 +276,46 @@ func (db *DB) Begin() *txn.Tx {
 	return db.txm.Begin()
 }
 
-// Commit makes tx durable: the commit record is forced to the log before
-// the CLOG flips (group commit batches whatever else is pending).
+// Commit makes tx durable: its commit record is appended and forced to the
+// log (the writer's flush is the group commit: concurrent committers share
+// its device writes), and only then does the CLOG flip. A flush failure fails
+// the commit.
 func (db *DB) Commit(tx *txn.Tx, at simclock.Time) (simclock.Time, error) {
-	txs := [1]*txn.Tx{tx}
-	var errs [1]error
-	t := db.CommitBatch(txs[:], errs[:], at)
-	return t, errs[0]
+	t, _, err := db.commit(tx, at)
+	return t, err
 }
 
-// CommitBatch commits a group of transactions with a single WAL flush: every
-// commit record is appended, the log is forced once through the highest LSN,
-// and only then do the CLOGs flip. This is the group-commit primitive the
-// concurrent facade coalesces callers into (Larson et al. use the same
-// batching to stop the log from serializing multi-version commit
-// throughput). Each transaction's result lands in errs at its position
-// (errs is as long as txs and the caller's, so a batch allocates nothing);
-// a flush failure fails the whole batch, since none of the records are
-// durable.
-func (db *DB) CommitBatch(txs []*txn.Tx, errs []error, at simclock.Time) simclock.Time {
-	if len(txs) == 0 {
-		return at
-	}
-	// Read-only transactions (replica snapshots) have no commit record and
-	// force nothing; they are still Commit()ed so finish hooks run.
-	var lsn wal.LSN
-	logged := false
-	for _, tx := range txs {
-		if tx.ReadOnly() {
-			continue
-		}
-		lsn = db.walw.Append(&wal.Record{Type: wal.RecCommit, Tx: tx.ID})
-		logged = true
-	}
-	t := at
-	if logged {
+// commit is Commit, also returning how many commit records its own log write
+// carried: 0 when another caller's write made tx's record durable. A
+// read-only transaction (a replica snapshot) has no commit record and forces
+// nothing; it still commits, so its finish hooks run.
+func (db *DB) commit(tx *txn.Tx, at simclock.Time) (simclock.Time, int, error) {
+	t, n := at, 0
+	if !tx.ReadOnly() {
 		var err error
-		t, err = db.walw.Flush(at, lsn)
+		t, n, err = db.walw.FlushCommits(at, db.walw.Append(&wal.Record{Type: wal.RecCommit, Tx: tx.ID}))
 		if err != nil {
-			for i := range errs {
-				errs[i] = err
-			}
-			return t
+			return t, 0, err
+		}
+		if n > 0 {
+			db.noteCommitFlush(n)
 		}
 	}
-	committed := int64(0)
-	for i, tx := range txs {
-		if errs[i] = db.txm.Commit(tx); errs[i] == nil {
-			committed++
-		}
-	}
-	db.commits.Add(committed)
-	if logged {
-		db.commitFlushes.Add(1)
-	}
-	if len(txs) > 1 {
+	return t, n, db.finish(tx, true)
+}
+
+// noteCommitFlush counts a commit's log write that carried n commit records.
+func (db *DB) noteCommitFlush(n int) {
+	db.commitFlushes.Add(1)
+	if n > 1 {
 		db.commitBatches.Add(1)
 	}
 	for {
 		cur := db.commitMaxBatch.Load()
-		if int64(len(txs)) <= cur || db.commitMaxBatch.CompareAndSwap(cur, int64(len(txs))) {
-			break
+		if int64(n) <= cur || db.commitMaxBatch.CompareAndSwap(cur, int64(n)) {
+			return
 		}
 	}
-	return t
 }
 
 // finishUnlogged ends a transaction that wrote nothing (txn.Tx.Wrote is
@@ -347,8 +323,8 @@ func (db *DB) CommitBatch(txs []*txn.Tx, errs []error, at simclock.Time) simcloc
 // snapshot is released. Safe because no version and no WAL record carries
 // its id — after a crash recovery may hand the id out again, and whoever
 // gets it finds nothing of the earlier holder on disk. This is the serving
-// path's (Facade) commit and abort for readers; Commit, CommitBatch and
-// Abort keep logging every non-ReadOnly transaction, because the simulator
+// path's (Facade) commit and abort for readers; Commit and Abort keep
+// logging every non-ReadOnly transaction, because the simulator
 // (internal/tpcc, internal/exp) calls them directly and EXPERIMENTS.md is
 // pinned to the log volume they produce — folding the simulator in is a
 // deliberate golden update for a later change.
@@ -530,13 +506,14 @@ type Stats struct {
 	// transactions that wrote nothing: they logged no record and waited for
 	// no flush, so group-commit ratios are taken over Commits minus this.
 	ReadOnlyCommits int64 `metric:"sias_engine_readonly_commits_total,counter" help:"Committed transactions that wrote nothing: no log record, no flush (included in commits)."`
-	// CommitFlushes counts WAL flushes issued on behalf of commits — a
-	// group-commit batch's, and a cross-shard commit's forced prepare and
-	// decide flushes (not the lazy flush that carries a participant's
-	// outcome); with group commit active it is strictly less than Commits
-	// under concurrency. CommitBatches counts flushes that covered >1 commit;
-	// CommitMaxBatch is the largest single batch, so Commits/CommitFlushes
-	// is the mean batch size and CommitMaxBatch its high-water mark.
+	// CommitFlushes counts the commit calls that wrote the log themselves —
+	// a commit whose record another caller's write carried counts none —
+	// plus a cross-shard commit's forced prepare and decide flushes (not the
+	// lazy flush that carries a participant's outcome); under concurrency it
+	// is less than Commits. CommitBatches counts commits' writes that carried
+	// more than one commit record, and CommitMaxBatch the most one carried,
+	// so Commits/CommitFlushes is the mean batch size and CommitMaxBatch its
+	// high-water mark.
 	CommitFlushes  int64 `metric:"sias_engine_commit_flushes_total,counter" help:"WAL flushes issued on behalf of commits (group commit shares them)."`
 	CommitBatches  int64 `metric:"sias_engine_commit_batches_total,counter" help:"Commit flushes that covered more than one transaction."`
 	CommitMaxBatch int64 `metric:"-,gauge,max"`

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"sias/internal/device"
 	"sias/internal/page"
@@ -404,4 +405,69 @@ func TestEngineStatsShape(t *testing.T) {
 		t.Errorf("appends = %d, want 1", sst.Appends)
 	}
 	_ = at
+}
+
+// TestStaleEntryLocksNothing: a <key, VID> entry outlives its row's move to
+// another key, and a write through the old key passes over it without taking
+// the row's lock. Row A moves from key 1 to key 2 and row B is inserted at
+// key 1; t1 updates key 1 (B) and stays open; t2 then updates, or deletes,
+// key 2 (A) at once, instead of waiting out the lock wait budget behind t1.
+func TestStaleEntryLocksNothing(t *testing.T) {
+	for _, k := range kinds() {
+		for _, op := range []string{"update", "delete"} {
+			t.Run(k.String()+"/"+op, func(t *testing.T) {
+				db, tab := openTestDB(t, k)
+				db.Txns().WaitBudget = 100 * time.Millisecond
+				setKey := func(key int64) func(tuple.Row) (tuple.Row, error) {
+					return func(row tuple.Row) (tuple.Row, error) {
+						row[0] = key
+						return row, nil
+					}
+				}
+				step := func(f func(tx *txn.Tx) (simclock.Time, error)) {
+					tx := db.Begin()
+					if _, err := f(tx); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := db.Commit(tx, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				step(func(tx *txn.Tx) (simclock.Time, error) { return tab.Insert(tx, 0, tuple.Row{int64(1), "a", int64(0)}) })
+				step(func(tx *txn.Tx) (simclock.Time, error) { return tab.Update(tx, 0, 1, rowUpdate(setKey(2))) })
+				step(func(tx *txn.Tx) (simclock.Time, error) { return tab.Insert(tx, 0, tuple.Row{int64(1), "b", int64(0)}) })
+
+				t1 := db.Begin()
+				if _, err := tab.Update(t1, 0, 1, rowUpdate(setKey(1))); err != nil {
+					t.Fatalf("t1 updates key 1: %v", err)
+				}
+				t2 := db.Begin()
+				start := time.Now()
+				var err error
+				if op == "update" {
+					_, err = tab.Update(t2, 0, 2, rowUpdate(setKey(2)))
+				} else {
+					_, err = tab.Delete(t2, 0, 2)
+				}
+				if err != nil {
+					t.Fatalf("t2 %ss key 2 after %v: %v", op, time.Since(start), err)
+				}
+				for _, tx := range []*txn.Tx{t2, t1} {
+					if _, err := db.Commit(tx, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check := db.Begin()
+				row, _, err := getRow(tab, check, 0, 1)
+				if err != nil || row[1] != "b" {
+					t.Errorf("key 1 reads %v (%v), want row b", row, err)
+				}
+				_, _, err = getRow(tab, check, 0, 2)
+				if want := op == "delete"; errors.Is(err, ErrNotFound) != want {
+					t.Errorf("key 2 after t2's %s: %v", op, err)
+				}
+				db.Commit(check, 0)
+			})
+		}
+	}
 }

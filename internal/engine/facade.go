@@ -21,25 +21,18 @@ import (
 // writer, checkpoints, GC and vacuum) therefore does not run here; the only
 // checkpoint a served engine takes is the one its owner asks for.
 //
-// Commit goes through a group-commit batcher. The first caller to arrive
-// becomes the leader and drains the queue of every concurrent committer; one
-// CommitBatch (one WAL flush) then covers the whole batch, and each caller
-// is signalled with its own result. Callers that arrive while a leader is
-// flushing are picked up by the leader's next round, so under concurrency M
-// commits need far fewer than M flushes.
+// Commit calls the engine's commit directly: concurrent committers share
+// log writes at the WAL writer's flush gate (wal.Writer.FlushCommits), the
+// one group commit every flush goes through.
 type Facade struct {
 	db *DB
 
-	gcMu   sync.Mutex
-	queue  []*commitWaiter
-	leader bool
-
-	// batchHist observes the size of every group-commit flush (nil = not
-	// collected).
+	// batchHist observes, per commit that wrote the log, how many commit
+	// records its write carried (nil = not collected).
 	batchHist *obs.Histogram
 
-	// tracer records group-commit stage spans for sampled commits
-	// (CommitTraced); nil disables tracing.
+	// tracer records the flush span of sampled commits (CommitTraced); nil
+	// disables tracing.
 	tracer *obs.Tracer
 
 	// The lazy outcome flush (FinishPrepared): outcomeTo is the end of the
@@ -51,24 +44,13 @@ type Facade struct {
 }
 
 // SetCommitMetrics attaches the group-commit batch-size histogram, observed
-// once per flushed batch. Must be called before the facade is shared
-// between goroutines.
+// once per commit that wrote the log. Must be called before the facade is
+// shared between goroutines.
 func (f *Facade) SetCommitMetrics(batch *obs.Histogram) { f.batchHist = batch }
 
 // SetTracer attaches the distributed tracer used by CommitTraced. Must be
 // called before the facade is shared between goroutines.
 func (f *Facade) SetTracer(t *obs.Tracer) { f.tracer = t }
-
-type commitWaiter struct {
-	tx   *txn.Tx
-	err  error
-	done chan struct{}
-
-	// Trace context of a sampled commit (zero otherwise): the group-commit
-	// stage spans hang off it, and enq timestamps the admission wait.
-	tc  obs.SpanContext
-	enq time.Time
-}
 
 // NewFacade wraps db for concurrent use.
 func NewFacade(db *DB) *Facade {
@@ -110,97 +92,42 @@ func (f *Facade) Promote() error {
 // Begin starts a transaction.
 func (f *Facade) Begin() *txn.Tx { return f.db.Begin() }
 
-// Commit makes tx durable through the group-commit batcher.
+// Commit makes tx durable (see DB.Commit).
 func (f *Facade) Commit(tx *txn.Tx) error { return f.CommitTraced(tx, obs.SpanContext{}) }
 
 // CommitTraced is Commit carrying a distributed-trace context. For a
-// sampled tc the shared WAL flush is recorded as a span under it, annotated
-// with whether this commit led the flush or rode another leader's, and an
-// advisory RecTraceCtx WAL record links the commit to its trace in the
+// sampled tc the commit's flush is recorded as an "fsync" span under it,
+// annotated with the commit records its own write carried (batch) and
+// whether another caller's write carried its record instead (shared), and
+// an advisory RecTraceCtx WAL record links the commit to its trace in the
 // replication stream.
 //
-// A transaction that wrote nothing never reaches the batcher: nothing in the
+// A transaction that wrote nothing never reaches the log: nothing in the
 // log or on a page names its id, so there is no outcome to make durable and
-// it is finished in memory (finishUnlogged) — no record, no flush, no
-// waiter, no fsync span.
+// it is finished in memory (finishUnlogged) — no record, no flush, no fsync
+// span.
 func (f *Facade) CommitTraced(tx *txn.Tx, tc obs.SpanContext) error {
 	if !tx.Wrote() {
 		return f.db.finishUnlogged(tx, true)
 	}
-	w := &commitWaiter{tx: tx, done: make(chan struct{})}
-	if f.tracer != nil && tc.Sampled {
-		w.tc = tc
-		w.enq = time.Now()
+	sampled := f.tracer != nil && tc.Sampled
+	var start time.Time
+	if sampled {
+		// Advisory trace linkage: rides the commit's flush.
+		f.db.walw.Append(&wal.Record{Type: wal.RecTraceCtx, Tx: tx.ID, Aux: tc.TraceID})
+		start = time.Now()
 	}
-	f.gcMu.Lock()
-	f.queue = append(f.queue, w)
-	if f.leader {
-		// A leader is mid-flush; it will drain us in its next round.
-		f.gcMu.Unlock()
-		<-w.done
-		return w.err
+	_, n, err := f.db.commit(tx, 0)
+	if n > 0 && f.batchHist != nil {
+		f.batchHist.Observe(float64(n))
 	}
-	f.leader = true
-	for {
-		batch := f.queue
-		f.queue = nil
-		f.gcMu.Unlock()
-
-		if f.batchHist != nil {
-			f.batchHist.Observe(float64(len(batch)))
-		}
-
-		sampled := false
-		txs := make([]*txn.Tx, len(batch))
-		for i, b := range batch {
-			txs[i] = b.tx
-			if b.tc.Sampled {
-				sampled = true
-				// Advisory trace linkage: rides the batch's commit flush.
-				f.db.walw.Append(&wal.Record{Type: wal.RecTraceCtx, Tx: b.tx.ID, Aux: b.tc.TraceID})
-			}
-		}
-		errs := make([]error, len(batch))
-		flushStart := time.Now()
-		f.db.CommitBatch(txs, errs, 0)
-		if sampled {
-			f.traceBatch(batch, w, flushStart, time.Now())
-		}
-		for i, b := range batch {
-			b.err = errs[i]
-			close(b.done)
-		}
-
-		f.gcMu.Lock()
-		if len(f.queue) == 0 {
-			f.leader = false
-			f.gcMu.Unlock()
-			break
-		}
+	if sampled {
+		fs := f.tracer.StartSpanAt(tc, "fsync", start)
+		fs.Annotate("batch", strconv.Itoa(n))
+		fs.Annotate("shared", strconv.FormatBool(n == 0))
+		fs.Finish()
 	}
-	<-w.done
-	return w.err
-}
-
-// traceBatch records the group-commit flush span for every sampled commit
-// in a flushed batch. The flush is one shared event: each sampled waiter
-// gets its own "fsync" span over the same window, annotated with the batch
-// size and whether it led the flush (leader == the waiter running this
-// loop) or rode along. Runs before the waiters are signalled, so every
-// span of a commit is retained before its reply leaves the server.
-func (f *Facade) traceBatch(batch []*commitWaiter, leader *commitWaiter, flushStart, flushEnd time.Time) {
-	for _, b := range batch {
-		if !b.tc.Sampled {
-			continue
-		}
-		fs := f.tracer.StartSpanAt(b.tc, "fsync", flushStart)
-		fs.Annotate("batch", strconv.Itoa(len(batch)))
-		fs.Annotate("shared", strconv.FormatBool(b != leader))
-		if !b.enq.IsZero() {
-			fs.Annotate("queued_ms", strconv.FormatFloat(float64(flushStart.Sub(b.enq))/float64(time.Millisecond), 'f', 3, 64))
-		}
-		fs.FinishAt(flushEnd)
-	}
+	return err
 }
 
 // Abort rolls tx back; like Commit it logs nothing for a transaction that

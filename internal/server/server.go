@@ -16,9 +16,9 @@
 //     checkpoint the shards one at a time.
 //
 // Point ops route to exactly one shard (hash(key) % N) with no cross-shard
-// locking; scans fan out and k-way merge. Every shard runs its own
-// group-commit batcher, so concurrent clients share WAL flushes per shard
-// and independent shards flush in parallel.
+// locking; scans fan out and k-way merge. Every shard has its own WAL
+// writer, whose flush is the group commit, so concurrent clients share WAL
+// flushes per shard and independent shards flush in parallel.
 package server
 
 import (

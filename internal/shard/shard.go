@@ -1,8 +1,8 @@
 // Package shard hash-partitions the primary-key space across N independent
 // engine instances so writes scale past a single WAL writer.
 //
-// Each shard owns a complete engine stack — facade, WAL writer, group-commit
-// batcher, VIDmap, buffer pool and block devices — and shards share nothing
+// Each shard owns a complete engine stack — facade, WAL writer and its group
+// commit, VIDmap, buffer pool and block devices — and shards share nothing
 // on the hot path: a point op touches exactly one shard's locks and log. This is the classic recipe for scaling multi-version engines past
 // their log (Larson et al., "High-Performance Concurrency Control Mechanisms
 // for Main-Memory Databases"): eliminate the shared hot point instead of
@@ -21,8 +21,8 @@
 // touch. Each sub-transaction has its own snapshot in its own shard. Commit
 // does the log I/O the outcome needs: shards that were only read log and
 // flush nothing, and a transaction that wrote on one shard (the common case
-// under hash routing) commits through that shard's group-commit batcher
-// exactly as a single engine would — one WAL flush, no coordination
+// under hash routing) commits through that shard's group commit exactly as
+// a single engine would — one WAL flush, no coordination
 // records. Commits that wrote on several shards are ATOMIC via two-phase
 // commit over the written shards' WALs: the lowest written shard is the
 // coordinator, every other written shard forces a PREPARE record (phase 1,

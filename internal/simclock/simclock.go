@@ -68,7 +68,6 @@ func (t Time) String() string { return Duration(t).String() }
 type Resource struct {
 	mu   sync.Mutex
 	free []Time // per-unit next-free virtual time
-	busy Duration
 }
 
 // NewResource returns a resource with n parallel service units.
@@ -97,15 +96,7 @@ func (r *Resource) Acquire(at Time, service Duration) Time {
 	}
 	end := start.Add(service)
 	r.free[best] = end
-	r.busy += service
 	return end
-}
-
-// BusyTime reports the total service time consumed across all units.
-func (r *Resource) BusyTime() Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busy
 }
 
 // Horizon reports the latest next-free time over all units: the virtual time

@@ -10,8 +10,8 @@ import (
 )
 
 // TestAppendDuringFlushSurvives appends records from inside the device write
-// of a flush — the window in which Flush holds only flushMu and reads the
-// pending bytes without the buffer latch. The records must neither disturb
+// of a flush — the window in which the writing caller reads the pending bytes
+// without the buffer latch. The records must neither disturb
 // the pages being written nor be lost to the trim that follows: a second
 // flush plus a scan returns every record, in order, intact. On the range path
 // (File) the hook runs once per flush, on the page path (Mem) once per page.

@@ -258,22 +258,30 @@ func DecodeRecord(b []byte) (Record, int, error) {
 // Writer appends records to an in-memory tail and flushes it to the log
 // device. Safe for concurrent use.
 //
-// Appends take only the short buffer latch (mu); Flush snapshots the
-// pending bytes under the latch, then performs device I/O while holding
-// only flushMu. Concurrent appenders therefore never wait on log I/O —
-// which is what lets a group-commit leader's flush overlap the next batch's
-// writes instead of convoying every WAL user behind the device.
+// Appends take only the short buffer latch (mu), so they never wait on log
+// I/O. Flush is the log's group commit: one caller at a time writes, and a
+// caller that finds a write in flight waits for it at the flush gate, which
+// appenders never take. It returns as soon as its LSN is durable; otherwise
+// the first waiter still uncovered writes everything appended so far. So M
+// concurrent committers share far fewer than M device writes, and a write
+// overlaps the appends the next one carries.
 type Writer struct {
-	flushMu  sync.Mutex // serializes flushers; held across device I/O
 	dev      device.BlockDevice
 	pageSize int
 	// rw is the device's byte-range write path; nil selects the whole-page
 	// loop, which every simulated device takes.
 	rw device.RangeWriter
-	// tailBuf, owned under flushMu, assembles what a write hands the device
-	// that pending does not hold as it lies: the zero-padded tail page (page
-	// path) or the last write of a range, padded to its sector (range path).
+	// tailBuf, owned by the writing caller, assembles what a write hands the
+	// device that pending does not hold as it lies: the zero-padded tail page
+	// (page path) or the last write of a range, padded to its sector (range
+	// path).
 	tailBuf []byte
+
+	// The flush gate: flushing is set while a caller writes, and flushed is
+	// broadcast (over gate) when it stops.
+	gate     sync.Mutex
+	flushed  sync.Cond
+	flushing bool
 
 	mu         sync.Mutex // buffer latch: never held across device I/O
 	pending    []byte     // bytes not yet written to the device
@@ -281,6 +289,7 @@ type Writer struct {
 	nextLSN    LSN
 	durable    LSN
 	fullSynced int64 // count of pages flushes wrote into
+	commits    int   // RecCommit records appended since the last snapshot
 
 	// Wall-clock duration instruments (nil = not collected). Set once at
 	// assembly time via SetDurationMetrics, before the writer is shared.
@@ -304,6 +313,7 @@ func (w *Writer) SetDurationMetrics(appendH, flushH *obs.Histogram) {
 // zeroed (see window).
 func NewWriter(dev device.BlockDevice) *Writer {
 	w := &Writer{dev: dev, pageSize: dev.PageSize()}
+	w.flushed.L = &w.gate
 	if rw, ok := device.RangeWriterOf(dev); ok && w.pageSize%sectorSize == 0 {
 		w.rw = rw
 	}
@@ -371,6 +381,9 @@ func (w *Writer) Append(r *Record) LSN {
 	w.mu.Lock()
 	w.pending = appendRecord(w.pending, r)
 	w.nextLSN += LSN(n)
+	if r.Type == RecCommit {
+		w.commits++
+	}
 	lsn := w.nextLSN
 	w.mu.Unlock()
 	if w.appendHist != nil {
@@ -380,8 +393,25 @@ func (w *Writer) Append(r *Record) LSN {
 }
 
 // Flush makes the log durable up to at least lsn and returns the virtual
-// completion time. What reaches the device depends on the device, the image
-// it leaves does not: the stream, and zeros past its end.
+// completion time. It is FlushCommits without the count.
+func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
+	t, _, err := w.FlushCommits(at, lsn)
+	return t, err
+}
+
+// FlushCommits makes the log durable up to at least lsn and returns the
+// virtual completion time and the number of RecCommit records its own device
+// write carried: 0 when lsn was durable already or another caller's write
+// covered it.
+//
+// A caller that finds a write in flight waits for it and returns once lsn is
+// durable; if lsn is still not, the first such caller to wake writes
+// everything appended so far. A failed write returns its error to the
+// caller that issued it alone: the records stay pending, and a waiter it
+// would have covered writes them itself.
+//
+// What reaches the device depends on the device, the image it leaves does
+// not: the stream, and zeros past its end.
 //
 //   - A device with a byte-range write path (device.File) gets the sectors
 //     that gained bytes: from the sector holding the durable LSN to the end
@@ -395,75 +425,97 @@ func (w *Writer) Append(r *Record) LSN {
 //
 // A flush that would run past the end of the device writes nothing and
 // returns ErrLogFull.
-//
-// Only flushMu is held across the device writes. Records appended while the
-// I/O is in flight accumulate in pending and are covered by the next flush;
-// bytes beyond the snapshot are never dropped because the post-I/O trim
-// keeps everything past the last fully-written page.
-func (w *Writer) Flush(at simclock.Time, lsn LSN) (simclock.Time, error) {
+func (w *Writer) FlushCommits(at simclock.Time, lsn LSN) (simclock.Time, int, error) {
 	var t0 time.Time
 	if w.flushHist != nil {
 		t0 = time.Now()
 	}
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
+	w.gate.Lock()
+	for {
+		w.mu.Lock()
+		covered := lsn <= w.durable || w.nextLSN == w.durable // the second: an lsn past the stream
+		w.mu.Unlock()
+		if covered {
+			w.gate.Unlock()
+			return at, 0, nil
+		}
+		if !w.flushing {
+			break
+		}
+		w.flushed.Wait()
+	}
+	w.flushing = true
+	w.gate.Unlock()
 
+	t, n, err := w.write(at)
+
+	w.gate.Lock()
+	w.flushing = false
+	w.gate.Unlock()
+	w.flushed.Broadcast()
+	if err != nil {
+		return t, 0, err
+	}
+	if w.flushHist != nil {
+		w.flushHist.ObserveSince(t0)
+	}
+	return t, n, nil
+}
+
+// write writes everything appended so far and publishes it durable, for the
+// one caller the flush gate lets through. Records appended while the I/O is
+// in flight accumulate in pending for the next write: the trim after the I/O
+// keeps everything past the last fully written page.
+func (w *Writer) write(at simclock.Time) (simclock.Time, int, error) {
 	// Snapshot the stream under the buffer latch. pendingOff only advances
-	// here, under flushMu, so snapOff is stable for the whole flush.
+	// here, behind the gate, so snapOff is stable for the whole write.
 	//
-	// snap aliases pending instead of copying it. Until this flush trims,
+	// snap aliases pending instead of copying it. Until this write trims,
 	// nobody writes the bytes it covers: appenders only add past its length
 	// (or move to a larger array, leaving this one as it was), and the only
-	// code that shifts bytes is the trim below, under the flushMu held here.
+	// code that shifts bytes is the trim below.
 	w.mu.Lock()
-	if lsn <= w.durable || w.nextLSN == w.durable { // the second: an lsn past the stream
-		w.mu.Unlock()
-		return at, nil
-	}
 	snapOff := w.pendingOff // always page-aligned
 	snapEnd := w.nextLSN
 	snap := w.pending
 	durable := w.durable
+	n := w.commits
+	w.commits = 0
 	w.mu.Unlock()
 
 	firstPage := int64(snapOff) / int64(w.pageSize)
 	lastPage := int64(snapEnd-1) / int64(w.pageSize)
-	if lastPage >= w.dev.NumPages() {
-		return at, fmt.Errorf("wal: flush [%d,%d) on a log of %d pages: %w", durable, snapEnd, w.dev.NumPages(), ErrLogFull)
-	}
 	var t simclock.Time
 	var err error
-	if w.rw != nil {
+	switch {
+	case lastPage >= w.dev.NumPages():
+		t, err = at, fmt.Errorf("wal: flush [%d,%d) on a log of %d pages: %w", durable, snapEnd, w.dev.NumPages(), ErrLogFull)
+	case w.rw != nil:
 		t, err = w.writeSectors(at, snap, snapOff, durable&^(sectorSize-1), (snapEnd+sectorSize-1)&^(sectorSize-1))
-	} else {
+	default:
 		t, err = w.writePages(at, snap, firstPage, lastPage)
-	}
-	if err != nil {
-		return t, err
 	}
 
 	// Trim pending in place down to the partial tail page (plus anything
-	// appended during the I/O) and publish durability of the snapshot.
+	// appended during the I/O) and publish durability of the snapshot; or,
+	// after a failure, hand the snapshot's commit records back to the next
+	// write.
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		w.commits += n
+		return t, 0, err
+	}
 	tailStart := LSN(lastPage * int64(w.pageSize))
 	if int(snapEnd)%w.pageSize == 0 {
 		tailStart = snapEnd // tail page was complete in the snapshot
 	}
-	if tailStart < w.pendingOff {
-		tailStart = w.pendingOff
-	}
 	keepFrom := int(tailStart - w.pendingOff)
 	w.pending = w.pending[:copy(w.pending, w.pending[keepFrom:])]
 	w.pendingOff = tailStart
-	if snapEnd > w.durable {
-		w.durable = snapEnd
-	}
+	w.durable = snapEnd
 	w.fullSynced += lastPage - firstPage + 1
-	w.mu.Unlock()
-	if w.flushHist != nil {
-		w.flushHist.ObserveSince(t0)
-	}
-	return t, nil
+	return t, n, nil
 }
 
 // writePages writes pages [firstPage, lastPage] of the stream snap holds from
