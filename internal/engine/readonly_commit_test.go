@@ -72,8 +72,10 @@ func TestReadOnlyCommitLogsNothing(t *testing.T) {
 				t.Errorf("read-only outcomes flushed: commit flushes %d -> %d, WAL device writes %d -> %d",
 					before.CommitFlushes, after.CommitFlushes, before.WALDevice.Writes, after.WALDevice.Writes)
 			}
-			if db.Txns().ActiveCount() != 0 {
-				t.Errorf("%d transactions still active", db.Txns().ActiveCount())
+			// The horizon is the next id only when nothing runs and no
+			// read-only snapshot is pinned.
+			if h, next := db.Txns().Horizon(), db.Txns().NextID(); h != next {
+				t.Errorf("horizon %d != next id %d: a transaction is still running or pinned", h, next)
 			}
 
 			// A writer still pays its one flush, and is not a read-only commit.

@@ -12,10 +12,13 @@
 // augmented (as in any real system) with the requirement that X.create
 // actually committed — versions of aborted transactions are never visible.
 // The "concurrent" set is captured at Begin time; a transaction always sees
-// its own writes.
+// its own writes. The Manager keeps the running transactions in one list in
+// id order, so Begin copies the concurrent set from it as it stands, and the
+// GC horizon is read off its head.
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -67,9 +70,6 @@ var (
 
 // Snapshot captures the visibility horizon of a transaction at Begin.
 type Snapshot struct {
-	// XMin is the smallest transaction id that was still running at Begin;
-	// everything below it is decided (committed or aborted).
-	XMin ID
 	// XMax is the first transaction id NOT assigned at Begin time; ids at or
 	// above it belong to transactions that started later.
 	XMax ID
@@ -179,14 +179,22 @@ func (t *Tx) Visible(create ID) bool {
 	return t.mgr.clog.Get(create) == StatusCommitted
 }
 
-// Manager allocates transaction ids, tracks the active set, owns the CLOG
-// and the lock table.
+// Manager allocates transaction ids, keeps the running transactions, owns
+// the CLOG and the lock table.
 type Manager struct {
 	mu     sync.Mutex
 	nextID ID
-	active map[ID]*Tx
+	// running holds every transaction that took an id and has not finished,
+	// in id order: Begin assigns the id and appends under mu, so the list
+	// stays sorted, and its ids are the next snapshot's concurrent set. The
+	// head has the least xmin (the smallest id its snapshot saw running, or
+	// its own id), so Horizon reads only the head: every later snapshot
+	// either saw the head running, or began after everything older than the
+	// head had finished — anything older it saw running had begun before the
+	// head and still ran when the head began, so the head saw it too.
+	running []*Tx
 	// pinned counts live read-only snapshots (BeginReadOnlyAt) by their
-	// xmax. They take no id and never enter the active map, but the GC
+	// xmax. They take no id and never enter running, but the GC
 	// horizon must not pass them while they run: a pinned AS OF scan reads
 	// version-chain suffixes that GC would otherwise reclaim mid-scan.
 	pinned map[ID]int
@@ -202,7 +210,6 @@ type Manager struct {
 func NewManager() *Manager {
 	m := &Manager{
 		nextID:     1,
-		active:     map[ID]*Tx{},
 		pinned:     map[ID]int{},
 		clog:       NewCLOG(),
 		WaitBudget: 2 * time.Second,
@@ -215,28 +222,24 @@ func NewManager() *Manager {
 func (m *Manager) CLOG() *CLOG { return m.clog }
 
 // Begin starts a transaction, capturing its snapshot atomically with id
-// assignment.
+// assignment. It leaves the CLOG alone: an id without a slot reads as
+// in-progress, and no id is handed out twice.
 func (m *Manager) Begin() *Tx {
-	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	snap := Snapshot{XMax: id, XMin: id}
-	if len(m.active) > 0 {
-		snap.Concurrent = make([]ID, 0, len(m.active))
-	}
-	for aid := range m.active {
-		snap.Concurrent = append(snap.Concurrent, aid)
-		if aid < snap.XMin {
-			snap.XMin = aid
-		}
-	}
-	slices.Sort(snap.Concurrent)
-	t := &Tx{ID: id, Snap: snap, mgr: m, status: StatusInProgress}
+	t := &Tx{mgr: m, status: StatusInProgress}
 	t.locks = t.lockBuf[:0]
 	t.onFinish = t.hookBuf[:0]
-	m.active[id] = t
+	m.mu.Lock()
+	t.ID = m.nextID
+	m.nextID++
+	t.Snap.XMax = t.ID
+	if len(m.running) > 0 {
+		t.Snap.Concurrent = make([]ID, len(m.running))
+		for i, r := range m.running {
+			t.Snap.Concurrent[i] = r.ID
+		}
+	}
+	m.running = append(m.running, t)
 	m.mu.Unlock()
-	m.clog.Set(id, StatusInProgress)
 	return t
 }
 
@@ -244,8 +247,9 @@ func (m *Manager) Begin() *Tx {
 // transaction with id < xmax whose CLOG status is committed, and nothing
 // else. A replication follower serves scans with it: xmax is one past the
 // highest replayed transaction id, the tx takes no id of its own (ID 0), is
-// never in the active map, and never writes the CLOG — replayed commit
-// statuses stay authoritative and the id space remains the primary's alone.
+// never among the running transactions, and never writes the CLOG —
+// replayed commit statuses stay authoritative and the id space remains the
+// primary's alone.
 //
 // While it runs, the transaction pins the GC horizon at xmax (see Horizon),
 // so versions its snapshot can reach are not reclaimed under it. The pin is
@@ -256,7 +260,7 @@ func (m *Manager) BeginReadOnlyAt(xmax ID) *Tx {
 	m.mu.Unlock()
 	return &Tx{
 		readOnly: true,
-		Snap:     Snapshot{XMin: xmax, XMax: xmax},
+		Snap:     Snapshot{XMax: xmax},
 		mgr:      m,
 		status:   StatusInProgress,
 	}
@@ -293,13 +297,16 @@ func (m *Manager) finish(t *Tx, st Status) error {
 		hooks[i](st == StatusCommitted)
 	}
 	m.mu.Lock()
-	delete(m.active, t.ID)
 	if t.readOnly {
 		if n := m.pinned[t.Snap.XMax]; n > 1 {
 			m.pinned[t.Snap.XMax] = n - 1
 		} else {
 			delete(m.pinned, t.Snap.XMax)
 		}
+	} else if i, ok := slices.BinarySearchFunc(m.running, t.ID, func(r *Tx, id ID) int {
+		return cmp.Compare(r.ID, id)
+	}); ok {
+		m.running = slices.Delete(m.running, i, i+1)
 	}
 	m.mu.Unlock()
 	for _, k := range locks {
@@ -326,32 +333,27 @@ func (m *Manager) SetNextID(id ID) {
 }
 
 // Horizon returns the oldest transaction id that could still be relevant to
-// any active snapshot: versions created before every active snapshot's XMin
-// and superseded by equally-old successors are garbage. Live read-only
-// snapshots (BeginReadOnlyAt — AS OF and replica reads) pin the horizon at
-// their xmax even though they hold no id and are not in the active map.
+// any running snapshot: versions created before every running snapshot's
+// xmin (the smallest id it saw running, or its own id) and superseded by
+// equally-old successors are garbage. The least xmin is the head's (see
+// Manager.running). Live read-only snapshots (BeginReadOnlyAt —
+// AS OF and replica reads) pin the horizon at their xmax even though they
+// hold no id and are not running.
 func (m *Manager) Horizon() ID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.nextID
-	for _, t := range m.active {
-		if t.Snap.XMin < h {
-			h = t.Snap.XMin
+	if len(m.running) > 0 {
+		head := m.running[0]
+		h = head.ID
+		if len(head.Snap.Concurrent) > 0 {
+			h = head.Snap.Concurrent[0]
 		}
 	}
 	for xmax := range m.pinned {
-		if xmax < h {
-			h = xmax
-		}
+		h = min(h, xmax)
 	}
 	return h
-}
-
-// ActiveCount reports the number of in-progress transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
 }
 
 // Locks exposes the lock table.
@@ -420,7 +422,7 @@ type LockTable struct {
 	// free holds released entries that no waiter ever touched (no cond),
 	// for the next acquire of any key: an uncontended lock allocates
 	// nothing. An entry that had a waiter is never recycled, because a
-	// waiter's timeout watchdog may still broadcast on its cond after the
+	// waiter's fired timeout timer may still broadcast on its cond after the
 	// entry left the table.
 	free []*lockEntry
 }
@@ -446,38 +448,27 @@ func (lt *LockTable) Acquire(t *Tx, key LockKey) error {
 		lt.mu.Unlock()
 		return nil
 	}
-	var deadline time.Time // read the clock only if there is a wait to bound
 	if e.holder != nil {
-		deadline = time.Now().Add(lt.mgr.WaitBudget)
 		if e.cond == nil {
 			e.cond = sync.NewCond(&lt.mu)
 		}
-	}
-	for e.holder != nil {
-		e.waiters++
-		waitDone := make(chan struct{})
-		// Timeout watchdog: wake the cond var when the deadline passes so
-		// the waiter can observe it. Broadcast is spurious-wakeup safe by
-		// construction of the loop. Its inputs go in as arguments, so an
-		// acquire that never waits keeps them off the heap.
-		go func(cond *sync.Cond, deadline time.Time, done <-chan struct{}) {
-			timer := time.NewTimer(time.Until(deadline))
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-				lt.mu.Lock()
-				cond.Broadcast()
-				lt.mu.Unlock()
-			case <-done:
-			}
-		}(e.cond, deadline, waitDone)
-		e.cond.Wait()
-		close(waitDone)
-		e.waiters--
-		if e.holder == nil {
-			break
+		// One timer bounds the whole wait: when the budget runs out it
+		// wakes every waiter on the entry, and this one sees expired.
+		// Other waiters take the broadcast as a spurious wakeup.
+		expired := false
+		timer := time.AfterFunc(lt.mgr.WaitBudget, func() {
+			lt.mu.Lock()
+			expired = true
+			e.cond.Broadcast()
+			lt.mu.Unlock()
+		})
+		for e.holder != nil && !expired {
+			e.waiters++
+			e.cond.Wait()
+			e.waiters--
 		}
-		if time.Now().After(deadline) {
+		timer.Stop()
+		if e.holder != nil {
 			// The entry stays: it has a holder, whose release removes it.
 			lt.mu.Unlock()
 			return ErrLockTimeout
@@ -537,16 +528,6 @@ func (lt *LockTable) entryLocked(key LockKey) *lockEntry {
 		items[key.Item] = e
 	}
 	return e
-}
-
-// Holder returns the transaction currently holding key, or nil.
-func (lt *LockTable) Holder(key LockKey) *Tx {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if e := lt.tab[key.Rel][key.Item]; e != nil {
-		return e.holder
-	}
-	return nil
 }
 
 // release drops t's lock on key and wakes waiters ("WakeUp waiting

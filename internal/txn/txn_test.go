@@ -218,13 +218,15 @@ func TestLockExclusionAndHandoff(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatalf("waiter acquire: %v", err)
 	}
-	if h := m.Locks().Holder(key); h != t2 {
-		t.Errorf("holder = %v, want t2", h)
+	t3 := m.Begin()
+	if m.Locks().TryAcquire(t3, key) {
+		t.Error("TryAcquire should fail while t2 holds the lock")
 	}
 	m.Commit(t2)
-	if h := m.Locks().Holder(key); h != nil {
-		t.Error("lock should be free after commit")
+	if !m.Locks().TryAcquire(t3, key) {
+		t.Error("lock should be free after t2 commits")
 	}
+	m.Commit(t3)
 }
 
 func TestLockTimeout(t *testing.T) {
@@ -334,11 +336,11 @@ func TestLockAllocBudget(t *testing.T) {
 
 // TestLockTimeoutThenRecycle times a waiter out, releases the holder and at
 // once locks that key and another with a third transaction, over and over,
-// so recycled entries are handed out while timed-out waiters' watchdog
-// goroutines may still run. Under -race it shows the watchdog touches only
-// its own entry under the table mutex; it also checks that no entry a waiter
-// made a cond for reaches the free list, where a late broadcast could wake a
-// waiter on an unrelated key.
+// so recycled entries are handed out while timed-out waiters' timers may
+// still fire. Under -race it shows a fired timer touches only its own entry
+// under the table mutex; it also checks that no entry a waiter made a cond
+// for reaches the free list, where a late broadcast could wake a waiter on
+// an unrelated key.
 func TestLockTimeoutThenRecycle(t *testing.T) {
 	m := NewManager()
 	m.WaitBudget = time.Millisecond
@@ -355,17 +357,14 @@ func TestLockTimeoutThenRecycle(t *testing.T) {
 		if err := m.Commit(holder); err != nil {
 			t.Fatal(err)
 		}
-		next := m.Begin()
+		next, third := m.Begin(), m.Begin()
 		for _, k := range []LockKey{other, key} {
 			if err := lt.Acquire(next, k); err != nil {
 				t.Fatalf("after the timeout: %v", err)
 			}
-			if h := lt.Holder(k); h != next {
-				t.Fatalf("%v is held by %v, want the new transaction", k, h)
+			if lt.TryAcquire(third, k) {
+				t.Fatalf("a second transaction took %v while the new one holds it", k)
 			}
-		}
-		if lt.TryAcquire(m.Begin(), key) {
-			t.Fatal("a second transaction took a held lock")
 		}
 		lt.mu.Lock()
 		for _, e := range lt.free {
@@ -375,6 +374,7 @@ func TestLockTimeoutThenRecycle(t *testing.T) {
 		}
 		lt.mu.Unlock()
 		m.Commit(next)
+		m.Abort(third)
 		m.Abort(waiter)
 	}
 }
@@ -404,10 +404,12 @@ func TestManyHooksAndLocksStayInOrder(t *testing.T) {
 				t.Fatalf("round %d: hook %d ran in place %d, want newest first", round, i, j)
 			}
 		}
+		probe := m.Begin()
 		for i := 0; i < 40; i++ {
-			if h := m.Locks().Holder(LockKey{Rel: 3, Item: uint64(i)}); h != nil {
+			if !m.Locks().TryAcquire(probe, LockKey{Rel: 3, Item: uint64(i)}) {
 				t.Fatalf("round %d: item %d still locked", round, i)
 			}
 		}
+		m.Abort(probe)
 	}
 }
