@@ -271,17 +271,35 @@ func BenchmarkMicroOLTPMix(b *testing.B) {
 	}
 }
 
-// TestOLTPAllocBudget pins the heap allocations of a committed SIAS TPC-C
-// transaction on memory-backed storage at 110. The simulator reads rows as
-// views of each version's one private copy and edits only the columns it
-// sets, so what is left is that copy per version read, the inserted rows,
-// and the locks, hooks and commit of each transaction.
+// TestOLTPAllocBudget pins the heap allocations of a committed TPC-C
+// transaction on memory-backed storage at 110 for both engines, and its
+// bytes at 8 KB under the SI baseline. The simulator reads rows as views of
+// each version's one private copy and edits only the columns it sets, so
+// what is left is that copy per version read, the inserted rows, and the
+// locks, hooks and commit of each transaction. The SI baseline's bytes are
+// pinned too because it prunes on almost every update: it encodes a version
+// into its page slot, compacts a pruned page in place and copies only the
+// version a read hands out.
 func TestOLTPAllocBudget(t *testing.T) {
-	loaded := loadOLTPMix(t, engine.KindSIAS, 500*simclock.Millisecond)
-	res, mallocs, _ := runOLTPMix(t, loaded)
-	perTxn := float64(mallocs) / float64(res.Metrics.Committed)
-	t.Logf("%d committed transactions, %.1f allocations each", res.Metrics.Committed, perTxn)
-	if perTxn > 110 {
-		t.Errorf("a committed TPC-C transaction costs %.1f allocations, want at most 110", perTxn)
+	for _, c := range []struct {
+		kind     engine.Kind
+		maxBytes float64 // 0: not pinned
+	}{
+		{engine.KindSIAS, 0},
+		{engine.KindSI, 8 << 10},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			loaded := loadOLTPMix(t, c.kind, 500*simclock.Millisecond)
+			res, mallocs, bytes := runOLTPMix(t, loaded)
+			n := float64(res.Metrics.Committed)
+			perTxn, bytesPerTxn := float64(mallocs)/n, float64(bytes)/n
+			t.Logf("%d committed transactions, %.1f allocations and %.0f bytes each", res.Metrics.Committed, perTxn, bytesPerTxn)
+			if perTxn > 110 {
+				t.Errorf("a committed TPC-C transaction costs %.1f allocations, want at most 110", perTxn)
+			}
+			if c.maxBytes > 0 && bytesPerTxn > c.maxBytes {
+				t.Errorf("a committed TPC-C transaction allocates %.0f bytes, want at most %.0f", bytesPerTxn, c.maxBytes)
+			}
+		})
 	}
 }

@@ -114,7 +114,7 @@ func TestRebuildLeavesUndecidedWriterWhereLiveDoes(t *testing.T) {
 				t.Errorf("commit=%v: vid %d reads differ: %v vs %v", commit, vid, aerr, berr)
 			}
 		}
-		if vids, _, _ := r2.PK.Search(at, 3); len(vids) != 1 || vids[0] != fresh {
+		if vids, _, _ := r2.PK.SearchAppend(at, 3, nil); len(vids) != 1 || vids[0] != fresh {
 			t.Errorf("commit=%v: rebuilt primary index maps key 3 to %v, want [%d]", commit, vids, fresh)
 		}
 		e.txm.Commit(reader)

@@ -427,14 +427,9 @@ func (t *Tree) descendToLeaf(at simclock.Time, key int64) (uint32, simclock.Time
 	return block, at, nil
 }
 
-// Search returns every payload stored under key, in payload order.
-func (t *Tree) Search(at simclock.Time, key int64) ([]uint64, simclock.Time, error) {
-	return t.SearchAppend(at, key, nil)
-}
-
-// SearchAppend is Search appending to dst: a point lookup that passes a
-// buffer of its own allocates nothing while the key has at most cap(dst)
-// entries.
+// SearchAppend appends every payload stored under key, in payload order,
+// to dst: a point lookup that passes a buffer of its own allocates nothing
+// while the key has at most cap(dst) entries.
 func (t *Tree) SearchAppend(at simclock.Time, key int64, dst []uint64) ([]uint64, simclock.Time, error) {
 	tm, err := t.Range(at, key, key, func(_ int64, v uint64) bool {
 		dst = append(dst, v)

@@ -48,7 +48,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, at, err = tr.Search(at, int64(i%100000))
+		_, at, err = tr.SearchAppend(at, int64(i%100000), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if _, _, err := tr.Search(at, key); err != nil {
+					if _, _, err := tr.SearchAppend(at, key, nil); err != nil {
 						t.Errorf("search %d: %v", key, err)
 						return
 					}
@@ -42,7 +42,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 	}
 	// Every key present exactly once.
 	for k := int64(0); k < workers*perWorker; k += 97 {
-		vals, _, err := tr.Search(0, k)
+		vals, _, err := tr.SearchAppend(0, k, nil)
 		if err != nil || len(vals) != 1 || vals[0] != uint64(k) {
 			t.Fatalf("Search(%d) = %v, %v", k, vals, err)
 		}
@@ -122,7 +122,7 @@ func TestAddIsASetInsert(t *testing.T) {
 		t.Fatalf("Add reported %d insertions, Len %d, Inserts %d; want %d each", total, tr.Len(), tr.Inserts(), keys*perKey)
 	}
 	for k := int64(0); k < keys; k++ {
-		vals, _, err := tr.Search(0, k)
+		vals, _, err := tr.SearchAppend(0, k, nil)
 		if err != nil || len(vals) != perKey {
 			t.Fatalf("key %d holds %d entries (%v), want %d", k, len(vals), err, perKey)
 		}

@@ -36,7 +36,7 @@ func TestInsertSearchBasic(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 100; i++ {
-		got, at2, err := tr.Search(at, i)
+		got, at2, err := tr.SearchAppend(at, i, nil)
 		at = at2
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +45,7 @@ func TestInsertSearchBasic(t *testing.T) {
 			t.Fatalf("Search(%d) = %v", i, got)
 		}
 	}
-	if got, _, _ := tr.Search(at, 12345); len(got) != 0 {
+	if got, _, _ := tr.SearchAppend(at, 12345, nil); len(got) != 0 {
 		t.Errorf("Search(missing) = %v", got)
 	}
 	if tr.Len() != 100 {
@@ -59,7 +59,7 @@ func TestDuplicateKeys(t *testing.T) {
 	for v := uint64(0); v < 20; v++ {
 		at, _ = tr.Insert(at, 7, v)
 	}
-	got, _, err := tr.Search(at, 7)
+	got, _, err := tr.SearchAppend(at, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSplitsAndHeight(t *testing.T) {
 	}
 	// Every key findable.
 	for i := 0; i < n; i += 97 {
-		got, at2, err := tr.Search(at, int64(i*7%n))
+		got, at2, err := tr.SearchAppend(at, int64(i*7%n), nil)
 		at = at2
 		if err != nil || len(got) == 0 {
 			t.Fatalf("Search(%d): %v %v", i*7%n, got, err)
@@ -147,7 +147,7 @@ func TestDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, at2, _ := tr.Search(at, 25)
+	got, at2, _ := tr.SearchAppend(at, 25, nil)
 	at = at2
 	if len(got) != 1 || got[0] != 1025 {
 		t.Errorf("after delete Search(25) = %v", got)
@@ -171,7 +171,7 @@ func TestDeleteAcrossSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delete deep duplicate: %v", err)
 	}
-	got, _, _ := tr.Search(at, 5)
+	got, _, _ := tr.SearchAppend(at, 5, nil)
 	if len(got) != 1499 {
 		t.Errorf("Search = %d values, want 1499", len(got))
 	}
@@ -203,7 +203,7 @@ func TestTreeMatchesReferenceProperty(t *testing.T) {
 			}
 		}
 		for k, vs := range ref {
-			got, at2, err := tr.Search(at, k)
+			got, at2, err := tr.SearchAppend(at, k, nil)
 			at = at2
 			if err != nil {
 				return false

@@ -157,23 +157,19 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
+// A line pointer read as one little-endian word: offset in bits 0–14, the
+// dead flag in bit 15, length in bits 16–31.
 func (p Page) lp(slot int) (off, length int, dead bool) {
-	base := HeaderSize + slot*lpSize
-	v := binary.LittleEndian.Uint16(p[base:])
-	length = int(binary.LittleEndian.Uint16(p[base+2:]))
-	off = int(v &^ 0x8000)
-	dead = v&0x8000 != 0
-	return
+	v := binary.LittleEndian.Uint32(p[HeaderSize+slot*lpSize:])
+	return int(v & 0x7fff), int(v >> 16), v&0x8000 != 0
 }
 
 func (p Page) setLP(slot, off, length int, dead bool) {
-	base := HeaderSize + slot*lpSize
-	v := uint16(off)
+	v := uint32(length)<<16 | uint32(off)&0x7fff
 	if dead {
 		v |= 0x8000
 	}
-	binary.LittleEndian.PutUint16(p[base:], v)
-	binary.LittleEndian.PutUint16(p[base+2:], uint16(length))
+	binary.LittleEndian.PutUint32(p[HeaderSize+slot*lpSize:], v)
 }
 
 // Insert stores data in a new slot and returns the slot index.
@@ -238,36 +234,25 @@ func (p Page) MarkDead(slot int) error {
 
 // Compact rewrites the tuple space dropping dead tuples' bytes (their slots
 // remain, pointing at zero-length data). Returns bytes reclaimed.
+//
+// It works in place: Reserve always takes space just below upper, so slot
+// order is descending offset order, and moving each live tuple up in slot
+// order (copy handles the overlap) never writes over a tuple not yet moved.
 func (p Page) Compact() int {
 	n := p.NumSlots()
-	type ent struct {
-		slot, off, length int
-		dead              bool
-	}
-	ents := make([]ent, 0, n)
+	before := p.upper()
+	newUpper := Size
 	for s := 0; s < n; s++ {
 		off, length, dead := p.lp(s)
-		ents = append(ents, ent{s, off, length, dead})
-	}
-	before := p.upper()
-	// Rebuild tuple space from the top down, preserving live tuples.
-	buf := make([]byte, 0, Size)
-	newUpper := Size
-	for i := range ents {
-		e := &ents[i]
-		if e.dead {
-			e.off, e.length = 0, 0
+		if dead {
+			p.setLP(s, 0, 0, true)
 			continue
 		}
-		buf = append(buf[:0], p[e.off:e.off+e.length]...)
-		newUpper -= e.length
-		copy(p[newUpper:], buf)
-		e.off = newUpper
+		newUpper -= length
+		copy(p[newUpper:newUpper+length], p[off:off+length])
+		p.setLP(s, newUpper, length, false)
 	}
 	p.setUpper(newUpper)
-	for _, e := range ents {
-		p.setLP(e.slot, e.off, e.length, e.dead)
-	}
 	return newUpper - before
 }
 

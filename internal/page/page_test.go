@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -292,5 +293,104 @@ func TestReserveWritesInPlace(t *testing.T) {
 	p.setUpper(p.lower() - 1)
 	if _, _, err := p.Reserve(1); err != ErrCorrupt {
 		t.Errorf("Reserve on a page with upper below lower: %v, want ErrCorrupt", err)
+	}
+}
+
+// compactByScratch is Compact as it was written before it ran in place:
+// every line pointer is read up front, each live tuple goes through a scratch
+// buffer, and the line pointers are rewritten at the end, each as two 16-bit
+// fields. The in-place Compact must leave the same bytes.
+func compactByScratch(p Page) int {
+	n := p.NumSlots()
+	type ent struct {
+		slot, off, length int
+		dead              bool
+	}
+	ents := make([]ent, 0, n)
+	for s := 0; s < n; s++ {
+		base := HeaderSize + s*lpSize
+		v := binary.LittleEndian.Uint16(p[base:])
+		length := int(binary.LittleEndian.Uint16(p[base+2:]))
+		ents = append(ents, ent{s, int(v &^ 0x8000), length, v&0x8000 != 0})
+	}
+	before := p.upper()
+	buf := make([]byte, 0, Size)
+	newUpper := Size
+	for i := range ents {
+		e := &ents[i]
+		if e.dead {
+			e.off, e.length = 0, 0
+			continue
+		}
+		buf = append(buf[:0], p[e.off:e.off+e.length]...)
+		newUpper -= e.length
+		copy(p[newUpper:], buf)
+		e.off = newUpper
+	}
+	p.setUpper(newUpper)
+	for _, e := range ents {
+		base := HeaderSize + e.slot*lpSize
+		v := uint16(e.off)
+		if e.dead {
+			v |= 0x8000
+		}
+		binary.LittleEndian.PutUint16(p[base:], v)
+		binary.LittleEndian.PutUint16(p[base+2:], uint16(e.length))
+	}
+	return newUpper - before
+}
+
+// TestCompactMatchesScratchCompact runs rounds of inserts (zero-length ones
+// included), deaths and compactions on random pages and checks that the
+// in-place Compact leaves every byte of the page, and returns the count,
+// that the scratch-buffer algorithm does on a copy.
+func TestCompactMatchesScratchCompact(t *testing.T) {
+	const pages, rounds = 3000, 6
+	rng := rand.New(rand.NewSource(1))
+	ref := New(1, 0)
+	for i := 0; i < pages; i++ {
+		p := New(1, 0)
+		for r := 0; r < rounds; r++ {
+			for k := rng.Intn(40); k > 0; k-- {
+				d := make([]byte, rng.Intn(300))
+				rng.Read(d)
+				if _, err := p.Insert(d); err != nil {
+					break
+				}
+			}
+			for s := p.NumSlots() - 1; s >= 0; s-- {
+				if rng.Intn(3) == 0 {
+					p.MarkDead(s)
+				}
+			}
+			copy(ref, p)
+			want := compactByScratch(ref)
+			if got := p.Compact(); got != want {
+				t.Fatalf("page %d round %d: Compact reclaimed %d bytes, the scratch algorithm %d", i, r, got, want)
+			}
+			if !bytes.Equal(p, ref) {
+				t.Fatalf("page %d round %d: Compact left other bytes than the scratch algorithm", i, r)
+			}
+		}
+	}
+}
+
+// TestCompactAllocBudget pins Compact at zero allocations: the SI baseline
+// compacts a page on every prune.
+func TestCompactAllocBudget(t *testing.T) {
+	src := New(1, 0)
+	for i := 0; i < 60; i++ {
+		src.Insert(make([]byte, 100))
+		if i%2 == 0 {
+			src.MarkDead(i)
+		}
+	}
+	work := New(1, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(work, src)
+		work.Compact()
+	})
+	if allocs != 0 {
+		t.Errorf("Compact allocates %.1f times, want 0", allocs)
 	}
 }

@@ -163,11 +163,16 @@ func (r *Relation) setFree(b uint32, free int) {
 	}
 }
 
-// placeVersion writes tupBytes onto the lowest-numbered page with enough
-// space ("any page that contains enough free space"), extending the heap if
-// none fits. Returns the TID. Caller holds r.mu.
-func (r *Relation) placeVersion(tx *txn.Tx, at simclock.Time, tupBytes []byte) (page.TID, simclock.Time, error) {
-	need := len(tupBytes) + 8 // line pointer + slack
+// placeVersion writes the version hdr, payload onto the lowest-numbered page
+// with enough space ("any page that contains enough free space"), extending
+// the heap if none fits. Returns the TID. Caller holds r.mu.
+//
+// The version is encoded straight into its reserved slot and logged from
+// there under the exclusive frame latch, as core.Relation.append does, so
+// it is copied once, into the page.
+func (r *Relation) placeVersion(tx *txn.Tx, at simclock.Time, hdr tuple.SIHeader, payload []byte) (page.TID, simclock.Time, error) {
+	size := tuple.SIHeaderSize + len(payload)
+	need := size + 8 // line pointer + slack
 	// First fit from the hint, lowest block first => scattered placement
 	// into vacuumed pages, as in the real system.
 	t := at
@@ -198,22 +203,26 @@ func (r *Relation) placeVersion(tx *txn.Tx, at simclock.Time, tupBytes []byte) (
 			return page.InvalidTID, t, err
 		}
 		f.Lock()
-		slot, ierr := f.Data.Insert(tupBytes)
-		if ierr != nil {
+		slot, dst, rerr := f.Data.Reserve(size)
+		if rerr != nil {
 			// Stale FSM entry: refresh and retry.
 			r.setFree(b, f.Data.FreeSpace())
 			f.Unlock()
 			r.pool.Release(f, false)
+			if !errors.Is(rerr, page.ErrPageFull) {
+				return page.InvalidTID, t, fmt.Errorf("si: place version in block %d: %w", b, rerr)
+			}
 			if isNew {
-				return page.InvalidTID, t, fmt.Errorf("si: tuple of %d bytes does not fit an empty page", len(tupBytes))
+				return page.InvalidTID, t, fmt.Errorf("si: tuple of %d bytes does not fit an empty page", size)
 			}
 			continue
 		}
+		tuple.PutSI(dst, hdr, payload)
 		if isNew {
 			r.nextBlock++
 		}
 		tid := page.TID{Block: b, Slot: uint16(slot)}
-		lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapInsert, Tx: tx.ID, Rel: r.id, TID: tid, Data: tupBytes})
+		lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapInsert, Tx: tx.ID, Rel: r.id, TID: tid, Data: dst})
 		f.Data.SetLSN(uint64(lsn))
 		r.setFree(b, f.Data.FreeSpace())
 		f.Unlock()
@@ -224,30 +233,34 @@ func (r *Relation) placeVersion(tx *txn.Tx, at simclock.Time, tupBytes []byte) (
 	return page.InvalidTID, t, fmt.Errorf("si: no space found after retries")
 }
 
-// fetch reads the version at tid, returning its header and a copy of the
-// payload.
-func (r *Relation) fetch(at simclock.Time, tid page.TID) (tuple.SIHeader, []byte, simclock.Time, error) {
+// fetch reads the header of the version at tid and asks keep, under the
+// shared frame latch, whether the caller hands the version out: only then is
+// its payload copied out of the page, appended to buf[:0], and kept true.
+// That copy is the only one the read makes.
+func (r *Relation) fetch(at simclock.Time, tid page.TID, buf []byte, keep func(tuple.SIHeader) bool) (hdr tuple.SIHeader, payload []byte, kept bool, t simclock.Time, err error) {
 	f, t, err := r.getPage(at, tid.Block, false)
 	if err != nil {
-		return tuple.SIHeader{}, nil, t, err
+		return tuple.SIHeader{}, nil, false, t, err
 	}
 	f.RLock()
 	raw, terr := f.Data.Tuple(int(tid.Slot))
 	if terr != nil {
 		f.RUnlock()
 		r.pool.Release(f, false)
-		return tuple.SIHeader{}, nil, t, fmt.Errorf("si: fetch %v: %w", tid, terr)
+		return tuple.SIHeader{}, nil, false, t, fmt.Errorf("si: fetch %v: %w", tid, terr)
 	}
-	hdr, payload, derr := tuple.DecodeSI(raw)
+	hdr, rawPayload, derr := tuple.DecodeSI(raw)
 	if derr != nil {
 		f.RUnlock()
 		r.pool.Release(f, false)
-		return tuple.SIHeader{}, nil, t, derr
+		return tuple.SIHeader{}, nil, false, t, derr
 	}
-	out := append([]byte(nil), payload...)
+	if kept = keep(hdr); kept {
+		payload = append(buf[:0], rawPayload...)
+	}
 	f.RUnlock()
 	r.pool.Release(f, false)
-	return hdr, out, t, nil
+	return hdr, payload, kept, t, nil
 }
 
 // visible implements standard SI visibility: the version's creator must be
@@ -270,6 +283,10 @@ func pruned(err error) bool {
 	return errors.Is(err, page.ErrDeadSlot) || errors.Is(err, page.ErrBadSlot)
 }
 
+// pointTIDs sizes the TID buffer of a key-level read or update: the primary
+// index holds one entry per version not yet pruned or vacuumed.
+const pointTIDs = 8
+
 // newestLive finds the chain head for key: the committed (or own) version
 // with no effective invalidator. Returns ok=false if the key has no live
 // version. Caller holds r.mu and the item lock.
@@ -280,19 +297,40 @@ func pruned(err error) bool {
 // hot keys accumulate thousands of dead candidates between vacuum runs and
 // every update degenerates to a linear pass over them.
 func (r *Relation) newestLive(tx *txn.Tx, at simclock.Time, key int64) (page.TID, tuple.SIHeader, []byte, simclock.Time, bool, error) {
-	cands, t, err := r.PK.Search(at, key)
+	var buf [pointTIDs]uint64
+	cands, t, err := r.PK.SearchAppend(at, key, buf[:0])
 	if err != nil {
 		return page.InvalidTID, tuple.SIHeader{}, nil, t, false, err
 	}
 	horizon := r.txm.Horizon()
+	clog := r.txm.CLOG()
 	var bestTID page.TID
 	var bestHdr tuple.SIHeader
 	var bestPayload []byte
 	found := false
-	var prunable []page.TID
+	var pbuf [pointTIDs]page.TID
+	prunable := pbuf[:0]
 	for _, c := range cands {
 		tid := unpackTID(c)
-		hdr, payload, t2, err := r.fetch(t, tid)
+		// A candidate's payload is copied only while it is the best so far,
+		// into the buffer of the best it replaces.
+		prune := false
+		hdr, payload, best, t2, err := r.fetch(t, tid, bestPayload, func(h tuple.SIHeader) bool {
+			st := clog.Get(h.Xmin)
+			switch {
+			case st == txn.StatusAborted:
+				prune = true
+				return false
+			case st == txn.StatusInProgress && h.Xmin != tx.ID:
+				return false // uncommitted foreign insert: not a chain head candidate
+			case h.Xmax != txn.InvalidID && clog.Get(h.Xmax) == txn.StatusCommitted:
+				prune = h.Xmax < horizon
+				return false
+			case h.Xmax == tx.ID:
+				return false // already superseded within this transaction
+			}
+			return !found || h.Xmin > bestHdr.Xmin
+		})
 		t = t2
 		if pruned(err) {
 			continue
@@ -300,25 +338,10 @@ func (r *Relation) newestLive(tx *txn.Tx, at simclock.Time, key int64) (page.TID
 		if err != nil {
 			return page.InvalidTID, tuple.SIHeader{}, nil, t, false, err
 		}
-		st := r.txm.CLOG().Get(hdr.Xmin)
-		if st == txn.StatusAborted {
+		if prune {
 			prunable = append(prunable, tid)
-			continue
 		}
-		if st == txn.StatusInProgress && hdr.Xmin != tx.ID {
-			continue // uncommitted foreign insert: not a chain head candidate
-		}
-		dead := hdr.Xmax != txn.InvalidID && r.txm.CLOG().Get(hdr.Xmax) == txn.StatusCommitted
-		if dead {
-			if hdr.Xmax < horizon {
-				prunable = append(prunable, tid)
-			}
-			continue
-		}
-		if hdr.Xmax == tx.ID {
-			continue // already superseded within this transaction
-		}
-		if !found || hdr.Xmin > bestHdr.Xmin {
+		if best {
 			bestTID, bestHdr, bestPayload, found = tid, hdr, payload, true
 		}
 	}
@@ -420,8 +443,7 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 	tx.MarkWrote()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tup := tuple.EncodeSI(tuple.SIHeader{Xmin: tx.ID, CTID: page.InvalidTID}, payload)
-	tid, t, err := r.placeVersion(tx, at, tup)
+	tid, t, err := r.placeVersion(tx, at, tuple.SIHeader{Xmin: tx.ID, CTID: page.InvalidTID}, payload)
 	if err != nil {
 		return t, err
 	}
@@ -434,13 +456,14 @@ func (r *Relation) Insert(tx *txn.Tx, at simclock.Time, key int64, payload []byt
 func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64, fn func(vid uint64, tid page.TID, payload []byte) error) (simclock.Time, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cands, t, err := r.PK.Search(at, key)
+	var buf [pointTIDs]uint64
+	cands, t, err := r.PK.SearchAppend(at, key, buf[:0])
 	if err != nil {
 		return t, err
 	}
 	for _, c := range cands {
 		tid := unpackTID(c)
-		hdr, payload, t2, err := r.fetch(t, tid)
+		_, payload, visible, t2, err := r.fetch(t, tid, nil, func(h tuple.SIHeader) bool { return r.visible(tx, h) })
 		t = t2
 		if pruned(err) {
 			continue
@@ -448,7 +471,7 @@ func (r *Relation) Get(tx *txn.Tx, at simclock.Time, key int64, fn func(vid uint
 		if err != nil {
 			return t, err
 		}
-		if r.visible(tx, hdr) {
+		if visible {
 			return t, fn(0, tid, payload)
 		}
 	}
@@ -471,8 +494,7 @@ func (r *Relation) Update(tx *txn.Tx, at simclock.Time, key int64, mutate func(v
 	}
 
 	// (a) place the successor version out of place,
-	newTup := tuple.EncodeSI(tuple.SIHeader{Xmin: tx.ID, CTID: page.InvalidTID}, newPayload)
-	newTID, t, err := r.placeVersion(tx, t, newTup)
+	newTID, t, err := r.placeVersion(tx, t, tuple.SIHeader{Xmin: tx.ID, CTID: page.InvalidTID}, newPayload)
 	if err != nil {
 		return t, err
 	}
@@ -549,8 +571,8 @@ func (r *Relation) invalidateInPlace(tx *txn.Tx, at simclock.Time, tid page.TID,
 		r.pool.Release(f, false)
 		return t, err
 	}
-	after := append([]byte(nil), raw...)
-	lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapOverwrite, Tx: tx.ID, Rel: r.id, TID: tid, Data: after})
+	// The record aliases the slot under the exclusive latch; Append copies it.
+	lsn := r.walw.Append(&wal.Record{Type: wal.RecHeapOverwrite, Tx: tx.ID, Rel: r.id, TID: tid, Data: raw})
 	f.Data.SetLSN(uint64(lsn))
 	f.Unlock()
 	r.pool.Release(f, true)
@@ -653,8 +675,9 @@ func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tr
 	if err != nil {
 		return t, err
 	}
+	visible := func(h tuple.SIHeader) bool { return r.visible(tx, h) }
 	for _, e := range ents {
-		hdr, payload, t2, ferr := r.fetch(t, e.tid)
+		_, payload, kept, t2, ferr := r.fetch(t, e.tid, nil, visible)
 		t = t2
 		if pruned(ferr) {
 			continue
@@ -662,7 +685,7 @@ func (r *Relation) rangeIndexLocked(tx *txn.Tx, at simclock.Time, tree *index.Tr
 		if ferr != nil {
 			return t, ferr
 		}
-		if !r.visible(tx, hdr) {
+		if !kept {
 			continue
 		}
 		if !fn(e.key, 0, e.tid, payload) {
@@ -683,19 +706,20 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID) (int, simclock.Time,
 	secs := r.Secondaries()
 	reclaimed := 0
 	t := at
+	type victim struct {
+		slot    int
+		key     int64
+		tid     page.TID
+		payload []byte // a copy, for the secondary keys; nil without secondaries
+	}
+	var victims []victim
 	for b := uint32(0); b < r.nextBlock; b++ {
 		f, t2, err := r.getPage(t, b, false)
 		t = t2
 		if err != nil {
 			return reclaimed, t, err
 		}
-		type victim struct {
-			slot    int
-			key     int64
-			tid     page.TID
-			payload []byte
-		}
-		var victims []victim
+		victims = victims[:0]
 		f.RLock()
 		f.Data.LiveTuples(func(slot int, raw []byte) bool {
 			hdr, payload, err := tuple.DecodeSI(raw)
@@ -705,7 +729,11 @@ func (r *Relation) Vacuum(at simclock.Time, horizon txn.ID) (int, simclock.Time,
 			deadByUpdate := hdr.Xmax != txn.InvalidID && clog.Get(hdr.Xmax) == txn.StatusCommitted && hdr.Xmax < horizon
 			abortedInsert := clog.Get(hdr.Xmin) == txn.StatusAborted
 			if deadByUpdate || abortedInsert {
-				victims = append(victims, victim{slot, r.keyOf(payload), page.TID{Block: b, Slot: uint16(slot)}, append([]byte(nil), payload...)})
+				var secPayload []byte
+				if len(secs) > 0 {
+					secPayload = append([]byte(nil), payload...)
+				}
+				victims = append(victims, victim{slot, r.keyOf(payload), page.TID{Block: b, Slot: uint16(slot)}, secPayload})
 			}
 			return true
 		})

@@ -331,3 +331,61 @@ func TestScanStopsAtUndecodableHeader(t *testing.T) {
 		t.Errorf("scan over an undecodable header: %d rows, err %v; want the row before it and an error", n, err)
 	}
 }
+
+// TestReadAllocBudget: with six versions of a key in the heap (an old
+// snapshot keeps them from being pruned), a Get copies only the version it
+// hands out — one allocation, whatever the number of versions it passes
+// over. An Update copies only the version it replaces: its successor is
+// encoded into the page slot, logged from there, and the prune it runs
+// compacts the page in place.
+func TestReadAllocBudget(t *testing.T) {
+	e := newEnv(t)
+	tx := e.txm.Begin()
+	at, err := e.rel.Insert(tx, 0, 1, pl(1, "v0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.txm.Commit(tx)
+	old := e.txm.Begin()
+	next := pl(1, "vN")
+	mutate := func(uint64, page.TID, []byte) ([]byte, int64, error) { return next, 1, nil }
+	for i := 0; i < 5; i++ {
+		u := e.txm.Begin()
+		if at, err = e.rel.Update(u, at, 1, mutate); err != nil {
+			t.Fatal(err)
+		}
+		e.txm.Commit(u)
+	}
+	if tids, _, _ := e.rel.PK.SearchAppend(at, 1, nil); len(tids) != 6 {
+		t.Fatalf("key 1 has %d index entries, want 6 (one per version)", len(tids))
+	}
+	r := e.txm.Begin()
+	var got []byte
+	read := func(_ uint64, _ page.TID, p []byte) error { got = p; return nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.rel.Get(r, at, 1, read); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if string(got) != "k1:vN" {
+		t.Fatalf("Get read %q, want k1:vN", got)
+	}
+	if allocs != 1 {
+		t.Errorf("a Get over six versions allocates %.1f times, want 1 (the copy it hands out)", allocs)
+	}
+
+	// Begin + Update + Commit with no other snapshot open: the chain-head
+	// search prunes what no snapshot sees, on a page compacted in place.
+	e.txm.Commit(r)
+	e.txm.Commit(old)
+	allocs = testing.AllocsPerRun(100, func() {
+		u := e.txm.Begin()
+		if at, err = e.rel.Update(u, at, 1, mutate); err != nil {
+			t.Fatal(err)
+		}
+		e.txm.Commit(u)
+	})
+	if allocs != 2 {
+		t.Errorf("Begin + Update + Commit allocates %.1f times, want 2 (the Tx and the copy of the version it replaces)", allocs)
+	}
+}

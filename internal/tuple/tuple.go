@@ -92,15 +92,18 @@ type SIHeader struct {
 // diagnostics).
 func (h SIHeader) Tombstone() bool { return h.Flags&FlagTombstone != 0 }
 
-// EncodeSI serializes hdr followed by payload into a fresh buffer.
-func EncodeSI(hdr SIHeader, payload []byte) []byte {
-	b := make([]byte, SIHeaderSize+len(payload))
-	binary.LittleEndian.PutUint64(b[0:], uint64(hdr.Xmin))
-	binary.LittleEndian.PutUint64(b[8:], uint64(hdr.Xmax))
-	page.EncodeTID(b[16:], hdr.CTID)
-	b[22] = hdr.Flags
-	copy(b[SIHeaderSize:], payload)
-	return b
+// PutSI writes hdr followed by payload into dst, which must be exactly
+// SIHeaderSize+len(payload) bytes — the page slot reserved for the version,
+// as PutSIAS does for SIAS.
+func PutSI(dst []byte, hdr SIHeader, payload []byte) {
+	if len(dst) != SIHeaderSize+len(payload) {
+		panic(fmt.Sprintf("tuple: PutSI into %d bytes, want %d", len(dst), SIHeaderSize+len(payload)))
+	}
+	binary.LittleEndian.PutUint64(dst[0:], uint64(hdr.Xmin))
+	binary.LittleEndian.PutUint64(dst[8:], uint64(hdr.Xmax))
+	page.EncodeTID(dst[16:], hdr.CTID)
+	dst[22] = hdr.Flags
+	copy(dst[SIHeaderSize:], payload)
 }
 
 // DecodeSI splits an encoded SI tuple into header and payload (aliasing b).

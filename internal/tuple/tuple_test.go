@@ -36,8 +36,7 @@ func TestSIHeaderRoundtrip(t *testing.T) {
 			CTID:  page.TID{Block: block, Slot: slot},
 			Flags: flags,
 		}
-		enc := EncodeSI(hdr, payload)
-		got, pl, err := DecodeSI(enc)
+		got, pl, err := DecodeSI(encodeSI(hdr, payload))
 		return err == nil && got == hdr && bytes.Equal(pl, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -45,9 +44,16 @@ func TestSIHeaderRoundtrip(t *testing.T) {
 	}
 }
 
+// encodeSI returns hdr and payload encoded into a fresh buffer.
+func encodeSI(hdr SIHeader, payload []byte) []byte {
+	b := make([]byte, SIHeaderSize+len(payload))
+	PutSI(b, hdr, payload)
+	return b
+}
+
 func TestSetSIXmaxInPlace(t *testing.T) {
 	hdr := SIHeader{Xmin: 10, CTID: page.InvalidTID}
-	enc := EncodeSI(hdr, []byte("row"))
+	enc := encodeSI(hdr, []byte("row"))
 	if err := SetSIXmax(enc, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestSetSIXmaxInPlace(t *testing.T) {
 }
 
 func TestSetSICTIDInPlace(t *testing.T) {
-	enc := EncodeSI(SIHeader{Xmin: 1, CTID: page.InvalidTID}, nil)
+	enc := encodeSI(SIHeader{Xmin: 1, CTID: page.InvalidTID}, nil)
 	want := page.TID{Block: 9, Slot: 3}
 	if err := SetSICTID(enc, want); err != nil {
 		t.Fatal(err)
