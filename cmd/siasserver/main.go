@@ -5,11 +5,10 @@
 //
 // Usage:
 //
-//	siasserver [-addr :4544] [-shards N] [-pool FRAMES] [-max-inflight N]
-//	           [-drain SECONDS] [-data DIR] [-data-pages N] [-wal-pages N]
-//	           [-wal-sync=false] [-asof-retention N] [-follow ADDR]
-//	           [-announce ADDR] [-metrics-addr :9544] [-slow-op-ms MS]
-//	           [-trace-sample F]
+//	siasserver [-addr :4544] [-shards N] [-pool FRAMES] [-data DIR]
+//	           [-data-pages N] [-wal-pages N] [-wal-sync=false]
+//	           [-follow ADDR] [-announce ADDR] [-metrics-addr :9544]
+//	           [-slow-op-ms MS] [-trace-sample F]
 //
 // Every shard is a SIAS engine with the checkpoint (t2) append-flush policy;
 // the SI baseline the paper compares against runs in the simulator only
@@ -38,8 +37,8 @@
 // -addr).
 //
 // With -shards N > 1 the primary-key space is hash-partitioned across N
-// independent engine instances, each with its own WAL writer, group-commit
-// batcher, VIDmap, buffer pool and devices; -pool, -data-pages and
+// independent engine instances, each with its own WAL writer (whose flush is
+// the group commit), VIDmap, buffer pool and devices; -pool, -data-pages and
 // -wal-pages are totals divided evenly across the shards so resource use
 // stays constant as the shard count varies. With -data, each shard's heap
 // and WAL live in files under DIR/shard-<i> and a restart recovers the
@@ -48,8 +47,11 @@
 // bootstraps with one key/value table ("kv": int64 key, bytes value);
 // clients create further tables and secondary indexes over the wire, and
 // that DDL is WAL-logged so it recovers and replicates like row data.
-// -asof-retention bounds time travel: AS OF snapshot tokens stay fully
-// resolvable until the transaction horizon passes them by N ids.
+// Time travel is bounded: AS OF snapshot tokens stay fully resolvable until
+// the transaction horizon passes them by 65,536 ids (asofRetention).
+// Admission control refuses requests beyond 64 executing at once (COMMIT and
+// ABORT are exempt), and a SIGTERM or SIGINT drains: open transactions get 5
+// seconds to finish before they are aborted.
 package main
 
 import (
@@ -82,13 +84,10 @@ func main() {
 	addr := flag.String("addr", ":4544", "TCP listen address")
 	shards := flag.Int("shards", 1, "hash-partitioned engine shards")
 	pool := flag.Int("pool", 4096, "buffer pool frames (total across shards)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrently executing requests (COMMIT and ABORT are exempt)")
-	drainSec := flag.Float64("drain", 5, "graceful drain timeout in seconds")
 	dataDir := flag.String("data", "", "data directory for file-backed devices (empty = in-memory)")
 	dataPages := flag.Int64("data-pages", 1<<16, "data device size in pages (total across shards)")
 	walPages := flag.Int64("wal-pages", 1<<15, "WAL device size in pages (total across shards)")
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL device on every flush (file-backed only)")
-	asofRetention := flag.Uint64("asof-retention", 1<<16, "retain superseded versions written by the most recent N transactions so AS OF snapshot tokens inside the window stay resolvable (0 = keep only what live snapshots need)")
 	follow := flag.String("follow", "", "run as a replication follower of the primary at this address")
 	announce := flag.String("announce", "", "follower address announced to the primary for client failover (default: loopback form of -addr)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
@@ -98,10 +97,9 @@ func main() {
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	cfg := serverConfig{
-		addr: *addr, shards: *shards,
-		pool: *pool, maxInflight: *maxInflight, drainSec: *drainSec,
+		addr: *addr, shards: *shards, pool: *pool,
 		dataDir: *dataDir, dataPages: *dataPages, walPages: *walPages, walSync: *walSync,
-		asofRetention: *asofRetention, follow: *follow, announce: *announce,
+		follow: *follow, announce: *announce,
 		metricsAddr: *metricsAddr, slowOpMs: *slowOpMs, traceSample: *traceSample,
 	}
 	if cfg.follow != "" && cfg.announce == "" {
@@ -116,26 +114,31 @@ func main() {
 }
 
 type serverConfig struct {
-	addr          string
-	shards        int
-	pool          int
-	maxInflight   int
-	drainSec      float64
-	dataDir       string
-	dataPages     int64
-	walPages      int64
-	walSync       bool
-	asofRetention uint64  // engine.Options.GCRetention for every shard
-	follow        string  // primary address; non-empty = follower mode
-	announce      string  // follower address handed to clients on drain
-	metricsAddr   string  // HTTP side listener; empty = observability off
-	slowOpMs      int     // slow-op log threshold; 0 = disabled
-	traceSample   float64 // server-side head-sampling rate for bare data ops
+	addr        string
+	shards      int
+	pool        int
+	dataDir     string
+	dataPages   int64
+	walPages    int64
+	walSync     bool
+	follow      string  // primary address; non-empty = follower mode
+	announce    string  // follower address handed to clients on drain
+	metricsAddr string  // HTTP side listener; empty = observability off
+	slowOpMs    int     // slow-op log threshold; 0 = disabled
+	traceSample float64 // server-side head-sampling rate for bare data ops
 }
 
 // scanReadahead is every shard's scan readahead window in rows: table scans
 // prefetch the entrypoint pages of that many upcoming VIDs.
 const scanReadahead = 32
+
+// asofRetention is every shard's engine.Options.GCRetention: superseded
+// versions written by the most recent 65,536 transactions are kept, so AS OF
+// snapshot tokens inside that window stay resolvable.
+const asofRetention = 1 << 16
+
+// drainTimeout is the deadline a signal's drain gives Shutdown.
+const drainTimeout = 5 * time.Second
 
 // version is stamped by the build via -ldflags "-X main.version=...".
 var version = "dev"
@@ -160,7 +163,7 @@ func openShard(cfg serverConfig, i int) (openedShard, error) {
 		Policy:        engine.PolicyT2,
 		PoolFrames:    max(cfg.pool/cfg.shards, 64),
 		ScanReadahead: scanReadahead,
-		GCRetention:   cfg.asofRetention,
+		GCRetention:   asofRetention,
 	}
 	dataPages := max(cfg.dataPages/int64(cfg.shards), 1<<10)
 	walPages := max(cfg.walPages/int64(cfg.shards), 1<<9)
@@ -346,7 +349,7 @@ func run(cfg serverConfig) error {
 		slow = obs.NewSlowOpLog(time.Duration(cfg.slowOpMs)*time.Millisecond, log.Printf)
 		// The tracer exists whenever observability does: client-carried TRACE
 		// envelopes and slow-op force-keeps record even with -trace-sample 0.
-		tracer = obs.NewTracer(cfg.traceSample, 0)
+		tracer = obs.NewTracer(cfg.traceSample)
 		defer tracer.Close()
 		serveStart := time.Now()
 		reg.CollectGauge("sias_build_info",
@@ -376,13 +379,11 @@ func run(cfg serverConfig) error {
 		}
 	}
 	srv, err := server.New(server.Config{
-		Router:       router,
-		MaxInFlight:  cfg.maxInflight,
-		DrainTimeout: time.Duration(cfg.drainSec * float64(time.Second)),
-		Replica:      follower,
-		Obs:          reg,
-		SlowOps:      slow,
-		Tracer:       tracer,
+		Router:  router,
+		Replica: follower,
+		Obs:     reg,
+		SlowOps: slow,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		closeAll(closers)
@@ -410,8 +411,8 @@ func run(cfg serverConfig) error {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		log.Printf("siasserver: shards=%d pool=%d max-inflight=%d data=%s listening on %s",
-			cfg.shards, cfg.pool, cfg.maxInflight, orMem(cfg.dataDir), cfg.addr)
+		log.Printf("siasserver: shards=%d pool=%d data=%s listening on %s",
+			cfg.shards, cfg.pool, orMem(cfg.dataDir), cfg.addr)
 		serveErr <- srv.ListenAndServe(cfg.addr)
 	}()
 
@@ -419,12 +420,15 @@ func run(cfg serverConfig) error {
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
-		log.Printf("siasserver: %s received, draining (timeout %.1fs)...", sig, cfg.drainSec)
+		log.Printf("siasserver: %s received, draining (timeout %.1fs)...", sig, drainTimeout.Seconds())
 		if follower != nil {
 			follower.Stop()
 		}
 		drainStart := time.Now()
-		if err := srv.Shutdown(context.Background()); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		err := srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
 		if err := <-serveErr; err != nil {

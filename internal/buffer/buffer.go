@@ -152,11 +152,6 @@ var errNoVictim = errors.New("no frame to claim")
 // backs out; half of MinInt32 leaves room for any number of such readers.
 const evicting = math.MinInt32 / 2
 
-// DefaultConfig returns a 1024-frame pool (8 MB) with a 1µs hit cost.
-func DefaultConfig() Config {
-	return Config{Frames: 1024, HitCost: simclock.Microsecond}
-}
-
 // loadState is the singleflight rendezvous for one in-flight page read.
 // err and doneAt are written exactly once, before done is closed; waiters
 // read them only after <-done.

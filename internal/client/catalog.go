@@ -19,7 +19,7 @@ import (
 // retrying overload rejections like data ops.
 func (c *Client) control(op wire.Op, payload []byte) ([]byte, error) {
 	var resp []byte
-	err := c.withRetry(func() error {
+	err := withRetry(func() error {
 		cn, err := c.get()
 		if err != nil {
 			return err
@@ -162,7 +162,7 @@ func (c *Client) BeginAt(tokens []uint64) (*Tx, error) {
 		return nil, err
 	}
 	var handle uint64
-	err = c.withRetry(func() error {
+	err = withRetry(func() error {
 		var b wire.Buf
 		b.U32(uint32(len(tokens)))
 		for _, tok := range tokens {

@@ -94,13 +94,6 @@ var errBroken = errors.New("client: connection is broken")
 type Options struct {
 	// PoolSize caps idle pooled connections per server address (default 4).
 	PoolSize int
-	// MaxRetries bounds retry-on-overload attempts per op, and reconnect
-	// attempts per transaction start. A value <= 0 selects the default, 6:
-	// retries cannot be turned off.
-	MaxRetries int
-	// RetryBase is the first backoff delay; it doubles per attempt with
-	// full jitter, capped at 64x (default 2ms).
-	RetryBase time.Duration
 	// Replicas are read-only follower addresses eligible to serve BeginRead
 	// transactions. Optional; with none, BeginRead runs on the primary.
 	Replicas []string
@@ -108,8 +101,8 @@ type Options struct {
 	// (0 = never, 1 = always). A sampled transaction's BEGIN and COMMIT ride
 	// in TRACE envelopes carrying a client-generated trace id, so the
 	// server's spans — routing, 2PC phases, group-commit flushes, follower
-	// apply — stitch into one trace. Old servers answer BAD_REQUEST to
-	// TRACE, degrading tracing rather than the workload.
+	// apply — stitch into one trace. A server that refuses the TRACE-wrapped
+	// BEGIN (BAD_REQUEST) fails the transaction: there is no untraced retry.
 	TraceSample float64
 }
 
@@ -137,6 +130,15 @@ const lazyEndDelay = time.Millisecond
 
 // dialTimeout bounds connection establishment.
 const dialTimeout = 3 * time.Second
+
+// maxRetries bounds the retries of an operation refused as overloaded (it is
+// sent at most maxRetries+1 times) and the reconnects of one transaction
+// start. retryBase is the first backoff delay; it doubles per retry with full
+// jitter, capped at 64x.
+const (
+	maxRetries = 6
+	retryBase  = 2 * time.Millisecond
+)
 
 // maxRedirects caps how many failover redirects one transaction start chases
 // before surfacing ErrNoPrimary.
@@ -173,12 +175,6 @@ type conn struct {
 func Dial(addr string, opts Options) (*Client, error) {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
-	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 6
-	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 2 * time.Millisecond
 	}
 	c := &Client{addr: addr, opts: opts, idle: make(map[string][]*conn)}
 	cn, err := c.dialAddr(addr)
@@ -389,26 +385,25 @@ func (cn *conn) callTraced(traceID uint64, op wire.Op, payload []byte) ([]byte, 
 }
 
 // backoff is exponential backoff with full jitter: each sleep is uniform in
-// [0, delay] and doubles the next delay, capped at 64x the base.
-type backoff struct{ delay, max time.Duration }
-
-func (c *Client) newBackoff() backoff {
-	return backoff{delay: c.opts.RetryBase, max: 64 * c.opts.RetryBase}
-}
+// [0, delay] and doubles the next delay, from retryBase up to 64x it.
+type backoff struct{ delay time.Duration }
 
 func (b *backoff) sleep() {
+	if b.delay == 0 {
+		b.delay = retryBase
+	}
 	time.Sleep(time.Duration(rand.Int63n(int64(b.delay) + 1)))
-	if b.delay < b.max {
+	if b.delay < 64*retryBase {
 		b.delay *= 2
 	}
 }
 
 // withRetry runs fn, retrying wire.ErrOverloaded with backoff.
-func (c *Client) withRetry(fn func() error) error {
-	bo := c.newBackoff()
+func withRetry(fn func() error) error {
+	var bo backoff
 	for attempt := 0; ; attempt++ {
 		err := fn()
-		if err == nil || !errors.Is(err, wire.ErrOverloaded) || attempt >= c.opts.MaxRetries {
+		if err == nil || !errors.Is(err, wire.ErrOverloaded) || attempt >= maxRetries {
 			return err
 		}
 		bo.sleep()
@@ -526,7 +521,7 @@ func (c *Client) beginReadAt(addr string, floor []uint64) (*Tx, error) {
 
 // noteCommit folds a COMMIT reply's durable-LSN vector into the session
 // floor (element-wise max, so concurrent transactions can land out of
-// order). Empty replies — an old server — are ignored.
+// order). A reply that carries no vector leaves the floor as it was.
 func (c *Client) noteCommit(resp []byte) {
 	vec, err := decodeLSNVector(resp)
 	if err != nil || len(vec) == 0 {
@@ -650,7 +645,7 @@ func (t *Tx) call(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 // its reply, retrying OVERLOADED with backoff.
 func (t *Tx) roundTrip(op wire.Op, payload []byte) (resp []byte, err error) {
 	traceID := t.envelope(op)
-	err = t.c.withRetry(func() (err error) {
+	err = withRetry(func() (err error) {
 		resp, err = t.cn.callTraced(traceID, op, payload)
 		return err
 	})
@@ -711,7 +706,7 @@ func (t *Tx) readAhead() error {
 	if failed != nil || len(refused) == 0 {
 		return failed
 	}
-	bo := t.c.newBackoff()
+	var bo backoff
 	bo.sleep()
 	for _, f := range refused {
 		if _, err := t.roundTrip(f.op, f.payload); err != nil {
@@ -751,20 +746,20 @@ func (t *Tx) envelope(op wire.Op) uint64 {
 // operation alone under its real handle if BEGIN got through.
 //
 // The chase is bounded: at most maxRedirects repoints and
-// Options.MaxRetries reconnects, with backoff between reconnects. Once the
+// maxRetries reconnects, with backoff between reconnects. Once the
 // budget is spent the last error is surfaced wrapped in ErrNoPrimary so
 // callers can errors.Is(err, client.ErrNoPrimary) rather than pattern-match.
 func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 	c := t.c
 	var lastErr error
 	redirects, reconnects := 0, 0
-	bo := c.newBackoff() // between reconnects only: a redirect names a live target
+	var bo backoff // between reconnects only: a redirect names a live target
 	for {
 		if t.cn == nil {
 			cn, err := c.get()
 			if err != nil {
 				lastErr = err
-				if reconnects++; reconnects > c.opts.MaxRetries {
+				if reconnects++; reconnects > maxRetries {
 					break
 				}
 				bo.sleep()
@@ -773,7 +768,7 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 			t.cn = cn
 		}
 		var resp []byte
-		err := c.withRetry(func() (err error) {
+		err := withRetry(func() (err error) {
 			if t.handle == 0 {
 				resp, err = t.beginWith(op, build)
 			} else {
@@ -809,7 +804,7 @@ func (t *Tx) first(op wire.Op, build func(*wire.Buf)) ([]byte, error) {
 		if broken {
 			// A pooled connection died under us (drain force-close, primary
 			// crash): retry on a freshly dialed one.
-			if reconnects++; reconnects > c.opts.MaxRetries {
+			if reconnects++; reconnects > maxRetries {
 				break
 			}
 			bo.sleep()

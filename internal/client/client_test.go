@@ -76,9 +76,6 @@ func startServer(t *testing.T, walDev device.BlockDevice, mut func(*server.Confi
 
 func dial(t *testing.T, addr string, opts Options) *Client {
 	t.Helper()
-	if opts.RetryBase == 0 {
-		opts.RetryBase = time.Millisecond
-	}
 	c, err := Dial(addr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -625,9 +622,10 @@ func TestRefusedBeginRepeatsThePair(t *testing.T) {
 	}()
 	waitUntil(t, "the DDL to take the slot", func() bool { return srv.Stats().Requests == 1 })
 
-	b := dial(t, addr, Options{MaxRetries: 50, RetryBase: 200 * time.Microsecond})
+	b := dial(t, addr, Options{})
 	go func() {
-		// Free the slot once B has been turned away a few times.
+		// Free the slot once B has been turned away a few times: 6 refused
+		// requests are 3 refused pairs, leaving 4 of the 7 attempts.
 		for srv.Stats().Overloaded < 6 {
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -658,13 +656,40 @@ func TestRefusedBeginRepeatsThePair(t *testing.T) {
 	waitUntil(t, "no transaction to be left open by the refused attempts", func() bool { return srv.Stats().OpenTxns == 0 })
 }
 
+// TestOverloadRetryBudget pins the retry budget: with the server's only
+// admission slot held, a control op is sent 7 times — once, then 6 retries —
+// and the typed overload error surfaces.
+func TestOverloadRetryBudget(t *testing.T) {
+	gate := make(chan struct{})
+	wal := &gatedWAL{BlockDevice: device.NewMem(page.Size, 1<<14), gate: gate}
+	srv, addr := startServer(t, wal, func(cfg *server.Config) { cfg.MaxInFlight = 1 })
+	sch := tuple.NewSchema(tuple.Column{Name: "k", Type: tuple.TypeInt64})
+
+	a := dial(t, addr, Options{})
+	ddlDone := make(chan error, 1)
+	go func() { ddlDone <- a.CreateTable("held", sch, "k") }()
+	waitUntil(t, "the DDL to take the slot", func() bool { return srv.Stats().Requests == 1 })
+
+	err := dial(t, addr, Options{}).CreateTable("refused", sch, "k")
+	close(gate)
+	if !errors.Is(err, wire.ErrOverloaded) {
+		t.Fatalf("CreateTable beside the held slot: %v, want OVERLOADED", err)
+	}
+	if n := srv.Stats().Overloaded; n != 7 {
+		t.Fatalf("the server refused %d requests, want 7: one attempt and 6 retries", n)
+	}
+	if err := <-ddlDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDeadPooledConnection kills the pooled connection between two
 // transactions. The first operation of the next one finds it dead, redials
 // and runs; with the server gone for good the reconnect budget runs out and
 // the typed ErrNoPrimary surfaces — from the first operation, not from Begin.
 func TestDeadPooledConnection(t *testing.T) {
 	srv, addr := startServer(t, nil, nil)
-	c := dial(t, addr, Options{PoolSize: 1, MaxRetries: 2})
+	c := dial(t, addr, Options{PoolSize: 1})
 	put(t, c, 1, "a")
 
 	c.mu.Lock()
@@ -1065,7 +1090,7 @@ func TestTracedTransactionStitches(t *testing.T) {
 		t.Errorf("BEGIN rides trace %016x, COMMIT %016x: want one nonzero id", got[0].traceID, got[2].traceID)
 	}
 
-	tracer := obs.NewTracer(0, 0) // no server-side sampling: only carried contexts
+	tracer := obs.NewTracer(0) // no server-side sampling: only carried contexts
 	t.Cleanup(tracer.Close)
 	_, addr := startServer(t, nil, func(cfg *server.Config) { cfg.Tracer = tracer })
 	rc := dial(t, addr, Options{TraceSample: 1})

@@ -256,7 +256,7 @@ func TestHandler(t *testing.T) {
 	reg.Counter("sias_h_total", "h", nil).Inc()
 	slow := NewSlowOpLog(time.Millisecond, nil)
 	slow.Record("COMMIT", 1, 42, 0xbeef, 30*time.Millisecond)
-	tracer := NewTracer(1, 0)
+	tracer := NewTracer(1)
 	defer tracer.Close()
 	sp := tracer.StartSpan(tracer.NewContext(), "COMMIT")
 	child := tracer.StartSpan(sp.Context(), "route")

@@ -120,9 +120,10 @@ func (s *Span) FinishAt(end time.Time) {
 	})
 }
 
-// defaults for NewTracer(_, 0) and the hand-off channel.
+// traceRing is how many finished spans a tracer retains; traceChanSize is
+// the hand-off channel's capacity.
 const (
-	defTraceRing  = 4096
+	traceRing     = 4096
 	traceChanSize = 1024
 )
 
@@ -146,19 +147,16 @@ type Tracer struct {
 }
 
 // NewTracer starts a tracer that head-samples requests with probability
-// sample (clamped to [0,1]) and retains the last ringSize finished spans
-// (<= 0 selects the default). Close releases the collector goroutine.
-func NewTracer(sample float64, ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = defTraceRing
-	}
+// sample (clamped to [0,1]) and retains the last 4,096 finished spans. Close
+// releases the collector goroutine.
+func NewTracer(sample float64) *Tracer {
 	t := &Tracer{
 		sample: sample,
 		ch:     make(chan SpanRecord, traceChanSize),
 		sync:   make(chan chan struct{}),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-		ring:   make([]SpanRecord, ringSize),
+		ring:   make([]SpanRecord, traceRing),
 	}
 	go t.collect()
 	return t

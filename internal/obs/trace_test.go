@@ -39,7 +39,7 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestTracerSampling(t *testing.T) {
-	off := NewTracer(0, 0)
+	off := NewTracer(0)
 	defer off.Close()
 	for i := 0; i < 100; i++ {
 		if off.Sample() {
@@ -59,7 +59,7 @@ func TestTracerSampling(t *testing.T) {
 		t.Fatal("always-keep span not started at rate 0")
 	}
 
-	on := NewTracer(1, 0)
+	on := NewTracer(1)
 	defer on.Close()
 	for i := 0; i < 100; i++ {
 		if !on.Sample() {
@@ -72,36 +72,48 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
+// ringSpans is the span count NewTracer documents it retains.
+const ringSpans = 4096
+
+// TestTracerRingRetention finishes 6 spans more than the ring holds: the
+// snapshot is the ring's worth of newest spans, oldest first.
 func TestTracerRingRetention(t *testing.T) {
-	tr := NewTracer(1, 4)
+	tr := NewTracer(1)
 	defer tr.Close()
 	ctx := tr.NewContext()
 	start := time.Now()
-	for i := 0; i < 10; i++ {
+	const total = ringSpans + 6
+	for i := 0; i < total; i++ {
 		sp := tr.StartSpanAt(ctx, "op", start.Add(time.Duration(i)*time.Millisecond))
 		sp.FinishAt(start.Add(time.Duration(i+1) * time.Millisecond))
+		if i%(traceChanSize/2) == 0 {
+			tr.Drain() // keep the hand-off channel from filling
+		}
 	}
 	tr.Drain()
-	if tr.Spans() != 10 || tr.Dropped() != 0 {
-		t.Fatalf("spans=%d dropped=%d, want 10/0", tr.Spans(), tr.Dropped())
+	if tr.Spans() != total || tr.Dropped() != 0 {
+		t.Fatalf("spans=%d dropped=%d, want %d/0", tr.Spans(), tr.Dropped(), total)
 	}
 	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot length %d, want ring size 4", len(snap))
+	if len(snap) != ringSpans {
+		t.Fatalf("snapshot length %d, want ring size %d", len(snap), ringSpans)
 	}
 	for i := 1; i < len(snap); i++ {
 		if snap[i].Start.Before(snap[i-1].Start) {
 			t.Fatalf("snapshot not oldest-first: %v before %v", snap[i].Start, snap[i-1].Start)
 		}
 	}
-	// The survivors are the 4 newest spans.
-	if got := snap[3].Start; !got.Equal(start.Add(9 * time.Millisecond)) {
-		t.Fatalf("newest retained start %v, want the 10th span", got)
+	// The survivors are the ringSpans newest spans.
+	if got := snap[0].Start; !got.Equal(start.Add(6 * time.Millisecond)) {
+		t.Fatalf("oldest retained start %v, want the 7th span", got)
+	}
+	if got := snap[ringSpans-1].Start; !got.Equal(start.Add((total - 1) * time.Millisecond)) {
+		t.Fatalf("newest retained start %v, want the last span", got)
 	}
 }
 
 func TestTracerSpanLineage(t *testing.T) {
-	tr := NewTracer(1, 0)
+	tr := NewTracer(1)
 	defer tr.Close()
 	root := tr.StartSpan(tr.NewContext(), "COMMIT")
 	child := tr.StartSpan(root.Context(), "route")
@@ -131,11 +143,12 @@ func TestTracerSpanLineage(t *testing.T) {
 }
 
 // TestTracerConcurrent hammers span start/finish from many goroutines while
-// scrapes (Drain+Snapshot) run concurrently — run under -race in CI.
+// scrapes (Drain+Snapshot) run concurrently — run under -race in CI. The
+// workers finish more spans than the ring holds, so stores wrap it.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(1, 256)
+	tr := NewTracer(1)
 	defer tr.Close()
-	const workers, perWorker = 8, 200
+	const workers, perWorker = 8, 300
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() { // concurrent scraper
@@ -174,13 +187,16 @@ func TestTracerConcurrent(t *testing.T) {
 	if got := tr.Spans() + tr.Dropped(); got != workers*perWorker*2 {
 		t.Fatalf("spans+dropped = %d, want %d", got, workers*perWorker*2)
 	}
+	if got, want := len(tr.Snapshot()), min(int(tr.Spans()), ringSpans); got != want {
+		t.Fatalf("snapshot holds %d spans, want %d", got, want)
+	}
 }
 
 // TestTracerCloseDrains asserts Close stores every span already handed off
 // and releases the collector goroutine — the CI leak check.
 func TestTracerCloseDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
-	tr := NewTracer(1, 64)
+	tr := NewTracer(1)
 	ctx := tr.NewContext()
 	for i := 0; i < 32; i++ {
 		tr.StartSpan(ctx, "op").Finish()

@@ -143,9 +143,9 @@ func TestReplicationBasic(t *testing.T) {
 	)
 	// Tracers on both sides: the primary records the commit pipeline, the
 	// follower links its apply work back via the WAL-carried trace context.
-	ptracer := obs.NewTracer(0, 0)
+	ptracer := obs.NewTracer(0)
 	t.Cleanup(ptracer.Close)
-	ftracer := obs.NewTracer(0, 0)
+	ftracer := obs.NewTracer(0)
 	t.Cleanup(ftracer.Close)
 	psrv, err := server.New(server.Config{Router: prim, Tracer: ptracer})
 	if err != nil {
@@ -694,11 +694,7 @@ func TestFanoutKillResume(t *testing.T) {
 // the live caught-up follower, not the most recently announced one.
 func TestSlowSubscriberDisconnects(t *testing.T) {
 	prim := routerOf(t, openPrimary(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false))
-	psrv, err := server.New(server.Config{
-		Router:          prim,
-		SubscriberQueue: 1,
-		SubscriberStall: 50 * time.Millisecond,
-	})
+	psrv, err := server.New(server.Config{Router: prim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +762,9 @@ func TestSlowSubscriberDisconnects(t *testing.T) {
 	})
 
 	// Push enough log volume to fill the stalled peer's socket buffers and
-	// its 1-frame queue; the policy must cut it while commits keep flowing.
+	// its 32-frame queue; after the 1 s stall the policy must cut it while
+	// commits keep flowing. One batch a millisecond at most, so the stall
+	// fits inside the batch budget however fast a commit is.
 	big := make([]byte, 4096)
 	for batch := int64(0); psrv.Stats().SubscriberDrops == 0; batch++ {
 		if batch > 2000 {
@@ -784,6 +782,7 @@ func TestSlowSubscriberDisconnects(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		time.Sleep(time.Millisecond)
 	}
 	waitFor(t, 10*time.Second, "stalled subscriber to be deregistered", func() bool {
 		return psrv.Stats().Subscribers == 1

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sias/internal/server"
 	"sias/internal/tuple"
 	"sias/internal/wire"
 )
@@ -215,9 +214,7 @@ func TestReusedBuffersKeepRequestsApart(t *testing.T) {
 // refuses must not leave handle 0 pointing at A — the operation pipelined
 // behind it answers UNKNOWN_TX and A never sees it.
 func TestRefusedBeginLeavesHandleZeroEmpty(t *testing.T) {
-	srv, addr := startServer(t, memRouter(t, 1), func(cfg *server.Config) {
-		cfg.DrainTimeout = 5 * time.Second
-	})
+	srv, addr := startServer(t, memRouter(t, 1), nil)
 	s := dialRaw(t, addr)
 	a := s.begin()
 	s.one(kvFrame(wire.OpInsert, 0, 1, []byte("a")), wire.CodeOK)

@@ -25,7 +25,7 @@ var updateInventory = flag.Bool("update-inventory", false, "rewrite testdata/met
 // instrumented is the Config mutation every metrics test shares: registry,
 // slow-op log with a threshold no op reaches, and a tracer.
 func instrumented(t testing.TB, reg *obs.Registry) func(*server.Config) {
-	tracer := obs.NewTracer(1, 0)
+	tracer := obs.NewTracer(1)
 	t.Cleanup(tracer.Close)
 	return func(cfg *server.Config) {
 		cfg.Obs = reg

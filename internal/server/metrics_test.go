@@ -21,7 +21,7 @@ import (
 func TestMetricsMatchStatsFrame(t *testing.T) {
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowOpLog(time.Hour, nil) // threshold no op ever reaches
-	tracer := obs.NewTracer(1, 0)            // every data op traced
+	tracer := obs.NewTracer(1)               // every data op traced
 	t.Cleanup(tracer.Close)
 	r := memRouter(t, 3)
 	_, addr := startServer(t, r, func(cfg *server.Config) {

@@ -50,24 +50,11 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing requests other than COMMIT
 	// and ABORT (default 64).
 	MaxInFlight int
-	// DrainTimeout bounds Shutdown's wait for in-flight transactions when
-	// the caller's context has no earlier deadline (default 5s).
-	DrainTimeout time.Duration
 	// Replica, when set, runs the server as a replication follower front
 	// end: writes are rejected with wire.CodeReadOnly until promotion, reads
 	// serve the applied snapshot, and PROMOTE flips it writable. The
 	// Follower's shard order must match the Router's.
 	Replica *repl.Follower
-	// SubscriberQueue bounds the frames buffered per replication subscriber
-	// between the log reader and that subscriber's socket (default 32). The
-	// queue is what lets N followers stream at independent speeds.
-	SubscriberQueue int
-	// SubscriberStall bounds how long a full subscriber queue may block the
-	// log reader before the subscriber is judged too slow and disconnected
-	// (default 1s). A dropped follower resumes from its applied LSN on
-	// reconnect, so the policy trades a resend for bounded memory and an
-	// unwedged stream.
-	SubscriberStall time.Duration
 	// Obs, when set, wires the whole deployment into this metrics registry
 	// (see metrics.go) and times every data op. The registry is typically
 	// served on a side HTTP listener via obs.Handler.
@@ -82,6 +69,22 @@ type Config struct {
 	// the tracer's own counters.
 	Tracer *obs.Tracer
 }
+
+// drainTimeout bounds Shutdown's wait for in-flight transactions when the
+// caller's context carries no deadline.
+const drainTimeout = 5 * time.Second
+
+// subscriberQueue bounds the frames buffered per replication subscriber
+// between the log reader and that subscriber's socket: the queue is what lets
+// N followers stream at independent speeds. subscriberStall bounds how long a
+// full queue may block the log reader before the subscriber is judged too
+// slow and disconnected. A dropped follower resumes from its applied LSN on
+// reconnect, so the policy trades a resend for bounded memory and an
+// unwedged stream.
+const (
+	subscriberQueue = 32
+	subscriberStall = time.Second
+)
 
 // Stats counts service-layer events, exposed through the STATS op next to
 // the engine counters.
@@ -159,15 +162,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
-	}
-	if cfg.SubscriberQueue <= 0 {
-		cfg.SubscriberQueue = 32
-	}
-	if cfg.SubscriberStall <= 0 {
-		cfg.SubscriberStall = time.Second
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -272,8 +266,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the server: it stops accepting, lets sessions finish
-// their in-flight transactions, then aborts stragglers once ctx (or
-// DrainTimeout) expires, force-closes their connections, and checkpoints
+// their in-flight transactions, then aborts stragglers once ctx expires (5s
+// when ctx has no deadline), force-closes their connections, and checkpoints
 // the shards so a restart recovers quickly. Requests that arrive during the
 // drain are answered with wire.CodeShuttingDown — never silently dropped.
 //
@@ -296,7 +290,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
+		ctx, cancel = context.WithTimeout(ctx, drainTimeout)
 		defer cancel()
 	}
 
@@ -322,18 +316,7 @@ wait:
 	// connections) or the deadline expires.
 	if s.followerAddr() != "" {
 	linger:
-		for {
-			s.mu.Lock()
-			remaining := 0
-			for sess := range s.sessions {
-				if _, isSub := s.subs[sess]; !isSub {
-					remaining++
-				}
-			}
-			s.mu.Unlock()
-			if remaining == 0 {
-				break
-			}
+		for s.regularSessions() > 0 {
 			select {
 			case <-ctx.Done():
 				break linger
@@ -356,18 +339,7 @@ wait:
 		}
 	}
 	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		remaining := 0
-		for sess := range s.sessions {
-			if _, isSub := s.subs[sess]; !isSub {
-				remaining++
-			}
-		}
-		s.mu.Unlock()
-		if remaining == 0 {
-			break
-		}
+	for s.regularSessions() > 0 {
 		<-tick.C // sessions exit promptly once their connections close
 	}
 
@@ -386,6 +358,14 @@ wait:
 	close(s.drainedCh)
 	s.wg.Wait()
 	return err
+}
+
+// regularSessions counts the live sessions that are not replication streams
+// (every subscriber is a session: both maps lose it in the same step).
+func (s *Server) regularSessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions) - len(s.subs)
 }
 
 // Kill force-closes the server without drain or checkpoint, simulating a
@@ -648,7 +628,7 @@ type subscriber struct {
 // The loop is split in two: this goroutine reads the logs and fills a
 // bounded queue; a sender goroutine owns the socket and drains it. A peer
 // that stops draining — dead network, wedged follower — fills the queue and
-// trips the bounded-lag policy: after SubscriberStall it is disconnected and
+// trips the bounded-lag policy: after subscriberStall it is disconnected and
 // left to resume from its applied LSN, instead of wedging the reader or
 // buffering the log without bound. Fast followers on the same primary never
 // notice.
@@ -679,7 +659,7 @@ func (c *session) runSubscriber(payload []byte) {
 		peer:     c.conn.RemoteAddr().String(),
 		announce: string(announce),
 		since:    time.Now(),
-		q:        make(chan subFrame, srv.cfg.SubscriberQueue),
+		q:        make(chan subFrame, subscriberQueue),
 		sent:     make([]atomic.Uint64, n),
 	}
 	if sub.announce != "" {
@@ -726,7 +706,7 @@ func (c *session) runSubscriber(payload []byte) {
 	}()
 
 	// enqueue applies the bounded-lag policy: a frame that cannot be
-	// buffered within SubscriberStall means the peer is neither reading nor
+	// buffered within subscriberStall means the peer is neither reading nor
 	// draining its queue — disconnect it rather than wedge.
 	enqueue := func(fr subFrame) bool {
 		select {
@@ -736,7 +716,7 @@ func (c *session) runSubscriber(payload []byte) {
 			return false
 		default:
 		}
-		stall := time.NewTimer(srv.cfg.SubscriberStall)
+		stall := time.NewTimer(subscriberStall)
 		defer stall.Stop()
 		select {
 		case sub.q <- fr:

@@ -289,7 +289,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	sh := openKV(t, device.NewMem(page.Size, 1<<16), walDev, false)
 	srv, addr := startServer(t, routerOf(t, sh), func(cfg *server.Config) { cfg.MaxInFlight = 1 })
 
-	c, err := client.Dial(addr, client.Options{PoolSize: 2, MaxRetries: 1, RetryBase: time.Millisecond})
+	c, err := client.Dial(addr, client.Options{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +383,7 @@ func TestServerDrainAndRecover(t *testing.T) {
 	}
 
 	data, walDev := openDevices()
-	cfg := server.Config{Router: routerOf(t, openKV(t, data, walDev, false)), DrainTimeout: 500 * time.Millisecond}
-	srv, err := server.New(cfg)
+	srv, err := server.New(server.Config{Router: routerOf(t, openKV(t, data, walDev, false))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +432,13 @@ func TestServerDrainAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The straggler is aborted once the drain's 500 ms deadline passes.
+	const drainTimeout = 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	drainStart := time.Now()
 	shutdownDone := make(chan error, 1)
-	go func() { shutdownDone <- srv.Shutdown(context.Background()) }()
+	go func() { shutdownDone <- srv.Shutdown(ctx) }()
 
 	// New transactions are refused with the typed drain error once the
 	// server is draining (the drain flag flips before Shutdown blocks). Begin
@@ -463,6 +467,11 @@ func TestServerDrainAndRecover(t *testing.T) {
 
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+	// The straggler held the drain until the context's deadline, and not
+	// past it.
+	if took := time.Since(drainStart); took < drainTimeout || took > drainTimeout+2*time.Second {
+		t.Fatalf("drain with a straggler took %v, want the %v deadline (+ under 2 s)", took, drainTimeout)
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
@@ -587,10 +596,8 @@ func TestServerShardedEndToEnd(t *testing.T) {
 // shards at once.
 func TestServerDrainUnderLoadMeetsDeadline(t *testing.T) {
 	const drainTimeout = 1 * time.Second
-	srv, addr := startServer(t, memRouter(t, 4), func(cfg *server.Config) {
-		cfg.DrainTimeout = drainTimeout
-	})
-	c, err := client.Dial(addr, client.Options{PoolSize: 16, MaxRetries: 1})
+	srv, addr := startServer(t, memRouter(t, 4), nil)
+	c, err := client.Dial(addr, client.Options{PoolSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +654,9 @@ func TestServerDrainUnderLoadMeetsDeadline(t *testing.T) {
 	// with headroom for the checkpoint itself.
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
-	if err := srv.Shutdown(context.Background()); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown under load: %v", err)
 	}
 	took := time.Since(start)

@@ -78,7 +78,7 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 	// Server-side sampling off: the only sampled request is the one whose
 	// context the client carries over the wire, so the retained trace is
 	// exactly the cross-shard transaction below.
-	tracer := obs.NewTracer(0, 0)
+	tracer := obs.NewTracer(0)
 	t.Cleanup(tracer.Close)
 	_, addr := startServer(t, memRouter(t, 2), func(cfg *server.Config) {
 		cfg.Obs = reg
@@ -221,7 +221,7 @@ func TestDistributedTraceCrossShard(t *testing.T) {
 // that wrote on one shard and read the other.
 func TestTraceReadOnlyCommitSkipsFlushStages(t *testing.T) {
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(0, 0)
+	tracer := obs.NewTracer(0)
 	t.Cleanup(tracer.Close)
 	_, addr := startServer(t, memRouter(t, 2), func(cfg *server.Config) {
 		cfg.Obs = reg

@@ -438,8 +438,9 @@ func (t *Txn) delete(of tableOf, key int64) error {
 // record and no flush. Then
 //
 //   - no writer: done — zero log bytes on every shard, however many were read;
-//   - one writer: that shard's own group-commit batcher — one WAL flush, no
-//     coordination records (the 2PC-free fast path), whatever else was read;
+//   - one writer: that shard's own WAL flush, shared with concurrent commits
+//     (the writer's group commit), no coordination records (the 2PC-free
+//     fast path), whatever else was read;
 //   - several writers: two-phase commit over the writers only (commit2PC),
 //     atomic across them even through a crash at any point of the protocol.
 //
