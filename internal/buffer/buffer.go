@@ -99,6 +99,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -161,12 +162,45 @@ type loadState struct {
 	doneAt simclock.Time
 }
 
+// arena is the memory a pool's pages live in: one mapping of Frames ×
+// page.Size bytes, outside the Go heap, so that resident memory is the
+// pages written rather than twice them (the collector's goal doubles
+// whatever the heap holds). Every Frame points to its arena, and a
+// finalizer unmaps it once no frame can be reached; a page.Page kept past
+// that point is the one way to touch unmapped memory, and no path keeps
+// one (DESIGN.md lists them). Without a mapping — race and non-unix
+// builds, or a failed mmap — mem is nil and each frame's page is a heap
+// slice.
+type arena struct{ mem []byte }
+
+func newArena(frames int) *arena {
+	a := &arena{mem: mapArena(frames * page.Size)}
+	if a.mem != nil {
+		runtime.SetFinalizer(a, func(a *arena) { unmapArena(a.mem) })
+	}
+	return a
+}
+
+// page returns the page of the frame at slot: its fixed slice of the
+// mapping, capacity-limited so no append can reach a neighbour.
+func (a *arena) page(slot int) page.Page {
+	if a.mem == nil {
+		return make(page.Page, page.Size)
+	}
+	off := slot * page.Size
+	return page.Page(a.mem[off : off+page.Size : off+page.Size])
+}
+
 // Frame is one buffered page. Callers access Data only between Get and
 // Release while holding the pin, and bracket that access with the frame
 // latch: RLock/RUnlock around reads, Lock/Unlock around mutations.
 type Frame struct {
 	devPage int64
 	Data    page.Page
+	// arena and slot say where Data comes from on the frame's first claim;
+	// the pointer also keeps the arena mapped while the frame is reachable.
+	arena *arena
+	slot  int
 
 	latch sync.RWMutex
 	pin   atomic.Int32
@@ -240,6 +274,10 @@ type Stats struct {
 	// PrefetchWasted counts prefetched pages evicted before any Get used
 	// them (readahead that did not pay off).
 	PrefetchWasted int64 `metric:"sias_pool_prefetch_wasted_total,counter" help:"Prefetched pages evicted before any Get used them."`
+	// ResidentBytes is the page memory the pool holds: the frames that own
+	// a page (claimed at least once) × page.Size. Pages in the arena are
+	// outside the Go heap, so runtime.MemStats does not count them.
+	ResidentBytes int64 `metric:"sias_pool_resident_bytes,gauge" help:"Page memory the pool holds: frames that own a page times the page size."`
 }
 
 // HitRatio reports hits/(hits+misses), 0 if no traffic.
@@ -258,6 +296,7 @@ type partition struct {
 	index  map[int64]int
 	free   []int // never-used frames (stack); refilled by InvalidateAll
 	hand   int
+	owned  int // frames that own a page
 
 	misses    int64
 	evictions int64
@@ -330,6 +369,7 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 	for i := 0; i < prefetchWorkers; i++ {
 		p.prefetchBufs <- nil
 	}
+	a := newArena(cfg.Frames)
 	for i := range p.parts {
 		n := cfg.Frames / nparts
 		if i < cfg.Frames%nparts {
@@ -340,7 +380,9 @@ func New(cfg Config, dev device.BlockDevice) *Pool {
 		pt.frames = make([]*Frame, n)
 		pt.free = make([]int, n)
 		for j := range pt.frames {
-			f := &Frame{devPage: -1} // Data comes with the first claim
+			// Slots interleave the stripes, which claim their frames in
+			// order, so the arena's written pages stay one dense prefix.
+			f := &Frame{devPage: -1, arena: a, slot: j*nparts + i} // Data comes with the first claim
 			f.page.Store(-1)
 			pt.frames[j] = f
 			pt.free[j] = n - 1 - j // pop order 0,1,2,...
@@ -533,11 +575,11 @@ func (p *Pool) publish(pt *partition, f *Frame, idx int, devPage int64, t simclo
 // into its own count with an Add.
 //
 // A frame gets its page the first time it leaves the free list, not in New,
-// so the heap holds pages for the frames in use rather than for the pool
-// configured, and keeps it for life: eviction and InvalidateAll hand the
-// same bytes to the next page. Every frame the clock reaches has been
-// claimed once (the sweep only runs with the free list empty), so only the
-// free-list path allocates.
+// and keeps it for life: eviction and InvalidateAll hand the same bytes to
+// the next page. Arena pages are touched, and so made resident, only from
+// then on. Every frame the clock reaches has been claimed once (the sweep
+// only runs with the free list empty), so only the free-list path gives
+// out pages.
 func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int, simclock.Time, error) {
 	t := at
 	if n := len(pt.free); n > 0 {
@@ -545,7 +587,8 @@ func (p *Pool) claimLocked(pt *partition, at simclock.Time, cleanOnly bool) (int
 		pt.free = pt.free[:n-1]
 		f := pt.frames[idx]
 		if f.Data == nil {
-			f.Data = make(page.Page, page.Size)
+			f.Data = f.arena.page(f.slot)
+			pt.owned++
 		}
 		// The frame is unpublished, but a hit that read it through a stale
 		// hint may still pin it: the sentinel makes that pin back out.
@@ -934,6 +977,7 @@ func (p *Pool) Stats() Stats {
 		s.Evictions += pt.evictions
 		s.DirtyOut += pt.dirtyOut
 		s.PartitionEvictions[pi] = pt.evictions
+		s.ResidentBytes += int64(pt.owned) * page.Size
 		pt.mu.Unlock()
 	}
 	s.IOPending = p.ioPending.Load()

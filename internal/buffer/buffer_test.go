@@ -211,42 +211,80 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// TestPoolHeapFollowsTouchedPages pins that a frame's page is allocated when
-// the frame is first used: a large pool costs its headers, each touched page
-// adds one page, and reusing frames after InvalidateAll adds nothing.
+// touchPages creates pages 0, 7, 14, ... (n of them) in p and releases each
+// clean, failing t on the first error.
+func touchPages(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	for i := int64(0); i < int64(n); i++ {
+		f, _, err := p.Get(0, i*7, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(f.Data) != page.Size {
+			t.Fatalf("frame page has cap %d, want %d", cap(f.Data), page.Size)
+		}
+		p.Release(f, false)
+	}
+}
+
+// TestPoolHeapFollowsTouchedPages pins that a frame's page is given out when
+// the frame is first used: a large pool costs its headers, and reusing
+// frames after InvalidateAll adds nothing. Where pages live in the mapped
+// arena, touched pages add (almost) nothing to the Go heap; in race and
+// non-unix builds each adds one heap page.
 func TestPoolHeapFollowsTouchedPages(t *testing.T) {
 	const frames, touched = 16384, 256
 	const headers = 8 << 20
 	dev := device.NewMem(page.Size, 1<<16)
 	before := liveHeap()
 	p := New(Config{Frames: frames}, dev)
-	if grew := liveHeap() - before; grew >= headers {
-		t.Fatalf("New(%d frames) grew the heap by %.1f MB, want < %d MB", frames, float64(grew)/(1<<20), headers>>20)
+	afterNew := liveHeap() - before
+	if afterNew >= headers {
+		t.Fatalf("New(%d frames) grew the heap by %.1f MB, want < %d MB", frames, float64(afterNew)/(1<<20), headers>>20)
 	}
-	touch := func() {
-		for i := int64(0); i < touched; i++ {
-			f, _, err := p.Get(0, i*7, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Release(f, false)
-		}
-	}
-	touch()
+	touchPages(t, p, touched)
 	afterTouch := liveHeap() - before
-	if limit := int64(headers + touched*page.Size); afterTouch >= limit {
+	if pagesOffHeap {
+		if grew := afterTouch - afterNew; grew >= 64<<10 {
+			t.Fatalf("%d touched arena pages grew the heap by %d bytes, want < 64 KB", touched, grew)
+		}
+	} else if limit := int64(headers + touched*page.Size); afterTouch >= limit {
 		t.Fatalf("%d touched pages grew the heap by %.1f MB, want < %.1f MB", touched, float64(afterTouch)/(1<<20), float64(limit)/(1<<20))
 	}
 	p.InvalidateAll()
-	touch()
+	touchPages(t, p, touched)
 	// The frames keep their pages: a second round over as many pages may
 	// not allocate any of them again.
 	again := liveHeap() - before - afterTouch
 	if again >= 16*page.Size {
 		t.Errorf("the same %d pages after InvalidateAll grew the heap by %d more bytes", touched, again)
 	}
-	t.Logf("heap: %.1f MB after %d touched pages, %+d bytes after the second round", float64(afterTouch)/(1<<20), touched, again)
+	t.Logf("heap (pages off heap: %v): %.1f MB after New, %.1f MB after %d touched pages, %+d bytes after the second round",
+		pagesOffHeap, float64(afterNew)/(1<<20), float64(afterTouch)/(1<<20), touched, again)
 	runtime.KeepAlive(p)
+}
+
+// TestResidentBytesCountsOwnedPages pins Stats.ResidentBytes: one page per
+// frame that has been used, however often it is reused.
+func TestResidentBytesCountsOwnedPages(t *testing.T) {
+	const frames, touched = 1024, 300
+	p := New(Config{Frames: frames}, device.NewMem(page.Size, 1<<14))
+	if got := p.Stats().ResidentBytes; got != 0 {
+		t.Fatalf("fresh pool: ResidentBytes = %d, want 0", got)
+	}
+	touchPages(t, p, touched)
+	if got, want := p.Stats().ResidentBytes, int64(touched*page.Size); got != want {
+		t.Fatalf("after %d touched pages: ResidentBytes = %d, want %d", touched, got, want)
+	}
+	p.InvalidateAll()
+	touchPages(t, p, touched)
+	if got, want := p.Stats().ResidentBytes, int64(touched*page.Size); got != want {
+		t.Fatalf("second round after InvalidateAll: ResidentBytes = %d, want %d", got, want)
+	}
+	touchPages(t, p, 2*frames) // evicts: the pool never owns more than its frames
+	if got, want := p.Stats().ResidentBytes, int64(frames*page.Size); got != want {
+		t.Fatalf("after touching twice the pool: ResidentBytes = %d, want %d", got, want)
+	}
 }
 
 func TestChecksumSetOnFlush(t *testing.T) {

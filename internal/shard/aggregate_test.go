@@ -136,7 +136,7 @@ func TestAggregateAndDeltaCoverEveryLeaf(t *testing.T) {
 	dPool, dVMap := ratios(delta)
 	gauges := map[string]float64{ // not differences: the later snapshot's value
 		".CommitMaxBatch": 0, ".PoolPartitions": 0, ".AllocatedPages": 0, ".WALDurableLSN": 0,
-		".WALPendingBytes": 0, ".Pool.IOPending": 0, ".Tables.Rows": 0, ".Tables.Indexes": 0, ".Tables.IndexEntries": 0,
+		".WALPendingBytes": 0, ".Pool.IOPending": 0, ".Pool.ResidentBytes": 0, ".Tables.Rows": 0, ".Tables.Indexes": 0, ".Tables.IndexEntries": 0,
 		".RecoverAnalyzeSeconds": 0, ".RecoverRedoSeconds": 0, ".RecoverRebuildSeconds": 0, ".RecoverLogBytes": 0,
 	}
 	for path := range in[0] {

@@ -57,10 +57,10 @@ type Relation struct {
 	// xmax/ctid rewrites never race with readers.
 	mu        sync.RWMutex
 	nextBlock uint32
-	// fsm tracks free bytes per block (indexed by block number); fsmHint is
-	// the lowest block that might still fit a typical tuple, advanced as
-	// blocks fill and reset when vacuum frees space.
-	fsm     []int
+	// fsm tracks free bytes per block; fsmHint is the lowest block that
+	// might still fit a typical tuple, advanced as blocks fill and reset
+	// when vacuum frees space.
+	fsm     freeSpace
 	fsmHint uint32
 	stats   Stats
 }
@@ -154,10 +154,7 @@ func (r *Relation) getPage(at simclock.Time, block uint32, initNew bool) (*buffe
 
 // setFree records the free space of a block in the FSM. Caller holds r.mu.
 func (r *Relation) setFree(b uint32, free int) {
-	for int(b) >= len(r.fsm) {
-		r.fsm = append(r.fsm, -1)
-	}
-	r.fsm[b] = free
+	r.fsm.set(int(b), free)
 	if free > 0 && b < r.fsmHint {
 		r.fsmHint = b
 	}
@@ -177,22 +174,9 @@ func (r *Relation) placeVersion(tx *txn.Tx, at simclock.Time, hdr tuple.SIHeader
 	// into vacuumed pages, as in the real system.
 	t := at
 	for attempt := 0; attempt < 3; attempt++ {
-		b := uint32(0)
+		b, found, hint := r.fsm.firstFit(r.fsmHint, r.nextBlock, need)
+		r.fsmHint = hint
 		isNew := false
-		found := false
-		for cand := r.fsmHint; int(cand) < len(r.fsm) && cand < r.nextBlock; cand++ {
-			if r.fsm[cand] >= need {
-				b = cand
-				found = true
-				break
-			}
-			// Blocks below the first fit cannot satisfy typical tuples any
-			// more only if they are truly tight; advance the hint past
-			// near-full blocks to keep the scan amortized O(1).
-			if r.fsm[cand] >= 0 && r.fsm[cand] < 64 && cand == r.fsmHint {
-				r.fsmHint = cand + 1
-			}
-		}
 		if !found {
 			b = r.nextBlock
 			isNew = true
