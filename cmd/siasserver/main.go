@@ -137,9 +137,6 @@ const scanReadahead = 32
 // snapshot tokens inside that window stay resolvable.
 const asofRetention = 1 << 16
 
-// drainTimeout is the deadline a signal's drain gives Shutdown.
-const drainTimeout = 5 * time.Second
-
 // version is stamped by the build via -ldflags "-X main.version=...".
 var version = "dev"
 
@@ -420,15 +417,12 @@ func run(cfg serverConfig) error {
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
-		log.Printf("siasserver: %s received, draining (timeout %.1fs)...", sig, drainTimeout.Seconds())
+		log.Printf("siasserver: %s received, draining...", sig)
 		if follower != nil {
 			follower.Stop()
 		}
 		drainStart := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
+		if err := srv.Shutdown(context.Background()); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
 		if err := <-serveErr; err != nil {

@@ -1,7 +1,8 @@
 // Package obs is the observability substrate: a zero-dependency metrics
-// registry (atomic counters, gauges and fixed-bucket histograms) with
-// Prometheus text-format exposition, plus a structured slow-operation log
-// and the HTTP side-listener handler (/metrics, /healthz, /debug/pprof).
+// registry (atomic counters, fixed-bucket histograms and gauges collected at
+// scrape time) with Prometheus text-format exposition, plus a structured
+// slow-operation log and the HTTP side-listener handler (/metrics, /healthz,
+// /debug/pprof).
 //
 // Design constraints, in order:
 //
@@ -61,17 +62,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable float metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // DefLatencyBuckets are the default latency histogram bounds in seconds:
 // exponential-ish from 50µs to 2.5s, chosen so both an in-memory op (tens
 // of µs) and a convoyed fsync (tens of ms) land mid-range.
@@ -92,14 +82,6 @@ type Histogram struct {
 	counts  []atomic.Int64 // len(bounds)+1; last bucket is +Inf
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-add
-}
-
-// NewHistogram returns an unregistered histogram (tests, ad-hoc use);
-// production instruments come from Registry.Histogram.
-func NewHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
 }
 
 // Observe records v.
@@ -185,7 +167,6 @@ func quantile(q float64, bounds []float64, counts []int64) float64 {
 type series struct {
 	labels string // pre-rendered {k="v",...} suffix, "" for unlabelled
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 }
 
@@ -258,15 +239,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
-}
-
-// Gauge registers (or retrieves) a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.familyFor(name, help, typeGauge).seriesFor(labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // Histogram registers (or retrieves) a histogram series with the given
@@ -407,8 +379,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch {
 			case s.ctr != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.ctr.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
 			case s.hist != nil:
 				h := s.hist
 				counts := h.snapshot()

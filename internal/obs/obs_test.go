@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -22,8 +23,9 @@ func TestExpositionFormat(t *testing.T) {
 	c := reg.Counter("sias_test_ops_total", "Ops handled.", Labels{"op": "GET"})
 	c.Add(7)
 	reg.Counter("sias_test_ops_total", "Ops handled.", Labels{"op": "PUT"}).Add(3)
-	g := reg.Gauge("sias_test_temp", "A gauge.", nil)
-	g.Set(1.5)
+	reg.CollectGauge("sias_test_temp", "A gauge.", func(emit func(Labels, float64)) {
+		emit(nil, 1.5)
+	})
 	reg.Counter("sias_test_escaped_total", "Escaping.", Labels{"path": "a\\b\"c\nd"}).Inc()
 	h := reg.Histogram("sias_test_seconds", "A histogram.", []float64{0.1, 1}, Labels{"shard": "0"})
 	h.Observe(0.05)
@@ -91,18 +93,19 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("type mismatch did not panic")
 		}
 	}()
-	reg.Gauge("sias_x_total", "x", nil)
+	reg.CollectGauge("sias_x_total", "x", nil)
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
+	reg := NewRegistry()
+	h := reg.Histogram("sias_q_seconds", "q", []float64{1, 2, 4, 8}, nil)
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5) // all in the (1,2] bucket
 	}
 	if q := h.Quantile(0.5); q < 1 || q > 2 {
 		t.Fatalf("p50 = %v, want within (1,2]", q)
 	}
-	h2 := NewHistogram([]float64{1, 2})
+	h2 := reg.Histogram("sias_q2_seconds", "q2", []float64{1, 2}, nil)
 	h2.Observe(100) // +Inf bucket reports the last finite bound
 	if q := h2.Quantile(0.99); q != 2 {
 		t.Fatalf("overflow p99 = %v, want 2", q)
@@ -160,7 +163,10 @@ func keysOf(m map[string]*ParsedHist) []string {
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	ctr := reg.Counter("sias_cc_total", "cc", Labels{"op": "X"})
-	g := reg.Gauge("sias_cc_gauge", "cg", nil)
+	var gauge atomic.Int64
+	reg.CollectGauge("sias_cc_gauge", "cg", func(emit func(Labels, float64)) {
+		emit(nil, float64(gauge.Load()))
+	})
 	h := reg.Histogram("sias_cc_seconds", "ch", DefLatencyBuckets, nil)
 	var src int64
 	reg.CollectGauge("sias_cc_collected", "col", func(emit func(Labels, float64)) {
@@ -180,7 +186,7 @@ func TestConcurrentScrape(t *testing.T) {
 				default:
 				}
 				ctr.Inc()
-				g.Set(float64(j))
+				gauge.Store(int64(j))
 				h.Observe(float64(j%100) / 1000)
 			}
 		}(i)

@@ -7,6 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -799,6 +802,174 @@ func TestSlowSubscriberDisconnects(t *testing.T) {
 	}
 	if err := <-pErr; err != nil {
 		t.Fatalf("primary serve: %v", err)
+	}
+}
+
+// subscriberLag reads sias_repl_subscriber_lag_bytes out of reg's
+// exposition: peer -> shard -> bytes.
+func subscriberLag(t *testing.T, reg *obs.Registry) map[string]map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lag := map[string]map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "sias_repl_subscriber_lag_bytes{")
+		if !ok {
+			continue
+		}
+		labels, val, _ := strings.Cut(rest, "} ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad series %q: %v", line, err)
+		}
+		kv := map[string]string{}
+		for _, pair := range strings.Split(labels, ",") {
+			k, q, _ := strings.Cut(pair, "=")
+			kv[k] = strings.Trim(q, `"`)
+		}
+		if lag[kv["peer"]] == nil {
+			lag[kv["peer"]] = map[string]float64{}
+		}
+		lag[kv["peer"]][kv["shard"]] = v
+	}
+	return lag
+}
+
+// TestSubscriberLagGauge reads the primary's per-subscriber ship lag from its
+// exposition: 0 on every shard for a caught-up follower, above 0 for a raw
+// subscriber that stopped reading, and gone once the stall cut drops that
+// subscriber. After the primary's drain every goroutine the fleet started
+// exits, so a stream leaves nothing running behind it.
+func TestSubscriberLagGauge(t *testing.T) {
+	const nShards = 2
+	pshards := make([]shard.Shard, nShards)
+	fshards := make([]*engine.Facade, nShards)
+	for i := range pshards {
+		pshards[i] = openPrimary(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false)
+		fshards[i] = openFollower(t, device.NewMem(page.Size, 1<<16), device.NewMem(page.Size, 1<<14), false).Facade
+	}
+	before := runtime.NumGoroutine()
+
+	reg := obs.NewRegistry()
+	psrv, err := server.New(server.Config{Router: routerOf(t, pshards...), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pErr := serveOn(psrv, pln)
+	f, err := repl.NewFollower(repl.Config{
+		PrimaryAddr: pln.Addr().String(),
+		Announce:    "follower:1",
+		Shards:      fshards,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Run()
+	pc, err := client.Dial(pln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadKeys(t, pc, 0, 64, "v")
+
+	caughtUpEverywhere := func() bool {
+		lag := subscriberLag(t, reg)["follower:1"]
+		if len(lag) != nShards {
+			return false
+		}
+		for _, v := range lag {
+			if v != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor(t, 10*time.Second, "follower's lag to read 0 on every shard", func() bool {
+		return caughtUp(f) && caughtUpEverywhere()
+	})
+
+	// A raw subscriber completes the handshake, then never reads again.
+	stalled, err := net.Dial("tcp", pln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	var sb wire.Buf
+	sb.Bytes(nil)
+	sb.U32(nShards)
+	for i := 0; i < nShards; i++ {
+		sb.U64(0)
+	}
+	if err := wire.WriteFrame(stalled, uint8(wire.OpSubscribe), sb.B); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, err := wire.ReadFrame(bufio.NewReader(stalled)); err != nil || wire.Code(code) != wire.CodeOK {
+		t.Fatalf("stalled subscribe handshake: code %d err %v", code, err)
+	}
+	peer := stalled.LocalAddr().String()
+	waitFor(t, 10*time.Second, "stalled subscriber's series", func() bool {
+		return len(subscriberLag(t, reg)[peer]) == nShards
+	})
+
+	// Log volume fills the stalled peer's socket buffers: its lag grows
+	// until the stall cut drops it.
+	big := make([]byte, 4096)
+	var maxLag float64
+	for batch := int64(0); psrv.Stats().SubscriberDrops == 0; batch++ {
+		if batch > 2000 {
+			t.Fatal("stalled subscriber was never dropped")
+		}
+		tx, err := pc.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 8; i++ {
+			if err := tx.Insert(1000+batch*8+i, big); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if maxLag == 0 {
+			for _, v := range subscriberLag(t, reg)[peer] {
+				maxLag = max(maxLag, v)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if maxLag == 0 {
+		t.Fatal("a subscriber that stopped reading never showed lag")
+	}
+	waitFor(t, 10*time.Second, "stalled subscriber's series to disappear", func() bool {
+		_, ok := subscriberLag(t, reg)[peer]
+		return !ok
+	})
+	waitFor(t, 20*time.Second, "follower's lag to read 0 again after the load", func() bool {
+		return caughtUp(f) && caughtUpEverywhere()
+	})
+
+	pc.Close()
+	if err := psrv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("primary shutdown: %v", err)
+	}
+	if err := <-pErr; err != nil {
+		t.Fatalf("primary serve: %v", err)
+	}
+	waitFor(t, 10*time.Second, "follower to promote", f.Promoted)
+	f.Stop()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the drain, %d before the server started", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

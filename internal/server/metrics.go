@@ -44,13 +44,11 @@ type deviceAmp struct {
 }
 
 // subscriberLag is one connected follower's stream health on the primary:
-// how far its shipped position trails each shard's durable log, and the
-// send-queue backlog the bounded-lag policy watches. Peer is the follower's
-// announce address (its remote address when it did not announce).
+// how far its shipped position trails each shard's durable log. Peer is the
+// follower's announce address (its remote address when it did not announce).
 type subscriberLag struct {
-	Peer       string
-	QueueDepth int      `metric:"sias_repl_subscriber_queue_depth,gauge" help:"Frames buffered in a subscriber's bounded send queue."`
-	LagBytes   []uint64 `metric:"sias_repl_subscriber_lag_bytes,gauge" help:"Per-subscriber ship lag on the primary: durable LSN minus shipped LSN." label:"shard"`
+	Peer     string
+	LagBytes []uint64 `metric:"sias_repl_subscriber_lag_bytes,gauge" help:"Per-subscriber ship lag on the primary: durable LSN minus shipped LSN." label:"shard"`
 }
 
 func (s *Server) newScrape() scrape {
@@ -61,7 +59,7 @@ func (s *Server) newScrape() scrape {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sub := range s.subs {
-		sl := subscriberLag{Peer: sub.peer, QueueDepth: len(sub.q), LagBytes: make([]uint64, len(sc.Shards))}
+		sl := subscriberLag{Peer: sub.peer, LagBytes: make([]uint64, len(sc.Shards))}
 		for i, st := range sc.Shards {
 			if sent := sub.sent[i].Load(); st.WALDurableLSN > sent {
 				sl.LagBytes[i] = st.WALDurableLSN - sent

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,17 +75,12 @@ type Config struct {
 // caller's context carries no deadline.
 const drainTimeout = 5 * time.Second
 
-// subscriberQueue bounds the frames buffered per replication subscriber
-// between the log reader and that subscriber's socket: the queue is what lets
-// N followers stream at independent speeds. subscriberStall bounds how long a
-// full queue may block the log reader before the subscriber is judged too
-// slow and disconnected. A dropped follower resumes from its applied LSN on
-// reconnect, so the policy trades a resend for bounded memory and an
-// unwedged stream.
-const (
-	subscriberQueue = 32
-	subscriberStall = time.Second
-)
+// subscriberStall is the write deadline on every replication stream frame: a
+// subscriber whose socket takes no frame for that long is judged too slow and
+// disconnected. A dropped follower resumes from its applied LSN on reconnect,
+// so the policy trades a resend for an unwedged stream. Each stream is its own
+// session goroutine, so followers stream at independent speeds.
+const subscriberStall = time.Second
 
 // Stats counts service-layer events, exposed through the STATS op next to
 // the engine counters.
@@ -577,43 +573,32 @@ func (s *Server) followerAddr() string {
 	return s.failoverAddr
 }
 
-// send writes one frame and flushes it under a write deadline, so a stalled
-// subscriber cannot wedge the stream goroutine (or a drain) forever.
+// send writes one stream frame and flushes it under the subscriberStall write
+// deadline. A missed deadline is the slow-subscriber cut: the peer stopped
+// reading, so it is counted, and the session hangs up once send fails.
 func (c *session) send(tag uint8, payload []byte) error {
-	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	defer c.conn.SetWriteDeadline(time.Time{})
-	if err := wire.WriteFrame(c.bw, tag, payload); err != nil {
-		return err
+	c.conn.SetWriteDeadline(time.Now().Add(subscriberStall))
+	err := wire.WriteFrame(c.bw, tag, payload)
+	if err == nil {
+		err = c.bw.Flush()
 	}
-	return c.bw.Flush()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		c.srv.subDrops.Add(1)
+	}
+	return err
 }
 
 // replyErr sends a typed error frame (stream setup failures).
 func (c *session) replyErr(err error) {
-	var eb wire.Buf
-	eb.B = append(eb.B, err.Error()...)
-	_ = c.send(uint8(wire.CodeOf(err)), eb.B)
-}
-
-// subFrame is one queued stream frame: tag+payload for the sender goroutine,
-// plus the cursor the frame advances (data-carrying LOGBATCH frames only) so
-// shipped positions are tracked at socket-write granularity.
-type subFrame struct {
-	tag   uint8
-	data  []byte
-	shard int    // -1 when the frame advances no cursor
-	next  uint64 // cursor value once the frame is on the wire
+	_ = c.send(uint8(wire.CodeOf(err)), []byte(err.Error()))
 }
 
 // subscriber is the server-side state of one replication stream: identity
-// for failover designation, per-shard shipped cursors for lag accounting,
-// and the bounded send queue that decouples log reads from the peer's
-// socket so N followers stream at independent speeds.
+// for failover designation and per-shard shipped cursors for lag accounting.
 type subscriber struct {
 	peer     string // announce address, or remote address when not announced
 	announce string
 	since    time.Time
-	q        chan subFrame
 	sent     []atomic.Uint64 // per-shard LSN shipped to the socket
 }
 
@@ -625,13 +610,10 @@ type subscriber struct {
 // reads flushed WAL pages only (never past the durable LSN), so no writer
 // coordination is needed beyond the LSN load.
 //
-// The loop is split in two: this goroutine reads the logs and fills a
-// bounded queue; a sender goroutine owns the socket and drains it. A peer
-// that stops draining — dead network, wedged follower — fills the queue and
-// trips the bounded-lag policy: after subscriberStall it is disconnected and
-// left to resume from its applied LSN, instead of wedging the reader or
-// buffering the log without bound. Fast followers on the same primary never
-// notice.
+// The stream is one loop on the session goroutine: read a shard's durable
+// tail, write it, advance that shard's cursor. Every write goes through send,
+// whose deadline is the bounded-lag policy, so a peer that stops reading
+// cannot wedge the loop or a drain.
 func (c *session) runSubscriber(payload []byte) {
 	srv := c.srv
 	r := wire.Reader{B: payload}
@@ -645,28 +627,22 @@ func (c *session) runSubscriber(payload []byte) {
 		c.replyErr(fmt.Errorf("%w: SUBSCRIBE for %d shards, server has %d", wire.ErrBadRequest, n, srv.cfg.Router.N()))
 		return
 	}
-	cursors := make([]wal.LSN, n)
-	for i := range cursors {
+	sub := &subscriber{
+		peer:     c.conn.RemoteAddr().String(),
+		announce: string(announce),
+		since:    time.Now(),
+		sent:     make([]atomic.Uint64, n),
+	}
+	for i := range sub.sent {
 		v, err := r.U64()
 		if err != nil {
 			c.replyErr(fmt.Errorf("%w: malformed SUBSCRIBE cursors", wire.ErrBadRequest))
 			return
 		}
-		cursors[i] = wal.LSN(v)
-	}
-
-	sub := &subscriber{
-		peer:     c.conn.RemoteAddr().String(),
-		announce: string(announce),
-		since:    time.Now(),
-		q:        make(chan subFrame, subscriberQueue),
-		sent:     make([]atomic.Uint64, n),
+		sub.sent[i].Store(v)
 	}
 	if sub.announce != "" {
 		sub.peer = sub.announce
-	}
-	for i := range cursors {
-		sub.sent[i].Store(uint64(cursors[i]))
 	}
 	srv.mu.Lock()
 	if sub.announce != "" {
@@ -675,96 +651,54 @@ func (c *session) runSubscriber(payload []byte) {
 	srv.subs[c] = sub
 	srv.mu.Unlock()
 
-	var hs wire.Buf
-	hs.U32(n)
+	b := c.reply()
+	b.U32(n)
 	for i := 0; i < int(n); i++ {
-		hs.U64(uint64(srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()))
+		b.U64(uint64(srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()))
 	}
-	if c.send(uint8(wire.CodeOK), hs.B) != nil {
+	if c.send(uint8(wire.CodeOK), b.B) != nil {
 		return
 	}
 
-	// Sender: the only goroutine touching the socket from here on. It
-	// records each data frame's cursor once the bytes are handed to the
-	// kernel, so lag gauges and failover designation see shipped — not
-	// merely read — positions.
-	senderDone := make(chan struct{})
-	go func() {
-		defer close(senderDone)
-		for fr := range sub.q {
-			if c.send(fr.tag, fr.data) != nil {
-				return
-			}
-			if fr.shard >= 0 {
-				sub.sent[fr.shard].Store(fr.next)
-			}
-		}
-	}()
-	defer func() {
-		close(sub.q)
-		<-senderDone
-	}()
-
-	// enqueue applies the bounded-lag policy: a frame that cannot be
-	// buffered within subscriberStall means the peer is neither reading nor
-	// draining its queue — disconnect it rather than wedge.
-	enqueue := func(fr subFrame) bool {
-		select {
-		case sub.q <- fr:
-			return true
-		case <-senderDone:
-			return false
-		default:
-		}
-		stall := time.NewTimer(subscriberStall)
-		defer stall.Stop()
-		select {
-		case sub.q <- fr:
-			return true
-		case <-senderDone:
-			return false
-		case <-stall.C:
-			srv.subDrops.Add(1)
-			c.conn.Close() // kick the sender out of its blocked write
-			return false
-		}
+	// frame sends one LOGBATCH frame for shard i: data starting at from,
+	// against the shard's durable LSN (empty data is a heartbeat).
+	frame := func(i int, from, durable wal.LSN, data []byte) error {
+		b := c.reply()
+		b.U32(uint32(i))
+		b.U64(uint64(from))
+		b.U64(uint64(durable))
+		b.Bytes(data)
+		return c.send(uint8(wire.CodeLogBatch), b.B)
 	}
 
-	heartbeat := time.NewTicker(200 * time.Millisecond)
-	defer heartbeat.Stop()
 	// The poll interval bounds replica freshness between batches, which in
 	// turn bounds how often LSN-gated read routing can use a replica under a
 	// write-heavy mix — keep it tight.
 	poll := time.NewTicker(time.Millisecond)
 	defer poll.Stop()
+	lastShip := time.Now()
 	for {
 		progressed := false
 		caughtUp := true
 		for i := 0; i < int(n); i++ {
 			db := srv.cfg.Router.Shard(i).Facade.DB()
+			from := wal.LSN(sub.sent[i].Load())
 			durable := db.WAL().Durable()
-			if durable > cursors[i] {
-				data, err := wal.ReadBatch(db.WALDevice(), cursors[i], durable, 0)
-				if err != nil {
+			if durable > from {
+				data, err := wal.ReadBatch(db.WALDevice(), from, durable, 0)
+				if err != nil || frame(i, from, durable, data) != nil {
 					return
 				}
-				next := cursors[i] + wal.LSN(len(data))
-				var lb wire.Buf
-				lb.U32(uint32(i))
-				lb.U64(uint64(cursors[i]))
-				lb.U64(uint64(durable))
-				lb.Bytes(data)
-				if !enqueue(subFrame{uint8(wire.CodeLogBatch), lb.B, i, uint64(next)}) {
-					return
-				}
+				from += wal.LSN(len(data))
+				sub.sent[i].Store(uint64(from))
 				progressed = true
-				cursors[i] = next
 			}
-			if db.WAL().Durable() > cursors[i] {
+			if db.WAL().Durable() > from {
 				caughtUp = false
 			}
 		}
 		if progressed {
+			lastShip = time.Now()
 			continue
 		}
 		select {
@@ -778,34 +712,24 @@ func (c *session) runSubscriber(payload []byte) {
 					// End-of-stream: the payload names the designated
 					// successor (empty when none was announced). The matching
 					// follower promotes itself; every other follower repoints
-					// there and resubscribes. The frame rides the same queue
-					// as the data, so it cannot overtake the final batches.
-					_ = enqueue(subFrame{uint8(wire.CodeShuttingDown), []byte(successor), -1, 0})
+					// there and resubscribes. This goroutine wrote every
+					// batch before it, so the frame cannot overtake them.
+					_ = c.send(uint8(wire.CodeShuttingDown), []byte(successor))
 				}
 				return
 			}
 		default:
 		}
-		select {
-		case <-heartbeat.C:
+		if time.Since(lastShip) >= 200*time.Millisecond {
 			for i := 0; i < int(n); i++ {
-				db := srv.cfg.Router.Shard(i).Facade.DB()
-				var hb wire.Buf
-				hb.U32(uint32(i))
-				hb.U64(uint64(cursors[i]))
-				hb.U64(uint64(db.WAL().Durable()))
-				hb.Bytes(nil)
-				// Heartbeats are droppable: a full queue already carries
-				// fresher positions in its data frames.
-				select {
-				case sub.q <- subFrame{uint8(wire.CodeLogBatch), hb.B, -1, 0}:
-				case <-senderDone:
+				durable := srv.cfg.Router.Shard(i).Facade.DB().WAL().Durable()
+				if frame(i, wal.LSN(sub.sent[i].Load()), durable, nil) != nil {
 					return
-				default:
 				}
 			}
-		case <-poll.C:
+			lastShip = time.Now()
 		}
+		<-poll.C
 	}
 }
 
