@@ -347,7 +347,6 @@ func run(cfg serverConfig) error {
 		// The tracer exists whenever observability does: client-carried TRACE
 		// envelopes and slow-op force-keeps record even with -trace-sample 0.
 		tracer = obs.NewTracer(cfg.traceSample)
-		defer tracer.Close()
 		serveStart := time.Now()
 		reg.CollectGauge("sias_build_info",
 			"Build metadata; value is always 1.", func(emit func(obs.Labels, float64)) {

@@ -1091,11 +1091,9 @@ func TestTracedTransactionStitches(t *testing.T) {
 	}
 
 	tracer := obs.NewTracer(0) // no server-side sampling: only carried contexts
-	t.Cleanup(tracer.Close)
 	_, addr := startServer(t, nil, func(cfg *server.Config) { cfg.Tracer = tracer })
 	rc := dial(t, addr, Options{TraceSample: 1})
 	put(t, rc, 1, "traced")
-	tracer.Drain()
 	byName := map[string]uint64{}
 	for _, rec := range tracer.Snapshot() {
 		byName[rec.Name] = rec.TraceID

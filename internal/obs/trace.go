@@ -22,12 +22,14 @@ import (
 //     retained even when the sampler said no, recorded retrospectively
 //     from the timestamps the server already took (ForceRootAt), so the
 //     slow-op log can link every hit to a trace;
-//   - bounded retention: finished spans are handed to a single collector
-//     goroutine through a non-blocking channel send and land in a ring.
-//     The sias_trace_spans_total / sias_trace_dropped_total counters are
-//     bumped synchronously at the hand-off — before the op's reply is
-//     written — so the STATS frame and /metrics read identical values at
-//     quiescence, same as every other collected family.
+//   - bounded retention in one ring, written where spans finish: FinishAt
+//     stores the span in a 4,096-slot ring under the tracer's mutex, on the
+//     goroutine that finishes it and before the op's reply is written,
+//     evicting the oldest. No goroutine stands between a span and the ring,
+//     so a burst loses nothing and a tracer needs no teardown.
+//     sias_trace_spans_total counts what was stored, so the STATS frame
+//     and /metrics read identical values at quiescence, same as every
+//     other collected family.
 
 // SpanContext is the propagated part of a span: what crosses the wire.
 type SpanContext struct {
@@ -102,8 +104,8 @@ func (s *Span) Annotate(k, v string) {
 // Finish completes the span now.
 func (s *Span) Finish() { s.FinishAt(time.Now()) }
 
-// FinishAt completes the span at the given end time and hands it to the
-// collector. The span must not be used afterwards.
+// FinishAt completes the span at the given end time and stores it in the
+// tracer's ring. The span must not be used afterwards.
 func (s *Span) FinishAt(end time.Time) {
 	if s == nil {
 		return
@@ -120,56 +122,23 @@ func (s *Span) FinishAt(end time.Time) {
 	})
 }
 
-// traceRing is how many finished spans a tracer retains; traceChanSize is
-// the hand-off channel's capacity.
-const (
-	traceRing     = 4096
-	traceChanSize = 1024
-)
+// traceRing is how many finished spans a tracer retains.
+const traceRing = 4096
 
 // Tracer owns the span ring and the sampling policy. A nil *Tracer is the
 // disabled tracer: Sample reports false and every Start* returns nil.
 type Tracer struct {
 	sample float64
 
-	ch   chan SpanRecord
-	sync chan chan struct{}
-	quit chan struct{}
-	done chan struct{}
-
-	spans   atomic.Int64 // retained (handed to the collector)
-	dropped atomic.Int64 // lost to a full hand-off channel
-	closed  atomic.Bool
-
 	mu   sync.Mutex
 	ring []SpanRecord
-	n    int // total stored, ring[n%len] is the next slot
+	n    atomic.Int64 // spans stored, ring[n%traceRing] is the next slot; written under mu
 }
 
-// NewTracer starts a tracer that head-samples requests with probability
-// sample (clamped to [0,1]) and retains the last 4,096 finished spans. Close
-// releases the collector goroutine.
+// NewTracer returns a tracer that head-samples requests with probability
+// sample (clamped to [0,1]) and retains the last 4,096 finished spans.
 func NewTracer(sample float64) *Tracer {
-	t := &Tracer{
-		sample: sample,
-		ch:     make(chan SpanRecord, traceChanSize),
-		sync:   make(chan chan struct{}),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-		ring:   make([]SpanRecord, traceRing),
-	}
-	go t.collect()
-	return t
-}
-
-// Close stops the collector after draining every span already handed off.
-// Spans finished after Close are counted as dropped. Idempotent, nil-safe.
-func (t *Tracer) Close() {
-	if t == nil || t.closed.Swap(true) {
-		return
-	}
-	close(t.quit)
-	<-t.done
+	return &Tracer{sample: sample, ring: make([]SpanRecord, traceRing)}
 }
 
 // Sample flips the head-sampling coin. The nil tracer never samples.
@@ -230,103 +199,35 @@ func (t *Tracer) ForceRootAt(name string, start time.Time) *Span {
 	return &Span{t: t, traceID: newID(), spanID: newID(), name: name, shard: -1, start: start}
 }
 
-// keep hands a finished span to the collector without blocking the request
-// path; the counters move here, synchronously, so STATS and /metrics agree.
+// keep stores a finished span in the ring, evicting the oldest once full.
 func (t *Tracer) keep(rec SpanRecord) {
-	if t.closed.Load() {
-		t.dropped.Add(1)
-		return
-	}
-	select {
-	case t.ch <- rec:
-		t.spans.Add(1)
-	default:
-		t.dropped.Add(1)
-	}
-}
-
-// Drain blocks until every span handed off before the call is stored in the
-// ring — a read barrier for scrapes; the request path never needs it. Nil-safe
-// and a no-op after Close (Close already drained).
-func (t *Tracer) Drain() {
-	if t == nil || t.closed.Load() {
-		return
-	}
-	ack := make(chan struct{})
-	select {
-	case t.sync <- ack:
-		<-ack
-	case <-t.done:
-	}
-}
-
-// collect is the single goroutine owning the ring.
-func (t *Tracer) collect() {
-	defer close(t.done)
-	for {
-		select {
-		case rec := <-t.ch:
-			t.store(rec)
-		case ack := <-t.sync:
-			t.flush()
-			close(ack)
-		case <-t.quit:
-			t.flush()
-			return
-		}
-	}
-}
-
-// flush stores everything already buffered in the hand-off channel.
-func (t *Tracer) flush() {
-	for {
-		select {
-		case rec := <-t.ch:
-			t.store(rec)
-		default:
-			return
-		}
-	}
-}
-
-func (t *Tracer) store(rec SpanRecord) {
 	t.mu.Lock()
-	t.ring[t.n%len(t.ring)] = rec
-	t.n++
+	n := t.n.Load()
+	t.ring[n%traceRing] = rec
+	t.n.Store(n + 1)
 	t.mu.Unlock()
 }
 
-// Spans reports how many spans were retained (ring eviction does not
+// Spans reports how many spans were stored (ring eviction does not
 // decrement — this is the sias_trace_spans_total counter).
 func (t *Tracer) Spans() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.spans.Load()
+	return t.n.Load()
 }
 
-// Dropped reports spans lost to a full hand-off channel.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// Snapshot returns the retained spans, oldest first.
+// Snapshot returns the newest retained spans, oldest first, as many as were
+// retained when it was called. The copy is allocated before the lock, so a
+// scrape holds the mutex only to copy the ring.
 func (t *Tracer) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil
 	}
+	out := make([]SpanRecord, min(t.n.Load(), traceRing))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.n
-	if n > len(t.ring) {
-		n = len(t.ring)
-	}
-	out := make([]SpanRecord, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, t.ring[(t.n-n+i)%len(t.ring)])
-	}
+	c := copy(out, t.ring[(t.n.Load()-int64(len(out)))%traceRing:])
+	copy(out[c:], t.ring)
 	return out
 }

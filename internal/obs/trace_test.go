@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,11 +19,9 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.LinkedSpanAt(1, "x", time.Now()) != nil || tr.ForceRootAt("x", time.Now()) != nil {
 		t.Fatal("nil tracer returned a span")
 	}
-	if tr.Spans() != 0 || tr.Dropped() != 0 || tr.Snapshot() != nil {
+	if tr.Spans() != 0 || tr.Snapshot() != nil {
 		t.Fatal("nil tracer reported state")
 	}
-	tr.Drain()
-	tr.Close() // must not panic
 
 	var sp *Span
 	sp.SetShard(3)
@@ -40,7 +37,6 @@ func TestTracerNilSafe(t *testing.T) {
 
 func TestTracerSampling(t *testing.T) {
 	off := NewTracer(0)
-	defer off.Close()
 	for i := 0; i < 100; i++ {
 		if off.Sample() {
 			t.Fatal("sample rate 0 flipped heads")
@@ -60,7 +56,6 @@ func TestTracerSampling(t *testing.T) {
 	}
 
 	on := NewTracer(1)
-	defer on.Close()
 	for i := 0; i < 100; i++ {
 		if !on.Sample() {
 			t.Fatal("sample rate 1 flipped tails")
@@ -79,20 +74,15 @@ const ringSpans = 4096
 // snapshot is the ring's worth of newest spans, oldest first.
 func TestTracerRingRetention(t *testing.T) {
 	tr := NewTracer(1)
-	defer tr.Close()
 	ctx := tr.NewContext()
 	start := time.Now()
 	const total = ringSpans + 6
 	for i := 0; i < total; i++ {
 		sp := tr.StartSpanAt(ctx, "op", start.Add(time.Duration(i)*time.Millisecond))
 		sp.FinishAt(start.Add(time.Duration(i+1) * time.Millisecond))
-		if i%(traceChanSize/2) == 0 {
-			tr.Drain() // keep the hand-off channel from filling
-		}
 	}
-	tr.Drain()
-	if tr.Spans() != total || tr.Dropped() != 0 {
-		t.Fatalf("spans=%d dropped=%d, want %d/0", tr.Spans(), tr.Dropped(), total)
+	if tr.Spans() != total {
+		t.Fatalf("spans=%d, want %d", tr.Spans(), total)
 	}
 	snap := tr.Snapshot()
 	if len(snap) != ringSpans {
@@ -114,7 +104,6 @@ func TestTracerRingRetention(t *testing.T) {
 
 func TestTracerSpanLineage(t *testing.T) {
 	tr := NewTracer(1)
-	defer tr.Close()
 	root := tr.StartSpan(tr.NewContext(), "COMMIT")
 	child := tr.StartSpan(root.Context(), "route")
 	linked := tr.LinkedSpanAt(root.TraceID(), "repl.apply", time.Now())
@@ -122,7 +111,6 @@ func TestTracerSpanLineage(t *testing.T) {
 	for _, sp := range []*Span{child, linked, forced, root} {
 		sp.Finish()
 	}
-	tr.Drain()
 	byName := map[string]SpanRecord{}
 	for _, rec := range tr.Snapshot() {
 		byName[rec.Name] = rec
@@ -143,11 +131,10 @@ func TestTracerSpanLineage(t *testing.T) {
 }
 
 // TestTracerConcurrent hammers span start/finish from many goroutines while
-// scrapes (Drain+Snapshot) run concurrently — run under -race in CI. The
-// workers finish more spans than the ring holds, so stores wrap it.
+// scrapes (Snapshot) run concurrently — run under -race in CI. The workers
+// finish more spans than the ring holds, so stores wrap it.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(1)
-	defer tr.Close()
 	const workers, perWorker = 8, 300
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
@@ -158,10 +145,8 @@ func TestTracerConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr.Drain()
 				_ = tr.Snapshot()
 				_ = tr.Spans()
-				_ = tr.Dropped()
 			}
 		}
 	}()
@@ -183,40 +168,55 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-scraped
-	tr.Drain()
-	if got := tr.Spans() + tr.Dropped(); got != workers*perWorker*2 {
-		t.Fatalf("spans+dropped = %d, want %d", got, workers*perWorker*2)
+	if got := tr.Spans(); got != workers*perWorker*2 {
+		t.Fatalf("spans = %d, want %d", got, workers*perWorker*2)
 	}
 	if got, want := len(tr.Snapshot()), min(int(tr.Spans()), ringSpans); got != want {
 		t.Fatalf("snapshot holds %d spans, want %d", got, want)
 	}
 }
 
-// TestTracerCloseDrains asserts Close stores every span already handed off
-// and releases the collector goroutine — the CI leak check.
-func TestTracerCloseDrains(t *testing.T) {
-	before := runtime.NumGoroutine()
+// TestTracerKeepsEveryBurstSpan finishes spans from 8 goroutines with no
+// pause between them: every one is stored, and a span finished after the
+// burst is the newest in the snapshot the moment Finish returns.
+func TestTracerKeepsEveryBurstSpan(t *testing.T) {
 	tr := NewTracer(1)
 	ctx := tr.NewContext()
-	for i := 0; i < 32; i++ {
-		tr.StartSpan(ctx, "op").Finish()
+	const workers, perWorker = 8, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tr.StartSpan(ctx, "op").Finish()
+			}
+		}()
 	}
-	tr.Close()
-	tr.Close() // idempotent
-	if got := len(tr.Snapshot()); got != 32 {
-		t.Fatalf("snapshot after Close has %d spans, want 32", got)
+	wg.Wait()
+	if got := tr.Spans(); got != workers*perWorker {
+		t.Fatalf("spans = %d after a burst of %d", got, workers*perWorker)
 	}
-	// Spans finished after Close are dropped, not stored.
-	tr.StartSpan(ctx, "late").Finish()
-	if tr.Dropped() != 1 || len(tr.Snapshot()) != 32 {
-		t.Fatalf("span finished after Close: dropped=%d ring=%d, want 1/32", tr.Dropped(), len(tr.Snapshot()))
+	last := tr.StartSpan(ctx, "last")
+	id := last.Context().SpanID
+	last.Finish()
+	snap := tr.Snapshot()
+	if len(snap) != ringSpans || snap[len(snap)-1].SpanID != id {
+		t.Fatalf("snapshot of %d spans ends in %q, want %d ending in the last span", len(snap), snap[len(snap)-1].Name, ringSpans)
 	}
-	// The collector goroutine must be gone; give the runtime a moment.
-	for i := 0; i < 50; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
+}
+
+// BenchmarkTracerFinishParallel prices a span finish on the request path:
+// every goroutine starts and finishes spans of one trace. kept/op is the
+// share of finished spans the tracer stored.
+func BenchmarkTracerFinishParallel(b *testing.B) {
+	tr := NewTracer(1)
+	ctx := tr.NewContext()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tr.StartSpan(ctx, "op").Finish()
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: %d before NewTracer, %d after Close — collector leaked", before, runtime.NumGoroutine())
+	})
+	b.ReportMetric(float64(tr.Spans())/float64(b.N), "kept/op")
 }

@@ -160,7 +160,7 @@ func TestReadOnlyCommitsShipNothing(t *testing.T) {
 	}
 	for i, lags := range after.applied {
 		for s, lag := range lags {
-			if lag.LagBytes != 0 || lag.LagRecords != 0 {
+			if lag.LagBytes != 0 {
 				t.Errorf("follower %d shard %d lags after read-only commits: %+v", i, s, lag)
 			}
 		}

@@ -84,12 +84,12 @@ type Follower struct {
 
 	applied        []atomic.Uint64 // per-shard local log end = applied LSN
 	primaryDurable []atomic.Uint64 // per-shard last reported primary durable LSN
-	recvRecs       []atomic.Int64  // per-shard records decoded off the stream
 	appliedRecs    []atomic.Int64  // per-shard records replayed through the engine
 
 	stopCh      chan struct{}
 	stopOnce    sync.Once
 	wg          sync.WaitGroup
+	promoting   sync.WaitGroup // a self-promotion Run started
 	promoted    atomic.Bool
 	promoteOnce sync.Once
 	promoteErr  error
@@ -116,7 +116,6 @@ func NewFollower(cfg Config) (*Follower, error) {
 		primary:        cfg.PrimaryAddr,
 		applied:        make([]atomic.Uint64, len(cfg.Shards)),
 		primaryDurable: make([]atomic.Uint64, len(cfg.Shards)),
-		recvRecs:       make([]atomic.Int64, len(cfg.Shards)),
 		appliedRecs:    make([]atomic.Int64, len(cfg.Shards)),
 		stopCh:         make(chan struct{}),
 	}
@@ -145,7 +144,11 @@ func (f *Follower) Run() {
 				// it ever logged is applied. Promote from a fresh goroutine —
 				// Promote waits for this one to exit.
 				f.cfg.Logf("repl: primary drained; promoting")
-				go f.Promote()
+				f.promoting.Add(1)
+				go func() {
+					defer f.promoting.Done()
+					f.Promote()
+				}()
 				return
 			}
 			select {
@@ -303,7 +306,6 @@ func (f *Follower) applyBatch(shard int, start wal.LSN, data []byte, primaryDura
 		if derr != nil {
 			return fmt.Errorf("repl: shard %d: corrupt record at LSN %d: %w", shard, start, derr)
 		}
-		f.recvRecs[shard].Add(1)
 		if f.cfg.Tracer != nil && rec.Type == wal.RecTraceCtx {
 			if traceIDs == nil {
 				traceIDs = map[uint64]int{}
@@ -448,22 +450,21 @@ func (f *Follower) inDoubtDecisions() (map[uint32]map[uint64]bool, error) {
 	return decs, nil
 }
 
-// Stop ends the subscription without promoting (tests, shutdown).
+// Stop ends the subscription without promoting (tests, shutdown). A
+// self-promotion a drained stream already started finishes first.
 func (f *Follower) Stop() {
 	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.wg.Wait()
+	f.promoting.Wait()
 }
 
 // ShardLag is one shard's replication position. LagBytes measures how far
-// the mirrored log trails the primary's durable end; LagRecords is the
-// replay backlog — records decoded off the stream but not yet applied
-// (apply is synchronous per batch, so it exceeds zero only mid-apply).
+// the mirrored log trails the primary's durable end.
 type ShardLag struct {
 	AppliedLSN        uint64 `json:"applied_lsn" metric:"sias_repl_applied_lsn,gauge" help:"Follower applied LSN (local mirrored log end)."`
 	PrimaryDurableLSN uint64 `json:"primary_durable_lsn" metric:"sias_repl_primary_durable_lsn,gauge" help:"Last primary durable LSN reported to this follower."`
 	LagBytes          uint64 `json:"lag_bytes" metric:"sias_repl_lag_bytes,gauge" help:"Primary durable LSN minus applied LSN (byte-exact mirrored log)."`
 	AppliedRecords    int64  `json:"applied_records" metric:"sias_repl_applied_records_total,counter" help:"WAL records replayed through the engine."`
-	LagRecords        int64  `json:"lag_records" metric:"sias_repl_lag_records,gauge" help:"Replay backlog: records received off the stream but not yet applied."`
 }
 
 // Stats is the follower's replication position, embedded in STATS replies.
@@ -484,14 +485,9 @@ func (f *Follower) Stats() Stats {
 		if pd > a {
 			lag = pd - a
 		}
-		ar := f.appliedRecs[i].Load()
-		lr := f.recvRecs[i].Load() - ar
-		if lr < 0 {
-			lr = 0
-		}
 		s.Shards = append(s.Shards, ShardLag{
 			AppliedLSN: a, PrimaryDurableLSN: pd, LagBytes: lag,
-			AppliedRecords: ar, LagRecords: lr,
+			AppliedRecords: f.appliedRecs[i].Load(),
 		})
 	}
 	return s

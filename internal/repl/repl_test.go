@@ -147,9 +147,7 @@ func TestReplicationBasic(t *testing.T) {
 	// Tracers on both sides: the primary records the commit pipeline, the
 	// follower links its apply work back via the WAL-carried trace context.
 	ptracer := obs.NewTracer(0)
-	t.Cleanup(ptracer.Close)
 	ftracer := obs.NewTracer(0)
-	t.Cleanup(ftracer.Close)
 	psrv, err := server.New(server.Config{Router: prim, Tracer: ptracer})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +236,6 @@ func TestReplicationBasic(t *testing.T) {
 	// under the trace id the client minted on the primary side. caughtUp
 	// compares against the follower's last-received view of the primary
 	// durable LSN, which can lag the traced commit — wait for the spans.
-	ptracer.Drain()
 	var wantTrace uint64
 	for _, rec := range ptracer.Snapshot() {
 		if rec.Name == "COMMIT" {
@@ -249,7 +246,6 @@ func TestReplicationBasic(t *testing.T) {
 		t.Fatal("primary tracer retained no COMMIT span for the sampled transaction")
 	}
 	waitFor(t, 10*time.Second, "repl.apply spans from both shards", func() bool {
-		ftracer.Drain()
 		seen := map[int]bool{}
 		for _, rec := range ftracer.Snapshot() {
 			if rec.Name == "repl.apply" {
@@ -764,8 +760,8 @@ func TestSlowSubscriberDisconnects(t *testing.T) {
 		return psrv.Stats().Subscribers == 2
 	})
 
-	// Push enough log volume to fill the stalled peer's socket buffers and
-	// its 32-frame queue; after the 1 s stall the policy must cut it while
+	// Push enough log volume to fill the stalled peer's socket buffers until
+	// a frame write misses the 1 s write deadline, which must cut it while
 	// commits keep flowing. One batch a millisecond at most, so the stall
 	// fits inside the batch budget however fast a commit is.
 	big := make([]byte, 4096)

@@ -26,7 +26,6 @@ var updateInventory = flag.Bool("update-inventory", false, "rewrite testdata/met
 // slow-op log with a threshold no op reaches, and a tracer.
 func instrumented(t testing.TB, reg *obs.Registry) func(*server.Config) {
 	tracer := obs.NewTracer(1)
-	t.Cleanup(tracer.Close)
 	return func(cfg *server.Config) {
 		cfg.Obs = reg
 		cfg.SlowOps = obs.NewSlowOpLog(time.Hour, nil)

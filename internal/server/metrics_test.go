@@ -22,7 +22,6 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowOpLog(time.Hour, nil) // threshold no op ever reaches
 	tracer := obs.NewTracer(1)               // every data op traced
-	t.Cleanup(tracer.Close)
 	r := memRouter(t, 3)
 	_, addr := startServer(t, r, func(cfg *server.Config) {
 		cfg.Obs = reg
@@ -172,7 +171,6 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 		fmt.Sprintf("sias_pool_partition_evictions_total{partition=\"0\",shard=\"0\"} %d\n", st.Shards[0].Pool.PartitionEvictions[0]),
 		fmt.Sprintf("sias_2pc_aborts_total{reason=\"prepare\"} %d\n", st.Router.TwoPCAbortPrepare),
 		fmt.Sprintf("sias_server_requests_total %d\n", st.Server.Requests),
-		fmt.Sprintf("sias_trace_dropped_total %d\n", st.Trace.Dropped),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -254,8 +252,8 @@ func TestMetricsMatchStatsFrame(t *testing.T) {
 		t.Fatalf("trace section = %+v after fully-sampled traffic", st.Trace)
 	}
 	// Repl families must expose HELP/TYPE even on a primary (CI greps them).
-	if !strings.Contains(text, "# TYPE sias_repl_lag_records gauge") {
-		t.Error("sias_repl_lag_records family absent on a primary")
+	if !strings.Contains(text, "# TYPE sias_repl_lag_bytes gauge") {
+		t.Error("sias_repl_lag_bytes family absent on a primary")
 	}
 	if slow.Total() != 0 {
 		t.Errorf("slow-op log recorded %d ops under an unreachable threshold", slow.Total())

@@ -1065,8 +1065,7 @@ type StatsReply struct {
 
 // TraceStats mirrors the tracer's counters into the STATS reply.
 type TraceStats struct {
-	Spans   int64 `json:"spans" metric:"sias_trace_spans_total,counter" help:"Distributed trace spans recorded (sampled or force-kept)."`
-	Dropped int64 `json:"dropped" metric:"sias_trace_dropped_total,counter" help:"Distributed trace spans dropped by a full collector queue."`
+	Spans int64 `json:"spans" metric:"sias_trace_spans_total,counter" help:"Distributed trace spans recorded (sampled or force-kept)."`
 }
 
 // snapshot reads every stats source once: the part of a STATS reply that a
@@ -1082,7 +1081,7 @@ func (s *Server) snapshot() StatsReply {
 		reply.Repl = &rs
 	}
 	if t := s.tracer; t != nil {
-		reply.Trace = &TraceStats{Spans: t.Spans(), Dropped: t.Dropped()}
+		reply.Trace = &TraceStats{Spans: t.Spans()}
 	}
 	return reply
 }
